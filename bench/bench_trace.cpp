@@ -14,6 +14,7 @@
 #include "core/prepared.hpp"
 #include "dag/precedence_oracle.hpp"
 #include "exec/sc_memory.hpp"
+#include "io/text.hpp"
 #include "models/location_consistency.hpp"
 #include "proc/random_program.hpp"
 #include "trace/large_check.hpp"
@@ -229,6 +230,49 @@ void BM_TraceReadText(benchmark::State& state) {
                           static_cast<std::int64_t>(in.trace.events.size()));
 }
 BENCHMARK(BM_TraceReadText)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+/// The instance text every postmortem and every ccmm_serve open starts
+/// from: ops, edges and the strand lines of the SP parse.
+Computation make_text_computation(std::size_t n) {
+  Rng rng(n * 29 + 3);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = n;
+  opt.nlocations = 16;
+  return proc::random_cilk(opt, rng);
+}
+
+void BM_ComputationReadText(benchmark::State& state) {
+  const Computation c =
+      make_text_computation(static_cast<std::size_t>(state.range(0)));
+  const std::string text = io::write_computation(c);
+  for (auto _ : state) {
+    std::istringstream is(text);
+    const Computation back = io::read_computation(is);
+    benchmark::DoNotOptimize(back.node_count());
+  }
+  state.counters["file_bytes"] = static_cast<double>(text.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(c.node_count()));
+}
+BENCHMARK(BM_ComputationReadText)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ComputationWriteText(benchmark::State& state) {
+  const Computation c =
+      make_text_computation(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = io::write_computation(c);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["file_bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(c.node_count()));
+}
+BENCHMARK(BM_ComputationWriteText)->Arg(65536)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 
 void BM_TraceReadBinary(benchmark::State& state) {

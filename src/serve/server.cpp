@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstring>
 #include <mutex>
-#include <sstream>
 #include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -582,14 +581,12 @@ struct Server::Impl {
       std::vector<BinaryTraceEvent> replay;
       if (t.kind == Task::Kind::kOpen) {
         OpenRequest req = decode_open(t.blob.data(), t.blob.size());
-        std::istringstream in(req.computation_text);
-        chk = std::make_unique<CheckSession>(io::read_computation(in),
-                                             req.options);
+        chk = std::make_unique<CheckSession>(
+            io::read_computation(req.computation_text), req.options);
       } else {
         SnapshotImage img = decode_snapshot(t.blob.data(), t.blob.size());
-        std::istringstream in(img.computation_text);
-        chk = std::make_unique<CheckSession>(io::read_computation(in),
-                                             img.options);
+        chk = std::make_unique<CheckSession>(
+            io::read_computation(img.computation_text), img.options);
         replay = std::move(img.events);
       }
       // Retained logs only hold accepted records, so the replay cannot

@@ -1,16 +1,459 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "construct/witness.hpp"
+#include "core/last_writer.hpp"
 #include "io/dot.hpp"
 #include "io/text.hpp"
 #include "models/examples.hpp"
 #include "proc/random_program.hpp"
 #include "util/rng.hpp"
+#include "util/str.hpp"
 
 namespace ccmm::io {
 namespace {
+
+// ---------------------------------------------------------------------
+// The definitional reference: the original line-at-a-time parser
+// (std::getline, an istringstream per line, a vector of string tokens)
+// and the original format()-per-line writer. The parser is kept as it
+// was except at the sites where it mishandled malformed input — an id
+// accepted for a 0-node computation (an out-of-bounds op write), a
+// self-loop, a 'nodes' line shrinking the computation under edges or
+// strands already read. There it throws KnownBug with the line, and
+// the differential expects the scanner's line-numbered error instead.
+// ---------------------------------------------------------------------
+namespace reference {
+
+struct KnownBug {
+  std::size_t line;
+};
+
+[[noreturn]] void parse_error(std::size_t line, const std::string& what) {
+  throw std::runtime_error(format("ccmm text parse error, line %zu: %s",
+                                  line, what.c_str()));
+}
+
+class LineReader {
+ public:
+  explicit LineReader(std::istream& in) : in_(in) {}
+
+  std::vector<std::string> next() {
+    std::string raw;
+    while (std::getline(in_, raw)) {
+      ++line_;
+      const auto hash = raw.find('#');
+      if (hash != std::string::npos) raw.erase(hash);
+      std::istringstream ss(raw);
+      std::vector<std::string> tokens;
+      std::string tok;
+      while (ss >> tok) tokens.push_back(tok);
+      if (!tokens.empty()) return tokens;
+    }
+    return {};
+  }
+
+  [[nodiscard]] std::size_t line() const { return line_; }
+
+ private:
+  std::istream& in_;
+  std::size_t line_ = 0;
+};
+
+std::uint64_t parse_number(const LineReader& r, const std::string& tok,
+                           std::uint64_t max) {
+  std::uint64_t value = 0;
+  if (tok.empty()) parse_error(r.line(), "expected a number");
+  for (const char ch : tok) {
+    if (ch < '0' || ch > '9')
+      parse_error(r.line(), "expected a number, got '" + tok + "'");
+    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
+    if (value > max)
+      parse_error(r.line(), "number out of range: " + tok);
+  }
+  return value;
+}
+
+Computation read_computation_body(LineReader& r) {
+  auto header = r.next();
+  if (header.empty() || header[0] != "computation")
+    parse_error(r.line(), "expected 'computation'");
+
+  std::optional<std::size_t> n;
+  std::vector<Op> ops;
+  std::vector<Edge> edges;
+  std::vector<std::vector<SpEvent>> strands;
+  for (;;) {
+    const auto t = r.next();
+    if (t.empty()) parse_error(r.line(), "unexpected end of input");
+    if (t[0] == "end") break;
+    if (t[0] == "nodes") {
+      if (t.size() != 2) parse_error(r.line(), "usage: nodes <n>");
+      n = static_cast<std::size_t>(
+          parse_number(r, t[1], std::uint64_t{1} << 28));
+      // Bug site: earlier edges or strands may name nodes >= n now.
+      for (const Edge& e : edges)
+        if (e.from >= *n || e.to >= *n) throw KnownBug{r.line()};
+      for (const auto& s : strands)
+        for (const SpEvent& e : s)
+          if (e.node != kBottom && e.node >= *n) throw KnownBug{r.line()};
+      ops.assign(*n, Op::nop());
+    } else if (t[0] == "op") {
+      if (!n.has_value()) parse_error(r.line(), "'op' before 'nodes'");
+      if (t.size() < 3) parse_error(r.line(), "usage: op <id> N|R|W [loc]");
+      const auto id =
+          static_cast<NodeId>(parse_number(r, t[1], *n > 0 ? *n - 1 : 0));
+      if (*n == 0) throw KnownBug{r.line()};  // bug site: ops is empty
+      if (t[2] == "N") {
+        if (t.size() != 3) parse_error(r.line(), "N takes no location");
+        ops[id] = Op::nop();
+      } else if (t[2] == "R" || t[2] == "W") {
+        if (t.size() != 4) parse_error(r.line(), "R/W need a location");
+        const auto loc = static_cast<Location>(parse_number(r, t[3], 1u << 30));
+        ops[id] = t[2] == "R" ? Op::read(loc) : Op::write(loc);
+      } else {
+        parse_error(r.line(), "unknown op kind '" + t[2] + "'");
+      }
+    } else if (t[0] == "edge") {
+      if (!n.has_value()) parse_error(r.line(), "'edge' before 'nodes'");
+      if (t.size() != 3) parse_error(r.line(), "usage: edge <from> <to>");
+      const auto max_id = *n > 0 ? *n - 1 : 0;
+      // Bug sites: Dag(n, edges) later throws an unnumbered check
+      // failure for an edge of a 0-node computation or a self-loop.
+      const auto from = static_cast<NodeId>(parse_number(r, t[1], max_id));
+      if (*n == 0) throw KnownBug{r.line()};
+      const auto to = static_cast<NodeId>(parse_number(r, t[2], max_id));
+      if (from == to) throw KnownBug{r.line()};
+      edges.push_back({from, to});
+    } else if (t[0] == "strand") {
+      if (!n.has_value()) parse_error(r.line(), "'strand' before 'nodes'");
+      const auto max_id = *n > 0 ? *n - 1 : 0;
+      std::vector<SpEvent> events;
+      events.reserve(t.size() - 1);
+      for (std::size_t i = 1; i < t.size(); ++i) {
+        const std::string& tok = t[i];
+        if (tok.size() < 2)
+          parse_error(r.line(), "bad strand event '" + tok + "'");
+        const std::string num = tok.substr(1);
+        SpEvent e;
+        switch (tok[0]) {
+          case 'n':
+            e.kind = SpEvent::Kind::kNode;
+            e.node = static_cast<NodeId>(parse_number(r, num, max_id));
+            if (*n == 0) throw KnownBug{r.line()};  // bug site
+            break;
+          case 's':
+            e.kind = SpEvent::Kind::kSpawn;
+            e.child =
+                static_cast<std::uint32_t>(parse_number(r, num, UINT32_MAX));
+            break;
+          case 'y':
+            e.kind = SpEvent::Kind::kSync;
+            e.node = num == "_" ? kBottom
+                                : static_cast<NodeId>(
+                                      parse_number(r, num, max_id));
+            if (*n == 0 && num != "_") throw KnownBug{r.line()};  // bug site
+            break;
+          case 'a':
+            e.kind = SpEvent::Kind::kAdopt;
+            e.child =
+                static_cast<std::uint32_t>(parse_number(r, num, UINT32_MAX));
+            break;
+          default:
+            parse_error(r.line(), "bad strand event '" + tok + "'");
+        }
+        events.push_back(e);
+      }
+      strands.push_back(std::move(events));
+    } else {
+      parse_error(r.line(), "unknown directive '" + t[0] + "'");
+    }
+  }
+  if (!n.has_value()) parse_error(r.line(), "missing 'nodes'");
+  Dag dag(*n, edges);
+  if (!dag.is_acyclic()) parse_error(r.line(), "edges form a cycle");
+  Computation c(std::move(dag), std::move(ops));
+  if (!strands.empty()) {
+    auto sp = std::make_shared<SpStructure>();
+    sp->strands = std::move(strands);
+    sp->node_count = *n;
+    for (const auto& stream : sp->strands)
+      for (const SpEvent& e : stream)
+        if ((e.kind == SpEvent::Kind::kSpawn ||
+             e.kind == SpEvent::Kind::kAdopt) &&
+            e.child >= sp->strands.size())
+          parse_error(r.line(),
+                      format("strand event names unknown strand %u", e.child));
+    c.set_sp_structure(std::move(sp));
+  }
+  return c;
+}
+
+ObserverFunction read_observer_body(LineReader& r, std::size_t node_count) {
+  ObserverFunction phi(node_count);
+  for (;;) {
+    const auto t = r.next();
+    if (t.empty()) parse_error(r.line(), "unexpected end of input");
+    if (t[0] == "end") break;
+    if (t[0] != "phi")
+      parse_error(r.line(), "unknown directive '" + t[0] + "'");
+    if (t.size() != 4)
+      parse_error(r.line(), "usage: phi <loc> <node> <observed|_>");
+    const auto loc = static_cast<Location>(parse_number(r, t[1], 1u << 30));
+    const auto max_id = node_count > 0 ? node_count - 1 : 0;
+    const auto u = static_cast<NodeId>(parse_number(r, t[2], max_id));
+    // Bug site: ObserverFunction::set throws an unnumbered check failure.
+    if (node_count == 0) throw KnownBug{r.line()};
+    const NodeId v = t[3] == "_"
+                         ? kBottom
+                         : static_cast<NodeId>(parse_number(r, t[3], max_id));
+    phi.set(loc, u, v);
+  }
+  return phi;
+}
+
+Computation read_computation(std::istream& in) {
+  LineReader r(in);
+  return read_computation_body(r);
+}
+
+TextPair read_pair(std::istream& in) {
+  LineReader r(in);
+  TextPair pair;
+  pair.c = read_computation_body(r);
+  const auto t = r.next();
+  if (t.empty()) return pair;
+  if (t[0] != "observer")
+    parse_error(r.line(), "expected 'observer' or end of file");
+  pair.phi = read_observer_body(r, pair.c.node_count());
+  return pair;
+}
+
+std::string write_computation(const Computation& c) {
+  std::string out = "computation\n";
+  out += format("nodes %zu\n", c.node_count());
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    const Op o = c.op(u);
+    if (o.is_nop()) continue;
+    out += format("op %u %s %u\n", u, o.is_read() ? "R" : "W", o.loc);
+  }
+  for (const auto& e : c.dag().edges())
+    out += format("edge %u %u\n", e.from, e.to);
+  const SpStructure* sp = c.sp_structure().get();
+  if (sp != nullptr && sp->node_count == c.node_count()) {
+    for (const auto& stream : sp->strands) {
+      out += "strand";
+      for (const SpEvent& e : stream) {
+        switch (e.kind) {
+          case SpEvent::Kind::kNode:
+            out += format(" n%u", e.node);
+            break;
+          case SpEvent::Kind::kSpawn:
+            out += format(" s%u", e.child);
+            break;
+          case SpEvent::Kind::kSync:
+            if (e.node == kBottom)
+              out += " y_";
+            else
+              out += format(" y%u", e.node);
+            break;
+          case SpEvent::Kind::kAdopt:
+            out += format(" a%u", e.child);
+            break;
+        }
+      }
+      out += "\n";
+    }
+  }
+  out += "end\n";
+  return out;
+}
+
+}  // namespace reference
+
+/// What one parser made of one input.
+struct Outcome {
+  std::optional<TextPair> parsed;
+  std::string error;                     // what(), when parsing threw
+  std::optional<std::size_t> known_bug;  // reference only
+};
+
+Outcome outcome_of(const std::function<TextPair()>& parse) {
+  Outcome o;
+  try {
+    o.parsed = parse();
+  } catch (const reference::KnownBug& b) {
+    o.known_bug = b.line;
+  } catch (const std::exception& e) {
+    o.error = e.what();
+  }
+  return o;
+}
+
+void expect_same_sp(const Computation& a, const Computation& b) {
+  ASSERT_EQ(a.sp_structure() == nullptr, b.sp_structure() == nullptr);
+  if (a.sp_structure() == nullptr) return;
+  EXPECT_EQ(a.sp_structure()->node_count, b.sp_structure()->node_count);
+  EXPECT_EQ(a.sp_structure()->strands, b.sp_structure()->strands);
+}
+
+/// The scanner agrees with the reference on `text`: both accept with
+/// equal results, or both throw the same message (hence line) — except
+/// where the reference hit a known bug, which the scanner must reject
+/// as a parse error on that line.
+void expect_agrees(const Outcome& ref, const Outcome& got,
+                   const std::string& text) {
+  if (ref.known_bug.has_value()) {
+    ASSERT_FALSE(got.parsed.has_value()) << text;
+    EXPECT_EQ(got.error.rfind(format("ccmm text parse error, line %zu: ",
+                                     *ref.known_bug),
+                              0),
+              0u)
+        << got.error << "\n" << text;
+    return;
+  }
+  ASSERT_EQ(got.parsed.has_value(), ref.parsed.has_value())
+      << "reference: " << ref.error << "\nscanner: " << got.error << "\n"
+      << text;
+  if (!ref.parsed.has_value()) {
+    EXPECT_EQ(got.error, ref.error) << text;
+    return;
+  }
+  EXPECT_EQ(got.parsed->c, ref.parsed->c) << text;
+  expect_same_sp(got.parsed->c, ref.parsed->c);
+  ASSERT_EQ(got.parsed->phi.has_value(), ref.parsed->phi.has_value()) << text;
+  if (ref.parsed->phi.has_value()) {
+    EXPECT_EQ(*got.parsed->phi, *ref.parsed->phi) << text;
+  }
+}
+
+/// Which way the inputs of a differential went, so a test can insist
+/// that it reached all three.
+struct Tally {
+  std::size_t accepted = 0, rejected = 0, known_bugs = 0;
+};
+
+/// Runs every entry point over `text` against the reference.
+void differential(const std::string& text, Tally& tally) {
+  const Outcome ref_pair = outcome_of([&] {
+    std::istringstream in(text);
+    return reference::read_pair(in);
+  });
+  const Outcome got_pair = outcome_of([&] {
+    std::istringstream in(text);
+    return read_pair(in);
+  });
+  expect_agrees(ref_pair, got_pair, text);
+  if (ref_pair.known_bug.has_value())
+    ++tally.known_bugs;
+  else if (ref_pair.parsed.has_value())
+    ++tally.accepted;
+  else
+    ++tally.rejected;
+
+  const Outcome ref_c = outcome_of([&] {
+    std::istringstream in(text);
+    return TextPair{reference::read_computation(in), std::nullopt};
+  });
+  const Outcome got_stream = outcome_of([&] {
+    std::istringstream in(text);
+    return TextPair{read_computation(in), std::nullopt};
+  });
+  const Outcome got_view = outcome_of([&] {
+    return TextPair{read_computation(std::string_view(text)), std::nullopt};
+  });
+  expect_agrees(ref_c, got_stream, text);
+  expect_agrees(ref_c, got_view, text);
+}
+
+/// A random fork/join instance with its SP strands and a last-writer
+/// observer, as a pair file.
+std::string random_pair_text(Rng& rng, std::size_t ops) {
+  proc::RandomCilkOptions opt;
+  opt.target_ops = ops;
+  opt.nlocations = 4;
+  const Computation c = proc::random_cilk(opt, rng);
+  std::vector<NodeId> order = c.dag().topological_order();
+  return write_pair(c, last_writer(c, order));
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string l; std::getline(in, l);) lines.push_back(l + "\n");
+  return lines;
+}
+
+std::string joined(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& l : lines) out += l;
+  return out;
+}
+
+std::string with_crlf(const std::string& text) {
+  std::string out;
+  for (const char ch : text) {
+    if (ch == '\n') out += '\r';
+    out += ch;
+  }
+  return out;
+}
+
+/// One seeded mutation: a bit flip, a truncation, a line splice
+/// (duplicate, drop or swap), CRLF endings plus a bit flip, or a blank
+/// or comment line inserted.
+std::string mutate(const std::string& text, Rng& rng) {
+  std::string out = text;
+  const auto flip = [&](std::string& s) {
+    if (s.empty()) return;
+    const std::size_t at = rng.below(s.size());
+    s[at] = static_cast<char>(s[at] ^ (1 << rng.below(8)));
+  };
+  switch (rng.below(5)) {
+    case 0:
+      flip(out);
+      break;
+    case 1:
+      out.resize(rng.below(out.size() + 1));
+      break;
+    case 2: {
+      std::vector<std::string> lines = lines_of(text);
+      const std::size_t i = rng.below(lines.size());
+      const std::size_t j = rng.below(lines.size());
+      switch (rng.below(3)) {
+        case 0:
+          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(j),
+                       lines[i]);
+          break;
+        case 1:
+          lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(i));
+          break;
+        default:
+          std::swap(lines[i], lines[j]);
+      }
+      out = joined(lines);
+      break;
+    }
+    case 3: {
+      std::vector<std::string> lines = lines_of(text);
+      const char* const filler[] = {"\n", " \t\n", "# note\n"};
+      lines.insert(lines.begin() +
+                       static_cast<std::ptrdiff_t>(rng.below(lines.size() + 1)),
+                   filler[rng.below(3)]);
+      out = joined(lines);
+      break;
+    }
+    default:
+      out = with_crlf(text);
+      flip(out);
+  }
+  return out;
+}
 
 TEST(TextIo, ComputationRoundTrip) {
   const auto p = examples::figure2();
@@ -130,6 +573,200 @@ TEST(TextIo, Figure4WitnessRoundTripsThroughText) {
   const TextPair back = read_pair(in);
   EXPECT_EQ(back.c, w.c);
   EXPECT_EQ(*back.phi, w.phi);
+}
+
+/// Parsing `text` as a pair file fails on `line` with `needle` in the
+/// message.
+void expect_error_at(const std::string& text, std::size_t line,
+                     const std::string& needle) {
+  std::istringstream in(text);
+  try {
+    (void)read_pair(in);
+    ADD_FAILURE() << "expected parse error for: " << text;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(format("ccmm text parse error, line %zu: ", line), 0),
+              0u)
+        << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(TextIo, MalformedIdsAreLineNumberedErrors) {
+  // A 0-node computation has no valid id: 'op 0' used to write into an
+  // empty op table, 'strand n0' and 'y0' were accepted.
+  expect_error_at("computation\nnodes 0\nop 0 W 1\nend\n", 3, "out of range");
+  expect_error_at("computation\nnodes 0\nop 0 N\nend\n", 3, "out of range");
+  expect_error_at("computation\nnodes 0\nstrand n0\nend\n", 3,
+                  "out of range");
+  expect_error_at("computation\nnodes 0\nstrand y0\nend\n", 3,
+                  "out of range");
+  expect_error_at("computation\nnodes 0\nedge 0 0\nend\n", 3, "out of range");
+  expect_error_at("computation\nnodes 0\nend\nobserver\nphi 0 0 _\nend\n", 5,
+                  "out of range");
+  // A later 'nodes' may not shrink the computation under edges or
+  // strands already read.
+  expect_error_at("computation\nnodes 3\nedge 0 2\nnodes 2\nend\n", 4,
+                  "out of range");
+  expect_error_at("computation\nnodes 3\nstrand n2\nnodes 2\nend\n", 4,
+                  "out of range");
+  // Self-loops used to escape as an unnumbered dag check failure.
+  expect_error_at("computation\nnodes 2\nedge 1 1\nend\n", 3, "self-loop");
+  // The fixed paths still accept what they accepted before.
+  EXPECT_TRUE(read_computation("computation\nnodes 0\nstrand y_\nend\n")
+                  .empty());
+  const Computation grown = read_computation(
+      "computation\nnodes 2\nedge 0 1\nnodes 3\nstrand n2\nend\n");
+  EXPECT_EQ(grown.node_count(), 3u);
+  EXPECT_TRUE(grown.precedes(0, 1));
+}
+
+TEST(TextIo, ScannerMatchesReferenceOnRandomCilkAndMutations) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::string text = random_pair_text(rng, 8 + rng.below(120));
+    differential(text, tally);
+    differential(with_crlf(text), tally);
+    for (int i = 0; i < 40; ++i) differential(mutate(text, rng), tally);
+    if (HasFatalFailure()) return;
+  }
+  // The known-bug inputs take the same path through the comparison.
+  for (const char* text :
+       {"computation\nnodes 0\nop 0 W 1\nend\n",
+        "computation\nnodes 0\nedge 0 x\nend\n",
+        "computation\nnodes 2\nedge 1 1\nbogus\nend\n",
+        "computation\nnodes 0\nstrand s0 n0\nend\n",
+        "computation\nnodes 3\nedge 0 2\nnodes 2\nend\n",
+        "computation\nnodes 0\nend\nobserver\nphi 0 0 x\nend\n"})
+    differential(text, tally);
+  EXPECT_GT(tally.accepted, 100u);
+  EXPECT_GT(tally.rejected, 1000u);
+  EXPECT_GE(tally.known_bugs, 6u);
+}
+
+TEST(TextIo, WriterMatchesReferenceByteForByte) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed * 7);
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 50 + rng.below(2000);
+    opt.nlocations = 1 + rng.below(300);
+    const Computation c = proc::random_cilk(opt, rng);
+    EXPECT_EQ(write_computation(c), reference::write_computation(c));
+  }
+  for (const auto& p : examples::all())
+    EXPECT_EQ(write_computation(p.c), reference::write_computation(p.c))
+        << p.name;
+  EXPECT_EQ(write_computation(Computation()),
+            reference::write_computation(Computation()));
+}
+
+/// The stream reader's block size (src/io/text.cpp).
+constexpr std::size_t kBlock = std::size_t{1} << 20;
+
+TEST(TextIo, StrandLineSpanningSeveralBlocks) {
+  // One strand naming 400k nodes is ~2.8 MB: it starts mid-block and
+  // crosses at least two block boundaries.
+  constexpr std::size_t kNodes = 400000;
+  std::string text = "computation\n# " + std::string(kBlock / 2, 'x') +
+                     "\nnodes " + std::to_string(kNodes) + "\nstrand";
+  std::vector<SpEvent> expected;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    text += " n" + std::to_string(u);
+    expected.push_back({SpEvent::Kind::kNode, u, 0});
+  }
+  text += "\nop 7 W 3\nend\n";
+  ASSERT_GT(text.size(), 3 * kBlock);
+  std::istringstream in(text);
+  const Computation c = read_computation(in);
+  ASSERT_NE(c.sp_structure(), nullptr);
+  ASSERT_EQ(c.sp_structure()->strands.size(), 1u);
+  EXPECT_EQ(c.sp_structure()->strands[0], expected);
+  EXPECT_EQ(c.op(7), Op::write(3));
+  const Computation from_text = read_computation(std::string_view(text));
+  EXPECT_EQ(from_text, c);
+  expect_same_sp(from_text, c);
+}
+
+TEST(TextIo, LinesStraddlingABlockBoundary) {
+  // Put each byte of "op 1 W 7\n" (and the next line's start) on the
+  // boundary in turn; line numbers must not drift either.
+  const std::string op = "op 1 W 7\n";
+  for (std::size_t cut = 0; cut <= op.size(); ++cut) {
+    std::string text = "computation\nnodes 3\n#";
+    text += std::string(kBlock - text.size() - 1 - cut, 'x') + "\n";
+    text += op + "edge 0 1\nop 2 Q\nend\n";
+    ASSERT_EQ(text.compare(kBlock - cut, op.size(), op), 0);
+    std::istringstream in(text);
+    try {
+      (void)read_computation(in);
+      ADD_FAILURE() << "cut " << cut;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "ccmm text parse error, line 6: unknown op kind 'Q'");
+    }
+    text.replace(text.find("op 2 Q"), 6, "op 2 N");
+    std::istringstream ok(text);
+    const Computation c = read_computation(ok);
+    EXPECT_EQ(c.op(1), Op::write(7)) << "cut " << cut;
+    EXPECT_TRUE(c.precedes(0, 1));
+  }
+}
+
+TEST(TextIo, ScannerWhitespaceAndCommentEdgeCases) {
+  const auto parse = [](const std::string& text) {
+    std::istringstream in(text);
+    return read_computation(in);
+  };
+  // No trailing newline, on the stream and on the text overload.
+  EXPECT_EQ(parse("computation\nnodes 2\nop 1 R 4\nend").op(1), Op::read(4));
+  EXPECT_EQ(read_computation("computation\nnodes 2\nop 1 R 4\nend").op(1),
+            Op::read(4));
+  // Tabs, vertical tabs, form feeds and CRLF are all separators.
+  const Computation tabs =
+      parse("computation\r\n\tnodes\t2\r\nop\v0\fW 3 \r\nedge 0\t1\r\nend\r\n");
+  EXPECT_EQ(tabs.op(0), Op::write(3));
+  EXPECT_TRUE(tabs.precedes(0, 1));
+  // '#' cuts a token short.
+  EXPECT_EQ(parse("computation\nnodes 1\nop 0 W 3#x\nend\n").op(0),
+            Op::write(3));
+  // Empty input and a lone comment: nothing to read, line 0 / 1.
+  for (const auto& [text, line] :
+       {std::pair<std::string, std::size_t>{"", 0}, {"# only\n", 1}}) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE();
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                format("ccmm text parse error, line %zu: expected "
+                       "'computation'",
+                       line));
+    }
+  }
+}
+
+TEST(TextIo, PairWithObserverAfterEndWithoutNewline) {
+  const TextPair p = [] {
+    std::istringstream in(
+        "computation\nnodes 2\nop 0 W 0\nop 1 R 0\nedge 0 1\nend\n"
+        "\n# observer follows\nobserver\nphi 0 1 0\nphi 0 0 0\nend");
+    return read_pair(in);
+  }();
+  ASSERT_TRUE(p.phi.has_value());
+  EXPECT_EQ(p.phi->get(0, 1), 0u);
+  EXPECT_EQ(p.phi->get(0, 0), 0u);
+}
+
+TEST(TextIo, StreamIsLeftAfterTheBlockItRead) {
+  // Separate readers on one stream, as with a line-at-a-time reader.
+  const auto p = examples::figure2();
+  std::istringstream in(write_pair(p.c, p.phi) + "trailing\n");
+  const Computation c = read_computation(in);
+  EXPECT_EQ(c, p.c);
+  EXPECT_EQ(read_observer(in, c.node_count()), p.phi);
+  std::string rest;
+  std::getline(in, rest);
+  EXPECT_EQ(rest, "trailing");
 }
 
 TEST(DotIo, ContainsNodesEdgesAndObserver) {

@@ -223,7 +223,12 @@ std::unique_ptr<SpOrderOracle> make_sp_order_oracle(const SpStructure& sp) {
   return std::make_unique<SpOrderOracle>(std::move(eng), std::move(heb));
 }
 
-ChainDecompositionOracle::ChainDecompositionOracle(const Dag& dag) {
+ChainDecompositionOracle::ChainDecompositionOracle(const Dag& dag)
+    : ChainDecompositionOracle(dag, CoverOnly{}) {
+  build_table(dag);
+}
+
+ChainDecompositionOracle::ChainDecompositionOracle(const Dag& dag, CoverOnly) {
   const std::size_t n = dag.node_count();
   chain_of_.assign(n, kUnlabeled);
   pos_.assign(n, 0);
@@ -260,7 +265,15 @@ ChainDecompositionOracle::ChainDecompositionOracle(const Dag& dag) {
       u = best;
     }
   }
+}
 
+void ChainDecompositionOracle::build_table(const Dag& dag) {
+  const std::size_t n = dag.node_count();
+  const std::vector<NodeId> topo =
+      dag.ids_topological() ? std::vector<NodeId>{} : dag.topological_order();
+  const auto topo_at = [&](std::size_t i) {
+    return topo.empty() ? static_cast<NodeId>(i) : topo[i];
+  };
   // up_[u][c] = min position on chain c among nodes reachable from u
   // (including u itself): reverse topological sweep merging successors.
   up_.assign(n * nchains_, kUnlabeled);
@@ -287,11 +300,16 @@ std::unique_ptr<PrecedenceOracle> make_oracle(const Dag& dag,
     } else if (dag.node_count() <= options.closure_threshold) {
       choice = OracleChoice::kClosure;
     } else {
-      // Probe the chain cover; keep it only if it undercuts the
-      // closure's n²/4 bytes (it usually does unless the dag is wide).
-      auto chain = std::make_unique<ChainDecompositionOracle>(dag);
+      // Price the chain cover before building its table; keep it only
+      // if it undercuts the closure's n²/4 bytes (it usually does
+      // unless the dag is wide).
+      auto chain = std::make_unique<ChainDecompositionOracle>(
+          dag, ChainDecompositionOracle::CoverOnly{});
       const std::size_t n = dag.node_count();
-      if (chain->memory_bytes() <= n * n / 4) return chain;
+      if (chain->table_bytes() <= n * n / 4) {
+        chain->build_table(dag);
+        return chain;
+      }
       choice = OracleChoice::kClosure;
     }
   }

@@ -173,6 +173,15 @@ class SpOrderOracle final : public PrecedenceOracle {
 class ChainDecompositionOracle final : public PrecedenceOracle {
  public:
   explicit ChainDecompositionOracle(const Dag& dag);
+  /// The greedy chain cover alone, O(n + m): enough to price the
+  /// n × chains table (table_bytes()) before build_table() pays for it.
+  struct CoverOnly {};
+  ChainDecompositionOracle(const Dag& dag, CoverOnly);
+  void build_table(const Dag& dag);
+  /// memory_bytes() once the table is built.
+  [[nodiscard]] std::size_t table_bytes() const noexcept {
+    return (chain_of_.size() * (nchains_ + 2)) * sizeof(std::uint32_t);
+  }
 
   [[nodiscard]] const char* kind() const noexcept override { return "chain"; }
   [[nodiscard]] std::size_t node_count() const noexcept override {

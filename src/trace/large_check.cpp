@@ -1,431 +1,19 @@
 #include "trace/large_check.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <memory>
-#include <numeric>
-#include <span>
-#include <thread>
-
-#include "dag/sweep.hpp"
-#include "trace/loc_kernel.hpp"
-#include "util/numa.hpp"
-#include "util/resource.hpp"
-#include "util/ring_buffer.hpp"
+#include "trace/session_kernel.hpp"
 #include "util/str.hpp"
 
 namespace ccmm {
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double millis_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-/// Events per pipeline chunk. Large enough that ring/mutex traffic is
-/// noise, small enough that a chunk of topo slots plus its pred edges
-/// stays cache-resident while every location's kernel walks it.
-constexpr std::uint32_t kChunkNodes = 1u << 17;
-
-/// Below this the whole check is a few milliseconds and thread spawn
-/// plus ring handshakes would dominate: run the chunk loop inline.
-constexpr std::size_t kPipelineMinNodes = std::size_t{1} << 14;
-
-/// One unit of sharded work: a location, its dense Φ column (nullptr
-/// when the observer stores no column for it, i.e. the column is all-⊥)
-/// and its writers in id order — a slice of the LocationGroups arena,
-/// never a per-task Computation::writers() rescan.
-struct LocTask {
-  Location loc = 0;
-  const std::vector<NodeId>* col = nullptr;
-  std::span<const NodeId> writers;
-};
-
-/// One ring slot: a chunk of topological positions plus every task's
-/// staged blocks and validity (the producer owns the column-bound half
-/// of the scan; consumers never touch a Φ column or the oracle).
-struct ChunkStage {
-  std::uint32_t pos0 = 0;
-  std::uint32_t pos1 = 0;
-  std::vector<LocChunkStage> stages;  // indexed by task
-};
-
-/// The oracle kind make_oracle would pick, when that is decidable
-/// without building anything — the lazy path still reports it. Empty
-/// means unpredictable (kAuto's chain-cover probe), so build eagerly.
-std::string predicted_oracle_kind(const Computation& c,
-                                  const OracleOptions& options) {
-  switch (options.choice) {
-    case OracleChoice::kClosure:
-      return "closure";
-    case OracleChoice::kSpOrder:
-      return "sp-order";
-    case OracleChoice::kChain:
-      return "chain";
-    case OracleChoice::kAuto:
-      break;
-  }
-  const SpStructure* sp = c.sp_structure().get();
-  if (sp != nullptr && sp->node_count == c.node_count()) return "sp-order";
-  if (c.node_count() <= options.closure_threshold) return "closure";
-  return {};
-}
-
-const char* pred_label(std::uint32_t bit) { return ModelSuite::bit_name(bit); }
-
-std::size_t csr_bytes_of(const Csr& csr) {
-  return csr.head.capacity() * sizeof(std::uint32_t) +
-         csr.tgt.capacity() * sizeof(NodeId);
-}
-
-}  // namespace
 
 LargeCheckReport large_check(const Computation& c, const ObserverFunction& phi,
                              const LargeCheckOptions& options) {
-  const auto t0 = Clock::now();
-  LargeCheckReport report;
-  report.checked = options.models & kLargeCheckExt;
-  const std::size_t n = c.node_count();
-  if (phi.node_count() != n) {
+  if (phi.node_count() != c.node_count()) {
+    LargeCheckReport report;
+    report.checked = options.models & kLargeCheckExt;
     report.detail = "observer function and computation disagree on node count";
-    report.total_millis = millis_since(t0);
     return report;
   }
-
-  // The oracle is lazy: condition 2.2 only consults it for pairs whose
-  // observed write sits later in the scan order, and on trace-shaped
-  // observers that set is empty — the build (often the largest fixed
-  // cost of a postmortem) then never happens and its bytes drop out of
-  // the footprint. The reported kind is the one make_oracle would
-  // pick; only kAuto's chain-cover probe is unpredictable, and that
-  // one case builds eagerly.
-  const std::string predicted = predicted_oracle_kind(c, options.oracle);
-  const auto t_oracle = Clock::now();
-  const LazyOracle oracle =
-      predicted.empty()
-          ? LazyOracle(make_oracle(c.dag(), c.sp_structure().get(),
-                                   options.oracle))
-          : LazyOracle([&c, &options] {
-              return make_oracle(c.dag(), c.sp_structure().get(),
-                                 options.oracle);
-            });
-  const double eager_oracle_ms = millis_since(t_oracle);
-
-  const auto t_group = Clock::now();
-  std::vector<NodeId> topo;
-  if (c.dag().ids_topological()) {
-    topo.resize(n);
-    std::iota(topo.begin(), topo.end(), NodeId{0});
-  } else {
-    topo = c.dag().topological_order();
-  }
-
-  // The composites expand to the base bits their scans decide; the
-  // per-location fold clips back to the requested mask.
-  std::uint32_t base = report.checked & kLargeCheckAll;
-  if ((report.checked & kSuiteWNPlus) != 0) base |= kSuiteWN;
-  if ((report.checked & kSuiteNNPlus) != 0) base |= kSuiteNN;
-  const bool want_fresh = (report.checked & kLargeCheckPlus) != 0;
-
-  // Flatten the edges once for every location to share. The incremental
-  // kernel classifies quotient edges and carries the freshness shadow
-  // over predecessors, so pred is the workhorse CSR; succ is only
-  // needed for the mask models' backward sweep — an LC-only postmortem
-  // (the 128M headline) never materializes it.
-  const bool want_masks =
-      (base & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
-  const bool want_lc = (base & kSuiteLC) != 0;
-  Csr succ;
-  Csr pred;
-  if (want_masks) succ = make_succ_csr(c.dag());
-  if (want_lc || want_masks || want_fresh) pred = make_pred_csr(c.dag());
-  report.csr_bytes = csr_bytes_of(succ) + csr_bytes_of(pred);
-  const SimdLevel simd = options.simd.value_or(active_simd_level());
-  report.simd = simd_level_name(simd);
-
-  // Worklist: written locations (an absent column fails 2.3 there) plus
-  // every stored column with a non-⊥ entry (an unexpected observation
-  // must fail 2.1, so it cannot be skipped either). The grouping arena
-  // hands every task a slice of its flat writer array — one O(n) scan
-  // and seven allocations total instead of two vectors per location.
-  const LocationGroups groups = group_location_accesses(c);
-  report.groups_bytes = groups.memory_bytes();
-  const auto writers_of = [&](Location l) -> std::span<const NodeId> {
-    const auto it = std::lower_bound(groups.locs.begin(), groups.locs.end(), l);
-    if (it == groups.locs.end() || *it != l) return {};
-    return groups.writers(
-        static_cast<std::size_t>(it - groups.locs.begin()));
-  };
-  std::vector<LocTask> tasks;
-  {
-    const std::vector<Location>& stored = phi.stored_locations();
-    std::size_t si = 0;
-    const auto stored_task = [&](std::size_t i) {
-      return LocTask{stored[i], &phi.stored_column(i), writers_of(stored[i])};
-    };
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      const std::span<const NodeId> wr = groups.writers(gi);
-      if (wr.empty()) continue;  // read-only: no column required
-      const Location l = groups.locs[gi];
-      while (si < stored.size() && stored[si] < l) {
-        const LocTask t = stored_task(si++);
-        if (std::any_of(t.col->begin(), t.col->end(),
-                        [](NodeId x) { return x != kBottom; }))
-          tasks.push_back(t);
-      }
-      if (si < stored.size() && stored[si] == l)
-        tasks.push_back(stored_task(si++));
-      else
-        tasks.push_back(LocTask{l, nullptr, wr});
-    }
-    for (; si < stored.size(); ++si) {
-      const LocTask t = stored_task(si);
-      if (std::any_of(t.col->begin(), t.col->end(),
-                      [](NodeId x) { return x != kBottom; }))
-        tasks.push_back(t);
-    }
-  }
-  report.locations.resize(tasks.size());
-
-  // The shared writer→block and writer→location maps (a node writes at
-  // most one location, so two n-entry arrays serve every task at once —
-  // `wblock[u] != 0 && wloc[u] == l` replaces every op-table probe in
-  // the hot loops) and, when ids are not already topological, the
-  // node→position inverse. These are what let the chunk-major scan ask
-  // "which block" in O(1) with no per-location O(n) load/restore.
-  std::vector<std::uint32_t> wblock(n, 0);
-  std::vector<std::uint32_t> wloc(n, 0);
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const std::span<const NodeId> wr = groups.writers(gi);
-    const Location l = groups.locs[gi];
-    for (std::size_t i = 0; i < wr.size(); ++i) {
-      wblock[wr[i]] = static_cast<std::uint32_t>(i) + 1;
-      wloc[wr[i]] = l;
-    }
-  }
-  std::vector<std::uint32_t> posv;
-  const std::uint32_t* pos_of = nullptr;
-  if (!c.dag().ids_topological()) {
-    posv.resize(n);
-    for (std::uint32_t p = 0; p < n; ++p) posv[topo[p]] = p;
-    pos_of = posv.data();
-  }
-  report.aux_bytes = (wblock.capacity() + wloc.capacity() +
-                      posv.capacity()) * sizeof(std::uint32_t);
-  report.group_build_millis = millis_since(t_group);
-
-  const LocKernelCtx kctx{
-      &c,    &oracle,       &topo,       pos_of,         &pred,      &succ,
-      wblock.data(), wloc.data(), base, report.checked, want_fresh, simd};
-
-  // Shard layout: the pipelined engine overlaps ingest (trace-order
-  // validation + oracle batches, on the caller thread) with kernel
-  // advancement (one dedicated consumer thread per shard, every shard
-  // seeing every chunk through a bounded broadcast ring). Dedicated
-  // threads, not pool tasks: a consumer blocks on the ring, and a
-  // blocking task on a shared pool can deadlock concurrent checks.
-  ThreadPool& pool = options.pool != nullptr ? *options.pool : global_pool();
-  const bool pipelined = options.parallel && pool.size() >= 2 &&
-                         !tasks.empty() && n >= kPipelineMinNodes;
-  std::uint32_t chunk =
-      options.chunk_nodes != 0 ? options.chunk_nodes : kChunkNodes;
-  if (options.chunk_nodes == 0 && pipelined) {
-    // The ring holds up to 5 staged chunks (4 slots + the one being
-    // built), each tasks*chunk*4 bytes of blk arrays. Budget that at
-    // ~16 B/node so small pipelined traces are not dominated by fixed
-    // staging memory; large traces keep the full default chunk.
-    const std::uint64_t budget =
-        std::uint64_t{n} * 4 / (5 * tasks.size());
-    chunk = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
-        budget, std::uint64_t{4096}, std::uint64_t{kChunkNodes}));
-  }
-  const std::size_t nshards =
-      tasks.empty() ? 0
-                    : (pipelined ? std::min(tasks.size(), pool.size())
-                                 : std::size_t{1});
-  report.shards = nshards;
-  report.pipelined = pipelined;
-  const NumaTopology& numa = numa_topology();
-  report.numa = numa.to_string();
-
-  double ingest_ms = 0.0;
-  double kernel_ms = 0.0;
-  double report_ms = 0.0;
-  std::size_t scratch_peak = 0;
-
-  if (nshards > 0 && !pipelined) {
-    // Serial chunk-major scan: same chunk loop as the pipeline, with
-    // the prestage inlined. One arena, states advanced in task order —
-    // byte-identical verdicts to the pipelined run.
-    LocArena arena;
-    std::vector<LocState> states(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      states[i].init(kctx, tasks[i].loc, tasks[i].col, tasks[i].writers);
-    // One staging buffer for every task: each task's staged blocks are
-    // consumed by its advance immediately (still hot in cache), so the
-    // scan never holds more than one chunk's blk array — without this
-    // the per-task buffers alone cost tasks*n*4 bytes on small traces.
-    LocChunkStage staged;
-    for (std::uint32_t p0 = 0; p0 < n; p0 += chunk) {
-      const std::uint32_t p1 =
-          static_cast<std::uint32_t>(std::min<std::size_t>(n, p0 + chunk));
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const auto ti = Clock::now();
-        stage_chunk(kctx, tasks[i].loc, tasks[i].col, p0, p1, arena, staged);
-        ingest_ms += millis_since(ti);
-        const auto tk = Clock::now();
-        states[i].advance(p0, p1, arena, &staged);
-        kernel_ms += millis_since(tk);
-      }
-      if (options.progress) options.progress(p1, n);
-    }
-    const auto tr = Clock::now();
-    std::size_t state_bytes =
-        staged.blk.capacity() * sizeof(std::uint32_t);
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      states[i].finalize_into(report.locations[i], arena);
-      state_bytes += states[i].memory_bytes();
-    }
-    report_ms += millis_since(tr);
-    arena.note_peak();
-    scratch_peak = arena.peak_bytes + state_bytes;
-  } else if (nshards > 0) {
-    // Pack tasks onto the shards in longest-processing-time order. Cost
-    // model: every task pays an O(n) kernel pass (1 unit) plus one
-    // sweep per 256-block batch when mask models are requested.
-    std::vector<std::size_t> cost(tasks.size());
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      cost[i] = 1 + (want_masks
-                         ? (tasks[i].writers.size() + kSweepBits) / kSweepBits
-                         : 0);
-    std::vector<std::size_t> by_cost(tasks.size());
-    std::iota(by_cost.begin(), by_cost.end(), std::size_t{0});
-    std::stable_sort(by_cost.begin(), by_cost.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return cost[a] > cost[b];
-                     });
-    std::vector<std::vector<std::size_t>> shard_tasks(nshards);
-    std::vector<std::size_t> shard_load(nshards, 0);
-    for (const std::size_t i : by_cost) {
-      const std::size_t s = static_cast<std::size_t>(
-          std::min_element(shard_load.begin(), shard_load.end()) -
-          shard_load.begin());
-      shard_tasks[s].push_back(i);
-      shard_load[s] += cost[i];
-    }
-
-    const std::vector<std::size_t> plan = plan_shard_placement(nshards, numa);
-    BroadcastRing<std::shared_ptr<const ChunkStage>> ring(4, nshards);
-    std::vector<double> sh_kernel(nshards, 0.0);
-    std::vector<double> sh_report(nshards, 0.0);
-    std::vector<std::size_t> sh_bytes(nshards, 0);
-    std::vector<std::thread> workers;
-    workers.reserve(nshards);
-    for (std::size_t s = 0; s < nshards; ++s) {
-      workers.emplace_back([&, s] {
-        // Pin to the shard's NUMA node BEFORE the first allocation:
-        // the arena and states below are first-touched inside the
-        // binding, so their pages land on the node that re-reads them
-        // every chunk. Single-node topologies make this a no-op.
-        const NumaBinding bind(numa, plan[s]);
-        const std::vector<std::size_t>& mine = shard_tasks[s];
-        LocArena arena;
-        std::vector<LocState> states(mine.size());
-        for (std::size_t k = 0; k < mine.size(); ++k)
-          states[k].init(kctx, tasks[mine[k]].loc, tasks[mine[k]].col,
-                         tasks[mine[k]].writers);
-        std::shared_ptr<const ChunkStage> st;
-        while (ring.pop(s, st)) {
-          const auto tk = Clock::now();
-          for (std::size_t k = 0; k < mine.size(); ++k)
-            states[k].advance(st->pos0, st->pos1, arena,
-                              &st->stages[mine[k]]);
-          sh_kernel[s] += millis_since(tk);
-        }
-        const auto tr = Clock::now();
-        std::size_t bytes = 0;
-        for (std::size_t k = 0; k < mine.size(); ++k) {
-          states[k].finalize_into(report.locations[mine[k]], arena);
-          bytes += states[k].memory_bytes();
-        }
-        sh_report[s] = millis_since(tr);
-        arena.note_peak();
-        sh_bytes[s] = arena.peak_bytes + bytes;
-      });
-    }
-
-    // Producer: stage the column-bound half of the scan for every
-    // task, chunk by chunk, blocking only on ring backpressure.
-    LocArena parena;
-    std::size_t stage_bytes = 0;
-    for (std::uint32_t p0 = 0; p0 < n; p0 += chunk) {
-      const std::uint32_t p1 =
-          static_cast<std::uint32_t>(std::min<std::size_t>(n, p0 + chunk));
-      const auto ti = Clock::now();
-      auto st = std::make_shared<ChunkStage>();
-      st->pos0 = p0;
-      st->pos1 = p1;
-      st->stages.resize(tasks.size());
-      for (std::size_t i = 0; i < tasks.size(); ++i)
-        stage_chunk(kctx, tasks[i].loc, tasks[i].col, p0, p1, parena,
-                    st->stages[i]);
-      std::size_t sb = 0;
-      for (const LocChunkStage& sg : st->stages)
-        sb += sg.blk.capacity() * sizeof(std::uint32_t);
-      stage_bytes = std::max(stage_bytes, sb);
-      ingest_ms += millis_since(ti);
-      ring.push(std::move(st));
-      if (options.progress) options.progress(p1, n);
-    }
-    ring.close();
-    for (std::thread& w : workers) w.join();
-    kernel_ms = *std::max_element(sh_kernel.begin(), sh_kernel.end());
-    report_ms = *std::max_element(sh_report.begin(), sh_report.end());
-    parena.note_peak();
-    // Up to 4 staged chunks live in the ring plus the one being built
-    // — fewer when the whole trace fits in fewer chunks.
-    const std::size_t in_flight = std::min<std::size_t>(
-        5, (n + chunk - 1) / chunk);
-    scratch_peak = std::max(
-        *std::max_element(sh_bytes.begin(), sh_bytes.end()),
-        parena.peak_bytes + stage_bytes * in_flight);
-  }
-
-  report.scratch_peak_bytes = scratch_peak;
-  report.ingest_millis += ingest_ms;
-  report.kernel_millis = kernel_ms;
-  report.report_millis = report_ms;
-
-  // Oracle accounting: real numbers when it was built (eagerly or on a
-  // 2.2 flush), the predicted kind and zero bytes when the scan never
-  // needed it.
-  if (oracle.built()) {
-    report.oracle_kind = oracle.get().kind();
-    report.oracle_memory_bytes = oracle.get().memory_bytes();
-    report.oracle_build_millis =
-        predicted.empty() ? eager_oracle_ms : oracle.build_millis();
-  } else {
-    report.oracle_kind = predicted;
-  }
-
-  report.valid_observer = true;
-  std::uint32_t violated = 0;
-  for (const LocationCheck& lc : report.locations) {
-    if (!lc.valid) report.valid_observer = false;
-    violated |= lc.violated;
-    if (report.detail.empty() && !lc.detail.empty()) report.detail = lc.detail;
-  }
-  report.satisfied = report.valid_observer ? (report.checked & ~violated) : 0;
-  report.peak_rss_bytes = current_peak_rss_bytes();
-  if (n > 0)
-    report.bytes_per_node =
-        static_cast<double>(report.csr_bytes + report.groups_bytes +
-                            report.scratch_peak_bytes * report.shards +
-                            report.aux_bytes + report.oracle_memory_bytes) /
-        static_cast<double>(n);
-  report.total_millis = millis_since(t0);
-  return report;
+  return CheckSession(&c, options).run_observer(phi);
 }
 
 std::string LargeCheckReport::to_string() const {
@@ -435,7 +23,7 @@ std::string LargeCheckReport::to_string() const {
   out += format(
       "data plane: %s kernels, %zu shards%s, %.1f B/node "
       "(csr %zu + groups %zu + scratch %zu x %zu + aux %zu + oracle %zu)\n",
-      simd.c_str(), shards, pipelined ? " (pipelined)" : "", bytes_per_node,
+      simd.c_str(), shards, pipelined ? " (on the pool)" : "", bytes_per_node,
       csr_bytes, groups_bytes, scratch_peak_bytes, shards, aux_bytes,
       oracle_memory_bytes);
   out += format(
@@ -461,7 +49,7 @@ std::string LargeCheckReport::to_string() const {
     for (std::uint32_t bit = 1; bit != 0 && bit <= lc.violated; bit <<= 1)
       if ((lc.violated & bit) != 0) {
         if (!v.empty()) v += ",";
-        v += pred_label(bit);
+        v += ModelSuite::bit_name(bit);
       }
     t.add_row({format("%u", lc.loc), format("%zu", lc.writers),
                lc.valid ? "yes" : "no", v.empty() ? "-" : v,
@@ -475,97 +63,63 @@ std::string LargeCheckReport::to_string() const {
 
 ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
   const std::size_t n = c.node_count();
+  const LocationGroups groups = group_location_accesses(c);
+  const std::vector<std::uint32_t> index =
+      detail::written_access_index(groups, n);
+
+  // One dense column per written location, filled by the engine's
+  // completion rule. Writes self-observe even when the trace omits
+  // their event entirely.
+  std::vector<Location> locs;
+  std::vector<std::vector<NodeId>> cols;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const std::span<const NodeId> wr = groups.writers(gi);
+    if (wr.empty()) continue;
+    locs.push_back(groups.locs[gi]);
+    cols.emplace_back(n, kBottom);
+    for (const NodeId w : wr) cols.back()[w] = w;
+  }
+  std::vector<NodeId> last(locs.size(), kBottom);
+
   ObserverFunction phi(n);
-  const std::vector<Location> locs = c.written_locations();
-
-  // Events in execution order, as indices (events naming unknown nodes
-  // are dropped, as before). Simulator and binary traces are already
-  // seq-sorted; skip the sort for them.
-  std::vector<std::uint32_t> order;
-  order.reserve(trace.events.size());
-  bool sorted = true;
-  std::uint64_t prev_seq = 0;
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const TraceEvent& e = trace.events[i];
-    if (e.node >= n) continue;
-    if (!order.empty() && e.seq < prev_seq) sorted = false;
-    prev_seq = e.seq;
-    order.push_back(static_cast<std::uint32_t>(i));
-  }
-  if (!sorted)
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return trace.events[a].seq < trace.events[b].seq;
-                     });
-
-  // Resolve each kept event's accessed location to its index in `locs`
-  // once (kNoLoc for nops and accesses to never-written locations), so
-  // the column fills below never touch the op table or binary-search.
-  constexpr std::uint32_t kNoLoc = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> eloc(order.size(), kNoLoc);
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const Op o = c.op(trace.events[order[k]].node);
-    if (o.is_nop()) continue;
-    const auto it = std::lower_bound(locs.begin(), locs.end(), o.loc);
-    if (it != locs.end() && *it == o.loc)
-      eloc[k] = static_cast<std::uint32_t>(it - locs.begin());
-  }
-
-  // One pass per written location, carrying the last write: recorded
-  // observations win, writes self-observe (2.3), everything else gets
-  // the carried write — the value the node would have seen. This fills
-  // dense columns directly (installed whole via set_column) instead of
-  // per-entry phi.set calls that re-search the location list 10⁸ times
-  // on a large trace.
-  for (std::size_t i = 0; i < locs.size(); ++i) {
-    std::vector<NodeId> col(n, kBottom);
-    NodeId last = kBottom;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const TraceEvent& e = trace.events[order[k]];
-      const NodeId u = e.node;
-      if (eloc[k] != i) {
-        if (last != kBottom) col[u] = last;
+  const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
+  std::vector<BinaryTraceEvent> chunk;
+  for (std::size_t k = 0; k < trace.events.size();) {
+    chunk.clear();
+    for (; k < trace.events.size() && chunk.size() < detail::kChunkNodes; ++k)
+      chunk.push_back(
+          detail::record_of(trace.events[order.empty() ? k : order[k]]));
+    for (std::size_t li = 0; li < locs.size(); ++li)
+      detail::fill_column(index.data(), static_cast<std::uint32_t>(li),
+                          chunk.data(), chunk.size(), n, cols[li].data(),
+                          last[li]);
+    // Recorded observations at never-written locations still land in Φ
+    // (they must fail 2.1 later, so they cannot be dropped here).
+    for (const BinaryTraceEvent& e : chunk) {
+      if (e.node >= n || index[e.node] != detail::kNoWrittenLoc ||
+          e.observed == kBottom || e.observed >= n)
         continue;
-      }
-      if (c.op(u).is_write()) {
-        col[u] = u;
-        last = u;
-      } else if (e.observed != kBottom && e.observed < n) {
-        col[u] = e.observed;
-      }
+      const Op o = c.op(e.node);
+      if (o.is_read()) phi.set(o.loc, e.node, e.observed);
     }
-    phi.set_column(locs[i], std::move(col));
   }
-  // Recorded observations at never-written locations still land in Φ
-  // (they must fail 2.1 later, so they cannot be dropped here).
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    if (eloc[k] != kNoLoc) continue;
-    const TraceEvent& e = trace.events[order[k]];
-    const Op o = c.op(e.node);
-    if (o.is_read() && e.observed != kBottom && e.observed < n)
-      phi.set(o.loc, e.node, e.observed);
-  }
-  // Writes self-observe even when the trace omits their event entirely.
-  for (NodeId u = 0; u < n; ++u)
-    if (c.op(u).is_write()) phi.set(c.op(u).loc, u, u);
+  for (std::size_t li = 0; li < locs.size(); ++li)
+    phi.set_column(locs[li], std::move(cols[li]));
   return phi;
 }
 
 LargeCheckReport large_check_trace(const Computation& c, const Trace& trace,
                                    const LargeCheckOptions& options) {
-  const auto t0 = Clock::now();
-  std::string why;
-  if (!trace_consistent_with(trace, c, &why)) {
+  if (trace.events.size() != c.node_count()) {
     LargeCheckReport report;
     report.checked = options.models & kLargeCheckExt;
-    report.detail = "trace does not fit the computation: " + why;
+    report.detail = format(
+        "trace does not fit the computation: trace has %zu events for %zu "
+        "nodes",
+        trace.events.size(), c.node_count());
     return report;
   }
-  const ObserverFunction phi = observer_from_trace(c, trace);
-  const double decode_ms = millis_since(t0);
-  LargeCheckReport report = large_check(c, phi, options);
-  report.ingest_millis += decode_ms;
-  return report;
+  return CheckSession(&c, options).run_trace(trace);
 }
 
 }  // namespace ccmm

@@ -30,8 +30,13 @@
 //    not O(locations). Peak memory is O(n) words per shard, never
 //    O(n²) bits, and the report carries the measured bytes-per-node.
 //
-// Verdicts are pinned byte-identical to the prepared checkers by
-// tests/test_large_check.cpp.
+// Both entry points are thin callers of the one checking engine,
+// CheckSession (trace/session_kernel.hpp): large_check_trace feeds it
+// the trace in stable seq order, kChunkNodes records at a time, and
+// large_check points its states at Φ's stored columns and advances
+// over every position. Online and batch verdicts agree because they
+// run the same code. Verdicts are pinned byte-identical to the
+// prepared checkers by tests/test_large_check.cpp.
 #pragma once
 
 #include <functional>
@@ -60,7 +65,9 @@ struct LargeCheckOptions {
   /// when the computation carries a parse, closure when small, chains
   /// otherwise).
   OracleOptions oracle;
-  /// Shard per-location work across this pool (nullptr = global_pool()).
+  /// Shard per-location work across this pool (nullptr = global_pool())
+  /// when a span is large enough to pay for it; parallel = false keeps
+  /// everything on the caller thread.
   ThreadPool* pool = nullptr;
   bool parallel = true;
   /// Force a kernel level for the mask sweeps (nullopt = the process
@@ -68,14 +75,10 @@ struct LargeCheckOptions {
   /// are bit-identical by construction; this exists so differential
   /// tests can run both in one process.
   std::optional<SimdLevel> simd;
-  /// Events per pipeline chunk (0 = engine default, 1<<17). Small
-  /// values exist for chunk-boundary fuzzing in tests; production
-  /// callers should leave this alone.
-  std::uint32_t chunk_nodes = 0;
   /// Called after each consumed chunk with (positions consumed, total
   /// node count) — the CLI's live progress line. Invoked from the
-  /// ingest thread; must be cheap and thread-compatible with the
-  /// caller's world (it is never called concurrently with itself).
+  /// calling thread between chunks; must be cheap (it is never called
+  /// concurrently with itself).
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
@@ -106,13 +109,12 @@ struct LargeCheckReport {
   double bytes_per_node = 0.0;           // check-owned bytes / node
 
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
-  // Pipelined runs overlap ingest with the kernel, so stages can sum
-  // to more than total_millis; kernel/report are the max over shards.
-  double ingest_millis = 0.0;       // trace decode + 2.2 prestage
+  // Spans that ran on the pool charge their slowest shard.
+  double ingest_millis = 0.0;       // validation + column fill
   double group_build_millis = 0.0;  // grouping + CSRs + wblock map
-  double kernel_millis = 0.0;       // LocState::advance over all chunks
+  double kernel_millis = 0.0;       // LocState::advance over all spans
   double report_millis = 0.0;       // finalize_into + verdict fold
-  bool pipelined = false;           // ring-overlapped producer/consumers
+  bool pipelined = false;           // some span ran sharded on the pool
   std::string numa;                 // topology summary ("1 node" etc.)
 
   /// Same meaning as MemoryModel::contains for the given suite bit:
@@ -146,9 +148,11 @@ struct LargeCheckReport {
 [[nodiscard]] ObserverFunction observer_from_trace(const Computation& c,
                                                    const Trace& trace);
 
-/// Trace entry point: sanity-check the trace against `c` (reporting the
-/// first mismatching event on failure), build the trace observer, and
-/// stream-check it.
+/// Trace entry point: check the event count, then feed the trace to the
+/// engine in stable seq order. The first defective event in that order
+/// (unknown node or observation, wrong op, duplicate, flipped dag edge)
+/// fails the check with "trace does not fit the computation"; otherwise
+/// the verdict is large_check over observer_from_trace(c, trace).
 [[nodiscard]] LargeCheckReport large_check_trace(const Computation& c,
                                                  const Trace& trace,
                                                  const LargeCheckOptions&

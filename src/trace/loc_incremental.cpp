@@ -37,7 +37,7 @@ void LocArena::note_peak() {
   const std::size_t words32 =
       qhead.capacity() + qcur.capacity() + qtgt.capacity() +
       indeg.capacity() + stack.capacity() + blocks.capacity() +
-      bpos.capacity() + self_stage.blk.capacity();
+      bpos.capacity() + stage.blk.capacity();
   const std::size_t words64 =
       anc.capacity() + wri.capacity() + desc.capacity();
   peak_bytes = std::max(
@@ -65,9 +65,14 @@ std::string loc_fail_detail(LocFailKind kind, Location loc, NodeId u,
   return {};
 }
 
+namespace {
+
+/// Resolve one location's chunk into arena.stage: the Φ-block of
+/// every position plus the earliest validity failure.
 void stage_chunk(const LocKernelCtx& ctx, Location loc,
                  const std::vector<NodeId>* col, std::uint32_t pos0,
-                 std::uint32_t pos1, LocArena& arena, LocChunkStage& out) {
+                 std::uint32_t pos1, LocArena& arena) {
+  LocStage& out = arena.stage;
   const std::vector<NodeId>& topo = *ctx.topo;
   out.blk.resize(pos1 - pos0);
   out.fail_pos = kLocNoPos;
@@ -167,6 +172,8 @@ void stage_chunk(const LocKernelCtx& ctx, Location loc,
   arena.bpos.clear();
 }
 
+}  // namespace
+
 void LocState::init(const LocKernelCtx& ctx, Location loc,
                     const std::vector<NodeId>* col,
                     std::span<const NodeId> writers) {
@@ -212,21 +219,19 @@ void LocState::fail_at(std::uint32_t pos, LocFailKind kind, NodeId u,
 }
 
 void LocState::advance(std::uint32_t pos0, std::uint32_t pos1,
-                       LocArena& arena, const LocChunkStage* staged) {
+                       LocArena& arena) {
   CCMM_ASSERT(pos0 == consumed_);
   consumed_ = pos1;
   if (dead_ || pos0 >= pos1) return;
   const auto t0 = Clock::now();
 
-  if (staged == nullptr) {
-    stage_chunk(*ctx_, loc_, col_, pos0, pos1, arena, arena.self_stage);
-    staged = &arena.self_stage;
-  }
-  if (staged->fail_pos < fail_pos_)
-    fail_at(staged->fail_pos, staged->fail_kind, staged->u, staged->x);
+  stage_chunk(*ctx_, loc_, col_, pos0, pos1, arena);
+  const LocStage& staged = arena.stage;
+  if (staged.fail_pos < fail_pos_)
+    fail_at(staged.fail_pos, staged.fail_kind, staged.u, staged.x);
 
   const std::vector<NodeId>& topo = *ctx_->topo;
-  const std::uint32_t* blk = staged->blk.data();
+  const std::uint32_t* blk = staged.blk.data();
   // Classify quotient edges only while the incremental verdict is still
   // informative: a sticky violation decides LC, and a dirty location is
   // decided by the full rebuild at verdict time either way.

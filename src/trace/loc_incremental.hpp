@@ -1,23 +1,22 @@
 // ccmm/trace/loc_incremental.hpp
 //
-// The incremental per-location checking kernel. large_check.cpp used to
-// decide everything in one monolithic batch scan per location; this
-// splits the per-location logic into two composable pieces:
+// The incremental per-location checking kernel. A LocState consumes one
+// location's Φ column in scan order, a span of positions at a time,
+// and decides the location's verdict over whatever prefix it has
+// consumed. Each advance() works in two steps:
 //
-//  * stage_chunk(): the column-bound half of a chunk — resolve every
-//    event in [pos0, pos1) to its Φ-block, catch the local validity
-//    failures (2.1/2.3) inline, and answer condition 2.2 through the
-//    oracle's batched entry point. Pairs whose observed write sits
-//    EARLIER in the topological order are never queried (u ≺ x would
-//    force pos(u) < pos(x)), which makes trace-shaped observers —
+//  * staging: resolve every position of the span to its Φ-block, catch
+//    the local validity failures (2.1/2.3) inline, and answer condition
+//    2.2 through the oracle's batched entry point. Pairs whose observed
+//    write sits EARLIER in the scan order are never queried (u ≺ x
+//    would force pos(u) < pos(x)), which makes trace-shaped observers —
 //    every recorded observation points backwards — issue zero oracle
 //    queries; the oracle itself is built lazily on the first batch
-//    that survives the filter. In the pipelined engine this staging is
-//    the producer's job; a standalone LocState stages for itself.
+//    that survives the filter.
 //
-//  * LocState: accepts the staged chunks append-only and maintains
+//  * advancing, which maintains
 //     - the earliest validity failure (first-failure semantics exactly
-//       matching the batch scan),
+//       matching a one-shot scan),
 //     - an incremental Kahn frontier for LC: blocks are committed to a
 //       drain order as their first member arrives (B_⊥ always first),
 //       and every Φ-block quotient edge is classified on discovery —
@@ -36,13 +35,13 @@
 //       composites) evaluated at verdict time over exactly the
 //       consumed prefix via the shared dag/sweep.hpp kernels —
 //       violation existence is monotone under prefix extension, so
-//       verdicts agree with a batch run over the same prefix
+//       verdicts agree with a one-shot run over the same prefix
 //       (differentially pinned by tests/test_loc_incremental.cpp).
 //
 // finalize_into() is non-destructive and re-callable: callers may
-// interleave advance() and finalize_into() freely (the online-serving
-// contract), and the batch engine in large_check.cpp is just one
-// producer of chunks for a set of these states.
+// interleave advance() and finalize_into() freely. The checking engine
+// (trace/session_kernel.hpp) owns a set of these states, sharded by
+// location, for every entry point — online sessions and batch checks.
 #pragma once
 
 #include <cstdint>
@@ -157,11 +156,11 @@ enum class LocFailKind : std::uint8_t {
   kPrecedesWrite = 4,  // 2.2: u strictly precedes Φ(l, u)
 };
 
-/// One staged chunk for one location: the Φ-block of every position in
+/// One staged span for one location: the Φ-block of every position in
 /// [pos0, pos1) plus the earliest validity failure found while
-/// resolving them. Entries past a failure are unspecified — every
-/// consumer stops at the failing position.
-struct LocChunkStage {
+/// resolving them. Entries past a failure are unspecified — advance()
+/// stops at the failing position.
+struct LocStage {
   std::vector<std::uint32_t> blk;
   std::uint32_t fail_pos = kLocNoPos;
   LocFailKind fail_kind = LocFailKind::kNone;
@@ -169,8 +168,8 @@ struct LocChunkStage {
   NodeId x = 0;
 };
 
-/// Per-shard scratch shared across that shard's LocStates: staged
-/// chunks, the dirty-LC quotient rebuild, the mask sweep rows, and the
+/// Per-shard scratch shared across that shard's LocStates: the staged
+/// span, the dirty-LC quotient rebuild, the mask sweep rows, and the
 /// 2.2 batch buffers all live here and are reused location to
 /// location, so a shard makes O(1) allocations however many locations
 /// it owns.
@@ -181,21 +180,13 @@ struct LocArena {
   std::vector<NodeId> bus, bxs;                                // 2.2 batch
   std::vector<std::uint32_t> bpos;
   std::vector<std::uint8_t> bout;
-  LocChunkStage self_stage;  // standalone advance() stages here
+  LocStage stage;  // advance() stages each span here
   std::size_t peak_bytes = 0;
 
   void note_peak();
 };
 
-/// Resolve one location's chunk: blocks + earliest validity failure.
-/// Shared verbatim between the pipeline producer and standalone
-/// LocStates, so both paths classify events and query the oracle
-/// identically.
-void stage_chunk(const LocKernelCtx& ctx, Location loc,
-                 const std::vector<NodeId>* col, std::uint32_t pos0,
-                 std::uint32_t pos1, LocArena& arena, LocChunkStage& out);
-
-/// The validity-failure message the batch engine always printed.
+/// The validity-failure message of one location.
 [[nodiscard]] std::string loc_fail_detail(LocFailKind kind, Location loc,
                                           NodeId u, NodeId x);
 
@@ -208,16 +199,12 @@ class LocState {
             const std::vector<NodeId>* col, std::span<const NodeId> writers);
 
   /// Consume positions [pos0, pos1) of ctx.topo (must continue exactly
-  /// where the previous advance stopped). `staged` carries the chunk's
-  /// prestaged blocks and validity; pass nullptr to have the state
-  /// stage the chunk itself into the arena (the standalone/online
-  /// mode).
-  void advance(std::uint32_t pos0, std::uint32_t pos1, LocArena& arena,
-               const LocChunkStage* staged = nullptr);
+  /// where the previous advance stopped), staging them in the arena.
+  void advance(std::uint32_t pos0, std::uint32_t pos1, LocArena& arena);
 
   /// Verdict over exactly the prefix consumed so far — byte-identical
-  /// (valid / violated, clipped to ctx.checked) to a batch check over
-  /// that prefix. Non-destructive: advance() may continue afterwards
+  /// (valid / violated, clipped to ctx.checked) to a one-shot check
+  /// over that prefix. Non-destructive: advance() may continue afterwards
   /// and finalize_into() may be called again. Clean locations pay O(1)
   /// for LC here; dirty ones one quotient Kahn; mask models one sweep
   /// pass per 256 writer blocks.

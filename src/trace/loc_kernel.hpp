@@ -1,7 +1,7 @@
 // ccmm/trace/loc_kernel.hpp
 //
 // The shared per-location grouping kernel behind the streaming
-// analyses (trace/large_check.cpp and analyze/race_oracle.cpp): one
+// analyses (trace/session_kernel.cpp and analyze/race_oracle.cpp): one
 // O(n) pass bucketing every accessing node by location.
 //
 // The buckets are a CSR arena, not per-location vectors: `acc` and

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <span>
 
 #include "util/numa.hpp"
@@ -17,10 +18,13 @@ double millis_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Mirror of large_check.cpp's oracle-kind prediction: the lazy oracle
-/// reports the kind make_oracle would pick without building it; only
-/// kAuto's chain-cover probe is unpredictable and builds eagerly. Kept
-/// in lockstep by the byte-identity differential in test_serve.cpp.
+/// Below this many node visits a span runs on the caller thread: the
+/// pool round trip would cost more than the work it spreads.
+constexpr std::size_t kPipelineMinNodes = std::size_t{1} << 14;
+
+/// The oracle kind make_oracle would pick, when that is decidable
+/// without building anything — the lazy path still reports it. Empty
+/// means unpredictable (kAuto's chain-cover probe), so build eagerly.
 std::string predicted_oracle_kind(const Computation& c,
                                   const OracleOptions& options) {
   switch (options.choice) {
@@ -44,87 +48,225 @@ std::size_t csr_bytes_of(const Csr& csr) {
          csr.tgt.capacity() * sizeof(NodeId);
 }
 
+/// Heap estimate for one std::map node holding an unwritten location.
+constexpr std::size_t kMapNodeBytes = 64;
+
 }  // namespace
 
-/// One location's online state: the dense Φ column the session fills
-/// from the stream plus the LocState consuming it. Written locations
-/// are created up front (the batch task list); never-written read
-/// targets splice in when their first recorded observation arrives.
+namespace detail {
+
+std::vector<std::uint32_t> stable_seq_order(const Trace& trace) {
+  const std::vector<TraceEvent>& ev = trace.events;
+  std::vector<std::uint32_t> order;
+  for (std::size_t i = 1; i < ev.size(); ++i) {
+    if (ev[i].seq >= ev[i - 1].seq) continue;
+    order.resize(ev.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return ev[a].seq < ev[b].seq;
+                     });
+    break;
+  }
+  return order;
+}
+
+BinaryTraceEvent record_of(const TraceEvent& e) noexcept {
+  return BinaryTraceEvent{e.seq, e.time, e.proc, e.node, e.observed, 0};
+}
+
+EventValidator::EventValidator(const Computation& c)
+    : c_(&c), arrived_(c.node_count(), 0) {}
+
+bool EventValidator::accept(const BinaryTraceEvent& e, const Op* op,
+                            std::string& why) {
+  const std::size_t n = arrived_.size();
+  const NodeId u = e.node;
+  const auto seq = static_cast<unsigned long long>(e.seq);
+  if (u >= n) {
+    why = format("event seq=%llu names unknown node %u", seq, u);
+  } else if (op != nullptr && !(*op == c_->op(u))) {
+    why = format("node %u executed %s but is labelled %s", u,
+                 op->to_string().c_str(), c_->op(u).to_string().c_str());
+  } else if (e.observed != kBottom && e.observed >= n) {
+    why = format("event seq=%llu observes unknown node %u", seq, e.observed);
+  } else if (e.reserved != 0) {
+    why = format("event seq=%llu has a nonzero reserved field", seq);
+  } else if (accepted_ > 0 && e.seq < last_seq_) {
+    why = format(
+        "event seq=%llu arrives after seq=%llu: online streams must be "
+        "seq-ordered",
+        seq, static_cast<unsigned long long>(last_seq_));
+  } else if (arrived_[u] != 0) {
+    why = format("node %u appears in more than one event", u);
+  } else {
+    // Name the smallest late predecessor: the message must not depend
+    // on adjacency-list order (a computation round-tripped through text
+    // may regroup its edges).
+    NodeId late = u;  // sentinel: u is never its own predecessor
+    for (const NodeId q : c_->dag().pred(u))
+      if (arrived_[q] == 0 && (late == u || q < late)) late = q;
+    if (late == u) {
+      arrived_[u] = 1;
+      last_seq_ = e.seq;
+      ++accepted_;
+      return true;
+    }
+    why = format("trace order flips dag edge %u -> %u (node %u ran first)",
+                 late, u, u);
+  }
+  return false;
+}
+
+std::vector<std::uint32_t> written_access_index(const LocationGroups& g,
+                                                std::size_t n) {
+  std::vector<std::uint32_t> index(n, kNoWrittenLoc);
+  std::uint32_t li = 0;
+  for (std::size_t gi = 0; gi < g.size(); ++gi) {
+    const std::span<const NodeId> wr = g.writers(gi);
+    if (wr.empty()) continue;
+    for (const NodeId u : g.accessors(gi)) index[u] = li << 1;
+    for (const NodeId u : wr) index[u] |= 1u;
+    ++li;
+  }
+  return index;
+}
+
+void fill_column(const std::uint32_t* index, std::uint32_t li,
+                 const BinaryTraceEvent* events, std::size_t count,
+                 std::size_t n, NodeId* col, NodeId& last) {
+  const std::uint32_t self = li << 1;
+  NodeId carried = last;
+  for (std::size_t i = 0; i < count; ++i) {
+    const BinaryTraceEvent& e = events[i];
+    const NodeId u = e.node;
+    if (u >= n) continue;
+    const std::uint32_t a = index[u];
+    if ((a & ~1u) != self) {
+      if (carried != kBottom) col[u] = carried;
+    } else if ((a & 1u) != 0) {
+      col[u] = u;
+      carried = u;
+    } else if (e.observed != kBottom && e.observed < n) {
+      col[u] = e.observed;
+    }
+  }
+  last = carried;
+}
+
+}  // namespace detail
+
+using detail::kChunkNodes;
+using detail::kNoWrittenLoc;
+
+/// One written location: the dense Φ column the stream fills (unused
+/// when the states point at an observer's columns) plus its LocState.
 struct CheckSession::Loc {
   Location loc = 0;
   std::vector<NodeId> col;
   std::span<const NodeId> writers;
   LocState state;
-  // The write carried across batch boundaries by fill_columns. Lives
-  // here, not in a states_-indexed side vector: extra_state_for()
-  // splices into states_, and a parallel vector would need the same
-  // shift at the same position to stay aligned.
-  NodeId last_write = kBottom;
+  NodeId last_write = kBottom;  // carried across feeds by fill_column
+};
+
+/// A fixed set of locations (indices into states_, ascending) and the
+/// scratch arena their kernels share. The stage times are the current
+/// span's, folded into the session totals after each span.
+struct CheckSession::Shard {
+  std::vector<std::uint32_t> locs;
+  LocArena arena;
+  double ingest_ms = 0.0;
+  double kernel_ms = 0.0;
+  double report_ms = 0.0;
 };
 
 CheckSession::CheckSession(Computation c, SessionOptions options)
-    : c_(std::make_unique<Computation>(std::move(c))),
+    : owned_(std::make_unique<Computation>(std::move(c))),
+      c_(owned_.get()),
       opts_(std::move(options)),
-      n_(c_->node_count()) {
+      validator_(*owned_) {
+  setup();
+}
+
+CheckSession::CheckSession(const Computation* c,
+                           const LargeCheckOptions& options)
+    : c_(c),
+      pool_(options.pool),
+      parallel_(options.parallel),
+      progress_(options.progress),
+      validator_(*c) {
+  opts_.models = options.models;
+  opts_.oracle = options.oracle;
+  opts_.simd = options.simd;
+  setup();
+}
+
+void CheckSession::setup() {
   const auto t0 = Clock::now();
+  n_ = c_->node_count();
   checked_ = opts_.models & kLargeCheckExt;
 
-  // Lazy oracle, exactly as the batch engine builds it: condition 2.2
-  // never queries backward-pointing observations, so a trace-shaped
-  // stream never triggers the build.
+  // The oracle is lazy: condition 2.2 only consults it for pairs whose
+  // observed write sits later in the scan order, and on trace-shaped
+  // streams that set is empty — the build (often the largest fixed
+  // cost of a postmortem) then never happens. Only kAuto's chain-cover
+  // probe is unpredictable; that one case builds eagerly.
   predicted_oracle_ = predicted_oracle_kind(*c_, opts_.oracle);
-  const auto t_oracle = Clock::now();
   if (predicted_oracle_.empty()) {
+    const auto t_oracle = Clock::now();
     oracle_ = std::make_unique<LazyOracle>(
         make_oracle(c_->dag(), c_->sp_structure().get(), opts_.oracle));
     eager_oracle_ms_ = millis_since(t_oracle);
   } else {
-    const Computation* cp = c_.get();
+    const Computation* cp = c_;
     const OracleOptions oopts = opts_.oracle;
     oracle_ = std::make_unique<LazyOracle>([cp, oopts] {
       return make_oracle(cp->dag(), cp->sp_structure().get(), oopts);
     });
   }
 
-  // The batch scan order: ids when topological, else the dag's
-  // canonical topological order. The watermark advances along THIS
-  // order whatever order events arrive in, which is what makes every
-  // first-failure position — and so every witness string — identical
-  // to large_check() over the same records.
+  // The scan order: ids when topological, else the dag's canonical
+  // topological order. The watermark advances along THIS order
+  // whatever order events arrive in.
   topo_.resize(n_);
   if (c_->dag().ids_topological()) {
-    for (std::uint32_t p = 0; p < n_; ++p) topo_[p] = p;
+    std::iota(topo_.begin(), topo_.end(), NodeId{0});
   } else {
     topo_ = c_->dag().topological_order();
     posv_.resize(n_);
     for (std::uint32_t p = 0; p < n_; ++p) posv_[topo_[p]] = p;
   }
 
-  base_ = checked_ & kLargeCheckAll;
-  if ((checked_ & kSuiteWNPlus) != 0) base_ |= kSuiteWN;
-  if ((checked_ & kSuiteNNPlus) != 0) base_ |= kSuiteNN;
-  want_fresh_ = (checked_ & kLargeCheckPlus) != 0;
-  want_masks_ = (base_ & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
+  // The composites expand to the base bits their scans decide; the
+  // per-location fold clips back to the requested mask.
+  std::uint32_t base = checked_ & kLargeCheckAll;
+  if ((checked_ & kSuiteWNPlus) != 0) base |= kSuiteWN;
+  if ((checked_ & kSuiteNNPlus) != 0) base |= kSuiteNN;
+  const bool want_fresh = (checked_ & kLargeCheckPlus) != 0;
+  want_masks_ = (base & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
 
-  // pred is needed for stream validation (predecessors must have
-  // arrived) even when no model wants it; succ only for the mask
-  // models' backward sweep, as in the batch engine.
-  pred_ = make_pred_csr(c_->dag());
+  // pred carries LC's quotient edges and the freshness shadow; succ is
+  // only needed for the mask models' backward sweep, so an LC-only
+  // check never materializes it.
+  if (base != 0 || want_fresh) pred_ = make_pred_csr(c_->dag());
   if (want_masks_) succ_ = make_succ_csr(c_->dag());
 
+  // The writer→block and writer→location maps (a node writes at most
+  // one location, so two n-entry arrays serve every state at once) and
+  // the node→written-location index the column fill runs on.
   groups_ = group_location_accesses(*c_);
   wblock_.assign(n_, 0);
   wloc_.assign(n_, 0);
   for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
     const std::span<const NodeId> wr = groups_.writers(gi);
-    const Location l = groups_.locs[gi];
     for (std::size_t i = 0; i < wr.size(); ++i) {
       wblock_[wr[i]] = static_cast<std::uint32_t>(i) + 1;
-      wloc_[wr[i]] = l;
+      wloc_[wr[i]] = groups_.locs[gi];
     }
   }
+  access_ = detail::written_access_index(groups_, n_);
 
-  kctx_ = LocKernelCtx{c_.get(),
+  kctx_ = LocKernelCtx{c_,
                        oracle_.get(),
                        &topo_,
                        posv_.empty() ? nullptr : posv_.data(),
@@ -132,188 +274,236 @@ CheckSession::CheckSession(Computation c, SessionOptions options)
                        &succ_,
                        wblock_.data(),
                        wloc_.data(),
-                       base_,
+                       base,
                        checked_,
-                       want_fresh_,
+                       want_fresh,
                        opts_.simd.value_or(active_simd_level())};
 
-  // Written locations become states up front, in location order — the
-  // batch worklist. Columns start all-⊥ and fill as events arrive.
-  std::size_t nwritten = 0;
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi)
-    if (!groups_.writers(gi).empty()) ++nwritten;
-  states_.reserve(nwritten);
+  // One state per written location, in location order. A read-only
+  // location needs none: its all-⊥ column passes everything.
   for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
     const std::span<const NodeId> wr = groups_.writers(gi);
     if (wr.empty()) continue;
     auto st = std::make_unique<Loc>();
     st->loc = groups_.locs[gi];
-    st->col.assign(n_, kBottom);
     st->writers = wr;
     st->state.init(kctx_, st->loc, &st->col, st->writers);
     states_.push_back(std::move(st));
   }
 
-  // Node -> written-location index (kNoLoc for nops and accesses to
-  // never-written locations), plus the write flag: the per-batch
-  // column fill below runs without a single op-table probe.
-  nloc_of_.assign(n_, kNoLoc);
-  is_write_.assign(n_, 0);
-  for (NodeId u = 0; u < n_; ++u) {
-    const Op o = c_->op(u);
-    if (o.is_nop()) continue;
-    is_write_[u] = o.is_write() ? 1 : 0;
-    const auto it = std::lower_bound(
-        states_.begin(), states_.end(), o.loc,
-        [](const std::unique_ptr<Loc>& s, Location l) { return s->loc < l; });
-    if (it != states_.end() && (*it)->loc == o.loc)
-      nloc_of_[u] =
-          static_cast<std::uint32_t>(it - states_.begin());
+  // Pack the states onto shards in longest-processing-time order. Cost
+  // model: every location pays its share of each span (1 unit) plus one
+  // sweep per 256-block batch at verdict time when mask models run.
+  const std::size_t nshards =
+      states_.empty()
+          ? 0
+          : (parallel_ ? std::min(states_.size(),
+                                  (pool_ != nullptr ? *pool_ : global_pool())
+                                      .size())
+                       : 1);
+  shards_ = std::vector<Shard>(nshards);
+  std::vector<std::size_t> cost(states_.size());
+  for (std::size_t i = 0; i < states_.size(); ++i)
+    cost[i] = 1 + (want_masks_
+                       ? (states_[i]->writers.size() + kSweepBits) / kSweepBits
+                       : 0);
+  std::vector<std::uint32_t> by_cost(states_.size());
+  std::iota(by_cost.begin(), by_cost.end(), 0u);
+  std::stable_sort(by_cost.begin(), by_cost.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return cost[a] > cost[b];
+                   });
+  std::vector<std::size_t> load(nshards, 0);
+  for (const std::uint32_t i : by_cost) {
+    const std::size_t s = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    shards_[s].locs.push_back(i);
+    load[s] += cost[i];
   }
+  for (Shard& sh : shards_) std::sort(sh.locs.begin(), sh.locs.end());
 
-  arrived_.assign(n_, 0);
   group_build_ms_ = millis_since(t0);
   active_ms_ = group_build_ms_;
 }
 
 CheckSession::~CheckSession() = default;
 
-const Computation& CheckSession::computation() const noexcept { return *c_; }
-
 void CheckSession::fail_stream(std::string why) { error_ = std::move(why); }
 
-CheckSession::Loc& CheckSession::extra_state_for(Location l) {
-  auto it = std::lower_bound(
-      states_.begin(), states_.end(), l,
-      [](const std::unique_ptr<Loc>& s, Location loc) { return s->loc < loc; });
-  if (it != states_.end() && (*it)->loc == l) return **it;
-  auto st = std::make_unique<Loc>();
-  st->loc = l;
-  st->col.assign(n_, kBottom);
-  st->state.init(kctx_, l, &st->col, st->writers);
-  // Catch up to the kernel's current position: the column is all-⊥
-  // over the consumed prefix (this location's first recorded
-  // observation is arriving right now, so its scan position is at or
-  // past the watermark), which is exactly what the batch scan saw.
-  if (consumed_ > 0) st->state.advance(0, consumed_, arena_);
-  // Splicing does not disturb nloc_of_: that maps into the written
-  // prefix of the task list by location, and extras never carry
-  // writers, so written indices are re-derived below.
-  Loc& ref = *st;
-  const std::size_t at = static_cast<std::size_t>(it - states_.begin());
-  states_.insert(it, std::move(st));
-  for (NodeId u = 0; u < n_; ++u)
-    if (nloc_of_[u] != kNoLoc && nloc_of_[u] >= at) ++nloc_of_[u];
-  return ref;
+void CheckSession::note_unwritten(Location l, std::uint32_t pos, NodeId u,
+                                  NodeId x) {
+  Unwritten& w = unwritten_[l];
+  if (pos < w.pos) w = Unwritten{pos, u, x};
+  unwritten_min_pos_ = std::min(unwritten_min_pos_, pos);
 }
 
-void CheckSession::fill_columns(const BinaryTraceEvent* events,
-                                std::size_t count) {
-  // One pass per written location carrying the last write — the exact
-  // observer_from_trace() completion: recorded observations win,
-  // writes self-observe, everything else sees the carried write.
-  for (std::size_t si = 0; si < states_.size(); ++si) {
-    Loc& s = *states_[si];
-    if (s.writers.empty()) continue;  // extras fill from events directly
-    std::vector<NodeId>& col = s.col;
-    const std::uint32_t wi = static_cast<std::uint32_t>(si);
-    NodeId last = s.last_write;
-    for (std::size_t i = 0; i < count; ++i) {
-      const BinaryTraceEvent& e = events[i];
-      const NodeId u = e.node;
-      if (nloc_of_[u] != wi) {
-        if (last != kBottom) col[u] = last;
-      } else if (is_write_[u] != 0) {
-        col[u] = u;
-        last = u;
-      } else if (e.observed != 0xFFFFFFFFu) {
-        col[u] = e.observed;
-      }
-    }
-    s.last_write = last;
+bool CheckSession::for_each_shard(std::size_t span,
+                                  const std::function<void(Shard&)>& work) {
+  // More than one shard implies parallel_ and a pool of at least two.
+  if (shards_.size() < 2 || span < kPipelineMinNodes) {
+    for (Shard& sh : shards_) work(sh);
+    return false;
   }
-  // Recorded observations at never-written locations still land in Φ
-  // (they must fail 2.1 later, so they cannot be dropped here).
+  sharded_ = true;
+  ThreadPool& pool = pool_ != nullptr ? *pool_ : global_pool();
+  // On multi-node boxes each shard runs pinned to its NUMA node, so its
+  // arena and columns are first-touched (and re-read every span) on
+  // the node executing it. Single-node topologies skip the binding.
+  const NumaTopology& numa = numa_topology();
+  if (numa.multi_node) {
+    const std::vector<std::size_t> plan =
+        plan_shard_placement(shards_.size(), numa);
+    pool.parallel_for(shards_.size(), [&](std::size_t s) {
+      const NumaBinding bind(numa, plan[s]);
+      work(shards_[s]);
+    });
+  } else {
+    pool.parallel_for(shards_.size(),
+                      [&](std::size_t s) { work(shards_[s]); });
+  }
+  return true;
+}
+
+void CheckSession::advance(const BinaryTraceEvent* events,
+                           std::size_t count) {
+  while (watermark_ < n_ && validator_.arrived(topo_[watermark_]))
+    ++watermark_;
+  const std::uint32_t p0 = consumed_;
+  const std::uint32_t p1 = watermark_;
+  if (count == 0 && p0 == p1) return;
+  const bool on_pool = for_each_shard(
+      std::max<std::size_t>(count, p1 - p0), [&](Shard& sh) {
+        const auto t0 = Clock::now();
+        for (const std::uint32_t i : sh.locs) {
+          if (count == 0) break;
+          Loc& s = *states_[i];
+          if (s.col.empty()) s.col.assign(n_, kBottom);
+          detail::fill_column(access_.data(), i, events, count, n_,
+                              s.col.data(), s.last_write);
+        }
+        const auto t1 = Clock::now();
+        // Chunk-major: a chunk's scan slots and pred edges stay
+        // cache-resident while every location of the shard walks them.
+        for (std::uint64_t q0 = p0; q0 < p1; q0 += kChunkNodes) {
+          const auto q1 = static_cast<std::uint32_t>(
+              std::min<std::uint64_t>(p1, q0 + kChunkNodes));
+          for (const std::uint32_t i : sh.locs)
+            states_[i]->state.advance(static_cast<std::uint32_t>(q0), q1,
+                                      sh.arena);
+        }
+        sh.ingest_ms = std::chrono::duration<double, std::milli>(t1 - t0)
+                           .count();
+        sh.kernel_ms = millis_since(t1);
+      });
+  consumed_ = p1;
+  // Sharded spans overlap: charge the slowest shard, not the sum.
+  double ingest = 0.0;
+  double kernel = 0.0;
+  for (const Shard& sh : shards_) {
+    ingest = on_pool ? std::max(ingest, sh.ingest_ms) : ingest + sh.ingest_ms;
+    kernel = on_pool ? std::max(kernel, sh.kernel_ms) : kernel + sh.kernel_ms;
+  }
+  ingest_ms_ += ingest;
+  kernel_ms_ += kernel;
+}
+
+void CheckSession::ingest(const BinaryTraceEvent* events,
+                          std::size_t count) {
+  events_seen_ += count;
+  if (opts_.retain_events)
+    retained_.insert(retained_.end(), events, events + count);
+  // A read observing a never-written location fails 2.1 there; only
+  // the earliest such observation per location decides its row.
   for (std::size_t i = 0; i < count; ++i) {
     const BinaryTraceEvent& e = events[i];
-    const NodeId u = e.node;
-    if (nloc_of_[u] != kNoLoc || e.observed == 0xFFFFFFFFu) continue;
-    const Op o = c_->op(u);
-    if (!o.is_read()) continue;
-    extra_state_for(o.loc).col[u] = e.observed;
+    if (access_[e.node] != kNoWrittenLoc || e.observed == kBottom) continue;
+    const Op o = c_->op(e.node);
+    if (o.is_read()) note_unwritten(o.loc, kctx_.pos(e.node), e.node,
+                                    e.observed);
   }
-}
-
-void CheckSession::advance_kernel() {
-  while (watermark_ < n_ && arrived_[topo_[watermark_]] != 0) ++watermark_;
-  if (watermark_ == consumed_) return;
-  const auto t0 = Clock::now();
-  for (const std::unique_ptr<Loc>& s : states_)
-    s->state.advance(consumed_, watermark_, arena_);
-  consumed_ = watermark_;
-  kernel_ms_ += millis_since(t0);
+  advance(events, count);
 }
 
 bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
   if (failed()) return false;
   if (count == 0) return true;
   const auto t0 = Clock::now();
-
-  // Validation pass: the incremental half of trace_consistent_with.
-  // Nothing is consumed unless the whole batch validates — a rejected
+  // Nothing is consumed unless the whole batch validates: a rejected
   // batch leaves the session sticky-failed, not half-applied.
+  std::string why;
   for (std::size_t i = 0; i < count; ++i) {
-    const BinaryTraceEvent& e = events[i];
-    const NodeId u = e.node;
-    if (u >= n_) {
-      fail_stream(format("event seq=%llu names unknown node %u",
-                         static_cast<unsigned long long>(e.seq), e.node));
-    } else if (e.observed != 0xFFFFFFFFu && e.observed >= n_) {
-      fail_stream(format("event seq=%llu observes unknown node %u",
-                         static_cast<unsigned long long>(e.seq), e.observed));
-    } else if (e.reserved != 0) {
-      fail_stream(format("event seq=%llu has a nonzero reserved field",
-                         static_cast<unsigned long long>(e.seq)));
-    } else if (events_seen_ + i > 0 && e.seq < last_seq_) {
-      fail_stream(format(
-          "event seq=%llu arrives after seq=%llu: online streams must be "
-          "seq-ordered",
-          static_cast<unsigned long long>(e.seq),
-          static_cast<unsigned long long>(last_seq_)));
-    } else if (arrived_[u] != 0) {
-      fail_stream(format("node %u appears in more than one event", u));
-    } else {
-      // Name the smallest late predecessor so the message matches the
-      // batch checker regardless of adjacency-list order.
-      NodeId late = u;  // sentinel: u is never its own predecessor
-      for (std::uint32_t k = pred_.head[u]; k < pred_.head[u + 1]; ++k) {
-        const NodeId q = pred_.tgt[k];
-        if (arrived_[q] == 0 && (late == u || q < late)) late = q;
-      }
-      if (late != u)
-        fail_stream(format(
-            "trace order flips dag edge %u -> %u (node %u ran first)", late,
-            u, u));
-    }
-    if (failed()) {
-      // Roll back this batch's arrival marks; the session is dead but
-      // its error message should name the first offending event.
-      for (std::size_t j = 0; j < i; ++j) arrived_[events[j].node] = 0;
+    if (!validator_.accept(events[i], nullptr, why)) {
+      fail_stream(std::move(why));
       return false;
     }
-    arrived_[u] = 1;
-    last_seq_ = e.seq;
   }
-  events_seen_ += count;
-
-  if (opts_.retain_events)
-    retained_.insert(retained_.end(), events, events + count);
-
-  fill_columns(events, count);
   ingest_ms_ += millis_since(t0);
-  advance_kernel();
+  ingest(events, count);
   active_ms_ += millis_since(t0);
   return true;
+}
+
+LargeCheckReport CheckSession::run_trace(const Trace& trace) {
+  const auto t0 = Clock::now();
+  const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
+  const std::size_t total = trace.events.size();
+  std::vector<BinaryTraceEvent> chunk;
+  chunk.reserve(std::min<std::size_t>(total, kChunkNodes));
+  std::string why;
+  for (std::size_t k = 0; k < total && !failed();) {
+    const auto tv = Clock::now();
+    chunk.clear();
+    for (; k < total && chunk.size() < kChunkNodes; ++k) {
+      const TraceEvent& e = trace.events[order.empty() ? k : order[k]];
+      chunk.push_back(detail::record_of(e));
+      if (!validator_.accept(chunk.back(), &e.op, why)) {
+        fail_stream(std::move(why));
+        break;
+      }
+    }
+    ingest_ms_ += millis_since(tv);
+    if (failed()) break;
+    ingest(chunk.data(), chunk.size());
+    if (progress_) progress_(consumed_, n_);
+  }
+  active_ms_ += millis_since(t0);
+  return finish();
+}
+
+LargeCheckReport CheckSession::run_observer(const ObserverFunction& phi) {
+  const auto t0 = Clock::now();
+  // Point every state at Φ's column (none stored: the all-⊥ column). A
+  // stored column at a never-written location fails 2.1 at its first
+  // non-⊥ entry in scan order, which is all its row needs.
+  const std::vector<Location>& stored = phi.stored_locations();
+  const auto unwritten_column = [&](std::size_t si) {
+    const std::vector<NodeId>& col = phi.stored_column(si);
+    for (std::uint32_t p = 0; p < n_; ++p) {
+      const NodeId u = topo_[p];
+      if (col[u] == kBottom) continue;
+      note_unwritten(stored[si], p, u, col[u]);
+      return;
+    }
+  };
+  std::size_t si = 0;
+  for (const std::unique_ptr<Loc>& s : states_) {
+    while (si < stored.size() && stored[si] < s->loc) unwritten_column(si++);
+    const std::vector<NodeId>* col = nullptr;
+    if (si < stored.size() && stored[si] == s->loc)
+      col = &phi.stored_column(si++);
+    s->state.init(kctx_, s->loc, col, s->writers);
+  }
+  while (si < stored.size()) unwritten_column(si++);
+  ingest_ms_ += millis_since(t0);
+
+  for (std::uint64_t p = 0; p < n_; p += kChunkNodes) {
+    watermark_ = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(n_, p + kChunkNodes));
+    advance(nullptr, 0);
+    if (progress_) progress_(consumed_, n_);
+  }
+  active_ms_ += millis_since(t0);
+  return check();
 }
 
 SessionVerdict CheckSession::fast_verdict() const {
@@ -324,6 +514,7 @@ SessionVerdict CheckSession::fast_verdict() const {
     v.valid = false;
     return v;
   }
+  if (unwritten_min_pos_ < consumed_) v.valid = false;
   std::uint32_t violated = 0;
   for (const std::unique_ptr<Loc>& s : states_) {
     if (s->state.validity_failed()) v.valid = false;
@@ -341,10 +532,10 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
   LargeCheckReport report;
   report.checked = checked_;
   if (failed() || (require_complete && events_seen_ != n_)) {
-    // The batch engine's large_check_trace() failure shape: checked +
-    // detail only. An incomplete stream reports the event-count
-    // mismatch the concatenated trace would produce — without killing
-    // the session, so a late finish() can still succeed.
+    // Checked + detail only. An incomplete stream reports the
+    // event-count mismatch the concatenated trace would produce —
+    // without killing the session, so a late finish() can still
+    // succeed.
     const std::string why =
         failed() ? error_
                  : format("trace has %zu events for %zu nodes",
@@ -354,32 +545,71 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
   }
 
   report.simd = simd_level_name(kctx_.simd);
-  report.shards = 1;
-  report.pipelined = false;
   report.numa = numa_topology().to_string();
   report.csr_bytes = csr_bytes_of(succ_) + csr_bytes_of(pred_);
   report.groups_bytes = groups_.memory_bytes();
-  report.aux_bytes =
-      (wblock_.capacity() + wloc_.capacity() + posv_.capacity() +
-       nloc_of_.capacity()) * sizeof(std::uint32_t) +
-      topo_.capacity() * sizeof(NodeId) + is_write_.capacity() +
-      arrived_.capacity();
+  report.aux_bytes = aux_bytes();
   report.ingest_millis = ingest_ms_;
   report.group_build_millis = group_build_ms_;
   report.kernel_millis = kernel_ms_;
 
-  report.locations.resize(states_.size());
-  std::size_t state_bytes = 0;
-  std::size_t column_bytes = 0;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    states_[i]->state.finalize_into(report.locations[i], arena_);
-    state_bytes += states_[i]->state.memory_bytes();
-    column_bytes += states_[i]->col.capacity() * sizeof(NodeId);
+  // Rows in location order: the written states merged with the
+  // never-written locations reads observed. An unwritten row fails 2.1
+  // once its earliest observation is consumed and is clean before.
+  report.locations.resize(states_.size() + unwritten_.size());
+  std::vector<std::size_t> row(states_.size());
+  {
+    std::size_t r = 0;
+    std::size_t i = 0;
+    for (const auto& [l, w] : unwritten_) {
+      while (i < states_.size() && states_[i]->loc < l) row[i++] = r++;
+      LocationCheck& lc = report.locations[r++];
+      lc.loc = l;
+      if (w.pos < consumed_) {
+        lc.valid = false;
+        lc.detail = loc_fail_detail(LocFailKind::kNotAWrite, l, w.u, w.x);
+      }
+    }
+    while (i < states_.size()) row[i++] = r++;
   }
-  report.report_millis = millis_since(t0);
-  arena_.note_peak();
-  report.scratch_peak_bytes = arena_.peak_bytes + state_bytes + column_bytes;
 
+  // Finalize is O(1) per clean LC location; the mask sweeps cost one
+  // pass over the consumed prefix per 256-block batch, and that work
+  // decides whether the shards run on the pool.
+  std::size_t sweeps = 0;
+  if (want_masks_)
+    for (const std::unique_ptr<Loc>& s : states_)
+      sweeps += (s->writers.size() + kSweepBits) / kSweepBits;
+  const auto tr = Clock::now();
+  const bool on_pool = for_each_shard(sweeps * consumed_, [&](Shard& sh) {
+    const auto ts = Clock::now();
+    for (const std::uint32_t i : sh.locs)
+      states_[i]->state.finalize_into(report.locations[row[i]], sh.arena);
+    sh.arena.note_peak();
+    sh.report_ms = millis_since(ts);
+  });
+  report.report_millis = millis_since(tr);
+  if (on_pool) {
+    report.report_millis = 0.0;
+    for (const Shard& sh : shards_)
+      report.report_millis = std::max(report.report_millis, sh.report_ms);
+  }
+
+  std::size_t scratch = 0;
+  for (const Shard& sh : shards_) {
+    std::size_t bytes = sh.arena.peak_bytes;
+    for (const std::uint32_t i : sh.locs)
+      bytes += states_[i]->state.memory_bytes() +
+               states_[i]->col.capacity() * sizeof(NodeId);
+    scratch = std::max(scratch, bytes);
+  }
+  report.shards = shards_.size();
+  report.pipelined = sharded_;
+  report.scratch_peak_bytes = scratch;
+
+  // Oracle accounting: real numbers when it was built (eagerly or on a
+  // 2.2 flush), the predicted kind and zero bytes when the scan never
+  // needed it.
   if (oracle_->built()) {
     report.oracle_kind = oracle_->get().kind();
     report.oracle_memory_bytes = oracle_->get().memory_bytes();
@@ -415,15 +645,20 @@ LargeCheckReport CheckSession::check() { return make_report(false); }
 
 LargeCheckReport CheckSession::finish() { return make_report(true); }
 
+std::size_t CheckSession::aux_bytes() const noexcept {
+  return (wblock_.capacity() + wloc_.capacity() + posv_.capacity() +
+          access_.capacity()) * sizeof(std::uint32_t) +
+         topo_.capacity() * sizeof(NodeId) + validator_.memory_bytes() +
+         unwritten_.size() * kMapNodeBytes;
+}
+
 std::size_t CheckSession::memory_bytes() const noexcept {
-  std::size_t bytes =
-      (wblock_.capacity() + wloc_.capacity() + posv_.capacity() +
-       nloc_of_.capacity()) * sizeof(std::uint32_t) +
-      topo_.capacity() * sizeof(NodeId) + is_write_.capacity() +
-      arrived_.capacity() +
-      retained_.capacity() * sizeof(BinaryTraceEvent) +
-      csr_bytes_of(pred_) + csr_bytes_of(succ_) + groups_.memory_bytes() +
-      arena_.peak_bytes;
+  std::size_t bytes = aux_bytes() +
+                      retained_.capacity() * sizeof(BinaryTraceEvent) +
+                      csr_bytes_of(pred_) + csr_bytes_of(succ_) +
+                      groups_.memory_bytes();
+  for (const Shard& sh : shards_)
+    bytes += sh.arena.peak_bytes + sh.locs.capacity() * sizeof(std::uint32_t);
   for (const std::unique_ptr<Loc>& s : states_)
     bytes += sizeof(Loc) + s->col.capacity() * sizeof(NodeId) +
              s->state.memory_bytes();

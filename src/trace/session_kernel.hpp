@@ -1,38 +1,48 @@
 // ccmm/trace/session_kernel.hpp
 //
-// The online checking session: the piece of ccmm_serve that turns the
-// incremental per-location kernel (trace/loc_incremental.hpp) into a
-// feed()/check()/finish() state machine over a live event stream.
+// The checking engine: the one piece of code that sets up, shards,
+// advances and reports the incremental per-location kernel
+// (trace/loc_incremental.hpp). A CheckSession is a feed()/check()/
+// finish() state machine over an event stream; the batch entry points
+// are the same engine fed the whole input (large_check_trace feeds the
+// trace in record chunks, large_check points the states at an
+// observer's columns), and ccmm_serve runs one per open session.
 //
-// A CheckSession is the online twin of large_check_trace(): events
-// arrive append-only as validated 32-byte binary records (in
+// Events arrive append-only as validated 32-byte binary records (in
 // nondecreasing seq order — the stream IS the execution order), the
-// observer columns fill incrementally with exactly the
-// observer_from_trace() completion rules, and the LocStates advance
-// through a *watermark* on the batch engine's scan order:
+// observer columns fill with the completion rule of
+// observer_from_trace(), and the LocStates advance through a
+// *watermark* on the scan order:
 //
-//   scan order  = ids when topological, else dag().topological_order()
-//                 — the SAME order large_check() scans, so verdicts,
-//                 first-failure positions and witness strings are
-//                 byte-identical to the batch postmortem, not merely
-//                 equivalent;
+//   scan order  = ids when topological, else dag().topological_order();
 //   watermark   = length of the longest arrived prefix of the scan
 //                 order. Events can arrive in any linear extension;
 //                 the kernel only consumes positions the stream has
 //                 fully covered. On serial/SC-shaped streams the
 //                 watermark tracks arrival exactly and nothing waits.
 //
-// feed() performs the incremental half of trace_consistent_with (one
-// event per node, known nodes, predecessors already arrived, seq
-// monotone); a violation makes the session sticky-failed and finish()
-// reports the batch engine's "trace does not fit the computation"
-// verdict. finish() on a complete stream returns a LargeCheckReport
-// whose semantic fields (valid_observer / satisfied / detail / every
-// per-location row) match `ccmm_check --trace` on the concatenated
-// trace byte for byte — pinned by tests/test_serve.cpp.
+// Because every first-failure position is a scan position, verdicts
+// and witness strings are a function of the records alone — not of
+// how they were cut into feeds, nor of the arrival order.
+//
+// Work is sharded per location: a shard owns a fixed set of locations
+// (longest-processing-time packing) and one scratch arena. A feed span
+// at least kPipelineMinNodes long runs fill + stage + advance on the
+// pool, one task per shard; a report whose mask sweeps are that large
+// runs finalize the same way. Smaller work (serve's per-batch feeds,
+// an LC-only finish) stays on the caller thread, running the shards'
+// work in order. Either way the verdicts are identical.
+//
+// feed() validates each record (one event per node, known nodes and
+// observations, seq monotone, predecessors first); a violation makes
+// the session sticky-failed and finish() reports "trace does not fit
+// the computation". finish() on a complete stream returns the
+// LargeCheckReport large_check_trace() gives for the same records.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,11 +77,76 @@ struct SessionVerdict {
   std::uint64_t consumed = 0;   // scan positions the kernel advanced
 };
 
+// The engine's shared parts, used by trace_consistent_with, trace_order
+// and observer_from_trace as well — so validation and completion have
+// exactly one implementation. Not an interface of their own.
+namespace detail {
+
+/// Records per batch feed: large_check_trace hands the engine the trace
+/// this many records at a time, and large_check advances an observer in
+/// spans of this size.
+inline constexpr std::uint32_t kChunkNodes = 1u << 17;
+
+/// The indices of `trace.events` in stable seq order (ties keep their
+/// array order); empty when the events already are in that order, as
+/// simulator and binary traces are.
+[[nodiscard]] std::vector<std::uint32_t> stable_seq_order(const Trace& trace);
+
+/// The binary record of a trace event (the op is not part of a record).
+[[nodiscard]] BinaryTraceEvent record_of(const TraceEvent& e) noexcept;
+
+/// The per-event stream validator shared by every entry point: a record
+/// names a known node, observes ⊥ or a known node, has a zero reserved
+/// field, does not go back in seq, is its node's only event, and comes
+/// after all of its node's predecessors. `op`, when given, must also
+/// match the node's label (text and in-memory traces carry ops).
+class EventValidator {
+ public:
+  explicit EventValidator(const Computation& c);
+
+  /// Check `e` against everything accepted so far and accept it; on a
+  /// defect return false with the message in `why`.
+  bool accept(const BinaryTraceEvent& e, const Op* op, std::string& why);
+
+  [[nodiscard]] bool arrived(NodeId u) const noexcept {
+    return arrived_[u] != 0;
+  }
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return arrived_.capacity();
+  }
+
+ private:
+  const Computation* c_;
+  std::vector<std::uint8_t> arrived_;
+  std::uint64_t accepted_ = 0;
+  std::uint64_t last_seq_ = 0;
+};
+
+/// "No written location": nops and accesses to never-written locations.
+inline constexpr std::uint32_t kNoWrittenLoc = 0xFFFFFFFFu;
+
+/// node → (index among the written locations of `g`, in location
+/// order) << 1 | is-write; kNoWrittenLoc for every other node.
+[[nodiscard]] std::vector<std::uint32_t> written_access_index(
+    const LocationGroups& g, std::size_t n);
+
+/// The completion rule, for written location `li` of `index`: apply
+/// `count` records in execution order to the dense column `col`,
+/// carrying the location's last write in `last`. Recorded observations
+/// win, writes self-observe, and every other node sees the carried
+/// write. Records naming nodes ≥ n are skipped, observations ≥ n drop.
+void fill_column(const std::uint32_t* index, std::uint32_t li,
+                 const BinaryTraceEvent* events, std::size_t count,
+                 std::size_t n, NodeId* col, NodeId& last);
+
+}  // namespace detail
+
 class CheckSession {
  public:
   /// The computation is copied into the session (a serving daemon owns
   /// its sessions outright; clients ship the computation in the open
   /// frame). Non-movable: LocStates hold pointers into the session.
+  /// Large spans shard over global_pool().
   explicit CheckSession(Computation c, SessionOptions options = {});
   ~CheckSession();
   CheckSession(const CheckSession&) = delete;
@@ -80,7 +155,7 @@ class CheckSession {
   /// Append `count` records (nondecreasing seq, any linear extension of
   /// the dag). Returns false once the stream is rejected — the session
   /// is then sticky-failed and error() says why; further feeds are
-  /// no-ops. Cost: O(count · stored-locations) column fill plus the
+  /// no-ops. Cost: O(count · written-locations) column fill plus the
   /// kernel advance over newly covered scan positions.
   bool feed(const BinaryTraceEvent* events, std::size_t count);
 
@@ -107,12 +182,14 @@ class CheckSession {
   [[nodiscard]] LargeCheckReport check();
 
   /// Terminal verdict. Requires the stream to be complete (exactly one
-  /// event per node); otherwise reports the batch engine's "trace does
-  /// not fit the computation" failure. Idempotent; feed() after a
+  /// event per node); otherwise reports the "trace does not fit the
+  /// computation" event-count failure. Idempotent; feed() after a
   /// complete finish() rejects (the stream has more events than nodes).
   [[nodiscard]] LargeCheckReport finish();
 
-  [[nodiscard]] const Computation& computation() const noexcept;
+  [[nodiscard]] const Computation& computation() const noexcept {
+    return *c_;
+  }
   [[nodiscard]] const SessionOptions& options() const noexcept {
     return opts_;
   }
@@ -121,65 +198,99 @@ class CheckSession {
       const noexcept {
     return retained_;
   }
-  /// Session-owned heap: columns, groups, CSRs, states, arena peak.
+  /// Session-owned heap: columns, groups, CSRs, states, arena peaks.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  struct Loc;  // one location's column + LocState
+  friend LargeCheckReport large_check(const Computation&,
+                                      const ObserverFunction&,
+                                      const LargeCheckOptions&);
+  friend LargeCheckReport large_check_trace(const Computation&, const Trace&,
+                                            const LargeCheckOptions&);
+
+  struct Loc;    // one written location: column + LocState
+  struct Shard;  // a fixed set of locations plus their scratch arena
+  /// A never-written location some read observes: every such
+  /// observation fails 2.1, so the earliest one in scan order is the
+  /// whole verdict.
+  struct Unwritten {
+    std::uint32_t pos = kLocNoPos;
+    NodeId u = 0;
+    NodeId x = 0;
+  };
+
+  /// Batch engine: borrows `*c` (never copied) and shards over
+  /// options.pool when options.parallel.
+  CheckSession(const Computation* c, const LargeCheckOptions& options);
+  void setup();
 
   void fail_stream(std::string why);
-  Loc& extra_state_for(Location l);
-  void fill_columns(const BinaryTraceEvent* events, std::size_t count);
-  void advance_kernel();
+  void note_unwritten(Location l, std::uint32_t pos, NodeId u, NodeId x);
+  /// Run `work(shard)` for every shard: on the pool when `span` (the
+  /// work estimate, in node visits) pays for it, else on this thread.
+  /// Returns whether the pool ran it.
+  bool for_each_shard(std::size_t span,
+                      const std::function<void(Shard&)>& work);
+  /// Fill the columns from `count` records (none: the columns are
+  /// already complete) and advance every state over [consumed_,
+  /// watermark_).
+  void advance(const BinaryTraceEvent* events, std::size_t count);
+  /// Apply `count` validated records.
+  void ingest(const BinaryTraceEvent* events, std::size_t count);
+  /// Batch: feed `trace` in stable seq order, kChunkNodes records at a
+  /// time, then report.
+  LargeCheckReport run_trace(const Trace& trace);
+  /// Batch: point the states at Φ's stored columns and scan them all.
+  LargeCheckReport run_observer(const ObserverFunction& phi);
   LargeCheckReport make_report(bool require_complete);
+  /// The n-entry maps, scan order, validator and unwritten rows.
+  [[nodiscard]] std::size_t aux_bytes() const noexcept;
 
-  std::unique_ptr<Computation> c_;
+  std::unique_ptr<Computation> owned_;  // serving sessions own their copy
+  const Computation* c_ = nullptr;
   SessionOptions opts_;
+  ThreadPool* pool_ = nullptr;
+  bool parallel_ = true;
+  std::function<void(std::size_t, std::size_t)> progress_;
   std::size_t n_ = 0;
   std::uint32_t checked_ = 0;  // models clipped to kLargeCheckExt
-  std::uint32_t base_ = 0;     // composite-expanded base bits
-  bool want_fresh_ = false;
   bool want_masks_ = false;
 
   std::unique_ptr<LazyOracle> oracle_;  // once_flag member: pin the address
   std::string predicted_oracle_;
   double eager_oracle_ms_ = 0.0;
 
-  std::vector<NodeId> topo_;           // scan order (batch-identical)
+  std::vector<NodeId> topo_;           // scan order
   std::vector<std::uint32_t> posv_;    // node -> scan position (iff !iota)
   Csr pred_;
   Csr succ_;
   LocationGroups groups_;
   std::vector<std::uint32_t> wblock_;
   std::vector<std::uint32_t> wloc_;
+  std::vector<std::uint32_t> access_;  // written_access_index(groups_)
   LocKernelCtx kctx_;
 
-  // Event -> written-location index resolution, precomputed per node so
-  // the per-batch column fill never touches the op table.
-  static constexpr std::uint32_t kNoLoc = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> nloc_of_;   // index into groups_.locs
-  std::vector<std::uint8_t> is_write_;
-
-  // Per-location states, sorted by location: every written location up
-  // front (batch task order), never-written read targets spliced in
-  // lazily when their first recorded observation arrives.
+  // One state per written location, in location order; shards index
+  // into it. Columns are allocated by the first feed.
   std::vector<std::unique_ptr<Loc>> states_;
-  LocArena arena_;
+  std::vector<Shard> shards_;
+  std::map<Location, Unwritten> unwritten_;
+  std::uint32_t unwritten_min_pos_ = kLocNoPos;
+  bool sharded_ = false;  // some span ran on the pool
 
-  std::vector<std::uint8_t> arrived_;
-  std::uint64_t events_seen_ = 0;
-  std::uint64_t last_seq_ = 0;
+  detail::EventValidator validator_;
+  std::uint64_t events_seen_ = 0;  // records of fully accepted feeds
   std::uint32_t watermark_ = 0;   // arrived-prefix length in scan order
-  std::uint32_t consumed_ = 0;    // == watermark_ after advance_kernel()
+  std::uint32_t consumed_ = 0;    // == watermark_ after advance()
   std::string error_;
 
   std::vector<BinaryTraceEvent> retained_;
 
-  // Stage accounting folded into reports (mirrors the batch fields).
+  // Stage accounting folded into reports.
   double group_build_ms_ = 0.0;
   double ingest_ms_ = 0.0;
   double kernel_ms_ = 0.0;
-  double active_ms_ = 0.0;  // total time spent inside feed()/check()
+  double active_ms_ = 0.0;  // total time spent inside the engine
 };
 
 }  // namespace ccmm

@@ -5,78 +5,38 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "trace/session_kernel.hpp"
 #include "util/str.hpp"
 
 namespace ccmm {
 
 std::vector<NodeId> trace_order(const Trace& trace) {
-  std::vector<NodeId> order;
-  order.reserve(trace.events.size());
-  // Traces straight from the simulator — and binary files we emitted —
-  // are already seq-sorted; skip the pointer sort for them.
-  bool sorted = true;
-  for (std::size_t i = 1; i < trace.events.size(); ++i)
-    if (trace.events[i - 1].seq > trace.events[i].seq) {
-      sorted = false;
-      break;
-    }
-  if (sorted) {
-    for (const auto& e : trace.events) order.push_back(e.node);
-    return order;
-  }
-  std::vector<const TraceEvent*> view;
-  view.reserve(trace.events.size());
-  for (const auto& e : trace.events) view.push_back(&e);
-  std::sort(view.begin(), view.end(),
-            [](const TraceEvent* a, const TraceEvent* b) {
-              return a->seq < b->seq;
-            });
-  for (const auto* e : view) order.push_back(e->node);
-  return order;
+  const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
+  std::vector<NodeId> nodes(trace.events.size());
+  for (std::size_t k = 0; k < nodes.size(); ++k)
+    nodes[k] = trace.events[order.empty() ? k : order[k]].node;
+  return nodes;
 }
 
 bool trace_consistent_with(const Trace& trace, const Computation& c,
                            std::string* why) {
-  const auto fail = [&](std::string reason) {
-    if (why != nullptr) *why = std::move(reason);
-    return false;
-  };
-  if (trace.events.size() != c.node_count())
-    return fail(format("trace has %zu events for %zu nodes",
-                       trace.events.size(), c.node_count()));
-  for (const auto& e : trace.events) {
-    if (e.node >= c.node_count())
-      return fail(format("event seq=%llu names unknown node %u",
-                         static_cast<unsigned long long>(e.seq), e.node));
-    if (!(e.op == c.op(e.node)))
-      return fail(format("node %u executed %s but is labelled %s", e.node,
-                         e.op.to_string().c_str(),
-                         c.op(e.node).to_string().c_str()));
+  std::string reason;
+  if (trace.events.size() != c.node_count()) {
+    reason = format("trace has %zu events for %zu nodes", trace.events.size(),
+                    c.node_count());
+  } else {
+    // The engine's per-event validator, in stable seq order: the first
+    // defective event in execution order names the problem.
+    detail::EventValidator validator(c);
+    const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
+    for (std::size_t k = 0; k < trace.events.size(); ++k) {
+      const TraceEvent& e = trace.events[order.empty() ? k : order[k]];
+      if (!validator.accept(detail::record_of(e), &e.op, reason)) break;
+    }
   }
-  // One event per node, and the seq order must be a linear extension:
-  // pos[u] = position of u's event; then every dag edge must go forward.
-  const std::vector<NodeId> order = trace_order(trace);
-  std::vector<std::size_t> pos(c.node_count(), SIZE_MAX);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (pos[order[i]] != SIZE_MAX)
-      return fail(format("node %u appears in more than one event", order[i]));
-    pos[order[i]] = i;
-  }
-  // Scan in trace order and name the smallest late predecessor: the
-  // first offending *event* with an adjacency-order-independent edge,
-  // so an online session kernel (whose computation may have round-
-  // tripped through text, regrouping edges) reports the same message.
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const NodeId u = order[i];
-    NodeId late = u;  // sentinel: u is never its own predecessor
-    for (const NodeId q : c.dag().pred(u))
-      if (pos[q] >= i && (late == u || q < late)) late = q;
-    if (late != u)
-      return fail(format(
-          "trace order flips dag edge %u -> %u (node %u ran first)", late, u,
-          u));
-  }
-  return true;
+  if (reason.empty()) return true;
+  if (why != nullptr) *why = std::move(reason);
+  return false;
 }
 
 void trace_to_stream(const Trace& trace, std::ostream& out,

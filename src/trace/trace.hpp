@@ -11,14 +11,17 @@
 
 namespace ccmm {
 
-/// The nodes in trace order (the execution's global serialization).
+/// The nodes in trace order (the execution's global serialization):
+/// stable in seq, so events with equal seq keep their array order.
 [[nodiscard]] std::vector<NodeId> trace_order(const Trace& trace);
 
-/// Sanity: one event per node, ops agree with the computation, and the
-/// trace order is a topological sort of the dag. When `why` is non-null
-/// and the check fails, it receives a message naming the offending
-/// event/node (size mismatch, unknown node, op disagreement, duplicate,
-/// or the first dag edge the order flips).
+/// Sanity: one event per node, ops agree with the computation, every
+/// observation is ⊥ or a known node, and the trace order is a
+/// topological sort of the dag. When `why` is non-null and the check
+/// fails, it receives a message naming the size mismatch or else the
+/// first defective event in trace order (unknown node, op disagreement,
+/// unknown observed node, duplicate, or a flipped dag edge) — the same
+/// message a CheckSession fed the trace's records gives.
 [[nodiscard]] bool trace_consistent_with(const Trace& trace,
                                          const Computation& c,
                                          std::string* why = nullptr);

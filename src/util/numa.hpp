@@ -1,13 +1,14 @@
 // ccmm/util/numa.hpp
 //
 // NUMA topology probe + shard placement for the streaming data plane.
-// The pipelined postmortem engine shards per-location work across the
-// global ThreadPool; on multi-socket machines the per-shard scratch
-// arenas (tens of bytes per node each) should live on the memory node
-// of the worker that fills and re-reads them. Linux gives us that for
-// free via the first-touch policy — pages are placed on the node of
-// the thread that first writes them — PROVIDED the worker stays on one
-// node while it touches its arena. So placement here is two pieces:
+// The checking engine (trace/session_kernel.hpp) and the race scan
+// shard per-location work across a ThreadPool; on multi-socket
+// machines the per-shard scratch arenas and columns (tens of bytes per
+// node each) should live on the memory node of the worker that fills
+// and re-reads them. Linux gives us that for free via the first-touch
+// policy — pages are placed on the node of the thread that first
+// writes them — PROVIDED the worker stays on one node while it touches
+// its arena. So placement here is two pieces:
 //
 //  * probe_numa_topology(): parse /sys/devices/system/node/node*/cpulist
 //    into {node id, cpu list} entries. No libnuma dependency — the

@@ -1,18 +1,13 @@
 // ccmm/util/ring_buffer.hpp
 //
-// Bounded broadcast ring for the pipelined postmortem scan: ONE
-// producer appends chunk descriptors, EVERY consumer observes EVERY
-// chunk (shards each own a disjoint set of locations but all of them
-// read the same topological chunk stream), and the producer blocks
-// once it runs `capacity` chunks ahead of the slowest consumer —
-// that bound is the pipeline's backpressure, keeping at most
-// O(capacity) chunks of ingest state live at once.
+// BoundedChannel: the bounded work queue between ccmm_serve's socket
+// shards and their kernel threads.
 //
 // The implementation is deliberately a mutex + two condvars, not a
-// lock-free queue: chunks are coarse (≥100k events), so the ring is
-// hit a few thousand times per run and contention is irrelevant next
-// to the kernel work — but the blocking semantics (slowest-consumer
-// backpressure, close() draining) have to be exactly right.
+// lock-free queue: items are coarse (whole event batches), so the
+// channel is hit rarely next to the kernel work — but the blocking
+// semantics (refusal when full, close() draining) have to be exactly
+// right.
 #pragma once
 
 #include <condition_variable>
@@ -22,70 +17,11 @@
 
 namespace ccmm {
 
-template <typename T>
-class BroadcastRing {
- public:
-  /// `capacity` = max chunks the producer may be ahead of the slowest
-  /// consumer; `consumers` is fixed for the life of the ring.
-  BroadcastRing(std::size_t capacity, std::size_t consumers)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        slots_(capacity_),
-        cursor_(consumers == 0 ? 1 : consumers, 0) {}
-
-  /// Producer: append one item, blocking while the ring is full.
-  void push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return head_ - min_cursor() < capacity_; });
-    slots_[head_ % capacity_] = std::move(item);
-    ++head_;
-    not_empty_.notify_all();
-  }
-
-  /// Producer: no more items. Consumers drain what remains, then see
-  /// pop() == false.
-  void close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-  }
-
-  /// Consumer `who`: copy the next unseen item into `out`. Blocks until
-  /// one is available; returns false when the ring is closed and this
-  /// consumer has seen everything.
-  bool pop(std::size_t who, T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return cursor_[who] < head_ || closed_; });
-    if (cursor_[who] == head_) return false;
-    out = slots_[cursor_[who] % capacity_];
-    const std::size_t before = min_cursor();
-    ++cursor_[who];
-    // Only the slowest consumer advancing can free a slot.
-    if (cursor_[who] - 1 == before) not_full_.notify_one();
-    return true;
-  }
-
- private:
-  [[nodiscard]] std::size_t min_cursor() const {
-    std::size_t lo = cursor_[0];
-    for (const std::size_t c : cursor_) lo = c < lo ? c : lo;
-    return lo;
-  }
-
-  const std::size_t capacity_;
-  std::vector<T> slots_;
-  std::vector<std::size_t> cursor_;  // per-consumer next-unseen index
-  std::size_t head_ = 0;             // next slot the producer fills
-  bool closed_ = false;
-  std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-};
-
 /// Bounded multi-producer single-consumer channel, the work queue
-/// between ccmm_serve's socket shards and their kernel thread. Unlike
-/// BroadcastRing, producers must be able to REFUSE work instead of
-/// blocking — an event-loop thread that blocks on a full queue stalls
-/// every session on that shard — so the non-blocking try_push is the
+/// between ccmm_serve's socket shards and their kernel thread.
+/// Producers must be able to REFUSE work instead of blocking — an
+/// event-loop thread that blocks on a full queue stalls every session
+/// on that shard — so the non-blocking try_push is the
 /// primary producer API; the socket layer translates `false` into
 /// dropping EPOLLIN interest for the offending session (backpressure
 /// lands on the client's socket buffer, where TCP/UDS flow control

@@ -71,8 +71,10 @@ void ThreadPool::parallel_for(std::size_t n,
   if (n == 0) return;
   // Degenerate shapes run inline: a single index (or a single worker)
   // gains nothing from the queue, and running on the caller avoids
-  // spawning tasks whose claimed range would be empty.
-  if (n == 1 || size() <= 1) {
+  // spawning tasks whose claimed range would be empty. A call from one
+  // of this pool's own workers runs inline too: its tasks could
+  // otherwise wait on workers that are all blocked the same way.
+  if (n == 1 || size() <= 1 || tls_worker_of == this) {
     for (std::size_t i = 0; i < n; ++i) f(i);
     return;
   }

@@ -43,8 +43,9 @@ class ThreadPool {
   /// repeatedly claim the next grain-sized index range off a shared
   /// atomic counter, so skewed per-index costs rebalance instead of
   /// serializing on the unluckiest static block. Degenerate cases (n <=
-  /// 1, single-worker pools) run inline on the caller; at most min(n,
-  /// size()) tasks are ever spawned, none with an empty range.
+  /// 1, single-worker pools) and calls from this pool's own workers run
+  /// inline on the caller; at most min(n, size()) tasks are ever
+  /// spawned, none with an empty range.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& f);
 
  private:

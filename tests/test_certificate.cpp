@@ -204,6 +204,26 @@ TEST(LintPipeline, InconsistentTraceReported) {
   EXPECT_EQ(r.diagnostics[0].pass, "trace");
 }
 
+TEST(LintPipeline, ObservationOfUnknownNodeRejected) {
+  // A read observing a node the computation does not have: the trace
+  // does not fit, exactly as an online session rejects the record.
+  const Computation c = workload::contended_counter(3);
+  ScMemory mem;
+  ExecutionResult run = run_serial(c, mem);
+  TraceEvent* read = nullptr;
+  for (TraceEvent& e : run.trace.events)
+    if (read == nullptr && e.op.is_read()) read = &e;
+  ASSERT_NE(read, nullptr);
+  read->observed = static_cast<NodeId>(c.node_count() + 3);
+  const analyze::TraceLintResult r = analyze::analyze_trace(c, run.trace);
+  EXPECT_FALSE(r.trace_ok);
+  EXPECT_FALSE(r.report.has_value());
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_NE(r.diagnostics[0].message.find("observes unknown node"),
+            std::string::npos)
+      << r.diagnostics[0].message;
+}
+
 TEST(LintPipeline, TraceSharpenedLintsFire) {
   // x is written only on one branch; the other branch's read observes ⊥
   // in the serial execution even though the location has a writer. The

@@ -175,6 +175,28 @@ TEST(LargeCheck, RejectsBrokenTraces) {
   EXPECT_FALSE(large_check_trace(c, reordered, {}).valid_observer);
 }
 
+TEST(LargeCheck, RejectsObservationsOfUnknownNodes) {
+  // A read observing a node past the computation must make the trace
+  // misfit — never a valid observer with the read silently seeing ⊥.
+  Rng rng(445);
+  proc::RandomCilkOptions copt;
+  copt.target_ops = 300;
+  const Computation c = proc::random_cilk(copt, rng);
+  ScMemory mem;
+  ExecutionResult run = run_serial(c, mem);
+  TraceEvent* read = nullptr;
+  for (TraceEvent& e : run.trace.events)
+    if (read == nullptr && e.op.is_read()) read = &e;
+  ASSERT_NE(read, nullptr);
+  read->observed = static_cast<NodeId>(c.node_count() + 3);
+  std::string why;
+  EXPECT_FALSE(trace_consistent_with(run.trace, c, &why));
+  EXPECT_NE(why.find("observes unknown node"), std::string::npos) << why;
+  const LargeCheckReport r = large_check_trace(c, run.trace, {});
+  EXPECT_FALSE(r.valid_observer);
+  EXPECT_EQ(r.detail, "trace does not fit the computation: " + why);
+}
+
 TEST(LargeCheck, ReportsUsableDetailAndTimings) {
   // A stale read past an intervening write: w0 -> w1 -> r0 with r0
   // observing w0 breaks every model here (the quotient cycles for LC,

@@ -2,10 +2,10 @@
 // (trace/loc_incremental.hpp): after consuming any prefix of the event
 // stream, finalize_into must produce verdicts byte-identical — valid,
 // violated mask, AND detail string — to a fresh state that consumed
-// the same prefix in one batch advance. The engine-level chunk fuzz
-// then pins that large_check's verdicts are independent of the chunk
-// size the stream was cut into, and the *Parallel* test runs the
-// pipelined ring under TSan.
+// the same prefix in one batch advance. The engine-level feed fuzz
+// then pins that the engine's verdicts are independent of the feed
+// sizes the stream was cut into, and the *Parallel* test pins sharded
+// runs (on a pool of their own, under TSan in CI) against serial ones.
 #include "trace/loc_incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -20,8 +20,10 @@
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
 #include "proc/random_program.hpp"
+#include "reference_trace.hpp"
 #include "trace/large_check.hpp"
 #include "trace/loc_kernel.hpp"
+#include "trace/session_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -248,86 +250,127 @@ TEST(LocIncremental, PrefixMatchesBatchOnGeneratedPrograms) {
       expect_prefix_equivalence(c, phi, chunk);
 }
 
+/// Point a few read events at other writes of their location: stale
+/// ones violate models, forward ones exercise the oracle and the
+/// validity scan — the trace-level twin of corrupt().
+Trace corrupt_trace(const Computation& c, Trace trace, Rng& rng) {
+  for (int k = 0; k < 4; ++k) {
+    TraceEvent& e = trace.events[rng.below(trace.events.size())];
+    if (!e.op.is_read()) continue;
+    const std::vector<NodeId> ws = c.writers(e.op.loc);
+    if (!ws.empty()) e.observed = ws[rng.below(ws.size())];
+  }
+  return trace;
+}
+
+/// The execution-order binary records of a trace.
+std::vector<BinaryTraceEvent> records_in_order(const Trace& trace) {
+  std::vector<BinaryTraceEvent> recs;
+  for (const std::uint32_t i : reference_seq_order(trace)) {
+    const TraceEvent& e = trace.events[i];
+    recs.push_back({e.seq, e.time, e.proc, e.node, e.observed, 0});
+  }
+  return recs;
+}
+
+void expect_same_verdicts(const LargeCheckReport& got,
+                          const LargeCheckReport& want,
+                          const std::string& ctx) {
+  ASSERT_EQ(got.valid_observer, want.valid_observer) << ctx << got.detail;
+  EXPECT_EQ(got.satisfied, want.satisfied) << ctx;
+  EXPECT_EQ(got.detail, want.detail) << ctx;
+  ASSERT_EQ(got.locations.size(), want.locations.size()) << ctx;
+  for (std::size_t i = 0; i < got.locations.size(); ++i) {
+    EXPECT_EQ(got.locations[i].loc, want.locations[i].loc) << ctx;
+    EXPECT_EQ(got.locations[i].valid, want.locations[i].valid) << ctx;
+    EXPECT_EQ(got.locations[i].violated, want.locations[i].violated) << ctx;
+    EXPECT_EQ(got.locations[i].writers, want.locations[i].writers) << ctx;
+    EXPECT_EQ(got.locations[i].detail, want.locations[i].detail) << ctx;
+  }
+}
+
 TEST(LocIncremental, EngineChunkFuzzMatchesDefault) {
-  // The public engine must produce identical reports however the
-  // stream is cut: options.chunk_nodes fuzzes the pipeline's chunking
-  // across the sizes the incremental kernel's batching cares about.
+  // The engine must produce identical reports however the stream is
+  // cut: feed sizes put the span boundaries everywhere the incremental
+  // kernel's batching cares about, and every cut must agree with the
+  // whole-observer run.
   Rng rng(113);
-  std::vector<std::pair<Computation, ObserverFunction>> instances;
+  std::vector<std::pair<Computation, Trace>> instances;
   {
     proc::RandomCilkOptions opt;
     opt.target_ops = 3000;
     opt.nlocations = 8;
     const Computation c = proc::random_cilk(opt, rng);
     ScMemory mem;
-    auto phi = run_serial(c, mem).phi;
-    instances.emplace_back(c, phi);
-    instances.emplace_back(c, corrupt(c, std::move(phi), rng));
+    const Trace trace = run_serial(c, mem).trace;
+    instances.emplace_back(c, trace);
+    instances.emplace_back(c, corrupt_trace(c, trace, rng));
   }
   {
     const Computation c = workload::random_ops(
         gen::random_dag(500, 0.02, rng), 10, 0.4, 0.4, rng);
     WeakMemory mem(5);
     const Schedule s = greedy_schedule(c, 4);
-    instances.emplace_back(c, run_execution(c, s, mem).phi);
+    instances.emplace_back(c, run_execution(c, s, mem).trace);
   }
-  for (const auto& [c, phi] : instances) {
+  for (const auto& [c, trace] : instances) {
     LargeCheckOptions base;
     base.models = kLargeCheckExt;
     base.parallel = false;
-    const LargeCheckReport want = large_check(c, phi, base);
-    for (const std::uint32_t chunk : {1u, 7u, 64u, 4096u}) {
-      LargeCheckOptions opt = base;
-      opt.chunk_nodes = chunk;
-      const LargeCheckReport got = large_check(c, phi, opt);
-      ASSERT_EQ(got.valid_observer, want.valid_observer) << chunk;
-      EXPECT_EQ(got.satisfied, want.satisfied) << chunk;
-      EXPECT_EQ(got.detail, want.detail) << chunk;
-      ASSERT_EQ(got.locations.size(), want.locations.size());
-      for (std::size_t i = 0; i < got.locations.size(); ++i) {
-        EXPECT_EQ(got.locations[i].valid, want.locations[i].valid);
-        EXPECT_EQ(got.locations[i].violated, want.locations[i].violated);
-        EXPECT_EQ(got.locations[i].detail, want.locations[i].detail);
-      }
+    const LargeCheckReport want =
+        large_check(c, observer_from_trace(c, trace), base);
+    expect_same_verdicts(large_check_trace(c, trace, base), want, "trace");
+    const std::vector<BinaryTraceEvent> recs = records_in_order(trace);
+    for (const std::size_t feed : {1u, 7u, 64u, 4096u}) {
+      SessionOptions sopt;
+      sopt.models = kLargeCheckExt;
+      CheckSession session(c, sopt);
+      for (std::size_t at = 0; at < recs.size(); at += feed)
+        ASSERT_TRUE(session.feed(recs.data() + at,
+                                 std::min(feed, recs.size() - at)))
+            << session.error();
+      expect_same_verdicts(session.finish(), want,
+                           "feed=" + std::to_string(feed));
     }
   }
 }
 
-TEST(LocIncrementalParallel, PipelinedRingMatchesSerial) {
-  // Big enough to clear the pipeline threshold, with a pool of its own
-  // so the test exercises the ring even on single-core CI; runs under
-  // TSan in the sanitizer job. The corrupted variant sends failure
-  // records (not just blocks) across the ring.
+TEST(LocIncrementalParallel, ShardedMatchesSerial) {
+  // Big enough that every span and the mask-sweep finalize clear the
+  // sharding threshold, with a pool of its own so the shards really
+  // run on four workers even on single-core CI; runs under TSan in the
+  // sanitizer job. The corrupted inputs send validity failures and
+  // model violations through the shards.
   Rng rng(131);
   proc::RandomCilkOptions opt;
   opt.target_ops = 40'000;
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const ObserverFunction clean = run_serial(c, mem).phi;
-  const ObserverFunction bad = corrupt(c, ObserverFunction(clean), rng);
+  const ExecutionResult run = run_serial(c, mem);
+  const ObserverFunction bad = corrupt(c, ObserverFunction(run.phi), rng);
+  const Trace bad_trace = corrupt_trace(c, run.trace, rng);
 
   ThreadPool pool(4);
-  for (const ObserverFunction* phi : {&clean, &bad}) {
-    LargeCheckOptions par;
-    par.models = kLargeCheckExt;
-    par.parallel = true;
-    par.pool = &pool;
-    par.chunk_nodes = 1 << 12;  // many chunks through the ring
-    LargeCheckOptions seq = par;
-    seq.parallel = false;
+  LargeCheckOptions par;
+  par.models = kLargeCheckExt;
+  par.parallel = true;
+  par.pool = &pool;
+  LargeCheckOptions seq = par;
+  seq.parallel = false;
+  for (const ObserverFunction* phi : {&run.phi, &bad}) {
     const LargeCheckReport a = large_check(c, *phi, par);
     const LargeCheckReport b = large_check(c, *phi, seq);
     EXPECT_TRUE(a.pipelined);
-    ASSERT_EQ(a.valid_observer, b.valid_observer) << a.detail;
-    EXPECT_EQ(a.satisfied, b.satisfied);
-    ASSERT_EQ(a.locations.size(), b.locations.size());
-    for (std::size_t i = 0; i < a.locations.size(); ++i) {
-      EXPECT_EQ(a.locations[i].loc, b.locations[i].loc);
-      EXPECT_EQ(a.locations[i].valid, b.locations[i].valid);
-      EXPECT_EQ(a.locations[i].violated, b.locations[i].violated);
-      EXPECT_EQ(a.locations[i].detail, b.locations[i].detail);
-    }
+    EXPECT_FALSE(b.pipelined);
+    EXPECT_GT(a.shards, 1u);
+    expect_same_verdicts(a, b, "observer");
+  }
+  for (const Trace* trace : {&run.trace, &bad_trace}) {
+    const LargeCheckReport a = large_check_trace(c, *trace, par);
+    const LargeCheckReport b = large_check_trace(c, *trace, seq);
+    EXPECT_TRUE(a.pipelined);
+    expect_same_verdicts(a, b, "trace");
   }
 }
 

@@ -6,6 +6,7 @@
 #include "dag/generators.hpp"
 #include "enumerate/dag_enum.hpp"
 #include "proc/random_program.hpp"
+#include "util/resource.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -161,6 +162,20 @@ TEST(MakeOracle, AutoSelection) {
   EXPECT_STREQ(
       make_oracle(c.dag(), c.sp_structure().get(), force)->kind(),
       "sp-order");
+}
+
+TEST(MakeOracle, AutoPricesTheChainCoverBeforeBuildingIt) {
+  // An antichain past the closure threshold: every node is its own
+  // chain, so the chain table would hold n² words — 16× the closure.
+  // kAuto must price the cover first and build only the closure, so
+  // the process's peak RSS rises by a small multiple of its bytes.
+  const std::size_t n = 20'000;
+  const Dag antichain(n);
+  const std::size_t before = current_peak_rss_bytes();
+  const auto oracle = make_oracle(antichain, nullptr, OracleOptions{});
+  const std::size_t rise = current_peak_rss_bytes() - before;
+  EXPECT_STREQ(oracle->kind(), "closure");
+  EXPECT_LE(rise, 3 * oracle->memory_bytes());
 }
 
 TEST(SpOrderOracle, HandlesPlainCallsAndNestedSyncs) {

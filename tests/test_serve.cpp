@@ -1,7 +1,8 @@
-// The online-serving differential: a CheckSession fed the trace's
-// binary records — in any chunking, in any linear-extension arrival
-// order — must produce verdicts AND witness strings byte-identical to
-// `ccmm_check --trace` (large_check_trace) on the concatenated trace.
+// The online-serving differential: a CheckSession fed a trace's binary
+// records — in any chunking, in any linear-extension arrival order —
+// must produce verdicts AND witness strings byte-identical to the
+// definitional answer: large_check over tests/reference_trace.hpp's
+// observer completion, or the reference validator's rejection.
 // The second half drives the whole daemon: framing protocol, many
 // concurrent clients, reconnects, snapshot/restore, backpressure and
 // the /status endpoint, with the *Parallel* cases running under TSan.
@@ -26,6 +27,7 @@
 #include "exec/workload.hpp"
 #include "dag/generators.hpp"
 #include "proc/random_program.hpp"
+#include "reference_trace.hpp"
 #include "trace/large_check.hpp"
 #include "util/rng.hpp"
 
@@ -109,9 +111,60 @@ Trace trace_from_records(const Computation& c,
   return t;
 }
 
+/// The definitional report for a record stream: the reference
+/// validator's rejection, or large_check over the reference observer.
+LargeCheckReport reference_report(const Computation& c,
+                                  const std::vector<BinaryTraceEvent>& recs,
+                                  std::uint32_t models) {
+  const Trace trace = trace_from_records(c, recs);
+  std::string why;
+  if (!reference_trace_consistent_with(trace, c, &why)) {
+    LargeCheckReport r;
+    r.checked = models & kLargeCheckExt;
+    r.detail = "trace does not fit the computation: " + why;
+    return r;
+  }
+  LargeCheckOptions opt;
+  opt.models = models;
+  opt.parallel = false;
+  return large_check(c, reference_observer_from_trace(c, trace), opt);
+}
+
+/// The same records delivered in a random linear extension of the dag
+/// (seq renumbered to the new arrival order).
+std::vector<BinaryTraceEvent> shuffled_extension(
+    const Computation& c, const std::vector<BinaryTraceEvent>& recs,
+    Rng& rng) {
+  const std::size_t n = c.node_count();
+  std::vector<const BinaryTraceEvent*> of(n, nullptr);
+  for (const BinaryTraceEvent& r : recs) of[r.node] = &r;
+  std::vector<std::size_t> indeg(n);
+  std::vector<NodeId> ready;
+  for (NodeId u = 0; u < n; ++u) {
+    indeg[u] = c.dag().pred(u).size();
+    if (indeg[u] == 0) ready.push_back(u);
+  }
+  std::vector<BinaryTraceEvent> out;
+  while (!ready.empty()) {
+    const std::size_t i = rng.below(ready.size());
+    const NodeId u = ready[i];
+    ready[i] = ready.back();
+    ready.pop_back();
+    out.push_back(*of[u]);
+    out.back().seq = out.size() - 1;
+    for (const NodeId v : c.dag().succ(u))
+      if (--indeg[v] == 0) ready.push_back(v);
+  }
+  return out;
+}
+
+/// Feed sizes every differential runs: single records, odd cuts, the
+/// serve client's usual batches, and the whole stream in one feed.
+constexpr std::size_t kWhole = ~std::size_t{0};
+constexpr std::size_t kFeedSizes[] = {1, 7, 64, 4096, kWhole};
+
 /// Stream `recs` through a CheckSession in `chunk`-sized feeds and
-/// demand the finish() report match the batch postmortem byte for
-/// byte.
+/// demand the finish() report match the reference byte for byte.
 void expect_session_matches_batch(const Computation& c,
                                   const std::vector<BinaryTraceEvent>& recs,
                                   std::uint32_t models, std::size_t chunk) {
@@ -123,12 +176,7 @@ void expect_session_matches_batch(const Computation& c,
     if (!session.feed(recs.data() + at, k)) break;
   }
   LargeCheckReport got = session.finish();
-
-  LargeCheckOptions bopt;
-  bopt.models = models;
-  bopt.parallel = false;
-  const LargeCheckReport want =
-      large_check_trace(c, trace_from_records(c, recs), bopt);
+  const LargeCheckReport want = reference_report(c, recs, models);
   expect_reports_identical(
       got, want,
       "chunk=" + std::to_string(chunk) + " models=" + std::to_string(models));
@@ -146,10 +194,12 @@ TEST(CheckSession, SerialScStreamMatchesBatch) {
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
   const std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
-  for (const std::size_t chunk : {1u, 7u, 64u, 4096u})
-    for (const std::uint32_t models : std::initializer_list<std::uint32_t>{
-             kSuiteLC, kLargeCheckAll, kLargeCheckExt})
-      expect_session_matches_batch(c, recs, models, chunk);
+  for (const std::vector<BinaryTraceEvent>& arrival :
+       {recs, shuffled_extension(c, recs, rng)})
+    for (const std::size_t chunk : kFeedSizes)
+      for (const std::uint32_t models : std::initializer_list<std::uint32_t>{
+               kSuiteLC, kLargeCheckAll, kLargeCheckExt})
+        expect_session_matches_batch(c, arrival, models, chunk);
 }
 
 TEST(CheckSession, CorruptedStreamsMatchBatch) {
@@ -166,7 +216,8 @@ TEST(CheckSession, CorruptedStreamsMatchBatch) {
     std::vector<BinaryTraceEvent> recs = base;
     corrupt_records(c, recs, rng, 2 + round);
     renumber(recs);
-    for (const std::size_t chunk : {1u, 64u, 4096u})
+    if (round % 2 == 1) recs = shuffled_extension(c, recs, rng);
+    for (const std::size_t chunk : kFeedSizes)
       expect_session_matches_batch(c, recs, kLargeCheckExt, chunk);
   }
 }
@@ -182,20 +233,20 @@ TEST(CheckSession, InterleavedScheduleStreamMatchesBatch) {
   const Schedule s = greedy_schedule(c, 4);
   const std::vector<BinaryTraceEvent> base =
       records_of(run_execution(c, s, mem).trace);
-  for (const std::size_t chunk : {1u, 7u, 64u})
+  for (const std::size_t chunk : kFeedSizes)
     expect_session_matches_batch(c, base, kLargeCheckExt, chunk);
   std::vector<BinaryTraceEvent> bad = base;
   corrupt_records(c, bad, rng, 4);
   renumber(bad);
-  for (const std::size_t chunk : {1u, 64u})
+  for (const std::size_t chunk : kFeedSizes)
     expect_session_matches_batch(c, bad, kLargeCheckExt, chunk);
 }
 
 /// Retarget one read of `c` at never-written location `extra`, plant a
-/// recorded observation on it mid-stream, and demand online ≡ batch.
-/// The extra state splices into the location-sorted task list at a
+/// recorded observation on it mid-stream, and demand online ≡ the
+/// reference. The extra row lands in the location-sorted report at a
 /// position determined by `extra`, so callers pick it to land before
-/// or after the written states.
+/// or after the written locations.
 void expect_extra_location_matches_batch(Computation c, Location extra) {
   std::vector<Op> ops;
   ops.reserve(c.node_count());
@@ -219,15 +270,29 @@ void expect_extra_location_matches_batch(Computation c, Location extra) {
     }
   ASSERT_TRUE(planted);
   renumber(recs);
-  for (const std::size_t chunk : {1u, 64u})
+  for (const std::size_t chunk : kFeedSizes)
     expect_session_matches_batch(c, recs, kLargeCheckExt, chunk);
+
+  // fast_verdict() turns invalid exactly when the kernel consumes the
+  // planted observation's scan position, in step with check().
+  SessionOptions sopt;
+  sopt.models = kLargeCheckExt;
+  CheckSession session(c, sopt);
+  bool flipped = false;
+  for (const BinaryTraceEvent& r : recs) {
+    ASSERT_TRUE(session.feed(&r, 1));
+    const bool valid = session.fast_verdict().valid;
+    EXPECT_EQ(valid, session.check().valid_observer) << "seq " << r.seq;
+    flipped = flipped || !valid;
+  }
+  EXPECT_TRUE(flipped);
 }
 
 TEST(CheckSession, NeverWrittenLocationObservationsMatchBatch) {
-  // A recorded observation at a never-written location must spawn the
-  // batch engine's extra all-⊥ column (always failing 2.1) online too.
-  // Location 999 sorts after every written location: the splice lands
-  // at the tail of the task list.
+  // A recorded observation at a never-written location fails 2.1 in
+  // the reference's extra column; online it must yield the same row.
+  // Location 999 sorts after every written location: the row lands at
+  // the tail of the report.
   Rng rng(41);
   const Computation c = workload::random_ops(gen::random_dag(120, 0.05, rng),
                                              4, 0.5, 0.1, rng);
@@ -236,10 +301,7 @@ TEST(CheckSession, NeverWrittenLocationObservationsMatchBatch) {
 
 TEST(CheckSession, NeverWrittenLowLocationSplicesBeforeWrittenStates) {
   // The mirror case: the extra location sorts BEFORE every written
-  // one, so the mid-stream splice shifts every written state's index
-  // in the task list. Regression test for per-state bookkeeping kept
-  // in a states_-indexed side vector going out of alignment after the
-  // shift (out-of-bounds writes and wrong carried last-writes).
+  // one, so its row precedes every written location's row.
   Rng rng(41);
   Computation c = workload::random_ops(gen::random_dag(120, 0.05, rng), 4,
                                        0.5, 0.1, rng);
@@ -252,6 +314,44 @@ TEST(CheckSession, NeverWrittenLowLocationSplicesBeforeWrittenStates) {
   }
   c.set_ops(ops);
   expect_extra_location_matches_batch(c, Location{0});
+}
+
+TEST(CheckSession, NeverWrittenLocationsCostNoColumns) {
+  // A chain whose reads observe 1024 distinct never-written locations:
+  // each such location is one earliest observation, not an n-entry
+  // column plus an O(n) re-index, so the session's heap stays O(n).
+  constexpr std::size_t kReads = 1024;
+  constexpr std::size_t kNodes = std::size_t{1} << 18;
+  constexpr std::size_t kStride = kNodes / kReads;
+  ComputationBuilder b;
+  NodeId prev = b.write(0);
+  for (std::size_t i = 1; i < kNodes; ++i) {
+    prev = i % kStride == kStride - 1
+               ? b.read(static_cast<Location>(1 + i / kStride), {prev})
+               : b.nop({prev});
+  }
+  const Computation c = std::move(b).build();
+  std::vector<BinaryTraceEvent> recs(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    recs[i].seq = i;
+    recs[i].node = static_cast<std::uint32_t>(i);
+    if (c.op(static_cast<NodeId>(i)).is_read()) recs[i].observed = 0;
+  }
+  CheckSession session(c, {});
+  const std::size_t before = session.memory_bytes();
+  for (std::size_t at = 0; at < kNodes; at += 4096)
+    ASSERT_TRUE(session.feed(recs.data() + at, 4096)) << session.error();
+  EXPECT_LE(session.memory_bytes(), 64 * kNodes);
+  EXPECT_LE(session.memory_bytes(), before + 8 * kNodes);
+  const LargeCheckReport r = session.finish();
+  ASSERT_EQ(r.locations.size(), 1 + kReads);
+  EXPECT_FALSE(r.valid_observer);
+  EXPECT_EQ(r.locations[0].loc, 0u);
+  EXPECT_TRUE(r.locations[0].valid);
+  EXPECT_FALSE(r.locations[1].valid);
+  EXPECT_EQ(r.locations[1].writers, 0u);
+  EXPECT_EQ(r.detail, r.locations[1].detail);
+  EXPECT_NE(r.detail.find("is not a write to location"), std::string::npos);
 }
 
 TEST(CheckSession, MidStreamCheckAndFastVerdictAreConsistent) {
@@ -281,13 +381,9 @@ TEST(CheckSession, MidStreamCheckAndFastVerdictAreConsistent) {
     EXPECT_EQ(fast.violated & ~mid_violated, 0u);
     EXPECT_EQ(fast.events, session.events_seen());
   }
-  const LargeCheckReport final_report = session.finish();
-  LargeCheckOptions bopt;
-  bopt.models = kLargeCheckExt;
-  bopt.parallel = false;
-  expect_reports_identical(
-      final_report, large_check_trace(c, trace_from_records(c, recs), bopt),
-      "after mid-stream checks");
+  expect_reports_identical(session.finish(),
+                           reference_report(c, recs, kLargeCheckExt),
+                           "after mid-stream checks");
 }
 
 TEST(CheckSession, RejectsInconsistentStreams) {
@@ -343,15 +439,24 @@ TEST(CheckSession, RejectsInconsistentStreams) {
     EXPECT_FALSE(s.feed(&back, 1));
     EXPECT_NE(s.error().find("seq-ordered"), std::string::npos);
   }
-  {  // incomplete stream: batch's event-count mismatch, verbatim
+  {  // observation of a node that does not exist
+    CheckSession s(c, {});
+    std::vector<BinaryTraceEvent> bad = recs;
+    bad[recs.size() / 2].observed = static_cast<std::uint32_t>(n + 3);
+    EXPECT_FALSE(s.feed(bad.data(), bad.size()));
+    std::string why;
+    EXPECT_FALSE(
+        reference_trace_consistent_with(trace_from_records(c, bad), c, &why));
+    EXPECT_EQ(s.error(), why);
+  }
+  {  // incomplete stream: the reference's event-count mismatch, verbatim
     CheckSession s(c, {});
     ASSERT_TRUE(s.feed(recs.data(), recs.size() / 2));
     const LargeCheckReport r = s.finish();
-    LargeCheckOptions bopt;
-    bopt.parallel = false;
-    Trace half = trace_from_records(c, recs);
-    half.events.resize(recs.size() / 2);
-    const LargeCheckReport want = large_check_trace(c, half, bopt);
+    const LargeCheckReport want = reference_report(
+        c, std::vector<BinaryTraceEvent>(recs.begin(),
+                                         recs.begin() + recs.size() / 2),
+        kSuiteLC);
     EXPECT_EQ(r.detail, want.detail);
     // ...and the session is still alive: completing it still works.
     ASSERT_TRUE(s.feed(recs.data() + recs.size() / 2,
@@ -386,6 +491,40 @@ TEST(CheckSession, RetainedEventReplayReproducesVerdicts) {
   ASSERT_TRUE(b.feed(recs.data() + recs.size() / 3,
                      recs.size() - recs.size() / 3));
   expect_reports_identical(b.finish(), a.finish(), "retained replay");
+}
+
+TEST(CheckSessionParallel, LargeFeedsShardAndMatchTheReference) {
+  // Feeds (and a restore-style whole replay) long enough to shard on
+  // the pool, plus the batch entry point on a pool of its own: every
+  // sharded run must equal the reference and the serial engine.
+  Rng rng(83);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 30'000;
+  opt.nlocations = 8;
+  const Computation c = proc::random_cilk(opt, rng);
+  ScMemory mem;
+  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  corrupt_records(c, recs, rng, 3);
+  renumber(recs);
+  const LargeCheckReport want = reference_report(c, recs, kLargeCheckExt);
+  for (const std::size_t feed : {std::size_t{20'000}, kWhole}) {
+    SessionOptions sopt;
+    sopt.models = kLargeCheckExt;
+    CheckSession session(c, sopt);
+    for (std::size_t at = 0; at < recs.size(); at += feed)
+      ASSERT_TRUE(session.feed(recs.data() + at,
+                               std::min(feed, recs.size() - at)));
+    expect_reports_identical(session.finish(), want,
+                             "feed=" + std::to_string(feed));
+  }
+  ThreadPool pool(4);
+  LargeCheckOptions par;
+  par.models = kLargeCheckExt;
+  par.pool = &pool;
+  const LargeCheckReport sharded =
+      large_check_trace(c, trace_from_records(c, recs), par);
+  EXPECT_TRUE(sharded.pipelined);
+  expect_reports_identical(sharded, want, "sharded batch");
 }
 
 // ---------------------------------------------------------------------------
@@ -433,10 +572,7 @@ Workload make_workload(std::uint64_t seed, std::size_t ops,
   w.recs = records_of(run_serial(w.c, mem).trace);
   corrupt_records(w.c, w.recs, rng, flips);
   renumber(w.recs);
-  LargeCheckOptions bopt;
-  bopt.models = models;
-  bopt.parallel = false;
-  w.batch = large_check_trace(w.c, trace_from_records(w.c, w.recs), bopt);
+  w.batch = reference_report(w.c, w.recs, models);
   return w;
 }
 
@@ -572,13 +708,9 @@ TEST(Serve, RejectedStreamsReportTheBatchError) {
               std::string::npos)
         << e.what();
   }
-  // finish() still answers, with the batch engine's error report.
-  LargeCheckOptions bopt;
-  bopt.models = kSuiteLC;
-  bopt.parallel = false;
-  const LargeCheckReport want =
-      large_check_trace(w.c, trace_from_records(w.c, bad), bopt);
-  expect_reports_identical(client.finish(), want, "rejected stream");
+  // finish() still answers, with the reference validator's message.
+  expect_reports_identical(client.finish(), reference_report(w.c, bad, kSuiteLC),
+                           "rejected stream");
 }
 
 TEST(Serve, ProtocolErrorPaths) {

@@ -196,6 +196,26 @@ TEST(SpecCheck, MisfitTraceRejectsEveryModelWithDiagnosis) {
   }
 }
 
+TEST(SpecCheck, ObservationOfUnknownNodeRejectsEveryModel) {
+  const auto models = pack_models();
+  const Computation c = workload::contended_counter(5);
+  ScMemory mem;
+  ExecutionResult run = run_serial(c, mem);
+  TraceEvent* read = nullptr;
+  for (TraceEvent& e : run.trace.events)
+    if (read == nullptr && e.op.is_read()) read = &e;
+  ASSERT_NE(read, nullptr);
+  read->observed = static_cast<NodeId>(c.node_count());
+  const SpecCheckReport r = spec_check_trace(c, run.trace, models);
+  EXPECT_NE(r.base.detail.find("observes unknown node"), std::string::npos)
+      << r.base.detail;
+  ASSERT_EQ(r.models.size(), models.size());
+  for (const SpecModelVerdict& v : r.models) {
+    EXPECT_TRUE(v.decided);
+    EXPECT_FALSE(v.member);
+  }
+}
+
 TEST(SpecCheck, UnstreamablePlanIsUndecidedNotGuessed) {
   ModelSpec s;
   s.name = "CUBE";

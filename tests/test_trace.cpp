@@ -7,6 +7,10 @@
 
 #include "exec/sc_memory.hpp"
 #include "exec/workload.hpp"
+#include "proc/random_program.hpp"
+#include "reference_trace.hpp"
+#include "trace/large_check.hpp"
+#include "util/rng.hpp"
 
 namespace ccmm {
 namespace {
@@ -119,6 +123,148 @@ TEST(Trace, TextRoundTrip) {
   EXPECT_THROW((void)read_trace(junk, c), std::runtime_error);
   std::istringstream bad_node("1 0 0 99999 _\n");
   EXPECT_THROW((void)read_trace(bad_node, c), std::runtime_error);
+}
+
+TEST(Trace, OrderIsStableOnSeqTies) {
+  // Events with equal seq keep their array order — the order the
+  // validator and the observer completion also use.
+  Trace t;
+  std::vector<NodeId> want;
+  for (std::uint64_t seq = 0; seq < 3; ++seq)
+    for (NodeId u = 0; u < 100; ++u)
+      if (u % 3 == seq) want.push_back(u);
+  for (NodeId u = 0; u < 100; ++u)
+    t.events.push_back({u % 3, 0, 0, u, Op::nop(), kBottom});
+  EXPECT_EQ(trace_order(t), want);
+}
+
+/// A trace plus whether it carries at most one defect (then the
+/// validator's message must match the reference's byte for byte).
+struct Mutant {
+  std::string what;
+  Trace trace;
+  bool single = true;
+};
+
+/// Seeded mutations of a valid trace: every defect kind the validator
+/// names, seq ties in shuffled traces, and a few multi-defect mixes.
+std::vector<Mutant> mutants(const Computation& c, const Trace& base,
+                            Rng& rng) {
+  const std::size_t n = base.events.size();
+  const auto pick = [&] { return rng.below(n); };
+  std::vector<Mutant> out;
+  out.push_back({"clean", base});
+  {
+    Mutant m{"dropped", base};
+    m.trace.events.erase(m.trace.events.begin() +
+                         static_cast<std::ptrdiff_t>(pick()));
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"appended copy", base};
+    TraceEvent e = base.events[pick()];
+    e.seq = base.events.back().seq + 1;
+    m.trace.events.push_back(e);
+    out.push_back(std::move(m));
+  }
+  {
+    // The last event's node is a sink: replacing it with a copy of an
+    // earlier event duplicates that node and loses only a sink.
+    Mutant m{"duplicated", base};
+    TraceEvent& last = m.trace.events.back();
+    const TraceEvent& src = base.events[rng.below(n - 1)];
+    last.node = src.node;
+    last.op = src.op;
+    last.observed = src.observed;
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"swapped", base};
+    std::swap(m.trace.events[pick()].seq, m.trace.events[pick()].seq);
+    out.push_back(std::move(m));
+  }
+  {
+    // Shuffle the array and halve every seq: the stable order now
+    // depends on where tied events landed.
+    Mutant m{"ties", base};
+    std::vector<TraceEvent>& ev = m.trace.events;
+    for (std::size_t i = ev.size(); i > 1; --i)
+      std::swap(ev[i - 1], ev[rng.below(i)]);
+    for (TraceEvent& e : ev) e.seq /= 2;
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"relabel", base};
+    TraceEvent& e = m.trace.events[pick()];
+    e.op = e.op.is_write() ? Op::read(e.op.loc) : Op::write(e.op.loc + 1);
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"observes unknown", base};
+    m.trace.events[pick()].observed =
+        static_cast<NodeId>(c.node_count() + rng.below(5));
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"unknown node", base};
+    m.trace.events[pick()].node = static_cast<NodeId>(c.node_count() + 3);
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"relabel + observes unknown + swap", base};
+    m.trace.events[pick()].op = Op::read(99);
+    m.trace.events[pick()].observed = static_cast<NodeId>(c.node_count());
+    std::swap(m.trace.events[pick()].seq, m.trace.events[pick()].seq);
+    m.single = false;
+    out.push_back(std::move(m));
+  }
+  {
+    Mutant m{"duplicate + ties", base};
+    m.trace.events[pick()].node = m.trace.events[pick()].node;
+    for (TraceEvent& e : m.trace.events) e.seq /= 3;
+    m.single = false;
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
+void expect_same_observer(const ObserverFunction& got,
+                          const ObserverFunction& want,
+                          const std::string& ctx) {
+  ASSERT_EQ(got.node_count(), want.node_count()) << ctx;
+  ASSERT_EQ(got.active_locations(), want.active_locations()) << ctx;
+  for (const Location l : want.active_locations()) {
+    for (NodeId u = 0; u < want.node_count(); ++u) {
+      ASSERT_EQ(got.get(l, u), want.get(l, u))
+          << ctx << ": location " << l << ", node " << u;
+    }
+  }
+}
+
+TEST(Trace, ValidatorAndCompletionMatchTheReferences) {
+  Rng rng(2027);
+  for (int round = 0; round < 24; ++round) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 60 + rng.below(400);
+    opt.nlocations = 1 + rng.below(6);
+    const Computation c = proc::random_cilk(opt, rng);
+    ScMemory mem;
+    const Trace base = run_serial(c, mem).trace;
+    for (const Mutant& m : mutants(c, base, rng)) {
+      const std::string ctx =
+          "round " + std::to_string(round) + " (" + m.what + ")";
+      std::string got_why;
+      std::string want_why;
+      const bool got = trace_consistent_with(m.trace, c, &got_why);
+      const bool want = reference_trace_consistent_with(m.trace, c, &want_why);
+      ASSERT_EQ(got, want) << ctx << ": " << got_why << " / " << want_why;
+      if (m.single) {
+        EXPECT_EQ(got_why, want_why) << ctx;
+      }
+      expect_same_observer(observer_from_trace(c, m.trace),
+                           reference_observer_from_trace(c, m.trace), ctx);
+    }
+  }
 }
 
 TEST(Trace, EmptyTrace) {

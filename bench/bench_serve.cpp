@@ -6,7 +6,11 @@
 // identical report); the acceptance row keeps it within 2x of
 // BM_LargeCheckLC at the same size on one core. BM_ServeLatency is the
 // interactive headline: the batch -> verdict round trip a client pays
-// for a mid-stream answer, with p50/p99 on the row.
+// for a mid-stream answer, with p50/p99 on the row. BM_ServeIngest also
+// runs the location axis (2^20 ops at 16 / 256 / 4096 locations, rows
+// BM_ServeIngest/1048576/L), and BM_ServeIngestBacker streams a
+// 4-processor BACKER trace whose stale reads materialize the session's
+// locations, keeping the kernel measured behind the socket.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,14 +18,12 @@
 #include <string>
 #include <vector>
 
-#include "exec/sc_memory.hpp"
-#include "proc/random_program.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "trace/session_kernel.hpp"
 #include "trace/trace_binary.hpp"
+#include "trace_instances.hpp"
 #include "util/net.hpp"
-#include "util/rng.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 
@@ -35,29 +37,14 @@ struct ServeInstance {
   std::vector<BinaryTraceEvent> recs;
 };
 
-ServeInstance make_serve_instance(std::size_t n) {
-  Rng rng(n * 13 + 5);
-  proc::RandomCilkOptions opt;
-  opt.target_ops = n;
-  opt.nlocations = 16;
+/// A fork/join program of ~n ops and its serial SC stream; `backer`
+/// streams its 4-processor BACKER run instead.
+ServeInstance make_serve_instance(std::size_t n, std::size_t nlocations = 16,
+                                  bool backer = false) {
   ServeInstance in;
-  in.c = proc::random_cilk(opt, rng);
-  ScMemory mem;
-  const Trace trace = run_serial(in.c, mem).trace;
-  in.recs.resize(trace.events.size());
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const TraceEvent& e = trace.events[i];
-    in.recs[i] = BinaryTraceEvent{e.seq, e.time, e.proc, e.node,
-                                  e.observed == kBottom
-                                      ? 0xFFFFFFFFu
-                                      : static_cast<std::uint32_t>(e.observed),
-                                  0};
-  }
-  std::stable_sort(
-      in.recs.begin(), in.recs.end(),
-      [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
-        return a.seq < b.seq;
-      });
+  in.c = bench::cilk_program(n, nlocations, n * 13 + 5);
+  in.recs = bench::records_of(backer ? bench::backer_trace(in.c)
+                                     : bench::serial_sc_trace(in.c));
   return in;
 }
 
@@ -89,9 +76,7 @@ struct BenchServer {
 
 /// Stream the whole trace through the socket in kChunk-event frames,
 /// then finish(): the wall time to a full batch-identical report.
-void BM_ServeIngest(benchmark::State& state) {
-  const ServeInstance in =
-      make_serve_instance(static_cast<std::size_t>(state.range(0)));
+void serve_ingest(benchmark::State& state, const ServeInstance& in) {
   BenchServer bs;
   constexpr std::size_t kChunk = 8192;
   serve::ClientOptions copt;
@@ -100,6 +85,7 @@ void BM_ServeIngest(benchmark::State& state) {
   copt.flush_after_ms = 0;  // size watermark only: saturate, don't pace
   bool satisfied = false;
   double wall_s = 0.0;
+  double bytes_per_node = 0.0;
   for (auto _ : state) {
     // Session setup (computation text round-trip) is untimed: the
     // batch twin BM_LargeCheckLC starts from an in-memory computation
@@ -118,6 +104,7 @@ void BM_ServeIngest(benchmark::State& state) {
                                             w0)
                   .count();
     satisfied = r.satisfied;
+    bytes_per_node = r.bytes_per_node;
     state.PauseTiming();
     client.close_session();
     state.ResumeTiming();
@@ -130,8 +117,40 @@ void BM_ServeIngest(benchmark::State& state) {
   // only sees the client thread, which mostly sleeps on the socket.
   if (wall_s > 0)
     state.counters["events_per_sec"] = static_cast<double>(total) / wall_s;
+  state.counters["bytes_per_node"] = bytes_per_node;
+}
+void BM_ServeIngest(benchmark::State& state) {
+  serve_ingest(state,
+               make_serve_instance(static_cast<std::size_t>(state.range(0))));
 }
 BENCHMARK(BM_ServeIngest)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+/// The location axis. The 16-location rows also pin the O(n) trace
+/// builder against run_serial's records; the 4096-location row runs
+/// process-isolated, in full mode only (run_benches.sh).
+void BM_ServeIngestLocations(benchmark::State& state) {
+  const auto nlocations = static_cast<std::size_t>(state.range(1));
+  const ServeInstance in = make_serve_instance(
+      static_cast<std::size_t>(state.range(0)), nlocations);
+  if (nlocations == 16 &&
+      !bench::matches_run_serial(in.c, bench::serial_sc_trace(in.c))) {
+    state.SkipWithError("serial_sc_trace differs from run_serial");
+    return;
+  }
+  serve_ingest(state, in);
+}
+BENCHMARK(BM_ServeIngestLocations)->Name("BM_ServeIngest")
+    ->Args({1 << 20, 16})->Args({1 << 20, 256})->Args({1 << 20, 4096})
+    ->Unit(benchmark::kMillisecond);
+
+/// A stream whose locations disagree with its arrival order.
+void BM_ServeIngestBacker(benchmark::State& state) {
+  serve_ingest(state, make_serve_instance(
+                          static_cast<std::size_t>(state.range(0)),
+                          static_cast<std::size_t>(state.range(1)), true));
+}
+BENCHMARK(BM_ServeIngestBacker)->Args({1 << 18, 16})->Args({1 << 18, 256})
     ->Unit(benchmark::kMillisecond);
 
 /// The interactive round trip: one kChunk-event batch plus a flagged

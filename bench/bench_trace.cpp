@@ -5,6 +5,15 @@
 // size; BM_LargeCheckLC/1048576 is the million-node target the closure
 // path cannot reach at all (the n²/4-byte bitsets alone would be 256GB
 // of scans per check).
+//
+// The location axis: BM_LargeCheckLC, BM_PostmortemDataPlane (and
+// BM_ServeIngest in bench_serve) also run 2^20 ops at 16 / 256 / 4096
+// locations (rows NAME/1048576/L; BM_LargeCheckLC stops at 256, where
+// the dense Φ it checks is already ~1.2 GB). The serial traces are built
+// in O(n) (trace_instances.hpp), so the axis costs what the check
+// costs. BM_PostmortemBacker feeds a 4-processor BACKER trace whose
+// reads go stale, so the stream entry materializes its locations and
+// the kernel stays measured on it.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -13,12 +22,11 @@
 #include "core/last_writer.hpp"
 #include "core/prepared.hpp"
 #include "dag/precedence_oracle.hpp"
-#include "exec/sc_memory.hpp"
 #include "io/text.hpp"
 #include "models/location_consistency.hpp"
-#include "proc/random_program.hpp"
 #include "trace/large_check.hpp"
 #include "trace/trace_binary.hpp"
+#include "trace_instances.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -32,12 +40,10 @@ struct Instance {
 /// A fork/join program of ~n memory instructions with a last-writer
 /// observer from a topological sort — a member of every model in the
 /// suite, i.e. the worst case for a checker (nothing short-circuits).
-Instance make_cilk_instance(std::size_t n) {
-  Rng rng(n * 13 + 5);
-  proc::RandomCilkOptions opt;
-  opt.target_ops = n;
-  opt.nlocations = 16;  // enough shards for the pool, realistic sharing
-  Computation c = proc::random_cilk(opt, rng);
+/// 16 locations by default: enough shards for the pool, realistic
+/// sharing.
+Instance make_cilk_instance(std::size_t n, std::size_t nlocations = 16) {
+  Computation c = bench::cilk_program(n, nlocations, n * 13 + 5);
   std::vector<NodeId> order(c.node_count());
   if (c.dag().ids_topological()) {
     std::iota(order.begin(), order.end(), NodeId{0});
@@ -124,9 +130,7 @@ BENCHMARK(BM_VerifyClosureLC)->Arg(4096)->Arg(16384)
 
 /// The streaming path at matching and million-node sizes. Oracle build
 /// is part of every iteration, as in a real postmortem run.
-void BM_LargeCheckLC(benchmark::State& state) {
-  const Instance in = make_cilk_instance(static_cast<std::size_t>(
-      state.range(0)));
+void large_check_lc(benchmark::State& state, const Instance& in) {
   LargeCheckOptions opt;
   opt.models = kSuiteLC;
   std::size_t oracle_bytes = 0;
@@ -155,6 +159,10 @@ void BM_LargeCheckLC(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(in.c.node_count()));
 }
+void BM_LargeCheckLC(benchmark::State& state) {
+  large_check_lc(state, make_cilk_instance(static_cast<std::size_t>(
+                            state.range(0))));
+}
 // The 1<<24 arg is the data-plane headline: a 16M-node streaming check,
 // single-digit seconds per iteration, with the bytes-per-node budget on
 // the row. The 1<<27 arg is the 128M-node tripwire — minutes per
@@ -163,6 +171,17 @@ void BM_LargeCheckLC(benchmark::State& state) {
 // runs 1<<27 only in --nightly.
 BENCHMARK(BM_LargeCheckLC)->Arg(4096)->Arg(16384)->Arg(65536)->Arg(1 << 20)
     ->Arg(1 << 24)->Arg(1 << 27)->Unit(benchmark::kMillisecond);
+
+/// The location axis of the same check: large_check(c, Φ) runs the
+/// kernel on every location by design.
+void BM_LargeCheckLCLocations(benchmark::State& state) {
+  large_check_lc(state, make_cilk_instance(
+                            static_cast<std::size_t>(state.range(0)),
+                            static_cast<std::size_t>(state.range(1))));
+}
+BENCHMARK(BM_LargeCheckLCLocations)->Name("BM_LargeCheckLC")
+    ->Args({1 << 20, 16})->Args({1 << 20, 256})
+    ->Unit(benchmark::kMillisecond);
 
 /// All five decomposable models in one streaming pass — the full
 /// postmortem verdict at scale.
@@ -195,15 +214,13 @@ struct TraceInstance {
   std::string binary;  // write_trace_binary output
 };
 
-TraceInstance make_trace_instance(std::size_t n) {
-  Rng rng(n * 29 + 3);
-  proc::RandomCilkOptions opt;
-  opt.target_ops = n;
-  opt.nlocations = 16;
+/// A fork/join program of ~n ops and its serial SC trace; `backer` runs
+/// it on 4 BACKER processors instead, whose reads go stale.
+TraceInstance make_trace_instance(std::size_t n, std::size_t nlocations = 16,
+                                  bool backer = false) {
   TraceInstance in;
-  in.c = proc::random_cilk(opt, rng);
-  ScMemory mem;
-  in.trace = run_serial(in.c, mem).trace;
+  in.c = bench::cilk_program(n, nlocations, n * 29 + 3);
+  in.trace = backer ? bench::backer_trace(in.c) : bench::serial_sc_trace(in.c);
   {
     std::ostringstream out;
     write_trace(in.trace, out);
@@ -235,11 +252,7 @@ BENCHMARK(BM_TraceReadText)->Arg(65536)->Arg(1 << 20)
 /// The instance text every postmortem and every ccmm_serve open starts
 /// from: ops, edges and the strand lines of the SP parse.
 Computation make_text_computation(std::size_t n) {
-  Rng rng(n * 29 + 3);
-  proc::RandomCilkOptions opt;
-  opt.target_ops = n;
-  opt.nlocations = 16;
-  return proc::random_cilk(opt, rng);
+  return bench::cilk_program(n, 16, n * 29 + 3);
 }
 
 void BM_ComputationReadText(benchmark::State& state) {
@@ -341,9 +354,7 @@ BENCHMARK(BM_PostmortemNaive)->Arg(65536)->Arg(1 << 24)
 
 /// The full data plane: binary decode + dispatched SIMD sweeps + shard
 /// pipeline. Verdicts are bit-identical to BM_PostmortemNaive's.
-void BM_PostmortemDataPlane(benchmark::State& state) {
-  const TraceInstance in =
-      make_trace_instance(static_cast<std::size_t>(state.range(0)));
+void postmortem_dataplane(benchmark::State& state, const TraceInstance& in) {
   LargeCheckOptions opt;
   opt.models = kSuiteLC;
   double bytes_per_node = 0.0;
@@ -362,7 +373,41 @@ void BM_PostmortemDataPlane(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(in.trace.events.size()));
 }
+void BM_PostmortemDataPlane(benchmark::State& state) {
+  postmortem_dataplane(state, make_trace_instance(static_cast<std::size_t>(
+                                  state.range(0))));
+}
 BENCHMARK(BM_PostmortemDataPlane)->Arg(65536)->Arg(1 << 24)
+    ->Unit(benchmark::kMillisecond);
+
+/// The location axis. The 16-location rows also pin the O(n) trace
+/// builder against run_serial's records.
+void BM_PostmortemDataPlaneLocations(benchmark::State& state) {
+  const auto nlocations = static_cast<std::size_t>(state.range(1));
+  const TraceInstance in = make_trace_instance(
+      static_cast<std::size_t>(state.range(0)), nlocations);
+  if (nlocations == 16 && !bench::matches_run_serial(in.c, in.trace)) {
+    state.SkipWithError("serial_sc_trace differs from run_serial");
+    return;
+  }
+  postmortem_dataplane(state, in);
+}
+// The 4096-location row runs process-isolated, in full mode only
+// (run_benches.sh).
+BENCHMARK(BM_PostmortemDataPlaneLocations)->Name("BM_PostmortemDataPlane")
+    ->Args({1 << 20, 16})->Args({1 << 20, 256})->Args({1 << 20, 4096})
+    ->Unit(benchmark::kMillisecond);
+
+/// The data plane on a stream whose locations disagree with the arrival
+/// order: every stale location materializes, so this row keeps the
+/// kernel measured on the stream entry.
+void BM_PostmortemBacker(benchmark::State& state) {
+  postmortem_dataplane(state, make_trace_instance(
+                                  static_cast<std::size_t>(state.range(0)),
+                                  static_cast<std::size_t>(state.range(1)),
+                                  true));
+}
+BENCHMARK(BM_PostmortemBacker)->Args({1 << 18, 16})->Args({1 << 18, 256})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

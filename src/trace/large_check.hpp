@@ -35,8 +35,13 @@
 // the trace in stable seq order, kChunkNodes records at a time, and
 // large_check points its states at Φ's stored columns and advances
 // over every position. Online and batch verdicts agree because they
-// run the same code. Verdicts are pinned byte-identical to the
-// prepared checkers by tests/test_large_check.cpp.
+// run the same code. A trace location whose every read saw the latest
+// write in trace order is witnessed by that order and never reaches
+// the kernel: its row is the clean row, in O(events) for all such
+// locations together. large_check(c, Φ) runs the kernel on every
+// location, so it stays the independent reference for the stream
+// entries. Verdicts are pinned byte-identical to the prepared checkers
+// by tests/test_large_check.cpp.
 #pragma once
 
 #include <functional>
@@ -110,7 +115,7 @@ struct LargeCheckReport {
 
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
   // Spans that ran on the pool charge their slowest shard.
-  double ingest_millis = 0.0;       // validation + column fill
+  double ingest_millis = 0.0;       // validation, agreement, column fill
   double group_build_millis = 0.0;  // grouping + CSRs + wblock map
   double kernel_millis = 0.0;       // LocState::advance over all spans
   double report_millis = 0.0;       // finalize_into + verdict fold
@@ -145,6 +150,17 @@ struct LargeCheckReport {
 /// and fail LC even on a serial SC execution. Because the trace order
 /// is a linear extension of the dag, the completed entries always
 /// satisfy condition 2.2.
+///
+/// A trace verdict is therefore the verdict of this completion, not of
+/// the observer the machine had: the two agree where a node recorded
+/// its observation, and the completion fills every other slot from
+/// trace order. The verdict is exact for the machine when every read
+/// saw the latest write in trace order (then the trace order is a
+/// witness, and every model holds). Otherwise it may report a
+/// violation the machine's own Φ does not have: the machine's Φ gives
+/// an unrecorded slot the view of the processor that ran the node, the
+/// completion the latest write in trace order. Check the machine's Φ
+/// with large_check when it is at hand.
 [[nodiscard]] ObserverFunction observer_from_trace(const Computation& c,
                                                    const Trace& trace);
 

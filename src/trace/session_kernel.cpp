@@ -51,6 +51,23 @@ std::size_t csr_bytes_of(const Csr& csr) {
 /// Heap estimate for one std::map node holding an unwritten location.
 constexpr std::size_t kMapNodeBytes = 64;
 
+/// The column fill_column builds for written location `li` from records
+/// that all agreed with its carried write — so every non-write there
+/// observes the carried write — given only their nodes, in arrival
+/// order.
+void witnessed_column(const std::uint32_t* index, std::uint32_t li,
+                      const NodeId* arrival, std::size_t count, NodeId* col,
+                      NodeId& last) {
+  const std::uint32_t self_write = li << 1 | 1u;
+  NodeId carried = last;
+  for (std::size_t i = 0; i < count; ++i) {
+    const NodeId u = arrival[i];
+    if (index[u] == self_write) carried = u;
+    col[u] = carried;
+  }
+  last = carried;
+}
+
 }  // namespace
 
 namespace detail {
@@ -159,12 +176,18 @@ void fill_column(const std::uint32_t* index, std::uint32_t li,
 using detail::kChunkNodes;
 using detail::kNoWrittenLoc;
 
-/// One written location: the dense Φ column the stream fills (unused
-/// when the states point at an observer's columns) plus its LocState.
+/// One written location. Witnessed, it is carried_[index] alone; once
+/// materialized, the dense Φ column the stream fills (unused when the
+/// states point at an observer's columns) plus its LocState.
 struct CheckSession::Loc {
   Location loc = 0;
-  std::vector<NodeId> col;
   std::span<const NodeId> writers;
+  bool materialized = false;
+  /// Materialized by the current feed: advance() rebuilds the column
+  /// from the arrival order, then fills it from record `from` on.
+  bool rebuild = false;
+  std::size_t from = 0;
+  std::vector<NodeId> col;
   LocState state;
   NodeId last_write = kBottom;  // carried across feeds by fill_column
 };
@@ -245,25 +268,11 @@ void CheckSession::setup() {
   const bool want_fresh = (checked_ & kLargeCheckPlus) != 0;
   want_masks_ = (base & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
 
-  // pred carries LC's quotient edges and the freshness shadow; succ is
-  // only needed for the mask models' backward sweep, so an LC-only
-  // check never materializes it.
-  if (base != 0 || want_fresh) pred_ = make_pred_csr(c_->dag());
-  if (want_masks_) succ_ = make_succ_csr(c_->dag());
-
-  // The writer→block and writer→location maps (a node writes at most
-  // one location, so two n-entry arrays serve every state at once) and
-  // the node→written-location index the column fill runs on.
+  // The node→written-location index the agreement check and the column
+  // fill run on. The CSRs and writer maps only the kernel reads wait
+  // for prepare_kernel(); a stream whose locations all stay witnessed
+  // never builds them.
   groups_ = group_location_accesses(*c_);
-  wblock_.assign(n_, 0);
-  wloc_.assign(n_, 0);
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    const std::span<const NodeId> wr = groups_.writers(gi);
-    for (std::size_t i = 0; i < wr.size(); ++i) {
-      wblock_[wr[i]] = static_cast<std::uint32_t>(i) + 1;
-      wloc_[wr[i]] = groups_.locs[gi];
-    }
-  }
   access_ = detail::written_access_index(groups_, n_);
 
   kctx_ = LocKernelCtx{c_,
@@ -272,24 +281,26 @@ void CheckSession::setup() {
                        posv_.empty() ? nullptr : posv_.data(),
                        &pred_,
                        &succ_,
-                       wblock_.data(),
-                       wloc_.data(),
+                       nullptr,
+                       nullptr,
                        base,
                        checked_,
                        want_fresh,
                        opts_.simd.value_or(active_simd_level())};
 
-  // One state per written location, in location order. A read-only
-  // location needs none: its all-⊥ column passes everything.
+  // One state per written location, in location order, all witnessed.
+  // A read-only location needs none: its all-⊥ column passes
+  // everything.
   for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
     const std::span<const NodeId> wr = groups_.writers(gi);
     if (wr.empty()) continue;
     auto st = std::make_unique<Loc>();
     st->loc = groups_.locs[gi];
     st->writers = wr;
-    st->state.init(kctx_, st->loc, &st->col, st->writers);
     states_.push_back(std::move(st));
   }
+  witnessed_ = states_.size();
+  carried_.assign(states_.size(), kBottom);
 
   // Pack the states onto shards in longest-processing-time order. Cost
   // model: every location pays its share of each span (1 unit) plus one
@@ -328,6 +339,31 @@ void CheckSession::setup() {
 
 CheckSession::~CheckSession() = default;
 
+void CheckSession::prepare_kernel() {
+  if (kernel_ready_) return;
+  kernel_ready_ = true;
+  const auto t0 = Clock::now();
+  // pred carries LC's quotient edges and the freshness shadow; succ is
+  // only needed for the mask models' backward sweep, so an LC-only
+  // check never materializes it.
+  if (kctx_.models != 0 || kctx_.fresh) pred_ = make_pred_csr(c_->dag());
+  if (want_masks_) succ_ = make_succ_csr(c_->dag());
+  // The writer→block and writer→location maps: a node writes at most
+  // one location, so two n-entry arrays serve every state at once.
+  wblock_.assign(n_, 0);
+  wloc_.assign(n_, 0);
+  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
+    const std::span<const NodeId> wr = groups_.writers(gi);
+    for (std::size_t i = 0; i < wr.size(); ++i) {
+      wblock_[wr[i]] = static_cast<std::uint32_t>(i) + 1;
+      wloc_[wr[i]] = groups_.locs[gi];
+    }
+  }
+  kctx_.wblock = wblock_.data();
+  kctx_.wloc = wloc_.data();
+  group_build_ms_ += millis_since(t0);
+}
+
 void CheckSession::fail_stream(std::string why) { error_ = std::move(why); }
 
 void CheckSession::note_unwritten(Location l, std::uint32_t pos, NodeId u,
@@ -365,37 +401,57 @@ bool CheckSession::for_each_shard(std::size_t span,
 }
 
 void CheckSession::advance(const BinaryTraceEvent* events,
-                           std::size_t count) {
+                           std::size_t count, std::size_t arrived) {
   while (watermark_ < n_ && validator_.arrived(topo_[watermark_]))
     ++watermark_;
-  const std::uint32_t p0 = consumed_;
   const std::uint32_t p1 = watermark_;
-  if (count == 0 && p0 == p1) return;
-  const bool on_pool = for_each_shard(
-      std::max<std::size_t>(count, p1 - p0), [&](Shard& sh) {
-        const auto t0 = Clock::now();
-        for (const std::uint32_t i : sh.locs) {
-          if (count == 0) break;
-          Loc& s = *states_[i];
-          if (s.col.empty()) s.col.assign(n_, kBottom);
-          detail::fill_column(access_.data(), i, events, count, n_,
-                              s.col.data(), s.last_write);
-        }
-        const auto t1 = Clock::now();
-        // Chunk-major: a chunk's scan slots and pred edges stay
-        // cache-resident while every location of the shard walks them.
-        for (std::uint64_t q0 = p0; q0 < p1; q0 += kChunkNodes) {
-          const auto q1 = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(p1, q0 + kChunkNodes));
-          for (const std::uint32_t i : sh.locs)
-            states_[i]->state.advance(static_cast<std::uint32_t>(q0), q1,
-                                      sh.arena);
-        }
-        sh.ingest_ms = std::chrono::duration<double, std::milli>(t1 - t0)
-                           .count();
-        sh.kernel_ms = millis_since(t1);
-      });
   consumed_ = p1;
+  // The work in node visits, over the materialized locations alone: a
+  // witnessed location has nothing to fill, advance or replay.
+  std::size_t work = 0;
+  for (const std::unique_ptr<Loc>& s : states_) {
+    if (!s->materialized) continue;
+    work += (s->rebuild ? arrived + s->from : 0) + (count - s->from) +
+            (p1 - s->state.consumed());
+  }
+  if (work == 0) return;
+  prepare_kernel();
+  const bool on_pool = for_each_shard(work, [&](Shard& sh) {
+    const auto t0 = Clock::now();
+    std::uint32_t q0 = p1;  // the lowest position a state resumes from
+    for (const std::uint32_t i : sh.locs) {
+      Loc& s = *states_[i];
+      if (!s.materialized) continue;
+      if (s.rebuild) {
+        s.col.assign(n_, kBottom);
+        witnessed_column(access_.data(), i, arrival_.data(), arrived + s.from,
+                         s.col.data(), s.last_write);
+        s.state.init(kctx_, s.loc, &s.col, s.writers);
+        s.rebuild = false;
+      }
+      if (s.from < count)
+        detail::fill_column(access_.data(), i, events + s.from,
+                            count - s.from, n_, s.col.data(), s.last_write);
+      s.from = 0;
+      q0 = std::min(q0, s.state.consumed());
+    }
+    const auto t1 = Clock::now();
+    // Chunk-major: a chunk's scan slots and pred edges stay
+    // cache-resident while every location of the shard walks them. A
+    // location materialized by this feed replays from position 0.
+    while (q0 < p1) {
+      const std::uint32_t q1 = q0 + std::min(p1 - q0, kChunkNodes);
+      for (const std::uint32_t i : sh.locs) {
+        LocState& st = states_[i]->state;
+        if (states_[i]->materialized && st.consumed() < q1)
+          st.advance(st.consumed(), q1, sh.arena);
+      }
+      q0 = q1;
+    }
+    sh.ingest_ms = std::chrono::duration<double, std::milli>(t1 - t0)
+                       .count();
+    sh.kernel_ms = millis_since(t1);
+  });
   // Sharded spans overlap: charge the slowest shard, not the sum.
   double ingest = 0.0;
   double kernel = 0.0;
@@ -409,19 +465,50 @@ void CheckSession::advance(const BinaryTraceEvent* events,
 
 void CheckSession::ingest(const BinaryTraceEvent* events,
                           std::size_t count) {
+  const auto t0 = Clock::now();
   events_seen_ += count;
   if (opts_.retain_events)
     retained_.insert(retained_.end(), events, events + count);
-  // A read observing a never-written location fails 2.1 there; only
-  // the earliest such observation per location decides its row.
+  const std::size_t arrived = arrival_.size();
+  if (witnessed_ > 0) {
+    // Geometric growth capped at n (a validated stream has one record
+    // per node): a complete stream holds exactly 4 B per node.
+    if (arrival_.capacity() < arrived + count)
+      arrival_.reserve(std::min<std::size_t>(
+          n_, std::max(2 * arrival_.capacity(), arrived + count)));
+    for (std::size_t i = 0; i < count; ++i)
+      arrival_.push_back(events[i].node);
+  }
   for (std::size_t i = 0; i < count; ++i) {
     const BinaryTraceEvent& e = events[i];
-    if (access_[e.node] != kNoWrittenLoc || e.observed == kBottom) continue;
-    const Op o = c_->op(e.node);
-    if (o.is_read()) note_unwritten(o.loc, kctx_.pos(e.node), e.node,
-                                    e.observed);
+    const std::uint32_t a = access_[e.node];
+    if (a == kNoWrittenLoc) {
+      // A read observing a never-written location fails 2.1 there;
+      // only the earliest such observation per location decides its
+      // row.
+      if (e.observed == kBottom) continue;
+      const Op o = c_->op(e.node);
+      if (o.is_read())
+        note_unwritten(o.loc, kctx_.pos(e.node), e.node, e.observed);
+      continue;
+    }
+    // Writes and reads of the carried write agree; the first read that
+    // observed anything else materializes its location.
+    const std::uint32_t li = a >> 1;
+    if ((a & 1u) != 0) {
+      carried_[li] = e.node;
+    } else if (e.observed != carried_[li] && !states_[li]->materialized) {
+      Loc& s = *states_[li];
+      s.materialized = true;
+      s.rebuild = true;
+      s.from = i;
+      --witnessed_;
+    }
   }
-  advance(events, count);
+  ingest_ms_ += millis_since(t0);
+  advance(events, count, arrived);
+  // Nothing can materialize anymore: the arrival order has served.
+  if (witnessed_ == 0) std::vector<NodeId>().swap(arrival_);
 }
 
 bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
@@ -485,6 +572,10 @@ LargeCheckReport CheckSession::run_observer(const ObserverFunction& phi) {
       return;
     }
   };
+  // Every location is materialized on Φ's column: this entry point is
+  // the independent kernel reference for the stream entries.
+  prepare_kernel();
+  const auto t_init = Clock::now();
   std::size_t si = 0;
   for (const std::unique_ptr<Loc>& s : states_) {
     while (si < stored.size() && stored[si] < s->loc) unwritten_column(si++);
@@ -492,14 +583,16 @@ LargeCheckReport CheckSession::run_observer(const ObserverFunction& phi) {
     if (si < stored.size() && stored[si] == s->loc)
       col = &phi.stored_column(si++);
     s->state.init(kctx_, s->loc, col, s->writers);
+    s->materialized = true;
   }
+  witnessed_ = 0;
   while (si < stored.size()) unwritten_column(si++);
-  ingest_ms_ += millis_since(t0);
+  ingest_ms_ += millis_since(t_init);
 
   for (std::uint64_t p = 0; p < n_; p += kChunkNodes) {
     watermark_ = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(n_, p + kChunkNodes));
-    advance(nullptr, 0);
+    advance(nullptr, 0, 0);
     if (progress_) progress_(consumed_, n_);
   }
   active_ms_ += millis_since(t0);
@@ -517,6 +610,7 @@ SessionVerdict CheckSession::fast_verdict() const {
   if (unwritten_min_pos_ < consumed_) v.valid = false;
   std::uint32_t violated = 0;
   for (const std::unique_ptr<Loc>& s : states_) {
+    if (!s->materialized) continue;  // witnessed: clean
     if (s->state.validity_failed()) v.valid = false;
     if (s->state.lc_known_violated()) violated |= kSuiteLC;
     if (s->state.freshness_known_violated()) violated |= kSuiteFresh;
@@ -573,18 +667,28 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
     while (i < states_.size()) row[i++] = r++;
   }
 
-  // Finalize is O(1) per clean LC location; the mask sweeps cost one
-  // pass over the consumed prefix per 256-block batch, and that work
-  // decides whether the shards run on the pool.
+  // A witnessed location's row is the clean row over any consumed
+  // prefix. Finalize is O(1) per clean LC location; the mask sweeps
+  // cost one pass over the consumed prefix per 256-block batch, and
+  // that work decides whether the shards run on the pool.
   std::size_t sweeps = 0;
   if (want_masks_)
     for (const std::unique_ptr<Loc>& s : states_)
-      sweeps += (s->writers.size() + kSweepBits) / kSweepBits;
+      if (s->materialized)
+        sweeps += (s->writers.size() + kSweepBits) / kSweepBits;
   const auto tr = Clock::now();
   const bool on_pool = for_each_shard(sweeps * consumed_, [&](Shard& sh) {
     const auto ts = Clock::now();
-    for (const std::uint32_t i : sh.locs)
-      states_[i]->state.finalize_into(report.locations[row[i]], sh.arena);
+    for (const std::uint32_t i : sh.locs) {
+      Loc& s = *states_[i];
+      LocationCheck& out = report.locations[row[i]];
+      if (s.materialized) {
+        s.state.finalize_into(out, sh.arena);
+      } else {
+        out.loc = s.loc;
+        out.writers = s.writers.size();
+      }
+    }
     sh.arena.note_peak();
     sh.report_ms = millis_since(ts);
   });
@@ -648,8 +752,9 @@ LargeCheckReport CheckSession::finish() { return make_report(true); }
 std::size_t CheckSession::aux_bytes() const noexcept {
   return (wblock_.capacity() + wloc_.capacity() + posv_.capacity() +
           access_.capacity()) * sizeof(std::uint32_t) +
-         topo_.capacity() * sizeof(NodeId) + validator_.memory_bytes() +
-         unwritten_.size() * kMapNodeBytes;
+         (topo_.capacity() + carried_.capacity() + arrival_.capacity()) *
+             sizeof(NodeId) +
+         validator_.memory_bytes() + unwritten_.size() * kMapNodeBytes;
 }
 
 std::size_t CheckSession::memory_bytes() const noexcept {

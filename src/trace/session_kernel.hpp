@@ -9,10 +9,26 @@
 // observer's columns), and ccmm_serve runs one per open session.
 //
 // Events arrive append-only as validated 32-byte binary records (in
-// nondecreasing seq order — the stream IS the execution order), the
-// observer columns fill with the completion rule of
-// observer_from_trace(), and the LocStates advance through a
-// *watermark* on the scan order:
+// nondecreasing seq order — the stream IS the execution order), and
+// every written location is in one of two states:
+//
+//   witnessed     every arrived record agreed with the location's
+//                 carried write (writes always agree, a read agrees
+//                 when it observed the last write before it in
+//                 arrival order, ⊥ before the first). The arrival
+//                 order is a linear extension of the dag, so it
+//                 witnesses every model the engine decides there:
+//                 the location holds one carried write, no column
+//                 and no kernel state, and its row is the clean row
+//                 over any consumed prefix (DESIGN.md proves it).
+//   materialized  from the first record that disagrees: the dense
+//                 column observer_from_trace's completion rule fills
+//                 (rebuilt from the arrival order the session keeps,
+//                 one node id per arrival) plus a LocState replayed from
+//                 scan position 0. large_check(c, Φ) materializes
+//                 every location up front on Φ's own columns.
+//
+// The LocStates advance through a *watermark* on the scan order:
 //
 //   scan order  = ids when topological, else dag().topological_order();
 //   watermark   = length of the longest arrived prefix of the scan
@@ -26,12 +42,13 @@
 // how they were cut into feeds, nor of the arrival order.
 //
 // Work is sharded per location: a shard owns a fixed set of locations
-// (longest-processing-time packing) and one scratch arena. A feed span
-// at least kPipelineMinNodes long runs fill + stage + advance on the
-// pool, one task per shard; a report whose mask sweeps are that large
-// runs finalize the same way. Smaller work (serve's per-batch feeds,
-// an LC-only finish) stays on the caller thread, running the shards'
-// work in order. Either way the verdicts are identical.
+// (longest-processing-time packing) and one scratch arena. A feed whose
+// materialized locations need at least kPipelineMinNodes node visits
+// in total runs rebuild + fill + advance on the pool, one task per
+// shard; a report whose mask sweeps are that large runs finalize the
+// same way. Smaller work (serve's per-batch feeds, an LC-only finish)
+// stays on the caller thread, running the shards' work in order.
+// Either way the verdicts are identical.
 //
 // feed() validates each record (one event per node, known nodes and
 // observations, seq monotone, predecessors first); a violation makes
@@ -155,8 +172,11 @@ class CheckSession {
   /// Append `count` records (nondecreasing seq, any linear extension of
   /// the dag). Returns false once the stream is rejected — the session
   /// is then sticky-failed and error() says why; further feeds are
-  /// no-ops. Cost: O(count · written-locations) column fill plus the
-  /// kernel advance over newly covered scan positions.
+  /// no-ops. Cost: O(count) for validation and the agreement check of
+  /// every witnessed location together, plus O(count + newly covered
+  /// scan positions) per materialized location; a location that
+  /// materializes in this feed also pays one O(arrived + consumed)
+  /// column rebuild and replay.
   bool feed(const BinaryTraceEvent* events, std::size_t count);
 
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
@@ -198,7 +218,8 @@ class CheckSession {
       const noexcept {
     return retained_;
   }
-  /// Session-owned heap: columns, groups, CSRs, states, arena peaks.
+  /// Session-owned heap: columns, groups, CSRs, states, arena peaks,
+  /// the arrival order.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -208,7 +229,7 @@ class CheckSession {
   friend LargeCheckReport large_check_trace(const Computation&, const Trace&,
                                             const LargeCheckOptions&);
 
-  struct Loc;    // one written location: column + LocState
+  struct Loc;    // one written location: witnessed or materialized
   struct Shard;  // a fixed set of locations plus their scratch arena
   /// A never-written location some read observes: every such
   /// observation fails 2.1, so the earliest one in scan order is the
@@ -226,16 +247,24 @@ class CheckSession {
 
   void fail_stream(std::string why);
   void note_unwritten(Location l, std::uint32_t pos, NodeId u, NodeId x);
+  /// Build what only materialized locations use — the pred/succ CSRs
+  /// and the writer→block/location maps — on the first materialization.
+  void prepare_kernel();
   /// Run `work(shard)` for every shard: on the pool when `span` (the
   /// work estimate, in node visits) pays for it, else on this thread.
   /// Returns whether the pool ran it.
   bool for_each_shard(std::size_t span,
                       const std::function<void(Shard&)>& work);
-  /// Fill the columns from `count` records (none: the columns are
-  /// already complete) and advance every state over [consumed_,
-  /// watermark_).
-  void advance(const BinaryTraceEvent* events, std::size_t count);
-  /// Apply `count` validated records.
+  /// Materialize the locations ingest() marked (their columns rebuilt
+  /// from the first `arrived` entries of arrival_ and their states
+  /// replayed), fill every materialized column from `count` records
+  /// (none: the columns are already complete) and advance every
+  /// materialized state to the watermark.
+  void advance(const BinaryTraceEvent* events, std::size_t count,
+               std::size_t arrived);
+  /// Apply `count` validated records: the agreement check of every
+  /// witnessed location and the unwritten-location scan in one pass,
+  /// then advance().
   void ingest(const BinaryTraceEvent* events, std::size_t count);
   /// Batch: feed `trace` in stable seq order, kChunkNodes records at a
   /// time, then report.
@@ -243,7 +272,8 @@ class CheckSession {
   /// Batch: point the states at Φ's stored columns and scan them all.
   LargeCheckReport run_observer(const ObserverFunction& phi);
   LargeCheckReport make_report(bool require_complete);
-  /// The n-entry maps, scan order, validator and unwritten rows.
+  /// The n-entry maps, scan order, validator, arrival order, carried
+  /// writes and unwritten rows.
   [[nodiscard]] std::size_t aux_bytes() const noexcept;
 
   std::unique_ptr<Computation> owned_;  // serving sessions own their copy
@@ -262,17 +292,26 @@ class CheckSession {
 
   std::vector<NodeId> topo_;           // scan order
   std::vector<std::uint32_t> posv_;    // node -> scan position (iff !iota)
+  LocationGroups groups_;
+  std::vector<std::uint32_t> access_;  // written_access_index(groups_)
+  // Built by prepare_kernel() on the first materialization.
+  bool kernel_ready_ = false;
   Csr pred_;
   Csr succ_;
-  LocationGroups groups_;
   std::vector<std::uint32_t> wblock_;
   std::vector<std::uint32_t> wloc_;
-  std::vector<std::uint32_t> access_;  // written_access_index(groups_)
   LocKernelCtx kctx_;
 
   // One state per written location, in location order; shards index
-  // into it. Columns are allocated by the first feed.
+  // into it. Every location starts witnessed.
   std::vector<std::unique_ptr<Loc>> states_;
+  std::size_t witnessed_ = 0;   // states not yet materialized
+  /// Per written location: the last write to it in arrival order — a
+  /// witnessed location's whole state.
+  std::vector<NodeId> carried_;
+  /// Arrived nodes in arrival order, kept while any location is
+  /// witnessed: a materializing location rebuilds its column from it.
+  std::vector<NodeId> arrival_;
   std::vector<Shard> shards_;
   std::map<Location, Unwritten> unwritten_;
   std::uint32_t unwritten_min_pos_ = kLocNoPos;

@@ -120,4 +120,29 @@ inline ObserverFunction reference_observer_from_trace(const Computation& c,
   return phi;
 }
 
+/// The written locations where some read did not observe the last
+/// write before it in execution order (⊥ before the first) — the ones a
+/// checking session fed this trace materializes. Sorted.
+inline std::vector<Location> reference_disagreeing_locations(
+    const Computation& c, const Trace& trace) {
+  const std::vector<Location> written = c.written_locations();
+  std::vector<NodeId> last(written.size(), kBottom);
+  std::vector<bool> disagrees(written.size(), false);
+  for (const std::uint32_t i : reference_seq_order(trace)) {
+    const TraceEvent& e = trace.events[i];
+    const Op o = c.op(e.node);
+    const auto it = std::lower_bound(written.begin(), written.end(), o.loc);
+    if (o.is_nop() || it == written.end() || *it != o.loc) continue;
+    const auto li = static_cast<std::size_t>(it - written.begin());
+    if (o.is_write())
+      last[li] = e.node;
+    else if (e.observed != last[li])
+      disagrees[li] = true;
+  }
+  std::vector<Location> out;
+  for (std::size_t li = 0; li < written.size(); ++li)
+    if (disagrees[li]) out.push_back(written[li]);
+  return out;
+}
+
 }  // namespace ccmm

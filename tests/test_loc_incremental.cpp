@@ -2,121 +2,35 @@
 // (trace/loc_incremental.hpp): after consuming any prefix of the event
 // stream, finalize_into must produce verdicts byte-identical — valid,
 // violated mask, AND detail string — to a fresh state that consumed
-// the same prefix in one batch advance. The engine-level feed fuzz
-// then pins that the engine's verdicts are independent of the feed
-// sizes the stream was cut into, and the *Parallel* test pins sharded
-// runs (on a pool of their own, under TSan in CI) against serial ones.
+// the same prefix in one batch advance. The last-writer function of
+// any linear extension must give the clean row after every prefix —
+// the lemma that lets the engine skip locations the arrival order
+// witnesses. The engine-level feed fuzz then pins that the engine's
+// verdicts are independent of the feed sizes the stream was cut into,
+// and the *Parallel* test pins sharded runs (on a pool of their own,
+// under TSan in CI) against serial ones.
 #include "trace/loc_incremental.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
-
+#include "core/last_writer.hpp"
 #include "dag/generators.hpp"
-#include "dag/sweep.hpp"
+#include "dag/topsort.hpp"
 #include "enumerate/sampling.hpp"
 #include "enumerate/universe.hpp"
+#include "exec/backer.hpp"
 #include "exec/sc_memory.hpp"
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
+#include "kernel_harness.hpp"
 #include "proc/random_program.hpp"
 #include "reference_trace.hpp"
 #include "trace/large_check.hpp"
-#include "trace/loc_kernel.hpp"
 #include "trace/session_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
 namespace {
-
-/// The shared-context setup large_check performs, reproduced for
-/// driving LocStates directly: topological order, both CSRs, the
-/// location grouping, the writer→block/location maps and a lazy
-/// oracle. Holds one task per location the engine would check (plus
-/// all-⊥ stored columns, which both sides of the differential treat
-/// identically).
-struct KernelHarness {
-  struct Task {
-    Location loc = 0;
-    const std::vector<NodeId>* col = nullptr;
-    std::span<const NodeId> writers;
-  };
-
-  const Computation* c;
-  std::vector<NodeId> topo;
-  std::vector<std::uint32_t> posv;
-  Csr pred;
-  Csr succ;
-  LocationGroups groups;
-  std::vector<std::uint32_t> wblock;
-  std::vector<std::uint32_t> wloc;
-  LazyOracle oracle;
-  LocKernelCtx ctx;
-  std::vector<Task> tasks;
-
-  KernelHarness(const Computation& comp, const ObserverFunction& phi,
-                std::uint32_t models, std::uint32_t checked, bool fresh)
-      : c(&comp), oracle([&comp] {
-          return make_oracle(comp.dag(), comp.sp_structure().get(), {});
-        }) {
-    const std::size_t n = comp.node_count();
-    if (comp.dag().ids_topological()) {
-      topo.resize(n);
-      std::iota(topo.begin(), topo.end(), NodeId{0});
-    } else {
-      topo = comp.dag().topological_order();
-      posv.resize(n);
-      for (std::uint32_t p = 0; p < n; ++p) posv[topo[p]] = p;
-    }
-    pred = make_pred_csr(comp.dag());
-    succ = make_succ_csr(comp.dag());
-    groups = group_location_accesses(comp);
-    wblock.assign(n, 0);
-    wloc.assign(n, 0);
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      const std::span<const NodeId> wr = groups.writers(gi);
-      for (std::size_t i = 0; i < wr.size(); ++i) {
-        wblock[wr[i]] = static_cast<std::uint32_t>(i) + 1;
-        wloc[wr[i]] = groups.locs[gi];
-      }
-    }
-    ctx = LocKernelCtx{&comp,
-                       &oracle,
-                       &topo,
-                       posv.empty() ? nullptr : posv.data(),
-                       &pred,
-                       &succ,
-                       wblock.data(),
-                       wloc.data(),
-                       models,
-                       checked,
-                       fresh,
-                       SimdLevel::kScalar};
-
-    const std::vector<Location>& stored = phi.stored_locations();
-    std::vector<Location> all;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi)
-      if (!groups.writers(gi).empty()) all.push_back(groups.locs[gi]);
-    all.insert(all.end(), stored.begin(), stored.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
-    for (const Location l : all) {
-      const auto si = std::lower_bound(stored.begin(), stored.end(), l);
-      const std::vector<NodeId>* col =
-          si != stored.end() && *si == l
-              ? &phi.stored_column(
-                    static_cast<std::size_t>(si - stored.begin()))
-              : nullptr;
-      std::span<const NodeId> writers;
-      const auto gi = std::lower_bound(groups.locs.begin(),
-                                       groups.locs.end(), l);
-      if (gi != groups.locs.end() && *gi == l)
-        writers = groups.writers(
-            static_cast<std::size_t>(gi - groups.locs.begin()));
-      tasks.push_back(Task{l, col, writers});
-    }
-  }
-};
 
 /// Consume the stream in `chunk`-sized advances, and after EVERY chunk
 /// compare the incremental verdict against a fresh state that consumed
@@ -250,6 +164,52 @@ TEST(LocIncremental, PrefixMatchesBatchOnGeneratedPrograms) {
       expect_prefix_equivalence(c, phi, chunk);
 }
 
+TEST(LocIncremental, LastWriterOfAnyLinearExtensionGivesTheCleanRow) {
+  // The witnessed-location lemma: when Φ(l,·) is the last-writer
+  // function of a linear extension T, every model the kernel decides
+  // holds at l over every scan prefix, so the kernel's row is the clean
+  // row {loc, valid, violated 0, writers |W|, detail ""} after any
+  // span — whatever T is, however the scan order is cut.
+  Rng rng(167);
+  std::vector<Computation> comps;
+  for (int k = 0; k < 2; ++k) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 600;
+    opt.nlocations = 4;
+    comps.push_back(proc::random_cilk(opt, rng));
+  }
+  comps.push_back(workload::random_ops(gen::layered({6, 9, 9, 6}, 0.3, rng),
+                                       5, 0.4, 0.4, rng));
+  comps.push_back(workload::random_ops(gen::random_dag(300, 0.03, rng), 6,
+                                       0.4, 0.4, rng));
+  for (const Computation& c : comps) {
+    for (int round = 0; round < 3; ++round) {
+      const ObserverFunction phi =
+          last_writer(c, greedy_random_topological_sort(c.dag(), rng));
+      const KernelHarness h(c, phi, kLargeCheckAll, kLargeCheckExt, true);
+      const auto n = static_cast<std::uint32_t>(c.node_count());
+      for (const std::uint32_t chunk : {1u, 7u, 64u, 4096u}) {
+        for (const KernelHarness::Task& t : h.tasks) {
+          LocArena arena;
+          LocState st;
+          st.init(h.ctx, t.loc, t.col, t.writers);
+          for (std::uint32_t p0 = 0; p0 < n; p0 += chunk) {
+            st.advance(p0, std::min(n, p0 + chunk), arena);
+            LocationCheck got;
+            st.finalize_into(got, arena);
+            ASSERT_TRUE(got.valid) << "loc " << t.loc << ": " << got.detail;
+            ASSERT_EQ(got.violated, 0u) << "loc " << t.loc << ": "
+                                        << got.detail;
+            ASSERT_EQ(got.detail, "");
+            ASSERT_EQ(got.loc, t.loc);
+            ASSERT_EQ(got.writers, t.writers.size());
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Point a few read events at other writes of their location: stale
 /// ones violate models, forward ones exercise the oracle and the
 /// validity scan — the trace-level twin of corrupt().
@@ -340,7 +300,9 @@ TEST(LocIncrementalParallel, ShardedMatchesSerial) {
   // sharding threshold, with a pool of its own so the shards really
   // run on four workers even on single-core CI; runs under TSan in the
   // sanitizer job. The corrupted inputs send validity failures and
-  // model violations through the shards.
+  // model violations through the shards. The trace is a 4-processor
+  // BACKER run, where every location has a stale read: a serial trace
+  // leaves every location witnessed, and then no kernel span runs.
   Rng rng(131);
   proc::RandomCilkOptions opt;
   opt.target_ops = 40'000;
@@ -349,7 +311,11 @@ TEST(LocIncrementalParallel, ShardedMatchesSerial) {
   ScMemory mem;
   const ExecutionResult run = run_serial(c, mem);
   const ObserverFunction bad = corrupt(c, ObserverFunction(run.phi), rng);
-  const Trace bad_trace = corrupt_trace(c, run.trace, rng);
+  BackerMemory backer;
+  const Trace stale = run_execution(c, greedy_schedule(c, 4), backer).trace;
+  ASSERT_EQ(reference_disagreeing_locations(c, stale),
+            c.written_locations());
+  const Trace bad_trace = corrupt_trace(c, stale, rng);
 
   ThreadPool pool(4);
   LargeCheckOptions par;
@@ -366,7 +332,7 @@ TEST(LocIncrementalParallel, ShardedMatchesSerial) {
     EXPECT_GT(a.shards, 1u);
     expect_same_verdicts(a, b, "observer");
   }
-  for (const Trace* trace : {&run.trace, &bad_trace}) {
+  for (const Trace* trace : {&stale, &bad_trace}) {
     const LargeCheckReport a = large_check_trace(c, *trace, par);
     const LargeCheckReport b = large_check_trace(c, *trace, seq);
     EXPECT_TRUE(a.pipelined);

@@ -2,7 +2,10 @@
 // records — in any chunking, in any linear-extension arrival order —
 // must produce verdicts AND witness strings byte-identical to the
 // definitional answer: large_check over tests/reference_trace.hpp's
-// observer completion, or the reference validator's rejection.
+// observer completion, or the reference validator's rejection. Mid-
+// stream, check() must equal the kernel run over the consumed prefix of
+// that observer, also across the feed where a location stops being
+// witnessed by the arrival order and materializes.
 // The second half drives the whole daemon: framing protocol, many
 // concurrent clients, reconnects, snapshot/restore, backpressure and
 // the /status endpoint, with the *Parallel* cases running under TSan.
@@ -19,7 +22,9 @@
 #include <unistd.h>
 #endif
 
+#include "exec/backer.hpp"
 #include "exec/sc_memory.hpp"
+#include "kernel_harness.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "exec/schedule.hpp"
@@ -354,6 +359,163 @@ TEST(CheckSession, NeverWrittenLocationsCostNoColumns) {
   EXPECT_NE(r.detail.find("is not a write to location"), std::string::npos);
 }
 
+TEST(CheckSession, WitnessedLocationsCostNoColumns) {
+  // A serial SC stream over a 2^18-node chain touching 1024 written
+  // locations: every read saw the latest write, so every location stays
+  // witnessed and the session holds no n-entry column per location —
+  // O(n) bytes, not O(n · locations).
+  constexpr std::size_t kLocs = 1024;
+  constexpr std::size_t kNodes = std::size_t{1} << 18;
+  ComputationBuilder b;
+  NodeId prev = b.write(0);
+  for (std::size_t i = 1; i < kNodes; ++i) {
+    const auto l = static_cast<Location>(i % kLocs);
+    prev = (i / kLocs) % 2 == 0 ? b.write(l, {prev}) : b.read(l, {prev});
+  }
+  const Computation c = std::move(b).build();
+  std::vector<NodeId> last(kLocs, kBottom);
+  std::vector<BinaryTraceEvent> recs(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const auto u = static_cast<NodeId>(i);
+    const Op o = c.op(u);
+    recs[i].seq = i;
+    recs[i].node = u;
+    recs[i].observed = o.is_read() ? last[o.loc] : kBottom;
+    if (o.is_write()) last[o.loc] = u;
+  }
+  SessionOptions sopt;
+  sopt.models = kLargeCheckExt;
+  CheckSession session(c, sopt);
+  for (std::size_t at = 0; at < kNodes; at += 4096)
+    ASSERT_TRUE(session.feed(recs.data() + at, 4096)) << session.error();
+  EXPECT_LE(session.memory_bytes(), 64 * kNodes);
+  const LargeCheckReport r = session.finish();
+  ASSERT_EQ(r.locations.size(), kLocs);
+  EXPECT_EQ(r.satisfied, kLargeCheckExt) << r.detail;
+  EXPECT_LE(session.memory_bytes(), 64 * kNodes);
+}
+
+/// `recs` with one read of location `l` made stale: the `which`-th
+/// (0 = first, 1 = middle, 2 = last) of the reads that have an earlier
+/// write to `l` in arrival order now observes the write before the
+/// latest one (⊥ when the latest is the first). False when `l` has no
+/// such read.
+bool plant_stale_read(const Computation& c, std::vector<BinaryTraceEvent>& recs,
+                      Location l, int which) {
+  std::vector<std::size_t> reads;
+  std::vector<NodeId> stale;
+  NodeId last = kBottom;
+  NodeId before = kBottom;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const Op o = c.op(recs[i].node);
+    if (o.is_nop() || o.loc != l) continue;
+    if (o.is_write()) {
+      before = last;
+      last = recs[i].node;
+    } else if (last != kBottom) {
+      reads.push_back(i);
+      stale.push_back(before);
+    }
+  }
+  if (reads.empty()) return false;
+  const std::size_t k = which == 0   ? 0
+                        : which == 1 ? reads.size() / 2
+                                     : reads.size() - 1;
+  recs[reads[k]].observed = stale[k];
+  return true;
+}
+
+/// Feed `recs` in `chunk`-sized feeds and, at every feed boundary,
+/// demand check() equal the kernel over the consumed prefix of the
+/// complete stream's reference observer, fast_verdict() agree with it
+/// (validity and the sticky bits), and finish() equal the reference
+/// for the records so far.
+void expect_transitions_match_reference(
+    const Computation& c, const std::vector<BinaryTraceEvent>& recs,
+    std::uint32_t models, std::size_t chunk, const std::string& ctx) {
+  const ObserverFunction phi =
+      reference_observer_from_trace(c, trace_from_records(c, recs));
+  const KernelPrefixReference prefix_ref(c, phi, models);
+  std::vector<Location> observed_unwritten;
+  const auto has_row = [&](Location l) {
+    return std::find(observed_unwritten.begin(), observed_unwritten.end(),
+                     l) != observed_unwritten.end();
+  };
+  const std::vector<Location> written = c.written_locations();
+  SessionOptions sopt;
+  sopt.models = models;
+  CheckSession session(c, sopt);
+  for (std::size_t at = 0; at < recs.size();) {
+    const std::size_t k = std::min(chunk, recs.size() - at);
+    ASSERT_TRUE(session.feed(recs.data() + at, k)) << session.error();
+    for (std::size_t i = at; i < at + k; ++i) {
+      const Op o = c.op(recs[i].node);
+      if (o.is_read() && recs[i].observed != kBottom &&
+          !std::binary_search(written.begin(), written.end(), o.loc))
+        observed_unwritten.push_back(o.loc);
+    }
+    at += k;
+    const std::string where = ctx + " chunk=" + std::to_string(chunk) +
+                              " at=" + std::to_string(at);
+    const LargeCheckReport want = prefix_ref.report(
+        static_cast<std::uint32_t>(session.consumed()), has_row);
+    expect_reports_identical(session.check(), want, where + " check");
+    const SessionVerdict fast = session.fast_verdict();
+    EXPECT_EQ(fast.valid, want.valid_observer) << where;
+    EXPECT_EQ(fast.violated, prefix_ref.known_violated(
+                                 static_cast<std::uint32_t>(fast.consumed)))
+        << where;
+    expect_reports_identical(
+        session.finish(),
+        reference_report(c,
+                         std::vector<BinaryTraceEvent>(recs.begin(),
+                                                       recs.begin() + at),
+                         models),
+        where + " finish");
+  }
+}
+
+TEST(CheckSession, MaterializationMidStreamMatchesTheReference) {
+  // One stale read at the first, a middle and the last qualifying read
+  // of one location, and then one at every location: the location is
+  // witnessed up to that record and materializes there, so every feed
+  // size puts the transition before, inside and after a feed. Serial
+  // and shuffled arrival orders; the plant is relative to the arrival
+  // order, so it always disagrees.
+  Rng rng(89);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 500;
+  opt.nlocations = 4;
+  const Computation c = proc::random_cilk(opt, rng);
+  ScMemory mem;
+  const std::vector<BinaryTraceEvent> serial =
+      records_of(run_serial(c, mem).trace);
+  const std::vector<Location> locs = c.written_locations();
+  ASSERT_FALSE(locs.empty());
+  for (const bool shuffle : {false, true}) {
+    const std::vector<BinaryTraceEvent> base =
+        shuffle ? shuffled_extension(c, serial, rng) : serial;
+    std::vector<std::pair<std::string, std::vector<BinaryTraceEvent>>> plans;
+    for (const int which : {0, 1, 2}) {
+      std::vector<BinaryTraceEvent> recs = base;
+      ASSERT_TRUE(plant_stale_read(c, recs, locs[0], which));
+      plans.emplace_back("one@" + std::to_string(which), std::move(recs));
+    }
+    std::vector<BinaryTraceEvent> all = base;
+    for (const Location l : locs) (void)plant_stale_read(c, all, l, 1);
+    plans.emplace_back("every", std::move(all));
+    for (const auto& [name, recs] : plans) {
+      EXPECT_FALSE(
+          reference_disagreeing_locations(c, trace_from_records(c, recs))
+              .empty());
+      for (const std::size_t chunk : kFeedSizes)
+        expect_transitions_match_reference(
+            c, recs, kLargeCheckExt, chunk,
+            name + (shuffle ? " shuffled" : " serial"));
+    }
+  }
+}
+
 TEST(CheckSession, MidStreamCheckAndFastVerdictAreConsistent) {
   Rng rng(53);
   proc::RandomCilkOptions opt;
@@ -496,14 +658,19 @@ TEST(CheckSession, RetainedEventReplayReproducesVerdicts) {
 TEST(CheckSessionParallel, LargeFeedsShardAndMatchTheReference) {
   // Feeds (and a restore-style whole replay) long enough to shard on
   // the pool, plus the batch entry point on a pool of its own: every
-  // sharded run must equal the reference and the serial engine.
+  // sharded run must equal the reference and the serial engine. The
+  // stream is a 4-processor BACKER run, which has a stale read at every
+  // location, so every location materializes and the kernel shards.
   Rng rng(83);
   proc::RandomCilkOptions opt;
   opt.target_ops = 30'000;
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
-  ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  BackerMemory mem;
+  const Trace stale = run_execution(c, greedy_schedule(c, 4), mem).trace;
+  ASSERT_EQ(reference_disagreeing_locations(c, stale),
+            c.written_locations());
+  std::vector<BinaryTraceEvent> recs = records_of(stale);
   corrupt_records(c, recs, rng, 3);
   renumber(recs);
   const LargeCheckReport want = reference_report(c, recs, kLargeCheckExt);
@@ -525,6 +692,35 @@ TEST(CheckSessionParallel, LargeFeedsShardAndMatchTheReference) {
       large_check_trace(c, trace_from_records(c, recs), par);
   EXPECT_TRUE(sharded.pipelined);
   expect_reports_identical(sharded, want, "sharded batch");
+}
+
+TEST(CheckSessionParallel, MaterializationInShardedFeedsMatchesTheReference) {
+  // 2^15-record feeds over a serial stream with one stale read per
+  // location, planted at staggered reads: locations materialize inside
+  // feeds large enough to shard, so the column rebuild and the replay
+  // run in pool tasks next to locations that stay witnessed.
+  constexpr std::uint32_t kModels = kLargeCheckExt;
+  Rng rng(97);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 40'000;
+  opt.nlocations = 8;
+  const Computation c = proc::random_cilk(opt, rng);
+  ScMemory mem;
+  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  const std::vector<Location> locs = c.written_locations();
+  for (std::size_t i = 0; i < locs.size(); ++i)
+    (void)plant_stale_read(c, recs, locs[i], static_cast<int>(i % 3));
+  expect_transitions_match_reference(c, recs, kModels, std::size_t{1} << 15,
+                                     "sharded");
+  ThreadPool pool(4);
+  LargeCheckOptions par;
+  par.models = kModels;
+  par.pool = &pool;
+  const LargeCheckReport sharded =
+      large_check_trace(c, trace_from_records(c, recs), par);
+  EXPECT_TRUE(sharded.pipelined);
+  expect_reports_identical(sharded, reference_report(c, recs, kModels),
+                           "sharded batch");
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@
 #include <unistd.h>
 #endif
 
-#include "exec/sc_memory.hpp"
+#include "exec/backer.hpp"
 #include "proc/random_program.hpp"
 #include "serve/client.hpp"
 #include "trace/large_check.hpp"
@@ -216,15 +216,17 @@ int main(int argc, char** argv) {
 
   const int lock_fd = take_bench_lock();
 
-  // One shared workload: a series-parallel execution with enough
-  // contention that the verdicts are non-trivial.
+  // One shared workload: a series-parallel program run on 4 BACKER
+  // processors, with enough contention that reads go stale — the
+  // verdicts are non-trivial, and the sessions materialize their
+  // locations instead of staying witnessed by the arrival order.
   Rng rng(seed);
   proc::RandomCilkOptions wopt;
   wopt.target_ops = ops;
   wopt.nlocations = 16;
   const Computation c = proc::random_cilk(wopt, rng);
-  ScMemory mem;
-  const Trace trace = run_serial(c, mem).trace;
+  BackerMemory mem;
+  const Trace trace = run_execution(c, greedy_schedule(c, 4), mem).trace;
   sh.recs = records_of(trace);
   sh.c = &c;
 

@@ -54,8 +54,12 @@ if [[ $mode == quick ]]; then
   # second-scale per iteration; the 16384 streaming run stays in so the
   # BM_LargeCheckLC/16384 gate still binds on CI. The /16777216 data
   # plane runs (and their 500 MB text twin) are full-mode only, and the
-  # /134217728 postmortem is nightly-only.
-  filter='-(.*/6$|.*/10000$|.*/1048576$|.*/16777216$|.*/134217728$|BM_VerifyClosureLC/16384$|BM_FixpointParallel.*)'
+  # /134217728 postmortem is nightly-only. Of the location axis, the
+  # 16- and 256-location stream rows stay in (they carry the
+  # bytes_per_node ceiling CI gates); BM_LargeCheckLC's, which check a
+  # dense Φ of up to ~1.2 GB, and the 4096-location rows are full-mode
+  # only.
+  filter='-(.*/6$|.*/10000$|.*/1048576$|.*/16777216$|.*/134217728$|BM_LargeCheckLC/1048576/.*|.*/1048576/4096$|BM_VerifyClosureLC/16384$|BM_FixpointParallel.*)'
 fi
 
 if [[ $mode == nightly ]]; then
@@ -109,7 +113,9 @@ for b in "${benches[@]}"; do
     # 16M-op program + trace + its ~500 MB text twin would otherwise
     # leave the allocator and page cache hot (or reclaiming) under the
     # small benchmarks that follow in the same binary.
-    run_bench "$bin" "$tmp/$b.json" '-(.*/16777216$|.*/134217728$)'
+    # The 4096-location row gets its own process for the same reason.
+    run_bench "$bin" "$tmp/$b.json" \
+      '-(.*/16777216$|.*/134217728$|.*/1048576/4096$)'
     run_bench "$bin" "$tmp/$b.part2.json" 'BM_LargeCheckLC/16777216$'
     run_bench "$bin" "$tmp/$b.part3.json" 'BM_PostmortemNaive/16777216$'
     run_bench "$bin" "$tmp/$b.part4.json" 'BM_PostmortemDataPlane/16777216$'
@@ -120,6 +126,12 @@ for b in "${benches[@]}"; do
       # process.  The merge step below gates on its bytes_per_node.
       run_bench "$bin" "$tmp/$b.part5.json" 'BM_LargeCheckLC/134217728$'
     fi
+    run_bench "$bin" "$tmp/$b.part6.json" \
+      'BM_PostmortemDataPlane/1048576/4096$'
+  elif [[ $mode != quick && $b == bench_serve ]]; then
+    # The 4096-location stream, process-isolated like bench_trace's.
+    run_bench "$bin" "$tmp/$b.json" '-(.*/1048576/4096$)'
+    run_bench "$bin" "$tmp/$b.part2.json" 'BM_ServeIngest/1048576/4096$'
   else
     run_bench "$bin" "$tmp/$b.json" "$filter"
   fi
@@ -160,7 +172,7 @@ by_name = {}
 counters_by_name = {}
 for b in benches:
     raw = load(f"{tmp}/{b}.json")
-    for part in ("part2", "part3", "part4", "part5"):
+    for part in ("part2", "part3", "part4", "part5", "part6"):
         try:
             raw["benchmarks"] = raw.get("benchmarks", []) + \
                 load(f"{tmp}/{b}.{part}.json").get("benchmarks", [])

@@ -135,7 +135,7 @@ std::vector<Diagnostic> analyze_computation(const Computation& c,
   if (options.lint) memory_lint_pass(c, out);
   if (local.engine == RaceEngine::kOracle && c.node_count() > 0)
     local.bytes_per_node =
-        static_cast<double>(local.scan.groups_bytes + local.scan.csr_bytes +
+        static_cast<double>(local.scan.groups_bytes +
                             local.scan.scratch_peak_bytes +
                             local.scan.oracle_memory_bytes) /
         static_cast<double>(c.node_count());

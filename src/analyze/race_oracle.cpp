@@ -197,8 +197,7 @@ struct MaskScratch {
   }
 };
 
-void scan_mask_chunk(const Computation& c, const ScanSetup& s, const Csr& pred,
-                     const Csr& succ, SimdLevel simd,
+void scan_mask_chunk(const Computation& c, const ScanSetup& s, SimdLevel simd,
                      const std::vector<std::uint32_t>& masky,
                      const std::vector<Anchor>& anchors, const MaskChunk& ch,
                      MaskScratch& scratch, SoftCap& soft_cap,
@@ -221,8 +220,8 @@ void scan_mask_chunk(const Computation& c, const ScanSetup& s, const Csr& pred,
     scratch.fwd[at] |= bit;
     scratch.bwd[at] |= bit;
   }
-  sweep_forward_w4(pred, s.topo, scratch.fwd.data(), simd);
-  sweep_backward_w4(succ, s.topo, scratch.bwd.data(), simd);
+  sweep_forward_w4(c.dag(), s.topo, scratch.fwd.data(), simd);
+  sweep_backward_w4(c.dag(), s.topo, scratch.bwd.data(), simd);
 
   // Walk the chunk's per-location slices (anchors of one location are
   // consecutive and id-ascending).
@@ -345,19 +344,9 @@ std::vector<Race> find_races_oracle(const Computation& c,
     const std::size_t nchunks = (anchors.size() + kSweepBits - 1) / kSweepBits;
     st.mask_groups = nchunks;
 
-    // The sweeps walk flattened edge arrays; build them once, only when
-    // any chunk will run. Chunks are packed onto O(threads) shards that
-    // each own one fwd/bwd arena for their whole run.
-    Csr pred;
-    Csr succ;
-    if (nchunks > 0) {
-      pred = make_pred_csr(c.dag());
-      succ = make_succ_csr(c.dag());
-      st.csr_bytes = (pred.head.capacity() + succ.head.capacity()) *
-                         sizeof(std::uint32_t) +
-                     (pred.tgt.capacity() + succ.tgt.capacity()) *
-                         sizeof(NodeId);
-    }
+    // The sweeps walk the dag's own edge arrays. Chunks are packed onto
+    // O(threads) shards that each own one fwd/bwd arena for their whole
+    // run.
     ThreadPool& pool = options.pool != nullptr ? *options.pool : global_pool();
     const std::size_t nshards =
         (!options.parallel || pool.size() <= 1)
@@ -384,7 +373,7 @@ std::vector<Race> find_races_oracle(const Computation& c,
           const MaskChunk ch{
               k * kSweepBits,
               std::min(anchors.size(), (k + 1) * kSweepBits)};
-          scan_mask_chunk(c, s, pred, succ, simd, masky, anchors, ch, scratch,
+          scan_mask_chunk(c, s, simd, masky, anchors, ch, scratch,
                           soft_cap, found[i]);
         }
         shard_bytes[sh] = scratch.bytes();
@@ -473,9 +462,9 @@ std::string RaceScanStats::to_string() const {
       scan_millis, locations, racy_locations, direct_locations, mask_locations,
       mask_groups, oracle_queries);
   if (!simd.empty())
-    out += format("data plane: %s kernels, groups %zu B, csr %zu B, "
+    out += format("data plane: %s kernels, groups %zu B, "
                   "sweep scratch peak %zu B\n",
-                  simd.c_str(), groups_bytes, csr_bytes, scratch_peak_bytes);
+                  simd.c_str(), groups_bytes, scratch_peak_bytes);
   out += format("races: %zu%s\n", races, truncated ? " (cap hit)" : "");
   return out;
 }

@@ -79,11 +79,10 @@ struct RaceScanStats {
   bool truncated = false;  // max_races cap hit
 
   // Data-plane accounting: the kernel level the sweeps dispatched to,
-  // the grouping arena + shared CSR edge copies, and the widest
-  // per-shard sweep arena (fwd/bwd mask rows).
+  // the grouping arena, and the widest per-shard sweep arena (fwd/bwd
+  // mask rows). The sweeps read the dag's own edge arrays.
   std::string simd;
   std::size_t groups_bytes = 0;
-  std::size_t csr_bytes = 0;
   std::size_t scratch_peak_bytes = 0;
 
   [[nodiscard]] std::string to_string() const;

@@ -9,9 +9,8 @@ OnlineRun run_online(OnlineMaintainer& maintainer, const Computation& c,
                      const MemoryModel* target) {
   // Reveal nodes in id order; every prefix-by-ids must be downward
   // closed, which holds when ids are topologically sorted.
-  for (const auto& e : c.dag().edges())
-    CCMM_CHECK(e.from < e.to,
-               "run_online requires topologically sorted node ids");
+  CCMM_CHECK(c.dag().ids_topological(),
+             "run_online requires topologically sorted node ids");
 
   maintainer.reset();
   OnlineRun run;

@@ -9,9 +9,7 @@ NonconstructibilityWitness figure4_witness() {
   // precede the writes come first):
   //   0 = C: R(0), 1 = D: R(0), 2 = A: W(0), 3 = B: W(0)
   //   edges: C -> B (0 -> 3), D -> A (1 -> 2)
-  Dag g(4);
-  g.add_edge(0, 3);
-  g.add_edge(1, 2);
+  const Dag g(4, {{0, 3}, {1, 2}});
   Computation c(g, {Op::read(0), Op::read(0), Op::write(0), Op::write(0)});
 
   ObserverFunction phi(4);

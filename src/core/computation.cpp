@@ -13,17 +13,6 @@ Computation::Computation(Dag dag, std::vector<Op> ops)
   CCMM_CHECK(dag_.is_acyclic(), "a computation's graph must be acyclic");
 }
 
-NodeId Computation::add_node(Op o, const std::vector<NodeId>& preds) {
-  sp_.reset();  // the recorded parse no longer describes the graph
-  const NodeId u = dag_.add_nodes(1);
-  ops_.push_back(o);
-  for (const NodeId p : preds) {
-    CCMM_CHECK(p < u, "predecessor must be an existing node");
-    dag_.add_edge(p, u);
-  }
-  return u;
-}
-
 std::vector<Location> Computation::written_locations() const {
   std::vector<Location> out;
   for (const auto& o : ops_)
@@ -96,17 +85,23 @@ bool Computation::is_relaxation_of(const Computation& other) const {
 }
 
 Computation Computation::extend(Op o, const std::vector<NodeId>& preds) const {
-  Computation out = *this;
-  out.add_node(o, preds);
-  return out;
+  DagBuilder dag(dag_);
+  const NodeId z = dag.add_nodes(1);
+  for (const NodeId p : preds) {
+    CCMM_CHECK(p < z, "predecessor must be an existing node");
+    dag.add_edge(p, z);
+  }
+  std::vector<Op> ops;
+  ops.reserve(ops_.size() + 1);
+  ops.assign(ops_.begin(), ops_.end());
+  ops.push_back(o);
+  return Computation(dag.build(), std::move(ops));
 }
 
 Computation Computation::augment(Op o) const {
-  Computation out = *this;
   std::vector<NodeId> all(node_count());
   for (NodeId u = 0; u < node_count(); ++u) all[u] = u;
-  out.add_node(o, all);
-  return out;
+  return extend(o, all);
 }
 
 std::string Computation::to_string() const {

@@ -40,11 +40,6 @@ class Computation {
     return dag_.precedes(u, v);
   }
 
-  /// Append a node labelled `o` whose direct predecessors are `preds`;
-  /// returns the new node's id. The new node has no successors, so the
-  /// original computation is a prefix of the result.
-  NodeId add_node(Op o, const std::vector<NodeId>& preds = {});
-
   /// Replace the op labels in place, keeping the dag — and its cached
   /// reachability closure, which op labels cannot affect. The label
   /// count must match the dag. Bulk enumerators (one dag, many
@@ -82,7 +77,8 @@ class Computation {
   [[nodiscard]] bool is_relaxation_of(const Computation& other) const;
 
   /// Extension of *this by op `o` with direct predecessor set `preds`
-  /// (Definition: extension by o). The new node is node_count().
+  /// (Definition: extension by o). The new node is node_count(); it has
+  /// no successors, so *this is a prefix of the result. O(n + m).
   [[nodiscard]] Computation extend(Op o, const std::vector<NodeId>& preds) const;
 
   /// Definition 11: the augmented computation aug_o(C) — one new node
@@ -103,9 +99,9 @@ class Computation {
   /// The series-parallel parse this computation unfolded from, when a
   /// front end (proc::CilkProgram) recorded one; nullptr otherwise.
   /// Carrying the parse lets trace::find_races use the near-linear
-  /// SP-bags detector instead of the pairwise scan. Any mutation
-  /// (add_node, and therefore extend/augment) drops the annotation,
-  /// since the parse no longer describes the graph.
+  /// SP-bags detector instead of the pairwise scan. Derived
+  /// computations (extend, augment, induced) and set_ops drop the
+  /// annotation, since the parse no longer describes them.
   [[nodiscard]] const SpStructurePtr& sp_structure() const noexcept {
     return sp_;
   }
@@ -124,12 +120,21 @@ class Computation {
   SpStructurePtr sp_;
 };
 
-/// Convenience builder for tests and examples: build nodes fluently.
+/// Builds a computation node by node; every node's predecessors are
+/// given when it is added, so ids are a topological order. build()
+/// freezes the graph in one O(n + m) pass.
 class ComputationBuilder {
  public:
-  /// Add a node; returns its id.
+  /// Add a node labelled `o` whose direct predecessors are `preds`
+  /// (existing nodes); returns its id.
   NodeId node(Op o, const std::vector<NodeId>& preds = {}) {
-    return c_.add_node(o, preds);
+    const auto u = static_cast<NodeId>(ops_.size());
+    for (const NodeId p : preds)
+      CCMM_CHECK(p < u, "predecessor must be an existing node");
+    dag_.add_nodes(1);
+    ops_.push_back(o);
+    for (const NodeId p : preds) dag_.add_edge(p, u);
+    return u;
   }
   NodeId read(Location l, const std::vector<NodeId>& preds = {}) {
     return node(Op::read(l), preds);
@@ -141,11 +146,17 @@ class ComputationBuilder {
     return node(Op::nop(), preds);
   }
 
-  [[nodiscard]] Computation build() && { return std::move(c_); }
-  [[nodiscard]] const Computation& peek() const { return c_; }
+  [[nodiscard]] std::size_t node_count() const noexcept {
+    return ops_.size();
+  }
+
+  [[nodiscard]] Computation build() && {
+    return Computation(dag_.build(), std::move(ops_));
+  }
 
  private:
-  Computation c_;
+  DagBuilder dag_;
+  std::vector<Op> ops_;
 };
 
 }  // namespace ccmm

@@ -5,32 +5,32 @@
 namespace ccmm::gen {
 
 Dag chain(std::size_t n) {
-  Dag d(n);
+  DagBuilder d(n);
   for (std::size_t i = 0; i + 1 < n; ++i)
     d.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
-  return d;
+  return d.build();
 }
 
 Dag antichain(std::size_t n) { return Dag(n); }
 
 Dag diamond(std::size_t branches) {
   CCMM_CHECK(branches >= 1, "diamond needs at least one branch");
-  Dag d(branches + 2);
+  DagBuilder d(branches + 2);
   const auto sink = static_cast<NodeId>(branches + 1);
   for (std::size_t b = 0; b < branches; ++b) {
     d.add_edge(0, static_cast<NodeId>(b + 1));
     d.add_edge(static_cast<NodeId>(b + 1), sink);
   }
-  return d;
+  return d.build();
 }
 
 Dag random_dag(std::size_t n, double p, Rng& rng) {
-  Dag d(n);
+  DagBuilder d(n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
       if (rng.chance(p))
         d.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
-  return d;
+  return d.build();
 }
 
 Dag layered(const std::vector<std::size_t>& widths, double p, Rng& rng) {
@@ -39,7 +39,7 @@ Dag layered(const std::vector<std::size_t>& widths, double p, Rng& rng) {
     CCMM_CHECK(w >= 1, "empty layer");
     total += w;
   }
-  Dag d(total);
+  DagBuilder d(total);
   std::size_t layer_start = 0;
   std::size_t prev_start = 0, prev_width = 0;
   for (std::size_t li = 0; li < widths.size(); ++li) {
@@ -64,13 +64,13 @@ Dag layered(const std::vector<std::size_t>& widths, double p, Rng& rng) {
     prev_width = w;
     layer_start += w;
   }
-  return d;
+  return d.build();
 }
 
 namespace {
 
 /// Recursively emit a fork/join subtree; returns (entry, exit) node ids.
-std::pair<NodeId, NodeId> emit_fork_join(Dag& d, std::size_t branching,
+std::pair<NodeId, NodeId> emit_fork_join(DagBuilder& d, std::size_t branching,
                                          std::size_t depth) {
   if (depth == 0) {
     const NodeId leaf = d.add_nodes(1);
@@ -93,14 +93,14 @@ std::pair<NodeId, NodeId> emit_fork_join(Dag& d, std::size_t branching,
 
 Dag fork_join(std::size_t branching, std::size_t depth) {
   CCMM_CHECK(branching >= 1, "fork_join needs branching >= 1");
-  Dag d;
+  DagBuilder d;
   emit_fork_join(d, branching, depth);
-  return d;
+  return d.build();
 }
 
 namespace {
 
-std::pair<NodeId, NodeId> emit_sp(Dag& d, std::size_t budget, Rng& rng) {
+std::pair<NodeId, NodeId> emit_sp(DagBuilder& d, std::size_t budget, Rng& rng) {
   if (budget <= 1) {
     const NodeId leaf = d.add_nodes(1);
     return {leaf, leaf};
@@ -128,14 +128,14 @@ std::pair<NodeId, NodeId> emit_sp(Dag& d, std::size_t budget, Rng& rng) {
 
 Dag series_parallel(std::size_t n, Rng& rng) {
   CCMM_CHECK(n >= 1, "series_parallel needs n >= 1");
-  Dag d;
+  DagBuilder d;
   emit_sp(d, n, rng);
-  return d;
+  return d.build();
 }
 
 Dag fanin_tree(std::size_t leaves) {
   CCMM_CHECK(leaves >= 1, "fanin_tree needs at least one leaf");
-  Dag d(leaves);
+  DagBuilder d(leaves);
   std::vector<NodeId> frontier(leaves);
   for (std::size_t i = 0; i < leaves; ++i)
     frontier[i] = static_cast<NodeId>(i);
@@ -151,7 +151,7 @@ Dag fanin_tree(std::size_t leaves) {
     if (frontier.size() % 2 == 1) next.push_back(frontier.back());
     frontier = std::move(next);
   }
-  return d;
+  return d.build();
 }
 
 }  // namespace ccmm::gen

@@ -9,30 +9,12 @@
 namespace ccmm {
 namespace {
 
-Csr make_csr(const Dag& dag, bool use_pred) {
-  const std::size_t n = dag.node_count();
-  Csr csr;
-  csr.head.assign(n + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& adj = use_pred ? dag.pred(v) : dag.succ(v);
-    csr.head[v + 1] = static_cast<std::uint32_t>(adj.size());
-  }
-  for (std::size_t v = 0; v < n; ++v) csr.head[v + 1] += csr.head[v];
-  csr.tgt.resize(csr.head[n]);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& adj = use_pred ? dag.pred(v) : dag.succ(v);
-    std::uint32_t at = csr.head[v];
-    for (const NodeId u : adj) csr.tgt[at++] = u;
-  }
-  return csr;
-}
-
 // --- scalar kernels (the portable fallback every level diffs against) ---
 
-void forward_w4_scalar(const Csr& pred, std::span<const NodeId> topo,
+void forward_w4_scalar(Dag::Rows pred, std::span<const NodeId> topo,
                        std::uint64_t* masks) {
-  const std::uint32_t* head = pred.head.data();
-  const NodeId* tgt = pred.tgt.data();
+  const std::uint32_t* head = pred.off;
+  const NodeId* tgt = pred.tgt;
   for (const NodeId v : topo) {
     std::uint64_t* row = masks + std::size_t{v} * kSweepWords;
     std::uint64_t m0 = row[0];
@@ -53,10 +35,10 @@ void forward_w4_scalar(const Csr& pred, std::span<const NodeId> topo,
   }
 }
 
-void forward2_w4_scalar(const Csr& pred, std::span<const NodeId> topo,
+void forward2_w4_scalar(Dag::Rows pred, std::span<const NodeId> topo,
                         std::uint64_t* a, std::uint64_t* b) {
-  const std::uint32_t* head = pred.head.data();
-  const NodeId* tgt = pred.tgt.data();
+  const std::uint32_t* head = pred.off;
+  const NodeId* tgt = pred.tgt;
   for (const NodeId v : topo) {
     std::uint64_t* ra = a + std::size_t{v} * kSweepWords;
     std::uint64_t* rb = b + std::size_t{v} * kSweepWords;
@@ -78,10 +60,10 @@ void forward2_w4_scalar(const Csr& pred, std::span<const NodeId> topo,
   }
 }
 
-void backward_w4_scalar(const Csr& succ, std::span<const NodeId> topo,
+void backward_w4_scalar(Dag::Rows succ, std::span<const NodeId> topo,
                         std::uint64_t* masks) {
-  const std::uint32_t* head = succ.head.data();
-  const NodeId* tgt = succ.tgt.data();
+  const std::uint32_t* head = succ.off;
+  const NodeId* tgt = succ.tgt;
   for (std::size_t k = topo.size(); k-- > 0;) {
     const NodeId v = topo[k];
     std::uint64_t* row = masks + std::size_t{v} * kSweepWords;
@@ -113,9 +95,9 @@ void backward_w4_scalar(const Csr& succ, std::span<const NodeId> topo,
 #if defined(__x86_64__) || defined(_M_X64)
 
 __attribute__((target("avx2"))) void forward_w4_avx2(
-    const Csr& pred, std::span<const NodeId> topo, std::uint64_t* masks) {
-  const std::uint32_t* head = pred.head.data();
-  const NodeId* tgt = pred.tgt.data();
+    Dag::Rows pred, std::span<const NodeId> topo, std::uint64_t* masks) {
+  const std::uint32_t* head = pred.off;
+  const NodeId* tgt = pred.tgt;
   for (const NodeId v : topo) {
     auto* row =
         reinterpret_cast<__m256i*>(masks + std::size_t{v} * kSweepWords);
@@ -130,10 +112,10 @@ __attribute__((target("avx2"))) void forward_w4_avx2(
 }
 
 __attribute__((target("avx2"))) void forward2_w4_avx2(
-    const Csr& pred, std::span<const NodeId> topo, std::uint64_t* a,
+    Dag::Rows pred, std::span<const NodeId> topo, std::uint64_t* a,
     std::uint64_t* b) {
-  const std::uint32_t* head = pred.head.data();
-  const NodeId* tgt = pred.tgt.data();
+  const std::uint32_t* head = pred.off;
+  const NodeId* tgt = pred.tgt;
   for (const NodeId v : topo) {
     auto* ra = reinterpret_cast<__m256i*>(a + std::size_t{v} * kSweepWords);
     auto* rb = reinterpret_cast<__m256i*>(b + std::size_t{v} * kSweepWords);
@@ -152,9 +134,9 @@ __attribute__((target("avx2"))) void forward2_w4_avx2(
 }
 
 __attribute__((target("avx2"))) void backward_w4_avx2(
-    const Csr& succ, std::span<const NodeId> topo, std::uint64_t* masks) {
-  const std::uint32_t* head = succ.head.data();
-  const NodeId* tgt = succ.tgt.data();
+    Dag::Rows succ, std::span<const NodeId> topo, std::uint64_t* masks) {
+  const std::uint32_t* head = succ.off;
+  const NodeId* tgt = succ.tgt;
   for (std::size_t k = topo.size(); k-- > 0;) {
     const NodeId v = topo[k];
     auto* row =
@@ -181,10 +163,10 @@ __attribute__((target("avx2"))) void backward_w4_avx2(
 
 #if defined(__aarch64__)
 
-void forward_w4_neon(const Csr& pred, std::span<const NodeId> topo,
+void forward_w4_neon(Dag::Rows pred, std::span<const NodeId> topo,
                      std::uint64_t* masks) {
-  const std::uint32_t* head = pred.head.data();
-  const NodeId* tgt = pred.tgt.data();
+  const std::uint32_t* head = pred.off;
+  const NodeId* tgt = pred.tgt;
   for (const NodeId v : topo) {
     std::uint64_t* row = masks + std::size_t{v} * kSweepWords;
     uint64x2_t lo = vld1q_u64(row);
@@ -199,10 +181,10 @@ void forward_w4_neon(const Csr& pred, std::span<const NodeId> topo,
   }
 }
 
-void forward2_w4_neon(const Csr& pred, std::span<const NodeId> topo,
+void forward2_w4_neon(Dag::Rows pred, std::span<const NodeId> topo,
                       std::uint64_t* a, std::uint64_t* b) {
-  const std::uint32_t* head = pred.head.data();
-  const NodeId* tgt = pred.tgt.data();
+  const std::uint32_t* head = pred.off;
+  const NodeId* tgt = pred.tgt;
   for (const NodeId v : topo) {
     std::uint64_t* ra = a + std::size_t{v} * kSweepWords;
     std::uint64_t* rb = b + std::size_t{v} * kSweepWords;
@@ -224,10 +206,10 @@ void forward2_w4_neon(const Csr& pred, std::span<const NodeId> topo,
   }
 }
 
-void backward_w4_neon(const Csr& succ, std::span<const NodeId> topo,
+void backward_w4_neon(Dag::Rows succ, std::span<const NodeId> topo,
                       std::uint64_t* masks) {
-  const std::uint32_t* head = succ.head.data();
-  const NodeId* tgt = succ.tgt.data();
+  const std::uint32_t* head = succ.off;
+  const NodeId* tgt = succ.tgt;
   for (std::size_t k = topo.size(); k-- > 0;) {
     const NodeId v = topo[k];
     std::uint64_t* row = masks + std::size_t{v} * kSweepWords;
@@ -247,11 +229,9 @@ void backward_w4_neon(const Csr& succ, std::span<const NodeId> topo,
 
 }  // namespace
 
-Csr make_pred_csr(const Dag& dag) { return make_csr(dag, /*use_pred=*/true); }
-Csr make_succ_csr(const Dag& dag) { return make_csr(dag, /*use_pred=*/false); }
-
-void sweep_forward_w4(const Csr& pred, std::span<const NodeId> topo,
+void sweep_forward_w4(const Dag& dag, std::span<const NodeId> topo,
                       std::uint64_t* masks, SimdLevel level) {
+  const Dag::Rows pred = dag.pred_rows();
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == SimdLevel::kAvx2) {
     forward_w4_avx2(pred, topo, masks);
@@ -267,8 +247,9 @@ void sweep_forward_w4(const Csr& pred, std::span<const NodeId> topo,
   forward_w4_scalar(pred, topo, masks);
 }
 
-void sweep_forward2_w4(const Csr& pred, std::span<const NodeId> topo,
+void sweep_forward2_w4(const Dag& dag, std::span<const NodeId> topo,
                        std::uint64_t* a, std::uint64_t* b, SimdLevel level) {
+  const Dag::Rows pred = dag.pred_rows();
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == SimdLevel::kAvx2) {
     forward2_w4_avx2(pred, topo, a, b);
@@ -284,8 +265,9 @@ void sweep_forward2_w4(const Csr& pred, std::span<const NodeId> topo,
   forward2_w4_scalar(pred, topo, a, b);
 }
 
-void sweep_backward_w4(const Csr& succ, std::span<const NodeId> topo,
+void sweep_backward_w4(const Dag& dag, std::span<const NodeId> topo,
                        std::uint64_t* masks, SimdLevel level) {
+  const Dag::Rows succ = dag.succ_rows();
 #if defined(__x86_64__) || defined(_M_X64)
   if (level == SimdLevel::kAvx2) {
     backward_w4_avx2(succ, topo, masks);

@@ -18,11 +18,10 @@
 //    aarch64/NEON (baseline there, so compiled unguarded), plain word
 //    ORs everywhere else.
 //
-//  * Edges come from a Csr copy, not Dag's vector<vector> adjacency.
+//  * Edges come straight from the dag's own CSR arrays (Dag::Rows).
 //    The streaming checkers sweep the same edge set once per anchor
-//    batch per location; a contiguous head/tgt array turns the inner
-//    loop's pointer chase into a linear scan and is built once per
-//    check, O(n + m).
+//    batch per location, and the contiguous offset/target arrays make
+//    the inner loop a linear scan with nothing to build or copy.
 //
 // The callers preset anchor bits directly into the rows (there is no
 // member-bit callback), which is what lets the inner loop be pure word
@@ -31,7 +30,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "dag/dag.hpp"
 #include "util/simd.hpp"
@@ -42,34 +40,25 @@ namespace ccmm {
 inline constexpr std::size_t kSweepWords = 4;
 inline constexpr std::size_t kSweepBits = kSweepWords * 64;
 
-/// Compressed adjacency: neighbours of v are tgt[head[v] .. head[v+1]).
-struct Csr {
-  std::vector<std::uint32_t> head;  // node_count + 1
-  std::vector<NodeId> tgt;
-};
-
-[[nodiscard]] Csr make_pred_csr(const Dag& dag);
-[[nodiscard]] Csr make_succ_csr(const Dag& dag);
-
-/// Forward sweep: row[v] |= OR of row[p] over predecessors p, visiting
-/// `topo` in order. `topo` may be a downward-closed PREFIX of a full
-/// topological order (the incremental kernel's snapshot sweeps): rows
-/// of nodes outside it are never written and must be zero, so they
-/// contribute nothing when read as neighbours. `masks` is
-/// node_count × kSweepWords, row-major,
-/// preset with the anchor bits (a node's own anchor bit stays set —
-/// the reach is reflexive; consumers mask out self bits).
-void sweep_forward_w4(const Csr& pred, std::span<const NodeId> topo,
+/// Forward sweep: row[v] |= OR of row[p] over v's predecessors p in
+/// `dag`, visiting `topo` in order. `topo` may be a downward-closed
+/// PREFIX of a full topological order (the incremental kernel's
+/// snapshot sweeps): rows of nodes outside it are never written and
+/// must be zero, so they contribute nothing when read as neighbours.
+/// `masks` is node_count × kSweepWords, row-major, preset with the
+/// anchor bits (a node's own anchor bit stays set — the reach is
+/// reflexive; consumers mask out self bits).
+void sweep_forward_w4(const Dag& dag, std::span<const NodeId> topo,
                       std::uint64_t* masks, SimdLevel level);
 
 /// Fused two-channel forward sweep (large_check's member + writer
 /// masks): one pass over the edges updates both row arrays.
-void sweep_forward2_w4(const Csr& pred, std::span<const NodeId> topo,
+void sweep_forward2_w4(const Dag& dag, std::span<const NodeId> topo,
                        std::uint64_t* a, std::uint64_t* b, SimdLevel level);
 
 /// Backward sweep: row[v] |= OR of row[s] over successors s, visiting
 /// `topo` in reverse.
-void sweep_backward_w4(const Csr& succ, std::span<const NodeId> topo,
+void sweep_backward_w4(const Dag& dag, std::span<const NodeId> topo,
                        std::uint64_t* masks, SimdLevel level);
 
 }  // namespace ccmm

@@ -13,8 +13,9 @@ bool is_topological_sort(const Dag& dag, const std::vector<NodeId>& order) {
     if (pos[order[i]] != SIZE_MAX) return false;  // duplicate
     pos[order[i]] = i;
   }
-  for (const auto& e : dag.edges())
-    if (pos[e.from] >= pos[e.to]) return false;
+  for (NodeId u = 0; u < dag.node_count(); ++u)
+    for (const NodeId v : dag.succ(u))
+      if (pos[u] >= pos[v]) return false;
   return true;
 }
 

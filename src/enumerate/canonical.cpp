@@ -144,7 +144,8 @@ class ComponentCanonicalizer {
   /// Then every transposition is an automorphism: one branch suffices,
   /// weighted by the cell size.
   bool twins(const std::vector<NodeId>& cell) const {
-    auto sorted = [](std::vector<NodeId> v) {
+    auto sorted = [](std::span<const NodeId> row) {
+      std::vector<NodeId> v(row.begin(), row.end());
       std::sort(v.begin(), v.end());
       return v;
     };
@@ -239,15 +240,16 @@ Computation apply_relabeling(const Computation& c,
                              const std::vector<NodeId>& map) {
   const std::size_t n = c.node_count();
   CCMM_CHECK(map.size() == n, "relabeling map size mismatch");
-  Dag d(n);
-  for (const auto& e : c.dag().edges()) {
-    CCMM_CHECK(map[e.from] < map[e.to],
-               "relabeling must be topologically admissible");
-    d.add_edge(map[e.from], map[e.to]);
-  }
+  DagBuilder d(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (const NodeId v : c.dag().succ(u)) {
+      CCMM_CHECK(map[u] < map[v],
+                 "relabeling must be topologically admissible");
+      d.add_edge(map[u], map[v]);
+    }
   std::vector<Op> ops(n);
   for (NodeId u = 0; u < n; ++u) ops[map[u]] = c.op(u);
-  return Computation(std::move(d), std::move(ops));
+  return Computation(d.build(), std::move(ops));
 }
 
 ObserverFunction transport_observer(const ObserverFunction& phi,
@@ -359,8 +361,8 @@ std::uint64_t linear_extension_count(const Dag& dag) {
   CCMM_CHECK(n <= 20, "linear_extension_count limited to <= 20 nodes");
   if (n == 0) return 1;
   std::vector<std::uint64_t> pred_mask(n, 0);
-  for (const auto& e : dag.edges())
-    pred_mask[e.to] |= std::uint64_t{1} << e.from;
+  for (NodeId v = 0; v < n; ++v)
+    for (const NodeId u : dag.pred(v)) pred_mask[v] |= std::uint64_t{1} << u;
   const std::uint64_t full = (std::uint64_t{1} << n) - 1;
   std::unordered_map<std::uint64_t, std::uint64_t> memo;
   const std::function<std::uint64_t(std::uint64_t)> rec =

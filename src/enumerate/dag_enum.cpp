@@ -1,5 +1,6 @@
 #include "enumerate/dag_enum.hpp"
 
+#include <bit>
 #include <vector>
 
 #include "util/check.hpp"
@@ -13,15 +14,16 @@ std::uint64_t topo_dag_count(std::size_t n) {
 }
 
 Dag dag_from_mask(std::size_t n, std::uint64_t mask) {
-  Dag d(n);
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(std::popcount(mask)));
   std::size_t bit = 0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j, ++bit) {
       if ((mask >> bit) & 1u)
-        d.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+        edges.push_back({static_cast<NodeId>(i), static_cast<NodeId>(j)});
     }
   }
-  return d;
+  return Dag(n, edges);
 }
 
 std::uint64_t dag_mask(const Dag& dag) {

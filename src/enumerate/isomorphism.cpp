@@ -15,13 +15,15 @@ namespace {
 std::optional<Computation> relabel_sorted(const Computation& c,
                                           const std::vector<NodeId>& perm) {
   const std::size_t n = c.node_count();
-  for (const auto& e : c.dag().edges())
-    if (perm[e.from] >= perm[e.to]) return std::nullopt;
-  Dag dag(n);
-  for (const auto& e : c.dag().edges()) dag.add_edge(perm[e.from], perm[e.to]);
+  DagBuilder dag(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (const NodeId v : c.dag().succ(u)) {
+      if (perm[u] >= perm[v]) return std::nullopt;
+      dag.add_edge(perm[u], perm[v]);
+    }
   std::vector<Op> ops(n);
   for (NodeId u = 0; u < n; ++u) ops[perm[u]] = c.op(u);
-  return Computation(std::move(dag), std::move(ops));
+  return Computation(dag.build(), std::move(ops));
 }
 
 }  // namespace

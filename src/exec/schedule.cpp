@@ -34,8 +34,9 @@ bool Schedule::valid_for(const Computation& c) const {
     if (e.finish <= e.start) return false;
     by_node[e.node] = &e;
   }
-  for (const auto& edge : c.dag().edges())
-    if (by_node[edge.from]->finish > by_node[edge.to]->start) return false;
+  for (NodeId u = 0; u < c.node_count(); ++u)
+    for (const NodeId v : c.dag().succ(u))
+      if (by_node[u]->finish > by_node[v]->start) return false;
   // Per-processor serialization.
   std::vector<std::vector<const ScheduleEntry*>> per_proc(nprocs);
   for (const auto& e : entries) per_proc[e.proc].push_back(&e);

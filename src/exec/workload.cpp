@@ -32,20 +32,20 @@ struct Produced {
   NodeId writer;
 };
 
-Produced emit_reduction(Computation& c, std::size_t lo, std::size_t hi,
+Produced emit_reduction(ComputationBuilder& c, std::size_t lo, std::size_t hi,
                         Location& next_loc) {
   if (hi - lo == 1) {
     const Location l = next_loc++;
-    const NodeId w = c.add_node(Op::write(l));
+    const NodeId w = c.node(Op::write(l));
     return {l, w};
   }
   const std::size_t mid = lo + (hi - lo) / 2;
   const Produced left = emit_reduction(c, lo, mid, next_loc);
   const Produced right = emit_reduction(c, mid, hi, next_loc);
-  const NodeId ra = c.add_node(Op::read(left.loc), {left.writer});
-  const NodeId rb = c.add_node(Op::read(right.loc), {right.writer});
+  const NodeId ra = c.node(Op::read(left.loc), {left.writer});
+  const NodeId rb = c.node(Op::read(right.loc), {right.writer});
   const Location out = next_loc++;
-  const NodeId w = c.add_node(Op::write(out), {ra, rb});
+  const NodeId w = c.node(Op::write(out), {ra, rb});
   return {out, w};
 }
 
@@ -53,15 +53,15 @@ Produced emit_reduction(Computation& c, std::size_t lo, std::size_t hi,
 
 Computation reduction(std::size_t leaves) {
   CCMM_CHECK(leaves >= 1, "reduction needs at least one leaf");
-  Computation c;
+  ComputationBuilder c;
   Location next_loc = 0;
   emit_reduction(c, 0, leaves, next_loc);
-  return c;
+  return std::move(c).build();
 }
 
 Computation stencil(std::size_t width, std::size_t steps) {
   CCMM_CHECK(width >= 1 && steps >= 1, "stencil needs width, steps >= 1");
-  Computation c;
+  ComputationBuilder c;
   // loc(t, i) alternates between two buffers of `width` locations.
   auto loc = [&](std::size_t t, std::size_t i) {
     return static_cast<Location>((t % 2) * width + i);
@@ -69,7 +69,7 @@ Computation stencil(std::size_t width, std::size_t steps) {
   std::vector<NodeId> prev_writer(width, kBottom);
   // Step 0 initializes the first buffer.
   for (std::size_t i = 0; i < width; ++i)
-    prev_writer[i] = c.add_node(Op::write(loc(0, i)));
+    prev_writer[i] = c.node(Op::write(loc(0, i)));
   for (std::size_t t = 1; t < steps; ++t) {
     std::vector<NodeId> cur_writer(width);
     for (std::size_t i = 0; i < width; ++i) {
@@ -78,35 +78,35 @@ Computation stencil(std::size_t width, std::size_t steps) {
       const std::size_t hi = (i + 1 < width) ? i + 1 : i;
       for (std::size_t j = lo; j <= hi; ++j)
         reads.push_back(
-            c.add_node(Op::read(loc(t - 1, j)), {prev_writer[j]}));
+            c.node(Op::read(loc(t - 1, j)), {prev_writer[j]}));
       // The writer also waits for last step's reads of its own cell, so
       // the double buffer is not overwritten while still being read.
-      cur_writer[i] = c.add_node(Op::write(loc(t, i)), reads);
+      cur_writer[i] = c.node(Op::write(loc(t, i)), reads);
     }
     prev_writer = std::move(cur_writer);
   }
-  return c;
+  return std::move(c).build();
 }
 
 Computation contended_counter(std::size_t increments) {
   CCMM_CHECK(increments >= 1, "need at least one increment");
-  Computation c;
-  const NodeId init = c.add_node(Op::write(0));
+  ComputationBuilder c;
+  const NodeId init = c.node(Op::write(0));
   std::vector<NodeId> tails;
   tails.reserve(increments);
   for (std::size_t i = 0; i < increments; ++i) {
-    const NodeId r = c.add_node(Op::read(0), {init});
-    const NodeId w = c.add_node(Op::write(0), {r});
+    const NodeId r = c.node(Op::read(0), {init});
+    const NodeId w = c.node(Op::write(0), {r});
     tails.push_back(w);
   }
   // A final read joins all increments.
-  c.add_node(Op::read(0), tails);
-  return c;
+  c.node(Op::read(0), tails);
+  return std::move(c).build();
 }
 
 Computation matmul(std::size_t n) {
   CCMM_CHECK(n >= 1, "matmul needs n >= 1");
-  Computation c;
+  ComputationBuilder c;
   const auto nn = static_cast<Location>(n * n);
   const auto loc_a = [&](std::size_t i, std::size_t k) {
     return static_cast<Location>(i * n + k);
@@ -122,26 +122,26 @@ Computation matmul(std::size_t n) {
   std::vector<NodeId> a_writer(n * n), b_writer(n * n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t k = 0; k < n; ++k)
-      a_writer[i * n + k] = c.add_node(Op::write(loc_a(i, k)));
+      a_writer[i * n + k] = c.node(Op::write(loc_a(i, k)));
   for (std::size_t k = 0; k < n; ++k)
     for (std::size_t j = 0; j < n; ++j)
-      b_writer[k * n + j] = c.add_node(Op::write(loc_b(k, j)));
+      b_writer[k * n + j] = c.node(Op::write(loc_b(k, j)));
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      NodeId prev_c_writer = c.add_node(Op::write(loc_c(i, j)));  // zero C
+      NodeId prev_c_writer = c.node(Op::write(loc_c(i, j)));  // zero C
       for (std::size_t k = 0; k < n; ++k) {
         const NodeId ra =
-            c.add_node(Op::read(loc_a(i, k)), {a_writer[i * n + k]});
+            c.node(Op::read(loc_a(i, k)), {a_writer[i * n + k]});
         const NodeId rb =
-            c.add_node(Op::read(loc_b(k, j)), {b_writer[k * n + j]});
-        const NodeId rc = c.add_node(Op::read(loc_c(i, j)), {prev_c_writer});
+            c.node(Op::read(loc_b(k, j)), {b_writer[k * n + j]});
+        const NodeId rc = c.node(Op::read(loc_c(i, j)), {prev_c_writer});
         prev_c_writer =
-            c.add_node(Op::write(loc_c(i, j)), {ra, rb, rc});
+            c.node(Op::write(loc_c(i, j)), {ra, rb, rc});
       }
     }
   }
-  return c;
+  return std::move(c).build();
 }
 
 Computation fork_join_array(std::size_t branching, std::size_t depth,

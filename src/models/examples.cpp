@@ -3,9 +3,7 @@
 namespace ccmm::examples {
 
 ExamplePair figure2() {
-  Dag g(4);
-  g.add_edge(0, 2);  // A -> C
-  g.add_edge(2, 3);  // C -> D
+  const Dag g(4, {{0, 2}, {2, 3}});  // A -> C -> D
   Computation c(g, {Op::write(0), Op::write(0), Op::read(0), Op::read(0)});
   ObserverFunction phi(4);
   phi.set(0, 0, 0);
@@ -18,9 +16,7 @@ ExamplePair figure2() {
 }
 
 ExamplePair figure3() {
-  Dag g(4);
-  g.add_edge(1, 2);  // C -> B
-  g.add_edge(2, 3);  // B -> D
+  const Dag g(4, {{1, 2}, {2, 3}});  // C -> B -> D
   Computation c(g, {Op::write(0), Op::read(0), Op::write(0), Op::read(0)});
   ObserverFunction phi(4);
   phi.set(0, 0, 0);

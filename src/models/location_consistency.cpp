@@ -50,13 +50,14 @@ bool lc_quotient_sortable(const Computation& c, const std::uint32_t* block_of,
   // Quotient adjacency + indegrees from dag edges crossing blocks.
   std::vector<std::vector<std::size_t>> qsucc(nb);
   std::vector<std::size_t> indeg(nb, 0);
-  for (const auto& e : c.dag().edges()) {
-    const std::size_t bu = block_of[e.from];
-    const std::size_t bv = block_of[e.to];
-    if (bu == bv) continue;
-    qsucc[bu].push_back(bv);
-    ++indeg[bv];
-  }
+  for (NodeId u = 0; u < c.node_count(); ++u)
+    for (const NodeId v : c.dag().succ(u)) {
+      const std::size_t bu = block_of[u];
+      const std::size_t bv = block_of[v];
+      if (bu == bv) continue;
+      qsucc[bu].push_back(bv);
+      ++indeg[bv];
+    }
   // B_⊥ must be first: it may have no incoming edges (when nonempty; an
   // empty B_⊥ has no dag nodes, hence no incoming edges anyway).
   if (indeg[0] != 0) return false;

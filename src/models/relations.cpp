@@ -64,11 +64,12 @@ MonotonicityResult check_monotonicity(const MemoryModel& model,
     if (!model.contains(c, phi)) continue;
     // Try deleting each edge in turn (single-edge relaxations generate all
     // relaxations transitively, and membership must survive each step).
-    for (const auto& e : c.dag().edges()) {
-      Dag relaxed(c.node_count());
-      for (const auto& e2 : c.dag().edges())
+    const std::vector<Edge> edges = c.dag().edges();
+    for (const Edge& e : edges) {
+      DagBuilder relaxed(c.node_count());
+      for (const Edge& e2 : edges)
         if (!(e2 == e)) relaxed.add_edge(e2.from, e2.to);
-      const Computation cr(std::move(relaxed), c.ops());
+      const Computation cr(relaxed.build(), c.ops());
       if (!model.contains(cr, phi)) return {false, i};
     }
   }

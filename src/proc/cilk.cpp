@@ -5,10 +5,7 @@
 
 namespace ccmm::proc {
 
-CilkProgram::CilkProgram() {
-  strands_.push_back({});
-  events_.push_back({});
-}
+CilkProgram::CilkProgram() { strands_.push_back({}); }
 
 NodeId CilkProgram::append(std::size_t strand, Op o, std::vector<NodeId> preds,
                            bool record) {
@@ -16,9 +13,9 @@ NodeId CilkProgram::append(std::size_t strand, Op o, std::vector<NodeId> preds,
   StrandState& s = strands_[strand];
   CCMM_CHECK(!s.closed, "strand already joined by a sync or adopt");
   if (s.current != kBottom) preds.push_back(s.current);
-  const NodeId u = c_.add_node(o, preds);
+  const NodeId u = c_.node(o, preds);
   s.current = u;
-  if (record) events_[strand].push_back({SpEvent::Kind::kNode, u, 0});
+  if (record) log_event(strand, {SpEvent::Kind::kNode, u, 0});
   return u;
 }
 
@@ -35,9 +32,8 @@ std::size_t CilkProgram::spawn_from(std::size_t strand) {
   child.anchor = strands_[strand].current;
   const std::size_t index = strands_.size();
   strands_.push_back(child);
-  events_.push_back({});
-  events_[strand].push_back(
-      {SpEvent::Kind::kSpawn, kBottom, static_cast<std::uint32_t>(index)});
+  log_event(strand, {SpEvent::Kind::kSpawn, kBottom,
+                     static_cast<std::uint32_t>(index)});
   strands_[strand].outstanding.push_back(index);
   return index;
 }
@@ -62,7 +58,7 @@ void CilkProgram::sync_strand(std::size_t strand) {
   NodeId join = kBottom;
   if (any_child_ran)
     join = append(strand, Op::nop(), std::move(preds), /*record=*/false);
-  events_[strand].push_back({SpEvent::Kind::kSync, join, 0});
+  log_event(strand, {SpEvent::Kind::kSync, join, 0});
 }
 
 CilkProgram::Strand& CilkProgram::Strand::op(Op o) {
@@ -91,8 +87,8 @@ void CilkProgram::adopt_child(std::size_t strand, std::size_t child) {
   outstanding.erase(it);
   if (strands_[child].current != strands_[child].anchor)
     strands_[strand].current = strands_[child].current;
-  events_[strand].push_back(
-      {SpEvent::Kind::kAdopt, kBottom, static_cast<std::uint32_t>(child)});
+  log_event(strand, {SpEvent::Kind::kAdopt, kBottom,
+                     static_cast<std::uint32_t>(child)});
 }
 
 CilkProgram::Strand& CilkProgram::Strand::adopt(Strand& callee) {
@@ -117,10 +113,17 @@ Computation CilkProgram::finish() {
   sync_strand(0);  // recursively joins the whole spawn tree
   finished_ = true;
   auto sp = std::make_shared<SpStructure>();
-  sp->strands = std::move(events_);
+  std::vector<std::size_t> count(strands_.size(), 0);
+  for (const auto& [strand, e] : events_) ++count[strand];
+  sp->strands.resize(strands_.size());
+  for (std::size_t i = 0; i < count.size(); ++i)
+    sp->strands[i].reserve(count[i]);
+  for (const auto& [strand, e] : events_) sp->strands[strand].push_back(e);
+  events_ = {};
   sp->node_count = c_.node_count();
-  c_.set_sp_structure(std::move(sp));
-  return std::move(c_);
+  Computation c = std::move(c_).build();
+  c.set_sp_structure(std::move(sp));
+  return c;
 }
 
 }  // namespace ccmm::proc

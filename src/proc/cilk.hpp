@@ -25,7 +25,9 @@
 // detector in analyze/.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "core/computation.hpp"
 
@@ -98,9 +100,16 @@ class CilkProgram {
   std::size_t spawn_from(std::size_t strand);
   void adopt_child(std::size_t strand, std::size_t child);
 
-  Computation c_;
+  ComputationBuilder c_;
   std::vector<StrandState> strands_;
-  std::vector<std::vector<SpEvent>> events_;  // SP parse, per strand
+  /// The SP parse as (strand, event) in program order; finish() splits
+  /// it per strand. One log instead of a growing vector per strand
+  /// leaves no trail of outgrown buffers in the heap.
+  std::vector<std::pair<std::uint32_t, SpEvent>> events_;
+
+  void log_event(std::size_t strand, SpEvent e) {
+    events_.emplace_back(static_cast<std::uint32_t>(strand), e);
+  }
   bool finished_ = false;
 };
 

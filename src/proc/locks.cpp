@@ -28,8 +28,10 @@ struct Serializer {
   std::vector<std::pair<LockId, std::vector<std::size_t>>> groups;
 
   bool emit(const std::vector<std::vector<std::size_t>>& orders) {
-    Dag dag(lc.c.node_count());
-    for (const auto& e : lc.c.dag().edges()) dag.add_edge(e.from, e.to);
+    const Dag& base = lc.c.dag();
+    DagBuilder dag(base.node_count());
+    for (NodeId u = 0; u < base.node_count(); ++u)
+      for (const NodeId v : base.succ(u)) dag.add_edge(u, v);
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const auto& order = orders[g];
       for (std::size_t i = 0; i + 1 < order.size(); ++i) {
@@ -41,8 +43,10 @@ struct Serializer {
           }
       }
     }
-    if (!dag.is_acyclic()) return true;  // this serialization is infeasible
-    return visit(Computation(std::move(dag), lc.c.ops()));
+    Dag serialized = dag.build();
+    // A cycle makes this serialization infeasible.
+    if (!serialized.is_acyclic()) return true;
+    return visit(Computation(std::move(serialized), lc.c.ops()));
   }
 
   bool recurse(std::size_t g, std::vector<std::vector<std::size_t>>& orders) {

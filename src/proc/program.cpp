@@ -21,24 +21,19 @@ ProgramComputation unfold(const Program& program) {
 
   // First create all nodes in (index, thread) order.
   std::vector<Op> ops;
-  std::vector<std::pair<NodeId, NodeId>> chain_edges;
+  DagBuilder dag;
   for (std::size_t i = 0; i < longest; ++i) {
     for (std::size_t t = 0; t < program.threads.size(); ++t) {
       if (i >= program.threads[t].size()) continue;
-      const auto id = static_cast<NodeId>(ops.size());
+      const NodeId id = dag.add_nodes(1);
       ops.push_back(program.threads[t][i]);
       out.node_of[t].push_back(id);
-      if (i > 0) chain_edges.emplace_back(out.node_of[t][i - 1], id);
+      if (i > 0) dag.add_edge(out.node_of[t][i - 1], id);
     }
   }
-  Dag dag(ops.size());
-  for (const auto& [a, b] : chain_edges) dag.add_edge(a, b);
-  Computation c(std::move(dag), std::move(ops));
-  out.c = std::move(c);
 
   // Sync edges last; positions must exist, and the result must stay
-  // acyclic. They may point backward in id space, so the graph is
-  // rebuilt as a whole rather than appended node by node.
+  // acyclic. They may point backward in id space.
   for (const auto& [from, to] : program.sync_edges) {
     CCMM_CHECK(from.thread < out.node_of.size() &&
                    from.index < out.node_of[from.thread].size(),
@@ -46,19 +41,14 @@ ProgramComputation unfold(const Program& program) {
     CCMM_CHECK(to.thread < out.node_of.size() &&
                    to.index < out.node_of[to.thread].size(),
                "sync target out of range");
+    const NodeId a = out.node_of[from.thread][from.index];
+    const NodeId b = out.node_of[to.thread][to.index];
+    CCMM_CHECK(a != b, "sync edge endpoints coincide");
+    dag.add_edge(a, b);
   }
-  if (!program.sync_edges.empty()) {
-    Dag dag2(out.c.node_count());
-    for (const auto& e : out.c.dag().edges()) dag2.add_edge(e.from, e.to);
-    for (const auto& [from, to] : program.sync_edges) {
-      const NodeId a = out.node_of[from.thread][from.index];
-      const NodeId b = out.node_of[to.thread][to.index];
-      CCMM_CHECK(a != b, "sync edge endpoints coincide");
-      dag2.add_edge(a, b);
-    }
-    CCMM_CHECK(dag2.is_acyclic(), "sync edges create a cycle");
-    out.c = Computation(std::move(dag2), out.c.ops());
-  }
+  Dag built = dag.build();
+  CCMM_CHECK(built.is_acyclic(), "sync edges create a cycle");
+  out.c = Computation(std::move(built), std::move(ops));
   return out;
 }
 

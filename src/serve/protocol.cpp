@@ -246,7 +246,6 @@ std::string encode_report(const LargeCheckReport& rep) {
   put_f64(out, rep.total_millis);
   put_str(out, rep.simd);
   put_u64(out, rep.shards);
-  put_u64(out, rep.csr_bytes);
   put_u64(out, rep.groups_bytes);
   put_u64(out, rep.scratch_peak_bytes);
   put_u64(out, rep.aux_bytes);
@@ -283,7 +282,6 @@ LargeCheckReport decode_report(const unsigned char* p, std::size_t size) {
   rep.total_millis = r.f64();
   rep.simd = r.str();
   rep.shards = static_cast<std::size_t>(r.u64());
-  rep.csr_bytes = static_cast<std::size_t>(r.u64());
   rep.groups_bytes = static_cast<std::size_t>(r.u64());
   rep.scratch_peak_bytes = static_cast<std::size_t>(r.u64());
   rep.aux_bytes = static_cast<std::size_t>(r.u64());

@@ -22,9 +22,9 @@ std::string LargeCheckReport::to_string() const {
                 oracle_kind.c_str(), oracle_memory_bytes, oracle_build_millis);
   out += format(
       "data plane: %s kernels, %zu shards%s, %.1f B/node "
-      "(csr %zu + groups %zu + scratch %zu x %zu + aux %zu + oracle %zu)\n",
+      "(groups %zu + scratch %zu x %zu + aux %zu + oracle %zu)\n",
       simd.c_str(), shards, pipelined ? " (on the pool)" : "", bytes_per_node,
-      csr_bytes, groups_bytes, scratch_peak_bytes, shards, aux_bytes,
+      groups_bytes, scratch_peak_bytes, shards, aux_bytes,
       oracle_memory_bytes);
   out += format(
       "stages: ingest %.2f ms, group build %.2f ms, kernel %.2f ms, "

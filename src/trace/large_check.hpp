@@ -98,15 +98,15 @@ struct LargeCheckReport {
   double total_millis = 0.0;
   std::vector<LocationCheck> locations;  // sorted by location
 
-  // Data-plane accounting (the perf budget ISSUE 7 tracks): which
-  // kernel level ran, how the per-location work was sharded, and the
-  // bytes the check itself held — shared CSR edge copies plus the
-  // grouping arena plus the widest per-shard scratch arena — divided
-  // by the node count. peak_rss_bytes is the whole-process high-water
+  // Data-plane accounting: which kernel level ran, how the
+  // per-location work was sharded, and the bytes the check itself held
+  // — the grouping arena plus the widest per-shard scratch arena plus
+  // the auxiliary maps and the oracle — divided by the node count. The
+  // kernels borrow the computation's own edge arrays, so they add
+  // nothing here. peak_rss_bytes is the whole-process high-water
   // mark (getrusage), so it includes the computation and observer too.
   std::string simd;                      // "scalar" | "neon" | "avx2"
   std::size_t shards = 0;                // scratch arenas allocated
-  std::size_t csr_bytes = 0;             // shared succ/pred edge copies
   std::size_t groups_bytes = 0;          // location-grouping arena
   std::size_t scratch_peak_bytes = 0;    // max per-shard arena + states
   std::size_t aux_bytes = 0;             // wblock map + topo inverse
@@ -116,7 +116,7 @@ struct LargeCheckReport {
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
   // Spans that ran on the pool charge their slowest shard.
   double ingest_millis = 0.0;       // validation, agreement, column fill
-  double group_build_millis = 0.0;  // grouping + CSRs + wblock map
+  double group_build_millis = 0.0;  // grouping + wblock map
   double kernel_millis = 0.0;       // LocState::advance over all spans
   double report_millis = 0.0;       // finalize_into + verdict fold
   bool pipelined = false;           // some span ran sharded on the pool

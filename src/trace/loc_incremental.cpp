@@ -239,8 +239,9 @@ void LocState::advance(std::uint32_t pos0, std::uint32_t pos1,
                       !lc_dirty_;
   const bool run_fresh = ctx_->fresh;
   const bool edges = run_lc || run_fresh;
-  const std::uint32_t* ph = edges ? ctx_->pred->head.data() : nullptr;
-  const NodeId* pt = edges ? ctx_->pred->tgt.data() : nullptr;
+  const Dag::Rows pred = ctx_->c->dag().pred_rows();
+  const std::uint32_t* ph = pred.off;
+  const NodeId* pt = pred.tgt;
   // Nothing past the first failure contributes to any verdict: the
   // location is invalid and model verdicts are not reported.
   const std::uint32_t end = std::min(pos1, fail_pos_);
@@ -315,8 +316,9 @@ bool LocState::rebuild_lc_quotient(LocArena& s) const {
   // exactly once during the drain.
   const std::vector<NodeId>& topo = *ctx_->topo;
   const std::size_t nblocks = writers_.size() + 1;
-  const std::uint32_t* ph = ctx_->pred->head.data();
-  const NodeId* pt = ctx_->pred->tgt.data();
+  const Dag::Rows pred = ctx_->c->dag().pred_rows();
+  const std::uint32_t* ph = pred.off;
+  const NodeId* pt = pred.tgt;
   s.indeg.assign(nblocks, 0);
   s.qhead.assign(nblocks + 1, 0);
   for (std::uint32_t pos = 0; pos < consumed_; ++pos) {
@@ -416,15 +418,15 @@ void LocState::run_mask_models(LocationCheck& out, LocArena& s) const {
       // block b belongs to node writers[b-1] and nobody else.
       if (need_wri && b != 0 && writers_[b - 1] == u) s.wri[at] |= bit;
     }
+    const Dag& dag = ctx_->c->dag();
     if (need_anc && need_wri) {
-      sweep_forward2_w4(*ctx_->pred, prefix, s.anc.data(), s.wri.data(),
-                        ctx_->simd);
+      sweep_forward2_w4(dag, prefix, s.anc.data(), s.wri.data(), ctx_->simd);
     } else if (need_anc) {
-      sweep_forward_w4(*ctx_->pred, prefix, s.anc.data(), ctx_->simd);
+      sweep_forward_w4(dag, prefix, s.anc.data(), ctx_->simd);
     } else {
-      sweep_forward_w4(*ctx_->pred, prefix, s.wri.data(), ctx_->simd);
+      sweep_forward_w4(dag, prefix, s.wri.data(), ctx_->simd);
     }
-    sweep_backward_w4(*ctx_->succ, prefix, s.desc.data(), ctx_->simd);
+    sweep_backward_w4(dag, prefix, s.desc.data(), ctx_->simd);
 
     for (std::size_t lane = 0; lane < kSweepWords && remaining != 0;
          ++lane) {

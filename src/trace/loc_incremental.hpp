@@ -123,8 +123,6 @@ struct LocKernelCtx {
   /// node -> topological position; nullptr when ids are topological
   /// (then pos(u) == u and no inverse array is materialized).
   const std::uint32_t* pos_of = nullptr;
-  const Csr* pred = nullptr;  // required for LC / freshness / masks
-  const Csr* succ = nullptr;  // required only for the mask backward sweep
   /// n entries: write node -> (index among its own location's writers,
   /// id order) + 1; 0 for every non-write. One shared array for ALL
   /// locations — a node writes at most one location.

@@ -43,11 +43,6 @@ std::string predicted_oracle_kind(const Computation& c,
   return {};
 }
 
-std::size_t csr_bytes_of(const Csr& csr) {
-  return csr.head.capacity() * sizeof(std::uint32_t) +
-         csr.tgt.capacity() * sizeof(NodeId);
-}
-
 /// Heap estimate for one std::map node holding an unwritten location.
 constexpr std::size_t kMapNodeBytes = 64;
 
@@ -269,9 +264,9 @@ void CheckSession::setup() {
   want_masks_ = (base & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
 
   // The node→written-location index the agreement check and the column
-  // fill run on. The CSRs and writer maps only the kernel reads wait
-  // for prepare_kernel(); a stream whose locations all stay witnessed
-  // never builds them.
+  // fill run on. The writer maps only the kernel reads wait for
+  // prepare_kernel(); a stream whose locations all stay witnessed never
+  // builds them.
   groups_ = group_location_accesses(*c_);
   access_ = detail::written_access_index(groups_, n_);
 
@@ -279,8 +274,6 @@ void CheckSession::setup() {
                        oracle_.get(),
                        &topo_,
                        posv_.empty() ? nullptr : posv_.data(),
-                       &pred_,
-                       &succ_,
                        nullptr,
                        nullptr,
                        base,
@@ -343,11 +336,6 @@ void CheckSession::prepare_kernel() {
   if (kernel_ready_) return;
   kernel_ready_ = true;
   const auto t0 = Clock::now();
-  // pred carries LC's quotient edges and the freshness shadow; succ is
-  // only needed for the mask models' backward sweep, so an LC-only
-  // check never materializes it.
-  if (kctx_.models != 0 || kctx_.fresh) pred_ = make_pred_csr(c_->dag());
-  if (want_masks_) succ_ = make_succ_csr(c_->dag());
   // The writer→block and writer→location maps: a node writes at most
   // one location, so two n-entry arrays serve every state at once.
   wblock_.assign(n_, 0);
@@ -640,7 +628,6 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
 
   report.simd = simd_level_name(kctx_.simd);
   report.numa = numa_topology().to_string();
-  report.csr_bytes = csr_bytes_of(succ_) + csr_bytes_of(pred_);
   report.groups_bytes = groups_.memory_bytes();
   report.aux_bytes = aux_bytes();
   report.ingest_millis = ingest_ms_;
@@ -736,7 +723,7 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
   report.peak_rss_bytes = current_peak_rss_bytes();
   if (n_ > 0)
     report.bytes_per_node =
-        static_cast<double>(report.csr_bytes + report.groups_bytes +
+        static_cast<double>(report.groups_bytes +
                             report.scratch_peak_bytes * report.shards +
                             report.aux_bytes + report.oracle_memory_bytes) /
         static_cast<double>(n_);
@@ -760,7 +747,6 @@ std::size_t CheckSession::aux_bytes() const noexcept {
 std::size_t CheckSession::memory_bytes() const noexcept {
   std::size_t bytes = aux_bytes() +
                       retained_.capacity() * sizeof(BinaryTraceEvent) +
-                      csr_bytes_of(pred_) + csr_bytes_of(succ_) +
                       groups_.memory_bytes();
   for (const Shard& sh : shards_)
     bytes += sh.arena.peak_bytes + sh.locs.capacity() * sizeof(std::uint32_t);

@@ -296,8 +296,6 @@ class CheckSession {
   std::vector<std::uint32_t> access_;  // written_access_index(groups_)
   // Built by prepare_kernel() on the first materialization.
   bool kernel_ready_ = false;
-  Csr pred_;
-  Csr succ_;
   std::vector<std::uint32_t> wblock_;
   std::vector<std::uint32_t> wloc_;
   LocKernelCtx kctx_;

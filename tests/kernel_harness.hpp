@@ -15,10 +15,11 @@
 
 namespace ccmm {
 
-/// Topological order, both CSRs, the location grouping, the
-/// writer→block/location maps and a lazy oracle. Holds one task per
-/// location the engine would check (plus all-⊥ stored columns, which
-/// both sides of a differential treat identically).
+/// Topological order, the location grouping, the writer→block/location
+/// maps and a lazy oracle; the kernels read the dag's own edge arrays.
+/// Holds one task per location the engine would check (plus all-⊥
+/// stored columns, which both sides of a differential treat
+/// identically).
 struct KernelHarness {
   struct Task {
     Location loc = 0;
@@ -29,8 +30,6 @@ struct KernelHarness {
   const Computation* c;
   std::vector<NodeId> topo;
   std::vector<std::uint32_t> posv;
-  Csr pred;
-  Csr succ;
   LocationGroups groups;
   std::vector<std::uint32_t> wblock;
   std::vector<std::uint32_t> wloc;
@@ -52,8 +51,6 @@ struct KernelHarness {
       posv.resize(n);
       for (std::uint32_t p = 0; p < n; ++p) posv[topo[p]] = p;
     }
-    pred = make_pred_csr(comp.dag());
-    succ = make_succ_csr(comp.dag());
     groups = group_location_accesses(comp);
     wblock.assign(n, 0);
     wloc.assign(n, 0);
@@ -68,8 +65,6 @@ struct KernelHarness {
                        &oracle,
                        &topo,
                        posv.empty() ? nullptr : posv.data(),
-                       &pred,
-                       &succ,
                        wblock.data(),
                        wloc.data(),
                        models,

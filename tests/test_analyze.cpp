@@ -44,7 +44,7 @@ TEST(SpStructure, MutationDropsTheParse) {
   p.root().write(0);
   Computation c = p.finish();
   ASSERT_NE(c.sp_structure(), nullptr);
-  c.add_node(Op::read(0), {0});
+  c.set_ops({Op::read(0)});
   EXPECT_EQ(c.sp_structure(), nullptr);
 }
 

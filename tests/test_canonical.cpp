@@ -84,18 +84,13 @@ TEST(Canonical, ClassCountsArePinned) {
 }
 
 TEST(Canonical, LinearExtensionCount) {
-  Dag chain(4);
-  chain.add_edge(0, 1);
-  chain.add_edge(1, 2);
-  chain.add_edge(2, 3);
+  const Dag chain(4, {{0, 1}, {1, 2}, {2, 3}});
   EXPECT_EQ(linear_extension_count(chain), 1u);
 
   const Dag antichain(4);
   EXPECT_EQ(linear_extension_count(antichain), 24u);
 
-  Dag vee(3);  // 0 -> 2, 1 -> 2: two sources, one sink.
-  vee.add_edge(0, 2);
-  vee.add_edge(1, 2);
+  const Dag vee(3, {{0, 2}, {1, 2}});  // two sources, one sink
   EXPECT_EQ(linear_extension_count(vee), 2u);
 
   EXPECT_EQ(linear_extension_count(Dag(0)), 1u);
@@ -178,8 +173,9 @@ TEST(Canonical, ComponentDecompositionHandlesParallelChains) {
   // permutations; the component-aware canonicalizer multiplies k! for
   // interchangeable components. Orbit size = e(G)/k! =
   // (multinomial)/k!.
-  Dag d(8);
-  for (NodeId u = 0; u < 8; u += 2) d.add_edge(u, u + 1);
+  DagBuilder chains(8);
+  for (NodeId u = 0; u < 8; u += 2) chains.add_edge(u, u + 1);
+  const Dag d = chains.build();
   const Computation c(d, std::vector<Op>(8, Op::write(0)));
   const CanonicalForm cf = canonical_form(c);
   EXPECT_EQ(cf.automorphisms, 24u);  // 4 interchangeable chain components

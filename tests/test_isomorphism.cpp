@@ -13,9 +13,7 @@ namespace {
 TEST(Isomorphism, RelabeledComputationsAreIsomorphic) {
   // figure2 with nodes renamed: swap the two writes' ids (0 <-> 1).
   const auto p = examples::figure2();
-  Dag g(4);
-  g.add_edge(1, 2);  // was 0 -> 2
-  g.add_edge(2, 3);
+  const Dag g(4, {{1, 2}, {2, 3}});  // 1 -> 2 was 0 -> 2
   const Computation renamed(
       g, {Op::write(0), Op::write(0), Op::read(0), Op::read(0)});
   EXPECT_TRUE(are_isomorphic(p.c, renamed));
@@ -32,10 +30,8 @@ TEST(Isomorphism, DifferentOpsAreNot) {
 }
 
 TEST(Isomorphism, DifferentEdgesAreNot) {
-  Dag g1(3), g2(3);
-  g1.add_edge(0, 1);
-  g2.add_edge(0, 1);
-  g2.add_edge(1, 2);
+  const Dag g1(3, {{0, 1}});
+  const Dag g2(3, {{0, 1}, {1, 2}});
   const std::vector<Op> ops(3, Op::nop());
   EXPECT_FALSE(are_isomorphic(Computation(g1, ops), Computation(g2, ops)));
 }
@@ -49,11 +45,8 @@ TEST(Isomorphism, DifferentLocationsAreNot) {
 
 TEST(Isomorphism, ChainVsReversedChainIds) {
   // Ids reversed within a chain: same shape.
-  Dag fwd(3), unsorted(3);
-  fwd.add_edge(0, 1);
-  fwd.add_edge(1, 2);
-  unsorted.add_edge(2, 1);
-  unsorted.add_edge(1, 0);
+  const Dag fwd(3, {{0, 1}, {1, 2}});
+  const Dag unsorted(3, {{2, 1}, {1, 0}});
   const std::vector<Op> ops(3, Op::read(0));
   EXPECT_TRUE(
       are_isomorphic(Computation(fwd, ops), Computation(unsorted, ops)));
@@ -98,9 +91,10 @@ TEST(Isomorphism, AllModelsAreIsomorphismInvariant) {
     for (std::size_t i = perm.size(); i > 1; --i)
       std::swap(perm[i - 1], perm[rng.below(i)]);
 
-    Dag rd(c.node_count());
+    std::vector<Edge> redges;
     for (const auto& e : c.dag().edges())
-      rd.add_edge(perm[e.from], perm[e.to]);
+      redges.push_back({perm[e.from], perm[e.to]});
+    const Dag rd(c.node_count(), redges);
     std::vector<Op> rops(c.node_count());
     for (NodeId u = 0; u < c.node_count(); ++u) rops[perm[u]] = c.op(u);
     const Computation rc(rd, rops);

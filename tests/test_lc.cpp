@@ -87,9 +87,7 @@ TEST(LocationConsistency, LcNotScPairIsLC) {
 
 TEST(LocationConsistency, QuotientCycleDetected) {
   // The minimal Figure-4 core: blocks {A,C} and {B,D} crossing both ways.
-  Dag g(4);
-  g.add_edge(0, 3);  // C -> B
-  g.add_edge(1, 2);  // D -> A
+  const Dag g(4, {{0, 3}, {1, 2}});  // C -> B, D -> A
   const Computation c(
       g, {Op::read(0), Op::read(0), Op::write(0), Op::write(0)});
   ObserverFunction phi(4);

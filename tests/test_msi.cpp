@@ -56,8 +56,7 @@ TEST(Msi, InvalidationTrafficOnConflicts) {
 TEST(Msi, ReadsSeeTheLatestWriteGlobally) {
   // Directly: after any write, every processor's peek agrees.
   MsiMemory mem;
-  Computation dummy;
-  dummy.add_node(Op::nop());
+  const Computation dummy = Computation().extend(Op::nop(), {});
   mem.bind(dummy, 4);
   mem.write(0, /*u=*/0, /*l=*/7);
   for (ProcId p = 0; p < 4; ++p) EXPECT_EQ(mem.peek(p, 0, 7), 0u);
@@ -68,8 +67,7 @@ TEST(Msi, ReadsSeeTheLatestWriteGlobally) {
 
 TEST(Msi, SharedReadersAreNotInvalidatedByReads) {
   MsiMemory mem;
-  Computation dummy;
-  dummy.add_node(Op::nop());
+  const Computation dummy = Computation().extend(Op::nop(), {});
   mem.bind(dummy, 4);
   mem.write(0, 0, 1);
   (void)mem.read(1, 0, 1);
@@ -81,8 +79,7 @@ TEST(Msi, SharedReadersAreNotInvalidatedByReads) {
 
 TEST(Msi, UnwrittenLocationReadsBottom) {
   MsiMemory mem;
-  Computation dummy;
-  dummy.add_node(Op::nop());
+  const Computation dummy = Computation().extend(Op::nop(), {});
   mem.bind(dummy, 2);
   EXPECT_EQ(mem.read(0, 0, 99), kBottom);
   EXPECT_EQ(mem.peek(1, 0, 99), kBottom);

@@ -79,9 +79,7 @@ TEST(Online, GameRejectsNonWitnesses) {
 }
 
 TEST(Online, RunRejectsUnsortedIds) {
-  Dag d(2);
-  d.add_edge(1, 0);
-  const Computation c(d, {Op::nop(), Op::nop()});
+  const Computation c(Dag(2, {{1, 0}}), {Op::nop(), Op::nop()});
   SerialMaintainer m;
   EXPECT_THROW((void)run_online(m, c), std::logic_error);
 }

@@ -98,8 +98,7 @@ TEST(PreparedDifferential, ThreeNodesTwoLocations) {
 
 TEST(PreparedDifferential, InvalidObserversRejectedEverywhere) {
   // A read observing a write it precedes (violates Condition 2.2).
-  Dag g1(2);
-  g1.add_edge(0, 1);
+  const Dag g1(2, {{0, 1}});
   const Computation c1(g1, {Op::read(0), Op::write(0)});
   ObserverFunction phi1(2);
   phi1.set(0, 1, 1);

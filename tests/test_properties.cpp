@@ -89,9 +89,10 @@ TEST_P(ModelHierarchySweep, MonotoneUnderEdgeDeletion) {
   Rng rng(GetParam().seed ^ 0x1234);
   const auto edges = c.dag().edges();
   const Edge victim = edges[rng.below(edges.size())];
-  Dag relaxed(c.node_count());
+  DagBuilder relaxed_edges(c.node_count());
   for (const auto& e : edges)
-    if (!(e == victim)) relaxed.add_edge(e.from, e.to);
+    if (!(e == victim)) relaxed_edges.add_edge(e.from, e.to);
+  const Dag relaxed = relaxed_edges.build();
   const Computation cr(relaxed, c.ops());
 
   std::size_t budget = 25;

@@ -10,9 +10,7 @@ namespace ccmm {
 namespace {
 
 TEST(Topsort, ValidityChecker) {
-  Dag d(3);
-  d.add_edge(0, 1);
-  d.add_edge(1, 2);
+  const Dag d(3, {{0, 1}, {1, 2}});
   EXPECT_TRUE(is_topological_sort(d, {0, 1, 2}));
   EXPECT_FALSE(is_topological_sort(d, {1, 0, 2}));
   EXPECT_FALSE(is_topological_sort(d, {0, 1}));       // wrong length

@@ -6,10 +6,10 @@
 #include "core/last_writer.hpp"
 #include "dag/topsort.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "models/location_consistency.hpp"
 #include "models/qdag.hpp"
 #include "models/sequential_consistency.hpp"
-#include "models/suite.hpp"
 
 namespace ccmm {
 namespace {
@@ -140,52 +140,19 @@ void BM_Prepare(benchmark::State& state) {
 }
 BENCHMARK(BM_Prepare)->Arg(16)->Arg(64)->Arg(256);
 
-// The headline refactor pair: classify one (C, Φ) against all six core
-// models. The legacy arm makes six independent checker calls, each
-// re-validating the observer and rebuilding its own per-location
-// indices; the prepared arm pays one preparation and one lattice-pruned
-// suite sweep. Arg layout: {nodes, shape}.
+// Classify one (C, Φ) against all six core models: one preparation and
+// one lattice-pruned sweep of a registry of the six built-in specs.
+// Arg layout: {nodes, shape}.
 constexpr std::size_t kClassifyScBudget = 200'000;
-
-void BM_ClassifyAllSixLegacy(benchmark::State& state) {
-  const Instance in = make_instance(static_cast<std::size_t>(state.range(0)),
-                                    static_cast<Shape>(state.range(1)));
-  ScOptions sc_opt;
-  sc_opt.budget = kClassifyScBudget;
-  for (auto _ : state) {
-    std::uint32_t mask = 0;
-    if (sc_check_with(in.c, in.phi, sc_opt).status == SearchStatus::kYes)
-      mask |= kSuiteSC;
-    if (location_consistent(in.c, in.phi)) mask |= kSuiteLC;
-    if (qdag_consistent(in.c, in.phi, DagPred::kNN)) mask |= kSuiteNN;
-    if (qdag_consistent(in.c, in.phi, DagPred::kNW)) mask |= kSuiteNW;
-    if (qdag_consistent(in.c, in.phi, DagPred::kWN)) mask |= kSuiteWN;
-    if (qdag_consistent(in.c, in.phi, DagPred::kWW)) mask |= kSuiteWW;
-    benchmark::DoNotOptimize(mask);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 6);
-}
-BENCHMARK(BM_ClassifyAllSixLegacy)
-    ->Args({16, 0})
-    ->Args({64, 0})
-    ->Args({256, 0})
-    ->Args({16, 1})
-    ->Args({64, 1})
-    ->Args({256, 1})
-    ->Args({16, 2})
-    ->Args({64, 2})
-    ->Args({256, 2});
 
 void BM_ClassifyAllSixPrepared(benchmark::State& state) {
   const Instance in = make_instance(static_cast<std::size_t>(state.range(0)),
                                     static_cast<Shape>(state.range(1)));
-  SuiteOptions opt;
-  opt.sc_budget = kClassifyScBudget;
-  opt.include_plus = false;
+  const ModelRegistry registry(core_model_specs(),
+                               CompileOptions{kClassifyScBudget});
   CheckContext ctx;
   for (auto _ : state) {
-    const std::uint32_t mask =
-        ModelSuite::classify(ctx.prepare(in.c, in.phi), opt);
+    const std::uint64_t mask = registry.classify(ctx.prepare(in.c, in.phi));
     benchmark::DoNotOptimize(mask);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 6);

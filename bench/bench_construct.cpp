@@ -1,6 +1,6 @@
 // Microbenchmarks: the constructibility engine — witness search, the Δ*
-// fixpoint (semi-naive worklist vs legacy Jacobi schedules, sequential
-// vs pool-parallel), extension enumeration, and canonicalization.
+// fixpoint (labeled vs quotient, sequential vs pool-parallel),
+// extension enumeration, and canonicalization.
 #include <benchmark/benchmark.h>
 
 #include "construct/constructibility.hpp"
@@ -142,18 +142,7 @@ BENCHMARK(BM_FixpointParallel)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Worklist-vs-Jacobi schedule comparison. The Worklist benches pin the
-// semi-naive engine explicitly (today's default) and export its
-// counters; the Jacobi benches keep the legacy full-rescan schedule
-// measurable so tools/run_benches.sh can emit the worklist speedup
-// table. Labeled Jacobi stops at n=5 (the n=6 run is minute-scale).
-FixpointOptions jacobi_options() {
-  FixpointOptions opt;
-  opt.worklist = false;
-  opt.dedupe_extensions = false;
-  return opt;
-}
-
+// The worklist engine with its counters exported.
 void export_worklist_counters(benchmark::State& state,
                               const FixpointStats& stats) {
   state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
@@ -166,10 +155,9 @@ void export_worklist_counters(benchmark::State& state,
 
 void BM_FixpointWorklist(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
-  const FixpointOptions opt;  // semi-naive worklist + extension dedupe
   for (auto _ : state) {
     FixpointStats stats;
-    const auto set = constructible_version(*QDagModel::nn(), spec, opt, &stats);
+    const auto set = constructible_version(*QDagModel::nn(), spec, &stats);
     benchmark::DoNotOptimize(set.live_count());
     export_worklist_counters(state, stats);
   }
@@ -182,11 +170,10 @@ BENCHMARK(BM_FixpointWorklist)
 
 void BM_FixpointWorklistQuotient(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
-  const FixpointOptions opt;
   for (auto _ : state) {
     FixpointStats stats;
     const auto set =
-        constructible_version_quotient(*QDagModel::nn(), spec, opt, &stats);
+        constructible_version_quotient(*QDagModel::nn(), spec, &stats);
     benchmark::DoNotOptimize(set.live_count());
     export_worklist_counters(state, stats);
   }
@@ -199,12 +186,11 @@ BENCHMARK(BM_FixpointWorklistQuotient)
 
 void BM_FixpointWorklistQuotientParallel(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
-  const FixpointOptions opt;
   ThreadPool pool(4);
   for (auto _ : state) {
     FixpointStats stats;
     const auto set = constructible_version_quotient_parallel(
-        *QDagModel::nn(), spec, pool, opt, &stats);
+        *QDagModel::nn(), spec, pool, &stats);
     benchmark::DoNotOptimize(set.live_count());
     export_worklist_counters(state, stats);
   }
@@ -215,37 +201,6 @@ BENCHMARK(BM_FixpointWorklistQuotientParallel)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_FixpointJacobi(benchmark::State& state) {
-  const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
-  const FixpointOptions opt = jacobi_options();
-  for (auto _ : state) {
-    FixpointStats stats;
-    const auto set = constructible_version(*QDagModel::nn(), spec, opt, &stats);
-    benchmark::DoNotOptimize(set.live_count());
-    state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
-    state.counters["pruned"] = static_cast<double>(stats.pruned);
-  }
-}
-BENCHMARK(BM_FixpointJacobi)->Arg(4)->Arg(5)->Unit(benchmark::kMillisecond);
-
-void BM_FixpointJacobiQuotient(benchmark::State& state) {
-  const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
-  const FixpointOptions opt = jacobi_options();
-  for (auto _ : state) {
-    FixpointStats stats;
-    const auto set =
-        constructible_version_quotient(*QDagModel::nn(), spec, opt, &stats);
-    benchmark::DoNotOptimize(set.live_count());
-    state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
-    state.counters["pruned"] = static_cast<double>(stats.pruned);
-  }
-}
-BENCHMARK(BM_FixpointJacobiQuotient)
-    ->Arg(4)
-    ->Arg(5)
-    ->Arg(6)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ExtensionEnumeration(benchmark::State& state) {
   Rng rng(1);

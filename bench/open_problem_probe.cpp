@@ -97,8 +97,7 @@ int run() {
     }
   }
   // Horizon-7 probe, opt-in via CCMM_PROBE_N7=1: the quotient worklist
-  // engine is the first driver that brings n=7 into budget (the labeled
-  // Jacobi engine was hour-scale there). Decides sizes <= 6.
+  // engine brings n=7 into budget. Decides sizes <= 6.
   if (std::getenv("CCMM_PROBE_N7") != nullptr) {
     h.section("horizon-7 quotient probe (CCMM_PROBE_N7)");
     for (const Probe& probe : probes) {

@@ -196,12 +196,11 @@ int run() {
     spec.max_nodes = 4;
     spec.nlocations = 1;
     spec.include_nop = false;
-    SuiteOptions sopt;
     const auto census = [&] {
       std::size_t in_any = 0;
       for_each_pair(spec,
                     [&](const Computation& c, const ObserverFunction& f) {
-                      if (cached_classification(c, f, sopt) != 0) ++in_any;
+                      if (cached_classification(c, f) != 0) ++in_any;
                       return true;
                     });
       return in_any;

@@ -6,7 +6,7 @@
 //   $ ./ccmm_check instance.txt           # classify the pair
 //   $ ./ccmm_check instance.txt --dot     # also emit graphviz
 //   $ ./ccmm_check --example > demo.txt   # write a sample instance
-//   $ ./ccmm_check --fixpoint 5           # worklist vs Jacobi Δ* stats
+//   $ ./ccmm_check --fixpoint 5           # worklist Δ* schedule stats
 //   $ ./ccmm_check instance.txt --trace t.txt    # stream-check a trace
 //   $ ./ccmm_check instance.txt --trace t.tbin   # binary traces auto-detect
 //   $ ./ccmm_check --trace-demo 1000000   # million-node streaming demo
@@ -50,10 +50,9 @@ using namespace ccmm;
 
 namespace {
 
-/// Run the quotient Δ* fixpoint of NN under both schedules and print
-/// the judging volume per round — the shape that makes the semi-naive
-/// worklist pay: round 1 is a full pass either way, but rounds 2..k
-/// shrink from full live-set scans (Jacobi) to kill frontiers.
+/// Run the quotient Δ* fixpoint of NN and print the judging volume per
+/// round: round 1 is a full pass, later rounds re-judge only the
+/// dependents of the pairs the previous wave killed.
 int fixpoint_report(std::size_t max_nodes) {
   UniverseSpec spec;
   spec.max_nodes = max_nodes;
@@ -62,37 +61,22 @@ int fixpoint_report(std::size_t max_nodes) {
   spec.max_writes_per_location = 2;
   using clock = std::chrono::steady_clock;
 
-  const auto run = [&](const char* name, const FixpointOptions& opt) {
-    FixpointStats st;
-    const auto t0 = clock::now();
-    const auto fx =
-        constructible_version_quotient(*QDagModel::nn(), spec, opt, &st);
-    const double ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    std::printf("%s: %.1f ms, %zu -> %zu pairs (pruned %zu)\n", name, ms,
-                st.initial_pairs, st.final_pairs, st.pruned);
-    std::printf("  judged per round:");
-    for (const std::size_t j : st.judged_pairs_per_round)
-      std::printf(" %zu", j);
-    std::printf("\n");
-    if (opt.worklist)
-      std::printf("  support edges %zu, repairs %zu, rejudged %zu, "
-                  "worklist peak %zu\n",
-                  st.support_edges, st.repairs, st.rejudged_pairs,
-                  st.worklist_peak);
-    return fx.live_count();
-  };
-
   std::printf("Δ*(NN) on the thin universe, n <= %zu:\n", max_nodes);
-  FixpointOptions worklist;  // defaults: semi-naive worklist + dedupe
-  FixpointOptions jacobi;
-  jacobi.worklist = false;
-  jacobi.dedupe_extensions = false;
-  const std::size_t a = run("worklist", worklist);
-  const std::size_t b = run("jacobi  ", jacobi);
-  std::printf("live sets %s (%zu pairs)\n",
-              a == b ? "identical" : "DIFFER", a);
-  return a == b ? 0 : 1;
+  FixpointStats st;
+  const auto t0 = clock::now();
+  (void)constructible_version_quotient(*QDagModel::nn(), spec, &st);
+  const double ms =
+      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+  std::printf("worklist: %.1f ms, %zu -> %zu pairs (pruned %zu)\n", ms,
+              st.initial_pairs, st.final_pairs, st.pruned);
+  std::printf("  judged per round:");
+  for (const std::size_t j : st.judged_pairs_per_round) std::printf(" %zu", j);
+  std::printf("\n");
+  std::printf("  support edges %zu, repairs %zu, rejudged %zu, "
+              "worklist peak %zu\n",
+              st.support_edges, st.repairs, st.rejudged_pairs,
+              st.worklist_peak);
+  return 0;
 }
 
 /// Attach the live progress line for multi-million-node postmortems: a
@@ -200,32 +184,6 @@ int trace_demo(std::size_t n, const char* emit_prefix) {
                                                                         : 1;
 }
 
-/// Load every `--spec` pack into (a copy of) the bundled registry.
-/// Returns false (after printing the line-numbered parse error) when a
-/// pack is unreadable or malformed. Names added from the packs are
-/// appended to `added`.
-bool load_spec_packs(ModelRegistry& registry,
-                     const std::vector<const char*>& spec_paths,
-                     std::vector<std::string>& added) {
-  for (const char* sp : spec_paths) {
-    std::ifstream in(sp);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", sp);
-      return false;
-    }
-    try {
-      for (ModelSpec& s : read_model_specs(in)) {
-        added.push_back(s.name);
-        registry.add(std::move(s));
-      }
-    } catch (const SpecParseError& e) {
-      std::fprintf(stderr, "%s: %s\n", sp, e.what());
-      return false;
-    }
-  }
-  return true;
-}
-
 /// --list-models: every registry entry with its surface syntax and the
 /// derived implications classify() prunes with.
 int list_models(const ModelRegistry& registry) {
@@ -248,28 +206,6 @@ int list_models(const ModelRegistry& registry) {
   return 0;
 }
 
-/// Resolve the selected model names (every --model, else every model a
-/// --spec pack added) into compiled models. Returns false on an
-/// unknown name.
-bool select_models(const ModelRegistry& registry,
-                   const std::vector<const char*>& model_names,
-                   const std::vector<std::string>& pack_added,
-                   std::vector<std::shared_ptr<const CompiledModel>>& out) {
-  std::vector<std::string> names;
-  for (const char* n : model_names) names.emplace_back(n);
-  if (names.empty()) names = pack_added;
-  for (const std::string& n : names) {
-    const ModelRegistry::Entry* e = registry.find(n);
-    if (e == nullptr) {
-      std::fprintf(stderr,
-                   "unknown model '%s' (try --list-models)\n", n.c_str());
-      return false;
-    }
-    out.push_back(e->model);
-  }
-  return true;
-}
-
 int emit_example() {
   const NonconstructibilityWitness w = figure4_witness();
   std::fputs("# ccmm instance: the paper's Figure-4 pair (in NN, not LC)\n",
@@ -285,8 +221,8 @@ int main(int argc, char** argv) {
   bool want_list = false;
   const char* path = nullptr;
   const char* trace_path = nullptr;
-  std::vector<const char*> spec_paths;
-  std::vector<const char*> model_names;
+  std::vector<std::string> spec_paths;
+  std::vector<std::string> model_names;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--example") == 0) return emit_example();
     if (std::strcmp(argv[i], "--fixpoint") == 0) {
@@ -325,11 +261,14 @@ int main(int argc, char** argv) {
   // The compiled-model registry: the eight built-ins + the bundled
   // pack, extended by every --spec file (replace-by-name).
   ModelRegistry registry = ModelRegistry::bundled();
-  std::vector<std::string> pack_added;
-  if (!load_spec_packs(registry, spec_paths, pack_added)) return 2;
-  if (want_list) return list_models(registry);
   std::vector<std::shared_ptr<const CompiledModel>> selected;
-  if (!select_models(registry, model_names, pack_added, selected)) return 2;
+  try {
+    selected = load_spec_models(registry, spec_paths, model_names);
+  } catch (const SpecLoadError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  if (want_list) return list_models(registry);
 
   if (path == nullptr) {
     std::fprintf(stderr,
@@ -338,8 +277,8 @@ int main(int argc, char** argv) {
                  "check a recorded trace;\n"
                  "            text and binary formats are auto-detected)\n"
                  "       ccmm_check --example     (print a sample instance)\n"
-                 "       ccmm_check --fixpoint N  (worklist vs Jacobi Δ* "
-                 "schedule report)\n"
+                 "       ccmm_check --fixpoint N  (worklist Δ* schedule "
+                 "report)\n"
                  "       ccmm_check --trace-demo N [--emit PREFIX]\n"
                  "           (synthesize, execute and stream-check ~N ops;\n"
                  "            --emit writes PREFIX.txt + PREFIX.trace +\n"

@@ -6,7 +6,7 @@
 
 #include "core/last_writer.hpp"
 #include "enumerate/observer_enum.hpp"
-#include "models/suite.hpp"
+#include "models/compile.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
 
@@ -33,11 +33,13 @@ struct CrossValidation {
 /// The theorem spot-check: sample nodes, take their bounded ancestor
 /// closures (downward closed ⇒ prefixes, race-free because precedence
 /// is preserved downward), enumerate every valid observer of each
-/// prefix, classify it against the whole suite and demand the
+/// prefix, classify it against the six models and demand the
 /// agreement the theorem actually licenses:
 ///
 ///  * per-observer lattice coherence — membership is upward closed
-///    along SC ⊆ LC ⊆ NN ⊆ {NW, WN} ⊆ WW;
+///    along SC ⊆ LC ⊆ NN ⊆ {NW, WN} ⊆ WW. The classification runs
+///    unpruned, so each bit is its own checker's answer and the check
+///    can fail;
 ///  * no model admits a stale read: a read that observes a write
 ///    observes its unique last preceding writer (race-freedom makes
 ///    "last" well defined);
@@ -55,10 +57,16 @@ CrossValidation cross_validate(const Computation& c,
   const std::size_t n = c.node_count();
   if (n == 0 || options.samples == 0) return cv;
   Rng rng(seed);
-  SuiteOptions sopt;
-  sopt.sc_budget = options.sc_budget;
-  sopt.include_plus = false;
+  const ModelRegistry registry(core_model_specs(),
+                               CompileOptions{options.sc_budget});
+  RegistryOptions unpruned;
+  unpruned.short_circuit = false;
   CheckContext ctx;
+  const auto classify = [&](const Computation& w, const ObserverFunction& phi,
+                            bool* exhausted) {
+    return static_cast<std::uint32_t>(
+        registry.classify(ctx.prepare(w, phi), unpruned, exhausted));
+  };
   // Weaker-model bits implied by each model bit (one lattice step).
   constexpr std::uint32_t kImplies[6] = {
       kSuiteLC,            // SC ⊆ LC
@@ -101,8 +109,7 @@ CrossValidation cross_validate(const Computation& c,
     };
     for_each_observer(w, [&](const ObserverFunction& phi) {
       bool exhausted = false;
-      const std::uint32_t mask =
-          ModelSuite::classify(ctx.prepare(w, phi), sopt, &exhausted);
+      const std::uint32_t mask = classify(w, phi, &exhausted);
       ++cv.observers;
       if (exhausted) {
         flag(format("SC budget exhausted on the prefix rooted at node %u",
@@ -139,8 +146,7 @@ CrossValidation cross_validate(const Computation& c,
       // the canonical last-writer observer lies in all six models.
       const ObserverFunction lw = last_writer(w, w.dag().topological_order());
       bool exhausted = false;
-      const std::uint32_t mask =
-          ModelSuite::classify(ctx.prepare(w, lw), sopt, &exhausted);
+      const std::uint32_t mask = classify(w, lw, &exhausted);
       ++cv.observers;
       if (exhausted || (mask & kDrfModelMask) != kDrfModelMask)
         flag(format("canonical last-writer observer rejected on the prefix "

@@ -22,7 +22,8 @@
 //  * a cross-validation record: sampled bounded ancestor-closure
 //    prefixes (downward closed, hence race-free prefixes in the
 //    paper's sense) on which every valid observer was enumerated and
-//    ModelSuite confirmed the agreement above — per-observer lattice
+//    the six models' checkers, each run on its own (no lattice
+//    pruning), confirmed the agreement above — per-observer lattice
 //    coherence, no stale reads anywhere, determinism under the four
 //    strong models, and the canonical last-writer observer accepted by
 //    all six.
@@ -44,7 +45,7 @@ namespace ccmm::analyze {
 struct CertifyOptions {
   /// Race-scan configuration (oracle choice, sharding).
   RaceScanOptions scan;
-  /// Prefixes sampled for the ModelSuite cross-validation.
+  /// Prefixes sampled for the model cross-validation.
   std::size_t samples = 16;
   /// Node cap per sampled ancestor-closure prefix (the observer
   /// enumeration is exponential in this).
@@ -102,7 +103,7 @@ struct CertificateCheck {
 
 /// Re-check `cert` against `c`: the fingerprint and structure counts,
 /// the race-freedom proof (phase-1 oracle queries only), and the
-/// ModelSuite agreement pass replayed from the certificate's seed.
+/// model agreement pass replayed from the certificate's seed.
 [[nodiscard]] CertificateCheck verify_drf_certificate(
     const Computation& c, const DrfCertificate& cert,
     const CertifyOptions& options = {});

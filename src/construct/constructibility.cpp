@@ -67,7 +67,7 @@ std::optional<NonconstructibilityWitness> search_at_exact_size(
 
     bool ok = true;
     for_each_one_node_extension(
-        c, alphabet, options.dedupe_extensions, [&](const Computation& ext) {
+        c, alphabet, /*dedupe_by_closure=*/true, [&](const Computation& ext) {
           if (!extension_answerable(model, ext, phi, ctx)) {
             witness = {c, phi, ext};
             ok = false;

@@ -29,10 +29,10 @@ struct NonconstructibilityWitness {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// Every search tests one extension per ancestor-closure class (sound
+/// for ≺-invariant models, which all of ccmm's are).
 struct WitnessSearchOptions {
   UniverseSpec spec;
-  /// Skip closure-duplicate extensions (sound for ≺-invariant models).
-  bool dedupe_extensions = true;
   /// Only test augmented computations (valid for monotonic models,
   /// Theorem 12); much cheaper.
   bool augment_only = false;

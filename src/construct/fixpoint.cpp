@@ -164,8 +164,8 @@ constexpr std::uint32_t kNoPair = UINT32_MAX;
 /// extension of its computation — the ids of the target pairs whose
 /// observer extends the task's observer on that extension. Once built,
 /// a pair is live in the greatest fixpoint iff every one of its answer
-/// lists keeps at least one live id, so both schedules (Jacobi rounds
-/// and the semi-naive worklist) reduce to bitset probes.
+/// lists keeps at least one live id, so the worklist schedule reduces
+/// to bitset probes.
 ///
 /// Answer resolution is a pullback, not a search: the extension
 /// observers of (C, Φ) are exactly the valid observers of the extension
@@ -208,8 +208,7 @@ struct ConstraintGraph {
   std::vector<Task> tasks;
 };
 
-ConstraintGraph build_graph(BoundedModelSet& set,
-                            const FixpointOptions& options, ThreadPool* pool) {
+ConstraintGraph build_graph(BoundedModelSet& set, ThreadPool* pool) {
   const bool quotient = set.quotient();
   const std::vector<Op> alphabet = op_alphabet(set.spec().nlocations);
 
@@ -291,7 +290,7 @@ ConstraintGraph build_graph(BoundedModelSet& set,
       }
     };
     for_each_one_node_extension(
-        e.c, alphabet, options.dedupe_extensions,
+        e.c, alphabet, /*dedupe_by_closure=*/true,
         [&](const Computation& ext) {
           const BoundedModelSet::Entry* target = nullptr;
           if (quotient) {
@@ -346,53 +345,6 @@ void finish(const ConstraintGraph& g, BoundedModelSet& set,
       e.alive[i] = g.alive.test(g.entry_base[ei] + i) ? 1 : 0;
   }
   stats.final_pairs = set.live_count();
-}
-
-/// The legacy schedule: every round re-judges every live pair against
-/// the round-start snapshot, kills apply between rounds. Kept both as
-/// the differential-test oracle for the worklist engine and as the
-/// no-index baseline for the benchmarks.
-void run_jacobi(ConstraintGraph& g, ThreadPool* pool, FixpointStats& stats) {
-  std::vector<char> kill(g.tasks.size(), 0);
-  bool changed = true;
-  while (changed) {
-    ++stats.rounds;
-    std::size_t judged = 0;
-    const auto judge = [&](std::size_t t) {
-      const ConstraintGraph::Task& task = g.tasks[t];
-      kill[t] = 0;
-      if (!g.alive.test(task.pair_id)) return;
-      std::uint32_t begin = 0;
-      for (const std::uint32_t end : task.answer_ends) {
-        bool answered = false;
-        for (std::uint32_t a = begin; a < end; ++a)
-          if (g.alive.test(task.answer_ids[a])) {
-            answered = true;
-            break;
-          }
-        if (!answered) {
-          kill[t] = 1;
-          return;
-        }
-        begin = end;
-      }
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(g.tasks.size(), judge);
-    } else {
-      for (std::size_t t = 0; t < g.tasks.size(); ++t) judge(t);
-    }
-    for (const auto& task : g.tasks)
-      if (g.alive.test(task.pair_id)) ++judged;
-    stats.judged_pairs_per_round.push_back(judged);
-    changed = false;
-    for (std::size_t t = 0; t < g.tasks.size(); ++t) {
-      if (!kill[t]) continue;
-      g.alive.reset(g.tasks[t].pair_id);
-      stats.pruned += static_cast<std::size_t>(g.tasks[t].entry->multiplicity);
-      changed = true;
-    }
-  }
 }
 
 /// The semi-naive worklist engine. The initial pass judges every task
@@ -493,12 +445,8 @@ BoundedModelSet fixpoint_impl(BoundedModelSet set,
                               FixpointStats* stats) {
   FixpointStats local;
   local.initial_pairs = set.live_count();
-  ConstraintGraph g = build_graph(set, options, pool);
-  if (options.worklist) {
-    run_worklist(g, options, local);
-  } else {
-    run_jacobi(g, pool, local);
-  }
+  ConstraintGraph g = build_graph(set, pool);
+  run_worklist(g, options, local);
   finish(g, set, local);
   if (stats != nullptr) *stats = local;
   return set;
@@ -508,14 +456,8 @@ BoundedModelSet fixpoint_impl(BoundedModelSet set,
 
 BoundedModelSet constructible_version(const MemoryModel& model,
                                       const UniverseSpec& spec,
-                                      FixpointStats* stats) {
-  return constructible_version(model, spec, FixpointOptions{}, stats);
-}
-
-BoundedModelSet constructible_version(const MemoryModel& model,
-                                      const UniverseSpec& spec,
-                                      const FixpointOptions& options,
-                                      FixpointStats* stats) {
+                                      FixpointStats* stats,
+                                      const FixpointOptions& options) {
   return fixpoint_impl(BoundedModelSet::restrict_model(model, spec), options,
                        nullptr, stats);
 }
@@ -523,30 +465,16 @@ BoundedModelSet constructible_version(const MemoryModel& model,
 BoundedModelSet constructible_version_parallel(const MemoryModel& model,
                                                const UniverseSpec& spec,
                                                ThreadPool& pool,
-                                               FixpointStats* stats) {
-  return constructible_version_parallel(model, spec, pool, FixpointOptions{},
-                                        stats);
-}
-
-BoundedModelSet constructible_version_parallel(const MemoryModel& model,
-                                               const UniverseSpec& spec,
-                                               ThreadPool& pool,
-                                               const FixpointOptions& options,
-                                               FixpointStats* stats) {
+                                               FixpointStats* stats,
+                                               const FixpointOptions& options) {
   return fixpoint_impl(BoundedModelSet::restrict_model(model, spec), options,
                        &pool, stats);
 }
 
 BoundedModelSet constructible_version_quotient(const MemoryModel& model,
                                                const UniverseSpec& spec,
-                                               FixpointStats* stats) {
-  return constructible_version_quotient(model, spec, FixpointOptions{}, stats);
-}
-
-BoundedModelSet constructible_version_quotient(const MemoryModel& model,
-                                               const UniverseSpec& spec,
-                                               const FixpointOptions& options,
-                                               FixpointStats* stats) {
+                                               FixpointStats* stats,
+                                               const FixpointOptions& options) {
   return fixpoint_impl(
       BoundedModelSet::restrict_model_quotient(model, spec, nullptr), options,
       nullptr, stats);
@@ -554,14 +482,7 @@ BoundedModelSet constructible_version_quotient(const MemoryModel& model,
 
 BoundedModelSet constructible_version_quotient_parallel(
     const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    FixpointStats* stats) {
-  return constructible_version_quotient_parallel(model, spec, pool,
-                                                 FixpointOptions{}, stats);
-}
-
-BoundedModelSet constructible_version_quotient_parallel(
-    const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    const FixpointOptions& options, FixpointStats* stats) {
+    FixpointStats* stats, const FixpointOptions& options) {
   return fixpoint_impl(
       BoundedModelSet::restrict_model_quotient(model, spec, &pool), options,
       &pool, stats);

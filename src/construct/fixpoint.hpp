@@ -9,6 +9,10 @@
 // well below the ceiling. Theorem 23 (LC = NN*) is verified by combining
 // this over-approximation with the certified inclusion LC ⊆ NN*: if the
 // fixpoint collapses onto LC, equality holds on the bounded universe.
+//
+// One schedule computes it, the semi-naive worklist engine (see
+// FixpointOptions); the definitional round-snapshot schedule lives on
+// only as the test reference (tests/reference_fixpoint.hpp).
 #pragma once
 
 #include <cstdint>
@@ -97,25 +101,19 @@ class BoundedModelSet {
   std::unordered_map<std::string, Entry> entries_;
 };
 
-/// Schedule knobs shared by the four fixpoint drivers. Every setting
-/// converges to the same greatest fixpoint (kills are monotone, so the
-/// gfp is kill-schedule-independent — see DESIGN.md); the knobs only
-/// trade work for bookkeeping.
+/// The one fixpoint schedule is the semi-naive worklist: one full
+/// judging pass records a support edge per (pair, extension)
+/// constraint, then only the dependents of killed pairs are re-judged,
+/// repairing their support from another live answer before killing
+/// them. Each pair is judged against one representative per
+/// ancestor-closure class of its one-node extensions instead of all
+/// |alphabet| * 2^|V| of them — sound because gfp liveness depends only
+/// on the transitive closure (see DESIGN.md). tests/reference_fixpoint.hpp
+/// keeps the definitional round-snapshot schedule over every extension
+/// as the differential reference.
 struct FixpointOptions {
-  /// true (default): the semi-naive worklist engine — one full judging
-  /// pass records a support edge per (pair, extension) constraint, then
-  /// only the dependents of killed pairs are re-judged, repairing their
-  /// support from another live answer before killing them. false: the
-  /// legacy Jacobi schedule (every round re-judges every live pair).
-  bool worklist = true;
-  /// Judge one representative per ancestor-closure class of one-node
-  /// extensions instead of all |alphabet| * 2^|V| of them. Sound
-  /// because gfp liveness depends only on the transitive closure (see
-  /// DESIGN.md); the differential tests pin worklist+dedupe against
-  /// Jacobi+no-dedupe byte for byte.
-  bool dedupe_extensions = true;
   /// Nonzero: shuffle each kill-propagation wave with this seed before
-  /// processing (kill-order-independence test hook). Worklist only.
+  /// processing (kill-order-independence test hook).
   std::uint64_t scramble_seed = 0;
 };
 
@@ -127,18 +125,18 @@ struct FixpointStats {
   /// Support edges registered in the reverse dependency index over the
   /// whole run (initial pass + repairs). Constraints answered by a
   /// boundary pair need no edge (boundary pairs never die) and are not
-  /// counted. Zero under the Jacobi schedule.
+  /// counted.
   std::size_t support_edges = 0;
   /// Re-judged constraints that found another live answer (and so did
-  /// not propagate the kill). Worklist only.
+  /// not propagate the kill).
   std::size_t repairs = 0;
-  /// Constraint re-judges triggered by kill propagation. Worklist only.
+  /// Constraint re-judges triggered by kill propagation.
   std::size_t rejudged_pairs = 0;
-  /// Largest kill-propagation wave. Worklist only.
+  /// Largest kill-propagation wave.
   std::size_t worklist_peak = 0;
   /// Judging volume per round: entry [0] is the initial full pass (all
-  /// non-boundary pairs); later entries are live pairs scanned per
-  /// Jacobi round, or constraints re-judged per propagation wave.
+  /// non-boundary pairs); later entries are the constraints re-judged
+  /// per propagation wave.
   std::vector<std::size_t> judged_pairs_per_round;
 };
 
@@ -147,26 +145,19 @@ struct FixpointStats {
 /// and are never pruned.
 [[nodiscard]] BoundedModelSet constructible_version(
     const MemoryModel& model, const UniverseSpec& spec,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version(
-    const MemoryModel& model, const UniverseSpec& spec,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    FixpointStats* stats = nullptr, const FixpointOptions& options = {});
 
-/// Pool-parallel variant: the restriction's membership scan, the
-/// extension/answer resolution, and (Jacobi mode) the per-round judging
-/// fan out across the pool; kills apply serially. Converges to the same
-/// greatest fixpoint, possibly in a different number of rounds.
+/// Pool-parallel variant: the restriction's membership scan and the
+/// extension/answer resolution fan out across the pool; kills apply
+/// serially. Converges to the same greatest fixpoint.
 [[nodiscard]] BoundedModelSet constructible_version_parallel(
     const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version_parallel(
-    const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    FixpointStats* stats = nullptr, const FixpointOptions& options = {});
 
 /// Quotient fixpoint: one representative per isomorphism class, one-node
-/// extension answers transported along the canonical relabelings (in
-/// the worklist engine, support edges are likewise orbit-transported:
-/// they connect representative pairs through the relabeling maps). The
+/// extension answers transported along the canonical relabelings
+/// (support edges are likewise orbit-transported: they connect
+/// representative pairs through the relabeling maps). The
 /// greatest fixpoint is a union of orbits (answerability is
 /// isomorphism-invariant), so the result is the exact quotient of the
 /// labeled fixpoint: contains_pair / live_count / compare_with_model
@@ -175,19 +166,13 @@ struct FixpointStats {
 /// labeled driver.
 [[nodiscard]] BoundedModelSet constructible_version_quotient(
     const MemoryModel& model, const UniverseSpec& spec,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version_quotient(
-    const MemoryModel& model, const UniverseSpec& spec,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    FixpointStats* stats = nullptr, const FixpointOptions& options = {});
 
 /// Pool-parallel variant of the quotient fixpoint (parallel restriction
 /// and resolution; kills apply serially).
 [[nodiscard]] BoundedModelSet constructible_version_quotient_parallel(
     const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    FixpointStats* stats = nullptr);
-[[nodiscard]] BoundedModelSet constructible_version_quotient_parallel(
-    const MemoryModel& model, const UniverseSpec& spec, ThreadPool& pool,
-    const FixpointOptions& options, FixpointStats* stats = nullptr);
+    FixpointStats* stats = nullptr, const FixpointOptions& options = {});
 
 /// Compare a fixpoint result with a reference model, per size class:
 /// returns for each n ≤ max_nodes the pair (live in fixpoint, member of

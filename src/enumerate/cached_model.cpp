@@ -1,7 +1,7 @@
 #include "enumerate/cached_model.hpp"
 
+#include "models/compile.hpp"
 #include "util/memo_cache.hpp"
-#include "util/str.hpp"
 
 namespace ccmm {
 namespace {
@@ -70,20 +70,16 @@ std::shared_ptr<const MemoryModel> cached(
 }
 
 std::uint32_t cached_classification(const Computation& c,
-                                    const ObserverFunction& phi,
-                                    const SuiteOptions& opt) {
+                                    const ObserverFunction& phi) {
+  static const ModelRegistry builtins(builtin_model_specs());
+  const auto classify = [&] {
+    return static_cast<std::uint32_t>(builtins.classify(prepare_pair(c, phi)));
+  };
   if (c.node_count() > kCacheNodeCap || phi.node_count() != c.node_count())
-    return ModelSuite::classify(c, phi, opt);
-  // short_circuit is answer-preserving (pinned by tests/test_prepared),
-  // so it is deliberately NOT part of the key; the budget and include
-  // flags change which bits can be set and are.
-  const std::string prefix =
-      format("suite\x1e%llu,%d,%d\x1e",
-             static_cast<unsigned long long>(opt.sc_budget),
-             opt.include_sc ? 1 : 0, opt.include_plus ? 1 : 0);
-  const std::string& key = orbit_key(prefix, c, phi);
+    return classify();
+  const std::string& key = orbit_key("builtins\x1e", c, phi);
   if (const auto hit = classification_cache().lookup(key)) return *hit;
-  const std::uint32_t mask = ModelSuite::classify(c, phi, opt);
+  const std::uint32_t mask = classify();
   classification_cache().insert(key, mask);
   return mask;
 }

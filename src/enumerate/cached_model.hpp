@@ -16,7 +16,6 @@
 
 #include "core/memory_model.hpp"
 #include "enumerate/canonical.hpp"
-#include "models/suite.hpp"
 
 namespace ccmm {
 
@@ -54,14 +53,12 @@ class CachedModel final : public MemoryModel {
 [[nodiscard]] std::shared_ptr<const MemoryModel> cached(
     std::shared_ptr<const MemoryModel> inner);
 
-/// ModelSuite::classify memoized in classification_cache() under the
-/// same orbit key (plus the option bits that shape the answer: the SC
-/// budget and the include flags). One cached bitmask replaces up to
-/// eight per-model membership entries. Budget exhaustion is folded into
-/// the cached mask exactly as in the uncached call (SC bit left unset),
-/// so hits and misses agree for a fixed budget.
+/// The eight built-in models' membership bitmask (suite bits,
+/// models/suite.hpp), classified by a registry of builtin_model_specs()
+/// with unbounded searches and memoized in classification_cache() under
+/// the same orbit key. One cached bitmask replaces eight per-model
+/// membership entries.
 [[nodiscard]] std::uint32_t cached_classification(const Computation& c,
-                                                  const ObserverFunction& phi,
-                                                  const SuiteOptions& opt = {});
+                                                  const ObserverFunction& phi);
 
 }  // namespace ccmm

@@ -373,6 +373,11 @@ const std::vector<ModelSpec>& builtin_model_specs() {
   return specs;
 }
 
+std::vector<ModelSpec> core_model_specs() {
+  const std::vector<ModelSpec>& all = builtin_model_specs();
+  return {all.begin(), all.begin() + 6};
+}
+
 ModelSpec coherence_spec() {
   return make_spec("COH", OrderAxiom::kPerLocation, {}, false);
 }

@@ -35,8 +35,8 @@
 //
 // spec_implies gives the *derived lattice*: a sound syntactic
 // implication test between specs (a ⇒ b means compiled(a) ⊆
-// compiled(b)). The registry's classify short-circuiting and
-// ModelSuite's hardcoded gates are both instances of these rules
+// compiled(b)). ModelRegistry::classify (models/compile.hpp) prunes
+// with it; on the built-ins it yields the paper's Figure 1 lattice
 // (tests pin the agreement).
 #pragma once
 
@@ -151,12 +151,17 @@ class SpecParseError : public std::runtime_error {
 /// Convenience: parse from a string.
 [[nodiscard]] std::vector<ModelSpec> read_model_specs(const std::string& text);
 
-/// The eight bundled specs, in suite-bit order: SC, LC, NN, NW, WN,
-/// WW, WN+, NN+. These are the declarative *sources* for the built-in
-/// models; the compiler lowers them back onto the same hand-fused
-/// prepared checkers (models/compile.hpp), and tests pin the
-/// round-trip byte-identical.
+/// The eight bundled specs, in suite-bit order (models/suite.hpp): SC,
+/// LC, NN, NW, WN, WW, WN+, NN+. These are the declarative *sources*
+/// for the built-in models; the compiler lowers them back onto the same
+/// hand-fused prepared checkers (models/compile.hpp), and tests pin the
+/// round-trip byte-identical. A registry whose first entries are these
+/// classifies with bit i = suite bit i.
 [[nodiscard]] const std::vector<ModelSpec>& builtin_model_specs();
+
+/// The first six built-ins, SC through WW: the models of the paper's
+/// Figure 1, which the race classifier and the DRF certificate compare.
+[[nodiscard]] std::vector<ModelSpec> core_model_specs();
 
 /// The bundled spec-pack clients (first externally-shaped models):
 ///  * coherence-only "COH": per-location order and nothing else —

@@ -1,68 +1,8 @@
 #include "models/suite.hpp"
 
-#include "models/location_consistency.hpp"
-#include "models/wn_plus.hpp"
-
 namespace ccmm {
 
-std::uint32_t ModelSuite::classify(const PreparedPair& p,
-                                   const SuiteOptions& opt,
-                                   bool* sc_exhausted) {
-  if (sc_exhausted != nullptr) *sc_exhausted = false;
-  if (!p.valid()) return 0;  // every model rejects an invalid observer
-
-  const bool prune = opt.short_circuit;
-  // Weakest first: ∉ WW ⇒ ∉ {NN, NW, WN, LC, SC, WN⁺, NN⁺}.
-  const bool in_ww = qdag_consistent_prepared(p, DagPred::kWW);
-  const bool in_nw =
-      (in_ww || !prune) && qdag_consistent_prepared(p, DagPred::kNW);
-  const bool in_wn =
-      (in_ww || !prune) && qdag_consistent_prepared(p, DagPred::kWN);
-  // NN ⊆ NW ∩ WN (Theorem 21's lattice): both must have admitted the pair.
-  const bool in_nn =
-      ((in_nw && in_wn) || !prune) && qdag_consistent_prepared(p, DagPred::kNN);
-  // LC ⊆ NN.
-  const bool in_lc = (in_nn || !prune) && location_consistent_prepared(p);
-
-  bool in_sc = false;
-  if (opt.include_sc && (in_lc || !prune)) {
-    ScOptions sc_opt;
-    sc_opt.budget = opt.sc_budget;
-    // When pruning, LC membership is already established above; re-running
-    // the prefilter inside sc_check would repeat the same linear test.
-    sc_opt.lc_prefilter = !prune;
-    const ScResult r = sc_check_prepared(p, sc_opt);
-    in_sc = r.status == SearchStatus::kYes;
-    if (r.status == SearchStatus::kExhausted && sc_exhausted != nullptr)
-      *sc_exhausted = true;
-  }
-
-  std::uint32_t mask = 0;
-  if (in_sc) mask |= kSuiteSC;
-  if (in_lc) mask |= kSuiteLC;
-  if (in_nn) mask |= kSuiteNN;
-  if (in_nw) mask |= kSuiteNW;
-  if (in_wn) mask |= kSuiteWN;
-  if (in_ww) mask |= kSuiteWW;
-
-  if (opt.include_plus) {
-    // WN⁺ ⊆ WN and NN⁺ ⊆ NN; one freshness test serves both.
-    const bool fresh =
-        (in_wn || in_nn || !prune) && observer_is_fresh_prepared(p);
-    if (fresh && in_wn) mask |= kSuiteWNPlus;
-    if (fresh && in_nn) mask |= kSuiteNNPlus;
-  }
-  return mask;
-}
-
-std::uint32_t ModelSuite::classify(const Computation& c,
-                                   const ObserverFunction& phi,
-                                   const SuiteOptions& opt,
-                                   bool* sc_exhausted) {
-  return classify(prepare_pair(c, phi), opt, sc_exhausted);
-}
-
-const char* ModelSuite::bit_name(std::uint32_t bit) {
+const char* suite_bit_name(std::uint32_t bit) {
   switch (bit) {
     case kSuiteSC:
       return "SC";

@@ -1,35 +1,20 @@
 // ccmm/models/suite.hpp
 //
-// ModelSuite: classify one prepared (C, Φ) pair against the built-in
-// model family in a single call, returning a membership bitmask instead
-// of running eight independent contains() calls. The strength lattice
-// (Theorem 21 and SC ⊆ LC ⊆ NN ⊆ NW, WN ⊆ WW; NN⁺ ⊆ NN, WN⁺ ⊆ WN)
-// licenses short-circuiting: a pair outside WW is outside everything,
-// NN need only run when both NW and WN admitted the pair, LC only when
-// NN did, and the NP-hard SC search only when the linear LC test passed
-// (exactly the prefilter ScOptions already exploits — the suite then
-// disables the redundant in-search LC re-check). Pruning is
-// answer-preserving; tests/test_prepared pins the ablation.
-//
-// Since the model-compiler refactor the eight built-ins are *bundled
-// specs* (models/spec.hpp): every gate hardcoded below is an instance
-// of the derived implication lattice spec_implies computes between
-// builtin_model_specs() (tests/test_compile pins gate-by-gate
-// agreement). ModelSuite survives as the compiler-verified fused
-// specialization of ModelRegistry::classify (models/compile.hpp) for
-// exactly this model set — same bits, no per-entry dispatch — which is
-// what the BM_ClassifyAllSix benchmarks gate in CI. Arbitrary spec
-// sets, including user packs, classify through the registry instead.
+// The suite bits: one bit per built-in model, in the order of
+// builtin_model_specs() (models/spec.hpp) — SC, LC, NN, NW, WN, WW,
+// WN⁺, NN⁺ — plus the freshness axiom alone. They are the vocabulary
+// of the streaming engines (trace/large_check.hpp requests and reports
+// models as a mask of them). Whole-family classification of a prepared
+// pair is ModelRegistry::classify (models/compile.hpp): over a registry
+// whose first entries are the built-ins, bit i of its answer is suite
+// bit i.
 #pragma once
 
 #include <cstdint>
 
-#include "models/qdag.hpp"
-#include "models/sequential_consistency.hpp"
-
 namespace ccmm {
 
-/// Membership bits returned by ModelSuite::classify.
+/// One bit per built-in model, in builtin_model_specs() order.
 enum SuiteBit : std::uint32_t {
   kSuiteSC = 1u << 0,
   kSuiteLC = 1u << 1,
@@ -39,42 +24,14 @@ enum SuiteBit : std::uint32_t {
   kSuiteWW = 1u << 5,
   kSuiteWNPlus = 1u << 6,
   kSuiteNNPlus = 1u << 7,
-  /// The freshness axiom alone (models/wn_plus.hpp): not a model the
-  /// suite classifies, but a first-class bit so compiled specs can
-  /// request it from the streaming large_check path, where WN⁺/NN⁺ are
-  /// decided as WN ∧ FRESH / NN ∧ FRESH.
+  /// The freshness axiom alone (models/wn_plus.hpp): not a model of its
+  /// own, but a first-class bit so compiled specs can request it from
+  /// the streaming large_check path, where WN⁺/NN⁺ are decided as
+  /// WN ∧ FRESH / NN ∧ FRESH.
   kSuiteFresh = 1u << 8,
 };
 
-struct SuiteOptions {
-  /// Budget for the SC backtracking search (states expanded).
-  std::size_t sc_budget = SIZE_MAX;
-  /// Lattice pruning; off = run every checker independently (ablation).
-  bool short_circuit = true;
-  /// Run the NP-hard SC membership search at all.
-  bool include_sc = true;
-  /// Classify the freshness-strengthened WN⁺/NN⁺ as well.
-  bool include_plus = true;
-};
-
-class ModelSuite {
- public:
-  /// Membership bitmask of `p` over the suite. Equals the OR of the
-  /// individual models' contains() answers (pinned by tests). If the SC
-  /// search exhausts `sc_budget`, the SC bit is left unset and
-  /// *sc_exhausted (when non-null) is set to true.
-  [[nodiscard]] static std::uint32_t classify(const PreparedPair& p,
-                                              const SuiteOptions& opt = {},
-                                              bool* sc_exhausted = nullptr);
-
-  /// Convenience overload: prepares (c, phi) with a per-thread context.
-  [[nodiscard]] static std::uint32_t classify(const Computation& c,
-                                              const ObserverFunction& phi,
-                                              const SuiteOptions& opt = {},
-                                              bool* sc_exhausted = nullptr);
-
-  /// "SC" for kSuiteSC etc.; "?" for a non-bit.
-  [[nodiscard]] static const char* bit_name(std::uint32_t bit);
-};
+/// "SC" for kSuiteSC etc.; "?" for a non-bit.
+[[nodiscard]] const char* suite_bit_name(std::uint32_t bit);
 
 }  // namespace ccmm

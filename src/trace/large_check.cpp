@@ -38,7 +38,7 @@ std::string LargeCheckReport::to_string() const {
   if (valid_observer) {
     for (std::uint32_t bit = 1; bit != 0 && bit <= checked; bit <<= 1) {
       if ((checked & bit) == 0) continue;
-      out += format("  %-3s %s\n", ModelSuite::bit_name(bit),
+      out += format("  %-3s %s\n", suite_bit_name(bit),
                     (satisfied & bit) != 0 ? "holds" : "VIOLATED");
     }
   }
@@ -49,7 +49,7 @@ std::string LargeCheckReport::to_string() const {
     for (std::uint32_t bit = 1; bit != 0 && bit <= lc.violated; bit <<= 1)
       if ((lc.violated & bit) != 0) {
         if (!v.empty()) v += ",";
-        v += ModelSuite::bit_name(bit);
+        v += suite_bit_name(bit);
       }
     t.add_row({format("%u", lc.loc), format("%zu", lc.writers),
                lc.valid ? "yes" : "no", v.empty() ? "-" : v,

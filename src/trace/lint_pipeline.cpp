@@ -131,7 +131,7 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
       d.severity = Severity::kWarning;
       d.pass = "model";
       d.message =
-          format("execution is not %s: %s", ModelSuite::bit_name(bit),
+          format("execution is not %s: %s", suite_bit_name(bit),
                  report.detail.c_str());
       result.diagnostics.push_back(std::move(d));
     }

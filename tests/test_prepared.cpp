@@ -2,16 +2,18 @@
 //  * contains_prepared answers exactly like the legacy contains() for
 //    every model (six core checkers, WN+/NN+, predicate and
 //    intersection wrappers) over exhaustive small universes;
-//  * ModelSuite::classify equals eight independent membership calls,
-//    with lattice short-circuiting ON and OFF (the ablation);
+//  * ModelRegistry::classify over the eight built-in specs equals
+//    eight independent membership calls, with lattice short-circuiting
+//    ON and OFF (the ablation);
 //  * the PreparedPair block partition indexes Φ⁻¹ correctly, and
-//    cached_classification memoizes the suite bitmask per orbit.
+//    cached_classification memoizes the built-ins' bitmask per orbit.
 #include "core/prepared.hpp"
 
 #include <gtest/gtest.h>
 
 #include "enumerate/cached_model.hpp"
 #include "enumerate/universe.hpp"
+#include "models/compile.hpp"
 #include "models/wn_plus.hpp"
 #include "helpers.hpp"
 #include "util/memo_cache.hpp"
@@ -123,7 +125,7 @@ TEST(PreparedDifferential, InvalidObserversRejectedEverywhere) {
       EXPECT_FALSE(row.model->contains_prepared(p)) << row.label;
       EXPECT_FALSE(row.model->contains(*c, *phi)) << row.label;
     }
-    EXPECT_EQ(ModelSuite::classify(p), 0u);
+    EXPECT_EQ(ModelRegistry(builtin_model_specs()).classify(p), 0u);
   }
 }
 
@@ -153,55 +155,26 @@ TEST(PreparedPairStructure, BlockPartitionIndexesObserverInverse) {
   });
 }
 
-std::uint32_t classify_by_calls(const Computation& c,
-                                const ObserverFunction& phi) {
-  std::uint32_t mask = 0;
-  if (SequentialConsistencyModel::instance()->contains(c, phi))
-    mask |= kSuiteSC;
-  if (location_consistent(c, phi)) mask |= kSuiteLC;
-  if (qdag_consistent(c, phi, DagPred::kNN)) mask |= kSuiteNN;
-  if (qdag_consistent(c, phi, DagPred::kNW)) mask |= kSuiteNW;
-  if (qdag_consistent(c, phi, DagPred::kWN)) mask |= kSuiteWN;
-  if (qdag_consistent(c, phi, DagPred::kWW)) mask |= kSuiteWW;
-  if (wn_plus_consistent(c, phi)) mask |= kSuiteWNPlus;
-  if (observer_is_fresh(c, phi) && qdag_consistent(c, phi, DagPred::kNN))
-    mask |= kSuiteNNPlus;
-  return mask;
-}
-
-TEST(ModelSuiteClassify, EqualsIndependentCallsAndAblation) {
+TEST(RegistryClassify, BuiltinsEqualIndependentCallsPrunedAndUnpruned) {
   UniverseSpec spec;
   spec.max_nodes = 4;
   spec.nlocations = 1;
   spec.include_nop = false;
+  const ModelRegistry builtins(builtin_model_specs());
   CheckContext ctx;
-  SuiteOptions pruned;  // defaults: short_circuit on
-  SuiteOptions ablated;
-  ablated.short_circuit = false;
+  RegistryOptions pruned;  // defaults: short_circuit on
+  RegistryOptions unpruned;
+  unpruned.short_circuit = false;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
-    const std::uint32_t expect = classify_by_calls(c, phi);
+    const std::uint32_t expect = test::classify_by_calls(c, phi);
     const PreparedPair p = ctx.prepare(c, phi);
-    EXPECT_EQ(ModelSuite::classify(p, pruned), expect)
+    EXPECT_EQ(builtins.classify(p, pruned), expect)
         << c.to_string() << phi.to_string();
-    EXPECT_EQ(ModelSuite::classify(p, ablated), expect)
+    EXPECT_EQ(builtins.classify(p, unpruned), expect)
         << "ablation diverges on:\n"
         << c.to_string() << phi.to_string();
-    EXPECT_EQ(ModelSuite::classify(c, phi), expect);  // convenience overload
     return true;
   });
-}
-
-TEST(ModelSuiteClassify, RespectsIncludeFlags) {
-  const auto ex = test::lc_not_sc_pair();
-  CheckContext ctx;
-  const PreparedPair p = ctx.prepare(ex.c, ex.phi);
-  SuiteOptions no_sc;
-  no_sc.include_sc = false;
-  EXPECT_EQ(ModelSuite::classify(p, no_sc) & kSuiteSC, 0u);
-  SuiteOptions no_plus;
-  no_plus.include_plus = false;
-  EXPECT_EQ(ModelSuite::classify(p, no_plus) & (kSuiteWNPlus | kSuiteNNPlus),
-            0u);
 }
 
 TEST(CachedClassification, AgreesAndHits) {
@@ -212,13 +185,13 @@ TEST(CachedClassification, AgreesAndHits) {
   const auto before = classification_cache().stats();
   std::size_t pairs = 0;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
-    EXPECT_EQ(cached_classification(c, phi), ModelSuite::classify(c, phi));
+    EXPECT_EQ(cached_classification(c, phi), test::classify_by_calls(c, phi));
     ++pairs;
     return true;
   });
   // Second pass answers entirely from the cache.
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
-    EXPECT_EQ(cached_classification(c, phi), ModelSuite::classify(c, phi));
+    EXPECT_EQ(cached_classification(c, phi), test::classify_by_calls(c, phi));
     return true;
   });
   const auto after = classification_cache().stats();

@@ -5,8 +5,8 @@
 //    dropping, axiom domination) and digest() fingerprints the result
 //    name-independently;
 //  * spec_implies recovers the paper's Theorem 21 lattice on the eight
-//    built-ins — the same gates ModelSuite hardcodes — plus the scoped
-//    containment rule on partition specs;
+//    built-ins — the gates ModelRegistry::classify prunes with — plus
+//    the scoped containment rule on partition specs;
 //  * malformed packs are rejected with the exact 1-based line number.
 #include "models/spec.hpp"
 

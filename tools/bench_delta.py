@@ -155,11 +155,9 @@ def main():
             print(f"{n:58s} {bt[n] / 1e6:10.3f}ms {ft[n] / 1e6:10.3f}ms "
                   f"{ratio:6.2f}x{flag}")
 
-    for key in ("quotient_speedup", "prepared_speedup", "worklist_speedup",
-                "trace_speedup", "dataplane_speedup"):
+    for key in ("quotient_speedup", "trace_speedup", "dataplane_speedup"):
         def row_key(r):
-            return (r.get("labeled") or r.get("legacy") or r.get("jacobi")
-                    or r.get("closure") or r.get("naive"))
+            return r.get("labeled") or r.get("closure") or r.get("naive")
         rows_b = {row_key(r): r for r in base.get(key, [])}
         rows_f = {row_key(r): r for r in fresh.get(key, [])}
         common = sorted(set(rows_b) & set(rows_f))

@@ -205,8 +205,8 @@ int main(int argc, char** argv) {
   const char* trace_path = nullptr;
   const char* certify_path = nullptr;
   const char* verify_path = nullptr;
-  std::vector<const char*> spec_paths;
-  std::vector<const char*> model_names;
+  std::vector<std::string> spec_paths;
+  std::vector<std::string> model_names;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
@@ -241,36 +241,12 @@ int main(int argc, char** argv) {
   // the --model selections out of the bundled registry + packs. Parse
   // errors carry 1-based line numbers.
   ModelRegistry registry = ModelRegistry::bundled();
-  std::vector<std::string> pack_added;
-  for (const char* sp : spec_paths) {
-    std::ifstream in(sp);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", sp);
-      return 2;
-    }
-    try {
-      for (ModelSpec& s : read_model_specs(in)) {
-        pack_added.push_back(s.name);
-        registry.add(std::move(s));
-      }
-    } catch (const SpecParseError& e) {
-      std::fprintf(stderr, "%s: %s\n", sp, e.what());
-      return 2;
-    }
-  }
   std::vector<std::shared_ptr<const CompiledModel>> spec_models;
-  {
-    std::vector<std::string> names;
-    for (const char* n : model_names) names.emplace_back(n);
-    if (names.empty()) names = pack_added;
-    for (const std::string& n : names) {
-      const ModelRegistry::Entry* e = registry.find(n);
-      if (e == nullptr) {
-        std::fprintf(stderr, "unknown model '%s'\n", n.c_str());
-        return 2;
-      }
-      spec_models.push_back(e->model);
-    }
+  try {
+    spec_models = load_spec_models(registry, spec_paths, model_names);
+  } catch (const SpecLoadError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
   // On the static path (no trace) the compiled models still join the
   // race classifier's split; on the trace path analyze_trace threads

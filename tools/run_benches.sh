@@ -7,11 +7,9 @@
 # that export quotient-engine metrics (thm_verification,
 # fig4_nonconstructibility) via CCMM_EXPERIMENT_JSON.  The merged file
 # records, for every labeled/quotient benchmark pair, the wall-clock
-# speedup of the isomorphism-quotient engine; for every legacy/prepared
-# pair, the speedup of the shared-preparation classification path; for
-# every Jacobi/worklist pair, the speedup of the semi-naive worklist
-# schedule (with its support/repair counters on the benchmark rows); and
-# the global memo-cache counters exported by the experiments.
+# speedup of the isomorphism-quotient engine (the worklist fixpoint rows
+# carry their support/repair counters); and the global memo-cache
+# counters exported by the experiments.
 #
 # Usage: tools/run_benches.sh [--quick|--nightly] [--build-dir DIR] [--out FILE]
 #   --quick      CI smoke budget: tiny min_time and the expensive args
@@ -104,10 +102,7 @@ for b in "${benches[@]}"; do
     run_bench "$bin" "$tmp/$b.json" '-(.*/6$)'
     run_bench "$bin" "$tmp/$b.part2.json" 'BM_FixpointSequential/6$'
     run_bench "$bin" "$tmp/$b.part3.json" 'BM_FixpointQuotient/6$'
-    # The headline worklist-vs-Jacobi pair at n=6 (each in its own
-    # process, same page-reclaim reasoning as above).
     run_bench "$bin" "$tmp/$b.part4.json" 'BM_FixpointWorklistQuotient/6$'
-    run_bench "$bin" "$tmp/$b.part5.json" 'BM_FixpointJacobiQuotient/6$'
   elif [[ $mode != quick && $b == bench_trace ]]; then
     # The 16M-node data-plane runs get their own processes: building a
     # 16M-op program + trace + its ~500 MB text twin would otherwise
@@ -164,7 +159,6 @@ def load(path):
 
 merged = {"generated_by": "tools/run_benches.sh", "mode": mode,
           "benchmarks": {}, "experiments": {}, "quotient_speedup": [],
-          "prepared_speedup": [], "worklist_speedup": [],
           "trace_speedup": [], "dataplane_speedup": [],
           "dataplane_memory": [], "cache_counters": {}}
 
@@ -229,21 +223,6 @@ def pair_rows(pairs, out, base_key, new_key):
             })
 
 pair_rows(PAIRS, merged["quotient_speedup"], "labeled", "quotient")
-
-# Six-independent-checkers baseline -> shared-preparation ModelSuite.
-PREPARED_PAIRS = [
-    ("BM_ClassifyAllSixLegacy", "BM_ClassifyAllSixPrepared"),
-]
-pair_rows(PREPARED_PAIRS, merged["prepared_speedup"], "legacy", "prepared")
-
-# Legacy Jacobi full-rescan schedule -> semi-naive worklist engine. The
-# worklist rows also carry the support/repair counters (see "counters"
-# on the BM_FixpointWorklist* benchmark entries above).
-WORKLIST_PAIRS = [
-    ("BM_FixpointJacobi", "BM_FixpointWorklist"),
-    ("BM_FixpointJacobiQuotient", "BM_FixpointWorklistQuotient"),
-]
-pair_rows(WORKLIST_PAIRS, merged["worklist_speedup"], "jacobi", "worklist")
 
 # Closure-based prepared LC check -> streaming oracle-backed checker,
 # per matching computation size (only the closure-feasible args pair
@@ -318,12 +297,6 @@ if mode == "nightly":
         tripwire_failed = bpn > ceiling
 for row in merged["quotient_speedup"]:
     print(f"  {row['labeled']:45s} -> {row['quotient']:50s} "
-          f"{row['speedup']:.2f}x")
-for row in merged["prepared_speedup"]:
-    print(f"  {row['legacy']:45s} -> {row['prepared']:50s} "
-          f"{row['speedup']:.2f}x")
-for row in merged["worklist_speedup"]:
-    print(f"  {row['jacobi']:45s} -> {row['worklist']:50s} "
           f"{row['speedup']:.2f}x")
 for row in merged["trace_speedup"]:
     print(f"  {row['closure']:45s} -> {row['streaming']:50s} "

@@ -166,15 +166,10 @@ int trace_demo(std::size_t n, const char* emit_prefix) {
   std::printf("streaming lint pipeline on the trace:\n");
   analyze::TraceLintOptions topt;
   if (c.node_count() > (std::size_t{1} << 23)) {
-    // The NN/NW/WN/WW mask sweeps cost O(n·writers/256) per location —
-    // hours at this scale. The postmortem story above ~8M nodes is the
-    // streaming LC kernel; the per-node lints would likewise drown the
-    // report in hundreds of thousands of dead-write notes.
-    topt.models = kSuiteLC;
+    // The per-node lints would drown the report in hundreds of
+    // thousands of dead-write notes at this scale.
     topt.analysis.lint = false;
-    std::printf(
-        "(scale demo: streaming LC only and skipping per-node lints — "
-        "the quadratic-ish mask-model sweeps stop at 8M nodes)\n");
+    std::printf("(scale demo: skipping per-node lints)\n");
   }
   arm_progress(topt, c.node_count());
   const analyze::TraceLintResult r =

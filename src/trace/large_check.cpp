@@ -16,6 +16,13 @@ LargeCheckReport large_check(const Computation& c, const ObserverFunction& phi,
   return CheckSession(&c, options).run_observer(phi);
 }
 
+const std::string& LargeCheckReport::violation_detail(
+    std::uint32_t bits) const {
+  for (const LocationCheck& lc : locations)
+    if ((lc.violated & bits) != 0 && !lc.detail.empty()) return lc.detail;
+  return detail;
+}
+
 std::string LargeCheckReport::to_string() const {
   std::string out;
   out += format("oracle: %s (%zu bytes, built in %.2f ms)\n",

@@ -38,10 +38,11 @@
 // run the same code. A trace location whose every read saw the latest
 // write in trace order is witnessed by that order and never reaches
 // the kernel: its row is the clean row, in O(events) for all such
-// locations together. large_check(c, Φ) runs the kernel on every
-// location, so it stays the independent reference for the stream
-// entries. Verdicts are pinned byte-identical to the prepared checkers
-// by tests/test_large_check.cpp.
+// locations together. large_check_trace is the only route from a trace
+// to a verdict (the lint pipeline and spec_check_trace call it).
+// large_check(c, Φ) runs the kernel on every location, so it stays the
+// independent reference for the stream entries. Verdicts are pinned
+// byte-identical to the prepared checkers by tests/test_large_check.cpp.
 #pragma once
 
 #include <functional>
@@ -127,6 +128,9 @@ struct LargeCheckReport {
   [[nodiscard]] bool in_model(std::uint32_t bit) const {
     return valid_observer && (checked & bit) != 0 && (satisfied & bit) != 0;
   }
+
+  /// The detail of the first location violating one of `bits`.
+  [[nodiscard]] const std::string& violation_detail(std::uint32_t bits) const;
 
   /// Multi-line human summary (overall verdicts + per-location table).
   [[nodiscard]] std::string to_string() const;

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/span_set.hpp"
 #include "util/str.hpp"
 
 namespace ccmm::analyze {
@@ -18,6 +17,9 @@ Diagnostic error_diag(const char* pass, std::string message) {
   return d;
 }
 
+/// States one spec model's order search may expand.
+constexpr std::size_t kSpecSearchBudget = 5'000'000;
+
 /// Trace-sharpened memory lints. The static pass (analyze/passes.cpp)
 /// reports reads of never-written locations and writes of never-read
 /// locations; with a trace in hand we can be sharper: a read that
@@ -26,7 +28,6 @@ Diagnostic error_diag(const char* pass, std::string message) {
 /// viewpoint contains was invisible in this execution even if the
 /// location is read elsewhere.
 void trace_lint_pass(const Computation& c, const Trace& trace,
-                     const ObserverFunction& phi,
                      std::vector<Diagnostic>& out) {
   std::unordered_set<Location> location_written;
   for (NodeId u = 0; u < c.node_count(); ++u) {
@@ -47,24 +48,24 @@ void trace_lint_pass(const Computation& c, const Trace& trace,
         e.node, e.op.loc);
     out.push_back(std::move(d));
   }
-  // A write is live in this execution iff some *other* node's viewpoint
-  // observed it (the trace observer is total, so viewpoints of non-read
-  // nodes count too — the weakest notion of "someone saw it"). The set
-  // of observed writes is a SpanSet: on a streaming trace most writes
-  // are visible somewhere, so the set sits at (or near) its all-full
-  // representation instead of an n-bit vector.
-  SpanSet observed(c.node_count());
-  const std::vector<Location>& locs = phi.stored_locations();
-  for (std::size_t i = 0; i < locs.size(); ++i) {
-    const std::vector<NodeId>& col = phi.stored_column(i);
-    for (NodeId u = 0; u < col.size(); ++u) {
-      if (col[u] != kBottom && col[u] != u) observed.set(col[u]);
-    }
+  // A write is live iff another node's viewpoint in the trace's
+  // completion holds it: a read records it (at any location), or a node
+  // that does not access its location arrives after it and before the
+  // location's next write; only the latest write can be waiting for one.
+  // The trace fits the computation, so every observation is ⊥ or a node.
+  std::vector<bool> seen(c.node_count(), false);
+  for (const TraceEvent& e : trace.events)
+    if (e.op.is_read() && e.observed != kBottom) seen[e.observed] = true;
+  NodeId waiting = kBottom;
+  for (const NodeId u : trace_order(trace)) {
+    const Op o = c.op(u);
+    if (waiting != kBottom && (o.is_nop() || o.loc != c.op(waiting).loc))
+      seen[waiting] = true;
+    if (o.is_write()) waiting = u;
   }
-  observed.normalize();
   for (NodeId u = 0; u < c.node_count(); ++u) {
     const Op o = c.op(u);
-    if (!o.is_write() || observed.test(u)) continue;
+    if (!o.is_write() || seen[u]) continue;
     Diagnostic d;
     d.severity = Severity::kInfo;
     d.pass = "trace-dead-write";
@@ -93,28 +94,19 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
   }
   result.trace_ok = true;
 
-  // Stream the trace's observer through large_check — no closure, ever.
-  // Compiled spec models piggyback on the same pass: spec_check unions
-  // their plans with the requested suite bits and finishes the scoped/
-  // global order axioms with the trace order as the witness hint.
-  const ObserverFunction phi = observer_from_trace(c, trace);
-  LargeCheckOptions lopt;
-  lopt.models = options.models;
-  lopt.oracle = options.analysis.scan.oracle;
-  lopt.pool = options.analysis.scan.pool;
-  lopt.parallel = options.analysis.scan.parallel;
-  lopt.progress = options.progress;
-  if (options.spec_models.empty()) {
-    result.report = large_check(c, phi, lopt);
-  } else {
-    SpecCheckOptions sopt;
-    sopt.large = lopt;
-    sopt.search_budget = options.spec_search_budget;
-    sopt.hint_order = trace_order(trace);
-    SpecCheckReport sr = spec_check(c, phi, options.spec_models, sopt);
-    result.report = std::move(sr.base);
-    result.spec_verdicts = std::move(sr.models);
-  }
+  // One call decides everything: the session streams the trace for the
+  // suite bits and every spec model's masks, and only a scoped/global
+  // order axiom builds the completion Φ, trying the trace order first.
+  SpecCheckOptions sopt;
+  sopt.large.models = options.models;
+  sopt.large.oracle = options.analysis.scan.oracle;
+  sopt.large.pool = options.analysis.scan.pool;
+  sopt.large.parallel = options.analysis.scan.parallel;
+  sopt.large.progress = options.progress;
+  sopt.search_budget = kSpecSearchBudget;
+  SpecCheckReport sr = spec_check_trace(c, trace, options.spec_models, sopt);
+  result.report = std::move(sr.base);
+  result.spec_verdicts = std::move(sr.models);
   const LargeCheckReport& report = *result.report;
   if (!report.valid_observer) {
     result.diagnostics.push_back(error_diag(
@@ -130,9 +122,8 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
       Diagnostic d;
       d.severity = Severity::kWarning;
       d.pass = "model";
-      d.message =
-          format("execution is not %s: %s", suite_bit_name(bit),
-                 report.detail.c_str());
+      d.message = format("execution is not %s: %s", suite_bit_name(bit),
+                         report.violation_detail(bit).c_str());
       result.diagnostics.push_back(std::move(d));
     }
     for (const SpecModelVerdict& v : result.spec_verdicts) {
@@ -161,7 +152,7 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
       analyze_computation(c, aopt, &result.stats);
   for (Diagnostic& d : analysis) result.diagnostics.push_back(std::move(d));
 
-  if (options.analysis.lint) trace_lint_pass(c, trace, phi, result.diagnostics);
+  if (options.analysis.lint) trace_lint_pass(c, trace, result.diagnostics);
 
   // Race-free ⇒ the paper's agreement theorem applies: certify it.
   if (options.certify && result.stats.races == 0 && !result.stats.scan.truncated) {
@@ -180,13 +171,7 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
 std::string TraceLintResult::to_string() const {
   std::string out;
   if (report.has_value()) out += report->to_string();
-  for (const SpecModelVerdict& v : spec_verdicts) {
-    out += format("  %-12s %s", v.name.c_str(),
-                  !v.decided ? "undecided" : (v.member ? "yes" : "no"));
-    if (!v.detail.empty() && !(v.decided && v.member))
-      out += "  (" + v.detail + ")";
-    out += '\n';
-  }
+  for (const SpecModelVerdict& v : spec_verdicts) out += v.to_string();
   out += stats.to_string();
   out += render_report(diagnostics);
   if (certificate.has_value())

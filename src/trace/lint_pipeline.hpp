@@ -10,16 +10,19 @@
 //    a model-split classification where the witness is small enough;
 //  * trace-sharpened memory lints: reads that observed ⊥ in THIS
 //    execution and writes no other node observed in THIS execution —
-//    strictly sharper than the static may-analysis lints;
-//  * the streaming model verdicts (trace/large_check.hpp) for the
-//    trace's induced observer, surfaced as diagnostics when a model is
-//    violated;
+//    strictly sharper than the static may-analysis lints, and computed
+//    from the trace's arrival order in O(events);
+//  * the model verdicts of the trace's completion from ONE
+//    spec_check_trace call: the session's stream decides the suite bits
+//    and every spec model's masks, and only a scoped/global order axiom
+//    builds a dense Φ. Each violated model becomes a diagnostic citing
+//    the first location that violates it;
 //  * when the scan proves race-freedom, the DRF ⇒ agreement
 //    certificate (analyze/certificate.hpp).
 //
-// Lives in the trace library (it composes large_check with the analyze
-// passes; ccmm_trace already links ccmm_analyze) but reports in the
-// analyze namespace — the diagnostics currency is the same.
+// Lives in the trace library (it composes the trace checks with the
+// analyze passes; ccmm_trace already links ccmm_analyze) but reports in
+// the analyze namespace — the diagnostics currency is the same.
 #pragma once
 
 #include <optional>
@@ -48,14 +51,13 @@ struct TraceLintOptions {
   std::uint32_t models = kLargeCheckAll;
   /// Compiled spec models (models/compile.hpp) decided alongside the
   /// suite bits. They share ONE streaming pass with `models` (the spec
-  /// plans and the suite mask are unioned), the trace's execution order
-  /// is used as the serialization witness hint, and each verdict is
-  /// surfaced as a diagnostic when the model is violated or undecided.
-  /// The same models also join the race classifier's split
-  /// (AnomalyOptions::extra_models is populated from here).
+  /// plans and the suite mask are unioned), an order axiom tries the
+  /// trace's execution order before a search of at most 5,000,000
+  /// states, and each verdict is surfaced as a diagnostic when the
+  /// model is violated or undecided. The same models also join the race
+  /// classifier's split (AnomalyOptions::extra_models is populated from
+  /// here).
   std::vector<std::shared_ptr<const CompiledModel>> spec_models;
-  /// Budget per scoped/global serialization search a spec model needs.
-  std::size_t spec_search_budget = 5'000'000;
   /// Forwarded to LargeCheckOptions::progress: called after each
   /// consumed chunk with (positions consumed, total nodes). The CLI
   /// wires its live progress line through this on multi-million-node
@@ -75,7 +77,7 @@ struct TraceLintResult {
   bool trace_ok = false;
   std::vector<Diagnostic> diagnostics;
   AnalyzeStats stats;
-  /// The streaming model verdicts for the trace's observer.
+  /// The streaming model verdicts for the trace's completion.
   std::optional<LargeCheckReport> report;
   /// Per-spec-model verdicts (parallel to options.spec_models).
   std::vector<SpecModelVerdict> spec_verdicts;

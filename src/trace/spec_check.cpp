@@ -1,6 +1,7 @@
 #include "trace/spec_check.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "trace/trace.hpp"
@@ -25,66 +26,58 @@ std::string scope_to_string(const ScopeSpec& scope) {
 /// kYes/kNo, or kExhausted when the search ran out of budget.
 SearchStatus decide_order(const Computation& c, const ObserverFunction& phi,
                           const std::vector<Location>& locs,
-                          const SpecCheckOptions& options) {
-  if (!options.hint_order.empty() &&
-      order_explains(c, phi, locs, options.hint_order))
+                          const std::vector<NodeId>& hint,
+                          std::size_t budget) {
+  if (!hint.empty() && order_explains(c, phi, locs, hint))
     return SearchStatus::kYes;
   ScOptions sc_opt;
-  sc_opt.budget = options.search_budget;
+  sc_opt.budget = budget;
   return serialization_check(c, phi, locs, sc_opt).status;
 }
 
-}  // namespace
-
-bool SpecCheckReport::all_members() const {
-  return std::all_of(models.begin(), models.end(),
-                     [](const SpecModelVerdict& v) {
-                       return v.decided && v.member;
-                     });
-}
-
-std::string SpecCheckReport::to_string() const {
-  std::string out = format("spec_check: %zu model(s)\n", models.size());
-  for (const SpecModelVerdict& v : models) {
-    out += format("  %-12s %s", v.name.c_str(),
-                  !v.decided ? "undecided" : (v.member ? "yes" : "no"));
-    if (!v.detail.empty()) {
-      out += "  (";
-      out += v.detail;
-      out += ")";
-    }
-    out += '\n';
-  }
-  out += base.to_string();
-  return out;
-}
-
-SpecCheckReport spec_check(
-    const Computation& c, const ObserverFunction& phi,
+/// The verdict loop of both entries; exactly one of `phi`, `trace` is set.
+SpecCheckReport check_models(
+    const Computation& c, const ObserverFunction* phi, const Trace* trace,
     const std::vector<std::shared_ptr<const CompiledModel>>& models,
     const SpecCheckOptions& options) {
   SpecCheckReport report;
 
   // One shared streaming run covers the mask-decidable part of every
   // streamable plan.
-  std::vector<CompiledModel::StreamingPlan> plans;
-  plans.reserve(models.size());
-  std::uint32_t mask = 0;
-  for (const auto& m : models) {
-    plans.push_back(m->streaming_plan());
-    if (plans.back().streamable) mask |= plans.back().mask;
-  }
   LargeCheckOptions large = options.large;
-  large.models = mask | (options.large.models & kLargeCheckExt);
-  report.base = large_check(c, phi, large);
+  large.models &= kLargeCheckExt;
+  for (const auto& m : models) {
+    const CompiledModel::StreamingPlan plan = m->streaming_plan();
+    if (plan.streamable) large.models |= plan.mask;
+  }
+  report.base = trace != nullptr ? large_check_trace(c, *trace, large)
+                                 : large_check(c, *phi, large);
+  // A rejected stream reports no rows; a fitting trace whose observer is
+  // invalid has an invalid row.
+  const bool fits = trace == nullptr || report.base.valid_observer ||
+                    !report.base.locations.empty();
+
+  // The order axioms search Φ, or the trace's completion, built on first
+  // use; the trace order, tried first, explains every column of a
+  // scope-consistent serial execution, so those never backtrack.
+  std::optional<ObserverFunction> completion;
+  std::vector<NodeId> hint;
+  const auto searched = [&]() -> const ObserverFunction& {
+    if (trace == nullptr) return *phi;
+    if (!completion.has_value()) {
+      completion = observer_from_trace(c, *trace);
+      hint = trace_order(*trace);
+    }
+    return *completion;
+  };
 
   report.models.reserve(models.size());
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    const CompiledModel& m = *models[i];
-    const CompiledModel::StreamingPlan& plan = plans[i];
+  for (const auto& model : models) {
+    const CompiledModel& m = *model;
+    const CompiledModel::StreamingPlan plan = m.streaming_plan();
     SpecModelVerdict v;
     v.name = m.name();
-    if (!plan.streamable) {
+    if (!plan.streamable && fits) {
       v.detail =
           "no streaming lowering: a w-constrained cube axiom needs the "
           "cubic closure scan";
@@ -93,21 +86,16 @@ SpecCheckReport spec_check(
     }
     v.decided = true;
     if (!report.base.valid_observer) {
-      // Every model rejects an invalid observer (Definition 2).
+      // Every model rejects an invalid observer (Definition 2), and a
+      // trace that does not fit the computation.
       v.detail = report.base.detail;
       report.models.push_back(std::move(v));
       continue;
     }
     if ((report.base.satisfied & plan.mask) != plan.mask) {
       // Carry the first per-location witness for a bit this model needs.
-      const std::uint32_t missing = plan.mask & ~report.base.satisfied;
-      for (const LocationCheck& lc : report.base.locations) {
-        if ((lc.violated & missing) != 0) {
-          v.detail = lc.detail;
-          break;
-        }
-      }
-      if (v.detail.empty()) v.detail = report.base.detail;
+      v.detail =
+          report.base.violation_detail(plan.mask & ~report.base.satisfied);
       report.models.push_back(std::move(v));
       continue;
     }
@@ -118,7 +106,8 @@ SpecCheckReport spec_check(
     bool member = true;
     if (plan.scoped) {
       for (const ScopeSpec& scope : m.spec().scopes) {
-        const SearchStatus st = decide_order(c, phi, scope.locations, options);
+        const SearchStatus st = decide_order(c, searched(), scope.locations,
+                                             hint, options.search_budget);
         if (st == SearchStatus::kYes) continue;
         if (st == SearchStatus::kNo) {
           member = false;
@@ -134,8 +123,9 @@ SpecCheckReport spec_check(
       }
     }
     if (member && v.decided && plan.global) {
-      const SearchStatus st =
-          decide_order(c, phi, phi.active_locations(), options);
+      const ObserverFunction& p = searched();
+      const SearchStatus st = decide_order(c, p, p.active_locations(), hint,
+                                           options.search_budget);
       if (st == SearchStatus::kNo) {
         member = false;
         v.detail = "no global serialization explains the observer";
@@ -150,32 +140,40 @@ SpecCheckReport spec_check(
   return report;
 }
 
+}  // namespace
+
+bool SpecCheckReport::all_members() const {
+  return std::all_of(models.begin(), models.end(),
+                     [](const SpecModelVerdict& v) {
+                       return v.decided && v.member;
+                     });
+}
+
+std::string SpecModelVerdict::to_string() const {
+  std::string out = format("  %-12s %s", name.c_str(),
+                           !decided ? "undecided" : (member ? "yes" : "no"));
+  if (!detail.empty()) out += "  (" + detail + ")";
+  return out + '\n';
+}
+
+std::string SpecCheckReport::to_string() const {
+  std::string out = format("spec_check: %zu model(s)\n", models.size());
+  for (const SpecModelVerdict& v : models) out += v.to_string();
+  return out + base.to_string();
+}
+
+SpecCheckReport spec_check(
+    const Computation& c, const ObserverFunction& phi,
+    const std::vector<std::shared_ptr<const CompiledModel>>& models,
+    const SpecCheckOptions& options) {
+  return check_models(c, &phi, nullptr, models, options);
+}
+
 SpecCheckReport spec_check_trace(
     const Computation& c, const Trace& trace,
     const std::vector<std::shared_ptr<const CompiledModel>>& models,
     const SpecCheckOptions& options) {
-  std::string why;
-  if (!trace_consistent_with(trace, c, &why)) {
-    SpecCheckReport report;
-    report.base.detail = "trace does not fit the computation: " + why;
-    report.models.reserve(models.size());
-    for (const auto& m : models) {
-      SpecModelVerdict v;
-      v.name = m->name();
-      v.decided = true;
-      v.detail = report.base.detail;
-      report.models.push_back(std::move(v));
-    }
-    return report;
-  }
-  const ObserverFunction phi = observer_from_trace(c, trace);
-  SpecCheckOptions opt = options;
-  // The execution order explains every column of a scope-consistent
-  // serial execution (ScMemory reads the last write in trace order), so
-  // the scoped/global obligations usually verify in O(n + m) and never
-  // backtrack.
-  if (opt.hint_order.empty()) opt.hint_order = trace_order(trace);
-  return spec_check(c, phi, models, opt);
+  return check_models(c, nullptr, &trace, models, options);
 }
 
 }  // namespace ccmm

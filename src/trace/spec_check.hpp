@@ -3,13 +3,13 @@
 // Streaming membership for *compiled model specs* (models/compile.hpp):
 // the bridge between the model compiler and the large_check data plane.
 // Each spec's StreamingPlan names the suite bits (LC, the four named
-// corners, freshness) its mask-decidable part needs; spec_check unions
-// the plans of every requested model into ONE large_check run — the
+// corners, freshness) its mask-decidable part needs; both entries union
+// the plans of every requested model into ONE streaming run — the
 // closure-free validity/LC/sweep/shadow passes execute once, however
-// many models are being decided — and then finishes the order axioms
-// the masks cannot express:
+// many models are being decided — and one verdict loop then finishes
+// the order axioms the masks cannot express:
 //
-//  * scoped order: one serialization witness per scope. A trace's
+//  * scoped order: one serialization witness per scope. On a trace the
 //    execution order is tried first (order_explains, O(n+m) per scope —
 //    a scope-consistent serial execution is always explained by its own
 //    order), falling back to the budgeted backtracking search;
@@ -40,9 +40,6 @@ struct SpecCheckOptions {
   /// Budget (states expanded) for each scoped/global serialization
   /// search that the mask verdicts leave undecided.
   std::size_t search_budget = SIZE_MAX;
-  /// Optional witness hint: a topological order (typically the trace's
-  /// execution order) tried with order_explains before any search runs.
-  std::vector<NodeId> hint_order;
 };
 
 /// Verdict for one requested model.
@@ -50,7 +47,10 @@ struct SpecModelVerdict {
   std::string name;
   bool decided = false;  // false: not streamable / budget exhausted
   bool member = false;   // meaningful only when decided
-  std::string detail;    // first violation, or why undecided
+  std::string detail;    // first violation or why undecided; "" if member
+
+  /// One "  NAME  yes|no|undecided  (detail)" line.
+  [[nodiscard]] std::string to_string() const;
 };
 
 struct SpecCheckReport {
@@ -71,10 +71,10 @@ struct SpecCheckReport {
     const std::vector<std::shared_ptr<const CompiledModel>>& models,
     const SpecCheckOptions& options = {});
 
-/// Trace entry point: sanity-check the trace, build its total observer
-/// (observer_from_trace), and run spec_check with the trace's execution
-/// order as the witness hint — for scope-consistent serial executions
-/// the scoped searches then never backtrack.
+/// Trace entry point: the shared run is large_check_trace, and the
+/// trace's completion (observer_from_trace) is built only when an order
+/// axiom needs a search, with the trace's execution order tried first.
+/// A trace that does not fit the computation rejects every model.
 [[nodiscard]] SpecCheckReport spec_check_trace(
     const Computation& c, const Trace& trace,
     const std::vector<std::shared_ptr<const CompiledModel>>& models,

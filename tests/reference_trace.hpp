@@ -1,8 +1,10 @@
 // Definitional references for the trace-level checks: the standalone
 // loops trace_consistent_with and observer_from_trace were before both
-// were rebuilt on the checking engine's validator and column fill.
-// They stay here, slow and obviously correct, for the differentials in
-// test_trace.cpp and test_serve.cpp.
+// were rebuilt on the checking engine's validator and column fill, and
+// the dead-write lint's reading of the completion's dense columns
+// before it moved to the arrival order. They stay here, slow and
+// obviously correct, for the differentials in test_trace.cpp,
+// test_serve.cpp and test_lint_pipeline.cpp.
 //
 // Two deliberate departures from those loops, which are the engine's
 // rules: the execution order is STABLE in seq (ties keep array order),
@@ -118,6 +120,23 @@ inline ObserverFunction reference_observer_from_trace(const Computation& c,
   for (NodeId u = 0; u < n; ++u)
     if (c.op(u).is_write()) phi.set(c.op(u).loc, u, u);
   return phi;
+}
+
+/// The writes the trace lint calls dead: no entry of another node in
+/// any column of the trace's completion holds them. Ascending.
+inline std::vector<NodeId> reference_dead_writes(const Computation& c,
+                                                 const Trace& trace) {
+  const ObserverFunction phi = reference_observer_from_trace(c, trace);
+  std::vector<bool> seen(c.node_count(), false);
+  for (std::size_t i = 0; i < phi.stored_locations().size(); ++i) {
+    const std::vector<NodeId>& col = phi.stored_column(i);
+    for (NodeId u = 0; u < col.size(); ++u)
+      if (col[u] != kBottom && col[u] != u) seen[col[u]] = true;
+  }
+  std::vector<NodeId> dead;
+  for (NodeId u = 0; u < c.node_count(); ++u)
+    if (c.op(u).is_write() && !seen[u]) dead.push_back(u);
+  return dead;
 }
 
 /// The written locations where some read did not observe the last

@@ -224,6 +224,45 @@ TEST(LintPipeline, ObservationOfUnknownNodeRejected) {
       << r.diagnostics[0].message;
 }
 
+TEST(LintPipeline, ModelDiagnosticsCiteALocationViolatingTheirModel) {
+  // Location 0 is W -> R with the read recording ⊥: it violates LC, NN
+  // and NW only. Location 1 is W -> W -> R with a stale read: it
+  // violates all five. The WN and WW diagnostics must cite location 1,
+  // not location 0's LC witness.
+  ComputationBuilder b;
+  const NodeId w0 = b.write(0);
+  b.read(0, {w0});
+  const NodeId w1 = b.write(1);
+  const NodeId w2 = b.write(1, {w1});
+  b.read(1, {w2});
+  const Computation c = std::move(b).build();
+  Trace trace;
+  for (NodeId u = 0; u < c.node_count(); ++u)
+    trace.events.push_back({u, u, 0, u, c.op(u), kBottom});
+  trace.events[4].observed = w1;
+
+  analyze::TraceLintOptions opt;
+  opt.certify = false;
+  const analyze::TraceLintResult r = analyze::analyze_trace(c, trace, opt);
+  ASSERT_TRUE(r.trace_ok);
+  ASSERT_TRUE(r.report.has_value());
+  ASSERT_EQ(r.report->locations.size(), 2u);
+  EXPECT_EQ(r.report->locations[0].violated, kSuiteLC | kSuiteNN | kSuiteNW);
+  EXPECT_EQ(r.report->locations[1].violated, kLargeCheckAll);
+  std::vector<std::string> model_diags;
+  for (const analyze::Diagnostic& d : r.diagnostics)
+    if (d.pass == "model") model_diags.push_back(d.message);
+  const std::string& at0 = r.report->locations[0].detail;
+  const std::string& at1 = r.report->locations[1].detail;
+  ASSERT_NE(at0, at1);
+  EXPECT_EQ(model_diags,
+            (std::vector<std::string>{"execution is not LC: " + at0,
+                                      "execution is not NN: " + at0,
+                                      "execution is not NW: " + at0,
+                                      "execution is not WN: " + at1,
+                                      "execution is not WW: " + at1}));
+}
+
 TEST(LintPipeline, TraceSharpenedLintsFire) {
   // x is written only on one branch; the other branch's read observes ⊥
   // in the serial execution even though the location has a writer. The

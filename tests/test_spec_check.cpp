@@ -180,7 +180,13 @@ TEST(SpecCheck, TraceEntryAgreesWithObserverEntry) {
 }
 
 TEST(SpecCheck, MisfitTraceRejectsEveryModelWithDiagnosis) {
-  const auto models = pack_models();
+  // An unstreamable model is rejected too: a trace that does not fit
+  // the computation is in no model.
+  auto models = pack_models();
+  ModelSpec cube;
+  cube.name = "CUBE";
+  cube.axioms = {CubeSpec{false, false, true}};
+  models.push_back(compile_model(cube));
   const Computation c = workload::contended_counter(5);
   ScMemory mem;
   ExecutionResult run = run_serial(c, mem);

@@ -41,7 +41,7 @@ Instance make_instance(std::size_t nodes, Shape shape) {
       // write precedes the read), but some writer now sits strictly
       // between observed write and reader, which every Q-dag model
       // down to WW rejects.
-      for (NodeId u = c.node_count(); u-- > 0;) {
+      for (auto u = static_cast<NodeId>(c.node_count()); u-- > 0;) {
         const Op o = c.op(u);
         if (!o.is_read()) continue;
         const Location l = o.loc;

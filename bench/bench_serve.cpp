@@ -43,8 +43,10 @@ ServeInstance make_serve_instance(std::size_t n, std::size_t nlocations = 16,
                                   bool backer = false) {
   ServeInstance in;
   in.c = bench::cilk_program(n, nlocations, n * 13 + 5);
-  in.recs = bench::records_of(backer ? bench::backer_trace(in.c)
-                                     : bench::serial_sc_trace(in.c));
+  // Both traces are in seq order, as the wire wants.
+  in.recs = (backer ? bench::backer_trace(in.c)
+                    : bench::serial_sc_trace(in.c))
+                .events;
   return in;
 }
 

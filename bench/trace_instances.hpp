@@ -4,7 +4,6 @@
 // reads go stale at (nearly) every location.
 #pragma once
 
-#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -13,7 +12,6 @@
 #include "exec/schedule.hpp"
 #include "exec/sim_machine.hpp"
 #include "proc/random_program.hpp"
-#include "trace/trace_binary.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm::bench {
@@ -48,7 +46,7 @@ inline Trace serial_sc_trace(const Computation& c) {
     } else if (o.is_write()) {
       last[o.loc] = e.node;
     }
-    t.events.push_back({seq++, e.start, e.proc, e.node, o, observed});
+    t.events.push_back({seq++, e.start, e.proc, e.node, observed});
   }
   return t;
 }
@@ -56,16 +54,7 @@ inline Trace serial_sc_trace(const Computation& c) {
 /// Whether `t` records exactly what run_serial(c, ScMemory) records.
 inline bool matches_run_serial(const Computation& c, const Trace& t) {
   ScMemory mem;
-  const Trace want = run_serial(c, mem).trace;
-  if (want.events.size() != t.events.size()) return false;
-  for (std::size_t i = 0; i < t.events.size(); ++i) {
-    const TraceEvent& a = t.events[i];
-    const TraceEvent& b = want.events[i];
-    if (a.seq != b.seq || a.time != b.time || a.proc != b.proc ||
-        a.node != b.node || !(a.op == b.op) || a.observed != b.observed)
-      return false;
-  }
-  return true;
+  return run_serial(c, mem).trace.events == t.events;
 }
 
 /// `c` run on 4 BACKER processors under the greedy schedule: reads go
@@ -73,21 +62,6 @@ inline bool matches_run_serial(const Computation& c, const Trace& t) {
 inline Trace backer_trace(const Computation& c) {
   BackerMemory mem;
   return run_execution(c, greedy_schedule(c, 4), mem).trace;
-}
-
-/// The binary records of a trace in execution order — what a serve
-/// client puts on the wire.
-inline std::vector<BinaryTraceEvent> records_of(const Trace& trace) {
-  std::vector<BinaryTraceEvent> recs(trace.events.size());
-  for (std::size_t i = 0; i < trace.events.size(); ++i) {
-    const TraceEvent& e = trace.events[i];
-    recs[i] = BinaryTraceEvent{e.seq, e.time, e.proc, e.node, e.observed, 0};
-  }
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
-                     return a.seq < b.seq;
-                   });
-  return recs;
 }
 
 }  // namespace ccmm::bench

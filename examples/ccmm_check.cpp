@@ -103,7 +103,8 @@ void arm_progress(analyze::TraceLintOptions& topt, std::size_t n) {
 int trace_report(const Computation& c, const char* trace_path,
                  std::vector<std::shared_ptr<const CompiledModel>> models) {
   // load_trace sniffs the magic: binary traces are mmapped and decoded
-  // zero-copy, text traces go through the line parser.
+  // into the trace's record array, text traces go through the line
+  // parser.
   Trace trace;
   try {
     trace = load_trace(trace_path, c);

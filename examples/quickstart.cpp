@@ -65,7 +65,7 @@ int main() {
   BackerMemory memory;
   const Schedule schedule = work_stealing_schedule(c, 2, rng);
   const ExecutionResult run = run_execution(c, schedule, memory);
-  std::printf("\nexecution trace:\n%s", trace_to_string(run.trace).c_str());
+  std::printf("\nexecution trace:\n%s", trace_to_string(run.trace, c).c_str());
   const auto report = verify_execution(
       c, run.phi, *LocationConsistencyModel::instance());
   std::printf("post-mortem: %s\n", report.detail.c_str());

@@ -42,7 +42,7 @@ ExecutionResult run_execution(const Computation& c, const Schedule& schedule,
       if (v != kBottom) result.phi.set(l, u, v);
     }
 
-    result.trace.events.push_back({seq++, e.start, p, u, o, observed});
+    result.trace.events.push_back({seq++, e.start, p, u, observed});
   }
   result.memory_stats = memory.stats();
   return result;

@@ -6,6 +6,12 @@
 // paper's processor-centric world (processors acting on memory) and its
 // computation-centric theory (the observer function we hand to the model
 // checkers).
+//
+// A trace is a vector of 32-byte records, the same record the binary
+// trace file, the serve wire and snapshots carry (trace/trace_binary.hpp
+// pins its byte layout and holds its only codec). A record names its
+// node but not the node's op: that is c.op(node) in the computation the
+// trace belongs to, so no record can disagree with its label.
 #pragma once
 
 #include "core/observer.hpp"
@@ -14,17 +20,21 @@
 
 namespace ccmm {
 
-struct TraceEvent {
-  std::uint64_t seq;   // global execution order
-  std::uint64_t time;  // schedule start time
-  ProcId proc;
-  NodeId node;
-  Op op;
-  NodeId observed;  // for reads: the write observed; else kBottom
+/// One executed node.
+struct BinaryTraceEvent {
+  std::uint64_t seq = 0;   // global execution order
+  std::uint64_t time = 0;  // schedule start time
+  ProcId proc = 0;
+  NodeId node = 0;
+  NodeId observed = kBottom;  // for reads: the write observed; else kBottom
+  std::uint32_t reserved = 0;  // must be 0
+
+  friend bool operator==(const BinaryTraceEvent&,
+                         const BinaryTraceEvent&) = default;
 };
 
 struct Trace {
-  std::vector<TraceEvent> events;
+  std::vector<BinaryTraceEvent> events;
 };
 
 struct ExecutionResult {

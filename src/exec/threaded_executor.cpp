@@ -86,7 +86,7 @@ ExecutionResult run_threaded(const Computation& c, std::size_t nthreads,
         if (v != kBottom) result.phi.set(l, u, v);
       }
       const std::uint64_t s = seq.fetch_add(1, std::memory_order_relaxed);
-      result.trace.events.push_back({s, s, p, u, o, observed});
+      result.trace.events.push_back({s, s, p, u, observed});
     }
     // Release children outside the memory lock.
     for (const NodeId v : c.dag().succ(u)) {

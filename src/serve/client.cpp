@@ -107,30 +107,14 @@ void ServeClient::maybe_flush() {
 void ServeClient::flush() {
   if (buf_.empty()) return;
   // The wire format IS the record layout on little-endian hosts; on
-  // big-endian, serialize field by field.
+  // big-endian, encode it.
+  const std::size_t bytes = buf_.size() * kTraceBinaryEventBytes;
   if constexpr (std::endian::native == std::endian::little) {
-    send(FrameType::kEvents, 0, buf_.data(),
-         buf_.size() * kTraceBinaryEventBytes);
+    send(FrameType::kEvents, 0, buf_.data(), bytes);
   } else {
-    std::string payload;
-    payload.reserve(buf_.size() * kTraceBinaryEventBytes);
-    const auto put32 = [&payload](std::uint32_t v) {
-      for (int i = 0; i < 4; ++i)
-        payload.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    };
-    const auto put64 = [&payload](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i)
-        payload.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    };
-    for (const BinaryTraceEvent& e : buf_) {
-      put64(e.seq);
-      put64(e.time);
-      put32(e.proc);
-      put32(e.node);
-      put32(e.observed);
-      put32(e.reserved);
-    }
-    send(FrameType::kEvents, 0, payload.data(), payload.size());
+    std::vector<unsigned char> payload(bytes);
+    encode_trace_records(buf_.data(), buf_.size(), payload.data());
+    send(FrameType::kEvents, 0, payload.data(), bytes);
   }
   buf_.clear();
   buffered_since_ms_ = -1.0;

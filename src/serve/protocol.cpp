@@ -324,14 +324,10 @@ std::string encode_snapshot(const CheckSession& session) {
   put_str(out, io::write_computation(session.computation()));
   const std::vector<BinaryTraceEvent>& evs = session.retained_events();
   put_u64(out, evs.size());
-  for (const BinaryTraceEvent& e : evs) {
-    put_u64(out, e.seq);
-    put_u64(out, e.time);
-    put_u32(out, e.proc);
-    put_u32(out, e.node);
-    put_u32(out, e.observed);
-    put_u32(out, e.reserved);
-  }
+  const std::size_t at = out.size();
+  out.resize(at + evs.size() * kTraceBinaryEventBytes);
+  encode_trace_records(evs.data(), evs.size(),
+                       reinterpret_cast<unsigned char*>(out.data() + at));
   return out;
 }
 
@@ -347,23 +343,14 @@ SnapshotImage decode_snapshot(const unsigned char* p, std::size_t size) {
   img.options.retain_events = true;
   img.computation_text = r.str();
   const std::uint64_t k = r.u64();
-  // Every event is exactly 8+8+4+4+4+4 = 32 wire bytes.
-  if (k > r.remaining() / 32)
+  if (k > r.remaining() / kTraceBinaryEventBytes)
     throw ProtocolError(
         format("snapshot claims %llu events but only %zu payload bytes "
                "remain",
                static_cast<unsigned long long>(k), r.remaining()));
-  img.events.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t i = 0; i < k; ++i) {
-    BinaryTraceEvent e;
-    e.seq = r.u64();
-    e.time = r.u64();
-    e.proc = r.u32();
-    e.node = r.u32();
-    e.observed = r.u32();
-    e.reserved = r.u32();
-    img.events.push_back(e);
-  }
+  img.events.resize(static_cast<std::size_t>(k));
+  decode_trace_records(r.take(k * kTraceBinaryEventBytes), img.events.size(),
+                       img.events.data());
   r.expect_end();
   return img;
 }

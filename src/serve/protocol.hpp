@@ -1,11 +1,13 @@
 // ccmm/serve/protocol.hpp
 //
 // The ccmm_serve wire protocol: length-prefixed binary frames carrying
-// trace event batches in, verdicts and reports out. Events reuse the
-// 32-byte record layout of the binary trace format (trace_binary.hpp)
-// verbatim — a client that can write a .tbin file can stream, and on
-// little-endian hosts the server ingests a kEvents payload zero-copy
-// as a `const BinaryTraceEvent*` window.
+// trace event batches in, verdicts and reports out. A kEvents payload
+// is an array of the 32-byte records a .tbin file and an in-memory
+// Trace hold (BinaryTraceEvent, laid out in trace_binary.hpp) — a
+// client that can write a .tbin file can stream. On little-endian
+// hosts the payload is the record array's bytes as they are; elsewhere
+// both ends go through trace_binary.hpp's record codec, as snapshots
+// do everywhere.
 //
 // Frame layout (little-endian):
 //

@@ -23,42 +23,6 @@ namespace ccmm::serve {
 
 namespace {
 
-/// Wire payload → host records. Little-endian hosts take the zero-copy
-/// memcpy (the payload IS an array of records); big-endian assembles
-/// field by field.
-std::vector<BinaryTraceEvent> records_of(const unsigned char* p,
-                                         std::size_t bytes) {
-  std::vector<BinaryTraceEvent> v(bytes / kTraceBinaryEventBytes);
-  if constexpr (std::endian::native == std::endian::little) {
-    if (bytes != 0) std::memcpy(v.data(), p, bytes);
-  } else {
-    const auto u32 = [](const unsigned char* b) {
-      std::uint32_t x = 0;
-      for (int i = 0; i < 4; ++i) x |= std::uint32_t{b[i]} << (8 * i);
-      return x;
-    };
-    const auto u64 = [](const unsigned char* b) {
-      std::uint64_t x = 0;
-      for (int i = 0; i < 8; ++i) x |= std::uint64_t{b[i]} << (8 * i);
-      return x;
-    };
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const unsigned char* r = p + i * kTraceBinaryEventBytes;
-      v[i].seq = u64(r);
-      v[i].time = u64(r + 8);
-      v[i].proc = u32(r + 16);
-      v[i].node = u32(r + 20);
-      v[i].observed = u32(r + 24);
-      v[i].reserved = u32(r + 28);
-    }
-  }
-  return v;
-}
-
-}  // namespace
-
-namespace {
-
 struct Conn;
 
 /// One checking session. Lives in the registry until kClose; survives
@@ -407,7 +371,14 @@ struct Server::Impl {
         t.sess = c->sess;
         t.conn = c;
         t.flags = h.flags;
-        t.events = records_of(p, size);
+        // The payload is an array of records: little-endian hosts copy
+        // it as is.
+        t.events.resize(size / kTraceBinaryEventBytes);
+        if constexpr (std::endian::native == std::endian::little) {
+          if (size != 0) std::memcpy(t.events.data(), p, size);
+        } else {
+          decode_trace_records(p, t.events.size(), t.events.data());
+        }
         stats.batches.fetch_add(1, std::memory_order_relaxed);
         c->sess->inflight.fetch_add(1);
         submit(sh, std::move(t));

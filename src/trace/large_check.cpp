@@ -89,27 +89,23 @@ ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
   std::vector<NodeId> last(locs.size(), kBottom);
 
   ObserverFunction phi(n);
-  const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
-  std::vector<BinaryTraceEvent> chunk;
-  for (std::size_t k = 0; k < trace.events.size();) {
-    chunk.clear();
-    for (; k < trace.events.size() && chunk.size() < detail::kChunkNodes; ++k)
-      chunk.push_back(
-          detail::record_of(trace.events[order.empty() ? k : order[k]]));
-    for (std::size_t li = 0; li < locs.size(); ++li)
-      detail::fill_column(index.data(), static_cast<std::uint32_t>(li),
-                          chunk.data(), chunk.size(), n, cols[li].data(),
-                          last[li]);
-    // Recorded observations at never-written locations still land in Φ
-    // (they must fail 2.1 later, so they cannot be dropped here).
-    for (const BinaryTraceEvent& e : chunk) {
-      if (e.node >= n || index[e.node] != detail::kNoWrittenLoc ||
-          e.observed == kBottom || e.observed >= n)
-        continue;
-      const Op o = c.op(e.node);
-      if (o.is_read()) phi.set(o.loc, e.node, e.observed);
-    }
-  }
+  detail::for_each_seq_span(
+      trace, [&](const BinaryTraceEvent* events, std::size_t count) {
+        for (std::size_t li = 0; li < locs.size(); ++li)
+          detail::fill_column(index.data(), static_cast<std::uint32_t>(li),
+                              events, count, n, cols[li].data(), last[li]);
+        // Recorded observations at never-written locations still land in
+        // Φ (they must fail 2.1 later, so they cannot be dropped here).
+        for (std::size_t i = 0; i < count; ++i) {
+          const BinaryTraceEvent& e = events[i];
+          if (e.node >= n || index[e.node] != detail::kNoWrittenLoc ||
+              e.observed == kBottom || e.observed >= n)
+            continue;
+          const Op o = c.op(e.node);
+          if (o.is_read()) phi.set(o.loc, e.node, e.observed);
+        }
+        return true;
+      });
   for (std::size_t li = 0; li < locs.size(); ++li)
     phi.set_column(locs[li], std::move(cols[li]));
   return phi;

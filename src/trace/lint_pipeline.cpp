@@ -34,18 +34,19 @@ void trace_lint_pass(const Computation& c, const Trace& trace,
     const Op o = c.op(u);
     if (o.is_write()) location_written.insert(o.loc);
   }
-  for (const TraceEvent& e : trace.events) {
-    if (!e.op.is_read() || e.observed != kBottom) continue;
-    if (!location_written.contains(e.op.loc)) continue;  // static lint covers it
+  for (const BinaryTraceEvent& e : trace.events) {
+    const Op o = c.op(e.node);
+    if (!o.is_read() || e.observed != kBottom) continue;
+    if (!location_written.contains(o.loc)) continue;  // static lint covers it
     Diagnostic d;
     d.severity = Severity::kInfo;
     d.pass = "trace-uninit-read";
     d.a = e.node;
-    d.loc = e.op.loc;
+    d.loc = o.loc;
     d.message = format(
         "node %u read ⊥ from location %u in this execution although the "
         "location has writers",
-        e.node, e.op.loc);
+        e.node, o.loc);
     out.push_back(std::move(d));
   }
   // A write is live iff another node's viewpoint in the trace's
@@ -54,8 +55,9 @@ void trace_lint_pass(const Computation& c, const Trace& trace,
   // location's next write; only the latest write can be waiting for one.
   // The trace fits the computation, so every observation is ⊥ or a node.
   std::vector<bool> seen(c.node_count(), false);
-  for (const TraceEvent& e : trace.events)
-    if (e.op.is_read() && e.observed != kBottom) seen[e.observed] = true;
+  for (const BinaryTraceEvent& e : trace.events)
+    if (c.op(e.node).is_read() && e.observed != kBottom)
+      seen[e.observed] = true;
   NodeId waiting = kBottom;
   for (const NodeId u : trace_order(trace)) {
     const Op o = c.op(u);

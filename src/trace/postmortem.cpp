@@ -63,29 +63,6 @@ ObserverFunction reads_only_projection(const Computation& c,
   return out;
 }
 
-ObserverFunction reads_from_trace(const Computation& c, const Trace& trace,
-                                  std::string* issue) {
-  ObserverFunction out(c.node_count());
-  for (const auto& e : trace.events) {
-    if (!e.op.is_read() || e.observed == kBottom) continue;
-    if (e.observed >= c.node_count()) {
-      if (issue != nullptr && issue->empty())
-        *issue = format("read %u (seq=%llu) observed unknown node %u", e.node,
-                        static_cast<unsigned long long>(e.seq), e.observed);
-      continue;  // cannot be stored; the observer domain is 0..n-1
-    }
-    if (issue != nullptr && issue->empty() &&
-        !c.op(e.observed).writes(e.op.loc))
-      *issue = format("read %u (seq=%llu) observed node %u, which is %s, "
-                      "not a write to location %u",
-                      e.node, static_cast<unsigned long long>(e.seq),
-                      e.observed, c.op(e.observed).to_string().c_str(),
-                      e.op.loc);
-    out.set(e.op.loc, e.node, e.observed);
-  }
-  return out;
-}
-
 CompletionResult find_model_completion(const Computation& c,
                                        const ObserverFunction& reads,
                                        const MemoryModel& model,

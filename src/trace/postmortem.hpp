@@ -33,15 +33,6 @@ struct PostmortemReport {
                                                      const ObserverFunction&
                                                          phi);
 
-/// Extract the read observations from a trace directly. When `issue` is
-/// non-null it receives a diagnostic naming the first read event whose
-/// recorded observation cannot be right (unknown node, or a node that is
-/// not a write to the read's location); the entry is still copied so the
-/// caller sees exactly what the trace claims.
-[[nodiscard]] ObserverFunction reads_from_trace(const Computation& c,
-                                                const Trace& trace,
-                                                std::string* issue = nullptr);
-
 /// Search for a completion of a partial (reads-only) observer function
 /// that lies in `model`: free slots are every (written location, node)
 /// pair not fixed by a read or a write. Exponential in the number of

@@ -68,7 +68,7 @@ void witnessed_column(const std::uint32_t* index, std::uint32_t li,
 namespace detail {
 
 std::vector<std::uint32_t> stable_seq_order(const Trace& trace) {
-  const std::vector<TraceEvent>& ev = trace.events;
+  const std::vector<BinaryTraceEvent>& ev = trace.events;
   std::vector<std::uint32_t> order;
   for (std::size_t i = 1; i < ev.size(); ++i) {
     if (ev[i].seq >= ev[i - 1].seq) continue;
@@ -83,23 +83,34 @@ std::vector<std::uint32_t> stable_seq_order(const Trace& trace) {
   return order;
 }
 
-BinaryTraceEvent record_of(const TraceEvent& e) noexcept {
-  return BinaryTraceEvent{e.seq, e.time, e.proc, e.node, e.observed, 0};
+void for_each_seq_span(
+    const Trace& trace,
+    const std::function<bool(const BinaryTraceEvent*, std::size_t)>& f) {
+  const std::vector<std::uint32_t> order = stable_seq_order(trace);
+  const std::size_t total = trace.events.size();
+  std::vector<BinaryTraceEvent> gathered;
+  for (std::size_t k = 0; k < total; k += kChunkNodes) {
+    const std::size_t m = std::min<std::size_t>(total - k, kChunkNodes);
+    const BinaryTraceEvent* span = trace.events.data() + k;
+    if (!order.empty()) {
+      gathered.resize(m);
+      for (std::size_t i = 0; i < m; ++i)
+        gathered[i] = trace.events[order[k + i]];
+      span = gathered.data();
+    }
+    if (!f(span, m)) return;
+  }
 }
 
 EventValidator::EventValidator(const Computation& c)
     : c_(&c), arrived_(c.node_count(), 0) {}
 
-bool EventValidator::accept(const BinaryTraceEvent& e, const Op* op,
-                            std::string& why) {
+bool EventValidator::accept(const BinaryTraceEvent& e, std::string& why) {
   const std::size_t n = arrived_.size();
   const NodeId u = e.node;
   const auto seq = static_cast<unsigned long long>(e.seq);
   if (u >= n) {
     why = format("event seq=%llu names unknown node %u", seq, u);
-  } else if (op != nullptr && !(*op == c_->op(u))) {
-    why = format("node %u executed %s but is labelled %s", u,
-                 op->to_string().c_str(), c_->op(u).to_string().c_str());
   } else if (e.observed != kBottom && e.observed >= n) {
     why = format("event seq=%llu observes unknown node %u", seq, e.observed);
   } else if (e.reserved != 0) {
@@ -507,7 +518,7 @@ bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
   // batch leaves the session sticky-failed, not half-applied.
   std::string why;
   for (std::size_t i = 0; i < count; ++i) {
-    if (!validator_.accept(events[i], nullptr, why)) {
+    if (!validator_.accept(events[i], why)) {
       fail_stream(std::move(why));
       return false;
     }
@@ -519,29 +530,12 @@ bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
 }
 
 LargeCheckReport CheckSession::run_trace(const Trace& trace) {
-  const auto t0 = Clock::now();
-  const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
-  const std::size_t total = trace.events.size();
-  std::vector<BinaryTraceEvent> chunk;
-  chunk.reserve(std::min<std::size_t>(total, kChunkNodes));
-  std::string why;
-  for (std::size_t k = 0; k < total && !failed();) {
-    const auto tv = Clock::now();
-    chunk.clear();
-    for (; k < total && chunk.size() < kChunkNodes; ++k) {
-      const TraceEvent& e = trace.events[order.empty() ? k : order[k]];
-      chunk.push_back(detail::record_of(e));
-      if (!validator_.accept(chunk.back(), &e.op, why)) {
-        fail_stream(std::move(why));
-        break;
-      }
-    }
-    ingest_ms_ += millis_since(tv);
-    if (failed()) break;
-    ingest(chunk.data(), chunk.size());
-    if (progress_) progress_(consumed_, n_);
-  }
-  active_ms_ += millis_since(t0);
+  detail::for_each_seq_span(
+      trace, [this](const BinaryTraceEvent* events, std::size_t count) {
+        if (!feed(events, count)) return false;
+        if (progress_) progress_(consumed_, n_);
+        return true;
+      });
   return finish();
 }
 

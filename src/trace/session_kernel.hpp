@@ -5,11 +5,12 @@
 // (trace/loc_incremental.hpp). A CheckSession is a feed()/check()/
 // finish() state machine over an event stream; the batch entry points
 // are the same engine fed the whole input (large_check_trace feeds the
-// trace in record chunks, large_check points the states at an
-// observer's columns), and ccmm_serve runs one per open session.
+// trace's own record array in chunks, large_check points the states at
+// an observer's columns), and ccmm_serve runs one per open session.
 //
-// Events arrive append-only as validated 32-byte binary records (in
-// nondecreasing seq order — the stream IS the execution order), and
+// Events arrive append-only as validated 32-byte records — the
+// BinaryTraceEvent a Trace, a .tbin file and a kEvents frame all hold —
+// in nondecreasing seq order (the stream IS the execution order), and
 // every written location is in one of two states:
 //
 //   witnessed     every arrived record agreed with the location's
@@ -109,21 +110,24 @@ inline constexpr std::uint32_t kChunkNodes = 1u << 17;
 /// simulator and binary traces are.
 [[nodiscard]] std::vector<std::uint32_t> stable_seq_order(const Trace& trace);
 
-/// The binary record of a trace event (the op is not part of a record).
-[[nodiscard]] BinaryTraceEvent record_of(const TraceEvent& e) noexcept;
+/// Hand `f` the trace's records in stable seq order, at most kChunkNodes
+/// at a time, until it returns false: spans of `trace.events` itself
+/// when stable_seq_order finds them in order, gathered copies otherwise.
+void for_each_seq_span(
+    const Trace& trace,
+    const std::function<bool(const BinaryTraceEvent*, std::size_t)>& f);
 
 /// The per-event stream validator shared by every entry point: a record
 /// names a known node, observes ⊥ or a known node, has a zero reserved
 /// field, does not go back in seq, is its node's only event, and comes
-/// after all of its node's predecessors. `op`, when given, must also
-/// match the node's label (text and in-memory traces carry ops).
+/// after all of its node's predecessors.
 class EventValidator {
  public:
   explicit EventValidator(const Computation& c);
 
   /// Check `e` against everything accepted so far and accept it; on a
   /// defect return false with the message in `why`.
-  bool accept(const BinaryTraceEvent& e, const Op* op, std::string& why);
+  bool accept(const BinaryTraceEvent& e, std::string& why);
 
   [[nodiscard]] bool arrived(NodeId u) const noexcept {
     return arrived_[u] != 0;
@@ -266,8 +270,7 @@ class CheckSession {
   /// witnessed location and the unwritten-location scan in one pass,
   /// then advance().
   void ingest(const BinaryTraceEvent* events, std::size_t count);
-  /// Batch: feed `trace` in stable seq order, kChunkNodes records at a
-  /// time, then report.
+  /// Batch: feed `trace` through for_each_seq_span, then report.
   LargeCheckReport run_trace(const Trace& trace);
   /// Batch: point the states at Φ's stored columns and scan them all.
   LargeCheckReport run_observer(const ObserverFunction& phi);

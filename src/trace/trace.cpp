@@ -4,11 +4,31 @@
 #include <istream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "trace/session_kernel.hpp"
 #include "util/str.hpp"
 
 namespace ccmm {
+namespace {
+
+/// A decimal field no larger than `max`: digits only, so a sign, a
+/// stray character or an overflow is an error rather than a wrapped
+/// value.
+bool parse_field(std::string_view tok, std::uint64_t max,
+                 std::uint64_t& value) {
+  if (tok.empty()) return false;
+  value = 0;
+  for (const char ch : tok) {
+    if (ch < '0' || ch > '9') return false;
+    const auto d = static_cast<std::uint64_t>(ch - '0');
+    if (value > (max - d) / 10) return false;
+    value = value * 10 + d;
+  }
+  return true;
+}
+
+}  // namespace
 
 std::vector<NodeId> trace_order(const Trace& trace) {
   const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
@@ -30,8 +50,8 @@ bool trace_consistent_with(const Trace& trace, const Computation& c,
     detail::EventValidator validator(c);
     const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
     for (std::size_t k = 0; k < trace.events.size(); ++k) {
-      const TraceEvent& e = trace.events[order.empty() ? k : order[k]];
-      if (!validator.accept(detail::record_of(e), &e.op, reason)) break;
+      const BinaryTraceEvent& e = trace.events[order.empty() ? k : order[k]];
+      if (!validator.accept(e, reason)) break;
     }
   }
   if (reason.empty()) return true;
@@ -39,9 +59,13 @@ bool trace_consistent_with(const Trace& trace, const Computation& c,
   return false;
 }
 
-void trace_to_stream(const Trace& trace, std::ostream& out,
-                     std::size_t max_rows) {
+void trace_to_stream(const Trace& trace, const Computation& c,
+                     std::ostream& out, std::size_t max_rows) {
   const std::size_t nrows = std::min(trace.events.size(), max_rows);
+  // The trace may not have been validated against `c`.
+  const auto op_text = [&c](NodeId u) {
+    return u < c.node_count() ? c.op(u).to_string() : std::string("?");
+  };
   const auto digits = [](unsigned long long v) {
     std::size_t d = 1;
     while (v >= 10) {
@@ -56,13 +80,12 @@ void trace_to_stream(const Trace& trace, std::ostream& out,
   std::size_t w[6];
   for (std::size_t i = 0; i < 6; ++i) w[i] = std::char_traits<char>::length(headers[i]);
   for (std::size_t i = 0; i < nrows; ++i) {
-    const TraceEvent& e = trace.events[i];
+    const BinaryTraceEvent& e = trace.events[i];
     w[0] = std::max(w[0], digits(e.seq));
     w[1] = std::max(w[1], digits(e.time));
     w[2] = std::max(w[2], digits(e.proc));
     w[3] = std::max(w[3], digits(e.node));
-    w[4] = std::max(w[4], e.op.is_nop() ? std::size_t{1}
-                                        : 3 + digits(e.op.loc));
+    w[4] = std::max(w[4], op_text(e.node).size());
     w[5] = std::max(w[5], e.observed == kBottom ? std::size_t{1}
                                                 : digits(e.observed));
   }
@@ -103,14 +126,14 @@ void trace_to_stream(const Trace& trace, std::ostream& out,
     pad_to(mark, w[i], last);
   };
   for (std::size_t i = 0; i < nrows; ++i) {
-    const TraceEvent& e = trace.events[i];
+    const BinaryTraceEvent& e = trace.events[i];
     cell(0, e.seq, false);
     cell(1, e.time, false);
     cell(2, e.proc, false);
     cell(3, e.node, false);
     {
       const std::size_t mark = chunk.size();
-      chunk += e.op.to_string();
+      chunk += op_text(e.node);
       pad_to(mark, w[4], false);
     }
     if (e.observed == kBottom) {
@@ -129,9 +152,10 @@ void trace_to_stream(const Trace& trace, std::ostream& out,
   out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
 }
 
-std::string trace_to_string(const Trace& trace, std::size_t max_rows) {
+std::string trace_to_string(const Trace& trace, const Computation& c,
+                            std::size_t max_rows) {
   std::ostringstream out;
-  trace_to_stream(trace, out, max_rows);
+  trace_to_stream(trace, c, out, max_rows);
   return std::move(out).str();
 }
 
@@ -141,7 +165,7 @@ void write_trace(const Trace& trace, std::ostream& out) {
   chunk.reserve(kFlushAt + 96);
   chunk += "# ccmm trace: seq time proc node observed (_ = no write seen)\n";
   char buf[96];
-  for (const TraceEvent& e : trace.events) {
+  for (const BinaryTraceEvent& e : trace.events) {
     int len;
     if (e.observed == kBottom) {
       len = std::snprintf(buf, sizeof buf, "%llu %llu %u %u _\n",
@@ -170,45 +194,48 @@ std::string write_trace(const Trace& trace) {
 }
 
 Trace read_trace(std::istream& in, const Computation& c) {
+  const std::size_t n = c.node_count();
+  constexpr const char* kSpace = " \t\r";
   Trace trace;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream row(line);
-    unsigned long long seq = 0;
-    unsigned long long time = 0;
-    unsigned proc = 0;
-    unsigned long long node = 0;
-    std::string observed;
-    if (!(row >> seq >> time >> proc >> node >> observed))
-      throw std::runtime_error(format(
-          "trace line %zu: expected `seq time proc node observed`", lineno));
-    if (node >= c.node_count())
-      throw std::runtime_error(format(
-          "trace line %zu: node %llu out of range (computation has %zu "
-          "nodes)",
-          lineno, node, c.node_count()));
-    TraceEvent e;
-    e.seq = seq;
-    e.time = time;
-    e.proc = static_cast<ProcId>(proc);
-    e.node = static_cast<NodeId>(node);
-    e.op = c.op(e.node);
-    if (observed == "_") {
-      e.observed = kBottom;
-    } else {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(observed.c_str(), &end, 10);
-      if (end == observed.c_str() || *end != '\0' || v >= c.node_count())
-        throw std::runtime_error(format(
-            "trace line %zu: bad observed node `%s`", lineno,
-            observed.c_str()));
-      e.observed = static_cast<NodeId>(v);
+    // The line's fields; a sixth one is only counted, to reject it.
+    std::string_view rest = line;
+    std::string_view f[6];
+    std::size_t k = 0;
+    while (k < 6) {
+      const std::size_t at = rest.find_first_not_of(kSpace);
+      if (at == std::string_view::npos) break;
+      rest.remove_prefix(at);
+      const std::size_t len = std::min(rest.find_first_of(kSpace), rest.size());
+      f[k++] = rest.substr(0, len);
+      rest.remove_prefix(len);
     }
-    trace.events.push_back(e);
+    if (k == 0 || f[0][0] == '#') continue;
+    const auto fail = [lineno](const std::string& what) {
+      throw std::runtime_error(format("trace line %zu: %s", lineno,
+                                      what.c_str()));
+    };
+    if (k != 5) fail("expected `seq time proc node observed`");
+    std::uint64_t v[4] = {};
+    constexpr std::uint64_t kMax[4] = {UINT64_MAX, UINT64_MAX, UINT32_MAX,
+                                       UINT64_MAX};
+    constexpr const char* kName[4] = {"seq", "time", "proc", "node"};
+    for (std::size_t i = 0; i < 4; ++i)
+      if (!parse_field(f[i], kMax[i], v[i]))
+        fail(format("bad %s `%s`", kName[i], std::string(f[i]).c_str()));
+    if (v[3] >= n)
+      fail(format("node %llu out of range (computation has %zu nodes)",
+                  static_cast<unsigned long long>(v[3]), n));
+    std::uint64_t observed = kBottom;
+    if (f[4] != "_" && (!parse_field(f[4], UINT64_MAX, observed) ||
+                        observed >= n))
+      fail(format("bad observed node `%s`", std::string(f[4]).c_str()));
+    trace.events.push_back({v[0], v[1], static_cast<ProcId>(v[2]),
+                            static_cast<NodeId>(v[3]),
+                            static_cast<NodeId>(observed)});
   }
   return trace;
 }

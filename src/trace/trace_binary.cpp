@@ -1,5 +1,6 @@
 #include "trace/trace_binary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -85,31 +86,61 @@ std::size_t check_header(const unsigned char* p, std::size_t size) {
   return static_cast<std::size_t>(count);
 }
 
-/// Range-check one record's node/observed/reserved fields; `at` is the
-/// record's byte offset in the image.
-void check_record(std::uint32_t node, std::uint32_t observed,
-                  std::uint32_t reserved, std::size_t n, std::size_t at) {
-  if (node >= n)
-    throw TraceReadError(
-        format("binary trace event at offset %zu names node %u, but the "
-               "computation has %zu nodes",
-               at, node, n),
-        at + 20);
-  if (observed != 0xFFFFFFFFu && observed >= n)
-    throw TraceReadError(
-        format("binary trace event at offset %zu observes node %u, but the "
-               "computation has %zu nodes",
-               at, observed, n),
-        at + 24);
-  if (reserved != 0)
-    throw TraceReadError(
-        format("binary trace event at offset %zu has a nonzero reserved "
-               "field",
-               at),
-        at + 28);
+/// Range-check the node/observed/reserved fields of the image's `count`
+/// records, held decoded in `events`; errors carry image offsets.
+void check_records(const BinaryTraceEvent* events, std::size_t count,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const BinaryTraceEvent& e = events[i];
+    const std::size_t at = kTraceBinaryHeaderBytes + i * kTraceBinaryEventBytes;
+    if (e.node >= n)
+      throw TraceReadError(
+          format("binary trace event at offset %zu names node %u, but the "
+                 "computation has %zu nodes",
+                 at, e.node, n),
+          at + 20);
+    if (e.observed != kBottom && e.observed >= n)
+      throw TraceReadError(
+          format("binary trace event at offset %zu observes node %u, but "
+                 "the computation has %zu nodes",
+                 at, e.observed, n),
+          at + 24);
+    if (e.reserved != 0)
+      throw TraceReadError(
+          format("binary trace event at offset %zu has a nonzero reserved "
+                 "field",
+                 at),
+          at + 28);
+  }
 }
 
 }  // namespace
+
+void encode_trace_records(const BinaryTraceEvent* events, std::size_t count,
+                          unsigned char* out) noexcept {
+  for (std::size_t i = 0; i < count; ++i, out += kTraceBinaryEventBytes) {
+    const BinaryTraceEvent& e = events[i];
+    store_le64(out + 0, e.seq);
+    store_le64(out + 8, e.time);
+    store_le32(out + 16, e.proc);
+    store_le32(out + 20, e.node);
+    store_le32(out + 24, e.observed);
+    store_le32(out + 28, e.reserved);
+  }
+}
+
+void decode_trace_records(const unsigned char* in, std::size_t count,
+                          BinaryTraceEvent* out) noexcept {
+  for (std::size_t i = 0; i < count; ++i, in += kTraceBinaryEventBytes) {
+    BinaryTraceEvent& e = out[i];
+    e.seq = load_le64(in + 0);
+    e.time = load_le64(in + 8);
+    e.proc = load_le32(in + 16);
+    e.node = load_le32(in + 20);
+    e.observed = load_le32(in + 24);
+    e.reserved = load_le32(in + 28);
+  }
+}
 
 void write_trace_binary(const Trace& trace, std::ostream& out) {
   unsigned char header[kTraceBinaryHeaderBytes] = {0};
@@ -124,24 +155,13 @@ void write_trace_binary(const Trace& trace, std::ostream& out) {
   // exists in memory, whatever the trace size.
   constexpr std::size_t kChunkEvents = 2048;
   unsigned char buf[kChunkEvents * kTraceBinaryEventBytes];
-  std::size_t filled = 0;
-  for (const TraceEvent& e : trace.events) {
-    unsigned char* r = buf + filled * kTraceBinaryEventBytes;
-    store_le64(r + 0, e.seq);
-    store_le64(r + 8, e.time);
-    store_le32(r + 16, e.proc);
-    store_le32(r + 20, e.node);
-    store_le32(r + 24, e.observed);  // kBottom is already 0xFFFFFFFF
-    store_le32(r + 28, 0);
-    if (++filled == kChunkEvents) {
-      out.write(reinterpret_cast<const char*>(buf),
-                static_cast<std::streamsize>(filled * kTraceBinaryEventBytes));
-      filled = 0;
-    }
-  }
-  if (filled > 0)
+  const std::size_t total = trace.events.size();
+  for (std::size_t i = 0; i < total; i += kChunkEvents) {
+    const std::size_t k = std::min(kChunkEvents, total - i);
+    encode_trace_records(trace.events.data() + i, k, buf);
     out.write(reinterpret_cast<const char*>(buf),
-              static_cast<std::streamsize>(filled * kTraceBinaryEventBytes));
+              static_cast<std::streamsize>(k * kTraceBinaryEventBytes));
+  }
 }
 
 BinaryTraceView validate_trace_binary(const void* data, std::size_t size,
@@ -153,57 +173,25 @@ BinaryTraceView validate_trace_binary(const void* data, std::size_t size,
         0);
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t count = check_header(p, size);
-  const std::size_t n = c.node_count();
   const auto* events =
       reinterpret_cast<const BinaryTraceEvent*>(p + kTraceBinaryHeaderBytes);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t at = kTraceBinaryHeaderBytes + i * kTraceBinaryEventBytes;
-    check_record(events[i].node, events[i].observed, events[i].reserved, n,
-                 at);
-  }
+  check_records(events, count, c.node_count());
   return BinaryTraceView{events, count};
 }
 
-Trace trace_from_view(const BinaryTraceView& view, const Computation& c) {
-  Trace trace;
-  trace.events.resize(view.count);
-  for (std::size_t i = 0; i < view.count; ++i) {
-    const BinaryTraceEvent& r = view.events[i];
-    TraceEvent& e = trace.events[i];
-    e.seq = r.seq;
-    e.time = r.time;
-    e.proc = static_cast<ProcId>(r.proc);
-    e.node = static_cast<NodeId>(r.node);
-    e.op = c.op(e.node);
-    e.observed = static_cast<NodeId>(r.observed);
-  }
-  return trace;
+Trace trace_from_view(const BinaryTraceView& view, const Computation&) {
+  return Trace{{view.events, view.events + view.count}};
 }
 
 Trace read_trace_binary(const void* data, std::size_t size,
                         const Computation& c) {
-  if constexpr (kHostLittle) {
-    return trace_from_view(validate_trace_binary(data, size, c), c);
-  }
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t count = check_header(p, size);
-  const std::size_t n = c.node_count();
   Trace trace;
   trace.events.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t at = kTraceBinaryHeaderBytes + i * kTraceBinaryEventBytes;
-    const unsigned char* r = p + at;
-    const std::uint32_t node = load_le32(r + 20);
-    const std::uint32_t observed = load_le32(r + 24);
-    check_record(node, observed, load_le32(r + 28), n, at);
-    TraceEvent& e = trace.events[i];
-    e.seq = load_le64(r + 0);
-    e.time = load_le64(r + 8);
-    e.proc = static_cast<ProcId>(load_le32(r + 16));
-    e.node = static_cast<NodeId>(node);
-    e.op = c.op(e.node);
-    e.observed = static_cast<NodeId>(observed);
-  }
+  decode_trace_records(p + kTraceBinaryHeaderBytes, count,
+                       trace.events.data());
+  check_records(trace.events.data(), count, c.node_count());
   return trace;
 }
 
@@ -341,15 +329,6 @@ TraceFormat detect_trace_format(const void* data, std::size_t size) noexcept {
                              sizeof kTraceBinaryMagic) == 0
              ? TraceFormat::kBinary
              : TraceFormat::kText;
-}
-
-TraceFormat detect_trace_format_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error(format("cannot open trace file %s", path.c_str()));
-  char head[sizeof kTraceBinaryMagic] = {0};
-  in.read(head, sizeof head);
-  return detect_trace_format(head, static_cast<std::size_t>(in.gcount()));
 }
 
 namespace {

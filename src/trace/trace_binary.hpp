@@ -2,13 +2,12 @@
 //
 // The binary trace format: the mmap-able record of execution the text
 // format (trace.hpp) is the human-readable twin of. A 16M-event text
-// trace costs ~400 MB of digits and a getline/istringstream parse per
-// event; the binary file is exactly 32 bytes per event, validates with
-// two range compares per record, and maps straight into the checker
-// with zero string materialization.
+// trace costs ~400 MB of digits and a per-line parse; the binary file
+// is exactly 32 bytes per event, validates with two range compares per
+// record, and loads as one copy of the validated image into the
+// Trace's record array, with no string materialization.
 //
-// Layout (all fields little-endian; the reader byte-swaps on
-// big-endian hosts):
+// Layout (all fields little-endian):
 //
 //   offset  size  field
 //   ------  ----  -----------------------------------------
@@ -23,6 +22,12 @@
 //                   +24 u32 observed (0xFFFFFFFF = ⊥)
 //                   +28 u32 reserved (must be 0)
 //
+// An event record is a BinaryTraceEvent (exec/sim_machine.hpp), the
+// in-memory Trace's element, whose fields sit at exactly these offsets.
+// The serve wire's kEvents payloads and snapshot blobs carry the same
+// records, and encode_trace_records/decode_trace_records below are the
+// only code that spells the record out field by field.
+//
 // Ops are not serialized, mirroring the text format: they are looked
 // up in the computation the trace is checked against, which is also
 // what makes per-record validation (node / observed in range) possible
@@ -30,6 +35,7 @@
 // exact byte offset of the first offending field.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
@@ -46,20 +52,25 @@ inline constexpr std::uint32_t kTraceBinaryVersion = 1;
 inline constexpr std::size_t kTraceBinaryHeaderBytes = 32;
 inline constexpr std::size_t kTraceBinaryEventBytes = 32;
 
-/// One on-disk event record. Field order and widths match the layout
-/// above exactly; the struct has no padding, so on little-endian hosts
-/// a validated file region can be reinterpreted as an array of these
-/// (the zero-copy path).
-struct BinaryTraceEvent {
-  std::uint64_t seq = 0;
-  std::uint64_t time = 0;
-  std::uint32_t proc = 0;
-  std::uint32_t node = 0;
-  std::uint32_t observed = 0xFFFFFFFFu;  // kBottom sentinel
-  std::uint32_t reserved = 0;
-};
+// The record struct matches the layout table with no padding, so on
+// little-endian hosts a validated file region or wire payload can be
+// reinterpreted as (or memcpy'd into) an array of records.
 static_assert(sizeof(BinaryTraceEvent) == kTraceBinaryEventBytes,
               "binary trace records must be exactly 32 bytes");
+static_assert(offsetof(BinaryTraceEvent, time) == 8 &&
+                  offsetof(BinaryTraceEvent, proc) == 16 &&
+                  offsetof(BinaryTraceEvent, node) == 20 &&
+                  offsetof(BinaryTraceEvent, observed) == 24 &&
+                  offsetof(BinaryTraceEvent, reserved) == 28,
+              "binary trace record fields must sit at the table's offsets");
+
+/// The record codec: `count` records to and from count·32 bytes in the
+/// layout above, on any host. It only converts bytes; every caller
+/// validates the records it decodes.
+void encode_trace_records(const BinaryTraceEvent* events, std::size_t count,
+                          unsigned char* out) noexcept;
+void decode_trace_records(const unsigned char* in, std::size_t count,
+                          BinaryTraceEvent* out) noexcept;
 
 /// Malformed binary input; offset() is the byte position of the first
 /// field that failed validation.
@@ -94,12 +105,12 @@ void write_trace_binary(const Trace& trace, std::ostream& out);
                                                     std::size_t size,
                                                     const Computation& c);
 
-/// Materialize a Trace (ops looked up in `c`) from a validated view.
+/// A Trace holding a copy of a validated view's records.
 [[nodiscard]] Trace trace_from_view(const BinaryTraceView& view,
                                     const Computation& c);
 
-/// Portable whole-image reader: validate + materialize, byte-swapping
-/// on big-endian hosts. The convenience path for tests and small files.
+/// Portable whole-image reader: check the header, decode the records
+/// into a Trace and validate them against `c`, on any host.
 [[nodiscard]] Trace read_trace_binary(const void* data, std::size_t size,
                                       const Computation& c);
 
@@ -144,11 +155,8 @@ enum class TraceFormat : std::uint8_t { kText, kBinary };
 /// Sniff a buffer: binary iff it starts with the 8-byte magic.
 [[nodiscard]] TraceFormat detect_trace_format(const void* data,
                                               std::size_t size) noexcept;
-/// Sniff a file's first 8 bytes. Throws std::runtime_error on IO error.
-[[nodiscard]] TraceFormat detect_trace_format_file(const std::string& path);
-
-/// The CLIs' auto-detecting loader: binary files go through the mmap +
-/// zero-copy validation path, text files through read_trace. The path
+/// The CLIs' auto-detecting loader: binary files are mapped and go
+/// through read_trace_binary, text files through read_trace. The path
 /// is opened exactly ONCE (a second open of a FIFO would lose bytes),
 /// and "-" reads standard input — both formats stream from pipes.
 /// Throws std::runtime_error / TraceReadError on malformed input.

@@ -32,8 +32,8 @@ inline std::vector<std::uint32_t> reference_seq_order(const Trace& trace) {
   return order;
 }
 
-/// Size, then every event's node, op and observation in array order,
-/// then duplicates in trace order, then the first flipped dag edge.
+/// Size, then every event's node and observation in array order, then
+/// duplicates in trace order, then the first flipped dag edge.
 inline bool reference_trace_consistent_with(const Trace& trace,
                                             const Computation& c,
                                             std::string* why) {
@@ -45,14 +45,10 @@ inline bool reference_trace_consistent_with(const Trace& trace,
   if (trace.events.size() != n)
     return fail(format("trace has %zu events for %zu nodes",
                        trace.events.size(), n));
-  for (const TraceEvent& e : trace.events) {
+  for (const BinaryTraceEvent& e : trace.events) {
     if (e.node >= n)
       return fail(format("event seq=%llu names unknown node %u",
                          static_cast<unsigned long long>(e.seq), e.node));
-    if (!(e.op == c.op(e.node)))
-      return fail(format("node %u executed %s but is labelled %s", e.node,
-                         e.op.to_string().c_str(),
-                         c.op(e.node).to_string().c_str()));
     if (e.observed != kBottom && e.observed >= n)
       return fail(format("event seq=%llu observes unknown node %u",
                          static_cast<unsigned long long>(e.seq),
@@ -94,7 +90,7 @@ inline ObserverFunction reference_observer_from_trace(const Computation& c,
   for (const Location l : c.written_locations()) {
     NodeId last = kBottom;
     for (const std::uint32_t i : order) {
-      const TraceEvent& e = trace.events[i];
+      const BinaryTraceEvent& e = trace.events[i];
       const NodeId u = e.node;
       const Op o = c.op(u);
       if (o.is_nop() || o.loc != l) {
@@ -110,7 +106,7 @@ inline ObserverFunction reference_observer_from_trace(const Computation& c,
   // Recorded observations at never-written locations still land in Φ.
   const std::vector<Location> written = c.written_locations();
   for (const std::uint32_t i : order) {
-    const TraceEvent& e = trace.events[i];
+    const BinaryTraceEvent& e = trace.events[i];
     const Op o = c.op(e.node);
     if (!o.is_read() || e.observed == kBottom || e.observed >= n) continue;
     if (!std::binary_search(written.begin(), written.end(), o.loc))
@@ -148,7 +144,7 @@ inline std::vector<Location> reference_disagreeing_locations(
   std::vector<NodeId> last(written.size(), kBottom);
   std::vector<bool> disagrees(written.size(), false);
   for (const std::uint32_t i : reference_seq_order(trace)) {
-    const TraceEvent& e = trace.events[i];
+    const BinaryTraceEvent& e = trace.events[i];
     const Op o = c.op(e.node);
     const auto it = std::lower_bound(written.begin(), written.end(), o.loc);
     if (o.is_nop() || it == written.end() || *it != o.loc) continue;

@@ -210,9 +210,9 @@ TEST(LintPipeline, ObservationOfUnknownNodeRejected) {
   const Computation c = workload::contended_counter(3);
   ScMemory mem;
   ExecutionResult run = run_serial(c, mem);
-  TraceEvent* read = nullptr;
-  for (TraceEvent& e : run.trace.events)
-    if (read == nullptr && e.op.is_read()) read = &e;
+  BinaryTraceEvent* read = nullptr;
+  for (BinaryTraceEvent& e : run.trace.events)
+    if (read == nullptr && c.op(e.node).is_read()) read = &e;
   ASSERT_NE(read, nullptr);
   read->observed = static_cast<NodeId>(c.node_count() + 3);
   const analyze::TraceLintResult r = analyze::analyze_trace(c, run.trace);
@@ -238,7 +238,7 @@ TEST(LintPipeline, ModelDiagnosticsCiteALocationViolatingTheirModel) {
   const Computation c = std::move(b).build();
   Trace trace;
   for (NodeId u = 0; u < c.node_count(); ++u)
-    trace.events.push_back({u, u, 0, u, c.op(u), kBottom});
+    trace.events.push_back({u, u, 0, u, kBottom});
   trace.events[4].observed = w1;
 
   analyze::TraceLintOptions opt;

@@ -176,11 +176,18 @@ TEST(Compile, PackClientsOnPaperExamples) {
     // COH is definitionally LC.
     EXPECT_EQ(coh->contains_prepared(p), ex.in_lc) << ex.name;
     // Membership in a spec model is sandwiched by the derived lattice.
-    if (ex.in_sc) EXPECT_TRUE(pc2->contains_prepared(p)) << ex.name;
-    if (!ex.in_lc) EXPECT_FALSE(pc2->contains_prepared(p)) << ex.name;
-    if (ex.in_sc) EXPECT_TRUE(tso->contains_prepared(p)) << ex.name;
-    if (!ex.in_wn || !ex.in_nw) EXPECT_FALSE(tso->contains_prepared(p))
-        << ex.name;
+    if (ex.in_sc) {
+      EXPECT_TRUE(pc2->contains_prepared(p)) << ex.name;
+    }
+    if (!ex.in_lc) {
+      EXPECT_FALSE(pc2->contains_prepared(p)) << ex.name;
+    }
+    if (ex.in_sc) {
+      EXPECT_TRUE(tso->contains_prepared(p)) << ex.name;
+    }
+    if (!ex.in_wn || !ex.in_nw) {
+      EXPECT_FALSE(tso->contains_prepared(p)) << ex.name;
+    }
   }
 }
 

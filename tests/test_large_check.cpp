@@ -184,9 +184,9 @@ TEST(LargeCheck, RejectsObservationsOfUnknownNodes) {
   const Computation c = proc::random_cilk(copt, rng);
   ScMemory mem;
   ExecutionResult run = run_serial(c, mem);
-  TraceEvent* read = nullptr;
-  for (TraceEvent& e : run.trace.events)
-    if (read == nullptr && e.op.is_read()) read = &e;
+  BinaryTraceEvent* read = nullptr;
+  for (BinaryTraceEvent& e : run.trace.events)
+    if (read == nullptr && c.op(e.node).is_read()) read = &e;
   ASSERT_NE(read, nullptr);
   read->observed = static_cast<NodeId>(c.node_count() + 3);
   std::string why;
@@ -236,9 +236,10 @@ TEST(LargeCheck, ObserverFromTracePinsReadsAndWrites) {
       EXPECT_EQ(phi.get(o.loc, u), u);
     }
   }
-  for (const TraceEvent& e : run.trace.events) {
-    if (e.op.is_read()) {
-      EXPECT_EQ(phi.get(e.op.loc, e.node), e.observed);
+  for (const BinaryTraceEvent& e : run.trace.events) {
+    const Op o = c.op(e.node);
+    if (o.is_read()) {
+      EXPECT_EQ(phi.get(o.loc, e.node), e.observed);
     }
   }
 }

@@ -55,8 +55,8 @@ Trace perturbed(const Computation& c, Trace trace, Rng& rng) {
   std::vector<NodeId> writes;
   for (NodeId u = 0; u < c.node_count(); ++u)
     if (c.op(u).is_write()) writes.push_back(u);
-  for (TraceEvent& e : trace.events) {
-    if (!e.op.is_read() || !rng.chance(0.3)) continue;
+  for (BinaryTraceEvent& e : trace.events) {
+    if (!c.op(e.node).is_read() || !rng.chance(0.3)) continue;
     e.observed = writes.empty() || rng.chance(0.25)
                      ? kBottom
                      : writes[rng.below(writes.size())];
@@ -93,9 +93,9 @@ TEST(LintPipeline, DeadWritesMatchTheCompletionColumns) {
     std::vector<Trace> traces = runs_of(c, rng);
     traces.push_back(perturbed(c, traces[1], rng));  // BACKER, perturbed
     for (Trace& trace : traces) {
-      for (const TraceEvent& e : trace.events)
-        if (e.op.is_read() && e.observed != kBottom &&
-            c.op(e.observed).loc != e.op.loc)
+      for (const BinaryTraceEvent& e : trace.events)
+        if (c.op(e.node).is_read() && e.observed != kBottom &&
+            c.op(e.observed).loc != c.op(e.node).loc)
           ++cross_location_reads;
       const std::vector<NodeId> want = reference_dead_writes(c, trace);
       const TraceLintResult r = analyze::analyze_trace(c, trace, opt);
@@ -180,16 +180,16 @@ TraceLintResult dense_route(const Computation& c, const Trace& trace,
   for (Diagnostic& d : analyze::analyze_computation(c, aopt, &result.stats))
     result.diagnostics.push_back(std::move(d));
 
-  for (const TraceEvent& e : trace.events) {
-    if (!e.op.is_read() || e.observed != kBottom ||
-        c.writers(e.op.loc).empty())
+  for (const BinaryTraceEvent& e : trace.events) {
+    const Op o = c.op(e.node);
+    if (!o.is_read() || e.observed != kBottom || c.writers(o.loc).empty())
       continue;
     add(analyze::Severity::kInfo, "trace-uninit-read",
         "node " + std::to_string(e.node) + " read ⊥ from location " +
-            std::to_string(e.op.loc) +
+            std::to_string(o.loc) +
             " in this execution although the location has writers");
     result.diagnostics.back().a = e.node;
-    result.diagnostics.back().loc = e.op.loc;
+    result.diagnostics.back().loc = o.loc;
   }
   for (const NodeId w : reference_dead_writes(c, trace)) {
     add(analyze::Severity::kInfo, "trace-dead-write",

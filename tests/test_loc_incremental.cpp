@@ -215,9 +215,10 @@ TEST(LocIncremental, LastWriterOfAnyLinearExtensionGivesTheCleanRow) {
 /// validity scan — the trace-level twin of corrupt().
 Trace corrupt_trace(const Computation& c, Trace trace, Rng& rng) {
   for (int k = 0; k < 4; ++k) {
-    TraceEvent& e = trace.events[rng.below(trace.events.size())];
-    if (!e.op.is_read()) continue;
-    const std::vector<NodeId> ws = c.writers(e.op.loc);
+    BinaryTraceEvent& e = trace.events[rng.below(trace.events.size())];
+    const Op o = c.op(e.node);
+    if (!o.is_read()) continue;
+    const std::vector<NodeId> ws = c.writers(o.loc);
     if (!ws.empty()) e.observed = ws[rng.below(ws.size())];
   }
   return trace;
@@ -226,10 +227,8 @@ Trace corrupt_trace(const Computation& c, Trace trace, Rng& rng) {
 /// The execution-order binary records of a trace.
 std::vector<BinaryTraceEvent> records_in_order(const Trace& trace) {
   std::vector<BinaryTraceEvent> recs;
-  for (const std::uint32_t i : reference_seq_order(trace)) {
-    const TraceEvent& e = trace.events[i];
-    recs.push_back({e.seq, e.time, e.proc, e.node, e.observed, 0});
-  }
+  for (const std::uint32_t i : reference_seq_order(trace))
+    recs.push_back(trace.events[i]);
   return recs;
 }
 

@@ -143,7 +143,6 @@ TEST(Execution, TraceRecordsEveryNodeOnce) {
   for (const auto& e : r.trace.events) {
     EXPECT_FALSE(seen[e.node]);
     seen[e.node] = true;
-    EXPECT_EQ(e.op, c.op(e.node));
   }
 }
 

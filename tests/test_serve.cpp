@@ -39,27 +39,6 @@
 namespace ccmm {
 namespace {
 
-/// Execution-order binary records of a trace — what a serve client
-/// puts on the wire (write_trace_binary's stable seq sort included).
-std::vector<BinaryTraceEvent> records_of(const Trace& trace) {
-  std::vector<std::uint32_t> order(trace.events.size());
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return trace.events[a].seq < trace.events[b].seq;
-                   });
-  std::vector<BinaryTraceEvent> out(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const TraceEvent& e = trace.events[order[i]];
-    out[i] = BinaryTraceEvent{e.seq, e.time, e.proc, e.node,
-                              e.observed == kBottom
-                                  ? 0xFFFFFFFFu
-                                  : static_cast<std::uint32_t>(e.observed),
-                              0};
-  }
-  return out;
-}
-
 /// Normalize seq to the sorted arrival order so corrupted streams stay
 /// seq-ordered however we perturb them.
 void renumber(std::vector<BinaryTraceEvent>& recs) {
@@ -100,28 +79,12 @@ void expect_reports_identical(const LargeCheckReport& got,
   }
 }
 
-Trace trace_from_records(const Computation& c,
-                         const std::vector<BinaryTraceEvent>& recs) {
-  Trace t;
-  t.events.resize(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    TraceEvent& e = t.events[i];
-    e.seq = recs[i].seq;
-    e.time = recs[i].time;
-    e.proc = static_cast<ProcId>(recs[i].proc);
-    e.node = static_cast<NodeId>(recs[i].node);
-    e.op = recs[i].node < c.node_count() ? c.op(recs[i].node) : Op::nop();
-    e.observed = static_cast<NodeId>(recs[i].observed);
-  }
-  return t;
-}
-
 /// The definitional report for a record stream: the reference
 /// validator's rejection, or large_check over the reference observer.
 LargeCheckReport reference_report(const Computation& c,
                                   const std::vector<BinaryTraceEvent>& recs,
                                   std::uint32_t models) {
-  const Trace trace = trace_from_records(c, recs);
+  const Trace trace{recs};
   std::string why;
   if (!reference_trace_consistent_with(trace, c, &why)) {
     LargeCheckReport r;
@@ -198,7 +161,7 @@ TEST(CheckSession, SerialScStreamMatchesBatch) {
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  const std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
   for (const std::vector<BinaryTraceEvent>& arrival :
        {recs, shuffled_extension(c, recs, rng)})
     for (const std::size_t chunk : kFeedSizes)
@@ -216,7 +179,7 @@ TEST(CheckSession, CorruptedStreamsMatchBatch) {
   opt.nlocations = 5;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const std::vector<BinaryTraceEvent> base = records_of(run_serial(c, mem).trace);
+  const std::vector<BinaryTraceEvent> base = run_serial(c, mem).trace.events;
   for (int round = 0; round < 6; ++round) {
     std::vector<BinaryTraceEvent> recs = base;
     corrupt_records(c, recs, rng, 2 + round);
@@ -237,7 +200,7 @@ TEST(CheckSession, InterleavedScheduleStreamMatchesBatch) {
   WeakMemory mem(5);
   const Schedule s = greedy_schedule(c, 4);
   const std::vector<BinaryTraceEvent> base =
-      records_of(run_execution(c, s, mem).trace);
+      run_execution(c, s, mem).trace.events;
   for (const std::size_t chunk : kFeedSizes)
     expect_session_matches_batch(c, base, kLargeCheckExt, chunk);
   std::vector<BinaryTraceEvent> bad = base;
@@ -266,7 +229,7 @@ void expect_extra_location_matches_batch(Computation c, Location extra) {
   ASSERT_NE(reader, kBottom);
   c.set_ops(ops);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
   bool planted = false;
   for (BinaryTraceEvent& r : recs)
     if (r.node == reader) {
@@ -434,7 +397,7 @@ void expect_transitions_match_reference(
     const Computation& c, const std::vector<BinaryTraceEvent>& recs,
     std::uint32_t models, std::size_t chunk, const std::string& ctx) {
   const ObserverFunction phi =
-      reference_observer_from_trace(c, trace_from_records(c, recs));
+      reference_observer_from_trace(c, Trace{recs});
   const KernelPrefixReference prefix_ref(c, phi, models);
   std::vector<Location> observed_unwritten;
   const auto has_row = [&](Location l) {
@@ -489,7 +452,7 @@ TEST(CheckSession, MaterializationMidStreamMatchesTheReference) {
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
   const std::vector<BinaryTraceEvent> serial =
-      records_of(run_serial(c, mem).trace);
+      run_serial(c, mem).trace.events;
   const std::vector<Location> locs = c.written_locations();
   ASSERT_FALSE(locs.empty());
   for (const bool shuffle : {false, true}) {
@@ -506,7 +469,7 @@ TEST(CheckSession, MaterializationMidStreamMatchesTheReference) {
     plans.emplace_back("every", std::move(all));
     for (const auto& [name, recs] : plans) {
       EXPECT_FALSE(
-          reference_disagreeing_locations(c, trace_from_records(c, recs))
+          reference_disagreeing_locations(c, Trace{recs})
               .empty());
       for (const std::size_t chunk : kFeedSizes)
         expect_transitions_match_reference(
@@ -523,7 +486,7 @@ TEST(CheckSession, MidStreamCheckAndFastVerdictAreConsistent) {
   opt.nlocations = 4;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
   corrupt_records(c, recs, rng, 5);
   renumber(recs);
 
@@ -555,7 +518,7 @@ TEST(CheckSession, RejectsInconsistentStreams) {
   opt.nlocations = 3;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  const std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
   const std::size_t n = c.node_count();
 
   {  // duplicate node
@@ -608,7 +571,7 @@ TEST(CheckSession, RejectsInconsistentStreams) {
     EXPECT_FALSE(s.feed(bad.data(), bad.size()));
     std::string why;
     EXPECT_FALSE(
-        reference_trace_consistent_with(trace_from_records(c, bad), c, &why));
+        reference_trace_consistent_with(Trace{bad}, c, &why));
     EXPECT_EQ(s.error(), why);
   }
   {  // incomplete stream: the reference's event-count mismatch, verbatim
@@ -636,7 +599,7 @@ TEST(CheckSession, RetainedEventReplayReproducesVerdicts) {
   opt.nlocations = 4;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
   corrupt_records(c, recs, rng, 3);
   renumber(recs);
 
@@ -670,7 +633,7 @@ TEST(CheckSessionParallel, LargeFeedsShardAndMatchTheReference) {
   const Trace stale = run_execution(c, greedy_schedule(c, 4), mem).trace;
   ASSERT_EQ(reference_disagreeing_locations(c, stale),
             c.written_locations());
-  std::vector<BinaryTraceEvent> recs = records_of(stale);
+  std::vector<BinaryTraceEvent> recs = stale.events;
   corrupt_records(c, recs, rng, 3);
   renumber(recs);
   const LargeCheckReport want = reference_report(c, recs, kLargeCheckExt);
@@ -689,7 +652,7 @@ TEST(CheckSessionParallel, LargeFeedsShardAndMatchTheReference) {
   par.models = kLargeCheckExt;
   par.pool = &pool;
   const LargeCheckReport sharded =
-      large_check_trace(c, trace_from_records(c, recs), par);
+      large_check_trace(c, Trace{recs}, par);
   EXPECT_TRUE(sharded.pipelined);
   expect_reports_identical(sharded, want, "sharded batch");
 }
@@ -706,7 +669,7 @@ TEST(CheckSessionParallel, MaterializationInShardedFeedsMatchesTheReference) {
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = records_of(run_serial(c, mem).trace);
+  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
   const std::vector<Location> locs = c.written_locations();
   for (std::size_t i = 0; i < locs.size(); ++i)
     (void)plant_stale_read(c, recs, locs[i], static_cast<int>(i % 3));
@@ -717,7 +680,7 @@ TEST(CheckSessionParallel, MaterializationInShardedFeedsMatchesTheReference) {
   par.models = kModels;
   par.pool = &pool;
   const LargeCheckReport sharded =
-      large_check_trace(c, trace_from_records(c, recs), par);
+      large_check_trace(c, Trace{recs}, par);
   EXPECT_TRUE(sharded.pipelined);
   expect_reports_identical(sharded, reference_report(c, recs, kModels),
                            "sharded batch");
@@ -765,7 +728,7 @@ Workload make_workload(std::uint64_t seed, std::size_t ops,
   opt.nlocations = 8;
   Workload w{proc::random_cilk(opt, rng), {}, {}};
   ScMemory mem;
-  w.recs = records_of(run_serial(w.c, mem).trace);
+  w.recs = run_serial(w.c, mem).trace.events;
   corrupt_records(w.c, w.recs, rng, flips);
   renumber(w.recs);
   w.batch = reference_report(w.c, w.recs, models);

@@ -207,9 +207,9 @@ TEST(SpecCheck, ObservationOfUnknownNodeRejectsEveryModel) {
   const Computation c = workload::contended_counter(5);
   ScMemory mem;
   ExecutionResult run = run_serial(c, mem);
-  TraceEvent* read = nullptr;
-  for (TraceEvent& e : run.trace.events)
-    if (read == nullptr && e.op.is_read()) read = &e;
+  BinaryTraceEvent* read = nullptr;
+  for (BinaryTraceEvent& e : run.trace.events)
+    if (read == nullptr && c.op(e.node).is_read()) read = &e;
   ASSERT_NE(read, nullptr);
   read->observed = static_cast<NodeId>(c.node_count());
   const SpecCheckReport r = spec_check_trace(c, run.trace, models);

@@ -1,5 +1,6 @@
 // The binary trace format (trace/trace_binary.hpp) pinned against the
-// text format and the in-memory Trace: byte-exact round-trips on the
+// text format and the in-memory Trace: the record's bytes in every
+// carrier (file, wire, snapshot), byte-exact round-trips on the
 // exhaustive small universe and on random / Cilk / layered executions,
 // precise rejection offsets for every malformed-image class, format
 // auto-detection, and the scalar-vs-SIMD differential suites the
@@ -27,6 +28,7 @@
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
 #include "proc/random_program.hpp"
+#include "serve/protocol.hpp"
 #include "trace/large_check.hpp"
 #include "util/rng.hpp"
 
@@ -40,23 +42,11 @@ std::string image_of(const Trace& trace) {
   return out.str();
 }
 
-/// Full-field equality: the binary format preserves everything,
-/// including the event time the text format drops.
-void expect_events_equal(const Trace& got, const Trace& want,
-                         bool with_time = true) {
+/// Full-record equality: both formats preserve every field.
+void expect_events_equal(const Trace& got, const Trace& want) {
   ASSERT_EQ(got.events.size(), want.events.size());
-  for (std::size_t i = 0; i < got.events.size(); ++i) {
-    const TraceEvent& a = got.events[i];
-    const TraceEvent& b = want.events[i];
-    EXPECT_EQ(a.seq, b.seq) << "event " << i;
-    if (with_time) {
-      EXPECT_EQ(a.time, b.time) << "event " << i;
-    }
-    EXPECT_EQ(a.proc, b.proc) << "event " << i;
-    EXPECT_EQ(a.node, b.node) << "event " << i;
-    EXPECT_EQ(a.observed, b.observed) << "event " << i;
-    EXPECT_TRUE(a.op == b.op) << "event " << i;
-  }
+  for (std::size_t i = 0; i < got.events.size(); ++i)
+    EXPECT_TRUE(got.events[i] == want.events[i]) << "event " << i;
 }
 
 void expect_round_trips(const Trace& trace, const Computation& c) {
@@ -66,12 +56,11 @@ void expect_round_trips(const Trace& trace, const Computation& c) {
   const Trace back = read_trace_binary(image.data(), image.size(), c);
   expect_events_equal(back, trace);
 
-  // The text twin must decode to the same trace (minus the event time,
-  // which only the binary format records).
+  // The text twin must decode to the same trace.
   std::ostringstream text;
   write_trace(trace, text);
   std::istringstream in(text.str());
-  expect_events_equal(read_trace(in, c), trace, /*with_time=*/false);
+  expect_events_equal(read_trace(in, c), trace);
 }
 
 TEST(TraceBinary, RoundTripsExhaustiveSmallUniverse) {
@@ -98,7 +87,7 @@ TEST(TraceBinary, RoundTripsScrambledObservations) {
   const Computation c = workload::contended_counter(12);
   ScMemory mem;
   Trace trace = run_serial(c, mem).trace;
-  for (TraceEvent& e : trace.events) {
+  for (BinaryTraceEvent& e : trace.events) {
     if (rng.chance(0.3))
       e.observed = kBottom;
     else if (rng.chance(0.5))
@@ -153,6 +142,69 @@ TEST(TraceBinary, EmptyTraceRoundTrips) {
   EXPECT_EQ(image.size(), kTraceBinaryHeaderBytes);
   const Trace back = read_trace_binary(image.data(), image.size(), Computation());
   EXPECT_TRUE(back.events.empty());
+}
+
+/// Bytes from a hex literal; spaces only group digits for the reader.
+std::string from_hex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i < hex.size(); i += hex[i] == ' ' ? 1 : 2) {
+    if (hex[i] != ' ')
+      out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr,
+                                                16)));
+  }
+  return out;
+}
+
+TEST(TraceBinary, RecordBytesArePinnedInEveryCarrier) {
+  // One fixed trace over W(5) -> R(5) -> R(5): a ⊥ observation, seq and
+  // time above 2^32, and procs whose four bytes all differ, so a field
+  // swap that still round-trips changes the bytes.
+  ComputationBuilder b;
+  b.write(5);
+  b.read(5, {0});
+  b.read(5, {1});
+  const Computation c = std::move(b).build();
+  Trace trace;
+  trace.events = {{0x100000001, 0x200000001, 0x04030201, 0, kBottom},
+                  {0x100000002, 0x200000002, 0x04030201, 1, 0},
+                  {0x100000003, 0x200000003, 0x08070605, 2, 0}};
+  const std::string records = from_hex(
+      // Per record: seq, time (u64); proc, node, observed, reserved (u32).
+      "0100000001000000 0100000002000000 01020304 00000000 ffffffff 00000000 "
+      "0200000001000000 0200000002000000 01020304 01000000 00000000 00000000 "
+      "0300000001000000 0300000002000000 05060708 02000000 00000000 00000000");
+
+  // The shared codec: what a kEvents payload carries.
+  std::string encoded(records.size(), '\0');
+  encode_trace_records(trace.events.data(), trace.events.size(),
+                       reinterpret_cast<unsigned char*>(encoded.data()));
+  EXPECT_EQ(encoded, records);
+  std::vector<BinaryTraceEvent> decoded(trace.events.size());
+  decode_trace_records(reinterpret_cast<const unsigned char*>(records.data()),
+                       decoded.size(), decoded.data());
+  EXPECT_TRUE(decoded == trace.events);
+
+  // The .tbin image: header, then the same records.
+  const std::string image = image_of(trace);
+  EXPECT_EQ(image, from_hex("43434d4d 54524330 01000000 00000000 03000000 "
+                            "00000000 00000000 00000000") +
+                       records);
+  expect_events_equal(read_trace_binary(image.data(), image.size(), c),
+                      trace);
+
+  // A snapshot blob ends with the event count and the same records.
+  SessionOptions sopt;
+  sopt.retain_events = true;
+  CheckSession session(c, sopt);
+  ASSERT_TRUE(session.feed(trace.events.data(), trace.events.size()))
+      << session.error();
+  const std::string blob = serve::encode_snapshot(session);
+  const std::string section = from_hex("03000000 00000000") + records;
+  ASSERT_GE(blob.size(), section.size());
+  EXPECT_EQ(blob.substr(blob.size() - section.size()), section);
+  const serve::SnapshotImage img = serve::decode_snapshot(
+      reinterpret_cast<const unsigned char*>(blob.data()), blob.size());
+  EXPECT_TRUE(img.events == trace.events);
 }
 
 /// Expect read_trace_binary to throw with exactly this byte offset.
@@ -256,14 +308,16 @@ TEST(TraceBinary, LoadTraceAutoDetectsFilesAndMapsThem) {
     std::ofstream out(txt_path);
     write_trace(trace, out);
   }
-  EXPECT_EQ(detect_trace_format_file(bin_path), TraceFormat::kBinary);
-  EXPECT_EQ(detect_trace_format_file(txt_path), TraceFormat::kText);
+  const MappedTraceFile file(bin_path);
+  const MappedTraceFile text(txt_path);
+  EXPECT_EQ(detect_trace_format(file.data(), file.size()),
+            TraceFormat::kBinary);
+  EXPECT_EQ(detect_trace_format(text.data(), text.size()), TraceFormat::kText);
 
   expect_events_equal(load_trace(bin_path, c), trace);
-  expect_events_equal(load_trace(txt_path, c), trace, /*with_time=*/false);
+  expect_events_equal(load_trace(txt_path, c), trace);
 
   // The mmap image is byte-for-byte the writer's output.
-  const MappedTraceFile file(bin_path);
   const std::string image = image_of(trace);
   ASSERT_EQ(file.size(), image.size());
   EXPECT_EQ(std::memcmp(file.data(), image.data(), image.size()), 0);

@@ -11,6 +11,7 @@
 // the command-line face of the byte-identity guarantee. Exit 1 when
 // they differ.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "io/text.hpp"
 #include "serve/client.hpp"
 #include "trace/large_check.hpp"
+#include "trace/session_kernel.hpp"
 #include "trace/trace_binary.hpp"
 
 using namespace ccmm;
@@ -33,26 +35,6 @@ int usage() {
       "         [--chunk N] [--models lc|all|ext] [--diff-batch] [--retain]\n"
       "       ccmm_serve_client ADDR --status\n");
   return 2;
-}
-
-/// Records in event (seq) order — what the wire expects.
-std::vector<BinaryTraceEvent> records_of(const Trace& trace) {
-  std::vector<BinaryTraceEvent> recs;
-  recs.reserve(trace.events.size());
-  for (const TraceEvent& e : trace.events) {
-    BinaryTraceEvent r;
-    r.seq = e.seq;
-    r.time = e.time;
-    r.proc = e.proc;
-    r.node = e.node;
-    r.observed = e.observed == kBottom ? 0xFFFFFFFFu : e.observed;
-    recs.push_back(r);
-  }
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
-                     return a.seq < b.seq;
-                   });
-  return recs;
 }
 
 /// Diff the semantic fields two reports must share (timings and memory
@@ -133,7 +115,13 @@ int main(int argc, char** argv) {
     }
     const Computation c = io::read_computation(in);
     const Trace trace = load_trace(trace_path, c);
-    const std::vector<BinaryTraceEvent> recs = records_of(trace);
+    // The wire wants seq order; a text trace may list events in any.
+    const std::vector<std::uint32_t> order = detail::stable_seq_order(trace);
+    std::vector<BinaryTraceEvent> sorted(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+      sorted[i] = trace.events[order[i]];
+    const std::vector<BinaryTraceEvent>& recs =
+        order.empty() ? trace.events : sorted;
 
     serve::ClientOptions copts;
     copts.session.models = models;

@@ -51,25 +51,6 @@ int usage() {
   return 2;
 }
 
-std::vector<BinaryTraceEvent> records_of(const Trace& trace) {
-  std::vector<BinaryTraceEvent> recs;
-  recs.reserve(trace.events.size());
-  for (const TraceEvent& e : trace.events) {
-    BinaryTraceEvent r;
-    r.seq = e.seq;
-    r.time = e.time;
-    r.proc = e.proc;
-    r.node = e.node;
-    r.observed = e.observed == kBottom ? 0xFFFFFFFFu : e.observed;
-    recs.push_back(r);
-  }
-  std::stable_sort(recs.begin(), recs.end(),
-                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
-                     return a.seq < b.seq;
-                   });
-  return recs;
-}
-
 /// Hold the bench lock for the life of the process.
 int take_bench_lock() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -227,7 +208,7 @@ int main(int argc, char** argv) {
   const Computation c = proc::random_cilk(wopt, rng);
   BackerMemory mem;
   const Trace trace = run_execution(c, greedy_schedule(c, 4), mem).trace;
-  sh.recs = records_of(trace);
+  sh.recs = trace.events;  // already in seq order, as the wire wants
   sh.c = &c;
 
   LargeCheckReport batch;

@@ -9,8 +9,7 @@
 #include "construct/fixpoint.hpp"
 #include "enumerate/canonical.hpp"
 #include "enumerate/isomorphism.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
@@ -32,7 +31,7 @@ void BM_WitnessSearchNN(benchmark::State& state) {
   options.quotient = false;  // labeled baseline
   for (auto _ : state) {
     const auto w =
-        find_nonconstructibility_witness(*QDagModel::nn(), options);
+        find_nonconstructibility_witness(*builtin_model(kSuiteNN), options);
     benchmark::DoNotOptimize(w.has_value());
   }
 }
@@ -46,7 +45,7 @@ void BM_WitnessSearchNNQuotient(benchmark::State& state) {
   options.quotient = true;  // one representative per class
   for (auto _ : state) {
     const auto w =
-        find_nonconstructibility_witness(*QDagModel::nn(), options);
+        find_nonconstructibility_witness(*builtin_model(kSuiteNN), options);
     benchmark::DoNotOptimize(w.has_value());
   }
 }
@@ -60,7 +59,7 @@ void BM_WitnessSearchLcComesUpEmpty(benchmark::State& state) {
   options.quotient = false;  // labeled baseline
   for (auto _ : state) {
     const auto w = find_nonconstructibility_witness(
-        *LocationConsistencyModel::instance(), options);
+        *builtin_model(kSuiteLC), options);
     benchmark::DoNotOptimize(w.has_value());
   }
 }
@@ -71,7 +70,8 @@ void BM_RestrictModel(benchmark::State& state) {
   // this from the fixpoint timings to see the pruning cost itself.
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto set = BoundedModelSet::restrict_model(*QDagModel::nn(), spec);
+    const auto set =
+        BoundedModelSet::restrict_model(*builtin_model(kSuiteNN), spec);
     benchmark::DoNotOptimize(set.live_count());
   }
 }
@@ -81,7 +81,8 @@ void BM_FixpointSequential(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     FixpointStats stats;
-    const auto set = constructible_version(*QDagModel::nn(), spec, &stats);
+    const auto set =
+        constructible_version(*builtin_model(kSuiteNN), spec, &stats);
     benchmark::DoNotOptimize(set.live_count());
     state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
     state.counters["pruned"] = static_cast<double>(stats.pruned);
@@ -99,8 +100,8 @@ BENCHMARK(BM_FixpointSequential)
 void BM_RestrictModelQuotient(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto set =
-        BoundedModelSet::restrict_model_quotient(*QDagModel::nn(), spec);
+    const auto set = BoundedModelSet::restrict_model_quotient(
+        *builtin_model(kSuiteNN), spec);
     benchmark::DoNotOptimize(set.live_count());
   }
 }
@@ -114,7 +115,7 @@ void BM_FixpointQuotient(benchmark::State& state) {
   for (auto _ : state) {
     FixpointStats stats;
     const auto set =
-        constructible_version_quotient(*QDagModel::nn(), spec, &stats);
+        constructible_version_quotient(*builtin_model(kSuiteNN), spec, &stats);
     benchmark::DoNotOptimize(set.live_count());
     state.counters["pairs"] = static_cast<double>(stats.initial_pairs);
     state.counters["pruned"] = static_cast<double>(stats.pruned);
@@ -131,7 +132,7 @@ void BM_FixpointParallel(benchmark::State& state) {
   ThreadPool pool(static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     const auto set =
-        constructible_version_parallel(*QDagModel::nn(), spec, pool);
+        constructible_version_parallel(*builtin_model(kSuiteNN), spec, pool);
     benchmark::DoNotOptimize(set.live_count());
   }
 }
@@ -157,7 +158,8 @@ void BM_FixpointWorklist(benchmark::State& state) {
   const auto spec = thin_spec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     FixpointStats stats;
-    const auto set = constructible_version(*QDagModel::nn(), spec, &stats);
+    const auto set =
+        constructible_version(*builtin_model(kSuiteNN), spec, &stats);
     benchmark::DoNotOptimize(set.live_count());
     export_worklist_counters(state, stats);
   }
@@ -173,7 +175,7 @@ void BM_FixpointWorklistQuotient(benchmark::State& state) {
   for (auto _ : state) {
     FixpointStats stats;
     const auto set =
-        constructible_version_quotient(*QDagModel::nn(), spec, &stats);
+        constructible_version_quotient(*builtin_model(kSuiteNN), spec, &stats);
     benchmark::DoNotOptimize(set.live_count());
     export_worklist_counters(state, stats);
   }
@@ -190,7 +192,7 @@ void BM_FixpointWorklistQuotientParallel(benchmark::State& state) {
   for (auto _ : state) {
     FixpointStats stats;
     const auto set = constructible_version_quotient_parallel(
-        *QDagModel::nn(), spec, pool, &stats);
+        *builtin_model(kSuiteNN), spec, pool, &stats);
     benchmark::DoNotOptimize(set.live_count());
     export_worklist_counters(state, stats);
   }

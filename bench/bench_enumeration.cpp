@@ -11,6 +11,7 @@
 #include "enumerate/canonical.hpp"
 #include "enumerate/dag_enum.hpp"
 #include "enumerate/universe.hpp"
+#include "models/compile.hpp"
 #include "models/qdag.hpp"
 
 namespace ccmm {
@@ -153,7 +154,7 @@ void BM_RestrictModelQuotientParallel(benchmark::State& state) {
   if (nthreads > 0) pool = std::make_unique<ThreadPool>(nthreads);
   for (auto _ : state) {
     const auto set = BoundedModelSet::restrict_model_quotient(
-        *QDagModel::nn(), spec, pool.get());
+        *builtin_model(kSuiteNN), spec, pool.get());
     benchmark::DoNotOptimize(set.live_count());
     state.counters["entries"] = static_cast<double>(set.entries().size());
   }

@@ -23,7 +23,7 @@
 #include "core/prepared.hpp"
 #include "dag/precedence_oracle.hpp"
 #include "io/text.hpp"
-#include "models/location_consistency.hpp"
+#include "models/compile.hpp"
 #include "trace/large_check.hpp"
 #include "trace/trace_binary.hpp"
 #include "trace_instances.hpp"
@@ -123,8 +123,7 @@ void BM_VerifyClosureLC(benchmark::State& state) {
     CheckContext ctx;
     const PreparedPair p = ctx.prepare(c, in.phi);
     benchmark::DoNotOptimize(
-        p.valid() && LocationConsistencyModel::instance()->contains_prepared(
-                         p));
+        p.valid() && builtin_model(kSuiteLC)->contains_prepared(p));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(in.c.node_count()));

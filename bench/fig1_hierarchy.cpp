@@ -5,10 +5,8 @@
 
 #include "enumerate/universe.hpp"
 #include "experiment_common.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
+#include "models/compile.hpp"
 #include "models/relations.hpp"
-#include "models/sequential_consistency.hpp"
 
 namespace ccmm {
 namespace {
@@ -32,12 +30,12 @@ void report_relation(experiment::Harness& h, const NamedModel& a,
 int run() {
   experiment::Harness h("Figure 1 — the model lattice");
 
-  const auto sc = SequentialConsistencyModel::instance();
-  const auto lc = LocationConsistencyModel::instance();
-  const auto nn = QDagModel::nn();
-  const auto nw = QDagModel::nw();
-  const auto wn = QDagModel::wn();
-  const auto ww = QDagModel::ww();
+  const auto sc = builtin_model(kSuiteSC);
+  const auto lc = builtin_model(kSuiteLC);
+  const auto nn = builtin_model(kSuiteNN);
+  const auto nw = builtin_model(kSuiteNW);
+  const auto wn = builtin_model(kSuiteWN);
+  const auto ww = builtin_model(kSuiteWW);
 
   // Universe A: one location, up to 4 nodes, exhaustive.
   UniverseSpec one_loc;

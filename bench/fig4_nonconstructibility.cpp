@@ -10,11 +10,9 @@
 #include "construct/online.hpp"
 #include "construct/witness.hpp"
 #include "enumerate/cached_model.hpp"
-#include "models/qdag.hpp"
-#include "models/wn_plus.hpp"
+#include "models/compile.hpp"
 #include "experiment_common.hpp"
 #include "models/location_consistency.hpp"
-#include "models/sequential_consistency.hpp"
 #include "util/memo_cache.hpp"
 
 namespace ccmm {
@@ -32,14 +30,13 @@ int run() {
   h.section("curated witness (paper's phenomenon, minimal form)");
   const NonconstructibilityWitness w = figure4_witness();
   h.note(w.to_string());
-  h.check(validate_witness(*QDagModel::nn(), w),
+  h.check(validate_witness(*builtin_model(kSuiteNN), w),
           "the curated pair is in NN and its read extension is stuck");
-  h.check(QDagModel::nn()->contains(w.c, w.phi), "(C, Φ) ∈ NN");
+  h.check(builtin_model(kSuiteNN)->contains(w.c, w.phi), "(C, Φ) ∈ NN");
   h.check(!location_consistent(w.c, w.phi), "(C, Φ) ∉ LC — the separator");
 
   const Computation write_ext = w.c.extend(Op::write(0), {2, 3});
-  h.check(!validate_witness(*QDagModel::nn(),
-                            {w.c, w.phi, write_ext}),
+  h.check(!validate_witness(*builtin_model(kSuiteNN), {w.c, w.phi, write_ext}),
           "the WRITE extension is answerable (paper: 'unless F writes')");
 
   h.section("exhaustive witness search (1 location, no-nop universe)");
@@ -53,14 +50,14 @@ int run() {
     std::size_t max_nodes;
     bool expect_witness;
   };
-  const auto nn = QDagModel::nn();
-  const auto nw = QDagModel::nw();
-  const auto wn = QDagModel::wn();
-  const auto ww = QDagModel::ww();
-  const auto lc = LocationConsistencyModel::instance();
-  const auto sc = SequentialConsistencyModel::instance();
-  const auto wnp = WnPlusModel::instance();
-  const auto nnp = NnPlusModel::instance();
+  const auto nn = builtin_model(kSuiteNN);
+  const auto nw = builtin_model(kSuiteNW);
+  const auto wn = builtin_model(kSuiteWN);
+  const auto ww = builtin_model(kSuiteWW);
+  const auto lc = builtin_model(kSuiteLC);
+  const auto sc = builtin_model(kSuiteSC);
+  const auto wnp = builtin_model(kSuiteWNPlus);
+  const auto nnp = builtin_model(kSuiteNNPlus);
   const ModelRow rows[] = {
       {"NN", nn.get(), 4, true},   {"NW", nw.get(), 4, true},
       {"WN", wn.get(), 4, false},  {"WW", ww.get(), 4, false},
@@ -98,13 +95,13 @@ int run() {
       "variant. See EXPERIMENTS.md.");
 
   h.section("the online game (operational nonconstructibility)");
-  h.check(play_nonconstructibility_game(*QDagModel::nn(), w),
+  h.check(play_nonconstructibility_game(*builtin_model(kSuiteNN), w),
           "every online maintainer that reaches the witness position is "
           "defeated by the next reveal");
   {
     SerialMaintainer serial;
     const OnlineRun run = run_online(
-        serial, w.c, SequentialConsistencyModel::instance().get());
+        serial, w.c, builtin_model(kSuiteSC).get());
     h.check(run.valid && run.first_violation_step == SIZE_MAX,
             "the serial maintainer (an online algorithm) survives the same "
             "reveal sequence inside SC — it simply never enters the "

@@ -5,7 +5,7 @@
 // allows all of them except CoRR — and shows how a synchronization edge
 // (computation structure!) removes the stale MP outcome even under LC.
 #include "experiment_common.hpp"
-#include "models/qdag.hpp"
+#include "models/compile.hpp"
 #include "proc/litmus.hpp"
 
 namespace ccmm {
@@ -22,7 +22,8 @@ int run() {
     // Also ask the weakest dag model, for contrast.
     const proc::ProgramComputation pc = proc::unfold(test.program);
     const ObserverFunction reads = proc::observation_observer(test, pc);
-    const auto ww = find_model_completion(pc.c, reads, *QDagModel::ww());
+    const auto ww =
+        find_model_completion(pc.c, reads, *builtin_model(kSuiteWW));
 
     t.add_row({test.name, v.sc_allowed ? "allowed" : "forbidden",
                v.lc_allowed ? "allowed" : "forbidden",

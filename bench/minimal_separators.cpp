@@ -5,10 +5,7 @@
 // search — no curation involved.
 #include "enumerate/separators.hpp"
 #include "experiment_common.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
-#include "models/sequential_consistency.hpp"
-#include "models/wn_plus.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
@@ -16,13 +13,13 @@ namespace {
 int run() {
   experiment::Harness h("Minimal separators for every lattice edge");
 
-  const auto sc = SequentialConsistencyModel::instance();
-  const auto lc = LocationConsistencyModel::instance();
-  const auto nn = QDagModel::nn();
-  const auto nw = QDagModel::nw();
-  const auto wn = QDagModel::wn();
-  const auto ww = QDagModel::ww();
-  const auto wnp = WnPlusModel::instance();
+  const auto sc = builtin_model(kSuiteSC);
+  const auto lc = builtin_model(kSuiteLC);
+  const auto nn = builtin_model(kSuiteNN);
+  const auto nw = builtin_model(kSuiteNW);
+  const auto wn = builtin_model(kSuiteWN);
+  const auto ww = builtin_model(kSuiteWW);
+  const auto wnp = builtin_model(kSuiteWNPlus);
 
   struct Edge {
     const char* stronger_name;

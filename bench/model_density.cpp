@@ -9,9 +9,7 @@
 #include "enumerate/sampling.hpp"
 #include "exec/workload.hpp"
 #include "experiment_common.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
-#include "models/wn_plus.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
@@ -19,14 +17,14 @@ namespace {
 int run() {
   experiment::Harness h("Model density under sampling (lattice at scale)");
 
-  const auto lc = LocationConsistencyModel::instance();
+  const auto lc = builtin_model(kSuiteLC);
   const std::vector<std::pair<const char*, const MemoryModel*>> models = {
       {"LC", lc.get()},
-      {"NN", QDagModel::nn().get()},
-      {"NW", QDagModel::nw().get()},
-      {"WN", QDagModel::wn().get()},
-      {"WN+", WnPlusModel::instance().get()},
-      {"WW", QDagModel::ww().get()},
+      {"NN", builtin_model(kSuiteNN).get()},
+      {"NW", builtin_model(kSuiteNW).get()},
+      {"WN", builtin_model(kSuiteWN).get()},
+      {"WN+", builtin_model(kSuiteWNPlus).get()},
+      {"WW", builtin_model(kSuiteWW).get()},
   };
 
   std::vector<std::string> header = {"workload", "nodes", "samples"};
@@ -58,10 +56,12 @@ int run() {
       // membership implication then makes the ordering exact, not
       // merely statistical.
       std::vector<std::size_t> members(models.size(), 0);
+      CheckContext ctx;  // one preparation serves every model per sample
       for (std::size_t s = 0; s < kSamples; ++s) {
         const ObserverFunction phi = random_observer(c, rng);
+        const PreparedPair p = ctx.prepare(c, phi);
         for (std::size_t m = 0; m < models.size(); ++m)
-          if (models[m].second->contains(c, phi)) ++members[m];
+          if (models[m].second->contains_prepared(p)) ++members[m];
       }
       std::vector<double> density;
       for (const std::size_t m : members) {

@@ -13,26 +13,24 @@
 
 #include "construct/fixpoint.hpp"
 #include "experiment_common.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
-#include "models/wn_plus.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
 
 int run() {
   experiment::Harness h("Open problem — LC vs NW* and WN* (bounded probe)");
-  const auto lc = LocationConsistencyModel::instance();
+  const auto lc = builtin_model(kSuiteLC);
 
   struct Probe {
     const char* name;
     std::shared_ptr<const MemoryModel> model;
   };
   const Probe probes[] = {
-      {"NW", QDagModel::nw()},
-      {"WN", QDagModel::wn()},
-      {"WN+", WnPlusModel::instance()},
-      {"NN+", NnPlusModel::instance()},
+      {"NW", builtin_model(kSuiteNW)},
+      {"WN", builtin_model(kSuiteWN)},
+      {"WN+", builtin_model(kSuiteWNPlus)},
+      {"NN+", builtin_model(kSuiteNNPlus)},
   };
 
   TextTable t({"model", "horizon", "size", "fixpoint", "LC ∩ U", "gap"});

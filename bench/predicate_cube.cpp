@@ -7,7 +7,7 @@
 #include "construct/witness.hpp"
 #include "enumerate/universe.hpp"
 #include "experiment_common.hpp"
-#include "models/location_consistency.hpp"
+#include "models/compile.hpp"
 #include "models/qdag.hpp"
 
 namespace ccmm {

@@ -5,6 +5,7 @@
 // = LC at a size class *proves* NN* = LC there.
 #include "construct/fixpoint.hpp"
 #include "experiment_common.hpp"
+#include "models/compile.hpp"
 #include "models/location_consistency.hpp"
 #include "construct/extension.hpp"
 #include "models/qdag.hpp"
@@ -14,8 +15,8 @@ namespace {
 
 int run() {
   experiment::Harness h("Theorem 23 — LC = NN* (bounded fixpoint)");
-  const auto lc = LocationConsistencyModel::instance();
-  const auto nn = QDagModel::nn();
+  const auto lc = builtin_model(kSuiteLC);
+  const auto nn = builtin_model(kSuiteNN);
 
   TextTable t({"horizon", "size", "NN ∩ U", "NN* fixpoint", "LC ∩ U",
                "NN* = LC"});
@@ -64,10 +65,13 @@ int run() {
     spec.max_writes_per_location = 2;
     const auto alphabet = op_alphabet(2);
     std::size_t separators = 0, one_step_stuck = 0, below4 = 0;
+    CheckContext ctx;  // one preparation serves NN and LC per pair
     for_each_pair(spec,
                   [&](const Computation& c, const ObserverFunction& phi) {
-                    if (!qdag_consistent(c, phi, DagPred::kNN)) return true;
-                    if (location_consistent(c, phi)) return true;
+                    const PreparedPair p = ctx.prepare(c, phi);
+                    if (!qdag_consistent_prepared(p, DagPred::kNN))
+                      return true;
+                    if (location_consistent_prepared(p)) return true;
                     if (c.node_count() < 4) {
                       ++below4;
                       return true;

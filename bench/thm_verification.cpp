@@ -11,10 +11,9 @@
 #include "enumerate/canonical.hpp"
 #include "enumerate/universe.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "models/qdag.hpp"
 #include "experiment_common.hpp"
-#include "models/location_consistency.hpp"
-#include "models/sequential_consistency.hpp"
 
 namespace ccmm {
 namespace {
@@ -61,9 +60,9 @@ int run() {
     h.check(t16, "T16: every W_T satisfies Definition 2");
   }
 
-  const auto lc = LocationConsistencyModel::instance();
-  const auto sc = SequentialConsistencyModel::instance();
-  const auto nn = QDagModel::nn();
+  const auto lc = builtin_model(kSuiteLC);
+  const auto sc = builtin_model(kSuiteSC);
+  const auto nn = builtin_model(kSuiteNN);
 
   h.section("Theorem 19: SC and LC are monotonic and constructible");
   {
@@ -116,16 +115,18 @@ int run() {
     // node ids), so on them the sweep is a spot check — still valid
     // evidence, since Theorem 21 quantifies over all Q.
     const auto t0 = std::chrono::steady_clock::now();
+    CheckContext ctx;  // one preparation serves every predicate per pair
     for_each_pair_up_to_iso(
         spec, [&](const Computation& c, const ObserverFunction& f,
                   std::uint64_t mult) {
           pairs += mult;
-          if (qdag_consistent(c, f, DagPred::kNN)) {
-            for (const DagPred p :
+          const PreparedPair p = ctx.prepare(c, f);
+          if (qdag_consistent_prepared(p, DagPred::kNN)) {
+            for (const DagPred pred :
                  {DagPred::kNW, DagPred::kWN, DagPred::kWW})
-              if (!qdag_consistent(c, f, p)) ok = false;
+              if (!qdag_consistent_prepared(p, pred)) ok = false;
             for (const auto& q : random_preds)
-              if (!qdag_consistent_custom(c, f, q)) ok = false;
+              if (!qdag_consistent_custom_prepared(p, q)) ok = false;
           }
           return true;
         });

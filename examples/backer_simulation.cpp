@@ -10,7 +10,7 @@
 #include "exec/backer.hpp"
 #include "exec/sim_machine.hpp"
 #include "exec/workload.hpp"
-#include "models/location_consistency.hpp"
+#include "models/compile.hpp"
 #include "trace/postmortem.hpp"
 #include "trace/race.hpp"
 
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       (unsigned long long)run.memory_stats.evictions);
 
   const auto report = verify_execution(
-      c, run.phi, *LocationConsistencyModel::instance());
+      c, run.phi, *builtin_model(kSuiteLC));
   std::printf("\npost-mortem: %s\n", report.detail.c_str());
 
   // On a race-free computation every read must have seen its producer.

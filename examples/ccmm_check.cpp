@@ -39,7 +39,6 @@
 #include "models/qdag.hpp"
 #include "models/sequential_consistency.hpp"
 #include "models/spec.hpp"
-#include "models/wn_plus.hpp"
 #include "proc/random_program.hpp"
 #include "trace/lint_pipeline.hpp"
 #include "trace/race.hpp"
@@ -64,7 +63,7 @@ int fixpoint_report(std::size_t max_nodes) {
   std::printf("Δ*(NN) on the thin universe, n <= %zu:\n", max_nodes);
   FixpointStats st;
   const auto t0 = clock::now();
-  (void)constructible_version_quotient(*QDagModel::nn(), spec, &st);
+  (void)constructible_version_quotient(*builtin_model(kSuiteNN), spec, &st);
   const double ms =
       std::chrono::duration<double, std::milli>(clock::now() - t0).count();
   std::printf("worklist: %.1f ms, %zu -> %zu pairs (pruned %zu)\n", ms,
@@ -358,7 +357,7 @@ int main(int argc, char** argv) {
   row("NN", [&] { return qdag_consistent_prepared(p, DagPred::kNN); });
   row("NW", [&] { return qdag_consistent_prepared(p, DagPred::kNW); });
   row("WN", [&] { return qdag_consistent_prepared(p, DagPred::kWN); });
-  row("WN+", [&] { return wn_plus_consistent_prepared(p); });
+  row("WN+", [&] { return builtin_model(kSuiteWNPlus)->contains_prepared(p); });
   row("WW", [&] { return qdag_consistent_prepared(p, DagPred::kWW); });
 
   // Compiled spec models share the same preparation; undecided means a

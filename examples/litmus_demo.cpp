@@ -7,9 +7,7 @@
 //   $ ./litmus_demo
 #include <cstdio>
 
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
-#include "models/sequential_consistency.hpp"
+#include "models/compile.hpp"
 #include "proc/litmus.hpp"
 #include "proc/locks.hpp"
 
@@ -67,7 +65,7 @@ int main() {
   lost.set(0, wb, wb);
   lost.set(0, fin, wb);
 
-  const auto sc = SequentialConsistencyModel::instance();
+  const auto sc = builtin_model(kSuiteSC);
   std::printf("lost update under plain SC: %s\n",
               sc->contains(c, lost) ? "allowed" : "forbidden");
   const LockAwareModel locked(sc, {{0, {ra, wa}}, {0, {rb, wb}}});

@@ -9,10 +9,8 @@
 #include <map>
 
 #include "enumerate/universe.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
+#include "models/compile.hpp"
 #include "models/relations.hpp"
-#include "models/sequential_consistency.hpp"
 #include "util/str.hpp"
 
 using namespace ccmm;
@@ -25,12 +23,15 @@ int main(int argc, char** argv) {
       argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 1;
   spec.include_nop = false;
 
-  const auto sc = SequentialConsistencyModel::instance();
-  const auto lc = LocationConsistencyModel::instance();
+  const auto sc = builtin_model(kSuiteSC);
+  const auto lc = builtin_model(kSuiteLC);
   const std::vector<std::pair<const char*, const MemoryModel*>> models = {
-      {"SC", sc.get()},           {"LC", lc.get()},
-      {"NN", QDagModel::nn().get()}, {"NW", QDagModel::nw().get()},
-      {"WN", QDagModel::wn().get()}, {"WW", QDagModel::ww().get()}};
+      {"SC", sc.get()},
+      {"LC", lc.get()},
+      {"NN", builtin_model(kSuiteNN).get()},
+      {"NW", builtin_model(kSuiteNW).get()},
+      {"WN", builtin_model(kSuiteWN).get()},
+      {"WW", builtin_model(kSuiteWW).get()}};
 
   std::printf("universe: <= %zu nodes, %zu location(s), %llu pairs\n\n",
               spec.max_nodes, spec.nlocations,

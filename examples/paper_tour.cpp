@@ -13,6 +13,7 @@
 #include "core/last_writer.hpp"
 #include "dag/topsort.hpp"
 #include "io/dot.hpp"
+#include "models/compile.hpp"
 #include "models/examples.hpp"
 #include "models/location_consistency.hpp"
 #include "models/qdag.hpp"
@@ -81,9 +82,9 @@ int main() {
   const NonconstructibilityWitness fig4 = figure4_witness();
   std::printf("%s", fig4.to_string().c_str());
   std::printf("witness validates against NN: %s\n",
-              validate_witness(*QDagModel::nn(), fig4) ? "yes" : "no");
+              validate_witness(*builtin_model(kSuiteNN), fig4) ? "yes" : "no");
   std::printf("the online game defeats every maintainer here: %s\n",
-              play_nonconstructibility_game(*QDagModel::nn(), fig4)
+              play_nonconstructibility_game(*builtin_model(kSuiteNN), fig4)
                   ? "yes"
                   : "no");
 
@@ -95,9 +96,9 @@ int main() {
   spec.max_writes_per_location = 2;
   FixpointStats stats;
   const BoundedModelSet nn_star =
-      constructible_version(*QDagModel::nn(), spec, &stats);
+      constructible_version(*builtin_model(kSuiteNN), spec, &stats);
   const auto cmp =
-      compare_with_model(nn_star, *LocationConsistencyModel::instance());
+      compare_with_model(nn_star, *builtin_model(kSuiteLC));
   std::printf("bounded NN* fixpoint (horizon 4): %zu pairs, %zu pruned\n",
               stats.final_pairs, stats.pruned);
   for (const auto& row : cmp) {

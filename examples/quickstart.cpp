@@ -10,6 +10,7 @@
 #include "core/last_writer.hpp"
 #include "exec/backer.hpp"
 #include "exec/sim_machine.hpp"
+#include "models/compile.hpp"
 #include "models/location_consistency.hpp"
 #include "models/qdag.hpp"
 #include "models/sequential_consistency.hpp"
@@ -67,7 +68,7 @@ int main() {
   const ExecutionResult run = run_execution(c, schedule, memory);
   std::printf("\nexecution trace:\n%s", trace_to_string(run.trace, c).c_str());
   const auto report = verify_execution(
-      c, run.phi, *LocationConsistencyModel::instance());
+      c, run.phi, *builtin_model(kSuiteLC));
   std::printf("post-mortem: %s\n", report.detail.c_str());
   return report.in_model ? 0 : 1;
 }

@@ -11,23 +11,21 @@
 #include <cstring>
 
 #include "construct/witness.hpp"
-#include "models/qdag.hpp"
-#include "models/location_consistency.hpp"
-#include "models/sequential_consistency.hpp"
+#include "models/compile.hpp"
 
 using namespace ccmm;
 
 namespace {
 
 std::shared_ptr<const MemoryModel> pick_model(const char* name) {
-  if (std::strcmp(name, "nn") == 0) return QDagModel::nn();
-  if (std::strcmp(name, "nw") == 0) return QDagModel::nw();
-  if (std::strcmp(name, "wn") == 0) return QDagModel::wn();
-  if (std::strcmp(name, "ww") == 0) return QDagModel::ww();
+  if (std::strcmp(name, "nn") == 0) return builtin_model(kSuiteNN);
+  if (std::strcmp(name, "nw") == 0) return builtin_model(kSuiteNW);
+  if (std::strcmp(name, "wn") == 0) return builtin_model(kSuiteWN);
+  if (std::strcmp(name, "ww") == 0) return builtin_model(kSuiteWW);
   if (std::strcmp(name, "lc") == 0)
-    return LocationConsistencyModel::instance();
+    return builtin_model(kSuiteLC);
   if (std::strcmp(name, "sc") == 0)
-    return SequentialConsistencyModel::instance();
+    return builtin_model(kSuiteSC);
   return nullptr;
 }
 

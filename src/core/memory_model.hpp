@@ -6,10 +6,16 @@
 // extensional set over bounded universes when the theory quantifies over
 // all pairs (constructibility, Δ*, model comparison).
 //
-// Membership is a two-level API. contains(c, phi) is the historical
-// convenience signature; contains_prepared(PreparedPair) is the hot path
-// batch consumers use to amortize observer validation, closure freezing
-// and Φ⁻¹ block construction across every model probed on one pair.
+// Membership is a two-level API. contains(c, phi) is the convenience
+// signature; contains_prepared(PreparedPair) is the hot path batch
+// consumers use to amortize observer validation, closure freezing and
+// Φ⁻¹ block construction across every model probed on one pair.
+//
+// The paper's models are compiled specs (models/compile.hpp:
+// builtin_model, cube_model, compile_model), which implement only the
+// prepared level. The classes here are the glue for derived models:
+// PredicateModel (fixpoint results, custom Q-dag predicates) and
+// IntersectionModel.
 #pragma once
 
 #include <functional>

@@ -1,6 +1,7 @@
 #include "models/compile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 
 #include "util/check.hpp"
@@ -8,14 +9,6 @@
 
 namespace ccmm {
 namespace {
-
-/// The w-independent corners are the paper's named predicates with
-/// bitset-accelerated scans; everything else pays the cubic scan.
-std::optional<DagPred> named_corner(CubeSpec q) {
-  if (q.w_writes) return std::nullopt;
-  if (q.u_writes) return q.v_writes ? DagPred::kWW : DagPred::kWN;
-  return q.v_writes ? DagPred::kNW : DagPred::kNN;
-}
 
 std::uint32_t corner_suite_bit(DagPred pred) {
   switch (pred) {
@@ -42,6 +35,8 @@ int cube_constraints(CubeSpec q) {
 CompiledModel::CompiledModel(ModelSpec spec, const CompileOptions& options)
     : spec_(std::move(spec)), options_(options) {
   spec_.normalize();
+  // The w-independent corners are the paper's named predicates with
+  // bitset-accelerated scans; everything else pays the cubic scan.
   for (const CubeSpec& q : spec_.axioms) {
     if (const auto pred = named_corner(q))
       named_.push_back(*pred);
@@ -88,14 +83,18 @@ CompiledVerdict CompiledModel::check_prepared(const PreparedPair& p,
     case OrderAxiom::kScoped: {
       const Computation& c = p.computation();
       const ObserverFunction& phi = p.observer();
-      // Locations outside every scope are singleton scopes: plain LC.
-      for (const Location l : phi.active_locations()) {
+      // Locations outside every scope are singleton scopes: plain LC,
+      // on the pair's block partition of each active location.
+      for (const auto& lp : p.locations()) {
         const bool covered = std::any_of(
             spec_.scopes.begin(), spec_.scopes.end(), [&](const ScopeSpec& s) {
               return std::binary_search(s.locations.begin(), s.locations.end(),
-                                        l);
+                                        lp.loc);
             });
-        if (!covered && !location_consistent_at(c, phi, l)) return v;
+        if (!covered &&
+            !detail::lc_quotient_sortable(c, lp.block_of.data(),
+                                          lp.block_count(), nullptr))
+          return v;
       }
       ScOptions opt;
       opt.budget = options_.sc_budget;
@@ -139,20 +138,16 @@ bool CompiledModel::for_each_member_observer(
   }
   if (best == nullptr) return MemoryModel::for_each_member_observer(c, visit);
 
-  const std::shared_ptr<const QDagModel> base =
-      *best == DagPred::kNN   ? QDagModel::nn()
-      : *best == DagPred::kNW ? QDagModel::nw()
-      : *best == DagPred::kWN ? QDagModel::wn()
-                              : QDagModel::ww();
   const bool pure = named_.size() == 1 && cubic_.empty() && !spec_.freshness &&
                     spec_.order == OrderAxiom::kNone;
-  if (pure) return base->for_each_member_observer(c, visit);
+  if (pure) return for_each_qdag_member_observer(c, *best, visit);
   // IntersectionModel's pattern: enumerate the corner, filter by the
   // full plan (the corner re-check inside contains is redundant but
   // keeps the filter trivially correct).
-  return base->for_each_member_observer(c, [&](const ObserverFunction& phi) {
-    return !contains(c, phi) || visit(phi);
-  });
+  return for_each_qdag_member_observer(
+      c, *best, [&](const ObserverFunction& phi) {
+        return !contains(c, phi) || visit(phi);
+      });
 }
 
 CompiledModel::StreamingPlan CompiledModel::streaming_plan() const {
@@ -185,6 +180,21 @@ CompiledModel::StreamingPlan CompiledModel::streaming_plan() const {
 std::shared_ptr<const CompiledModel> compile_model(
     ModelSpec spec, const CompileOptions& options) {
   return std::make_shared<const CompiledModel>(std::move(spec), options);
+}
+
+std::shared_ptr<const CompiledModel> builtin_model(std::uint32_t suite_bit) {
+  CCMM_CHECK(std::has_single_bit(suite_bit) && suite_bit <= kSuiteNNPlus,
+             "not the suite bit of a built-in model");
+  return ModelRegistry::bundled()
+      .entries()[static_cast<std::size_t>(std::countr_zero(suite_bit))]
+      .model;
+}
+
+std::shared_ptr<const CompiledModel> cube_model(CubeSpec spec) {
+  ModelSpec s;
+  s.name = cube_name(spec);
+  s.axioms = {spec};
+  return compile_model(std::move(s));
 }
 
 ModelRegistry::ModelRegistry(std::vector<ModelSpec> specs,

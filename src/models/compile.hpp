@@ -13,15 +13,21 @@
 //   fresh                      -> observer_is_fresh_prepared
 //   order location             -> location_consistent_prepared
 //   order global               -> sc_check_prepared (budgeted search)
-//   scope lines                -> serialization_check per scope +
-//                                 location_consistent_at on uncovered
-//                                 locations
+//   scope lines                -> serialization_check per scope + the
+//                                 LC quotient test on the pair's blocks
+//                                 of each uncovered location
 //
 // The plan runs cheapest-first (named scans, freshness, cubic scans,
-// LC, scoped/global search last), so compiled built-ins execute the
-// *same* checker calls as their hand-fused originals — the
-// differential tests pin byte-identity, and the hand-fused paths
-// survive only as the functions the compiler lowers onto.
+// LC, scoped/global search last). Each axiom has one implementation:
+// the prepared checker it lowers onto, which the one-shot names
+// (location_consistent, qdag_consistent, sc_check, …) also run, on
+// prepare_pair(c, φ).
+//
+// A compiled spec is the only object for every built-in model:
+// builtin_model(kSuiteLC) is entry 1 of ModelRegistry::bundled(), and
+// so on for each suite bit; cube_model(q) compiles the one-axiom spec of
+// a cube corner. Tests compare them with the definitions themselves
+// (tests/reference_models.hpp) on exhaustive small universes.
 //
 // ModelRegistry holds compiled models and is the one whole-family
 // classifier: it classifies a prepared pair against every entry with
@@ -51,8 +57,7 @@ namespace ccmm {
 struct CompileOptions {
   /// Budget for each serialization search (global or per scope) a
   /// membership query may run. contains() / contains_prepared() abort
-  /// (CCMM_CHECK) on exhaustion, like the hand-fused SC model;
-  /// check_prepared reports it instead.
+  /// (CCMM_CHECK) on exhaustion; check_prepared reports it instead.
   std::size_t sc_budget = SIZE_MAX;
 };
 
@@ -73,11 +78,11 @@ class CompiledModel final : public MemoryModel {
   /// collide.
   [[nodiscard]] std::string cache_tag() const override;
   [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override;
-  /// Pruned enumeration: when the spec carries a named Q-dag axiom the
-  /// enumerator of that corner's QDagModel drives (prefix-pruned
+  /// Pruned enumeration: when the spec carries a named Q-dag axiom, that
+  /// corner's for_each_qdag_member_observer drives (prefix-pruned
   /// backtracking over columns), filtered by the full plan — the
-  /// IntersectionModel pattern. Specs without a named axiom fall back
-  /// to generate-and-test, exactly like the hand-fused LC/SC models.
+  /// IntersectionModel pattern. Specs without a named axiom (LC, SC,
+  /// the w-constrained corners) fall back to generate-and-test.
   bool for_each_member_observer(
       const Computation& c,
       const std::function<bool(const ObserverFunction&)>& visit)
@@ -125,6 +130,16 @@ class CompiledModel final : public MemoryModel {
 /// Compile a spec (normalizing a copy first).
 [[nodiscard]] std::shared_ptr<const CompiledModel> compile_model(
     ModelSpec spec, const CompileOptions& options = {});
+
+/// The built-in model of one suite bit, kSuiteSC through kSuiteNNPlus:
+/// entry i of ModelRegistry::bundled() for bit i. Any other value
+/// (kSuiteFresh, zero, several bits) fails a CCMM_CHECK.
+[[nodiscard]] std::shared_ptr<const CompiledModel> builtin_model(
+    std::uint32_t suite_bit);
+
+/// The Q-dag model of one cube corner: the one-axiom spec named
+/// cube_name(spec), compiled.
+[[nodiscard]] std::shared_ptr<const CompiledModel> cube_model(CubeSpec spec);
 
 struct RegistryOptions {
   /// Derived-lattice pruning; off = evaluate every entry independently

@@ -1,44 +1,8 @@
 #include "models/location_consistency.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace ccmm {
-namespace {
-
-/// Blocks of Φ(l,·): block 0 is B_⊥ (possibly empty); block i >= 1 is the
-/// block of the i-th distinct observed write. block_of[u] gives a node's
-/// block; writer_of[i] gives block i's writer (kBottom for block 0).
-struct Blocks {
-  std::vector<std::uint32_t> block_of;
-  std::vector<NodeId> writer_of;
-};
-
-Blocks make_blocks(const Computation& c, const ObserverFunction& phi,
-                   Location l) {
-  Blocks b;
-  b.block_of.assign(c.node_count(), 0);
-  b.writer_of.push_back(kBottom);
-  std::unordered_map<NodeId, std::uint32_t> index_of;
-  for (NodeId u = 0; u < c.node_count(); ++u) {
-    const NodeId x = phi.get(l, u);
-    if (x == kBottom) continue;
-    auto [it, fresh] = index_of.try_emplace(
-        x, static_cast<std::uint32_t>(b.writer_of.size()));
-    if (fresh) b.writer_of.push_back(x);
-    b.block_of[u] = it->second;
-  }
-  return b;
-}
-
-bool quotient_sortable(const Computation& c, const Blocks& b,
-                       std::vector<std::size_t>* order_out) {
-  return detail::lc_quotient_sortable(c, b.block_of.data(),
-                                      b.writer_of.size(), order_out);
-}
-
-}  // namespace
-
 namespace detail {
 
 /// Does the block quotient graph admit a topological order with B_⊥ first?
@@ -96,15 +60,16 @@ bool lc_quotient_sortable(const Computation& c, const std::uint32_t* block_of,
 
 bool location_consistent_at(const Computation& c, const ObserverFunction& phi,
                             Location l) {
-  const Blocks b = make_blocks(c, phi, l);
-  return quotient_sortable(c, b, nullptr);
+  const PreparedPair p = prepare_pair(c, phi);
+  if (!p.valid()) return false;
+  const auto* lp = p.location(l);
+  return lp == nullptr || detail::lc_quotient_sortable(
+                              c, lp->block_of.data(), lp->block_count(),
+                              nullptr);
 }
 
 bool location_consistent(const Computation& c, const ObserverFunction& phi) {
-  if (!is_valid_observer(c, phi)) return false;
-  for (const Location l : phi.active_locations())
-    if (!location_consistent_at(c, phi, l)) return false;
-  return true;
+  return location_consistent_prepared(prepare_pair(c, phi));
 }
 
 bool location_consistent_prepared(const PreparedPair& p) {
@@ -119,22 +84,28 @@ bool location_consistent_prepared(const PreparedPair& p) {
 std::optional<std::vector<NodeId>> lc_witness(const Computation& c,
                                               const ObserverFunction& phi,
                                               Location l) {
-  if (!is_valid_observer(c, phi)) return std::nullopt;
-  const Blocks b = make_blocks(c, phi, l);
+  const PreparedPair p = prepare_pair(c, phi);
+  if (!p.valid()) return std::nullopt;
+  const auto* lp = p.location(l);
+  // No writer: every node observes ⊥, which any sort explains.
+  if (lp == nullptr) return p.topological_order();
+  const std::uint32_t* block_of = lp->block_of.data();
   std::vector<std::size_t> block_order;
-  if (!quotient_sortable(c, b, &block_order)) return std::nullopt;
+  if (!detail::lc_quotient_sortable(c, block_of, lp->block_count(),
+                                    &block_order))
+    return std::nullopt;
 
   // Emit blocks in order; within a block, writer first, then the rest in a
   // linear extension of the induced subgraph (Kahn restricted to block).
-  std::vector<std::size_t> rank(b.writer_of.size());
+  std::vector<std::size_t> rank(lp->block_count());
   for (std::size_t i = 0; i < block_order.size(); ++i)
     rank[block_order[i]] = i;
 
   // Sort key: (block rank, canonical topological position). Sorting the
   // canonical order stably by block rank keeps intra-block dag order.
-  std::vector<NodeId> order = c.dag().topological_order();
+  std::vector<NodeId> order = p.topological_order();
   std::stable_sort(order.begin(), order.end(), [&](NodeId x, NodeId y) {
-    return rank[b.block_of[x]] < rank[b.block_of[y]];
+    return rank[block_of[x]] < rank[block_of[y]];
   });
   // The writer leads its block automatically: nothing in B_x precedes x
   // (observer condition 2.2), and a write to l precedes every member of
@@ -142,10 +113,10 @@ std::optional<std::vector<NodeId>> lc_witness(const Computation& c,
   // could sort before it, so rotate the writer to the front of its block.
   std::size_t i = 0;
   while (i < order.size()) {
-    const std::size_t blk = b.block_of[order[i]];
+    const std::uint32_t blk = block_of[order[i]];
     std::size_t j = i;
-    while (j < order.size() && b.block_of[order[j]] == blk) ++j;
-    const NodeId writer = b.writer_of[blk];
+    while (j < order.size() && block_of[order[j]] == blk) ++j;
+    const NodeId writer = lp->block_writer(blk);
     if (writer != kBottom) {
       const auto it = std::find(order.begin() + static_cast<std::ptrdiff_t>(i),
                                 order.begin() + static_cast<std::ptrdiff_t>(j),
@@ -156,16 +127,6 @@ std::optional<std::vector<NodeId>> lc_witness(const Computation& c,
     i = j;
   }
   return order;
-}
-
-}  // namespace ccmm
-
-namespace ccmm {
-
-std::shared_ptr<const LocationConsistencyModel>
-LocationConsistencyModel::instance() {
-  static const auto m = std::make_shared<const LocationConsistencyModel>();
-  return m;
 }
 
 }  // namespace ccmm

@@ -10,16 +10,21 @@
 // blocks (edges inherited from the dag) is acyclic and B_⊥ can be placed
 // first. Observer validity (2.2/2.3) guarantees each block's writer can
 // lead its block, so no further condition is needed. See DESIGN.md.
+//
+// The model is the compiled spec builtin_model(kSuiteLC)
+// (models/compile.hpp), which lowers onto location_consistent_prepared.
+// The one-shot names below read the same PreparedPair block partition,
+// built by prepare_pair.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "core/memory_model.hpp"
 
 namespace ccmm {
 
-/// Is (c, phi) location consistent? O(L·(V+E)) after closure.
+/// Is (c, phi) location consistent? location_consistent_prepared on
+/// prepare_pair(c, phi); O(L·(V+E)) after closure.
 [[nodiscard]] bool location_consistent(const Computation& c,
                                        const ObserverFunction& phi);
 
@@ -27,7 +32,8 @@ namespace ccmm {
 /// Φ⁻¹ block partition instead of recomputing both.
 [[nodiscard]] bool location_consistent_prepared(const PreparedPair& p);
 
-/// Is location l of (c, phi) serializable? (phi must be valid.)
+/// Is location l of (c, phi) serializable? False for an invalid phi; true
+/// for a location no node writes (its column is all ⊥).
 [[nodiscard]] bool location_consistent_at(const Computation& c,
                                           const ObserverFunction& phi,
                                           Location l);
@@ -43,23 +49,10 @@ namespace detail {
 }  // namespace detail
 
 /// A topological sort T of c with W_T(l,·) = Φ(l,·), if one exists —
-/// the per-location witness demanded by Definition 18.
+/// the per-location witness demanded by Definition 18. nullopt for an
+/// invalid phi; the canonical topological order for a location no node
+/// writes.
 [[nodiscard]] std::optional<std::vector<NodeId>> lc_witness(
     const Computation& c, const ObserverFunction& phi, Location l);
-
-class LocationConsistencyModel final : public MemoryModel {
- public:
-  [[nodiscard]] std::string name() const override { return "LC"; }
-  [[nodiscard]] bool contains(const Computation& c,
-                              const ObserverFunction& phi) const override {
-    return location_consistent(c, phi);
-  }
-  [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override {
-    return location_consistent_prepared(p);
-  }
-
-  [[nodiscard]] static std::shared_ptr<const LocationConsistencyModel>
-  instance();
-};
 
 }  // namespace ccmm

@@ -1,7 +1,6 @@
 #include "models/qdag.hpp"
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "util/str.hpp"
 
@@ -31,93 +30,6 @@ namespace {
 
 void report(QDagViolation* out, Location l, NodeId u, NodeId v, NodeId w) {
   if (out != nullptr) *out = {l, u, v, w};
-}
-
-/// Named-predicate check for one location (legacy entry point; the
-/// prepared path runs the same scan on the precomputed block partition).
-/// `observers_of(x)` must return Φ⁻¹(x) for any observed write x of this
-/// location (only queried for NN/NW).
-///
-/// For a pair v ≺ w with x = Φ(l,w) ≠ Φ(l,v), a violation needs some
-/// u ∈ anc(v) ∪ {⊥} with Φ(l,u) = x and Q(l,u,v,w):
-///  * NN: any such u; u = ⊥ qualifies whenever x = ⊥.
-///  * NW: same u condition but only pairs where v writes l.
-///  * WN: Q forces u to write l, and a writer observes itself, so u = x;
-///        the condition collapses to x ≠ ⊥ ∧ x ≺ v.
-///  * WW: the WN collapse restricted to pairs where v writes l.
-template <typename ObserversOf>
-bool check_location_impl(const Computation& c, const ObserverFunction& phi,
-                         DagPred pred, Location l,
-                         const ObserversOf& observers_of,
-                         QDagViolation* violation) {
-  const Dag& dag = c.dag();
-  const std::size_t n = c.node_count();
-
-  const bool v_must_write = pred == DagPred::kNW || pred == DagPred::kWW;
-  const bool u_must_write = pred == DagPred::kWN || pred == DagPred::kWW;
-
-  for (NodeId w = 0; w < n; ++w) {
-    const NodeId x = phi.get(l, w);
-    const DynBitset& anc_w = dag.ancestors(w);
-    bool bad = false;
-    anc_w.for_each([&](std::size_t vi) {
-      if (bad) return;
-      const auto v = static_cast<NodeId>(vi);
-      if (phi.get(l, v) == x) return;
-      if (v_must_write && !c.op(v).writes(l)) return;
-      if (u_must_write) {
-        // u must be a writer observing x, hence u = x itself.
-        if (x != kBottom && dag.precedes(x, v)) {
-          report(violation, l, x, v, w);
-          bad = true;
-        }
-        return;
-      }
-      // u unconstrained: u = ⊥ works when x = ⊥ (⊥ ≺ v always).
-      if (x == kBottom) {
-        report(violation, l, kBottom, v, w);
-        bad = true;
-        return;
-      }
-      const DynBitset& phi_inv_x = observers_of(x);
-      const DynBitset& anc_v = dag.ancestors(v);
-      if (anc_v.intersects(phi_inv_x)) {
-        if (violation != nullptr) {
-          DynBitset inter = anc_v;
-          inter &= phi_inv_x;
-          report(violation, l, static_cast<NodeId>(inter.find_first()), v, w);
-        }
-        bad = true;
-      }
-    });
-    if (bad) return false;
-  }
-  return true;
-}
-
-/// Legacy per-call path: builds the Φ⁻¹ bitsets in a fresh map.
-bool check_location(const Computation& c, const ObserverFunction& phi,
-                    DagPred pred, Location l, QDagViolation* violation) {
-  const std::size_t n = c.node_count();
-
-  // Φ⁻¹(x) bitsets for each observed write x (needed for NN/NW only).
-  const bool need_sets = pred == DagPred::kNN || pred == DagPred::kNW;
-  std::unordered_map<NodeId, DynBitset> observers_of;
-  if (need_sets) {
-    for (NodeId u = 0; u < n; ++u) {
-      const NodeId x = phi.get(l, u);
-      if (x == kBottom) continue;
-      auto [it, fresh] = observers_of.try_emplace(x, DynBitset(n));
-      (void)fresh;
-      it->second.set(u);
-    }
-  }
-  const auto lookup = [&observers_of](NodeId x) -> const DynBitset& {
-    const auto it = observers_of.find(x);
-    CCMM_ASSERT(it != observers_of.end());  // w itself observes x
-    return it->second;
-  };
-  return check_location_impl(c, phi, pred, l, lookup, violation);
 }
 
 /// Shared body of the cubic custom-predicate scan (validity pre-checked).
@@ -154,10 +66,7 @@ bool custom_scan(const Computation& c, const ObserverFunction& phi,
 
 bool qdag_consistent(const Computation& c, const ObserverFunction& phi,
                      DagPred pred, QDagViolation* violation) {
-  if (!is_valid_observer(c, phi)) return false;
-  for (const Location l : phi.active_locations())
-    if (!check_location(c, phi, pred, l, violation)) return false;
-  return true;
+  return qdag_consistent_prepared(prepare_pair(c, phi), pred, violation);
 }
 
 bool qdag_consistent_prepared(const PreparedPair& p, DagPred pred,
@@ -169,10 +78,17 @@ bool qdag_consistent_prepared(const PreparedPair& p, DagPred pred,
   const bool v_must_write = pred == DagPred::kNW || pred == DagPred::kWW;
   const bool u_must_write = pred == DagPred::kWN || pred == DagPred::kWW;
 
-  // Same scan as check_location_impl, but on the prepared block
-  // partition: Φ(l,v) = Φ(l,w) iff the two nodes share a block, so the
-  // inner loop compares dense block indices instead of querying Φ (a
-  // per-call column search), and Φ⁻¹(x) is block_sets[bw] directly.
+  // For a pair v ≺ w with x = Φ(l,w) ≠ Φ(l,v), a violation needs some
+  // u ∈ anc(v) ∪ {⊥} with Φ(l,u) = x and Q(l,u,v,w):
+  //  * NN: any such u; u = ⊥ qualifies whenever x = ⊥.
+  //  * NW: same u condition but only pairs where v writes l.
+  //  * WN: Q forces u to write l, and a writer observes itself, so u = x;
+  //        the condition collapses to x ≠ ⊥ ∧ x ≺ v.
+  //  * WW: the WN collapse restricted to pairs where v writes l.
+  // The scan runs on the prepared block partition: Φ(l,v) = Φ(l,w) iff
+  // the two nodes share a block, so the inner loop compares dense block
+  // indices instead of querying Φ (a per-call column search), and
+  // Φ⁻¹(x) is block_sets[bw] directly.
   for (const auto& lp : p.locations()) {
     const Location l = lp.loc;
     const std::uint32_t* block_of = lp.block_of.data();
@@ -220,8 +136,7 @@ bool qdag_consistent_prepared(const PreparedPair& p, DagPred pred,
 
 bool qdag_consistent_custom(const Computation& c, const ObserverFunction& phi,
                             const QPredicate& q, QDagViolation* violation) {
-  if (!is_valid_observer(c, phi)) return false;
-  return custom_scan(c, phi, q, violation);
+  return qdag_consistent_custom_prepared(prepare_pair(c, phi), q, violation);
 }
 
 bool qdag_consistent_custom_prepared(const PreparedPair& p, const QPredicate& q,
@@ -239,16 +154,13 @@ std::string cube_name(CubeSpec spec) {
   return out;
 }
 
-namespace {
-
-/// The w-independent corners are the paper's named models.
 std::optional<DagPred> named_corner(CubeSpec spec) {
   if (spec.w_writes) return std::nullopt;
-  if (!spec.u_writes && !spec.v_writes) return DagPred::kNN;
-  if (!spec.u_writes && spec.v_writes) return DagPred::kNW;
-  if (spec.u_writes && !spec.v_writes) return DagPred::kWN;
-  return DagPred::kWW;
+  if (spec.u_writes) return spec.v_writes ? DagPred::kWW : DagPred::kWN;
+  return spec.v_writes ? DagPred::kNW : DagPred::kNN;
 }
+
+namespace {
 
 QPredicate cube_predicate(CubeSpec spec) {
   return [spec](const Computation& comp, Location l, NodeId u, NodeId v,
@@ -265,23 +177,13 @@ QPredicate cube_predicate(CubeSpec spec) {
 
 bool cube_consistent(const Computation& c, const ObserverFunction& phi,
                      CubeSpec spec) {
-  if (const auto pred = named_corner(spec))
-    return qdag_consistent(c, phi, *pred);
-  return qdag_consistent_custom(c, phi, cube_predicate(spec));
+  return cube_consistent_prepared(prepare_pair(c, phi), spec);
 }
 
 bool cube_consistent_prepared(const PreparedPair& p, CubeSpec spec) {
   if (const auto pred = named_corner(spec))
     return qdag_consistent_prepared(p, *pred);
   return qdag_consistent_custom_prepared(p, cube_predicate(spec));
-}
-
-std::shared_ptr<const MemoryModel> cube_model(CubeSpec spec) {
-  return std::make_shared<PredicateModel>(
-      cube_name(spec), PredicateModel::PreparedPred([spec](
-                           const PreparedPair& p) {
-        return cube_consistent_prepared(p, spec);
-      }));
 }
 
 std::vector<CubeSpec> all_cube_corners() {
@@ -292,14 +194,14 @@ std::vector<CubeSpec> all_cube_corners() {
   return out;
 }
 
-bool QDagModel::for_each_member_observer(
-    const Computation& c,
-    const std::function<bool(const ObserverFunction&)>& visit) const {
+bool for_each_qdag_member_observer(
+    const Computation& c, DagPred pred,
+    const std::function<bool(const ObserverFunction&)>& visit) {
   const Dag& dag = c.dag();
   const std::size_t n = c.node_count();
   const std::vector<NodeId> topo = dag.topological_order();
-  const bool v_must_write = pred_ == DagPred::kNW || pred_ == DagPred::kWW;
-  const bool u_must_write = pred_ == DagPred::kWN || pred_ == DagPred::kWW;
+  const bool v_must_write = pred == DagPred::kNW || pred == DagPred::kWW;
+  const bool u_must_write = pred == DagPred::kWN || pred == DagPred::kWW;
 
   // One backtracking state per written location (Condition 20.1 and
   // Definition 2 both constrain the columns independently, so members
@@ -334,8 +236,9 @@ bool QDagModel::for_each_member_observer(
   // Would assigning Φ(l, w) = x violate 20.1? Every triple u ≺ v ≺ w is
   // checked when its maximum w is assigned; all of anc(w) already holds
   // final values then, so a failing prefix has no consistent completion
-  // and the subtree is pruned. Same per-v logic as check_location_impl,
-  // with phi_inv maintained incrementally instead of precomputed.
+  // and the subtree is pruned. Same per-v logic as
+  // qdag_consistent_prepared, with phi_inv maintained incrementally
+  // instead of precomputed.
   const auto violates = [&](const LocState& st, NodeId w, NodeId x) {
     bool bad = false;
     dag.ancestors(w).for_each([&](std::size_t vi) {
@@ -380,23 +283,6 @@ bool QDagModel::for_each_member_observer(
     return true;
   };
   return dfs(0, 0);
-}
-
-std::shared_ptr<const QDagModel> QDagModel::nn() {
-  static const auto m = std::make_shared<const QDagModel>(DagPred::kNN);
-  return m;
-}
-std::shared_ptr<const QDagModel> QDagModel::nw() {
-  static const auto m = std::make_shared<const QDagModel>(DagPred::kNW);
-  return m;
-}
-std::shared_ptr<const QDagModel> QDagModel::wn() {
-  static const auto m = std::make_shared<const QDagModel>(DagPred::kWN);
-  return m;
-}
-std::shared_ptr<const QDagModel> QDagModel::ww() {
-  static const auto m = std::make_shared<const QDagModel>(DagPred::kWW);
-  return m;
 }
 
 }  // namespace ccmm

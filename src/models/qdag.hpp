@@ -10,10 +10,15 @@
 //     WN: op(u) = W(l)    WW: op(u) = W(l) ∧ op(v) = W(l)
 // NN is the strongest dag-consistent model (Theorem 21); WW is the
 // original dag consistency of [BFJ+96b]; WN the revision of [BFJ+96a].
+//
+// This header holds the checkers only. The models themselves are
+// compiled specs (models/compile.hpp): builtin_model(kSuiteNN) and its
+// siblings, cube_model(q) for any corner. The compiler lowers each
+// axiom onto the *_prepared scans below; the one-shot names are
+// prepare_pair wrappers over them.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "core/memory_model.hpp"
@@ -33,10 +38,10 @@ struct QDagViolation {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Membership test for the four named predicates (bitset-accelerated).
-/// If `violation` is non-null and the pair is not in the model, it
-/// receives one witnessing triple. Precondition: phi is a valid observer
-/// function for c (checked; returns false otherwise).
+/// Membership test for the four named predicates: qdag_consistent_prepared
+/// on prepare_pair(c, phi). If `violation` is non-null and the pair is
+/// not in the model, it receives one witnessing triple. An invalid
+/// observer function is rejected.
 [[nodiscard]] bool qdag_consistent(const Computation& c,
                                    const ObserverFunction& phi, DagPred pred,
                                    QDagViolation* violation = nullptr);
@@ -51,7 +56,8 @@ struct QDagViolation {
 using QPredicate = std::function<bool(const Computation&, Location, NodeId,
                                       NodeId, NodeId)>;
 
-/// Membership test for an arbitrary predicate (cubic triple scan).
+/// Membership test for an arbitrary predicate (the cubic triple scan of
+/// qdag_consistent_custom_prepared on prepare_pair(c, phi)).
 [[nodiscard]] bool qdag_consistent_custom(const Computation& c,
                                           const ObserverFunction& phi,
                                           const QPredicate& q,
@@ -62,41 +68,17 @@ using QPredicate = std::function<bool(const Computation&, Location, NodeId,
     const PreparedPair& p, const QPredicate& q,
     QDagViolation* violation = nullptr);
 
-/// Q-dag consistency as a MemoryModel.
-class QDagModel final : public MemoryModel {
- public:
-  explicit QDagModel(DagPred pred) : pred_(pred) {}
-
-  [[nodiscard]] std::string name() const override {
-    return dag_pred_name(pred_);
-  }
-  [[nodiscard]] bool contains(const Computation& c,
-                              const ObserverFunction& phi) const override {
-    return qdag_consistent(c, phi, pred_);
-  }
-  [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override {
-    return qdag_consistent_prepared(p, pred_);
-  }
-  /// Pruned member enumeration: Condition 20.1 constrains each location
-  /// column independently and every violating triple u ≺ v ≺ w lies
-  /// inside anc(w) ∪ {w}, so a backtracking search that assigns Φ(l, ·)
-  /// in topological order detects dead prefixes at the node that
-  /// completes the triple and never expands them. Orders of magnitude
-  /// fewer candidates than generate-and-test on write-heavy universes.
-  bool for_each_member_observer(
-      const Computation& c,
-      const std::function<bool(const ObserverFunction&)>& visit)
-      const override;
-  [[nodiscard]] DagPred pred() const { return pred_; }
-
-  [[nodiscard]] static std::shared_ptr<const QDagModel> nn();
-  [[nodiscard]] static std::shared_ptr<const QDagModel> nw();
-  [[nodiscard]] static std::shared_ptr<const QDagModel> wn();
-  [[nodiscard]] static std::shared_ptr<const QDagModel> ww();
-
- private:
-  DagPred pred_;
-};
+/// Pruned member enumeration for a named predicate: Condition 20.1
+/// constrains each location column independently and every violating
+/// triple u ≺ v ≺ w lies inside anc(w) ∪ {w}, so a backtracking search
+/// that assigns Φ(l, ·) in topological order detects dead prefixes at
+/// the node that completes the triple and never expands them. Orders of
+/// magnitude fewer candidates than generate-and-test on write-heavy
+/// universes. Visits each member of the model on c once; visit returns
+/// false to stop (then so does this).
+bool for_each_qdag_member_observer(
+    const Computation& c, DagPred pred,
+    const std::function<bool(const ObserverFunction&)>& visit);
 
 /// The full predicate cube: Definition 20 lets Q inspect all of
 /// (u, v, w); the paper's named predicates are the w-independent corner
@@ -114,11 +96,13 @@ struct CubeSpec {
 /// "Q[XYZ]" with X/Y/Z ∈ {N, W} for the u/v/w constraints.
 [[nodiscard]] std::string cube_name(CubeSpec spec);
 
-/// The Q-dag model for a cube corner (shares the named fast paths where
-/// they exist, the cubic checker otherwise).
-[[nodiscard]] std::shared_ptr<const MemoryModel> cube_model(CubeSpec spec);
+/// The paper's named predicate of a w-independent corner (NN = [NNN],
+/// NW = [NWN], WN = [WNN], WW = [WWN]); nullopt for the four
+/// w-constrained corners, which only the cubic scan decides.
+[[nodiscard]] std::optional<DagPred> named_corner(CubeSpec spec);
 
-/// Membership test for a cube corner.
+/// Membership test for a cube corner (cube_consistent_prepared on
+/// prepare_pair(c, phi)).
 [[nodiscard]] bool cube_consistent(const Computation& c,
                                    const ObserverFunction& phi, CubeSpec spec);
 
@@ -128,27 +112,5 @@ struct CubeSpec {
 
 /// All eight corners in lexicographic order (NNN first).
 [[nodiscard]] std::vector<CubeSpec> all_cube_corners();
-
-/// Q-dag consistency for a user-supplied predicate.
-class CustomQDagModel final : public MemoryModel {
- public:
-  CustomQDagModel(std::string name, QPredicate q)
-      : name_(std::move(name)), q_(std::move(q)) {
-    CCMM_CHECK(q_ != nullptr, "null predicate");
-  }
-
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] bool contains(const Computation& c,
-                              const ObserverFunction& phi) const override {
-    return qdag_consistent_custom(c, phi, q_);
-  }
-  [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override {
-    return qdag_consistent_custom_prepared(p, q_);
-  }
-
- private:
-  std::string name_;
-  QPredicate q_;
-};
 
 }  // namespace ccmm

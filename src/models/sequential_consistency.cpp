@@ -227,10 +227,7 @@ bool order_explains(const Computation& c, const ObserverFunction& phi,
 
 ScResult sc_check_with(const Computation& c, const ObserverFunction& phi,
                        const ScOptions& options) {
-  if (!is_valid_observer(c, phi)) return {};
-  // SC ⊆ LC and the LC test is linear: a cheap complete rejection filter.
-  if (options.lc_prefilter && !location_consistent(c, phi)) return {};
-  return sc_search_validated(c, phi, options);
+  return sc_check_prepared(prepare_pair(c, phi), options);
 }
 
 ScResult sc_check_prepared(const PreparedPair& p, const ScOptions& options) {
@@ -244,12 +241,6 @@ ScResult sc_check(const Computation& c, const ObserverFunction& phi,
   ScOptions options;
   options.budget = budget;
   return sc_check_with(c, phi, options);
-}
-
-std::shared_ptr<const SequentialConsistencyModel>
-SequentialConsistencyModel::instance() {
-  static const auto m = std::make_shared<const SequentialConsistencyModel>();
-  return m;
 }
 
 }  // namespace ccmm

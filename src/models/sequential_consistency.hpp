@@ -10,9 +10,12 @@
 // iff its dag predecessors are placed and, for every location, its
 // observed write equals the most recently placed writer. Dead
 // (placed-set, current-writer-vector) states are memoized.
+//
+// The model is the compiled spec builtin_model(kSuiteSC)
+// (models/compile.hpp), which lowers onto sc_check_prepared; sc_check
+// and sc_check_with run that same checker on prepare_pair(c, phi).
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "core/memory_model.hpp"
@@ -39,11 +42,13 @@ struct ScOptions {
 
 /// Decide (c, phi) ∈ SC. `budget` bounds the number of search states
 /// expanded; on exhaustion the status is kExhausted (answer unknown).
+/// An invalid observer function is a kNo.
 [[nodiscard]] ScResult sc_check(const Computation& c,
                                 const ObserverFunction& phi,
                                 std::size_t budget = SIZE_MAX);
 
-/// Fully parameterized variant.
+/// Fully parameterized variant: sc_check_prepared(prepare_pair(c, phi),
+/// options).
 [[nodiscard]] ScResult sc_check_with(const Computation& c,
                                      const ObserverFunction& phi,
                                      const ScOptions& options);
@@ -83,26 +88,5 @@ struct ScOptions {
                                                   const ObserverFunction& phi) {
   return sc_check(c, phi).status == SearchStatus::kYes;
 }
-
-class SequentialConsistencyModel final : public MemoryModel {
- public:
-  [[nodiscard]] std::string name() const override { return "SC"; }
-  [[nodiscard]] bool contains(const Computation& c,
-                              const ObserverFunction& phi) const override {
-    const auto r = sc_check(c, phi);
-    CCMM_CHECK(r.status != SearchStatus::kExhausted,
-               "SC search budget exhausted");
-    return r.status == SearchStatus::kYes;
-  }
-  [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override {
-    const auto r = sc_check_prepared(p);
-    CCMM_CHECK(r.status != SearchStatus::kExhausted,
-               "SC search budget exhausted");
-    return r.status == SearchStatus::kYes;
-  }
-
-  [[nodiscard]] static std::shared_ptr<const SequentialConsistencyModel>
-  instance();
-};
 
 }  // namespace ccmm

@@ -216,16 +216,20 @@ std::vector<std::string> split_words(const std::string& s) {
   return words;
 }
 
+/// Decimal digits only, as in the trace and instance readers: a sign, a
+/// stray character or an overflow is an error, never a folded value.
 Location parse_location(const std::string& word, std::size_t line) {
-  std::size_t pos = 0;
-  unsigned long v = 0;
-  try {
-    v = std::stoul(word, &pos);
-  } catch (const std::exception&) {
-    throw SpecParseError(line, format("'%s' is not a location", word.c_str()));
+  const auto reject = [&] {
+    return SpecParseError(line,
+                          format("'%s' is not a location", word.c_str()));
+  };
+  if (word.empty()) throw reject();
+  std::uint64_t v = 0;
+  for (const char ch : word) {
+    if (ch < '0' || ch > '9') throw reject();
+    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
+    if (v > 0xFFFFFFFFull) throw reject();
   }
-  if (pos != word.size() || v > 0xFFFFFFFFull)
-    throw SpecParseError(line, format("'%s' is not a location", word.c_str()));
   return static_cast<Location>(v);
 }
 

@@ -152,11 +152,11 @@ class SpecParseError : public std::runtime_error {
 [[nodiscard]] std::vector<ModelSpec> read_model_specs(const std::string& text);
 
 /// The eight bundled specs, in suite-bit order (models/suite.hpp): SC,
-/// LC, NN, NW, WN, WW, WN+, NN+. These are the declarative *sources*
-/// for the built-in models; the compiler lowers them back onto the same
-/// hand-fused prepared checkers (models/compile.hpp), and tests pin the
-/// round-trip byte-identical. A registry whose first entries are these
-/// classifies with bit i = suite bit i.
+/// LC, NN, NW, WN, WW, WN+, NN+. These are the built-in models: compiled
+/// (models/compile.hpp), they are the only objects for them —
+/// builtin_model(bit) returns them from ModelRegistry::bundled() — and
+/// tests compare them with the paper's definitions. A registry whose
+/// first entries are these classifies with bit i = suite bit i.
 [[nodiscard]] const std::vector<ModelSpec>& builtin_model_specs();
 
 /// The first six built-ins, SC through WW: the models of the paper's
@@ -165,8 +165,8 @@ class SpecParseError : public std::runtime_error {
 
 /// The bundled spec-pack clients (first externally-shaped models):
 ///  * coherence-only "COH": per-location order and nothing else —
-///    definitionally equal to LC, which makes it the cheapest
-///    compiled-vs-fused differential;
+///    definitionally equal to LC (the same digest, so the same cache
+///    tag);
 ///  * partition consistency "PC2": locations {0,1} and {2,3} each
 ///    jointly serialized (Cheng–Higham–Kawash shaped);
 ///  * "TSO-like": WN ∩ NW ∩ freshness — writes serialize against both

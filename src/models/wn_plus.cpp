@@ -1,21 +1,11 @@
 #include "models/wn_plus.hpp"
 
+#include "models/compile.hpp"
+
 namespace ccmm {
 
 bool observer_is_fresh(const Computation& c, const ObserverFunction& phi) {
-  if (phi.node_count() != c.node_count()) return false;
-  const Dag& dag = c.dag();
-  for (const Location l : c.written_locations()) {
-    // Union of descendants of all writers: the nodes a write precedes.
-    DynBitset shadow(c.node_count());
-    for (const NodeId w : c.writers(l)) shadow |= dag.descendants(w);
-    bool ok = true;
-    shadow.for_each([&](std::size_t u) {
-      if (phi.get(l, static_cast<NodeId>(u)) == kBottom) ok = false;
-    });
-    if (!ok) return false;
-  }
-  return true;
+  return observer_is_fresh_prepared(prepare_pair(c, phi));
 }
 
 bool observer_is_fresh_prepared(const PreparedPair& p) {
@@ -45,29 +35,7 @@ bool observer_is_fresh_prepared(const PreparedPair& p) {
 }
 
 bool wn_plus_consistent(const Computation& c, const ObserverFunction& phi) {
-  return observer_is_fresh(c, phi) && qdag_consistent(c, phi, DagPred::kWN);
-}
-
-bool wn_plus_consistent_prepared(const PreparedPair& p) {
-  if (!p.valid()) return false;
-  return observer_is_fresh_prepared(p) &&
-         qdag_consistent_prepared(p, DagPred::kWN);
-}
-
-bool nn_plus_consistent_prepared(const PreparedPair& p) {
-  if (!p.valid()) return false;
-  return observer_is_fresh_prepared(p) &&
-         qdag_consistent_prepared(p, DagPred::kNN);
-}
-
-std::shared_ptr<const WnPlusModel> WnPlusModel::instance() {
-  static const auto m = std::make_shared<const WnPlusModel>();
-  return m;
-}
-
-std::shared_ptr<const NnPlusModel> NnPlusModel::instance() {
-  static const auto m = std::make_shared<const NnPlusModel>();
-  return m;
+  return builtin_model(kSuiteWNPlus)->contains(c, phi);
 }
 
 }  // namespace ccmm

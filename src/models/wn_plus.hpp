@@ -11,58 +11,30 @@
 // it". WN⁺ is that natural strengthening; ccmm uses it to study how
 // the freshness axiom changes the constructibility landscape (bench
 // fig4_nonconstructibility and open_problem_probe report on it).
+//
+// WN⁺ and NN⁺ (NN ∩ freshness, the strongest "fresh" dag model) are
+// compiled specs: builtin_model(kSuiteWNPlus) and
+// builtin_model(kSuiteNNPlus) (models/compile.hpp) lower the `fresh`
+// axiom onto observer_is_fresh_prepared and the corner onto
+// qdag_consistent_prepared.
 #pragma once
-
-#include <memory>
 
 #include "models/qdag.hpp"
 
 namespace ccmm {
 
 /// The freshness axiom alone: ∀l, u: (∃ write w to l with w ≺ u) ⇒
-/// Φ(l, u) ≠ ⊥.
+/// Φ(l, u) ≠ ⊥. observer_is_fresh_prepared on prepare_pair(c, phi).
 [[nodiscard]] bool observer_is_fresh(const Computation& c,
                                      const ObserverFunction& phi);
 
-/// Freshness on a PreparedPair: same answer, but the writer-shadow union
-/// reuses the context's scratch bitset instead of allocating per location.
+/// Freshness on a PreparedPair: the writer-shadow union reuses the
+/// context's scratch bitset instead of allocating per location.
 [[nodiscard]] bool observer_is_fresh_prepared(const PreparedPair& p);
 
-/// Membership in WN⁺ = WN ∩ freshness.
+/// Membership in WN⁺ = WN ∩ freshness: builtin_model(kSuiteWNPlus) on
+/// (c, phi).
 [[nodiscard]] bool wn_plus_consistent(const Computation& c,
                                       const ObserverFunction& phi);
-[[nodiscard]] bool wn_plus_consistent_prepared(const PreparedPair& p);
-
-/// Membership in NN⁺ = NN ∩ freshness.
-[[nodiscard]] bool nn_plus_consistent_prepared(const PreparedPair& p);
-
-class WnPlusModel final : public MemoryModel {
- public:
-  [[nodiscard]] std::string name() const override { return "WN+"; }
-  [[nodiscard]] bool contains(const Computation& c,
-                              const ObserverFunction& phi) const override {
-    return wn_plus_consistent(c, phi);
-  }
-  [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override {
-    return wn_plus_consistent_prepared(p);
-  }
-
-  [[nodiscard]] static std::shared_ptr<const WnPlusModel> instance();
-};
-
-/// NN ∩ freshness, for symmetry (the strongest "fresh" dag model).
-class NnPlusModel final : public MemoryModel {
- public:
-  [[nodiscard]] std::string name() const override { return "NN+"; }
-  [[nodiscard]] bool contains(const Computation& c,
-                              const ObserverFunction& phi) const override {
-    return observer_is_fresh(c, phi) && qdag_consistent(c, phi, DagPred::kNN);
-  }
-  [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override {
-    return nn_plus_consistent_prepared(p);
-  }
-
-  [[nodiscard]] static std::shared_ptr<const NnPlusModel> instance();
-};
 
 }  // namespace ccmm

@@ -1,7 +1,6 @@
 #include "proc/litmus.hpp"
 
-#include "models/location_consistency.hpp"
-#include "models/sequential_consistency.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm::proc {
 
@@ -28,10 +27,8 @@ LitmusVerdict run_litmus(const Litmus& litmus) {
   const ProgramComputation pc = unfold(litmus.program);
   const ObserverFunction reads = observation_observer(litmus, pc);
 
-  const auto sc = find_model_completion(
-      pc.c, reads, *SequentialConsistencyModel::instance());
-  const auto lc = find_model_completion(
-      pc.c, reads, *LocationConsistencyModel::instance());
+  const auto sc = find_model_completion(pc.c, reads, *builtin_model(kSuiteSC));
+  const auto lc = find_model_completion(pc.c, reads, *builtin_model(kSuiteLC));
   CCMM_CHECK(!sc.exhausted && !lc.exhausted,
              "litmus completion search exhausted its budget");
 

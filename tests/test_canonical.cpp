@@ -13,8 +13,7 @@
 #include "enumerate/cached_model.hpp"
 #include "enumerate/isomorphism.hpp"
 #include "enumerate/observer_enum.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
+#include "models/compile.hpp"
 #include "util/memo_cache.hpp"
 
 namespace ccmm {
@@ -114,8 +113,8 @@ TEST(Canonical, TransportPreservesMembership) {
   // For every pair and every class representative: (c, phi) is in a
   // model iff the transported pair is. This is the soundness fact the
   // quotient fixpoint and the membership cache rely on.
-  const auto lc = LocationConsistencyModel::instance();
-  const auto nn = QDagModel::nn();
+  const auto lc = builtin_model(kSuiteLC);
+  const auto nn = builtin_model(kSuiteNN);
   const UniverseSpec spec = small_spec(3);
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
     const CanonicalForm cf = canonical_form(c);
@@ -129,7 +128,7 @@ TEST(Canonical, TransportPreservesMembership) {
 }
 
 TEST(Canonical, PairQuotientWeightsReproduceLabeledModelCensus) {
-  const auto nn = QDagModel::nn();
+  const auto nn = builtin_model(kSuiteNN);
   const UniverseSpec spec = small_spec(4);
   std::uint64_t labeled = 0, quotient = 0;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
@@ -147,7 +146,7 @@ TEST(Canonical, PairQuotientWeightsReproduceLabeledModelCensus) {
 
 TEST(Canonical, CachedModelAgreesAndHits) {
   membership_cache().clear();
-  const auto plain = QDagModel::nn();
+  const auto plain = builtin_model(kSuiteNN);
   const auto memo = cached(plain);
   EXPECT_EQ(memo->name(), plain->name());
 

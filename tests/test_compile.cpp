@@ -1,11 +1,12 @@
 // The model compiler (models/compile.hpp), differentially pinned:
-//  * every compiled built-in answers byte-identically to its hand-fused
-//    original — contains_prepared AND the pruned member-observer
-//    enumeration — over exhaustive small universes;
+//  * every compiled built-in and every cube corner answers like the
+//    paper's definition (tests/reference_models.hpp) — contains_prepared
+//    AND the pruned member-observer enumeration — over exhaustive small
+//    universes;
 //  * ModelRegistry::classify over the bundled registry equals the
 //    per-model membership sweep, with the derived-lattice
 //    short-circuiting ON and OFF (the ablation), and its low eight bits
-//    equal eight independent hand-fused membership calls;
+//    equal the eight definitions;
 //  * spec-pack clients: COH is extensionally LC (and shares its cache
 //    tag), PC2 sits strictly between SC and LC on the paper's examples;
 //  * budget exhaustion surfaces in check_prepared / classify instead of
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,102 +25,160 @@
 #include "construct/fixpoint.hpp"
 #include "construct/witness.hpp"
 #include "core/prepared.hpp"
+#include "enumerate/observer_enum.hpp"
 #include "enumerate/universe.hpp"
 #include "exec/sc_memory.hpp"
 #include "exec/sim_machine.hpp"
 #include "exec/workload.hpp"
-#include "models/wn_plus.hpp"
 #include "helpers.hpp"
+#include "reference_models.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
 namespace {
 
-struct FusedRow {
-  const char* label;
-  std::shared_ptr<const MemoryModel> fused;
-};
-
-/// The eight hand-fused originals, in builtin_model_specs() order.
-std::vector<FusedRow> fused_builtins() {
-  return {
-      {"SC", SequentialConsistencyModel::instance()},
-      {"LC", LocationConsistencyModel::instance()},
-      {"NN", QDagModel::nn()},
-      {"NW", QDagModel::nw()},
-      {"WN", QDagModel::wn()},
-      {"WW", QDagModel::ww()},
-      {"WN+", WnPlusModel::instance()},
-      {"NN+", NnPlusModel::instance()},
-  };
-}
-
 void sweep_builtins(const UniverseSpec& uspec) {
-  const std::vector<FusedRow> fused = fused_builtins();
-  std::vector<std::shared_ptr<const CompiledModel>> compiled;
-  for (const ModelSpec& s : builtin_model_specs())
-    compiled.push_back(compile_model(s));
-  ASSERT_EQ(compiled.size(), fused.size());
-
   CheckContext ctx;
   for_each_pair(uspec, [&](const Computation& c, const ObserverFunction& phi) {
     const PreparedPair p = ctx.prepare(c, phi);
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      const bool want = fused[i].fused->contains_prepared(p);
-      EXPECT_EQ(compiled[i]->contains_prepared(p), want) << fused[i].label;
-      const CompiledVerdict v = compiled[i]->check_prepared(p);
-      EXPECT_EQ(v.member, want) << fused[i].label;
-      EXPECT_FALSE(v.exhausted) << fused[i].label;
+    for (const std::uint32_t bit : test::kBuiltinBits) {
+      const auto model = builtin_model(bit);
+      const bool want = test::builtin_by_definition(c, phi, bit);
+      EXPECT_EQ(model->contains_prepared(p), want) << suite_bit_name(bit);
+      EXPECT_EQ(model->contains(c, phi), want) << suite_bit_name(bit);
+      const CompiledVerdict v = model->check_prepared(p);
+      EXPECT_EQ(v.member, want) << suite_bit_name(bit);
+      EXPECT_FALSE(v.exhausted) << suite_bit_name(bit);
     }
+    // The freshness axiom alone, which WN+ and NN+ conjoin with a corner.
+    EXPECT_EQ(observer_is_fresh_prepared(p), test::fresh_by_definition(c, phi));
     return true;
   });
 }
 
-TEST(Compile, BuiltinsMatchHandFusedOneLocation) {
+TEST(Compile, BuiltinsMatchDefinitionsOneLocation) {
   UniverseSpec spec;
   spec.max_nodes = 4;
   spec.nlocations = 1;
   sweep_builtins(spec);
 }
 
-TEST(Compile, BuiltinsMatchHandFusedTwoLocations) {
+TEST(Compile, BuiltinsMatchDefinitionsTwoLocations) {
   UniverseSpec spec;
   spec.max_nodes = 3;
   spec.nlocations = 2;
   sweep_builtins(spec);
 }
 
-TEST(Compile, MemberObserverEnumerationMatchesHandFused) {
-  // The pruned enumeration (named-corner driver filtered by the plan)
-  // must visit exactly the hand-fused member set — compare as sets of
-  // canonical encodings.
-  const std::vector<FusedRow> fused = fused_builtins();
-  std::vector<std::shared_ptr<const CompiledModel>> compiled;
-  for (const ModelSpec& s : builtin_model_specs())
-    compiled.push_back(compile_model(s));
+TEST(Compile, BuiltinModelIsTheBundledEntry) {
+  // One object per built-in: builtin_model(bit i) is entry i of the
+  // bundled registry, named and specified as builtin_model_specs()[i].
+  const ModelRegistry& reg = ModelRegistry::bundled();
+  for (std::size_t i = 0; i < std::size(test::kBuiltinBits); ++i) {
+    const auto model = builtin_model(test::kBuiltinBits[i]);
+    EXPECT_EQ(model, reg.entries()[i].model);
+    EXPECT_EQ(model->name(), suite_bit_name(test::kBuiltinBits[i]));
+    EXPECT_EQ(model->spec(), builtin_model_specs()[i]);
+  }
+  // Freshness alone, no bit, two bits: none names one built-in.
+  for (const std::uint32_t bad : {std::uint32_t{kSuiteFresh}, 0u,
+                                  std::uint32_t{kSuiteSC | kSuiteLC}})
+    EXPECT_THROW((void)builtin_model(bad), std::logic_error) << bad;
+}
 
+/// Every valid observer of c in the model, by definition, as a set of
+/// encodings.
+std::set<std::string> members_by_definition(
+    const Computation& c,
+    const std::function<bool(const ObserverFunction&)>& in_model) {
+  std::set<std::string> out;
+  for_each_observer(c, [&](const ObserverFunction& phi) {
+    if (in_model(phi)) out.insert(encode_observer(phi));
+    return true;
+  });
+  return out;
+}
+
+/// Every observer `model` enumerates on c, failing on a repeat.
+std::set<std::string> members_enumerated(const MemoryModel& model,
+                                         const Computation& c) {
+  std::set<std::string> got;
+  model.for_each_member_observer(c, [&](const ObserverFunction& phi) {
+    EXPECT_TRUE(got.insert(encode_observer(phi)).second)
+        << model.name() << ": duplicate member visited";
+    return true;
+  });
+  return got;
+}
+
+TEST(Compile, MemberObserverEnumerationMatchesDefinitions) {
+  // The pruned enumeration (named-corner driver filtered by the plan)
+  // must visit exactly the definition's member set.
   UniverseSpec spec;
   spec.max_nodes = 3;
   spec.nlocations = 2;
   for_each_computation(spec, [&](const Computation& c) {
-    for (std::size_t i = 0; i < fused.size(); ++i) {
-      std::set<std::string> want;
-      fused[i].fused->for_each_member_observer(
-          c, [&](const ObserverFunction& phi) {
-            want.insert(encode_observer(phi));
-            return true;
+    for (const std::uint32_t bit : test::kBuiltinBits) {
+      const std::set<std::string> want =
+          members_by_definition(c, [&](const ObserverFunction& phi) {
+            return test::builtin_by_definition(c, phi, bit);
           });
-      std::set<std::string> got;
-      compiled[i]->for_each_member_observer(
-          c, [&](const ObserverFunction& phi) {
-            EXPECT_TRUE(got.insert(encode_observer(phi)).second)
-                << fused[i].label << ": duplicate member visited";
-            return true;
-          });
-      EXPECT_EQ(got, want) << fused[i].label;
+      EXPECT_EQ(members_enumerated(*builtin_model(bit), c), want)
+          << suite_bit_name(bit);
     }
     return true;
   });
+}
+
+/// All eight compiled cube corners against Condition 20.1 with the
+/// corner's predicate: membership on every pair of the universe, and
+/// member enumeration on every computation.
+void sweep_cube_corners(const UniverseSpec& uspec) {
+  const std::vector<CubeSpec> corners = all_cube_corners();
+  std::vector<std::shared_ptr<const CompiledModel>> models;
+  for (const CubeSpec q : corners) models.push_back(cube_model(q));
+  CheckContext ctx;
+  std::size_t members = 0;
+  std::size_t pairs = 0;
+  for_each_pair(uspec, [&](const Computation& c, const ObserverFunction& phi) {
+    const PreparedPair p = ctx.prepare(c, phi);
+    for (std::size_t i = 0; i < corners.size(); ++i) {
+      const bool want = test::qdag_by_definition(
+          c, phi, test::corner_predicate(c, corners[i]));
+      EXPECT_EQ(models[i]->contains_prepared(p), want) << models[i]->name();
+      members += want ? 1 : 0;
+    }
+    ++pairs;
+    return true;
+  });
+  // Both answers occur on the universe.
+  EXPECT_GT(members, 0u);
+  EXPECT_LT(members, pairs * corners.size());
+  for_each_computation(uspec, [&](const Computation& c) {
+    for (std::size_t i = 0; i < corners.size(); ++i) {
+      const std::set<std::string> want =
+          members_by_definition(c, [&](const ObserverFunction& phi) {
+            return test::qdag_by_definition(
+                c, phi, test::corner_predicate(c, corners[i]));
+          });
+      EXPECT_EQ(members_enumerated(*models[i], c), want) << models[i]->name();
+    }
+    return true;
+  });
+}
+
+TEST(Compile, CubeCornersMatchDefinitionOneLocation) {
+  UniverseSpec spec;
+  spec.max_nodes = 4;
+  spec.nlocations = 1;
+  sweep_cube_corners(spec);
+}
+
+TEST(Compile, CubeCornersMatchDefinitionTwoLocations) {
+  UniverseSpec spec;
+  spec.max_nodes = 3;
+  spec.nlocations = 2;
+  sweep_cube_corners(spec);
 }
 
 void sweep_registry(const UniverseSpec& uspec) {
@@ -141,21 +201,21 @@ void sweep_registry(const UniverseSpec& uspec) {
                 std::uint64_t{reg.entries()[i].model->contains_prepared(p)})
           << reg.entries()[i].spec.name;
     }
-    // The low eight bits are the built-ins' independent memberships.
+    // The low eight bits are the built-ins' memberships by definition.
     EXPECT_EQ(static_cast<std::uint32_t>(fast & 0xFF),
-              test::classify_by_calls(c, phi));
+              test::classify_by_definition(c, phi));
     return true;
   });
 }
 
-TEST(Compile, RegistryClassifyMatchesIndependentCallsOneLocation) {
+TEST(Compile, RegistryClassifyMatchesDefinitionsOneLocation) {
   UniverseSpec spec;
   spec.max_nodes = 4;
   spec.nlocations = 1;
   sweep_registry(spec);
 }
 
-TEST(Compile, RegistryClassifyMatchesIndependentCallsTwoLocations) {
+TEST(Compile, RegistryClassifyMatchesDefinitionsTwoLocations) {
   UniverseSpec spec;
   spec.max_nodes = 3;
   spec.nlocations = 2;
@@ -203,7 +263,10 @@ TEST(Compile, CacheTagTracksStructureNotName) {
   EXPECT_NE(lc->cache_tag(), pc2->cache_tag());
   EXPECT_NE(compile_model(tso_like_spec())->cache_tag(), pc2->cache_tag());
   // And the tag never collides with a non-spec model's name-based tag.
-  EXPECT_NE(lc->cache_tag(), LocationConsistencyModel::instance()->cache_tag());
+  const PredicateModel named_lc(
+      "LC", PredicateModel::PreparedPred(location_consistent_prepared));
+  EXPECT_EQ(named_lc.cache_tag(), "LC");
+  EXPECT_NE(lc->cache_tag(), named_lc.cache_tag());
 }
 
 TEST(Compile, BudgetExhaustionIsReportedNotGuessed) {
@@ -244,29 +307,33 @@ TEST(Compile, BudgetExhaustionIsReportedNotGuessed) {
   EXPECT_FALSE(ok_exhausted);
 }
 
-TEST(Compile, FixpointCensusAndWitnessMatchHandFused) {
+TEST(Compile, FixpointCensusAndWitnessMatchDefinition) {
   // The constructibility stack consumes compiled models through the
-  // same MemoryModel seam: restrictions, the Δ* fixpoint census, and
-  // the Figure-4 nonconstructibility witness must not notice whether
-  // NN is hand-fused or compiled from its spec.
+  // same MemoryModel seam: restrictions (pruned enumeration), the Δ*
+  // fixpoint census, and the Figure-4 nonconstructibility witness must
+  // not notice whether NN is compiled or its definition.
   UniverseSpec spec;
   spec.max_nodes = 3;
   spec.nlocations = 1;
-  const auto compiled = compile_model(builtin_model_specs()[2]);  // NN
-  const auto fused = QDagModel::nn();
+  const auto compiled = builtin_model(kSuiteNN);
+  const PredicateModel definition(
+      "NN", [](const Computation& c, const ObserverFunction& phi) {
+        return test::qdag_by_definition(c, phi, DagPred::kNN);
+      });
 
   const BoundedModelSet ra = BoundedModelSet::restrict_model(*compiled, spec);
-  const BoundedModelSet rb = BoundedModelSet::restrict_model(*fused, spec);
+  const BoundedModelSet rb = BoundedModelSet::restrict_model(definition, spec);
   for (std::size_t n = 0; n <= spec.max_nodes; ++n)
     EXPECT_EQ(ra.live_count_at_size(n), rb.live_count_at_size(n)) << n;
 
   const BoundedModelSet fa = constructible_version(*compiled, spec);
-  const BoundedModelSet fb = constructible_version(*fused, spec);
+  const BoundedModelSet fb = constructible_version(definition, spec);
   EXPECT_EQ(fa.live_count(), fb.live_count());
   for (std::size_t n = 0; n <= spec.max_nodes; ++n)
     EXPECT_EQ(fa.live_count_at_size(n), fb.live_count_at_size(n)) << n;
 
   EXPECT_TRUE(validate_witness(*compiled, figure4_witness()));
+  EXPECT_TRUE(validate_witness(definition, figure4_witness()));
 }
 
 TEST(Compile, RegistryAddReplacesByNameAndRederives) {

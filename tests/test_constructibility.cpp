@@ -6,6 +6,7 @@
 
 #include "construct/witness.hpp"
 #include "helpers.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
@@ -22,9 +23,9 @@ WitnessSearchOptions small_options(std::size_t max_nodes,
 
 TEST(Constructibility, Figure4WitnessIsGenuine) {
   const NonconstructibilityWitness w = figure4_witness();
-  EXPECT_TRUE(validate_witness(*QDagModel::nn(), w));
+  EXPECT_TRUE(validate_witness(*builtin_model(kSuiteNN), w));
   // The witness pair is in NN but not in LC (it is the NN \ LC separator).
-  EXPECT_TRUE(QDagModel::nn()->contains(w.c, w.phi));
+  EXPECT_TRUE(builtin_model(kSuiteNN)->contains(w.c, w.phi));
   EXPECT_FALSE(location_consistent(w.c, w.phi));
   // The string rendering mentions the stuck extension's op.
   EXPECT_NE(w.to_string().find("R(0)"), std::string::npos);
@@ -36,23 +37,25 @@ TEST(Constructibility, Figure4WriteExtensionIsAnswerable) {
   const NonconstructibilityWitness w = figure4_witness();
   const Computation write_ext = w.c.extend(Op::write(0), {2, 3});
   NonconstructibilityWitness with_write{w.c, w.phi, write_ext};
-  EXPECT_FALSE(validate_witness(*QDagModel::nn(), with_write));
+  EXPECT_FALSE(validate_witness(*builtin_model(kSuiteNN), with_write));
 }
 
 TEST(Constructibility, NNWitnessFoundBySearch) {
   const auto w =
-      find_nonconstructibility_witness(*QDagModel::nn(), small_options(4));
+      find_nonconstructibility_witness(*builtin_model(kSuiteNN),
+                                       small_options(4));
   ASSERT_TRUE(w.has_value());
-  EXPECT_TRUE(validate_witness(*QDagModel::nn(), *w));
+  EXPECT_TRUE(validate_witness(*builtin_model(kSuiteNN), *w));
   // Minimality: NN answers every extension of every pair with <= 3 nodes.
   const auto small =
-      find_nonconstructibility_witness(*QDagModel::nn(), small_options(3));
+      find_nonconstructibility_witness(*builtin_model(kSuiteNN),
+                                       small_options(3));
   EXPECT_FALSE(small.has_value());
 }
 
 TEST(Constructibility, MinimalNNWitnessHasFourNodes) {
-  const auto w = find_minimal_nonconstructibility_witness(*QDagModel::nn(),
-                                                          small_options(4));
+  const auto w = find_minimal_nonconstructibility_witness(
+      *builtin_model(kSuiteNN), small_options(4));
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->c.node_count(), 4u);
 }
@@ -60,19 +63,20 @@ TEST(Constructibility, MinimalNNWitnessHasFourNodes) {
 TEST(Constructibility, WWHasNoWitnessUpToBound) {
   // WW is constructible (Figure 1); the search must come up empty.
   const auto w =
-      find_nonconstructibility_witness(*QDagModel::ww(), small_options(4));
+      find_nonconstructibility_witness(*builtin_model(kSuiteWW),
+                                       small_options(4));
   EXPECT_FALSE(w.has_value()) << w->to_string();
 }
 
 TEST(Constructibility, Theorem19_LCConstructibleUpToBound) {
   const auto w = find_nonconstructibility_witness(
-      *LocationConsistencyModel::instance(), small_options(4));
+      *builtin_model(kSuiteLC), small_options(4));
   EXPECT_FALSE(w.has_value()) << w->to_string();
 }
 
 TEST(Constructibility, Theorem19_SCConstructibleUpToBound) {
   const auto w = find_nonconstructibility_witness(
-      *SequentialConsistencyModel::instance(), small_options(3));
+      *builtin_model(kSuiteSC), small_options(3));
   EXPECT_FALSE(w.has_value()) << w->to_string();
 }
 
@@ -80,28 +84,28 @@ TEST(Constructibility, AugmentOnlySearchAgreesForMonotonicModels) {
   // Theorem 12: for monotonic models the augmentation test suffices.
   // NN (monotonic) must still be caught.
   const auto w = find_nonconstructibility_witness(
-      *QDagModel::nn(), small_options(4, /*augment_only=*/true));
+      *builtin_model(kSuiteNN), small_options(4, /*augment_only=*/true));
   ASSERT_TRUE(w.has_value());
-  EXPECT_TRUE(validate_witness(*QDagModel::nn(), *w));
+  EXPECT_TRUE(validate_witness(*builtin_model(kSuiteNN), *w));
   // WW / LC stay clean under the augmentation test too.
   EXPECT_FALSE(find_nonconstructibility_witness(
-                   *QDagModel::ww(), small_options(4, true))
+                   *builtin_model(kSuiteWW), small_options(4, true))
                    .has_value());
   EXPECT_FALSE(find_nonconstructibility_witness(
-                   *LocationConsistencyModel::instance(),
-                   small_options(4, true))
+                   *builtin_model(kSuiteLC), small_options(4, true))
                    .has_value());
 }
 
 TEST(Constructibility, NWIsNotConstructible) {
   const auto wnw =
-      find_nonconstructibility_witness(*QDagModel::nw(), small_options(4));
+      find_nonconstructibility_witness(*builtin_model(kSuiteNW),
+                                       small_options(4));
   ASSERT_TRUE(wnw.has_value());
-  EXPECT_TRUE(validate_witness(*QDagModel::nw(), *wnw));
+  EXPECT_TRUE(validate_witness(*builtin_model(kSuiteNW), *wnw));
   // The Figure-4 pair is stuck under NW too (its violating middles are
   // the writes A and B, which NW's predicate accepts).
   const NonconstructibilityWitness fig4 = figure4_witness();
-  EXPECT_TRUE(validate_witness(*QDagModel::nw(), fig4));
+  EXPECT_TRUE(validate_witness(*builtin_model(kSuiteNW), fig4));
 }
 
 TEST(Constructibility, WNAnswersEveryExtensionWithBottomUpToBound) {
@@ -113,7 +117,8 @@ TEST(Constructibility, WNAnswersEveryExtensionWithBottomUpToBound) {
   // of the paper's prose, which asserts WN nonconstructible for the
   // strengthened [BFJ+96a] variant).
   const auto w =
-      find_nonconstructibility_witness(*QDagModel::wn(), small_options(4));
+      find_nonconstructibility_witness(*builtin_model(kSuiteWN),
+                                       small_options(4));
   EXPECT_FALSE(w.has_value()) << w->to_string();
 }
 
@@ -132,11 +137,11 @@ TEST(Constructibility, Lemma7_UnionOfConstructibleModelsIsConstructible) {
 TEST(Constructibility, ValidateWitnessRejectsBogusWitnesses) {
   const NonconstructibilityWitness w = figure4_witness();
   // Wrong model: LC does not even contain the pair.
-  EXPECT_FALSE(validate_witness(*LocationConsistencyModel::instance(), w));
+  EXPECT_FALSE(validate_witness(*builtin_model(kSuiteLC), w));
   // Extension that is not an extension of c.
   NonconstructibilityWitness bogus = w;
   bogus.extension = w.c;
-  EXPECT_FALSE(validate_witness(*QDagModel::nn(), bogus));
+  EXPECT_FALSE(validate_witness(*builtin_model(kSuiteNN), bogus));
 }
 
 TEST(Constructibility, QuotientSearchAgreesWithLabeledSearch) {
@@ -153,8 +158,8 @@ TEST(Constructibility, QuotientSearchAgreesWithLabeledSearch) {
     const MemoryModel* model;
     bool expect;
   };
-  const auto nn = QDagModel::nn();
-  const auto lc = LocationConsistencyModel::instance();
+  const auto nn = builtin_model(kSuiteNN);
+  const auto lc = builtin_model(kSuiteLC);
   for (const Row& row : {Row{nn.get(), true}, Row{lc.get(), false}}) {
     const auto a = find_nonconstructibility_witness(*row.model, labeled);
     const auto b = find_nonconstructibility_witness(*row.model, quotient);

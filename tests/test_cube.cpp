@@ -2,6 +2,7 @@
 
 #include "enumerate/universe.hpp"
 #include "helpers.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {

@@ -7,79 +7,14 @@
 #include "enumerate/sampling.hpp"
 #include "exec/workload.hpp"
 #include "helpers.hpp"
+#include "reference_models.hpp"
 
 namespace ccmm {
 namespace {
 
-/// Brute-force Definition 18 (per-location topological-sort search).
-bool lc_by_definition(const Computation& c, const ObserverFunction& phi) {
-  if (!is_valid_observer(c, phi)) return false;
-  for (const Location l : phi.active_locations()) {
-    bool found = false;
-    for_each_topological_sort(c.dag(), [&](const std::vector<NodeId>& t) {
-      const ObserverFunction w = last_writer(c, t);
-      for (NodeId u = 0; u < c.node_count(); ++u)
-        if (w.get(l, u) != phi.get(l, u)) return true;
-      found = true;
-      return false;
-    });
-    if (!found) return false;
-  }
-  return true;
-}
-
-/// Brute-force Definition 17 (global topological-sort search).
-bool sc_by_definition(const Computation& c, const ObserverFunction& phi) {
-  if (!is_valid_observer(c, phi)) return false;
-  bool found = false;
-  for_each_topological_sort(c.dag(), [&](const std::vector<NodeId>& t) {
-    if (last_writer(c, t) == phi) {
-      found = true;
-      return false;
-    }
-    return true;
-  });
-  return found;
-}
-
-/// Literal Condition 20.1 for the named predicates (quadruple loop).
-bool qdag_by_definition(const Computation& c, const ObserverFunction& phi,
-                        DagPred pred) {
-  if (!is_valid_observer(c, phi)) return false;
-  const std::size_t n = c.node_count();
-  const auto q = [&](Location l, NodeId u, NodeId v) {
-    const bool uw = u != kBottom && c.op(u).writes(l);
-    const bool vw = c.op(v).writes(l);
-    switch (pred) {
-      case DagPred::kNN:
-        return true;
-      case DagPred::kNW:
-        return vw;
-      case DagPred::kWN:
-        return uw;
-      case DagPred::kWW:
-        return uw && vw;
-    }
-    return false;
-  };
-  for (const Location l : phi.active_locations()) {
-    for (NodeId v = 0; v < n; ++v) {
-      for (NodeId w = 0; w < n; ++w) {
-        if (!c.precedes(v, w)) continue;
-        // u over V ∪ {⊥}.
-        for (NodeId u = 0; u <= n; ++u) {
-          const NodeId uu = (u == n) ? kBottom : u;
-          if (uu != kBottom && !c.precedes(uu, v)) continue;
-          if (!q(l, uu, v)) continue;
-          if (phi.get(l, uu) == phi.get(l, w) &&
-              phi.get(l, v) != phi.get(l, uu))
-            return false;
-        }
-      }
-    }
-  }
-  return true;
-}
+using test::lc_by_definition;
+using test::qdag_by_definition;
+using test::sc_by_definition;
 
 TEST(Differential, QDagCheckersAgreeWithLiteralDefinition) {
   Rng rng(1);

@@ -79,6 +79,31 @@ TEST(EdgeCases, LcWitnessMultiLocationIndependence) {
   EXPECT_NE(*t0, *t1);  // the serializations genuinely differ
 }
 
+TEST(EdgeCases, LcOfALocationWithoutWritersIsTheCanonicalSort) {
+  // Location 1 is read but never written, so every node observes ⊥
+  // there: any sort explains the column, and the witness is the
+  // canonical topological order. The prepared pair has no block
+  // partition for such a location.
+  ComputationBuilder b;
+  const NodeId r1 = b.read(1);
+  const NodeId w = b.write(0);
+  const NodeId r0 = b.read(0, {r1, w});
+  b.nop({r0});
+  const Computation c = std::move(b).build();
+  ObserverFunction phi(c.node_count());
+  phi.set(0, w, w);
+  phi.set(0, r0, w);
+  ASSERT_TRUE(is_valid_observer(c, phi));
+  ASSERT_EQ(prepare_pair(c, phi).location(1), nullptr);
+  EXPECT_TRUE(location_consistent_at(c, phi, 1));
+  const auto t = lc_witness(c, phi, 1);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(*t, c.dag().topological_order());
+  // A location nothing touches at all answers the same way.
+  EXPECT_TRUE(location_consistent_at(c, phi, 7));
+  EXPECT_EQ(lc_witness(c, phi, 7), c.dag().topological_order());
+}
+
 TEST(EdgeCases, ScWithInactiveLocationsIgnoresThem) {
   // Locations never written do not constrain the search.
   ComputationBuilder b;

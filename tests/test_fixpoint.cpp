@@ -13,6 +13,7 @@
 
 #include "construct/witness.hpp"
 #include "helpers.hpp"
+#include "models/compile.hpp"
 #include "reference_fixpoint.hpp"
 
 namespace ccmm {
@@ -30,10 +31,9 @@ UniverseSpec thin_spec(std::size_t max_nodes) {
 TEST(BoundedModelSet, RestrictionCountsMembers) {
   const auto spec = thin_spec(3);
   const BoundedModelSet lc =
-      BoundedModelSet::restrict_model(*LocationConsistencyModel::instance(),
-                                      spec);
+      BoundedModelSet::restrict_model(*builtin_model(kSuiteLC), spec);
   const BoundedModelSet nn =
-      BoundedModelSet::restrict_model(*QDagModel::nn(), spec);
+      BoundedModelSet::restrict_model(*builtin_model(kSuiteNN), spec);
   EXPECT_GT(lc.live_count(), 0u);
   EXPECT_GE(nn.live_count(), lc.live_count());  // LC ⊆ NN (Theorem 22)
   EXPECT_EQ(lc.live_count_at_size(0), 1u);      // (ε, Φ_ε)
@@ -42,12 +42,11 @@ TEST(BoundedModelSet, RestrictionCountsMembers) {
 TEST(BoundedModelSet, ContainsPairAgreesWithModel) {
   const auto spec = thin_spec(3);
   const BoundedModelSet lc =
-      BoundedModelSet::restrict_model(*LocationConsistencyModel::instance(),
-                                      spec);
+      BoundedModelSet::restrict_model(*builtin_model(kSuiteLC), spec);
   std::size_t live = 0;
   lc.for_each_live([&](const Computation& c, const ObserverFunction& phi) {
     EXPECT_TRUE(lc.contains_pair(c, phi));
-    EXPECT_TRUE(LocationConsistencyModel::instance()->contains(c, phi));
+    EXPECT_TRUE(builtin_model(kSuiteLC)->contains(c, phi));
     ++live;
     return true;
   });
@@ -59,12 +58,12 @@ TEST(Fixpoint, Theorem23_NNStarCollapsesToLC) {
   const auto spec = thin_spec(5);
   FixpointStats stats;
   const BoundedModelSet nn_star =
-      constructible_version(*QDagModel::nn(), spec, &stats);
+      constructible_version(*builtin_model(kSuiteNN), spec, &stats);
   EXPECT_GT(stats.pruned, 0u);  // NN \ LC pairs exist at size 4 and die
   EXPECT_LT(stats.final_pairs, stats.initial_pairs);
 
   const auto cmp =
-      compare_with_model(nn_star, *LocationConsistencyModel::instance());
+      compare_with_model(nn_star, *builtin_model(kSuiteLC));
   for (const auto& row : cmp) {
     if (row.size >= 5) continue;  // boundary sizes carry no information
     EXPECT_TRUE(row.equal) << "NN* != LC at size " << row.size << " ("
@@ -77,12 +76,12 @@ TEST(Fixpoint, Figure4PairIsPruned) {
   // The NN \ LC witness pair must be dead in the fixpoint.
   const auto spec = thin_spec(5);
   const BoundedModelSet nn_star =
-      constructible_version(*QDagModel::nn(), spec);
+      constructible_version(*builtin_model(kSuiteNN), spec);
   const NonconstructibilityWitness w = figure4_witness();
-  EXPECT_TRUE(QDagModel::nn()->contains(w.c, w.phi));
+  EXPECT_TRUE(builtin_model(kSuiteNN)->contains(w.c, w.phi));
   EXPECT_FALSE(nn_star.contains_pair(w.c, w.phi));
   // while its LC siblings survive: the last-writer observer does.
-  const auto lw = LocationConsistencyModel::instance()->any_observer(w.c);
+  const auto lw = builtin_model(kSuiteLC)->any_observer(w.c);
   ASSERT_TRUE(lw.has_value());
   EXPECT_TRUE(nn_star.contains_pair(w.c, *lw));
 }
@@ -92,11 +91,11 @@ TEST(Fixpoint, ConstructibleModelIsItsOwnFixpoint) {
   const auto spec = thin_spec(4);
   FixpointStats stats;
   const BoundedModelSet lc_star = constructible_version(
-      *LocationConsistencyModel::instance(), spec, &stats);
+      *builtin_model(kSuiteLC), spec, &stats);
   EXPECT_EQ(stats.pruned, 0u);
   EXPECT_EQ(stats.initial_pairs, stats.final_pairs);
   const auto cmp =
-      compare_with_model(lc_star, *LocationConsistencyModel::instance());
+      compare_with_model(lc_star, *builtin_model(kSuiteLC));
   for (const auto& row : cmp) EXPECT_TRUE(row.equal) << row.size;
 }
 
@@ -106,10 +105,10 @@ TEST(Fixpoint, Theorem9_FixpointIsSelfSupporting) {
   // extension with a live pair — the defining fixpoint property.
   const auto spec = thin_spec(4);
   const BoundedModelSet nn_star =
-      constructible_version(*QDagModel::nn(), spec);
+      constructible_version(*builtin_model(kSuiteNN), spec);
   nn_star.for_each_live([&](const Computation& c,
                             const ObserverFunction& phi) {
-    EXPECT_TRUE(QDagModel::nn()->contains(c, phi));  // 9.1
+    EXPECT_TRUE(builtin_model(kSuiteNN)->contains(c, phi));  // 9.1
     if (c.node_count() >= spec.max_nodes) return true;
     EXPECT_TRUE(test::answers_every_extension(nn_star, c, phi));  // 9.2
     return true;
@@ -119,10 +118,12 @@ TEST(Fixpoint, Theorem9_FixpointIsSelfSupporting) {
 TEST(Fixpoint, ParallelMatchesSequential) {
   const auto spec = thin_spec(5);
   ThreadPool pool(4);
-  const BoundedModelSet seq = constructible_version(*QDagModel::nn(), spec);
+  const BoundedModelSet seq =
+      constructible_version(*builtin_model(kSuiteNN), spec);
   FixpointStats pstats;
   const BoundedModelSet par =
-      constructible_version_parallel(*QDagModel::nn(), spec, pool, &pstats);
+      constructible_version_parallel(*builtin_model(kSuiteNN), spec, pool,
+                                     &pstats);
   EXPECT_EQ(seq.live_count(), par.live_count());
   for (std::size_t n = 0; n <= spec.max_nodes; ++n)
     EXPECT_EQ(seq.live_count_at_size(n), par.live_count_at_size(n)) << n;
@@ -137,7 +138,7 @@ TEST(Fixpoint, ParallelMatchesSequential) {
 TEST(Fixpoint, StatsRoundsAreReported) {
   const auto spec = thin_spec(3);
   FixpointStats stats;
-  (void)constructible_version(*QDagModel::nn(), spec, &stats);
+  (void)constructible_version(*builtin_model(kSuiteNN), spec, &stats);
   EXPECT_GE(stats.rounds, 1u);
 }
 
@@ -167,9 +168,9 @@ TEST(Fixpoint, QuotientMatchesLabeledByteForByte) {
   for (const UniverseSpec& spec : {thin_spec(3), thin_spec(4)}) {
     FixpointStats lstats, qstats;
     const BoundedModelSet labeled =
-        constructible_version(*QDagModel::nn(), spec, &lstats);
+        constructible_version(*builtin_model(kSuiteNN), spec, &lstats);
     const BoundedModelSet quotient =
-        constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+        constructible_version_quotient(*builtin_model(kSuiteNN), spec, &qstats);
     EXPECT_TRUE(quotient.quotient());
     EXPECT_EQ(lstats.initial_pairs, qstats.initial_pairs);
     EXPECT_EQ(lstats.final_pairs, qstats.final_pairs);
@@ -191,9 +192,9 @@ TEST(Fixpoint, QuotientMatchesLabeledWithWriteCapUnset) {
   spec.nlocations = 2;
   FixpointStats lstats, qstats;
   const BoundedModelSet labeled =
-      constructible_version(*QDagModel::nn(), spec, &lstats);
+      constructible_version(*builtin_model(kSuiteNN), spec, &lstats);
   const BoundedModelSet quotient =
-      constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+      constructible_version_quotient(*builtin_model(kSuiteNN), spec, &qstats);
   EXPECT_EQ(lstats.final_pairs, qstats.final_pairs);
   EXPECT_EQ(lstats.pruned, qstats.pruned);
   EXPECT_EQ(labeled_image(labeled, spec), labeled_image(quotient, spec));
@@ -204,10 +205,10 @@ TEST(Fixpoint, QuotientParallelMatchesSequentialQuotient) {
   ThreadPool pool(4);
   FixpointStats qstats, pstats;
   const BoundedModelSet seq =
-      constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+      constructible_version_quotient(*builtin_model(kSuiteNN), spec, &qstats);
   const BoundedModelSet par =
-      constructible_version_quotient_parallel(*QDagModel::nn(), spec, pool,
-                                              &pstats);
+      constructible_version_quotient_parallel(*builtin_model(kSuiteNN), spec,
+                                              pool, &pstats);
   EXPECT_EQ(qstats.final_pairs, pstats.final_pairs);
   EXPECT_EQ(labeled_image(seq, spec), labeled_image(par, spec));
 }
@@ -218,11 +219,11 @@ TEST(Fixpoint, RestrictedEntriesArriveFrozen) {
   // race (two tasks building desc_/anc_ concurrently).
   const auto spec = thin_spec(3);
   const BoundedModelSet labeled =
-      BoundedModelSet::restrict_model(*QDagModel::nn(), spec);
+      BoundedModelSet::restrict_model(*builtin_model(kSuiteNN), spec);
   for (const auto& [key, e] : labeled.entries())
     EXPECT_TRUE(e.c.dag().closure_frozen()) << key;
   const BoundedModelSet quotient =
-      BoundedModelSet::restrict_model_quotient(*QDagModel::nn(), spec);
+      BoundedModelSet::restrict_model_quotient(*builtin_model(kSuiteNN), spec);
   for (const auto& [key, e] : quotient.entries())
     EXPECT_TRUE(e.c.dag().closure_frozen()) << key;
 }
@@ -238,10 +239,10 @@ TEST(Fixpoint, QuotientParallelTwoLocationStress) {
   ThreadPool pool(8);
   FixpointStats qstats, pstats;
   const BoundedModelSet seq =
-      constructible_version_quotient(*QDagModel::nn(), spec, &qstats);
+      constructible_version_quotient(*builtin_model(kSuiteNN), spec, &qstats);
   const BoundedModelSet par =
-      constructible_version_quotient_parallel(*QDagModel::nn(), spec, pool,
-                                              &pstats);
+      constructible_version_quotient_parallel(*builtin_model(kSuiteNN), spec,
+                                              pool, &pstats);
   EXPECT_EQ(qstats.final_pairs, pstats.final_pairs);
   EXPECT_EQ(labeled_image(seq, spec), labeled_image(par, spec));
 }
@@ -274,12 +275,12 @@ std::string entries_signature(const BoundedModelSet& set) {
 /// The six models of the paper's hierarchy (Figure 1).
 std::vector<std::pair<const char*, std::shared_ptr<const MemoryModel>>>
 six_models() {
-  return {{"SC", SequentialConsistencyModel::instance()},
-          {"LC", LocationConsistencyModel::instance()},
-          {"NN", QDagModel::nn()},
-          {"NW", QDagModel::nw()},
-          {"WN", QDagModel::wn()},
-          {"WW", QDagModel::ww()}};
+  return {{"SC", builtin_model(kSuiteSC)},
+          {"LC", builtin_model(kSuiteLC)},
+          {"NN", builtin_model(kSuiteNN)},
+          {"NW", builtin_model(kSuiteNW)},
+          {"WN", builtin_model(kSuiteWN)},
+          {"WW", builtin_model(kSuiteWW)}};
 }
 
 /// Pair-for-pair agreement with the reference: every pair of the
@@ -334,7 +335,7 @@ TEST(Fixpoint, WorklistKillOrderIndependence) {
   const auto spec = thin_spec(5);
   FixpointStats bs;  // seed 0: FIFO order
   const BoundedModelSet reference =
-      constructible_version_quotient(*QDagModel::nn(), spec, &bs);
+      constructible_version_quotient(*builtin_model(kSuiteNN), spec, &bs);
   const std::string ref_sig = entries_signature(reference);
   EXPECT_GT(bs.pruned, 0u);
   for (const std::uint64_t seed :
@@ -344,7 +345,8 @@ TEST(Fixpoint, WorklistKillOrderIndependence) {
     opt.scramble_seed = seed;
     FixpointStats ss;
     const BoundedModelSet scrambled =
-        constructible_version_quotient(*QDagModel::nn(), spec, &ss, opt);
+        constructible_version_quotient(*builtin_model(kSuiteNN), spec, &ss,
+                                       opt);
     EXPECT_EQ(bs.final_pairs, ss.final_pairs) << seed;
     EXPECT_EQ(bs.pruned, ss.pruned) << seed;
     EXPECT_EQ(ref_sig, entries_signature(scrambled)) << seed;
@@ -358,9 +360,10 @@ TEST(Fixpoint, ParallelRestrictQuotientMatchesSequential) {
   const auto spec = thin_spec(4);
   ThreadPool pool(4);
   const BoundedModelSet seq =
-      BoundedModelSet::restrict_model_quotient(*QDagModel::nn(), spec);
+      BoundedModelSet::restrict_model_quotient(*builtin_model(kSuiteNN), spec);
   const BoundedModelSet par =
-      BoundedModelSet::restrict_model_quotient(*QDagModel::nn(), spec, &pool);
+      BoundedModelSet::restrict_model_quotient(*builtin_model(kSuiteNN), spec,
+                                               &pool);
   EXPECT_EQ(seq.entries().size(), par.entries().size());
   EXPECT_EQ(entries_signature(seq), entries_signature(par));
 }
@@ -378,9 +381,9 @@ TEST(Fixpoint, WorklistQuotientParallelStressMatches) {
   ThreadPool pool(8);
   FixpointStats ss, ps;
   const BoundedModelSet seq =
-      constructible_version_quotient(*QDagModel::nn(), spec, &ss);
+      constructible_version_quotient(*builtin_model(kSuiteNN), spec, &ss);
   const BoundedModelSet par = constructible_version_quotient_parallel(
-      *QDagModel::nn(), spec, pool, &ps);
+      *builtin_model(kSuiteNN), spec, pool, &ps);
   EXPECT_EQ(ss.final_pairs, ps.final_pairs);
   EXPECT_EQ(ss.pruned, ps.pruned);
   EXPECT_EQ(entries_signature(seq), entries_signature(par));
@@ -390,10 +393,10 @@ TEST(Fixpoint, QuotientConstructibleModelIsItsOwnFixpoint) {
   const auto spec = thin_spec(4);
   FixpointStats stats;
   const BoundedModelSet lc_star = constructible_version_quotient(
-      *LocationConsistencyModel::instance(), spec, &stats);
+      *builtin_model(kSuiteLC), spec, &stats);
   EXPECT_EQ(stats.pruned, 0u);
   const auto cmp =
-      compare_with_model(lc_star, *LocationConsistencyModel::instance());
+      compare_with_model(lc_star, *builtin_model(kSuiteLC));
   for (const auto& row : cmp) EXPECT_TRUE(row.equal) << row.size;
 }
 

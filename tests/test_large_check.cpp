@@ -6,6 +6,7 @@
 #include "exec/sc_memory.hpp"
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "models/location_consistency.hpp"
 #include "models/qdag.hpp"
 #include "proc/random_program.hpp"
@@ -127,7 +128,7 @@ TEST(LargeCheck, TraceEntryAgreesWithVerifyExecution) {
     const LargeCheckReport r = large_check_trace(c, run.trace, opt);
     const ObserverFunction phi = observer_from_trace(c, run.trace);
     const PostmortemReport ref =
-        verify_execution(c, phi, *LocationConsistencyModel::instance());
+        verify_execution(c, phi, *builtin_model(kSuiteLC));
     ASSERT_EQ(r.valid_observer, ref.valid_observer) << r.detail;
     EXPECT_EQ(r.in_model(kSuiteLC), ref.in_model) << r.detail;
   }

@@ -10,6 +10,7 @@
 #include "dag/topsort.hpp"
 #include "enumerate/observer_enum.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -157,7 +158,7 @@ TEST(LocationConsistency, AgreesWithBruteForceDefinition) {
 }
 
 TEST(LocationConsistency, ModelObject) {
-  const auto m = LocationConsistencyModel::instance();
+  const auto m = builtin_model(kSuiteLC);
   EXPECT_EQ(m->name(), "LC");
   const auto p = test::lc_not_sc_pair();
   EXPECT_TRUE(m->contains(p.c, p.phi));

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "models/qdag.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm::proc {
 namespace {
@@ -78,7 +78,7 @@ TEST(Litmus, WeakDagModelsAllowEvenCoRR) {
   ASSERT_NE(corr, suite.end());
   const ProgramComputation pc = unfold(corr->program);
   const ObserverFunction reads = observation_observer(*corr, pc);
-  const auto ww = find_model_completion(pc.c, reads, *QDagModel::ww());
+  const auto ww = find_model_completion(pc.c, reads, *builtin_model(kSuiteWW));
   EXPECT_TRUE(ww.completion.has_value());
 }
 

@@ -4,8 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "models/location_consistency.hpp"
-#include "models/sequential_consistency.hpp"
+#include "models/compile.hpp"
 #include "proc/program.hpp"
 
 namespace ccmm::proc {
@@ -73,25 +72,22 @@ TEST(Locks, LostUpdateForbiddenUnderLockAwareSC) {
   const IncrementFixture f = make_increments();
   const ObserverFunction bad = lost_update(f);
   // Without locks the lost update is perfectly SC...
-  EXPECT_TRUE(SequentialConsistencyModel::instance()->contains(f.lc.c, bad));
+  EXPECT_TRUE(builtin_model(kSuiteSC)->contains(f.lc.c, bad));
   // ...but no serialization of the critical sections admits it.
-  EXPECT_FALSE(lock_aware_contains(*SequentialConsistencyModel::instance(),
-                                   f.lc, bad));
-  EXPECT_FALSE(lock_aware_contains(*LocationConsistencyModel::instance(),
+  EXPECT_FALSE(lock_aware_contains(*builtin_model(kSuiteSC), f.lc, bad));
+  EXPECT_FALSE(lock_aware_contains(*builtin_model(kSuiteLC),
                                    f.lc, bad));
 }
 
 TEST(Locks, SerializedUpdateAllowed) {
   const IncrementFixture f = make_increments();
   const ObserverFunction good = serialized_update(f);
-  EXPECT_TRUE(lock_aware_contains(*SequentialConsistencyModel::instance(),
-                                  f.lc, good));
+  EXPECT_TRUE(lock_aware_contains(*builtin_model(kSuiteSC), f.lc, good));
 }
 
 TEST(Locks, LockAwareModelObject) {
   const IncrementFixture f = make_increments();
-  const LockAwareModel model(SequentialConsistencyModel::instance(),
-                             f.lc.sections);
+  const LockAwareModel model(builtin_model(kSuiteSC), f.lc.sections);
   EXPECT_EQ(model.name(), "SC+locks");
   EXPECT_FALSE(model.contains(f.lc.c, lost_update(f)));
   EXPECT_TRUE(model.contains(f.lc.c, serialized_update(f)));

@@ -7,6 +7,7 @@
 
 #include "construct/witness.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -19,7 +20,7 @@ TEST(Online, SerialMaintainerStaysInScForever) {
     const Dag d = gen::random_dag(9, 0.25, rng);
     const Computation c = workload::random_ops(d, 2, 0.4, 0.4, rng);
     const OnlineRun run =
-        run_online(m, c, SequentialConsistencyModel::instance().get());
+        run_online(m, c, builtin_model(kSuiteSC).get());
     EXPECT_TRUE(run.valid);
     EXPECT_EQ(run.first_violation_step, SIZE_MAX);
     EXPECT_TRUE(sequentially_consistent(c, run.phi));
@@ -35,7 +36,7 @@ TEST(Online, SerialMaintainerOnWorkloads) {
        {workload::reduction(8), workload::contended_counter(5),
         workload::stencil(3, 3)}) {
     const OnlineRun run =
-        run_online(m, c, LocationConsistencyModel::instance().get());
+        run_online(m, c, builtin_model(kSuiteLC).get());
     EXPECT_TRUE(run.valid);
     EXPECT_EQ(run.first_violation_step, SIZE_MAX);
   }
@@ -45,12 +46,12 @@ TEST(Online, GreedyStaleMaintainerStaysInWwForever) {
   // WW is constructible: the greedy maintainer targeting WW never gets
   // stuck, and it is lazier than serial (it leaves reads at ⊥ whenever
   // WW lets it — which is always, for fresh locations).
-  GreedyStaleMaintainer m(QDagModel::ww());
+  GreedyStaleMaintainer m(builtin_model(kSuiteWW));
   Rng rng(2);
   for (int round = 0; round < 10; ++round) {
     const Dag d = gen::random_dag(7, 0.3, rng);
     const Computation c = workload::random_ops(d, 1, 0.5, 0.5, rng);
-    const OnlineRun run = run_online(m, c, QDagModel::ww().get());
+    const OnlineRun run = run_online(m, c, builtin_model(kSuiteWW).get());
     EXPECT_TRUE(run.valid);
     EXPECT_EQ(run.first_violation_step, SIZE_MAX) << c.to_string();
   }
@@ -64,18 +65,19 @@ TEST(Online, GreedyStaleMaintainerGetsStuckOnNn) {
   // the final step. To pin the outcome, use the maintainer-independent
   // game instead:
   const NonconstructibilityWitness w = figure4_witness();
-  EXPECT_TRUE(play_nonconstructibility_game(*QDagModel::nn(), w));
+  EXPECT_TRUE(play_nonconstructibility_game(*builtin_model(kSuiteNN), w));
 }
 
 TEST(Online, GameRejectsNonWitnesses) {
   const NonconstructibilityWitness w = figure4_witness();
   // LC never contained the pair: not a defeat of LC.
   EXPECT_FALSE(
-      play_nonconstructibility_game(*LocationConsistencyModel::instance(), w));
+      play_nonconstructibility_game(*builtin_model(kSuiteLC), w));
   // The write extension is answerable: not a defeat either.
   NonconstructibilityWitness with_write = w;
   with_write.extension = w.c.extend(Op::write(0), {2, 3});
-  EXPECT_FALSE(play_nonconstructibility_game(*QDagModel::nn(), with_write));
+  EXPECT_FALSE(
+      play_nonconstructibility_game(*builtin_model(kSuiteNN), with_write));
 }
 
 TEST(Online, RunRejectsUnsortedIds) {

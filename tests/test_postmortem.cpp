@@ -8,6 +8,7 @@
 #include "exec/sc_memory.hpp"
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -18,7 +19,7 @@ TEST(Postmortem, VerifyExecutionReportsMembership) {
   const Computation c = workload::contended_counter(4);
   const ExecutionResult r = run_serial(c, mem);
   const auto report =
-      verify_execution(c, r.phi, *SequentialConsistencyModel::instance());
+      verify_execution(c, r.phi, *builtin_model(kSuiteSC));
   EXPECT_TRUE(report.valid_observer);
   EXPECT_TRUE(report.in_model);
   EXPECT_NE(report.detail.find("SC"), std::string::npos);
@@ -28,7 +29,7 @@ TEST(Postmortem, VerifyExecutionFlagsInvalidObserver) {
   const Computation c = workload::contended_counter(2);
   ObserverFunction bogus(c.node_count());  // writes don't observe selves
   const auto report =
-      verify_execution(c, bogus, *LocationConsistencyModel::instance());
+      verify_execution(c, bogus, *builtin_model(kSuiteLC));
   EXPECT_FALSE(report.valid_observer);
   EXPECT_FALSE(report.in_model);
   EXPECT_NE(report.detail.find("invalid"), std::string::npos);
@@ -71,11 +72,10 @@ TEST(Postmortem, CompletionFoundForScExecutions) {
         workload::random_ops(gen::random_dag(7, 0.25, rng), 2, 0.5, 0.4, rng);
     const ExecutionResult r = run_serial(c, mem);
     const ObserverFunction reads = reads_only_projection(c, r.phi);
-    const auto result = find_model_completion(
-        c, reads, *SequentialConsistencyModel::instance());
+    const auto result =
+        find_model_completion(c, reads, *builtin_model(kSuiteSC));
     ASSERT_TRUE(result.completion.has_value()) << seed;
-    EXPECT_TRUE(SequentialConsistencyModel::instance()->contains(
-        c, *result.completion));
+    EXPECT_TRUE(builtin_model(kSuiteSC)->contains(c, *result.completion));
     for (NodeId u = 0; u < c.node_count(); ++u) {
       const Op o = c.op(u);
       if (o.is_read()) {
@@ -98,7 +98,7 @@ TEST(Postmortem, NoCompletionForImpossibleReads) {
   reads.set(0, r1, w2);
   reads.set(0, 3, w1);  // r2 steps back to the overwritten write
   const auto result = find_model_completion(
-      c, reads, *LocationConsistencyModel::instance());
+      c, reads, *builtin_model(kSuiteLC));
   EXPECT_FALSE(result.completion.has_value());
   EXPECT_FALSE(result.exhausted);  // the space was fully searched
 }
@@ -109,7 +109,7 @@ TEST(Postmortem, BudgetExhaustionReported) {
       workload::random_ops(gen::antichain(8), 1, 0.2, 0.8, rng);
   const ObserverFunction reads(c.node_count());
   const auto result = find_model_completion(
-      c, reads, *SequentialConsistencyModel::instance(), /*budget=*/1);
+      c, reads, *builtin_model(kSuiteSC), /*budget=*/1);
   // With one completion tried, either it hit immediately or it reports
   // exhaustion; both are legal, but `tried` must respect the budget.
   EXPECT_LE(result.tried, 1u);
@@ -125,7 +125,7 @@ TEST(Postmortem, WeakExecutionsOftenHaveNoScCompletion) {
     const ExecutionResult r = run_serial(c, mem);
     const ObserverFunction reads = reads_only_projection(c, r.phi);
     const auto result = find_model_completion(
-        c, reads, *SequentialConsistencyModel::instance());
+        c, reads, *builtin_model(kSuiteSC));
     if (!result.completion.has_value() && !result.exhausted) ++refuted;
   }
   EXPECT_GT(refuted, 0u);

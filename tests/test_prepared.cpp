@@ -1,21 +1,24 @@
-// The shared-preparation refactor, pinned three ways:
-//  * contains_prepared answers exactly like the legacy contains() for
-//    every model (six core checkers, WN+/NN+, predicate and
-//    intersection wrappers) over exhaustive small universes;
-//  * ModelRegistry::classify over the eight built-in specs equals
-//    eight independent membership calls, with lattice short-circuiting
-//    ON and OFF (the ablation);
+// The shared-preparation API, pinned three ways:
+//  * every built-in model answers like its definition
+//    (tests/reference_models.hpp) through both membership levels —
+//    contains and contains_prepared — as do the predicate and
+//    intersection wrappers, over exhaustive small universes;
+//  * ModelRegistry::classify over the eight built-in specs equals the
+//    eight definitions, with lattice short-circuiting ON and OFF (the
+//    ablation);
 //  * the PreparedPair block partition indexes Φ⁻¹ correctly, and
 //    cached_classification memoizes the built-ins' bitmask per orbit.
 #include "core/prepared.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "enumerate/cached_model.hpp"
 #include "enumerate/universe.hpp"
 #include "models/compile.hpp"
-#include "models/wn_plus.hpp"
 #include "helpers.hpp"
+#include "reference_models.hpp"
 #include "util/memo_cache.hpp"
 
 namespace ccmm {
@@ -24,40 +27,49 @@ namespace {
 struct Row {
   const char* label;
   std::shared_ptr<const MemoryModel> model;
+  /// Membership by definition.
+  std::function<bool(const Computation&, const ObserverFunction&)> want;
 };
 
 std::vector<Row> all_models() {
-  const auto nw = QDagModel::nw();
-  const auto wn = QDagModel::wn();
-  std::vector<Row> rows = {
-      {"SC", SequentialConsistencyModel::instance()},
-      {"LC", LocationConsistencyModel::instance()},
-      {"NN", QDagModel::nn()},
-      {"NW", nw},
-      {"WN", wn},
-      {"WW", QDagModel::ww()},
-      {"WN+", WnPlusModel::instance()},
-      {"NN+", NnPlusModel::instance()},
-      // Third-party idioms over the two-level API: a legacy predicate
-      // (exercises the prepared->legacy bridge), a prepared predicate
-      // (exercises the legacy->prepared bridge), and an intersection
-      // (one preparation must serve both operands).
-      {"pred-legacy",
-       std::make_shared<PredicateModel>(
-           "LC-as-pred", PredicateModel::Pred(
-                             [](const Computation& c,
-                                const ObserverFunction& phi) {
-                               return location_consistent(c, phi);
-                             }))},
-      {"pred-prepared",
-       std::make_shared<PredicateModel>(
-           "WN-as-pred", PredicateModel::PreparedPred(
-                             [](const PreparedPair& p) {
-                               return qdag_consistent_prepared(p,
-                                                               DagPred::kWN);
-                             }))},
-      {"NW∩WN", std::make_shared<IntersectionModel>(nw, wn)},
+  std::vector<Row> rows;
+  for (const std::uint32_t bit : test::kBuiltinBits)
+    rows.push_back({suite_bit_name(bit), builtin_model(bit),
+                    [bit](const Computation& c, const ObserverFunction& phi) {
+                      return test::builtin_by_definition(c, phi, bit);
+                    }});
+  const auto nw = builtin_model(kSuiteNW);
+  const auto wn = builtin_model(kSuiteWN);
+  const auto lc_def = [](const Computation& c, const ObserverFunction& phi) {
+    return test::lc_by_definition(c, phi);
   };
+  const auto wn_def = [](const Computation& c, const ObserverFunction& phi) {
+    return test::qdag_by_definition(c, phi, DagPred::kWN);
+  };
+  // Third-party idioms over the two-level API: a plain predicate
+  // (exercises the prepared->plain bridge), a prepared predicate
+  // (exercises the plain->prepared bridge), and an intersection (one
+  // preparation must serve both operands).
+  rows.push_back({"pred-plain",
+                  std::make_shared<PredicateModel>(
+                      "LC-as-pred",
+                      PredicateModel::Pred([](const Computation& c,
+                                              const ObserverFunction& phi) {
+                        return location_consistent(c, phi);
+                      })),
+                  lc_def});
+  rows.push_back({"pred-prepared",
+                  std::make_shared<PredicateModel>(
+                      "WN-as-pred",
+                      PredicateModel::PreparedPred([](const PreparedPair& p) {
+                        return qdag_consistent_prepared(p, DagPred::kWN);
+                      })),
+                  wn_def});
+  rows.push_back({"NW∩WN", std::make_shared<IntersectionModel>(nw, wn),
+                  [](const Computation& c, const ObserverFunction& phi) {
+                    return test::qdag_by_definition(c, phi, DagPred::kNW) &&
+                           test::qdag_by_definition(c, phi, DagPred::kWN);
+                  }});
   return rows;
 }
 
@@ -69,12 +81,16 @@ void sweep_universe(const UniverseSpec& spec) {
     const PreparedPair p = ctx.prepare(c, phi);
     EXPECT_TRUE(p.valid());
     for (const Row& row : rows) {
-      const bool legacy = row.model->contains(c, phi);
+      const bool want = row.want(c, phi);
+      const bool plain = row.model->contains(c, phi);
       const bool prepared = row.model->contains_prepared(p);
-      EXPECT_EQ(legacy, prepared)
-          << row.label << " diverges on:\n"
+      EXPECT_EQ(plain, want) << row.label << " contains diverges on:\n"
+                             << c.to_string() << phi.to_string();
+      EXPECT_EQ(prepared, want)
+          << row.label << " contains_prepared diverges on:\n"
           << c.to_string() << phi.to_string();
-      if (legacy != prepared) return false;  // first divergence is enough
+      if (plain != want || prepared != want)
+        return false;  // first divergence is enough
     }
     ++pairs;
     return true;
@@ -166,7 +182,7 @@ TEST(RegistryClassify, BuiltinsEqualIndependentCallsPrunedAndUnpruned) {
   RegistryOptions unpruned;
   unpruned.short_circuit = false;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
-    const std::uint32_t expect = test::classify_by_calls(c, phi);
+    const std::uint32_t expect = test::classify_by_definition(c, phi);
     const PreparedPair p = ctx.prepare(c, phi);
     EXPECT_EQ(builtins.classify(p, pruned), expect)
         << c.to_string() << phi.to_string();
@@ -185,13 +201,15 @@ TEST(CachedClassification, AgreesAndHits) {
   const auto before = classification_cache().stats();
   std::size_t pairs = 0;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
-    EXPECT_EQ(cached_classification(c, phi), test::classify_by_calls(c, phi));
+    EXPECT_EQ(cached_classification(c, phi),
+              test::classify_by_definition(c, phi));
     ++pairs;
     return true;
   });
   // Second pass answers entirely from the cache.
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
-    EXPECT_EQ(cached_classification(c, phi), test::classify_by_calls(c, phi));
+    EXPECT_EQ(cached_classification(c, phi),
+              test::classify_by_definition(c, phi));
     return true;
   });
   const auto after = classification_cache().stats();

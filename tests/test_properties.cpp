@@ -7,6 +7,7 @@
 #include "exec/backer.hpp"
 #include "exec/sim_machine.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -115,7 +116,7 @@ TEST_P(ModelHierarchySweep, MonotoneUnderEdgeDeletion) {
 TEST_P(ModelHierarchySweep, LcPairsAnswerRandomExtensions) {
   const Computation c = make(GetParam());
   if (c.node_count() > 8) return;  // extension spaces grow as 2^n
-  const auto lc = LocationConsistencyModel::instance();
+  const auto lc = builtin_model(kSuiteLC);
   const auto phi = lc->any_observer(c);
   ASSERT_TRUE(phi.has_value());
   for_each_one_node_extension(

@@ -8,6 +8,7 @@
 #include "dag/topsort.hpp"
 #include "enumerate/observer_enum.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -128,11 +129,10 @@ TEST(QDag, FalsePredicateAcceptsEverythingValid) {
 }
 
 TEST(QDag, ModelObjectsReportNames) {
-  EXPECT_EQ(QDagModel::nn()->name(), "NN");
-  EXPECT_EQ(QDagModel::nw()->name(), "NW");
-  EXPECT_EQ(QDagModel::wn()->name(), "WN");
-  EXPECT_EQ(QDagModel::ww()->name(), "WW");
-  EXPECT_EQ(QDagModel::nn()->pred(), DagPred::kNN);
+  EXPECT_EQ(builtin_model(kSuiteNN)->name(), "NN");
+  EXPECT_EQ(builtin_model(kSuiteNW)->name(), "NW");
+  EXPECT_EQ(builtin_model(kSuiteWN)->name(), "WN");
+  EXPECT_EQ(builtin_model(kSuiteWW)->name(), "WW");
 }
 
 TEST(QDag, AnyObserverWitnessesCompleteness) {
@@ -141,9 +141,9 @@ TEST(QDag, AnyObserverWitnessesCompleteness) {
   for (int round = 0; round < 10; ++round) {
     const Dag d = gen::random_dag(6, 0.3, rng);
     const Computation c = workload::random_ops(d, 2, 0.4, 0.4, rng);
-    const auto phi = QDagModel::nn()->any_observer(c);
+    const auto phi = builtin_model(kSuiteNN)->any_observer(c);
     ASSERT_TRUE(phi.has_value());
-    EXPECT_TRUE(QDagModel::nn()->contains(c, *phi));
+    EXPECT_TRUE(builtin_model(kSuiteNN)->contains(c, *phi));
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "enumerate/universe.hpp"
 #include "helpers.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
@@ -38,12 +39,12 @@ TEST_F(RelationsOnUniverse, UniverseIsSubstantial) {
 }
 
 TEST_F(RelationsOnUniverse, Figure1Lattice) {
-  const auto nn = QDagModel::nn();
-  const auto nw = QDagModel::nw();
-  const auto wn = QDagModel::wn();
-  const auto ww = QDagModel::ww();
-  const auto lc = LocationConsistencyModel::instance();
-  const auto sc = SequentialConsistencyModel::instance();
+  const auto nn = builtin_model(kSuiteNN);
+  const auto nw = builtin_model(kSuiteNW);
+  const auto wn = builtin_model(kSuiteWN);
+  const auto ww = builtin_model(kSuiteWW);
+  const auto lc = builtin_model(kSuiteLC);
+  const auto sc = builtin_model(kSuiteSC);
 
   // SC ⊊ LC (strictness needs the 2-location pair appended in SetUp).
   EXPECT_EQ(compare_models(*sc, *lc, *universe_).relation,
@@ -69,11 +70,18 @@ TEST_F(RelationsOnUniverse, Figure1Lattice) {
 TEST_F(RelationsOnUniverse, Theorem21_NNIsStrongestDagModel) {
   // NN ⊆ Q-dag consistency for arbitrary predicates Q: try a few exotic
   // ones alongside the named models.
-  const auto nn = QDagModel::nn();
-  const CustomQDagModel parity(
+  const auto nn = builtin_model(kSuiteNN);
+  const auto custom = [](std::string name, QPredicate q) {
+    return PredicateModel(
+        std::move(name),
+        PredicateModel::PreparedPred([q = std::move(q)](const PreparedPair& p) {
+          return qdag_consistent_custom_prepared(p, q);
+        }));
+  };
+  const PredicateModel parity = custom(
       "parity", [](const Computation&, Location, NodeId u, NodeId v,
                    NodeId w) { return (u + v + w) % 2 == 0; });
-  const CustomQDagModel only_far(
+  const PredicateModel only_far = custom(
       "only-far", [](const Computation& c, Location, NodeId u, NodeId v,
                      NodeId w) {
         (void)v;
@@ -89,10 +97,10 @@ TEST_F(RelationsOnUniverse, Theorem21_NNIsStrongestDagModel) {
 }
 
 TEST_F(RelationsOnUniverse, MembershipCountsAreMonotoneAlongTheLattice) {
-  const auto nn = QDagModel::nn();
-  const auto ww = QDagModel::ww();
-  const auto lc = LocationConsistencyModel::instance();
-  const auto sc = SequentialConsistencyModel::instance();
+  const auto nn = builtin_model(kSuiteNN);
+  const auto ww = builtin_model(kSuiteWW);
+  const auto lc = builtin_model(kSuiteLC);
+  const auto sc = builtin_model(kSuiteSC);
   const auto counts = membership_counts(
       {sc.get(), lc.get(), nn.get(), ww.get()}, *universe_);
   EXPECT_LT(counts[0], counts[1]);  // |SC| < |LC|
@@ -107,10 +115,9 @@ TEST_F(RelationsOnUniverse, Definition5_AllSixModelsMonotonic) {
   for (std::size_t i = 0; i < universe_->size(); i += 7)
     thin.push_back((*universe_)[i]);
   for (const auto* m : std::initializer_list<const MemoryModel*>{
-           QDagModel::nn().get(), QDagModel::nw().get(),
-           QDagModel::wn().get(), QDagModel::ww().get(),
-           LocationConsistencyModel::instance().get(),
-           SequentialConsistencyModel::instance().get()}) {
+           builtin_model(kSuiteNN).get(), builtin_model(kSuiteNW).get(),
+           builtin_model(kSuiteWN).get(), builtin_model(kSuiteWW).get(),
+           builtin_model(kSuiteLC).get(), builtin_model(kSuiteSC).get()}) {
     const auto r = check_monotonicity(*m, thin);
     EXPECT_TRUE(r.monotonic) << m->name() << " violated at index "
                              << r.witness;
@@ -118,8 +125,8 @@ TEST_F(RelationsOnUniverse, Definition5_AllSixModelsMonotonic) {
 }
 
 TEST(Relations, IntersectionModel) {
-  const auto nw = QDagModel::nw();
-  const auto wn = QDagModel::wn();
+  const auto nw = builtin_model(kSuiteNW);
+  const auto wn = builtin_model(kSuiteWN);
   const IntersectionModel both(nw, wn);
   const auto f2 = test::figure2_pair();  // in NW, not WN
   EXPECT_FALSE(both.contains(f2.c, f2.phi));

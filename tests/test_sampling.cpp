@@ -6,6 +6,7 @@
 
 #include "enumerate/observer_enum.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -90,7 +91,7 @@ TEST(Sampling, DensityMatchesExhaustiveCount) {
 
   Rng rng(5);
   const auto est =
-      estimate_density(*QDagModel::wn(), c, 4000, rng);
+      estimate_density(*builtin_model(kSuiteWN), c, 4000, rng);
   EXPECT_NEAR(est.density, truth, 0.05);
   EXPECT_EQ(est.samples, 4000u);
 }
@@ -100,7 +101,7 @@ TEST(Sampling, ParallelCountMatchesSerial) {
   spec.max_nodes = 3;
   spec.nlocations = 1;
   const auto universe = build_universe(spec);
-  const auto lc = LocationConsistencyModel::instance();
+  const auto lc = builtin_model(kSuiteLC);
   std::size_t serial = 0;
   for (const auto& pr : universe)
     serial += lc->contains(pr.c, pr.phi) ? 1 : 0;

@@ -9,6 +9,7 @@
 #include "dag/topsort.hpp"
 #include "enumerate/observer_enum.hpp"
 #include "exec/workload.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -162,7 +163,7 @@ TEST(SequentialConsistency, AblationKnobsPreserveAnswers) {
 }
 
 TEST(SequentialConsistency, ModelObject) {
-  const auto m = SequentialConsistencyModel::instance();
+  const auto m = builtin_model(kSuiteSC);
   EXPECT_EQ(m->name(), "SC");
   const auto any = m->any_observer(test::lc_not_sc_pair().c);
   ASSERT_TRUE(any.has_value());

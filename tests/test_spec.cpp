@@ -69,6 +69,8 @@ TEST(SpecParse, MalformedInputsCarryExactLineNumbers) {
       {"model A\naxiom\nend\n", 2, "usage: axiom"},
       {"model A\nscope\nend\n", 2, "usage: scope"},
       {"model A\nscope 0 x\nend\n", 2, "'x' is not a location"},
+      {"model A\nscope +1 2\nend\n", 2, "'+1' is not a location"},
+      {"model A\nscope -0 2\nend\n", 2, "'-0' is not a location"},
       {"model A\norder global\nscope 0 1\nend\n", 3,
        "conflict with the order directive"},
       {"model A\nscope 0 1\nscope 1 2\nend\n", 4, "appears in two scopes"},

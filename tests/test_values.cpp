@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "models/compile.hpp"
 
 namespace ccmm {
 namespace {
@@ -96,7 +97,7 @@ TEST(Values, ExplanationsWithUniqueTagsAreUnique) {
   const ValueAssignment tags;  // unique defaults
   const Execution observed = execute_values(f.c, truth, tags);
   const auto found = explanations(f.c, observed,
-                                  tags, *LocationConsistencyModel::instance());
+                                  tags, *builtin_model(kSuiteLC));
   ASSERT_FALSE(found.empty());
   for (const ObserverFunction& phi : found)
     EXPECT_EQ(phi.get(0, f.r), f.w1);  // every explanation agrees on reads
@@ -114,7 +115,7 @@ TEST(Values, CollidingValuesAdmitMoreExplanations) {
   colliding.set(f.w2, 9);
   const ValueAssignment unique;
 
-  const auto lc = LocationConsistencyModel::instance();
+  const auto lc = builtin_model(kSuiteLC);
   const auto with_unique =
       explanations(f.c, execute_values(f.c, truth, unique), unique, *lc);
   const auto with_collision = explanations(
@@ -150,7 +151,7 @@ TEST(Values, ExplanationsRespectTheLimit) {
   colliding.set(f.w2, 1);
   Execution observed{{f.r, 1}};
   const auto found =
-      explanations(f.c, observed, colliding, *QDagModel::ww(), 1);
+      explanations(f.c, observed, colliding, *builtin_model(kSuiteWW), 1);
   EXPECT_EQ(found.size(), 1u);
 }
 

@@ -8,6 +8,7 @@
 #include "construct/constructibility.hpp"
 #include "construct/witness.hpp"
 #include "enumerate/separators.hpp"
+#include "models/compile.hpp"
 #include "helpers.hpp"
 
 namespace ccmm {
@@ -41,8 +42,8 @@ TEST(WnPlus, SitsBetweenLcAndWn) {
   spec.max_nodes = 4;
   spec.nlocations = 1;
   spec.include_nop = false;
-  const auto lc = LocationConsistencyModel::instance();
-  const auto wnp = WnPlusModel::instance();
+  const auto lc = builtin_model(kSuiteLC);
+  const auto wnp = builtin_model(kSuiteWNPlus);
   std::size_t in_lc = 0, in_wnp = 0, in_wn = 0;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& f) {
     const bool a = lc->contains(c, f);
@@ -71,7 +72,7 @@ TEST(WnPlus, FigurePairsClassified) {
   // Figure 4's pair has no ⊥ either, so it is fresh and in NN ⊆ WN.
   const auto w = figure4_witness();
   EXPECT_TRUE(wn_plus_consistent(w.c, w.phi));
-  EXPECT_TRUE(NnPlusModel::instance()->contains(w.c, w.phi));
+  EXPECT_TRUE(builtin_model(kSuiteNNPlus)->contains(w.c, w.phi));
 }
 
 TEST(WnPlus, ConstructibilityStatusUpToBound) {
@@ -83,13 +84,13 @@ TEST(WnPlus, ConstructibilityStatusUpToBound) {
   options.spec.nlocations = 1;
   options.spec.include_nop = false;
   const auto w =
-      find_nonconstructibility_witness(*WnPlusModel::instance(), options);
+      find_nonconstructibility_witness(*builtin_model(kSuiteWNPlus), options);
   // The Figure-4 pair is fresh and in WN+; its stuck extension under NN
   // is NOT stuck under WN+'s weaker triple rule, but freshness forbids
   // the ⊥ answer, so only write-observing answers remain — which WN+'s
   // triple rule then constrains. The search decides:
   if (w.has_value()) {
-    EXPECT_TRUE(validate_witness(*WnPlusModel::instance(), *w));
+    EXPECT_TRUE(validate_witness(*builtin_model(kSuiteWNPlus), *w));
   }
   SUCCEED();  // status documented by the bench output either way
 }
@@ -100,11 +101,11 @@ TEST(Separators, MinimalWwVsWnSeparatorIsFigure2Sized) {
   spec.nlocations = 1;
   spec.include_nop = false;
   // A pair in WW (weaker) but not WN (stronger): Figure-2-like.
-  const auto sep = find_minimal_separator(*QDagModel::wn(), *QDagModel::ww(),
-                                          spec);
+  const auto sep = find_minimal_separator(*builtin_model(kSuiteWN),
+                                          *builtin_model(kSuiteWW), spec);
   ASSERT_TRUE(sep.has_value());
-  EXPECT_TRUE(QDagModel::ww()->contains(sep->c, sep->phi));
-  EXPECT_FALSE(QDagModel::wn()->contains(sep->c, sep->phi));
+  EXPECT_TRUE(builtin_model(kSuiteWW)->contains(sep->c, sep->phi));
+  EXPECT_FALSE(builtin_model(kSuiteWN)->contains(sep->c, sep->phi));
   EXPECT_LE(sep->c.node_count(), 4u);
 }
 
@@ -114,7 +115,7 @@ TEST(Separators, LcVsNnSeparatorMatchesFigure4Size) {
   spec.nlocations = 1;
   spec.include_nop = false;
   const auto sep = find_minimal_separator(
-      *LocationConsistencyModel::instance(), *QDagModel::nn(), spec);
+      *builtin_model(kSuiteLC), *builtin_model(kSuiteNN), spec);
   ASSERT_TRUE(sep.has_value());
   EXPECT_EQ(sep->c.node_count(), 4u);  // the Figure-4 separator is minimal
 }
@@ -124,9 +125,8 @@ TEST(Separators, NoneBetweenEqualModels) {
   spec.max_nodes = 3;
   spec.nlocations = 1;
   // SC = LC with one location.
-  const auto sep = find_minimal_separator(
-      *SequentialConsistencyModel::instance(),
-      *LocationConsistencyModel::instance(), spec);
+  const auto sep = find_minimal_separator(*builtin_model(kSuiteSC),
+                                          *builtin_model(kSuiteLC), spec);
   EXPECT_FALSE(sep.has_value());
 }
 
@@ -135,9 +135,8 @@ TEST(Completeness, StandardModelsAreComplete) {
   spec.max_nodes = 3;
   spec.nlocations = 1;
   for (const MemoryModel* m : std::initializer_list<const MemoryModel*>{
-           SequentialConsistencyModel::instance().get(),
-           LocationConsistencyModel::instance().get(),
-           QDagModel::nn().get(), WnPlusModel::instance().get()}) {
+           builtin_model(kSuiteSC).get(), builtin_model(kSuiteLC).get(),
+           builtin_model(kSuiteNN).get(), builtin_model(kSuiteWNPlus).get()}) {
     EXPECT_FALSE(find_incompleteness_witness(*m, spec).has_value())
         << m->name();
   }

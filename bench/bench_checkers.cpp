@@ -1,10 +1,13 @@
 // Microbenchmarks: model-membership checking throughput as computations
-// grow — the Q-dag checkers (bitset triple scan), the polynomial LC
-// algorithm, and observer validation.
+// grow — the per-location kernel behind the Q-dag, LC and freshness
+// checkers, the cubic custom-predicate scan, observer validation, and
+// the per-pair fixed cost over a whole small universe.
 #include <benchmark/benchmark.h>
 
 #include "core/last_writer.hpp"
 #include "dag/topsort.hpp"
+#include "enumerate/observer_enum.hpp"
+#include "enumerate/universe.hpp"
 #include "exec/workload.hpp"
 #include "models/compile.hpp"
 #include "models/location_consistency.hpp"
@@ -167,6 +170,45 @@ BENCHMARK(BM_ClassifyAllSixPrepared)
     ->Args({16, 2})
     ->Args({64, 2})
     ->Args({256, 2});
+
+// The fixed cost per small pair, which the exhaustive sweeps, Δ* and
+// the censuses pay: prepare + classify every pair of the ≤4-node,
+// 2-location universe (470,066 pairs) against the eight built-ins
+// (Arg 0), or decide LC alone (Arg 1). The universe is enumerated once,
+// outside the timing.
+void BM_ClassifyUniverse(benchmark::State& state) {
+  UniverseSpec spec;
+  spec.max_nodes = 4;
+  spec.nlocations = 2;
+  std::vector<std::pair<Computation, std::vector<ObserverFunction>>> groups;
+  std::size_t pairs = 0;
+  for_each_computation(spec, [&](const Computation& c) {
+    groups.emplace_back(c, std::vector<ObserverFunction>{});
+    for_each_observer(c, [&](const ObserverFunction& phi) {
+      groups.back().second.push_back(phi);
+      return true;
+    });
+    pairs += groups.back().second.size();
+    return true;
+  });
+  const ModelRegistry registry(builtin_model_specs());
+  const bool lc_only = state.range(0) != 0;
+  CheckContext ctx;
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (const auto& [c, observers] : groups)
+      for (const ObserverFunction& phi : observers) {
+        const PreparedPair p = ctx.prepare(c, phi);
+        acc += lc_only ? static_cast<std::uint64_t>(
+                             location_consistent_prepared(p))
+                       : registry.classify(p);
+      }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pairs));
+}
+BENCHMARK(BM_ClassifyUniverse)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_LastWriter(benchmark::State& state) {
   Rng rng(4);

@@ -121,9 +121,9 @@ int trace_report(const Computation& c, const char* trace_path,
   std::printf("%s", r.to_string().c_str());
   const bool lc_ok = r.report.has_value() && r.report->in_model(kSuiteLC);
   const bool no_errors = analyze::count_severities(r.diagnostics).errors == 0;
-  // A spec model that could not be decided (unstreamable axiom or an
-  // exhausted search) is a failure for gating purposes; a decided
-  // non-membership is an answer, not an error.
+  // A spec model that could not be decided (an exhausted search) is a
+  // failure for gating purposes; a decided non-membership is an answer,
+  // not an error.
   const bool specs_decided =
       std::all_of(r.spec_verdicts.begin(), r.spec_verdicts.end(),
                   [](const SpecModelVerdict& v) { return v.decided; });

@@ -1,13 +1,14 @@
 // ccmm/core/prepared.hpp
 //
-// Shared preparation for membership checking. Historically every model's
-// contains() paid the same per-call tax: re-validating Definition 2,
-// lazily building dag reachability, and rebuilding the per-location
-// Φ⁻¹ block bitsets from scratch. The batch consumers (FIG1/CUBE sweeps,
-// BoundedModelSet censuses, the Δ* fixpoint's answer judging, analyze's
-// model split) evaluate the SAME (C, Φ) pair under many models, so that
-// work is paid once here and reused by every checker through the
-// two-level MemoryModel API (contains_prepared).
+// Shared preparation for membership checking. The batch consumers
+// (FIG1/CUBE sweeps, BoundedModelSet censuses, the Δ* fixpoint's answer
+// judging, analyze's model split) evaluate the SAME (C, Φ) pair under
+// many models, so the shared work is paid once here and reused through
+// the two-level MemoryModel API (contains_prepared): the Definition 2
+// verdict, the frozen dag reachability, the writer lists, and the
+// verdicts of the per-location kernel (core/loc_incremental.hpp) that
+// the streaming engines run — LC, NN/NW/WN/WW and freshness — kept per
+// location, so every question after a bit's first is a lookup.
 //
 // A PreparedPair is a non-owning view: the computation and observer
 // function must outlive it. It is meant to be consumed on one thread;
@@ -15,13 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/loc_incremental.hpp"
 #include "core/observer.hpp"
-#include "dag/precedence_oracle.hpp"
-#include "util/bitset.hpp"
 
 namespace ccmm {
 
@@ -30,31 +29,18 @@ class CheckContext;
 /// The per-(C, Φ) bundle every checker shares: the validity verdict (with
 /// the diagnostic ValidityResult detail, not just the bool), frozen dag
 /// reachability (ensure_closure() is called eagerly so parallel stages
-/// never race the lazy build), per-location writer lists and Φ⁻¹ block
-/// bitsets, and the canonical last-writer function.
+/// never race the lazy build), per-location writer lists and kernel
+/// verdicts, and the canonical last-writer function.
 class PreparedPair {
  public:
-  /// Per-active-location index of Φ: the location's writers, the block
-  /// partition of Φ(l,·) — block 0 is B_⊥ = Φ⁻¹(⊥), block j+1 is the
-  /// j-th writer in id order — and one observer bitset per block. Blocks
-  /// of unobserved writers are empty; checkers never look them up, and
-  /// the LC quotient ignores isolated empty blocks.
+  /// One written location: its writers — the kernel's Φ-block b ≥ 1 is
+  /// the block of writers[b-1], block 0 is B_⊥ — and the suite bits the
+  /// kernel has decided there, and found violated.
   struct LocationPrep {
     Location loc = 0;
-    std::vector<NodeId> writers;          // id order
-    std::vector<std::uint32_t> block_of;  // node -> block (0 = ⊥ block)
-    std::vector<DynBitset> block_sets;    // block -> Φ⁻¹ bitset
-
-    /// Block index of writer x (x must write loc).
-    [[nodiscard]] std::uint32_t block_index(NodeId x) const;
-    /// Φ⁻¹(x) for a writer x of this location.
-    [[nodiscard]] const DynBitset& observers_of(NodeId x) const {
-      return block_sets[block_index(x)];
-    }
-    [[nodiscard]] NodeId block_writer(std::uint32_t b) const {
-      return b == 0 ? kBottom : writers[b - 1];
-    }
-    [[nodiscard]] std::size_t block_count() const { return block_sets.size(); }
+    std::vector<NodeId> writers;  // id order
+    std::uint32_t decided = 0;
+    std::uint32_t violated = 0;   // ⊆ decided
   };
 
   [[nodiscard]] const Computation& computation() const { return *c_; }
@@ -65,33 +51,39 @@ class PreparedPair {
   [[nodiscard]] const ValidityResult& validity() const { return validity_; }
   [[nodiscard]] bool valid() const { return validity_.ok; }
 
-  /// One LocationPrep per active location of Φ, sorted by location.
-  /// Empty when the observer is invalid (checkers reject first).
+  /// One LocationPrep per written location, sorted by location — for a
+  /// valid Φ exactly its active locations. Empty when the observer is
+  /// invalid (checkers reject first).
   [[nodiscard]] const std::vector<LocationPrep>& locations() const {
     return locs_;
   }
-  /// The prep for location l, or nullptr if l has an all-⊥ column.
+  /// The prep for location l, or nullptr if nothing writes l.
   [[nodiscard]] const LocationPrep* location(Location l) const;
+
+  /// The bits among `bits` (⊆ kLargeCheckExt) that some written
+  /// location violates, location by location (violated_at), stopping
+  /// once every requested bit is seen violated. An invalid pair
+  /// violates every bit.
+  [[nodiscard]] std::uint32_t violated(std::uint32_t bits) const;
+
+  /// The bits among `bits` that location `lp` of this valid pair
+  /// violates. A kernel run decides the bits of the location's first
+  /// request, and a second run every other bit; later requests read
+  /// the verdicts kept in `lp`.
+  [[nodiscard]] std::uint32_t violated_at(const LocationPrep& lp,
+                                          std::uint32_t bits) const;
+
+  /// Run the kernel over one written location of this valid pair for
+  /// `bits` (⊆ kLargeCheckAll | kSuiteFresh) and return the context's
+  /// state, valid until its next run — for the diagnostics that read a
+  /// witness or LC's block order.
+  [[nodiscard]] const LocState& run_kernel(const LocationPrep& lp,
+                                           std::uint32_t bits) const;
 
   /// The canonical topological order of the dag (cached on first use).
   [[nodiscard]] const std::vector<NodeId>& topological_order() const;
   /// W_T for that order — the paper's last-writer function (cached).
   [[nodiscard]] const ObserverFunction& canonical_last_writer() const;
-
-  /// The context whose scratch arenas this pair borrows.
-  [[nodiscard]] CheckContext& context() const { return *ctx_; }
-
-  /// Strict precedence u ≺ v, answered by the context's SP-order oracle
-  /// when the computation carries a series-parallel parse (two integer
-  /// compares instead of a closure-row probe), the frozen closure
-  /// otherwise. Checkers with point queries (the WN/WW collapse) route
-  /// through this.
-  [[nodiscard]] bool precedes(NodeId u, NodeId v) const {
-    return oracle_ != nullptr ? oracle_->precedes(u, v)
-                              : c_->dag().precedes(u, v);
-  }
-  /// The oracle backing precedes(), or nullptr when it is the closure.
-  [[nodiscard]] const PrecedenceOracle* oracle() const { return oracle_; }
 
  private:
   friend class CheckContext;
@@ -100,52 +92,48 @@ class PreparedPair {
   const Computation* c_ = nullptr;
   const ObserverFunction* phi_ = nullptr;
   CheckContext* ctx_ = nullptr;
-  const PrecedenceOracle* oracle_ = nullptr;  // owned by the context
   ValidityResult validity_;
-  std::vector<LocationPrep> locs_;
-  // Lazy, single-thread caches (a PreparedPair is not shared).
+  // Lazy, single-thread caches (a PreparedPair is not shared); the
+  // kernel verdicts live in locs_.
+  mutable std::vector<LocationPrep> locs_;
   mutable std::vector<NodeId> topo_;
   mutable bool topo_valid_ = false;
   mutable std::optional<ObserverFunction> last_writer_;
 };
 
-/// Factory for PreparedPairs plus the reusable scratch arenas the
-/// checkers borrow (one DynBitset + one node vector, recycled across
-/// calls instead of reallocated per check). One context per thread;
-/// prepare() is not reentrant across threads.
+/// Factory for PreparedPairs plus the per-location kernel's state, arena
+/// and node maps, recycled pair to pair instead of reallocated per
+/// check. One context per thread; prepare() and the kernel runs are not
+/// reentrant across threads.
 class CheckContext {
  public:
   CheckContext() = default;
   CheckContext(const CheckContext&) = delete;
   CheckContext& operator=(const CheckContext&) = delete;
 
-  /// Validate Φ, freeze the dag's reachability closure, and index the
-  /// Φ⁻¹ blocks. The returned pair borrows c, phi and this context.
+  /// Validate Φ, freeze the dag's reachability closure, and list the
+  /// written locations' writers. The returned pair borrows c, phi and
+  /// this context.
   [[nodiscard]] PreparedPair prepare(const Computation& c,
                                      const ObserverFunction& phi);
 
-  /// Scratch bitset, `nbits` wide, all bits clear. Valid until the next
-  /// scratch_bits() call on this context.
-  [[nodiscard]] DynBitset& scratch_bits(std::size_t nbits);
-  /// Scratch node vector, empty. Valid until the next scratch_nodes()
-  /// call on this context.
-  [[nodiscard]] std::vector<NodeId>& scratch_nodes();
-
   struct Stats {
     std::uint64_t prepared = 0;
-    std::uint64_t oracle_builds = 0;  // SP-order label constructions
-    std::uint64_t oracle_reuses = 0;  // pairs served by a cached oracle
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  DynBitset scratch_;
-  std::vector<NodeId> scratch_nodes_;
-  // SP-order oracle cached per parse: batch consumers prepare many Φ
-  // against one computation, so the labels are built once. Keyed by the
-  // owning SpStructurePtr (held alive here, so no pointer reuse).
-  SpStructurePtr oracle_key_;
-  std::unique_ptr<SpOrderOracle> sp_oracle_;
+  friend class PreparedPair;
+  /// Run the kernel over the whole of location `lp` of valid pair `p`
+  /// for `bits` (⊆ kLargeCheckAll | kSuiteFresh).
+  LocState& run(const PreparedPair& p, const PreparedPair::LocationPrep& lp,
+                std::uint32_t bits);
+
+  LocKernelCtx kctx_;
+  LocState state_;
+  LocArena arena_;
+  std::vector<std::uint32_t> wblock_, wloc_, pos_of_;
+  std::vector<NodeId> ids_;  // 0, 1, 2, …: the scan order of id-sorted dags
   Stats stats_;
 };
 

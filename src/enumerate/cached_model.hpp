@@ -54,7 +54,7 @@ class CachedModel final : public MemoryModel {
     std::shared_ptr<const MemoryModel> inner);
 
 /// The eight built-in models' membership bitmask (suite bits,
-/// models/suite.hpp), classified by a registry of builtin_model_specs()
+/// core/suite.hpp), classified by a registry of builtin_model_specs()
 /// with unbounded searches and memoized in classification_cache() under
 /// the same orbit key. One cached bitmask replaces eight per-model
 /// membership entries.

@@ -8,40 +8,34 @@
 #include "util/str.hpp"
 
 namespace ccmm {
-namespace {
-
-std::uint32_t corner_suite_bit(DagPred pred) {
-  switch (pred) {
-    case DagPred::kNN:
-      return kSuiteNN;
-    case DagPred::kNW:
-      return kSuiteNW;
-    case DagPred::kWN:
-      return kSuiteWN;
-    case DagPred::kWW:
-      return kSuiteWW;
-  }
-  return 0;
-}
-
-/// Constraint count orders corner strength: fewer constraints = more
-/// quantified triples = stronger axiom.
-int cube_constraints(CubeSpec q) {
-  return (q.u_writes ? 1 : 0) + (q.v_writes ? 1 : 0) + (q.w_writes ? 1 : 0);
-}
-
-}  // namespace
-
 CompiledModel::CompiledModel(ModelSpec spec, const CompileOptions& options)
     : spec_(std::move(spec)), options_(options) {
   spec_.normalize();
-  // The w-independent corners are the paper's named predicates with
-  // bitset-accelerated scans; everything else pays the cubic scan.
+  // normalize() keeps only w-independent corners, the paper's named
+  // predicates: each is one mask bit of the kernel.
   for (const CubeSpec& q : spec_.axioms) {
-    if (const auto pred = named_corner(q))
-      named_.push_back(*pred);
-    else
-      cubic_.push_back(q);
+    named_.push_back(*named_corner(q));
+    plan_.mask |= dag_pred_bit(named_.back());
+  }
+  if (spec_.freshness) plan_.mask |= kSuiteFresh;
+  switch (spec_.order) {
+    case OrderAxiom::kNone:
+      break;
+    case OrderAxiom::kPerLocation:
+      plan_.mask |= kSuiteLC;
+      break;
+    case OrderAxiom::kScoped:
+      // Uncovered locations are per-location checks, answered by the
+      // LC bit's per-location verdicts; the scopes need searches.
+      plan_.mask |= kSuiteLC;
+      plan_.scoped = true;
+      break;
+    case OrderAxiom::kGlobal:
+      // LC is SC's complete rejection prefilter and is mask-decidable;
+      // the search only runs on LC-consistent survivors.
+      plan_.mask |= kSuiteLC;
+      plan_.global = true;
+      break;
   }
 }
 
@@ -49,65 +43,24 @@ std::string CompiledModel::cache_tag() const {
   return "spec\x1d" + spec_.digest();
 }
 
-CompiledVerdict CompiledModel::check_prepared(const PreparedPair& p,
-                                              bool in_lc) const {
+CompiledVerdict CompiledModel::check_prepared(const PreparedPair& p) const {
   CompiledVerdict v;
-  if (!p.valid()) return v;
-  // Cheapest first: the named 64-writer mask scans, the linear
-  // freshness shadow, the cubic corners, then the order axioms with
-  // the budgeted searches last.
-  for (const DagPred pred : named_)
-    if (!qdag_consistent_prepared(p, pred)) return v;
-  if (spec_.freshness && !observer_is_fresh_prepared(p)) return v;
-  for (const CubeSpec& q : cubic_)
-    if (!cube_consistent_prepared(p, q)) return v;
-
-  switch (spec_.order) {
-    case OrderAxiom::kNone:
-      break;
-    case OrderAxiom::kPerLocation:
-      if (!location_consistent_prepared(p)) return v;
-      break;
-    case OrderAxiom::kGlobal: {
-      ScOptions opt;
-      opt.budget = options_.sc_budget;
-      opt.lc_prefilter = !in_lc;
-      const ScResult r = sc_check_prepared(p, opt);
-      if (r.status == SearchStatus::kExhausted) {
-        v.exhausted = true;
-        return v;
-      }
+  // The mask part first, from the pair's kernel verdicts as spec_check
+  // takes it from the stream, then the budgeted searches.
+  if (!p.valid() || p.violated(plan_.mask) != 0) return v;
+  ScOptions opt;
+  opt.budget = options_.sc_budget;
+  if (plan_.scoped)
+    for (const ScopeSpec& s : spec_.scopes) {
+      const ScResult r = serialization_check(p.computation(), p.observer(),
+                                             s.locations, opt);
+      if (r.status == SearchStatus::kExhausted) v.exhausted = true;
       if (r.status != SearchStatus::kYes) return v;
-      break;
     }
-    case OrderAxiom::kScoped: {
-      const Computation& c = p.computation();
-      const ObserverFunction& phi = p.observer();
-      // Locations outside every scope are singleton scopes: plain LC,
-      // on the pair's block partition of each active location.
-      for (const auto& lp : p.locations()) {
-        const bool covered = std::any_of(
-            spec_.scopes.begin(), spec_.scopes.end(), [&](const ScopeSpec& s) {
-              return std::binary_search(s.locations.begin(), s.locations.end(),
-                                        lp.loc);
-            });
-        if (!covered &&
-            !detail::lc_quotient_sortable(c, lp.block_of.data(),
-                                          lp.block_count(), nullptr))
-          return v;
-      }
-      ScOptions opt;
-      opt.budget = options_.sc_budget;
-      for (const ScopeSpec& s : spec_.scopes) {
-        const ScResult r = serialization_check(c, phi, s.locations, opt);
-        if (r.status == SearchStatus::kExhausted) {
-          v.exhausted = true;
-          return v;
-        }
-        if (r.status != SearchStatus::kYes) return v;
-      }
-      break;
-    }
+  if (plan_.global) {
+    const ScResult r = sc_check_prepared(p, opt);
+    if (r.status == SearchStatus::kExhausted) v.exhausted = true;
+    if (r.status != SearchStatus::kYes) return v;
   }
   v.member = true;
   return v;
@@ -122,59 +75,21 @@ bool CompiledModel::contains_prepared(const PreparedPair& p) const {
 bool CompiledModel::for_each_member_observer(
     const Computation& c,
     const std::function<bool(const ObserverFunction&)>& visit) const {
-  // Drive with the strongest named corner's prefix-pruned enumerator:
-  // its member set is the tightest superset of ours we can enumerate
-  // without generate-and-test.
-  const DagPred* best = nullptr;
-  int best_constraints = 4;
-  for (const DagPred& pred : named_) {
-    const int k = cube_constraints(
-        CubeSpec{pred == DagPred::kWN || pred == DagPred::kWW,
-                 pred == DagPred::kNW || pred == DagPred::kWW, false});
-    if (k < best_constraints) {
-      best_constraints = k;
-      best = &pred;
-    }
-  }
-  if (best == nullptr) return MemoryModel::for_each_member_observer(c, visit);
-
-  const bool pure = named_.size() == 1 && cubic_.empty() && !spec_.freshness &&
+  // Drive with a corner's prefix-pruned enumerator: its member set is a
+  // superset of ours we can enumerate without generate-and-test. The
+  // normalized corners are an antichain with equal constraint counts, so
+  // the first is as tight as any.
+  if (named_.empty()) return MemoryModel::for_each_member_observer(c, visit);
+  const bool pure = named_.size() == 1 && !spec_.freshness &&
                     spec_.order == OrderAxiom::kNone;
-  if (pure) return for_each_qdag_member_observer(c, *best, visit);
+  if (pure) return for_each_qdag_member_observer(c, named_.front(), visit);
   // IntersectionModel's pattern: enumerate the corner, filter by the
   // full plan (the corner re-check inside contains is redundant but
   // keeps the filter trivially correct).
   return for_each_qdag_member_observer(
-      c, *best, [&](const ObserverFunction& phi) {
+      c, named_.front(), [&](const ObserverFunction& phi) {
         return !contains(c, phi) || visit(phi);
       });
-}
-
-CompiledModel::StreamingPlan CompiledModel::streaming_plan() const {
-  StreamingPlan plan;
-  for (const DagPred pred : named_) plan.mask |= corner_suite_bit(pred);
-  if (spec_.freshness) plan.mask |= kSuiteFresh;
-  if (!cubic_.empty()) plan.streamable = false;
-  switch (spec_.order) {
-    case OrderAxiom::kNone:
-      break;
-    case OrderAxiom::kPerLocation:
-      plan.mask |= kSuiteLC;
-      break;
-    case OrderAxiom::kScoped:
-      // Uncovered locations are per-location checks, answered by the
-      // LC bit's per-location verdicts; the scopes need searches.
-      plan.mask |= kSuiteLC;
-      plan.scoped = true;
-      break;
-    case OrderAxiom::kGlobal:
-      // LC is SC's complete rejection prefilter and is mask-decidable;
-      // the search only runs on LC-consistent survivors.
-      plan.mask |= kSuiteLC;
-      plan.global = true;
-      break;
-  }
-  return plan;
 }
 
 std::shared_ptr<const CompiledModel> compile_model(
@@ -243,10 +158,9 @@ void ModelRegistry::derive() {
   const std::size_t n = entries_.size();
   implies_.assign(n, 0);
   implied_by_.assign(n, 0);
-  ordered_ = 0;
+  masks_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (entries_[i].spec.order != OrderAxiom::kNone)
-      ordered_ |= std::uint64_t{1} << i;
+    masks_ |= entries_[i].model->streaming_plan().mask;
     for (std::size_t j = 0; j < n; ++j)
       if (spec_implies(entries_[i].spec, entries_[j].spec)) {
         implies_[i] |= std::uint64_t{1} << j;
@@ -299,10 +213,11 @@ std::uint64_t ModelRegistry::classify(const PreparedPair& p,
         continue;
       }
     }
-    // An accepted model with an order axiom has shown p ∈ LC, which is
-    // all a global order's LC prefilter could establish.
-    const bool in_lc = options.short_circuit && (member & ordered_) != 0;
-    const CompiledVerdict v = entries_[i].model->check_prepared(p, in_lc);
+    // The first entry checked, the weakest, decides its own bits: its
+    // rejection decides every entry above it. Past it, one more kernel
+    // run decides every entry's mask bits at once.
+    if (known != 0) (void)p.violated(masks_);
+    const CompiledVerdict v = entries_[i].model->check_prepared(p);
     if (v.exhausted) {
       if (exhausted != nullptr) *exhausted = true;
       continue;  // unknown: neither member nor usable for pruning

@@ -2,26 +2,24 @@
 //
 // The model compiler: lower a declarative ModelSpec (models/spec.hpp)
 // into a CompiledModel whose contains_prepared plan reuses the whole
-// prepared-pair machinery — the frozen closure and precedence oracle
-// behind PreparedPair::precedes, the Φ⁻¹ block bitsets behind the
-// named Q-dag scans, the per-location writer lists, and the
-// backtracking serialization engine. Lowering rules:
+// prepared-pair machinery. Lowering rules:
 //
-//   axiom XYZ, w-independent   -> qdag_consistent_prepared (the named
-//                                 64-writer mask fast path)
-//   axiom XYW (w constrained)  -> cube_consistent_prepared cubic scan
-//   fresh                      -> observer_is_fresh_prepared
-//   order location             -> location_consistent_prepared
-//   order global               -> sc_check_prepared (budgeted search)
-//   scope lines                -> serialization_check per scope + the
-//                                 LC quotient test on the pair's blocks
-//                                 of each uncovered location
+//   axiom XYZ (w-independent)  -> the kernel's XY mask bit
+//   fresh                      -> the kernel's freshness bit
+//   order location             -> the kernel's LC bit
+//   order scoped               -> the LC bit, then serialization_check
+//                                 per scope
+//   order global               -> the LC bit, then sc_check_prepared's
+//                                 budgeted search
 //
-// The plan runs cheapest-first (named scans, freshness, cubic scans,
-// LC, scoped/global search last). Each axiom has one implementation:
-// the prepared checker it lowers onto, which the one-shot names
-// (location_consistent, qdag_consistent, sc_check, …) also run, on
-// prepare_pair(c, φ).
+// (normalize() has dropped w-constrained axioms, which are vacuous for
+// valid observers, so every spec lowers.) The mask bits are the
+// per-location kernel's (core/loc_incremental.hpp), and StreamingPlan
+// names them: check_prepared asks the PreparedPair for plan.mask — one
+// kernel run on the pair answers every bit — and spec_check asks the
+// streaming engine for the same mask. Only the order axioms then
+// search. Each axiom thus has one implementation, which the one-shot
+// names (location_consistent, qdag_consistent, sc_check, …) also run.
 //
 // A compiled spec is the only object for every built-in model:
 // builtin_model(kSuiteLC) is entry 1 of ModelRegistry::bundled(), and
@@ -37,7 +35,7 @@
 // WW; NN⁺ ⊆ NN, WN⁺ ⊆ WN), so the race classifier, the DRF
 // certificate and cached_classification all classify through a
 // registry whose first entries are builtin_model_specs() — bit i of
-// the answer is suite bit i (models/suite.hpp).
+// the answer is suite bit i (core/suite.hpp).
 #pragma once
 
 #include <memory>
@@ -46,10 +44,10 @@
 #include <string_view>
 #include <vector>
 
+#include "core/suite.hpp"
 #include "models/location_consistency.hpp"
 #include "models/sequential_consistency.hpp"
 #include "models/spec.hpp"
-#include "models/suite.hpp"
 #include "models/wn_plus.hpp"
 
 namespace ccmm {
@@ -78,27 +76,26 @@ class CompiledModel final : public MemoryModel {
   /// collide.
   [[nodiscard]] std::string cache_tag() const override;
   [[nodiscard]] bool contains_prepared(const PreparedPair& p) const override;
-  /// Pruned enumeration: when the spec carries a named Q-dag axiom, that
+  /// Pruned enumeration: when the spec carries a Q-dag axiom, that
   /// corner's for_each_qdag_member_observer drives (prefix-pruned
   /// backtracking over columns), filtered by the full plan — the
-  /// IntersectionModel pattern. Specs without a named axiom (LC, SC,
-  /// the w-constrained corners) fall back to generate-and-test.
+  /// IntersectionModel pattern. Specs without one (LC, SC, the
+  /// w-constrained corners) fall back to generate-and-test.
   bool for_each_member_observer(
       const Computation& c,
       const std::function<bool(const ObserverFunction&)>& visit)
       const override;
 
   /// contains_prepared with the budget surfaced instead of asserted.
-  [[nodiscard]] CompiledVerdict check_prepared(const PreparedPair& p) const {
-    return check_prepared(p, false);
-  }
+  [[nodiscard]] CompiledVerdict check_prepared(const PreparedPair& p) const;
 
   [[nodiscard]] const ModelSpec& spec() const { return spec_; }
 
-  /// How the spec lowers onto the streaming large_check path.
+  /// How the spec lowers onto the per-location kernel, on a prepared
+  /// pair and on the streaming large_check path alike.
   struct StreamingPlan {
-    /// Suite bits (incl. kSuiteFresh) whose conjunction large_check
-    /// must report for the mask-decidable part of the plan.
+    /// Suite bits (incl. kSuiteFresh) whose conjunction the kernel must
+    /// report for the mask-decidable part of the plan.
     std::uint32_t mask = 0;
     /// Scoped order: per-scope serialization searches remain (plus the
     /// per-location LC verdicts for uncovered locations, folded into
@@ -106,25 +103,14 @@ class CompiledModel final : public MemoryModel {
     bool scoped = false;
     /// Global order: the full SC search remains after the LC masks.
     bool global = false;
-    /// False when some axiom has no streaming lowering (a w-constrained
-    /// cube corner needs the cubic scan, which wants the closure).
-    bool streamable = true;
   };
-  [[nodiscard]] StreamingPlan streaming_plan() const;
+  [[nodiscard]] const StreamingPlan& streaming_plan() const { return plan_; }
 
  private:
-  friend class ModelRegistry;
-  /// `in_lc`: the caller has already seen p accepted by a model with an
-  /// order axiom (every such model lies inside LC), so a global order
-  /// skips the search's LC prefilter. The prefilter only rejects pairs
-  /// outside LC, so dropping it never changes an answer.
-  [[nodiscard]] CompiledVerdict check_prepared(const PreparedPair& p,
-                                               bool in_lc) const;
-
   ModelSpec spec_;
   CompileOptions options_;
-  std::vector<DagPred> named_;     // w-independent axioms, fast path
-  std::vector<CubeSpec> cubic_;    // the rest, cubic scan
+  std::vector<DagPred> named_;  // the cube axioms, as named predicates
+  StreamingPlan plan_;
 };
 
 /// Compile a spec (normalizing a copy first).
@@ -202,7 +188,7 @@ class ModelRegistry {
   std::vector<Entry> entries_;
   std::vector<std::uint64_t> implies_;     // row i: the j with i ⊆ j
   std::vector<std::uint64_t> implied_by_;  // column i: the j with j ⊆ i
-  std::uint64_t ordered_ = 0;  // entries with an order axiom (all ⊆ LC)
+  std::uint32_t masks_ = 0;  // the union of the entries' kernel bits
   std::vector<std::size_t> eval_order_;  // weakest-first topological
 };
 

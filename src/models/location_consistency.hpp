@@ -12,9 +12,11 @@
 // lead its block, so no further condition is needed. See DESIGN.md.
 //
 // The model is the compiled spec builtin_model(kSuiteLC)
-// (models/compile.hpp), which lowers onto location_consistent_prepared.
-// The one-shot names below read the same PreparedPair block partition,
-// built by prepare_pair.
+// (models/compile.hpp). The quotient test has one implementation, the
+// per-location kernel's incremental Kahn (core/loc_incremental.hpp):
+// location_consistent_prepared reads the LC bit a PreparedPair keeps,
+// the one-shot names run it on prepare_pair, and lc_witness orders the
+// blocks by the kernel's drain order.
 #pragma once
 
 #include <optional>
@@ -28,8 +30,7 @@ namespace ccmm {
 [[nodiscard]] bool location_consistent(const Computation& c,
                                        const ObserverFunction& phi);
 
-/// Same answer on a PreparedPair: reuses the pair's validity verdict and
-/// Φ⁻¹ block partition instead of recomputing both.
+/// Same answer on a PreparedPair: its kernel LC bit (PreparedPair::violated).
 [[nodiscard]] bool location_consistent_prepared(const PreparedPair& p);
 
 /// Is location l of (c, phi) serializable? False for an invalid phi; true
@@ -37,16 +38,6 @@ namespace ccmm {
 [[nodiscard]] bool location_consistent_at(const Computation& c,
                                           const ObserverFunction& phi,
                                           Location l);
-
-namespace detail {
-/// Shared core of the LC test: does the quotient graph on blocks (node u
-/// in block block_of[u]; block 0 = B_⊥) admit a topological order with
-/// block 0 first? Isolated empty blocks are permitted and harmless.
-[[nodiscard]] bool lc_quotient_sortable(const Computation& c,
-                                        const std::uint32_t* block_of,
-                                        std::size_t nblocks,
-                                        std::vector<std::size_t>* order_out);
-}  // namespace detail
 
 /// A topological sort T of c with W_T(l,·) = Φ(l,·), if one exists —
 /// the per-location witness demanded by Definition 18. nullopt for an

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "core/suite.hpp"
+#include "util/check.hpp"
 #include "util/str.hpp"
 
 namespace ccmm {
@@ -62,7 +64,47 @@ bool custom_scan(const Computation& c, const ObserverFunction& phi,
   return true;
 }
 
+/// The triple behind the kernel's first violation of `pred`, at the first
+/// location violating it: the witness's node v and Φ-block, with w the
+/// block's first member after v, and u its writer (WN/WW), ⊥ (B_⊥), or
+/// its first member before v (NN/NW).
+QDagViolation first_violation(const PreparedPair& p, DagPred pred) {
+  const std::uint32_t bit = dag_pred_bit(pred);
+  const bool u_writes = pred == DagPred::kWN || pred == DagPred::kWW;
+  const Computation& c = p.computation();
+  const ObserverFunction& phi = p.observer();
+  for (const auto& lp : p.locations()) {
+    if (p.violated_at(lp, bit) == 0) continue;
+    const LocState::Witness wit = p.run_kernel(lp, bit).witness(bit);
+    const NodeId x = wit.block == 0 ? kBottom : lp.writers[wit.block - 1];
+    NodeId u = u_writes ? x : kBottom;
+    NodeId w = kBottom;
+    for (NodeId y = 0; y < p.node_count(); ++y) {
+      if (phi.get(lp.loc, y) != x) continue;
+      if (u == kBottom && x != kBottom && c.precedes(y, wit.v)) u = y;
+      if (w == kBottom && c.precedes(wit.v, y)) w = y;
+    }
+    return {lp.loc, u, wit.v, w};
+  }
+  CCMM_CHECK(false, "no location violates the model");
+  return {};
+}
+
 }  // namespace
+
+std::uint32_t dag_pred_bit(DagPred pred) {
+  switch (pred) {
+    case DagPred::kNN:
+      return kSuiteNN;
+    case DagPred::kNW:
+      return kSuiteNW;
+    case DagPred::kWN:
+      return kSuiteWN;
+    case DagPred::kWW:
+      return kSuiteWW;
+  }
+  return 0;
+}
 
 bool qdag_consistent(const Computation& c, const ObserverFunction& phi,
                      DagPred pred, QDagViolation* violation) {
@@ -71,67 +113,10 @@ bool qdag_consistent(const Computation& c, const ObserverFunction& phi,
 
 bool qdag_consistent_prepared(const PreparedPair& p, DagPred pred,
                               QDagViolation* violation) {
-  if (!p.valid()) return false;
-  const Computation& c = p.computation();
-  const Dag& dag = c.dag();
-  const std::size_t n = c.node_count();
-  const bool v_must_write = pred == DagPred::kNW || pred == DagPred::kWW;
-  const bool u_must_write = pred == DagPred::kWN || pred == DagPred::kWW;
-
-  // For a pair v ≺ w with x = Φ(l,w) ≠ Φ(l,v), a violation needs some
-  // u ∈ anc(v) ∪ {⊥} with Φ(l,u) = x and Q(l,u,v,w):
-  //  * NN: any such u; u = ⊥ qualifies whenever x = ⊥.
-  //  * NW: same u condition but only pairs where v writes l.
-  //  * WN: Q forces u to write l, and a writer observes itself, so u = x;
-  //        the condition collapses to x ≠ ⊥ ∧ x ≺ v.
-  //  * WW: the WN collapse restricted to pairs where v writes l.
-  // The scan runs on the prepared block partition: Φ(l,v) = Φ(l,w) iff
-  // the two nodes share a block, so the inner loop compares dense block
-  // indices instead of querying Φ (a per-call column search), and
-  // Φ⁻¹(x) is block_sets[bw] directly.
-  for (const auto& lp : p.locations()) {
-    const Location l = lp.loc;
-    const std::uint32_t* block_of = lp.block_of.data();
-    for (NodeId w = 0; w < n; ++w) {
-      const std::uint32_t bw = block_of[w];
-      const NodeId x = lp.block_writer(bw);
-      const DynBitset& anc_w = dag.ancestors(w);
-      bool bad = false;
-      anc_w.for_each([&](std::size_t vi) {
-        if (bad) return;
-        const auto v = static_cast<NodeId>(vi);
-        if (block_of[v] == bw) return;
-        if (v_must_write && !c.op(v).writes(l)) return;
-        if (u_must_write) {
-          // Point query: the pair's oracle (SP labels on Cilk-generated
-          // computations, closure otherwise).
-          if (x != kBottom && p.precedes(x, v)) {
-            report(violation, l, x, v, w);
-            bad = true;
-          }
-          return;
-        }
-        if (x == kBottom) {
-          report(violation, l, kBottom, v, w);
-          bad = true;
-          return;
-        }
-        const DynBitset& phi_inv_x = lp.block_sets[bw];
-        const DynBitset& anc_v = dag.ancestors(v);
-        if (anc_v.intersects(phi_inv_x)) {
-          if (violation != nullptr) {
-            DynBitset inter = anc_v;
-            inter &= phi_inv_x;
-            report(violation, l, static_cast<NodeId>(inter.find_first()), v,
-                   w);
-          }
-          bad = true;
-        }
-      });
-      if (bad) return false;
-    }
-  }
-  return true;
+  if (p.violated(dag_pred_bit(pred)) == 0) return true;
+  if (violation != nullptr && p.valid())
+    *violation = first_violation(p, pred);
+  return false;
 }
 
 bool qdag_consistent_custom(const Computation& c, const ObserverFunction& phi,
@@ -160,21 +145,6 @@ std::optional<DagPred> named_corner(CubeSpec spec) {
   return spec.v_writes ? DagPred::kNW : DagPred::kNN;
 }
 
-namespace {
-
-QPredicate cube_predicate(CubeSpec spec) {
-  return [spec](const Computation& comp, Location l, NodeId u, NodeId v,
-                NodeId w) {
-    if (spec.u_writes && (u == kBottom || !comp.op(u).writes(l)))
-      return false;
-    if (spec.v_writes && !comp.op(v).writes(l)) return false;
-    if (spec.w_writes && !comp.op(w).writes(l)) return false;
-    return true;
-  };
-}
-
-}  // namespace
-
 bool cube_consistent(const Computation& c, const ObserverFunction& phi,
                      CubeSpec spec) {
   return cube_consistent_prepared(prepare_pair(c, phi), spec);
@@ -183,7 +153,10 @@ bool cube_consistent(const Computation& c, const ObserverFunction& phi,
 bool cube_consistent_prepared(const PreparedPair& p, CubeSpec spec) {
   if (const auto pred = named_corner(spec))
     return qdag_consistent_prepared(p, *pred);
-  return qdag_consistent_custom_prepared(p, cube_predicate(spec));
+  // A w-constrained corner is vacuous for a valid observer: if w writes
+  // l, Φ(l,w) = w (2.3), so a u with Φ(l,u) = w would precede the write
+  // it observes (2.2), and ⊥ never equals w.
+  return p.valid();
 }
 
 std::vector<CubeSpec> all_cube_corners() {
@@ -206,15 +179,15 @@ bool for_each_qdag_member_observer(
   // One backtracking state per written location (Condition 20.1 and
   // Definition 2 both constrain the columns independently, so members
   // are exactly the cross product of per-location consistent columns).
-  struct LocState {
+  struct ColumnSearch {
     Location loc;
     std::vector<std::vector<NodeId>> choices;  // per topo position
     std::vector<NodeId> val;                   // by node id; kBottom if unset
     std::vector<DynBitset> phi_inv;            // Φ⁻¹(x) by writer node id
   };
-  std::vector<LocState> locs;
+  std::vector<ColumnSearch> locs;
   for (const Location l : c.written_locations()) {
-    LocState st;
+    ColumnSearch st;
     st.loc = l;
     st.val.assign(n, kBottom);
     st.phi_inv.assign(n, DynBitset(n));
@@ -236,10 +209,13 @@ bool for_each_qdag_member_observer(
   // Would assigning Φ(l, w) = x violate 20.1? Every triple u ≺ v ≺ w is
   // checked when its maximum w is assigned; all of anc(w) already holds
   // final values then, so a failing prefix has no consistent completion
-  // and the subtree is pruned. Same per-v logic as
-  // qdag_consistent_prepared, with phi_inv maintained incrementally
-  // instead of precomputed.
-  const auto violates = [&](const LocState& st, NodeId w, NodeId x) {
+  // and the subtree is pruned. For v ≺ w outside x's block, a violation
+  // needs some u ∈ anc(v) ∪ {⊥} with Φ(l,u) = x and Q(l,u,v,w): under
+  // WN/WW, Q forces u to write l, and a writer observes itself, so
+  // u = x and the test collapses to x ≠ ⊥ ∧ x ≺ v; under NN/NW, u = ⊥
+  // qualifies when x = ⊥, else Φ⁻¹(x) (maintained incrementally) must
+  // meet anc(v). NW/WW only quantify over v that write l.
+  const auto violates = [&](const ColumnSearch& st, NodeId w, NodeId x) {
     bool bad = false;
     dag.ancestors(w).for_each([&](std::size_t vi) {
       if (bad) return;
@@ -266,7 +242,7 @@ bool for_each_qdag_member_observer(
   std::function<bool(std::size_t, std::size_t)> dfs =
       [&](std::size_t li, std::size_t pos) -> bool {
     if (li == locs.size()) return visit(phi);
-    LocState& st = locs[li];
+    ColumnSearch& st = locs[li];
     if (pos == n) return dfs(li + 1, 0);
     const NodeId u = topo[pos];
     for (const NodeId x : st.choices[pos]) {

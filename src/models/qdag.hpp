@@ -13,9 +13,13 @@
 //
 // This header holds the checkers only. The models themselves are
 // compiled specs (models/compile.hpp): builtin_model(kSuiteNN) and its
-// siblings, cube_model(q) for any corner. The compiler lowers each
-// axiom onto the *_prepared scans below; the one-shot names are
-// prepare_pair wrappers over them.
+// siblings, cube_model(q) for any corner. The four named predicates
+// have one implementation, the per-location kernel's mask sweeps
+// (core/loc_incremental.hpp): the *_prepared names read the verdict
+// bits a PreparedPair keeps (PreparedPair::violated), and the one-shot
+// names are prepare_pair wrappers over them. Only the arbitrary
+// predicates of Theorem 21 keep a scan of their own, the cubic
+// qdag_consistent_custom.
 #pragma once
 
 #include <functional>
@@ -29,6 +33,9 @@ enum class DagPred : std::uint8_t { kNN, kNW, kWN, kWW };
 
 [[nodiscard]] const char* dag_pred_name(DagPred p);
 
+/// The suite bit of a named predicate (kSuiteNN for NN, …).
+[[nodiscard]] std::uint32_t dag_pred_bit(DagPred p);
+
 /// A witnessing violation of Condition 20.1, for diagnostics.
 struct QDagViolation {
   Location loc;
@@ -40,14 +47,17 @@ struct QDagViolation {
 
 /// Membership test for the four named predicates: qdag_consistent_prepared
 /// on prepare_pair(c, phi). If `violation` is non-null and the pair is
-/// not in the model, it receives one witnessing triple. An invalid
-/// observer function is rejected.
+/// not in the model, it receives the triple of the kernel's first
+/// violation. An invalid observer function is rejected.
 [[nodiscard]] bool qdag_consistent(const Computation& c,
                                    const ObserverFunction& phi, DagPred pred,
                                    QDagViolation* violation = nullptr);
 
-/// Same answer on a PreparedPair: reuses the pair's validity verdict and
-/// Φ⁻¹ block bitsets instead of re-validating and rebuilding them.
+/// Same answer on a PreparedPair: the pair's kernel bit for the
+/// predicate. The triple, when asked for, comes from the witness of the
+/// first violating location: the kernel's node v and Φ-block B, w the
+/// first member of B after v, and u = B's writer (WN/WW), ⊥ (B = B_⊥),
+/// or the first member of B before v (NN/NW).
 [[nodiscard]] bool qdag_consistent_prepared(const PreparedPair& p,
                                             DagPred pred,
                                             QDagViolation* violation = nullptr);
@@ -98,7 +108,9 @@ struct CubeSpec {
 
 /// The paper's named predicate of a w-independent corner (NN = [NNN],
 /// NW = [NWN], WN = [WNN], WW = [WWN]); nullopt for the four
-/// w-constrained corners, which only the cubic scan decides.
+/// w-constrained corners, which are vacuous for valid observers: a w
+/// that writes l observes itself (2.3), so a u with Φ(l,u) = Φ(l,w)
+/// would precede the write it observes (2.2).
 [[nodiscard]] std::optional<DagPred> named_corner(CubeSpec spec);
 
 /// Membership test for a cube corner (cube_consistent_prepared on
@@ -106,7 +118,8 @@ struct CubeSpec {
 [[nodiscard]] bool cube_consistent(const Computation& c,
                                    const ObserverFunction& phi, CubeSpec spec);
 
-/// Prepared-pair variant (named fast paths and cubic scan alike).
+/// Prepared-pair variant: a named corner's kernel bit, or validity
+/// alone for a w-constrained corner.
 [[nodiscard]] bool cube_consistent_prepared(const PreparedPair& p,
                                             CubeSpec spec);
 

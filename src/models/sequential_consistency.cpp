@@ -168,22 +168,6 @@ struct ScSearch {
 
 }  // namespace
 
-namespace {
-
-ScResult sc_search_validated(const Computation& c, const ObserverFunction& phi,
-                             const ScOptions& options) {
-  ScResult result;
-  ScSearch search(c, phi, phi.active_locations(), options.budget,
-                  options.memoize_dead_states);
-  result.status = search.run();
-  result.expanded = search.expanded;
-  if (result.status == SearchStatus::kYes)
-    result.witness = std::move(search.witness);
-  return result;
-}
-
-}  // namespace
-
 ScResult serialization_check(const Computation& c, const ObserverFunction& phi,
                              const std::vector<Location>& locs,
                              const ScOptions& options) {
@@ -233,7 +217,8 @@ ScResult sc_check_with(const Computation& c, const ObserverFunction& phi,
 ScResult sc_check_prepared(const PreparedPair& p, const ScOptions& options) {
   if (!p.valid()) return {};
   if (options.lc_prefilter && !location_consistent_prepared(p)) return {};
-  return sc_search_validated(p.computation(), p.observer(), options);
+  return serialization_check(p.computation(), p.observer(),
+                             p.observer().active_locations(), options);
 }
 
 ScResult sc_check(const Computation& c, const ObserverFunction& phi,

@@ -53,8 +53,9 @@ struct ScOptions {
                                      const ObserverFunction& phi,
                                      const ScOptions& options);
 
-/// Same answer on a PreparedPair: skips re-validation and runs the LC
-/// prefilter on the pair's Φ⁻¹ block partition.
+/// Same answer on a PreparedPair: skips re-validation, reads the pair's
+/// kernel LC bit as the prefilter, and runs serialization_check on the
+/// active locations.
 [[nodiscard]] ScResult sc_check_prepared(const PreparedPair& p,
                                          const ScOptions& options = {});
 

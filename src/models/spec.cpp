@@ -130,6 +130,10 @@ void ModelSpec::normalize() {
   if (order == OrderAxiom::kScoped && scopes.empty())
     order = OrderAxiom::kPerLocation;
 
+  // A w-constrained axiom is vacuous for valid observers: if w writes l,
+  // Φ(l,w) = w (2.3), so a u ≺ v ≺ w with Φ(l,u) = Φ(l,w) would observe
+  // a write it precedes (2.2), and Φ(l,⊥) = ⊥ ≠ w.
+  std::erase_if(axioms, [](CubeSpec q) { return q.w_writes; });
   std::sort(axioms.begin(), axioms.end(), cube_less);
   axioms.erase(std::unique(axioms.begin(), axioms.end(), cube_eq),
                axioms.end());

@@ -82,8 +82,9 @@ struct ModelSpec {
   /// Canonicalize: sort/dedupe scope members and axioms, drop empty
   /// and singleton scopes (a singleton scope is just the implicit
   /// per-location axiom), demote kScoped with no surviving scope to
-  /// kPerLocation, and drop axioms implied by a stronger sibling or by
-  /// the order axiom. Throws std::invalid_argument on overlapping
+  /// kPerLocation, and drop axioms that are vacuous for valid observers
+  /// (every w-constrained corner) or implied by a stronger sibling or
+  /// by the order axiom. Throws std::invalid_argument on overlapping
   /// scopes or a kScoped order with no scopes at construction sites
   /// that skipped validate().
   void normalize();
@@ -151,7 +152,7 @@ class SpecParseError : public std::runtime_error {
 /// Convenience: parse from a string.
 [[nodiscard]] std::vector<ModelSpec> read_model_specs(const std::string& text);
 
-/// The eight bundled specs, in suite-bit order (models/suite.hpp): SC,
+/// The eight bundled specs, in suite-bit order (core/suite.hpp): SC,
 /// LC, NN, NW, WN, WW, WN+, NN+. These are the built-in models: compiled
 /// (models/compile.hpp), they are the only objects for them —
 /// builtin_model(bit) returns them from ModelRegistry::bundled() — and

@@ -14,9 +14,10 @@
 //
 // WN⁺ and NN⁺ (NN ∩ freshness, the strongest "fresh" dag model) are
 // compiled specs: builtin_model(kSuiteWNPlus) and
-// builtin_model(kSuiteNNPlus) (models/compile.hpp) lower the `fresh`
-// axiom onto observer_is_fresh_prepared and the corner onto
-// qdag_consistent_prepared.
+// builtin_model(kSuiteNNPlus) (models/compile.hpp). The freshness axiom
+// has one implementation, the per-location kernel's writer shadow
+// (core/loc_incremental.hpp); observer_is_fresh_prepared reads the bit
+// a PreparedPair keeps.
 #pragma once
 
 #include "models/qdag.hpp"
@@ -24,12 +25,12 @@
 namespace ccmm {
 
 /// The freshness axiom alone: ∀l, u: (∃ write w to l with w ≺ u) ⇒
-/// Φ(l, u) ≠ ⊥. observer_is_fresh_prepared on prepare_pair(c, phi).
+/// Φ(l, u) ≠ ⊥. observer_is_fresh_prepared on prepare_pair(c, phi). An
+/// invalid observer function is rejected.
 [[nodiscard]] bool observer_is_fresh(const Computation& c,
                                      const ObserverFunction& phi);
 
-/// Freshness on a PreparedPair: the writer-shadow union reuses the
-/// context's scratch bitset instead of allocating per location.
+/// Freshness on a PreparedPair: its kernel bit (PreparedPair::violated).
 [[nodiscard]] bool observer_is_fresh_prepared(const PreparedPair& p);
 
 /// Membership in WN⁺ = WN ∩ freshness: builtin_model(kSuiteWNPlus) on

@@ -1,10 +1,10 @@
 // ccmm/trace/large_check.hpp
 //
 // Streaming post-mortem checking for large traces. The classic pipeline
-// (CheckContext::prepare → contains_prepared) is exact but leans on the
-// O(n²)-bit transitive closure and O(n·writers)-bit Φ⁻¹ block bitsets,
+// (CheckContext::prepare → contains_prepared) runs the same
+// per-location kernel but leans on the O(n²)-bit transitive closure,
 // which caps verify_execution at toy sizes. large_check() decides the
-// same per-location-decomposable memberships — LC and the four dag
+// per-location-decomposable memberships — LC and the four dag
 // consistency models NN/NW/WN/WW — by streaming the computation in
 // topological order:
 //
@@ -41,8 +41,9 @@
 // locations together. large_check_trace is the only route from a trace
 // to a verdict (the lint pipeline and spec_check_trace call it).
 // large_check(c, Φ) runs the kernel on every location, so it stays the
-// independent reference for the stream entries. Verdicts are pinned
-// byte-identical to the prepared checkers by tests/test_large_check.cpp.
+// independent reference for the stream entries. tests/test_large_check.cpp
+// pins its verdicts to the paper's definitions
+// (tests/reference_models.hpp).
 #pragma once
 
 #include <functional>
@@ -51,9 +52,9 @@
 #include <string>
 #include <vector>
 
+#include "core/loc_incremental.hpp"
+#include "core/suite.hpp"
 #include "dag/precedence_oracle.hpp"
-#include "models/suite.hpp"
-#include "trace/loc_incremental.hpp"
 #include "trace/trace.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -61,7 +62,7 @@
 namespace ccmm {
 
 // kLargeCheckAll / kLargeCheckPlus / kLargeCheckExt and LocationCheck
-// moved to trace/loc_incremental.hpp with the per-location kernel; the
+// live in core/loc_incremental.hpp with the per-location kernel; the
 // names are re-exported through this include unchanged.
 
 struct LargeCheckOptions {

@@ -196,6 +196,7 @@ struct CheckSession::Loc {
   std::vector<NodeId> col;
   LocState state;
   NodeId last_write = kBottom;  // carried across feeds by fill_column
+  double millis = 0.0;          // kernel time spent on this location
 };
 
 /// A fixed set of locations (indices into states_, ascending) and the
@@ -441,9 +442,11 @@ void CheckSession::advance(const BinaryTraceEvent* events,
     while (q0 < p1) {
       const std::uint32_t q1 = q0 + std::min(p1 - q0, kChunkNodes);
       for (const std::uint32_t i : sh.locs) {
-        LocState& st = states_[i]->state;
-        if (states_[i]->materialized && st.consumed() < q1)
-          st.advance(st.consumed(), q1, sh.arena);
+        Loc& s = *states_[i];
+        if (!s.materialized || s.state.consumed() >= q1) continue;
+        const auto ta = Clock::now();
+        s.state.advance(s.state.consumed(), q1, sh.arena);
+        s.millis += millis_since(ta);
       }
       q0 = q1;
     }
@@ -664,7 +667,9 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
       Loc& s = *states_[i];
       LocationCheck& out = report.locations[row[i]];
       if (s.materialized) {
+        const auto tf = Clock::now();
         s.state.finalize_into(out, sh.arena);
+        out.millis = s.millis + millis_since(tf);
       } else {
         out.loc = s.loc;
         out.writers = s.writers.size();

@@ -2,7 +2,7 @@
 //
 // The checking engine: the one piece of code that sets up, shards,
 // advances and reports the incremental per-location kernel
-// (trace/loc_incremental.hpp). A CheckSession is a feed()/check()/
+// (core/loc_incremental.hpp). A CheckSession is a feed()/check()/
 // finish() state machine over an event stream; the batch entry points
 // are the same engine fed the whole input (large_check_trace feeds the
 // trace's own record array in chunks, large_check points the states at

@@ -43,19 +43,12 @@ SpecCheckReport check_models(
   SpecCheckReport report;
 
   // One shared streaming run covers the mask-decidable part of every
-  // streamable plan.
+  // plan.
   LargeCheckOptions large = options.large;
   large.models &= kLargeCheckExt;
-  for (const auto& m : models) {
-    const CompiledModel::StreamingPlan plan = m->streaming_plan();
-    if (plan.streamable) large.models |= plan.mask;
-  }
+  for (const auto& m : models) large.models |= m->streaming_plan().mask;
   report.base = trace != nullptr ? large_check_trace(c, *trace, large)
                                  : large_check(c, *phi, large);
-  // A rejected stream reports no rows; a fitting trace whose observer is
-  // invalid has an invalid row.
-  const bool fits = trace == nullptr || report.base.valid_observer ||
-                    !report.base.locations.empty();
 
   // The order axioms search Φ, or the trace's completion, built on first
   // use; the trace order, tried first, explains every column of a
@@ -74,16 +67,9 @@ SpecCheckReport check_models(
   report.models.reserve(models.size());
   for (const auto& model : models) {
     const CompiledModel& m = *model;
-    const CompiledModel::StreamingPlan plan = m.streaming_plan();
+    const CompiledModel::StreamingPlan& plan = m.streaming_plan();
     SpecModelVerdict v;
     v.name = m.name();
-    if (!plan.streamable && fits) {
-      v.detail =
-          "no streaming lowering: a w-constrained cube axiom needs the "
-          "cubic closure scan";
-      report.models.push_back(std::move(v));
-      continue;
-    }
     v.decided = true;
     if (!report.base.valid_observer) {
       // Every model rejects an invalid observer (Definition 2), and a

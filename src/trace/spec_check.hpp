@@ -15,12 +15,14 @@
 //    order), falling back to the budgeted backtracking search;
 //  * global order: the same two-step on all active locations.
 //
-// A model whose plan is not streamable (a w-constrained cube axiom
-// needs the cubic closure scan) or whose search exhausts its budget is
-// reported `decided = false` rather than guessed — callers fall back to
-// the prepared path or enlarge the budget. Verdicts are pinned
-// byte-identical to CompiledModel::contains_prepared by
-// tests/test_spec_check.cpp.
+// Every spec streams: normalize() drops the w-constrained cube axioms,
+// which are vacuous for valid observers, and the rest are kernel bits.
+// A model whose search exhausts its budget is reported
+// `decided = false` rather than guessed — callers enlarge the budget.
+// CompiledModel::check_prepared decides the same plan on a prepared
+// pair, with the same kernel; tests/test_spec_check.cpp pins the mask
+// part against the paper's definitions and the searches against the
+// prepared path.
 #pragma once
 
 #include <memory>
@@ -45,7 +47,7 @@ struct SpecCheckOptions {
 /// Verdict for one requested model.
 struct SpecModelVerdict {
   std::string name;
-  bool decided = false;  // false: not streamable / budget exhausted
+  bool decided = false;  // false: a search exhausted its budget
   bool member = false;   // meaningful only when decided
   std::string detail;    // first violation or why undecided; "" if member
 

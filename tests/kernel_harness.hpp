@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
+#include "core/loc_incremental.hpp"
 #include "trace/large_check.hpp"
-#include "trace/loc_incremental.hpp"
 #include "trace/loc_kernel.hpp"
 
 namespace ccmm {

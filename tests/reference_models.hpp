@@ -8,21 +8,25 @@
 //    V ∪ {⊥};
 //  * the freshness axiom of WN⁺/NN⁺ by a loop over (writer, node)
 //    pairs.
-// None of them touches a prepared pair, a block partition or a
-// checker: only validate_observer, the dag's precedence,
-// for_each_topological_sort and last_writer. Exponential or quartic;
-// small universes only.
+//  * Definition 18 once more by the block quotient over the dag's
+//    closure (lc_by_quotient), polynomial, for dags too wide to
+//    enumerate their sorts; tests cross-check it with lc_by_definition
+//    on the exhaustive universes.
+// None of them touches a prepared pair or a checker: only
+// validate_observer, the dag's precedence, for_each_topological_sort
+// and last_writer. Exponential, quartic or cubic; small inputs only.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/last_writer.hpp"
 #include "core/observer.hpp"
+#include "core/suite.hpp"
 #include "dag/topsort.hpp"
 #include "models/qdag.hpp"
-#include "models/suite.hpp"
 
 namespace ccmm::test {
 
@@ -41,6 +45,40 @@ inline bool lc_by_definition(const Computation& c,
       return false;
     });
     if (!found) return false;
+  }
+  return true;
+}
+
+/// Definition 18 by the block quotient (DESIGN.md): per active location,
+/// order the blocks B_⊥ = Φ⁻¹(⊥) and B_x = Φ⁻¹(x) by "some member of a
+/// precedes some member of b". A topological sort explains the column
+/// iff that order has no cycle and nothing precedes B_⊥.
+inline bool lc_by_quotient(const Computation& c,
+                           const ObserverFunction& phi) {
+  if (!is_valid_observer(c, phi)) return false;
+  const std::size_t n = c.node_count();
+  for (const Location l : phi.active_locations()) {
+    // A block is named by its observed value, B_⊥ by n.
+    const auto block = [&](NodeId u) -> std::size_t {
+      const NodeId x = phi.get(l, u);
+      return x == kBottom ? n : x;
+    };
+    std::vector<std::vector<bool>> before(n + 1,
+                                          std::vector<bool>(n + 1, false));
+    for (NodeId u = 0; u < n; ++u)
+      for (NodeId v = 0; v < n; ++v)
+        if (block(u) != block(v) && c.precedes(u, v))
+          before[block(u)][block(v)] = true;
+    for (std::size_t a = 0; a < n; ++a)
+      if (before[a][n]) return false;
+    // Warshall: a cycle shows as a block before itself.
+    for (std::size_t k = 0; k <= n; ++k)
+      for (std::size_t a = 0; a <= n; ++a)
+        if (before[a][k])
+          for (std::size_t b = 0; b <= n; ++b)
+            if (before[k][b]) before[a][b] = true;
+    for (std::size_t a = 0; a <= n; ++a)
+      if (before[a][a]) return false;
   }
   return true;
 }
@@ -173,6 +211,27 @@ inline bool builtin_by_definition(const Computation& c,
              fresh_by_definition(c, phi);
   }
   return false;
+}
+
+/// Does (c, φ) satisfy every bit of `bits` — the per-location kernel's
+/// vocabulary: LC, the four corners, FRESH and the composites — by
+/// definition? LC by the block quotient, so it scales past small
+/// universes. An invalid observer satisfies none.
+inline bool kernel_bits_by_definition(const Computation& c,
+                                      const ObserverFunction& phi,
+                                      std::uint32_t bits) {
+  if (!is_valid_observer(c, phi)) return false;
+  const std::pair<std::uint32_t, DagPred> corners[] = {
+      {kSuiteNN | kSuiteNNPlus, DagPred::kNN},
+      {kSuiteNW, DagPred::kNW},
+      {kSuiteWN | kSuiteWNPlus, DagPred::kWN},
+      {kSuiteWW, DagPred::kWW}};
+  for (const auto& [mask, pred] : corners)
+    if ((bits & mask) != 0 && !qdag_by_definition(c, phi, pred)) return false;
+  if ((bits & (kSuiteFresh | kSuiteWNPlus | kSuiteNNPlus)) != 0 &&
+      !fresh_by_definition(c, phi))
+    return false;
+  return (bits & kSuiteLC) == 0 || lc_by_quotient(c, phi);
 }
 
 /// The eight built-ins' memberships as a suite-bit mask, by definition —

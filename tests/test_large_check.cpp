@@ -7,34 +7,34 @@
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
 #include "models/compile.hpp"
-#include "models/location_consistency.hpp"
-#include "models/qdag.hpp"
 #include "proc/random_program.hpp"
+#include "reference_models.hpp"
 #include "trace/postmortem.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
 namespace {
 
-/// The streaming report must agree bit-for-bit with the prepared
-/// checkers on every model it claims to decide.
+/// The streaming report must agree bit-for-bit with the paper's
+/// definitions (tests/reference_models.hpp) on every model it claims to
+/// decide.
 void expect_matches_models(const Computation& c, const ObserverFunction& phi,
                            const LargeCheckOptions& base) {
   LargeCheckOptions opt = base;
-  opt.models = kLargeCheckAll;
+  opt.models = kLargeCheckExt;
   const LargeCheckReport r = large_check(c, phi, opt);
 
   const ValidityResult validity = validate_observer(c, phi);
   ASSERT_EQ(r.valid_observer, validity.ok) << validity.reason << "\n"
                                            << r.detail;
-  EXPECT_EQ(r.in_model(kSuiteLC), location_consistent(c, phi)) << r.detail;
-  EXPECT_EQ(r.in_model(kSuiteNN), qdag_consistent(c, phi, DagPred::kNN));
-  EXPECT_EQ(r.in_model(kSuiteNW), qdag_consistent(c, phi, DagPred::kNW));
-  EXPECT_EQ(r.in_model(kSuiteWN), qdag_consistent(c, phi, DagPred::kWN));
-  EXPECT_EQ(r.in_model(kSuiteWW), qdag_consistent(c, phi, DagPred::kWW));
+  for (std::uint32_t bit = 1; bit <= kLargeCheckExt; bit <<= 1) {
+    if ((kLargeCheckExt & bit) == 0) continue;
+    EXPECT_EQ(r.in_model(bit), test::kernel_bits_by_definition(c, phi, bit))
+        << suite_bit_name(bit) << ": " << r.detail;
+  }
   if (r.valid_observer) {
     const bool any_violated =
-        (r.satisfied & kLargeCheckAll) != kLargeCheckAll;
+        (r.satisfied & kLargeCheckExt) != kLargeCheckExt;
     EXPECT_EQ(any_violated, !r.detail.empty());
   }
 }
@@ -53,7 +53,7 @@ std::vector<Computation> small_workloads() {
   return out;
 }
 
-TEST(LargeCheck, MatchesPreparedCheckersOnExecutions) {
+TEST(LargeCheck, MatchesDefinitionsOnExecutions) {
   Rng rng(23);
   for (const Computation& c : small_workloads()) {
     {
@@ -73,9 +73,9 @@ TEST(LargeCheck, MatchesPreparedCheckersOnExecutions) {
   }
 }
 
-TEST(LargeCheck, MatchesPreparedCheckersOnPerturbedObservers) {
+TEST(LargeCheck, MatchesDefinitionsOnPerturbedObservers) {
   // Random corruptions cover invalid observers and model-breaking ones;
-  // the verdicts must track the reference checkers through all of them.
+  // the verdicts must track the definitions through all of them.
   Rng rng(31);
   for (const Computation& c : small_workloads()) {
     WeakMemory mem(3);
@@ -99,7 +99,7 @@ TEST(LargeCheck, MatchesPreparedCheckersOnPerturbedObservers) {
   }
 }
 
-TEST(LargeCheck, MatchesOnCilkPrograms) {
+TEST(LargeCheck, MatchesDefinitionsOnCilkPrograms) {
   Rng rng(47);
   for (int trial = 0; trial < 30; ++trial) {
     proc::RandomCilkOptions opt;
@@ -131,6 +131,7 @@ TEST(LargeCheck, TraceEntryAgreesWithVerifyExecution) {
         verify_execution(c, phi, *builtin_model(kSuiteLC));
     ASSERT_EQ(r.valid_observer, ref.valid_observer) << r.detail;
     EXPECT_EQ(r.in_model(kSuiteLC), ref.in_model) << r.detail;
+    EXPECT_EQ(ref.in_model, test::lc_by_quotient(c, phi));
   }
 }
 

@@ -9,9 +9,11 @@
 #include "dag/generators.hpp"
 #include "dag/topsort.hpp"
 #include "enumerate/observer_enum.hpp"
+#include "enumerate/universe.hpp"
 #include "exec/workload.hpp"
 #include "models/compile.hpp"
 #include "helpers.hpp"
+#include "reference_models.hpp"
 
 namespace ccmm {
 namespace {
@@ -155,6 +157,27 @@ TEST(LocationConsistency, AgreesWithBruteForceDefinition) {
   }
   EXPECT_GT(checked, 1000u);
   EXPECT_GT(members, 0u);
+}
+
+TEST(LocationConsistency, QuotientReferenceMatchesDefinition) {
+  // The polynomial block-quotient reference the streaming differentials
+  // use on dags too wide to enumerate their sorts equals Definition 18
+  // on every pair of the exhaustive universes.
+  std::size_t members = 0;
+  for (const auto& [max_nodes, nlocations] :
+       {std::pair<std::size_t, std::size_t>{4, 1}, {3, 2}}) {
+    UniverseSpec spec;
+    spec.max_nodes = max_nodes;
+    spec.nlocations = nlocations;
+    for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
+      const bool want = test::lc_by_definition(c, phi);
+      EXPECT_EQ(test::lc_by_quotient(c, phi), want)
+          << c.to_string() << phi.to_string();
+      members += want ? 1 : 0;
+      return true;
+    });
+  }
+  EXPECT_GT(members, 1000u);
 }
 
 TEST(LocationConsistency, ModelObject) {

@@ -1,5 +1,5 @@
 // Differential tests for the incremental per-location kernel
-// (trace/loc_incremental.hpp): after consuming any prefix of the event
+// (core/loc_incremental.hpp): after consuming any prefix of the event
 // stream, finalize_into must produce verdicts byte-identical — valid,
 // violated mask, AND detail string — to a fresh state that consumed
 // the same prefix in one batch advance. The last-writer function of
@@ -9,7 +9,7 @@
 // verdicts are independent of the feed sizes the stream was cut into,
 // and the *Parallel* test pins sharded runs (on a pool of their own,
 // under TSan in CI) against serial ones.
-#include "trace/loc_incremental.hpp"
+#include "core/loc_incremental.hpp"
 
 #include <gtest/gtest.h>
 

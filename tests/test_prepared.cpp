@@ -6,14 +6,17 @@
 //  * ModelRegistry::classify over the eight built-in specs equals the
 //    eight definitions, with lattice short-circuiting ON and OFF (the
 //    ablation);
-//  * the PreparedPair block partition indexes Φ⁻¹ correctly, and
-//    cached_classification memoizes the built-ins' bitmask per orbit.
+//  * the PreparedPair lists each written location's writers and keeps
+//    the kernel's verdicts per location, whatever order bits are asked
+//    in, and cached_classification memoizes the built-ins' bitmask per
+//    orbit.
 #include "core/prepared.hpp"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "core/last_writer.hpp"
 #include "enumerate/cached_model.hpp"
 #include "enumerate/universe.hpp"
 #include "models/compile.hpp"
@@ -145,27 +148,33 @@ TEST(PreparedDifferential, InvalidObserversRejectedEverywhere) {
   }
 }
 
-TEST(PreparedPairStructure, BlockPartitionIndexesObserverInverse) {
+TEST(PreparedPairStructure, LocationsKeepWritersAndKernelVerdicts) {
   UniverseSpec spec;
   spec.max_nodes = 3;
   spec.nlocations = 2;
   CheckContext ctx;
   for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
     const PreparedPair p = ctx.prepare(c, phi);
+    EXPECT_EQ(p.locations().size(), phi.active_locations().size());
     for (const auto& lp : p.locations()) {
       EXPECT_EQ(lp.writers, c.writers(lp.loc));
-      EXPECT_EQ(lp.block_count(), lp.writers.size() + 1);
-      // Every node sits in exactly the block of its observed value.
-      for (NodeId u = 0; u < c.node_count(); ++u) {
-        const NodeId x = phi.get(lp.loc, u);
-        EXPECT_TRUE(lp.block_sets[lp.block_of[u]].test(u));
-        if (x == kBottom) {
-          EXPECT_EQ(lp.block_of[u], 0u);
-        } else {
-          EXPECT_EQ(lp.block_writer(lp.block_of[u]), x);
-          EXPECT_TRUE(lp.observers_of(x).test(u));
-        }
-      }
+      EXPECT_EQ(p.location(lp.loc), &lp);
+    }
+    // Bits decided a few at a time answer like one request for all.
+    const std::uint32_t at_once = ctx.prepare(c, phi).violated(kLargeCheckExt);
+    EXPECT_EQ(p.violated(kSuiteLC), at_once & kSuiteLC);
+    EXPECT_EQ(p.violated(kSuiteNNPlus), at_once & kSuiteNNPlus);
+    EXPECT_EQ(p.violated(kLargeCheckExt), at_once);
+    // Each location keeps its own LC verdict: Definition 18 on Φ's
+    // column there, every other column a last-writer function.
+    for (const auto& lp : p.locations()) {
+      ObserverFunction only = last_writer(c, c.dag().topological_order());
+      for (NodeId u = 0; u < c.node_count(); ++u)
+        only.set(lp.loc, u, phi.get(lp.loc, u));
+      EXPECT_EQ(p.violated_at(lp, kSuiteLC) == 0,
+                test::lc_by_definition(c, only))
+          << c.to_string() << phi.to_string();
+      EXPECT_EQ(lp.violated & ~lp.decided, 0u);
     }
     return true;
   });
@@ -215,18 +224,6 @@ TEST(CachedClassification, AgreesAndHits) {
   const auto after = classification_cache().stats();
   EXPECT_GE(after.hits - before.hits, pairs);  // the repeat pass at least
   EXPECT_GT(after.insertions, before.insertions);
-}
-
-TEST(CheckContextScratch, ArenasAreReusedAndCleared) {
-  CheckContext ctx;
-  DynBitset& a = ctx.scratch_bits(64);
-  a.set(3);
-  DynBitset& b = ctx.scratch_bits(64);
-  EXPECT_FALSE(b.test(3));  // re-request clears
-  EXPECT_EQ(&a, &b);        // ... and reuses the same arena
-  auto& nodes = ctx.scratch_nodes();
-  nodes.push_back(7);
-  EXPECT_TRUE(ctx.scratch_nodes().empty());
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 #include "dag/generators.hpp"
 #include "dag/topsort.hpp"
 #include "enumerate/observer_enum.hpp"
+#include "enumerate/universe.hpp"
 #include "exec/workload.hpp"
 #include "models/compile.hpp"
 #include "helpers.hpp"
+#include "reference_models.hpp"
 
 namespace ccmm {
 namespace {
@@ -65,6 +67,39 @@ TEST(QDag, BottomEndpointTriple) {
   // But WN tolerates it (⊥ is not a write, and u = w0 has Φ = w0 ≠ ⊥)...
   EXPECT_TRUE(qdag_consistent(c, phi, DagPred::kWN));
   EXPECT_TRUE(qdag_consistent(c, phi, DagPred::kWW));
+}
+
+TEST(QDag, ViolationTriplesAreSound) {
+  // Every pair of the exhaustive universes, all four named corners:
+  // qdag_consistent rejects exactly when Condition 20.1 does, and the
+  // triple it fills is a violation of the condition.
+  std::size_t triples = 0;
+  for (const auto& [max_nodes, nlocations] :
+       {std::pair<std::size_t, std::size_t>{4, 1}, {3, 2}}) {
+    UniverseSpec spec;
+    spec.max_nodes = max_nodes;
+    spec.nlocations = nlocations;
+    for_each_pair(spec, [&](const Computation& c, const ObserverFunction& phi) {
+      for (const DagPred pred :
+           {DagPred::kNN, DagPred::kNW, DagPred::kWN, DagPred::kWW}) {
+        QDagViolation v{};
+        const bool in = qdag_consistent(c, phi, pred, &v);
+        EXPECT_EQ(in, test::qdag_by_definition(c, phi, pred))
+            << dag_pred_name(pred) << "\n" << c.to_string() << phi.to_string();
+        if (in) continue;
+        ++triples;
+        const NodeId at_u = v.u == kBottom ? kBottom : phi.get(v.loc, v.u);
+        EXPECT_TRUE(v.u == kBottom || c.precedes(v.u, v.v)) << v.to_string();
+        EXPECT_TRUE(c.precedes(v.v, v.w)) << v.to_string();
+        EXPECT_TRUE(test::named_predicate(c, pred)(v.loc, v.u, v.v, v.w))
+            << dag_pred_name(pred) << " " << v.to_string();
+        EXPECT_EQ(at_u, phi.get(v.loc, v.w)) << v.to_string();
+        EXPECT_NE(phi.get(v.loc, v.v), at_u) << v.to_string();
+      }
+      return true;
+    });
+  }
+  EXPECT_GT(triples, 1000u);
 }
 
 TEST(QDag, LastWriterIsAlwaysQDagConsistent) {

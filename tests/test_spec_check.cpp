@@ -1,15 +1,16 @@
-// The streaming spec bridge (trace/spec_check.hpp), pinned against the
-// prepared path:
-//  * every decided verdict equals CompiledModel::check_prepared — over
-//    execution-produced observers (serial, weak, LC-oracle) and random
-//    corruptions of them;
+// The streaming spec bridge (trace/spec_check.hpp), pinned:
+//  * every decided verdict equals CompiledModel::check_prepared, and
+//    its mask part equals the paper's definitions
+//    (tests/reference_models.hpp) — over execution-produced observers
+//    (serial, weak, LC-oracle) and random corruptions of them;
 //  * the trace entry point: a scope-consistent serial execution's own
 //    order decides the scoped/global searches via the hint (no
 //    backtracking budget needed), and a trace that does not fit the
 //    computation rejects every model with a diagnosis;
-//  * undecidedness is honest: a w-constrained cube axiom (no streaming
-//    lowering) and a 1-state search budget both yield decided = false,
-//    never a guessed membership.
+//  * every spec streams: a w-constrained cube axiom normalizes away and
+//    its spec answers like the empty spec;
+//  * undecidedness is honest: a 1-state search budget yields
+//    decided = false, never a guessed membership.
 #include "trace/spec_check.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "exec/sim_machine.hpp"
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
+#include "reference_models.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -48,9 +50,9 @@ std::vector<Computation> small_workloads() {
   return out;
 }
 
-/// Every decided streaming verdict must equal the prepared checker; on
-/// valid observers with an unbounded budget and streamable plans,
-/// everything must be decided.
+/// Every decided streaming verdict must equal the prepared checker, and
+/// its mask part the definitions; on valid observers with an unbounded
+/// budget, everything must be decided.
 void expect_parity(const Computation& c, const ObserverFunction& phi,
                    const std::vector<std::shared_ptr<const CompiledModel>>&
                        models) {
@@ -65,6 +67,10 @@ void expect_parity(const Computation& c, const ObserverFunction& phi,
     const CompiledVerdict want = models[i]->check_prepared(p);
     EXPECT_FALSE(want.exhausted);
     EXPECT_EQ(v.member, want.member) << v.name << ": " << v.detail;
+    const std::uint32_t mask = models[i]->streaming_plan().mask;
+    EXPECT_EQ(r.base.valid_observer && (r.base.satisfied & mask) == mask,
+              test::kernel_bits_by_definition(c, phi, mask))
+        << v.name;
   }
   EXPECT_EQ(r.all_members(),
             r.base.valid_observer &&
@@ -180,8 +186,9 @@ TEST(SpecCheck, TraceEntryAgreesWithObserverEntry) {
 }
 
 TEST(SpecCheck, MisfitTraceRejectsEveryModelWithDiagnosis) {
-  // An unstreamable model is rejected too: a trace that does not fit
-  // the computation is in no model.
+  // A model with no kernel bits is rejected too (the w-constrained cube
+  // axiom normalizes away): a trace that does not fit the computation
+  // is in no model.
   auto models = pack_models();
   ModelSpec cube;
   cube.name = "CUBE";
@@ -222,26 +229,42 @@ TEST(SpecCheck, ObservationOfUnknownNodeRejectsEveryModel) {
   }
 }
 
-TEST(SpecCheck, UnstreamablePlanIsUndecidedNotGuessed) {
+TEST(SpecCheck, WConstrainedSpecIsDecidedLikeTheEmptySpec) {
+  // A w-constrained cube axiom is vacuous for valid observers, so
+  // normalize() drops it: the spec streams, with no kernel bits, and
+  // answers like the spec with no axioms at all.
   ModelSpec s;
   s.name = "CUBE";
-  s.axioms = {CubeSpec{false, false, true}};  // w-constrained: cubic scan
+  s.axioms = {CubeSpec{false, false, true}};
   const auto cube = compile_model(s);
-  EXPECT_FALSE(cube->streaming_plan().streamable);
+  ModelSpec e;
+  e.name = "EMPTY";
+  const auto empty = compile_model(e);
+  EXPECT_EQ(cube->spec().digest(), empty->spec().digest());
+  EXPECT_EQ(cube->streaming_plan().mask, 0u);
 
   const Computation c = workload::reduction(3);
   ScMemory mem;
-  const ObserverFunction phi = run_serial(c, mem).phi;
-  const SpecCheckReport r = spec_check(c, phi, {cube});
-  ASSERT_EQ(r.models.size(), 1u);
-  EXPECT_FALSE(r.models[0].decided);
-  EXPECT_NE(r.models[0].detail.find("no streaming lowering"),
-            std::string::npos)
-      << r.models[0].detail;
-  // The prepared path still decides it (and a serial execution is in
-  // every cube model).
+  const ObserverFunction serial = run_serial(c, mem).phi;
+  ObserverFunction stale = serial;  // every read sees ⊥: valid, not LC
+  ObserverFunction invalid = serial;
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    const Op o = c.op(u);
+    if (o.is_read()) stale.set(o.loc, u, kBottom);
+    if (o.is_write()) invalid.set(o.loc, u, kBottom);
+  }
   CheckContext ctx;
-  EXPECT_TRUE(cube->check_prepared(ctx.prepare(c, phi)).member);
+  for (const ObserverFunction* phi :
+       std::vector<const ObserverFunction*>{&serial, &stale, &invalid}) {
+    const SpecCheckReport r = spec_check(c, *phi, {cube, empty});
+    ASSERT_EQ(r.models.size(), 2u);
+    const bool valid = is_valid_observer(c, *phi);
+    for (const SpecModelVerdict& v : r.models) {
+      EXPECT_TRUE(v.decided) << v.name << ": " << v.detail;
+      EXPECT_EQ(v.member, valid) << v.name << ": " << v.detail;
+    }
+    EXPECT_EQ(cube->check_prepared(ctx.prepare(c, *phi)).member, valid);
+  }
 }
 
 TEST(SpecCheck, BudgetExhaustionIsUndecidedWithoutAHint) {

@@ -1,9 +1,12 @@
 // Pairwise vs SP-bags vs oracle race detection. The pairwise engine
 // pays for the dag's transitive closure (O(n·m/64) bitset build) plus a
 // probe per same-location pair; SP-bags replays the series-parallel
-// parse with a disjoint-set union — near-linear, no closure; the oracle
+// parse with a disjoint-set union, no closure, but still tests each
+// access against every earlier access to its location; the oracle
 // engine (analyze/race_oracle.hpp) proves per-location total orders
-// with O(1) precedence queries and only enumerates the racy locations.
+// with O(1) precedence queries and only enumerates the racy locations;
+// summarize_races, the lints' scan, counts them and keeps the k
+// smallest.
 // "Cold" rebuilds the computation each iteration (what a caller
 // starting from a fresh trace pays); "warm" reuses a cached closure
 // (the engine's steady state).
@@ -133,6 +136,31 @@ void BM_FindRacesOracleGeneral(benchmark::State& state) {
   state.counters["races"] = static_cast<double>(c.races);
 }
 
+/// The scan both lints run: the exact race count and the 64 smallest
+/// races (summarize_races), on BM_FindRacesOracle's instances, where
+/// the count is an inversion count of the SP-order labels ...
+void BM_RaceSummary(benchmark::State& state) {
+  const OracleCase& c = oracle_case_for(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(analyze::summarize_races(c.sp, 64));
+  state.counters["races"] = static_cast<double>(c.races);
+}
+
+/// ... and on BM_FindRacesOracleGeneral's, where the closure/chain
+/// phases count by popcount and keep only the candidates that can
+/// still enter the 64 smallest. The auto oracle there is the dag's own
+/// cached closure, so it is built before timing: otherwise the first
+/// scan of the case pays it (~1 s at 16384 nodes, the single iteration
+/// BM_FindRacesOracleGeneral reports) and whichever benchmark runs
+/// later does not.
+void BM_RaceSummaryGeneral(benchmark::State& state) {
+  const OracleCase& c = oracle_case_for(static_cast<std::size_t>(state.range(0)));
+  c.general.dag().ensure_closure();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(analyze::summarize_races(c.general, 64));
+  state.counters["races"] = static_cast<double>(c.races);
+}
+
 void BM_FindFirstRaceOracle(benchmark::State& state) {
   const OracleCase& c = oracle_case_for(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state)
@@ -148,4 +176,6 @@ BENCHMARK(BM_HasRaceSpBags)->Arg(10000);
 BENCHMARK(BM_HasRacePairwise)->Arg(10000);
 BENCHMARK(BM_FindRacesOracle)->Arg(16384)->Arg(1048576);
 BENCHMARK(BM_FindRacesOracleGeneral)->Arg(16384);
+BENCHMARK(BM_RaceSummary)->Arg(16384)->Arg(1048576);
+BENCHMARK(BM_RaceSummaryGeneral)->Arg(16384);
 BENCHMARK(BM_FindFirstRaceOracle)->Arg(1048576);

@@ -73,8 +73,12 @@ std::optional<ModelSplit> classify_race(const Computation& c, const Race& r,
                 static_cast<unsigned long long>(opt.observer_budget));
   // Compiled extras change the split, so their names and structural
   // digests are part of the identity of the answer.
-  for (const auto& m : opt.extra_models)
-    key += "\x1f" + m->name() + "\x1d" + m->cache_tag();
+  for (const auto& m : opt.extra_models) {
+    key += '\x1f';
+    key += m->name();
+    key += '\x1d';
+    key += m->cache_tag();
+  }
   if (auto hit = split_cache().lookup(key)) return *hit;
 
   // Registries compiled at this pass's budget classify the six core

@@ -119,7 +119,9 @@ std::string render_json(const std::vector<Diagnostic>& diags) {
         out += "[";
         for (std::size_t j = 0; j < s.classes[i].size(); ++j) {
           if (j > 0) out += ",";
-          out += "\"" + json_escape(s.classes[i][j]) + "\"";
+          out += '"';
+          out += json_escape(s.classes[i][j]);
+          out += '"';
         }
         out += "]";
       }

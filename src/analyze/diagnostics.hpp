@@ -47,7 +47,7 @@ struct ModelSplit {
 
 struct Diagnostic {
   Severity severity = Severity::kInfo;
-  std::string pass;     // "sp-bags-race", "pairwise-race", "dead-write", ...
+  std::string pass;     // "oracle-race", "dead-write", "model", ...
   std::string message;  // one line, no trailing newline
   // The offending nodes, when the finding is about specific nodes
   // (racing pair for race passes; b == kBottom for single-node findings).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "analyze/sp_bags.hpp"
 #include "trace/race.hpp"
 #include "util/resource.hpp"
 #include "util/str.hpp"
@@ -11,50 +10,23 @@
 namespace ccmm::analyze {
 namespace {
 
-const char* race_pass_name(RaceEngine engine) {
-  switch (engine) {
-    case RaceEngine::kSpBags:
-      return "sp-bags-race";
-    case RaceEngine::kOracle:
-      return "oracle-race";
-    default:
-      return "pairwise-race";
-  }
-}
-
 void race_pass(const Computation& c, const AnalysisOptions& options,
                std::vector<Diagnostic>& out, AnalyzeStats& stats) {
-  const RaceEngine engine = options.engine == RaceEngine::kAuto
-                                ? select_race_engine(c)
-                                : options.engine;
-  stats.engine = engine;
-  std::vector<Race> races;
-  switch (engine) {
-    case RaceEngine::kSpBags:
-      races = find_races_sp(c);
-      break;
-    case RaceEngine::kOracle:
-      races = find_races_oracle(c, options.scan, &stats.scan);
-      break;
-    default:
-      races = find_races_pairwise(c);
-      break;
-  }
-  stats.races = races.size();
-  const char* pass = race_pass_name(engine);
-  // Witness builds stay bounded on the oracle engine's huge dags: cap
-  // the stored witness well above the classification cap so shrunk
-  // witnesses survive, without ever walking an unbounded closure.
+  const std::size_t cap = options.scan.max_races;
+  const RaceSummary races = summarize_races(
+      c, std::min(options.max_race_diagnostics, cap), options.scan,
+      &stats.scan);
+  stats.races = std::min(races.count, cap);
+  stats.scan.races = stats.races;
+  stats.scan.truncated = races.count > cap;
+  // Witness builds stay bounded on huge dags: cap the stored witness
+  // well above the classification cap so shrunk witnesses survive,
+  // without ever walking an unbounded ancestor closure.
   const std::size_t witness_cap =
-      engine == RaceEngine::kOracle
-          ? std::max<std::size_t>(options.anomaly.witness_node_cap, 32)
-          : SIZE_MAX;
-  const std::size_t reported =
-      std::min(races.size(), options.max_race_diagnostics);
-  for (std::size_t i = 0; i < reported; ++i) {
-    const Race& r = races[i];
+      std::max<std::size_t>(options.anomaly.witness_node_cap, 32);
+  for (const Race& r : races.smallest) {
     Diagnostic d;
-    d.pass = pass;
+    d.pass = "oracle-race";
     d.a = r.a;
     d.b = r.b;
     d.loc = r.loc;
@@ -77,12 +49,13 @@ void race_pass(const Computation& c, const AnalysisOptions& options,
                      : Severity::kError;
     out.push_back(std::move(d));
   }
-  if (reported < races.size()) {
+  const std::size_t reported = races.smallest.size();
+  if (reported < stats.races) {
     Diagnostic d;
     d.severity = Severity::kInfo;
-    d.pass = pass;
+    d.pass = "oracle-race";
     d.message = format("%zu further race(s) suppressed (cap %zu)",
-                       races.size() - reported, options.max_race_diagnostics);
+                       stats.races - reported, options.max_race_diagnostics);
     out.push_back(std::move(d));
   }
 }
@@ -133,7 +106,7 @@ std::vector<Diagnostic> analyze_computation(const Computation& c,
   AnalyzeStats local;
   race_pass(c, options, out, local);
   if (options.lint) memory_lint_pass(c, out);
-  if (local.engine == RaceEngine::kOracle && c.node_count() > 0)
+  if (c.node_count() > 0)
     local.bytes_per_node =
         static_cast<double>(local.scan.groups_bytes +
                             local.scan.scratch_peak_bytes +
@@ -145,16 +118,12 @@ std::vector<Diagnostic> analyze_computation(const Computation& c,
 }
 
 std::string AnalyzeStats::to_string() const {
-  std::string out =
-      format("race engine: %s, %zu race(s)\n", race_engine_name(engine), races);
-  if (engine == RaceEngine::kOracle) {
-    out += scan.to_string();
-    out += format("memory: %.1f B/node scan-owned", bytes_per_node);
-    if (peak_rss_bytes != 0)
-      out += format(", peak rss %.1f MiB",
-                    static_cast<double>(peak_rss_bytes) / (1024.0 * 1024.0));
-    out += "\n";
-  }
+  std::string out = scan.to_string();
+  out += format("memory: %.1f B/node scan-owned", bytes_per_node);
+  if (peak_rss_bytes != 0)
+    out += format(", peak rss %.1f MiB",
+                  static_cast<double>(peak_rss_bytes) / (1024.0 * 1024.0));
+  out += "\n";
   return out;
 }
 

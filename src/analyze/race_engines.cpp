@@ -52,20 +52,6 @@ std::vector<Race> find_races_pairwise(const Computation& c) {
   return races;
 }
 
-const char* race_engine_name(RaceEngine e) {
-  switch (e) {
-    case RaceEngine::kAuto:
-      return "auto";
-    case RaceEngine::kSpBags:
-      return "sp-bags";
-    case RaceEngine::kPairwise:
-      return "pairwise";
-    case RaceEngine::kOracle:
-      return "oracle";
-  }
-  return "?";
-}
-
 RaceEngine select_race_engine(const Computation& c) {
   if (c.sp_structure() != nullptr) return RaceEngine::kSpBags;
   if (c.node_count() <= kPairwiseNodeCutoff) return RaceEngine::kPairwise;

@@ -206,7 +206,7 @@ void LocState::init(const LocKernelCtx& ctx, Location loc,
     drain_pos_.assign(writers.size() + 1, kLocNoPos);
     drain_pos_[0] = 0;  // B_⊥ is committed first, before any arrival
   }
-  shadow_ = SpanSet(ctx.fresh ? ctx.c->node_count() : 0);
+  shadow_.reset_universe(ctx.fresh ? ctx.c->node_count() : 0);
   fresh_bad_ = false;
   fresh_node_ = 0;
 }

@@ -142,10 +142,9 @@ TraceLintResult analyze_trace(const Computation& c, const Trace& trace,
     }
   }
 
-  // Race scan + anomaly classification on the oracle engine (the
-  // static lints are replaced by the trace-sharpened ones below).
+  // Race scan + anomaly classification (the static lints are replaced
+  // by the trace-sharpened ones below).
   AnalysisOptions aopt = options.analysis;
-  aopt.engine = RaceEngine::kOracle;
   aopt.lint = false;
   // The spec models join the race classifier's behaviour split.
   for (const auto& m : options.spec_models)

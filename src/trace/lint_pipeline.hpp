@@ -5,9 +5,10 @@
 // and produces the full diagnostic story without materializing any
 // transitive closure:
 //
-//  * determinacy races from the oracle-backed engine
-//    (analyze/race_oracle.hpp), each with a bounded shrunk witness and
-//    a model-split classification where the witness is small enough;
+//  * determinacy races from the same output-sensitive oracle scan as
+//    the static lint (analyze/passes.hpp): the race count and the k
+//    smallest races, each with a bounded shrunk witness and a
+//    model-split classification where the witness is small enough;
 //  * trace-sharpened memory lints: reads that observed ⊥ in THIS
 //    execution and writes no other node observed in THIS execution —
 //    strictly sharper than the static may-analysis lints, and computed
@@ -38,14 +39,14 @@
 namespace ccmm::analyze {
 
 struct TraceLintOptions {
-  /// Race scan + anomaly/lint configuration. The engine field is
-  /// ignored: the pipeline always scans with the oracle engine (that
-  /// is the point of the trace path). Unlike the library default, the
-  /// pipeline caps the enumerated race set (constructor below): on
-  /// heavily racy million-node inputs the full set is output-bound and
-  /// useless for diagnostics — the scan stops sweeping once the cap is
-  /// hit and reports truncation. Raise scan.max_races to re-enable the
-  /// exact enumeration.
+  /// Race scan + anomaly/lint configuration; the race diagnostics are
+  /// analyze_computation's. Unlike the library default, the pipeline
+  /// clamps the reported race count at 2^16 (scan.max_races, set by the
+  /// constructor below) and sets scan.truncated past it. The scan no
+  /// longer needs the cap — it counts exactly and materializes only the
+  /// reported races — but the clamped count is what recorded trace-lint
+  /// results hold, so it stays until they are re-taken (ROADMAP item
+  /// 2). Raise scan.max_races to report the exact count.
   AnalysisOptions analysis;
   /// Models to stream-check on the trace's observer.
   std::uint32_t models = kLargeCheckAll;
@@ -88,9 +89,10 @@ struct TraceLintResult {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Run the pipeline. Exact on races (the oracle engine's race set is
-/// byte-identical to the pairwise engine's); the trace-sharpened lints
-/// and model verdicts are properties of this execution.
+/// Run the pipeline. Exact on races below the count clamp (the
+/// reported races are the smallest of the pairwise engine's race set);
+/// the trace-sharpened lints and model verdicts are properties of this
+/// execution.
 [[nodiscard]] TraceLintResult analyze_trace(const Computation& c,
                                             const Trace& trace,
                                             const TraceLintOptions& options

@@ -7,13 +7,16 @@
 // last-writer function of every topological sort), which the test suite
 // verifies; races are where the models start to differ.
 //
-// Two engines share this interface. The pairwise engine tests every
+// Three engines share this interface. The pairwise engine tests every
 // same-location access pair against the dag's reachability closure and
 // works on any computation. When the computation carries its
 // series-parallel parse (core/sp_structure.hpp, recorded by
 // proc::CilkProgram), find_races and has_race dispatch to the SP-bags
-// engine in analyze/sp_bags.hpp instead: near-linear disjoint-set
-// replay in the Feng–Leiserson Nondeterminator style, no closure build.
+// engine in analyze/sp_bags.hpp instead (disjoint-set replay in the
+// Feng–Leiserson Nondeterminator style, no closure build); large
+// general dags go to the oracle engine. The lints call none of these:
+// they take the race count and the smallest races from
+// analyze::summarize_races (analyze/race_oracle.hpp).
 #pragma once
 
 #include <vector>
@@ -33,20 +36,18 @@ struct Race {
   [[nodiscard]] bool operator==(const Race&) const = default;
 };
 
-/// The engines behind find_races/has_race. kAuto resolves via
-/// select_race_engine: SP-bags when the computation carries its parse,
-/// the closure-backed pairwise walk below kPairwiseNodeCutoff nodes,
-/// and the oracle engine (analyze/race_oracle.hpp — precedence-oracle
-/// fast path + mask sweeps, no closure) for large general dags.
-enum class RaceEngine : std::uint8_t { kAuto, kSpBags, kPairwise, kOracle };
+/// The engines behind find_races/has_race, as select_race_engine picks
+/// them: SP-bags when the computation carries its parse, the
+/// closure-backed pairwise walk below kPairwiseNodeCutoff nodes, and
+/// the oracle engine (analyze/race_oracle.hpp — precedence-oracle fast
+/// path + mask sweeps, no closure) for large general dags.
+enum class RaceEngine : std::uint8_t { kSpBags, kPairwise, kOracle };
 
-[[nodiscard]] const char* race_engine_name(RaceEngine e);
-
-/// Node count at which kAuto abandons the pairwise engine: past this
-/// the O(n²)-bit closure dominates everything else the scan does.
+/// Node count at which the dispatch abandons the pairwise engine: past
+/// this the O(n²)-bit closure dominates everything else the scan does.
 inline constexpr std::size_t kPairwiseNodeCutoff = 2048;
 
-/// The engine kAuto resolves to for this computation.
+/// The engine find_races/has_race run on this computation.
 [[nodiscard]] RaceEngine select_race_engine(const Computation& c);
 
 /// All races, ordered by (a, b, loc), deduplicated. Dispatches through

@@ -110,8 +110,11 @@ std::string NumaTopology::to_string() const {
   }
   out += ":";
   for (const NumaNode& node : nodes) {
-    out += " " + std::to_string(node.id) + "[" +
-           std::to_string(node.cpus.size()) + " cpus]";
+    out += ' ';
+    out += std::to_string(node.id);
+    out += '[';
+    out += std::to_string(node.cpus.size());
+    out += " cpus]";
   }
   return out;
 }

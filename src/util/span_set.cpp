@@ -43,10 +43,21 @@ void SpanSet::grow_to_cover(std::size_t wi) {
     new_last = std::min(universe_words(), std::max(wi + 1, last + slack));
     if (wi >= new_last) new_last = wi + 1;  // universe clamp can't lose wi
   }
-  std::vector<word_type> grown(new_last - new_first, 0);
-  std::copy(words_.begin(), words_.end(),
-            grown.begin() + static_cast<std::ptrdiff_t>(first_word_ - new_first));
-  words_ = std::move(grown);
+  const std::size_t new_size = new_last - new_first;
+  const auto shift = static_cast<std::ptrdiff_t>(first_word_ - new_first);
+  if (new_size <= words_.capacity()) {
+    // Room kept from an earlier universe (reset_universe): slide the
+    // words up in place and zero the words uncovered below them.
+    const auto old_size = static_cast<std::ptrdiff_t>(words_.size());
+    words_.resize(new_size, 0);
+    std::copy_backward(words_.begin(), words_.begin() + old_size,
+                       words_.begin() + shift + old_size);
+    std::fill(words_.begin(), words_.begin() + shift, 0);
+  } else {
+    std::vector<word_type> grown(new_size, 0);
+    std::copy(words_.begin(), words_.end(), grown.begin() + shift);
+    words_ = std::move(grown);
+  }
   first_word_ = new_first;
 }
 

@@ -68,6 +68,16 @@ class SpanSet {
     first_word_ = 0;
     std::vector<word_type>().swap(words_);
   }
+  /// Empty the set over a new universe [0, size), keeping the blob's
+  /// capacity: a set refilled run after run allocates again only when
+  /// a run outgrows every earlier one. memory_bytes() still counts the
+  /// kept capacity.
+  void reset_universe(std::size_t size) {
+    size_ = size;
+    rep_ = Rep::kEmpty;
+    first_word_ = 0;
+    words_.clear();
+  }
   /// Jump to the full representation (frees the blob).
   void make_full() {
     rep_ = size_ == 0 ? Rep::kEmpty : Rep::kFull;

@@ -484,7 +484,7 @@ TEST(AnalyzeDriver, RaceCapSummarizes) {
   std::size_t race_diags = 0;
   bool summary = false;
   for (const auto& d : diags) {
-    if (d.pass == "sp-bags-race" && d.severity != analyze::Severity::kInfo)
+    if (d.pass == "oracle-race" && d.severity != analyze::Severity::kInfo)
       ++race_diags;
     if (d.message.find("suppressed") != std::string::npos) summary = true;
   }
@@ -536,9 +536,9 @@ TEST(AnalyzeDriver, JsonReportIsWellFormed) {
   EXPECT_EQ(std::count(json.begin(), json.end(), '"') % 2, 0);
 }
 
-TEST(AnalyzeDriver, StatsReportResolvedEngine) {
-  // kAuto must never leak into the output stats: the driver records the
-  // engine it actually ran.
+TEST(AnalyzeDriver, StatsReportTheScan) {
+  // Both lints run one scan: the stats name the oracle it used and the
+  // exact race count, whatever the oracle.
   CilkProgram p;
   auto main = p.root();
   auto a = main.spawn();
@@ -550,13 +550,15 @@ TEST(AnalyzeDriver, StatsReportResolvedEngine) {
   analyze::AnalysisOptions options;
   options.classify_anomalies = false;
   (void)analyze::analyze_computation(c, options, &stats);
-  EXPECT_EQ(stats.engine, RaceEngine::kSpBags);  // parse present
+  EXPECT_EQ(stats.scan.oracle_kind, "sp-order");  // parse present
+  EXPECT_EQ(stats.races, find_races_pairwise(c).size());
   EXPECT_GT(stats.races, 0u);
+  EXPECT_NE(stats.to_string().find("sp-order"), std::string::npos);
 
-  options.engine = RaceEngine::kOracle;
+  options.scan.oracle.choice = OracleChoice::kChain;
   (void)analyze::analyze_computation(c, options, &stats);
-  EXPECT_EQ(stats.engine, RaceEngine::kOracle);
-  EXPECT_NE(stats.to_string().find("oracle"), std::string::npos);
+  EXPECT_EQ(stats.scan.oracle_kind, "chain");
+  EXPECT_EQ(stats.races, find_races_pairwise(c).size());
 }
 
 }  // namespace

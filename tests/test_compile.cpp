@@ -436,7 +436,9 @@ TEST(Compile, SpecLoaderSelectsRepeatedPacksWhole) {
             ModelRegistry::bundled().entries().size() + 30);
   ASSERT_EQ(models.size(), 60u);
   for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(models[i]->name(), "M" + std::to_string(i));
+    std::string name = "M";
+    name += std::to_string(i);
+    EXPECT_EQ(models[i]->name(), name);
     EXPECT_EQ(models[i], models[i + 30]);
   }
 }

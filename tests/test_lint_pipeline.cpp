@@ -6,7 +6,9 @@
 //    traces, shuffled event arrays included;
 //  * analyze_trace, which checks through the session's stream, equals
 //    the dense route: the completion Φ, then large_check (spec_check
-//    when spec models ride along), field for field.
+//    when spec models ride along), field for field;
+//  * past the race-count clamp the trace lint still reports the k
+//    smallest races, the static lint's.
 #include "trace/lint_pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +26,9 @@
 #include "exec/weak_memory.hpp"
 #include "proc/random_program.hpp"
 #include "reference_trace.hpp"
+#include "trace/race.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ccmm {
 namespace {
@@ -173,7 +177,6 @@ TraceLintResult dense_route(const Computation& c, const Trace& trace,
   }
 
   analyze::AnalysisOptions aopt = options.analysis;
-  aopt.engine = RaceEngine::kOracle;
   aopt.lint = false;
   for (const auto& m : options.spec_models)
     aopt.anomaly.extra_models.push_back(m);
@@ -288,6 +291,67 @@ TEST(LintPipeline, MatchesTheDenseObserverRoute) {
   }
   EXPECT_GT(violated_backer, 0u);
   EXPECT_GT(searched_non_members, 0u);
+}
+
+/// The (a, b, loc) of every race diagnostic, in report order.
+std::vector<Race> race_diagnostics(const std::vector<Diagnostic>& diags) {
+  std::vector<Race> out;
+  for (const Diagnostic& d : diags)
+    if (d.pass == "oracle-race" && d.b != kBottom)
+      out.push_back({d.a, d.b, *d.loc, RaceKind::kReadWrite});
+  return out;
+}
+
+TEST(LintPipeline, AboveTheCountCapReportsTheSmallestRaces) {
+  // A scan.max_races below the race count clamps the count, not the
+  // choice of races: the trace lint reports the k smallest, exactly as
+  // the static lint does, on one thread or many.
+  Rng rng(2026);
+  const Computation c = random_program(400, 6, rng);
+  std::vector<Race> expected = find_races_pairwise(c);
+  ScMemory sc;
+  const Trace trace = run_serial(c, sc).trace;
+  constexpr std::size_t kCap = 40;
+  constexpr std::size_t kShown = 8;
+  ASSERT_GT(expected.size(), 4 * kCap);
+  expected.resize(kShown);
+  for (Race& r : expected) r.kind = RaceKind::kReadWrite;
+
+  ThreadPool pool(4);
+  for (const bool parallel : {false, true}) {
+    TraceLintOptions opt;
+    opt.models = kSuiteLC;
+    opt.certify = false;
+    opt.analysis.max_race_diagnostics = kShown;
+    opt.analysis.scan.max_races = kCap;
+    opt.analysis.scan.pool = &pool;
+    opt.analysis.scan.parallel = parallel;
+    const TraceLintResult r = analyze::analyze_trace(c, trace, opt);
+    ASSERT_TRUE(r.trace_ok);
+    const std::string ctx = parallel ? "pool" : "sequential";
+    EXPECT_EQ(r.stats.races, kCap) << ctx;
+    EXPECT_TRUE(r.stats.scan.truncated) << ctx;
+    EXPECT_EQ(race_diagnostics(r.diagnostics), expected) << ctx;
+
+    analyze::AnalysisOptions sopt;
+    sopt.max_race_diagnostics = kShown;
+    sopt.scan.pool = &pool;
+    sopt.scan.parallel = parallel;
+    const std::vector<Diagnostic> stat = analyze::analyze_computation(c, sopt);
+    std::vector<const Diagnostic*> got_races;
+    std::vector<const Diagnostic*> want_races;
+    for (const Diagnostic& d : r.diagnostics)
+      if (d.pass == "oracle-race" && d.b != kBottom) got_races.push_back(&d);
+    for (const Diagnostic& d : stat)
+      if (d.pass == "oracle-race" && d.b != kBottom) want_races.push_back(&d);
+    ASSERT_EQ(got_races.size(), want_races.size()) << ctx;
+    for (std::size_t i = 0; i < got_races.size(); ++i) {
+      EXPECT_EQ(got_races[i]->message, want_races[i]->message) << ctx;
+      EXPECT_EQ(got_races[i]->severity, want_races[i]->severity) << ctx;
+      EXPECT_EQ(got_races[i]->witness_a, want_races[i]->witness_a) << ctx;
+      EXPECT_EQ(got_races[i]->witness_b, want_races[i]->witness_b) << ctx;
+    }
+  }
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 // pairs, locations, kinds — on exhaustive small-dag enumeration and on
 // random layered / fork-join / perturbed families, under every oracle
 // choice and both enumeration paths (direct oracle pairs and the
-// 64-anchor mask sweeps).
+// 64-anchor mask sweeps). summarize_races, the lints' scan, must give
+// the pairwise set's size and its first k races for every k, on the
+// same inputs and configurations, and under the SP-order oracle's
+// inversion count wherever a parse is recorded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analyze/race_oracle.hpp"
@@ -35,6 +39,45 @@ std::vector<Race> sorted_pairwise(const Computation& c) {
   std::vector<Race> races = find_races_pairwise(c);
   std::sort(races.begin(), races.end(), race_order);
   return races;
+}
+
+constexpr std::size_t kTopK[] = {0, 1, 7, 64, SIZE_MAX};
+
+/// summarize_races under `opt` must report the size of `expected` (the
+/// pairwise set) and its first k races, for every k of kTopK.
+void expect_summary_matches(const Computation& c,
+                            const std::vector<Race>& expected,
+                            const RaceScanOptions& opt,
+                            const std::string& what) {
+  for (const std::size_t k : kTopK) {
+    RaceScanStats st;
+    const analyze::RaceSummary got = analyze::summarize_races(c, k, opt, &st);
+    EXPECT_EQ(got.count, expected.size()) << what << " k=" << k;
+    EXPECT_EQ(st.races, expected.size()) << what << " k=" << k;
+    ASSERT_EQ(got.smallest.size(), std::min(k, expected.size()))
+        << what << " k=" << k;
+    for (std::size_t i = 0; i < got.smallest.size(); ++i)
+      EXPECT_EQ(got.smallest[i], expected[i])
+          << what << " k=" << k << " race " << i;
+  }
+}
+
+/// With the parse recorded, summarize_races counts by SP-order
+/// inversions: auto and forced sp-order must both match pairwise.
+void expect_order_summary_matches(const Computation& sp,
+                                  const std::string& what) {
+  const std::vector<Race> expected = sorted_pairwise(sp);
+  for (const OracleChoice choice :
+       {OracleChoice::kAuto, OracleChoice::kSpOrder}) {
+    RaceScanOptions opt;
+    opt.oracle.choice = choice;
+    RaceScanStats st;
+    (void)analyze::summarize_races(sp, 1, opt, &st);
+    if (!st.oracle_kind.empty()) {
+      EXPECT_EQ(st.oracle_kind, "sp-order") << what;
+    }
+    expect_summary_matches(sp, expected, opt, what + " [sp-order]");
+  }
 }
 
 /// Every oracle choice and both enumeration paths must reproduce the
@@ -68,6 +111,8 @@ void expect_matches_pairwise(const Computation& c, const char* what) {
     }
     EXPECT_EQ(analyze::has_race_oracle(c, opt), !expected.empty())
         << what << " [" << cfg.name << "]";
+    expect_summary_matches(c, expected, opt,
+                           std::string(what) + " [" + cfg.name + "]");
     const std::optional<Race> first = analyze::find_first_race(c, opt);
     ASSERT_EQ(first.has_value(), !expected.empty())
         << what << " [" << cfg.name << "]";
@@ -178,10 +223,29 @@ TEST(RaceOracle, CilkFamilyWithAndWithoutParse) {
     const std::vector<Race> via_sp = analyze::find_races_oracle(sp, sp_opt);
     const std::vector<Race> expected = sorted_pairwise(sp);
     EXPECT_EQ(via_sp, expected);
+    expect_order_summary_matches(sp, "cilk/parse");
     const Computation general(Dag(sp.node_count(), sp.dag().edges()),
                               sp.ops());
     expect_matches_pairwise(general, "cilk/parse-dropped");
   }
+}
+
+TEST(RaceOracle, SmallCilkProgramsCountByOrderInversions) {
+  // Many small fork/join programs, few locations and a high write
+  // share: the SP-order count, flags and top-k walk against pairwise on
+  // racy, race-free, reader-only and single-accessor locations alike.
+  Rng rng(0xAB8);
+  std::size_t racy = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 2 + rng.below(60);
+    opt.nlocations = 1 + rng.below(4);
+    opt.write_prob = 0.2 + 0.6 * rng.uniform();
+    const Computation sp = proc::random_cilk(opt, rng);
+    if (!find_races_pairwise(sp).empty()) ++racy;
+    expect_order_summary_matches(sp, "small cilk " + std::to_string(trial));
+  }
+  EXPECT_GT(racy, 50u);
 }
 
 TEST(RaceOracle, PerturbedCilkFamily) {
@@ -285,13 +349,6 @@ TEST(RaceOracle, EngineSelectionPolicy) {
   EXPECT_FALSE(has_race(big));
 }
 
-TEST(RaceOracle, RaceEngineNames) {
-  EXPECT_STREQ(race_engine_name(RaceEngine::kAuto), "auto");
-  EXPECT_STREQ(race_engine_name(RaceEngine::kSpBags), "sp-bags");
-  EXPECT_STREQ(race_engine_name(RaceEngine::kPairwise), "pairwise");
-  EXPECT_STREQ(race_engine_name(RaceEngine::kOracle), "oracle");
-}
-
 // ---------------------------------------------------------------------
 // Sharded-engine stress: explicit pools of several sizes must produce
 // the identical race set (run under TSan by the *Parallel* CI filter).
@@ -342,6 +399,38 @@ TEST_P(RaceOracleParallel, CappedShardedScanStaysTruncated) {
     EXPECT_EQ(races.size(), 25u);
   } else {
     EXPECT_EQ(races.size(), full);
+  }
+}
+
+TEST_P(RaceOracleParallel, ShardedSummaryMatchesPairwise) {
+  // Per-location SP-order tasks and the counting direct/mask tasks
+  // (per-shard tallies) from a real pool: the count and the k smallest
+  // must be the sequential scan's and the pairwise set's.
+  Rng rng(0xF00D + GetParam());
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 600;
+  opt.nlocations = 12;
+  const Computation sp = proc::random_cilk(opt, rng);
+  const Computation general(Dag(sp.node_count(), sp.dag().edges()),
+                            sp.ops());
+  const std::vector<Race> expected = sorted_pairwise(sp);
+  ThreadPool pool(GetParam());
+  for (const Computation* c : {&sp, &general}) {
+    for (const std::size_t threshold : {SIZE_MAX, std::size_t{0}}) {
+      RaceScanOptions par;
+      par.pool = &pool;
+      par.direct_pair_threshold = threshold;
+      expect_summary_matches(*c, expected, par,
+                             c == &sp ? "parallel sp" : "parallel general");
+      RaceScanOptions seq = par;
+      seq.parallel = false;
+      for (const std::size_t k : kTopK) {
+        const analyze::RaceSummary a = analyze::summarize_races(*c, k, par);
+        const analyze::RaceSummary b = analyze::summarize_races(*c, k, seq);
+        EXPECT_EQ(a.count, b.count);
+        EXPECT_EQ(a.smallest, b.smallest);
+      }
+    }
   }
 }
 

@@ -222,5 +222,51 @@ TEST(SpanSet, RandomizedAgainstReference) {
   }
 }
 
+TEST(SpanSet, ResetUniverseKeepsCapacityNotContent) {
+  // One set refilled over universes of varying size behaves like a
+  // fresh set every time.
+  Rng rng(518);
+  SpanSet s;
+  for (int round = 0; round < 30; ++round) {
+    const std::size_t n = 1 + rng.below(2000);
+    s.reset_universe(n);
+    EXPECT_EQ(s.universe_size(), n);
+    EXPECT_TRUE(s.is_empty_rep());
+    EXPECT_EQ(s.count(), 0u);
+    std::vector<bool> ref(n, false);
+    for (int k = 0; k < 200; ++k) {
+      const std::size_t i = rng.below(n);
+      const bool on = rng.chance(0.8);
+      if (on)
+        s.set(i);
+      else
+        s.reset(i);
+      ref[i] = on;
+    }
+    std::size_t want = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(s.test(i), ref[i]) << "round " << round << " bit " << i;
+      want += ref[i] ? 1 : 0;
+    }
+    EXPECT_EQ(s.count(), want);
+  }
+
+  // A right-to-left fill grows the blob downward; the same fill after a
+  // reset slides the words up inside the kept capacity, allocating
+  // nothing.
+  SpanSet t(5000);
+  const auto fill = [&t] {
+    for (std::size_t i = 4000; i > 1000; i -= 7) t.set(i);
+  };
+  fill();
+  const std::size_t bytes = t.memory_bytes();
+  t.reset_universe(5000);
+  EXPECT_EQ(t.memory_bytes(), bytes);
+  fill();
+  EXPECT_EQ(t.memory_bytes(), bytes);
+  for (std::size_t i = 0; i < 5000; ++i)
+    EXPECT_EQ(t.test(i), i > 1000 && i <= 4000 && (4000 - i) % 7 == 0) << i;
+}
+
 }  // namespace
 }  // namespace ccmm

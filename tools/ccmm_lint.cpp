@@ -8,7 +8,7 @@
 //
 //   $ ./ccmm_lint instance.txt            # lint an instance file
 //   $ ./ccmm_lint --demo                  # lint a racy Cilk program
-//                                         # (exercises the SP-bags path)
+//                                         # (SP-order race scan)
 //   $ ./ccmm_lint instance.txt --no-anomaly --max-races 8
 //   $ ./ccmm_lint instance.txt --trace t.txt --json
 //   $ ./ccmm_lint instance.txt --certify cert.json
@@ -64,7 +64,7 @@ int usage() {
       "usage: ccmm_lint <instance.txt> [options]\n"
       "       ccmm_lint --demo [options]\n"
       "options:\n"
-      "  --demo          lint a built-in racy Cilk program (SP-bags path)\n"
+      "  --demo          lint a built-in racy Cilk program\n"
       "  --no-anomaly    skip model-anomaly classification of races\n"
       "  --no-lint       skip the memory lints (dead writes, ⊥ reads)\n"
       "  --max-races N   cap reported race diagnostics (default 64)\n"
@@ -176,8 +176,7 @@ int lint_trace(const Computation& c, const char* trace_path,
       }
       out += "]";
     }
-    out += format(",\"engine\":\"%s\",\"races\":%zu",
-                  race_engine_name(r.stats.engine), r.stats.races);
+    out += format(",\"races\":%zu", r.stats.races);
     out += ",\"analysis\":" + analyze::render_json(r.diagnostics);
     out += ",\"certificate\":";
     out += r.certificate.has_value() ? r.certificate->to_json() : "null";
@@ -280,8 +279,7 @@ int main(int argc, char** argv) {
   analyze::AnalyzeStats stats;
   const auto diags = analyze::analyze_computation(c, options, &stats);
   if (json) {
-    std::string out = format("{\"engine\":\"%s\",\"races\":%zu",
-                             race_engine_name(stats.engine), stats.races);
+    std::string out = format("{\"races\":%zu", stats.races);
     out += ",\"analysis\":" + analyze::render_json(diags);
     if (certify_path != nullptr) {
       std::string why;

@@ -128,12 +128,28 @@ void BM_FindRacesOracle(benchmark::State& state) {
 }
 
 /// Same scan on the parse-less rebuild: make_oracle falls back to the
-/// closure/chain tier, the general-dag regime.
+/// closure/chain tier, the general-dag regime. At 16384 nodes the auto
+/// oracle is the dag's own cached closure, frozen before timing so the
+/// row times the scan; BM_FindRacesOracleGeneralClosure times the
+/// closure build.
 void BM_FindRacesOracleGeneral(benchmark::State& state) {
   const OracleCase& c = oracle_case_for(static_cast<std::size_t>(state.range(0)));
+  c.general.dag().ensure_closure();
   for (auto _ : state)
     benchmark::DoNotOptimize(analyze::find_races_oracle(c.general));
   state.counters["races"] = static_cast<double>(c.races);
+}
+
+/// The closure the general-dag scan reads, built cold: a fresh dag of
+/// the case's edges and its O(n·m/64) reachability bitsets.
+void BM_FindRacesOracleGeneralClosure(benchmark::State& state) {
+  const OracleCase& c = oracle_case_for(static_cast<std::size_t>(state.range(0)));
+  const std::vector<Edge> edges = c.general.dag().edges();
+  for (auto _ : state) {
+    const Dag fresh(c.general.node_count(), edges);
+    fresh.ensure_closure();
+    benchmark::DoNotOptimize(fresh.closure_frozen());
+  }
 }
 
 /// The scan both lints run: the exact race count and the 64 smallest
@@ -149,10 +165,9 @@ void BM_RaceSummary(benchmark::State& state) {
 /// ... and on BM_FindRacesOracleGeneral's, where the closure/chain
 /// phases count by popcount and keep only the candidates that can
 /// still enter the 64 smallest. The auto oracle there is the dag's own
-/// cached closure, so it is built before timing: otherwise the first
-/// scan of the case pays it (~1 s at 16384 nodes, the single iteration
-/// BM_FindRacesOracleGeneral reports) and whichever benchmark runs
-/// later does not.
+/// cached closure, so it is built before timing, as there: otherwise
+/// the first scan of the case pays it (~1 s at 16384 nodes) and
+/// whichever benchmark runs later does not.
 void BM_RaceSummaryGeneral(benchmark::State& state) {
   const OracleCase& c = oracle_case_for(static_cast<std::size_t>(state.range(0)));
   c.general.dag().ensure_closure();
@@ -176,6 +191,7 @@ BENCHMARK(BM_HasRaceSpBags)->Arg(10000);
 BENCHMARK(BM_HasRacePairwise)->Arg(10000);
 BENCHMARK(BM_FindRacesOracle)->Arg(16384)->Arg(1048576);
 BENCHMARK(BM_FindRacesOracleGeneral)->Arg(16384);
+BENCHMARK(BM_FindRacesOracleGeneralClosure)->Arg(16384);
 BENCHMARK(BM_RaceSummary)->Arg(16384)->Arg(1048576);
 BENCHMARK(BM_RaceSummaryGeneral)->Arg(16384);
 BENCHMARK(BM_FindFirstRaceOracle)->Arg(1048576);

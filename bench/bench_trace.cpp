@@ -294,6 +294,40 @@ void BM_ComputationWriteText(benchmark::State& state) {
 BENCHMARK(BM_ComputationWriteText)->Arg(65536)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 
+/// The same instance as a binary computation image (io/text.hpp): what
+/// ServeClient::open sends and a daemon decodes for every session.
+void BM_ComputationReadImage(benchmark::State& state) {
+  const Computation c =
+      make_text_computation(static_cast<std::size_t>(state.range(0)));
+  const std::string image = io::write_computation_image(c);
+  for (auto _ : state) {
+    const Computation back = io::read_computation(std::string_view(image));
+    benchmark::DoNotOptimize(back.node_count());
+  }
+  state.counters["file_bytes"] = static_cast<double>(image.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(c.node_count()));
+}
+BENCHMARK(BM_ComputationReadImage)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ComputationWriteImage(benchmark::State& state) {
+  const Computation c =
+      make_text_computation(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string image = io::write_computation_image(c);
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["file_bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(c.node_count()));
+}
+BENCHMARK(BM_ComputationWriteImage)->Arg(65536)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+
 /// A star: node 0 precedes each of the other k nodes. Its one row of k
 /// edges is the hostile case for any per-edge duplicate scan.
 void BM_ComputationReadTextStar(benchmark::State& state) {

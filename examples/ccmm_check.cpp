@@ -1,7 +1,8 @@
 // ccmm_check — the command-line front door: read a computation (and
 // optionally an observer function) from a file in the ccmm text format
-// (see src/io/text.hpp) and report model memberships, a validity
-// diagnosis, witnesses, races, and an optional DOT rendering.
+// or the computation's binary image (see src/io/text.hpp) and report
+// model memberships, a validity diagnosis, witnesses, races, and an
+// optional DOT rendering.
 //
 //   $ ./ccmm_check instance.txt           # classify the pair
 //   $ ./ccmm_check instance.txt --dot     # also emit graphviz
@@ -11,7 +12,8 @@
 //   $ ./ccmm_check instance.txt --trace t.tbin   # binary traces auto-detect
 //   $ ./ccmm_check --trace-demo 1000000   # million-node streaming demo
 //   $ ./ccmm_check --trace-demo 500 --emit run
-//       # + write run.txt/run.trace/run.tbin (text + mmap-able binary)
+//       # + write run.txt/run.cimg (instance as text and as image) and
+//       # run.trace/run.tbin (trace as text and as binary)
 //   $ ./ccmm_check --list-models          # bundled spec registry + lattice
 //   $ ./ccmm_check instance.txt --spec pack.spec   # classify user models
 //   $ ./ccmm_check instance.txt --model TSO        # one bundled model
@@ -19,6 +21,7 @@
 //       # stream-decide the pack's models on a recorded trace
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,12 +81,17 @@ int fixpoint_report(std::size_t max_nodes) {
   return 0;
 }
 
-/// Attach the live progress line for multi-million-node postmortems: a
+/// The trace lint's options for an n-node computation. The race count
+/// is exact, as ccmm_lint reports it, not the pipeline's 2^16 clamp:
+/// the scan counts exactly and materializes only the reported races.
+/// Multi-million-node postmortems get a live progress line: a
 /// \r-rewritten percentage on stderr after every consumed chunk, erased
 /// once the scan completes. Below a million nodes the scan is
 /// sub-second and the line would only flicker.
-void arm_progress(analyze::TraceLintOptions& topt, std::size_t n) {
-  if (n <= 1'000'000) return;
+analyze::TraceLintOptions lint_options(std::size_t n) {
+  analyze::TraceLintOptions topt;
+  topt.analysis.scan.max_races = SIZE_MAX;
+  if (n <= 1'000'000) return topt;
   topt.progress = [](std::size_t done, std::size_t total) {
     std::fprintf(stderr, "\r  streaming check... %3.0f%% (%zu/%zu nodes)",
                  100.0 * static_cast<double>(done) /
@@ -92,6 +100,7 @@ void arm_progress(analyze::TraceLintOptions& topt, std::size_t n) {
     if (done >= total) std::fprintf(stderr, "\r\x1b[K");
     std::fflush(stderr);
   };
+  return topt;
 }
 
 /// Run the full streaming lint pipeline on a recorded trace: model
@@ -114,9 +123,8 @@ int trace_report(const Computation& c, const char* trace_path,
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  analyze::TraceLintOptions topt;
+  analyze::TraceLintOptions topt = lint_options(c.node_count());
   topt.spec_models = std::move(models);
-  arm_progress(topt, c.node_count());
   const analyze::TraceLintResult r = analyze::analyze_trace(c, trace, topt);
   std::printf("%s", r.to_string().c_str());
   const bool lc_ok = r.report.has_value() && r.report->in_model(kSuiteLC);
@@ -135,9 +143,10 @@ int trace_report(const Computation& c, const char* trace_path,
 /// trace. At n = 1'000'000 the closure path would need ~250 GB of
 /// reachability bitsets; the SP-order oracle uses 8 bytes per node.
 /// With `emit_prefix`, the run's artifacts are written to PREFIX.txt
-/// (instance), PREFIX.trace (text trace) and PREFIX.tbin (the binary
-/// mmap-able trace) — either trace file is consumable by
-/// `ccmm_lint <PREFIX>.txt --trace <PREFIX>.{trace,tbin}`.
+/// (instance text), PREFIX.cimg (the instance's binary image),
+/// PREFIX.trace (text trace) and PREFIX.tbin (the binary mmap-able
+/// trace) — any pair is consumable by
+/// `ccmm_lint <PREFIX>.{txt,cimg} --trace <PREFIX>.{trace,tbin}`.
 int trace_demo(std::size_t n, const char* emit_prefix) {
   Rng rng(2026);
   proc::RandomCilkOptions opt;
@@ -151,27 +160,29 @@ int trace_demo(std::size_t n, const char* emit_prefix) {
   if (emit_prefix != nullptr) {
     const std::string base = emit_prefix;
     std::ofstream ci(base + ".txt");
+    std::ofstream cm(base + ".cimg", std::ios::binary);
     std::ofstream ct(base + ".trace");
     std::ofstream cb(base + ".tbin", std::ios::binary);
     ci << io::write_computation(c);
+    cm << io::write_computation_image(c);
     write_trace(run.trace, ct);
     write_trace_binary(run.trace, cb);
-    if (!ci || !ct || !cb) {
-      std::fprintf(stderr, "cannot write %s.{txt,trace,tbin}\n", emit_prefix);
+    if (!ci || !cm || !ct || !cb) {
+      std::fprintf(stderr, "cannot write %s.{txt,cimg,trace,tbin}\n",
+                   emit_prefix);
       return 2;
     }
-    std::printf("wrote %s.txt, %s.trace and %s.tbin\n", emit_prefix,
-                emit_prefix, emit_prefix);
+    std::printf("wrote %s.txt, %s.cimg, %s.trace and %s.tbin\n", emit_prefix,
+                emit_prefix, emit_prefix, emit_prefix);
   }
   std::printf("streaming lint pipeline on the trace:\n");
-  analyze::TraceLintOptions topt;
+  analyze::TraceLintOptions topt = lint_options(c.node_count());
   if (c.node_count() > (std::size_t{1} << 23)) {
     // The per-node lints would drown the report in hundreds of
     // thousands of dead-write notes at this scale.
     topt.analysis.lint = false;
     std::printf("(scale demo: skipping per-node lints)\n");
   }
-  arm_progress(topt, c.node_count());
   const analyze::TraceLintResult r =
       analyze::analyze_trace(c, run.trace, topt);
   std::printf("%s", r.to_string().c_str());
@@ -276,8 +287,9 @@ int main(int argc, char** argv) {
                  "report)\n"
                  "       ccmm_check --trace-demo N [--emit PREFIX]\n"
                  "           (synthesize, execute and stream-check ~N ops;\n"
-                 "            --emit writes PREFIX.txt + PREFIX.trace +\n"
-                 "            PREFIX.tbin for ccmm_lint --trace)\n"
+                 "            --emit writes PREFIX.txt + PREFIX.cimg +\n"
+                 "            PREFIX.trace + PREFIX.tbin for ccmm_lint\n"
+                 "            --trace)\n"
                  "       ccmm_check --list-models [--spec FILE]\n"
                  "           (print the compiled-model registry and its\n"
                  "            derived implication lattice)\n"

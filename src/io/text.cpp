@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <memory>
 #include <optional>
@@ -26,10 +27,14 @@ constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 class Scanner {
  public:
   explicit Scanner(std::string_view text) : rest_(text) {}
-  explicit Scanner(std::istream& in)
+  /// A stream whose first bytes, `head`, the caller already read.
+  explicit Scanner(std::istream& in, std::string_view head = {})
       : src_(in.rdbuf()),
         stream_(src_),
-        block_(std::make_unique_for_overwrite<char[]>(kBlockBytes)) {}
+        block_(std::make_unique_for_overwrite<char[]>(kBlockBytes)) {
+    if (!head.empty()) std::memcpy(block_.get(), head.data(), head.size());
+    rest_ = {block_.get(), head.size()};
+  }
 
   /// Next directive as tokens; empty at end of input.
   const std::vector<std::string_view>& next() {
@@ -119,6 +124,15 @@ class Scanner {
   std::vector<std::string_view> toks_;
   std::size_t line_ = 0;
 };
+
+/// The first bytes of a stream, up to the image magic's length: the
+/// whole magic when the stream holds an image, else the start of a text
+/// for the scanner to pick up.
+std::string_view sniff(std::istream& in,
+                       char (&head)[sizeof kComputationImageMagic]) {
+  const std::streamsize got = in.rdbuf()->sgetn(head, sizeof head);
+  return {head, static_cast<std::size_t>(std::max<std::streamsize>(got, 0))};
+}
 
 [[noreturn]] void parse_error(std::size_t line, const std::string& what) {
   throw std::runtime_error(format("ccmm text parse error, line %zu: %s",
@@ -363,13 +377,18 @@ std::string write_computation(const Computation& c) {
 }
 
 Computation read_computation(std::istream& in) {
-  Scanner r(in);
+  char buf[sizeof kComputationImageMagic];
+  const std::string_view head = sniff(in, buf);
+  if (is_computation_image(head))
+    return detail::read_computation_image_rest(*in.rdbuf());
+  Scanner r(in, head);
   Computation c = read_computation_body(r);
   r.give_back();
   return c;
 }
 
 Computation read_computation(std::string_view text) {
+  if (is_computation_image(text)) return read_computation_image(text);
   Scanner r(text);
   return read_computation_body(r);
 }
@@ -402,9 +421,13 @@ std::string write_pair(const Computation& c, const ObserverFunction& phi) {
 }
 
 TextPair read_pair(std::istream& in) {
-  Scanner r(in);
+  char buf[sizeof kComputationImageMagic];
+  const std::string_view head = sniff(in, buf);
+  const bool image = is_computation_image(head);
   TextPair pair;
-  pair.c = read_computation_body(r);
+  if (image) pair.c = detail::read_computation_image_rest(*in.rdbuf());
+  Scanner r(in, image ? std::string_view{} : head);
+  if (!image) pair.c = read_computation_body(r);
   // Optional observer block: peek for the header.
   {
     const auto& t = r.next();

@@ -54,10 +54,8 @@ FrameHeader ServeClient::read_reply(std::vector<unsigned char>& payload) {
 
 std::uint64_t ServeClient::open(const Computation& c) {
   flush();
-  OpenRequest req;
-  req.options = opts_.session;
-  req.computation_text = io::write_computation(c);
-  const std::string payload = encode_open(req);
+  const std::string image = io::write_computation_image(c);
+  const std::string payload = encode_open({opts_.session, image});
   send(FrameType::kOpen, 0, payload.data(), payload.size());
   std::vector<unsigned char> reply;
   const FrameHeader h = read_reply(reply);

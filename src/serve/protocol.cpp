@@ -31,7 +31,7 @@ void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-void put_str(std::string& out, const std::string& s) {
+void put_str(std::string& out, std::string_view s) {
   put_u64(out, s.size());
   out.append(s);
 }
@@ -59,11 +59,13 @@ class Reader {
 
   double f64() { return std::bit_cast<double>(u64()); }
 
-  std::string str() {
+  std::string str() { return std::string(view()); }
+
+  /// A length-prefixed string, as a view into the payload.
+  std::string_view view() {
     const std::uint64_t k = u64();
     const unsigned char* b = take(k);
-    return std::string(reinterpret_cast<const char*>(b),
-                       static_cast<std::size_t>(k));
+    return {reinterpret_cast<const char*>(b), static_cast<std::size_t>(k)};
   }
 
   const unsigned char* take(std::uint64_t k) {
@@ -186,7 +188,7 @@ bool read_frame(int fd, FrameHeader& header,
 std::string encode_open(const OpenRequest& req) {
   std::string out;
   put_options(out, req.options);
-  put_str(out, req.computation_text);
+  put_str(out, req.computation);
   return out;
 }
 
@@ -194,7 +196,7 @@ OpenRequest decode_open(const unsigned char* p, std::size_t size) {
   Reader r(p, size);
   OpenRequest req;
   req.options = get_options(r);
-  req.computation_text = r.str();
+  req.computation = r.view();
   r.expect_end();
   return req;
 }
@@ -321,7 +323,7 @@ std::string encode_snapshot(const CheckSession& session) {
         "snapshot requires a session opened with retain_events");
   std::string out(kSnapshotMagic, sizeof kSnapshotMagic);
   put_options(out, session.options());
-  put_str(out, io::write_computation(session.computation()));
+  put_str(out, io::write_computation_image(session.computation()));
   const std::vector<BinaryTraceEvent>& evs = session.retained_events();
   put_u64(out, evs.size());
   const std::size_t at = out.size();
@@ -341,7 +343,7 @@ SnapshotImage decode_snapshot(const unsigned char* p, std::size_t size) {
   // Snapshots only exist for retaining sessions; the restored session
   // must retain too or it could never be snapshotted again.
   img.options.retain_events = true;
-  img.computation_text = r.str();
+  img.computation = r.view();
   const std::uint64_t k = r.u64();
   if (k > r.remaining() / kTraceBinaryEventBytes)
     throw ProtocolError(

@@ -24,7 +24,7 @@
 //
 //   client                          server
 //   ------                         ------
-//   kOpen(models, computation)  →
+//   kOpen(options, computation) →
 //                               ←  kOpened(session, nodes)
 //   kEvents(k · 32B records)    →           (no reply — pipelined)
 //   kEvents(…, kFlagWantVerdict)→
@@ -34,6 +34,12 @@
 //   kFinish                     →
 //                               ←  kReport(final, byte-identical to
 //                                          `ccmm_check --trace`)
+//
+// kOpen and snapshots carry the computation as the binary image of
+// io/text.hpp, which ServeClient sends, or as text, which any client
+// that can print `computation … end` may send: the server hands the
+// bytes to io::read_computation, which tells the two apart by the
+// image's magic.
 //
 // Sessions survive disconnects: a new connection sends kAttach(id) to
 // rebind. kSnapshot returns an opaque blob (magic "CCMMSNP1") that
@@ -49,6 +55,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/session_kernel.hpp"
@@ -63,7 +70,7 @@ inline constexpr char kSnapshotMagic[8] = {'C', 'C', 'M', 'M',
 
 enum class FrameType : std::uint8_t {
   // client → server
-  kOpen = 1,      // SessionOptions + computation text → kOpened
+  kOpen = 1,      // SessionOptions + computation → kOpened
   kAttach = 2,    // u64 session id → kOpened
   kEvents = 3,    // k × 32-byte records; reply only when flagged
   kCheck = 4,     // → kReport over the consumed prefix
@@ -127,12 +134,12 @@ void write_frame(int fd, FrameType type, std::uint8_t flags,
 
 // -- payload codecs ---------------------------------------------------------
 
-/// The kOpen payload: session options + the computation in the io/text
-/// format. (The text format is the interop surface: any client that
-/// can print `computation … end` can open a session.)
+/// The kOpen payload: session options + the computation, as an image
+/// or as text (io/text.hpp). `computation` views bytes the caller keeps
+/// alive: the encoder's input, or the payload decode_open read.
 struct OpenRequest {
   SessionOptions options;
-  std::string computation_text;
+  std::string_view computation;
 };
 
 [[nodiscard]] std::string encode_open(const OpenRequest& req);
@@ -155,13 +162,14 @@ void decode_opened(const unsigned char* p, std::size_t size,
 [[nodiscard]] LargeCheckReport decode_report(const unsigned char* p,
                                              std::size_t size);
 
-/// Snapshot blob: options + computation text + the retained event log.
+/// Snapshot blob: options + the computation (encoded as an image; a
+/// blob that carries text restores too) + the retained event log.
 /// Restoring replays the log through a fresh CheckSession, so the
 /// restored session's verdicts are byte-identical by construction.
 [[nodiscard]] std::string encode_snapshot(const CheckSession& session);
 struct SnapshotImage {
   SessionOptions options;
-  std::string computation_text;
+  std::string_view computation;  // views the decoded blob
   std::vector<BinaryTraceEvent> events;
 };
 [[nodiscard]] SnapshotImage decode_snapshot(const unsigned char* p,

@@ -553,11 +553,11 @@ struct Server::Impl {
       if (t.kind == Task::Kind::kOpen) {
         OpenRequest req = decode_open(t.blob.data(), t.blob.size());
         chk = std::make_unique<CheckSession>(
-            io::read_computation(req.computation_text), req.options);
+            io::read_computation(req.computation), req.options);
       } else {
         SnapshotImage img = decode_snapshot(t.blob.data(), t.blob.size());
         chk = std::make_unique<CheckSession>(
-            io::read_computation(img.computation_text), img.options);
+            io::read_computation(img.computation), img.options);
         replay = std::move(img.events);
       }
       // Retained logs only hold accepted records, so the replay cannot

@@ -1,19 +1,50 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 
 #include "construct/witness.hpp"
 #include "core/last_writer.hpp"
+#include "dag/generators.hpp"
+#include "enumerate/dag_enum.hpp"
 #include "io/dot.hpp"
 #include "io/text.hpp"
 #include "models/examples.hpp"
 #include "proc/random_program.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
+
+// Allocation accounting for the hostile-image test: while a thread's
+// counter is armed, every operator new request adds its size. The
+// array, sized and nothrow forms of the library forward here.
+namespace {
+thread_local bool g_count_allocations = false;
+thread_local std::size_t g_allocated = 0;
+}  // namespace
+
+// GCC inlines these into library code that it sees pair a new
+// expression with free(); they are a matched malloc/free pair.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  if (g_count_allocations) g_allocated += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace ccmm::io {
 namespace {
@@ -790,6 +821,390 @@ TEST(TextIo, StreamIsLeftAfterTheBlockItRead) {
   std::string rest;
   std::getline(in, rest);
   EXPECT_EQ(rest, "trailing");
+}
+
+// ---------------------------------------------------------------------
+// The computation image (layout table in io/text.hpp).
+// ---------------------------------------------------------------------
+
+/// Text → image → text on one computation: the image decodes, through
+/// the view and the stream overload, to what the text reader returned,
+/// strands included, and re-encodes to itself and to the same text.
+void expect_image_round_trip(const Computation& c, const std::string& ctx) {
+  const std::string text = write_computation(c);
+  const Computation parsed = read_computation(std::string_view(text));
+  const std::string image = write_computation_image(parsed);
+  ASSERT_TRUE(is_computation_image(image)) << ctx;
+  std::istringstream in(image);
+  for (const Computation& back :
+       {read_computation(std::string_view(image)), read_computation(in)}) {
+    EXPECT_EQ(back, parsed) << ctx;
+    expect_same_sp(back, parsed);
+    EXPECT_EQ(write_computation(back), text) << ctx;
+    EXPECT_EQ(write_computation_image(back), image) << ctx;
+  }
+}
+
+/// `c`'s dag with ops drawn from the alphabet over `nlocations`.
+Computation labeled(Dag dag, std::size_t nlocations, Rng& rng) {
+  const std::vector<Op> alphabet = op_alphabet(nlocations);
+  std::vector<Op> ops(dag.node_count());
+  for (Op& o : ops) o = alphabet[rng.below(alphabet.size())];
+  return Computation(std::move(dag), std::move(ops));
+}
+
+/// The same graph with node ids permuted, so ids are no longer a
+/// topological order and the acyclicity check has to run.
+Dag shuffled(const Dag& dag, Rng& rng) {
+  std::vector<NodeId> perm(dag.node_count());
+  for (NodeId u = 0; u < perm.size(); ++u) perm[u] = u;
+  for (std::size_t i = perm.size(); i > 1; --i)
+    std::swap(perm[i - 1], perm[rng.below(i)]);
+  std::vector<Edge> edges;
+  for (const Edge& e : dag.edges()) edges.push_back({perm[e.from], perm[e.to]});
+  return Dag(dag.node_count(), edges);
+}
+
+TEST(ComputationImage, TextImageTextRoundTripsOnEveryFamily) {
+  Rng rng(2024);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng g(seed);
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 1 + g.below(3000);
+    opt.nlocations = 1 + g.below(40);
+    const Computation c = proc::random_cilk(opt, g);
+    ASSERT_NE(c.sp_structure(), nullptr);
+    expect_image_round_trip(c, "random_cilk " + std::to_string(seed));
+    expect_image_round_trip(Computation(c.dag(), c.ops()),
+                            "random_cilk without its parse " +
+                                std::to_string(seed));
+  }
+  for (int i = 0; i < 10; ++i) {
+    const std::vector<std::size_t> widths = {1 + rng.below(6), 1 + rng.below(9),
+                                             1 + rng.below(9), 1 + rng.below(4)};
+    const Dag dag = gen::layered(widths, 0.3, rng);
+    expect_image_round_trip(labeled(dag, 3, rng), "layered");
+    expect_image_round_trip(labeled(shuffled(dag, rng), 3, rng),
+                            "layered, shuffled ids");
+    const Dag sparse = gen::random_dag(50 + rng.below(400), 0.01, rng);
+    expect_image_round_trip(labeled(sparse, 5, rng), "sparse");
+    expect_image_round_trip(labeled(shuffled(sparse, rng), 5, rng),
+                            "sparse, shuffled ids");
+  }
+  for (std::size_t n = 0; n <= 4; ++n)
+    for_each_topo_dag(n, [&](const Dag& dag) {
+      expect_image_round_trip(labeled(dag, 2, rng),
+                              "exhaustive n=" + std::to_string(n));
+      return !HasFailure();
+    });
+  for (const auto& p : examples::all()) expect_image_round_trip(p.c, p.name);
+}
+
+TEST(ComputationImage, EdgeCases) {
+  for (const char* text :
+       {"computation\nnodes 0\nend\n", "computation\nnodes 0\nstrand y_\nend\n",
+        "computation\nnodes 3\nedge 0 1\nedge 1 2\nedge 0 1\nedge 1 2\n"
+        "edge 0 1\nend\n",
+        "computation\nnodes 4\nedge 2 1\nedge 3 2\nedge 2 1\nop 3 W 1073741824\n"
+        "strand n3 s1 y_\nstrand\nend\n"}) {
+    const Computation c = read_computation(std::string_view(text));
+    expect_image_round_trip(c, text);
+  }
+  // nodes 0: a bare header. A lone y_ sync: one strand of one event
+  // whose node is 0xFFFFFFFF.
+  EXPECT_EQ(write_computation_image(Computation()).size(),
+            kComputationImageHeaderBytes);
+  const std::string lone = write_computation_image(
+      read_computation("computation\nnodes 0\nstrand y_\nend\n"));
+  ASSERT_EQ(lone.size(), kComputationImageHeaderBytes + 4 + 8);
+  EXPECT_EQ(lone.substr(40), std::string("\x01\0\0\0\x02\0\0\0\xff\xff\xff\xff",
+                                         12));
+  // The text reader keeps the first of repeated edges; an image that
+  // repeats one is not what the writer writes, and names the repeat.
+  std::string twice = write_computation_image(
+      read_computation("computation\nnodes 2\nedge 0 1\nend\n"));
+  twice[24] = 2;  // edge_count 2
+  twice += twice.substr(twice.size() - 8);
+  try {
+    (void)read_computation_image(twice);
+    ADD_FAILURE() << "a repeated edge must not decode";
+  } catch (const ImageReadError& e) {
+    EXPECT_EQ(e.offset(), 40u + 16 + 8) << e.what();
+    EXPECT_NE(std::string(e.what()).find("repeated edge"), std::string::npos);
+  }
+}
+
+/// Bytes spelled as hex pairs, whitespace ignored.
+std::string unhex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i < hex.size();) {
+    if (hex[i] == ' ' || hex[i] == '\n') {
+      ++i;
+      continue;
+    }
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    i += 2;
+  }
+  return out;
+}
+
+const char* const kThreeNodeText =
+    "computation\nnodes 3\nop 0 W 5\nop 1 R 5\nedge 0 1\nedge 0 2\n"
+    "edge 1 2\nstrand n0 s1 y2\nstrand n1\nend\n";
+
+TEST(ComputationImage, PinsTheBytesOfAThreeNodeImage) {
+  const std::string want = unhex(
+      // magic, version 1, reserved, 3 nodes, 3 edges, 2 strands
+      "43434d4d434d5030 01000000 00000000"
+      "0300000000000000 0300000000000000 0200000000000000"
+      // ops: W 5, R 5, N
+      "0200000005000000 0100000005000000 0000000000000000"
+      // edges 0→1, 0→2, 1→2
+      "0000000001000000 0000000002000000 0100000002000000"
+      // strand lengths 3, 1
+      "03000000 01000000"
+      // n0 s1 y2 | n1
+      "0000000000000000 0100000001000000 0200000002000000"
+      "0000000001000000");
+  ASSERT_EQ(want.size(), 128u);
+  const Computation c = read_computation(std::string_view(kThreeNodeText));
+  EXPECT_EQ(write_computation_image(c), want);
+  EXPECT_EQ(write_computation(read_computation(std::string_view(want))),
+            kThreeNodeText);
+}
+
+/// One field the decoder must refuse, at the offset it must name.
+TEST(ComputationImage, ErrorsNameTheOffsetOfTheBadField) {
+  const std::string good = write_computation_image(
+      read_computation(std::string_view(kThreeNodeText)));
+  const auto expect_bad = [&](std::size_t at, std::string bytes,
+                              std::size_t offset, const std::string& needle) {
+    std::string image = good;
+    image.replace(at, bytes.size(), bytes);
+    try {
+      (void)read_computation_image(image);
+      ADD_FAILURE() << needle;
+    } catch (const ImageReadError& e) {
+      EXPECT_EQ(e.offset(), offset) << e.what();
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    format("computation image, offset %zu: ", offset), 0),
+                0u)
+          << e.what();
+    }
+  };
+  const auto le32 = [](std::uint32_t v) {
+    std::string b(4, '\0');
+    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    return b;
+  };
+  expect_bad(0, "CCMMTRC0", 0, "bad magic");
+  expect_bad(8, le32(2), 8, "version 2");
+  expect_bad(12, le32(1), 12, "reserved");
+  expect_bad(16, le32(1u << 29), 16, "exceeds 2^28");
+  expect_bad(16, le32(20), 16, "node_count needs");
+  expect_bad(24, le32(9), 24, "edge_count needs");
+  expect_bad(32, le32(40), 32, "strand_count needs");
+  expect_bad(40, "\x03", 40, "unknown op kind 3");
+  expect_bad(49, "\x01", 49, "op reserved");
+  expect_bad(48, std::string(1, '\0'), 52, "N op carries location 5");
+  expect_bad(52, le32((1u << 30) + 1), 52, "exceeds 2^30");
+  expect_bad(64, le32(3), 64, "names node 3");
+  expect_bad(68, le32(7), 68, "names node 7");
+  expect_bad(68, le32(0), 64, "self-loop");
+  expect_bad(72, le32(1) + le32(2) + le32(0), 80, "follows row 1");
+  expect_bad(76, le32(1), 72, "repeated edge");  // edges 0→1, 0→1, 1→2
+  expect_bad(84, le32(0), 64, "cycle");          // edges 0→1, 0→2, 1→0
+  expect_bad(88, le32(99), 88, "strand 0 ends past");
+  expect_bad(96, "\x04", 96, "unknown strand event kind 4");
+  expect_bad(99, "\x01", 97, "strand event reserved");
+  expect_bad(100, le32(3), 100, "names node 3");
+  expect_bad(108, le32(2), 108, "unknown strand 2");
+  expect_bad(116, le32(3), 116, "names node 3");
+  expect_bad(124, le32(kBottom), 124, "names node 4294967295");
+  expect_bad(0, good + "x", 128, "1 bytes follow");
+}
+
+/// A forward-only stream that hands out a few bytes per refill and
+/// cannot seek, like a pipe.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (at_ == bytes_.size()) return traits_type::eof();
+    const std::size_t k = std::min(sizeof buf_, bytes_.size() - at_);
+    std::memcpy(buf_, bytes_.data() + at_, k);
+    at_ += k;
+    setg(buf_, buf_, buf_ + k);
+    return traits_type::to_int_type(buf_[0]);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t at_ = 0;
+  char buf_[7];
+};
+
+TEST(ComputationImage, StreamIsLeftJustPastTheImage) {
+  const auto p = examples::figure2();
+  const std::string image = write_computation_image(p.c);
+  const std::string tail = write_observer(p.phi) + "trailing\n";
+  {
+    std::istringstream in(image + tail);
+    EXPECT_EQ(read_computation(in), p.c);
+    EXPECT_EQ(read_observer(in, p.c.node_count()), p.phi);
+    std::string rest;
+    std::getline(in, rest);
+    EXPECT_EQ(rest, "trailing");
+  }
+  {
+    std::istringstream in(image + write_observer(p.phi));
+    const TextPair pair = read_pair(in);
+    EXPECT_EQ(pair.c, p.c);
+    ASSERT_TRUE(pair.phi.has_value());
+    EXPECT_EQ(*pair.phi, p.phi);
+  }
+}
+
+TEST(ComputationImage, NonSeekableStreams) {
+  Rng rng(5);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 3000;
+  const Computation c = proc::random_cilk(opt, rng);
+  const std::string image = write_computation_image(c);
+  {
+    // The image reader asks for exactly its bytes, so even a stream
+    // that cannot seek back is left just past it.
+    PipeBuf buf(image + "trailing\n");
+    std::istream in(&buf);
+    const Computation back = read_computation(in);
+    EXPECT_EQ(back, c);
+    expect_same_sp(back, c);
+    std::string rest;
+    std::getline(in, rest);
+    EXPECT_EQ(rest, "trailing");
+  }
+  {
+    PipeBuf buf(write_computation(c));
+    std::istream in(&buf);
+    const Computation back = read_computation(in);
+    EXPECT_EQ(back, c);
+    expect_same_sp(back, c);
+  }
+  {
+    const ObserverFunction phi = last_writer(c, c.dag().topological_order());
+    PipeBuf buf(image + write_observer(phi));
+    std::istream in(&buf);
+    const TextPair pair = read_pair(in);
+    EXPECT_EQ(pair.c, c);
+    ASSERT_TRUE(pair.phi.has_value());
+    EXPECT_EQ(*pair.phi, phi);
+  }
+}
+
+/// Decodes `bytes` through the view and (when it carries the magic) the
+/// stream entry: each either returns a computation whose image is the
+/// bytes it read, or throws ImageReadError at an offset within them,
+/// and neither asks for more memory than a constant times the input.
+/// Returns whether either decoded.
+bool expect_decodes_or_names_an_offset(const std::string& bytes) {
+  bool decoded = false;
+  const auto attempt = [&](const char* how, auto&& check, auto&& decode) {
+    g_allocated = 0;
+    g_count_allocations = true;
+    std::optional<Computation> c;
+    std::string error;
+    std::size_t offset = 0;
+    try {
+      c = decode();
+    } catch (const ImageReadError& e) {
+      error = e.what();
+      offset = e.offset();
+    }
+    g_count_allocations = false;
+    EXPECT_LE(g_allocated, 32 * bytes.size() + (std::size_t{64} << 10))
+        << how << ": " << error;
+    if (c.has_value()) {
+      SCOPED_TRACE(how);
+      check(*c);
+      decoded = true;
+    } else {
+      EXPECT_LE(offset, bytes.size()) << how << ": " << error;
+    }
+  };
+  attempt("view", [&](const Computation& c) {
+    EXPECT_TRUE(write_computation_image(c) == bytes);
+  }, [&] { return read_computation_image(bytes); });
+  if (is_computation_image(bytes)) {
+    // A stream reads one image and leaves what follows it.
+    std::istringstream in(bytes);
+    attempt("stream", [&](const Computation& c) {
+      const std::string again = write_computation_image(c);
+      EXPECT_EQ(bytes.compare(0, again.size(), again), 0);
+      EXPECT_EQ(static_cast<std::size_t>(in.tellg()), again.size());
+    }, [&] { return read_computation(in); });
+  }
+  return decoded;
+}
+
+void put_le64(std::string& image, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    image[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+TEST(ComputationImage, HostileImagesDecodeCanonicallyOrNameAnOffset) {
+  std::vector<std::string> seeds = {write_computation_image(read_computation(
+      std::string_view(kThreeNodeText)))};
+  Rng rng(99);
+  for (int i = 0; i < 3; ++i) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 20 + rng.below(60);
+    opt.nlocations = 3;
+    const Computation c = proc::random_cilk(opt, rng);
+    seeds.push_back(write_computation_image(c));
+    seeds.push_back(write_computation_image(Computation(c.dag(), c.ops())));
+  }
+  std::size_t decoded = 0, rejected = 0;
+  const auto run = [&](const std::string& bytes) {
+    (expect_decodes_or_names_an_offset(bytes) ? decoded : rejected) += 1;
+  };
+  for (const std::string& image : seeds) {
+    run(image);
+    // Every truncation.
+    for (std::size_t k = 0; k < image.size(); ++k) run(image.substr(0, k));
+    // Seeded bit flips, one to three per mutant.
+    for (int i = 0; i < 400; ++i) {
+      std::string m = image;
+      for (std::size_t f = 1 + rng.below(3); f > 0; --f) {
+        const std::size_t at = rng.below(m.size());
+        m[at] = static_cast<char>(m[at] ^ (1 << rng.below(8)));
+      }
+      run(m);
+    }
+    // Count fields at the edges of their ranges and past them.
+    for (const std::size_t field : {16u, 24u, 32u})
+      for (const std::uint64_t v :
+           {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 28,
+            (std::uint64_t{1} << 28) + 1, std::uint64_t{UINT32_MAX},
+            std::uint64_t{1} << 32, (std::uint64_t{1} << 32) + 1,
+            std::uint64_t{1} << 63, UINT64_MAX}) {
+        std::string m = image;
+        put_le64(m, field, v);
+        run(m);
+      }
+  }
+  // A bare header that claims 2^28 nodes.
+  std::string header(kComputationImageHeaderBytes, '\0');
+  std::memcpy(header.data(), kComputationImageMagic, 8);
+  header[8] = 1;
+  put_le64(header, 16, std::uint64_t{1} << 28);
+  ASSERT_EQ(header.size(), 40u);
+  run(header);
+  EXPECT_GT(decoded, seeds.size());
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(DotIo, ContainsNodesEdgesAndObserver) {

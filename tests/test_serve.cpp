@@ -31,6 +31,7 @@
 #include "exec/weak_memory.hpp"
 #include "exec/workload.hpp"
 #include "dag/generators.hpp"
+#include "io/text.hpp"
 #include "proc/random_program.hpp"
 #include "reference_trace.hpp"
 #include "trace/large_check.hpp"
@@ -845,6 +846,93 @@ TEST(Serve, SnapshotRestoreReproducesVerdicts) {
   // The original session is unaffected.
   client.feed(w.recs.data() + half, w.recs.size() - half);
   expect_reports_identical(client.finish(), w.batch, "snapshot source");
+}
+
+/// Little-endian bytes, spelled out by hand so the wire layout is
+/// pinned independently of protocol.cpp's encoders.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+}
+
+/// SessionOptions as kOpen and snapshots carry them: models, flags
+/// (1 = retain_events), oracle choice (0 = auto), simd (0xFF = process
+/// dispatch), closure threshold.
+std::string options_bytes(std::uint32_t models, bool retain) {
+  std::string out;
+  put_le(out, models, 4);
+  put_le(out, retain ? 1 : 0, 4);
+  put_le(out, 0, 1);
+  put_le(out, 0xFF, 1);
+  put_le(out, 2048, 8);
+  return out;
+}
+
+TEST(Serve, HandEncodedTextOpenMatchesBatch) {
+  // ServeClient sends the binary image; a client that prints the text
+  // format instead still opens a session.
+  const Workload w = make_workload(78, 900, kLargeCheckExt, 3);
+  TestServer ts;
+  std::string payload = options_bytes(kLargeCheckExt, false);
+  const std::string text = io::write_computation(w.c);
+  put_le(payload, text.size(), 8);
+  payload += text;
+  std::uint64_t id = 0, nodes = 0;
+  {
+    const net::Fd fd = net::connect_to(net::Addr::parse(ts.addr()));
+    serve::write_frame(fd.get(), serve::FrameType::kOpen, 0, payload.data(),
+                       payload.size());
+    serve::FrameHeader h;
+    std::vector<unsigned char> reply;
+    ASSERT_TRUE(serve::read_frame(fd.get(), h, reply, 1u << 20));
+    ASSERT_EQ(h.type, serve::FrameType::kOpened)
+        << std::string(reply.begin(), reply.end());
+    serve::decode_opened(reply.data(), reply.size(), id, nodes);
+  }
+  EXPECT_EQ(nodes, w.c.node_count());
+  serve::ServeClient client(ts.addr());
+  client.attach(id);
+  client.feed(w.recs);
+  expect_reports_identical(client.finish(), w.batch, "text kOpen");
+  client.close_session();
+}
+
+TEST(Serve, SnapshotCarryingTextRestores) {
+  // Snapshots now carry the image; a CCMMSNP1 blob that carries the
+  // computation as text restores through read_computation's detection.
+  const Workload w = make_workload(79, 900, kLargeCheckExt, 3);
+  const std::size_t half = w.recs.size() / 2;
+  std::string blob(serve::kSnapshotMagic, sizeof serve::kSnapshotMagic);
+  blob += options_bytes(kLargeCheckExt, true);
+  const std::string text = io::write_computation(w.c);
+  put_le(blob, text.size(), 8);
+  blob += text;
+  put_le(blob, half, 8);
+  const std::size_t at = blob.size();
+  blob.resize(at + half * kTraceBinaryEventBytes);
+  encode_trace_records(w.recs.data(), half,
+                       reinterpret_cast<unsigned char*>(blob.data() + at));
+  TestServer ts;
+  serve::ServeClient client(ts.addr());
+  client.restore(blob);
+  EXPECT_EQ(client.node_count(), w.c.node_count());
+  client.feed(w.recs.data() + half, w.recs.size() - half);
+  expect_reports_identical(client.finish(), w.batch, "text snapshot");
+  client.close_session();
+
+  // A live session's snapshot is the same blob with the image in the
+  // computation's place.
+  serve::ClientOptions copts;
+  copts.session.models = kLargeCheckExt;
+  copts.session.retain_events = true;
+  serve::ServeClient live(ts.addr(), copts);
+  live.open(w.c);
+  live.feed(w.recs.data(), half);
+  const std::string image = io::write_computation_image(w.c);
+  std::string want = blob.substr(0, 8 + 18);
+  put_le(want, image.size(), 8);
+  want += image + blob.substr(8 + 18 + 8 + text.size());
+  EXPECT_TRUE(live.snapshot() == want);
 }
 
 TEST(Serve, RejectedStreamsReportTheBatchError) {

@@ -1,10 +1,10 @@
 // ccmm_lint — the static-analysis front door: load a computation (ccmm
-// text format, see src/io/text.hpp) or a built-in demo program, run
-// every analysis pass (race detection, model-anomaly classification,
-// memory lints) and print the diagnostics. With a recorded trace the
-// full streaming pipeline runs instead: trace-sharpened lints, model
-// verdicts for the trace's observer, and — when the scan proves
-// race-freedom — the DRF ⇒ agreement certificate.
+// text format or its binary image, see src/io/text.hpp) or a built-in
+// demo program, run every analysis pass (race detection, model-anomaly
+// classification, memory lints) and print the diagnostics. With a
+// recorded trace the full streaming pipeline runs instead:
+// trace-sharpened lints, model verdicts for the trace's observer, and —
+// when the scan proves race-freedom — the DRF ⇒ agreement certificate.
 //
 //   $ ./ccmm_lint instance.txt            # lint an instance file
 //   $ ./ccmm_lint --demo                  # lint a racy Cilk program
@@ -61,7 +61,7 @@ Computation demo_program() {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: ccmm_lint <instance.txt> [options]\n"
+      "usage: ccmm_lint <instance.txt|.cimg> [options]\n"
       "       ccmm_lint --demo [options]\n"
       "options:\n"
       "  --demo          lint a built-in racy Cilk program\n"

@@ -3,13 +3,15 @@
 // `ccmm_check instance.txt --trace t.tbin`:
 //
 //   $ ./ccmm_serve_client unix:/tmp/ccmm.sock instance.txt t.tbin
+//   $ ./ccmm_serve_client unix:/tmp/ccmm.sock instance.cimg t.tbin
 //   $ ./ccmm_serve_client … --chunk 1024 --models ext --diff-batch
 //   $ ./ccmm_serve_client unix:/tmp/ccmm.sock --status   # metrics only
 //
 // --diff-batch reruns the identical check through the in-process batch
 // engine (large_check_trace) and diffs every semantic report field —
 // the command-line face of the byte-identity guarantee. Exit 1 when
-// they differ.
+// they differ. The instance may be text or a binary image; either
+// way the session is opened with the image.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -31,7 +33,8 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: ccmm_serve_client ADDR instance.txt trace[.tbin|.txt|-]\n"
+      "usage: ccmm_serve_client ADDR instance[.txt|.cimg] "
+      "trace[.tbin|.txt|-]\n"
       "         [--chunk N] [--models lc|all|ext] [--diff-batch] [--retain]\n"
       "       ccmm_serve_client ADDR --status\n");
   return 2;

@@ -71,13 +71,12 @@ bool replay(const Computation& c, const SpStructure& sp, Bags& bags,
     std::uint32_t strand;
     std::size_t next = 0;  // next event index
   };
-  const std::size_t nstrands = sp.strands.size();
-  std::vector<std::vector<std::uint32_t>> pending(nstrands);
+  std::vector<std::vector<std::uint32_t>> pending(sp.strand_count());
   std::vector<Frame> stack;
   stack.push_back({0, 0});
   while (!stack.empty()) {
     Frame& f = stack.back();
-    const auto& stream = sp.strands[f.strand];
+    const std::span<const SpEvent> stream = sp.strand(f.strand);
     if (f.next == stream.size()) {
       // Implicit end-of-procedure sync: a strand joins every child it
       // spawned before returning, so its parent receives a single set.
@@ -132,7 +131,7 @@ bool replay(const Computation& c, const SpStructure& sp, Bags& bags,
 
 std::vector<Race> find_races_sp(const Computation& c) {
   const SpStructure& sp = checked_structure(c);
-  Bags bags(sp.strands.size());
+  Bags bags(sp.strand_count());
   // Full shadow: every prior accessor per location. A new access is
   // membership-tested against each of them — one find() instead of one
   // closure probe — yielding exactly the pairwise detector's race set.
@@ -169,7 +168,7 @@ std::vector<Race> find_races_sp(const Computation& c) {
 
 bool has_race_sp(const Computation& c) {
   const SpStructure& sp = checked_structure(c);
-  Bags bags(sp.strands.size());
+  Bags bags(sp.strand_count());
   // Classic constant-size shadow: one reader and one writer strand per
   // location, maintained by the Feng–Leiserson update rules, suffices to
   // detect *whether* a race exists.

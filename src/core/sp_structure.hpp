@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dag/dag.hpp"
@@ -38,14 +39,31 @@ struct SpEvent {
   [[nodiscard]] bool operator==(const SpEvent&) const = default;
 };
 
-/// Per-strand event streams; strand 0 is the root procedure. The spawn
-/// forest is implicit: strand s is a child of the strand whose stream
-/// holds its kSpawn event.
+/// Per-strand event streams as one CSR table; strand 0 is the root
+/// procedure. Strand s's events are events[offsets[s], offsets[s + 1]),
+/// so the whole parse is two allocations whatever its strand count:
+/// the readers (text, image) and CilkProgram::finish fill it in one
+/// pass. Offsets are size_t because y_ syncs name no node, so the
+/// event total is not bounded by the node count. The spawn forest is
+/// implicit: strand s is a child of the strand whose stream holds its
+/// kSpawn event.
 struct SpStructure {
-  std::vector<std::vector<SpEvent>> strands;
+  /// strand_count() + 1 entries: starts at 0, never decreases, ends at
+  /// events.size().
+  std::vector<std::size_t> offsets{0};
+  std::vector<SpEvent> events;
   /// Node count of the computation the structure describes, so consumers
   /// can reject a structure that drifted from its computation.
   std::size_t node_count = 0;
+
+  [[nodiscard]] std::size_t strand_count() const noexcept {
+    return offsets.size() - 1;
+  }
+  [[nodiscard]] std::span<const SpEvent> strand(std::size_t s) const {
+    return {events.data() + offsets[s], events.data() + offsets[s + 1]};
+  }
+  /// Close the strand whose events were appended since the last close.
+  void end_strand() { offsets.push_back(events.size()); }
 };
 
 using SpStructurePtr = std::shared_ptr<const SpStructure>;

@@ -103,7 +103,7 @@ std::vector<std::uint32_t> english_labels(const SpStructure& sp) {
   stack.push_back({0, 0});
   while (!stack.empty()) {
     Frame& f = stack.back();
-    const auto& stream = sp.strands[f.strand];
+    const std::span<const SpEvent> stream = sp.strand(f.strand);
     if (f.next_event == stream.size()) {
       stack.pop_back();
       continue;
@@ -146,7 +146,7 @@ std::vector<std::uint32_t> hebrew_labels(const SpStructure& sp) {
     std::uint32_t strand_or_node;
     std::size_t from_event = 0;
   };
-  std::vector<std::vector<std::uint32_t>> pending(sp.strands.size());
+  std::vector<std::vector<std::uint32_t>> pending(sp.strand_count());
   std::vector<Item> work;
   work.push_back({Item::Kind::kRun, 0, 0});
   while (!work.empty()) {
@@ -157,7 +157,7 @@ std::vector<std::uint32_t> hebrew_labels(const SpStructure& sp) {
       continue;
     }
     const std::uint32_t s = item.strand_or_node;
-    const auto& stream = sp.strands[s];
+    const std::span<const SpEvent> stream = sp.strand(s);
     std::size_t i = item.from_event;
     bool suspended = false;
     while (i < stream.size() && !suspended) {

@@ -213,47 +213,45 @@ Computation decode(Input& in) {
   Computation c(std::move(dag), std::move(ops));
   if (s == 0) return c;
 
+  // The lengths arrive as the strand table's offsets, each checked
+  // against what is left of a view before any event is allocated.
   const std::size_t lengths_at = in.at();
-  std::vector<std::uint32_t> lengths;
-  read_records(in, s, kLengthBytes, lengths,
-               [](const unsigned char* p, std::size_t) { return load_le32(p); });
-  std::uint64_t events = 0;
-  for (std::size_t i = 0; i < lengths.size(); ++i) {
-    events += lengths[i];
-    if (events > in.left() / kEventBytes)
-      bad(lengths_at + i * kLengthBytes,
-          format("strand %zu ends past the image's last byte", i));
-  }
   auto sp = std::make_shared<SpStructure>();
   sp->node_count = n;
-  sp->strands.resize(s);
-  for (std::size_t i = 0; i < s; ++i)
-    read_records(
-        in, lengths[i], kEventBytes, sp->strands[i],
-        [&](const unsigned char* p, std::size_t at) {
-          if (p[0] > 3)
-            bad(at, format("unknown strand event kind %u", p[0]));
-          if ((p[1] | p[2] | p[3]) != 0)
-            bad(at + 1, "strand event reserved bytes are nonzero");
-          const std::uint32_t v = load_le32(p + 4);
-          SpEvent e{static_cast<SpEvent::Kind>(p[0])};
-          switch (e.kind) {
-            case SpEvent::Kind::kNode:
-            case SpEvent::Kind::kSync:
-              if (v >= n && !(e.kind == SpEvent::Kind::kSync && v == kBottom))
-                bad(at + 4, format("strand event names node %u of %llu", v,
-                                   static_cast<unsigned long long>(n)));
-              e.node = v;
-              break;
-            case SpEvent::Kind::kSpawn:
-            case SpEvent::Kind::kAdopt:
-              if (v >= s)
-                bad(at + 4, format("strand event names unknown strand %u", v));
-              e.child = v;
-              break;
-          }
-          return e;
-        });
+  std::uint64_t events = 0;
+  read_records(in, s, kLengthBytes, sp->offsets,
+               [&](const unsigned char* p, std::size_t at) {
+                 events += load_le32(p);
+                 if (events > in.left() / kEventBytes)
+                   bad(at, format("strand %zu ends past the image's last byte",
+                                  (at - lengths_at) / kLengthBytes));
+                 return static_cast<std::size_t>(events);
+               });
+  read_records(
+      in, events, kEventBytes, sp->events,
+      [&](const unsigned char* p, std::size_t at) {
+        if (p[0] > 3) bad(at, format("unknown strand event kind %u", p[0]));
+        if ((p[1] | p[2] | p[3]) != 0)
+          bad(at + 1, "strand event reserved bytes are nonzero");
+        const std::uint32_t v = load_le32(p + 4);
+        SpEvent e{static_cast<SpEvent::Kind>(p[0])};
+        switch (e.kind) {
+          case SpEvent::Kind::kNode:
+          case SpEvent::Kind::kSync:
+            if (v >= n && !(e.kind == SpEvent::Kind::kSync && v == kBottom))
+              bad(at + 4, format("strand event names node %u of %llu", v,
+                                 static_cast<unsigned long long>(n)));
+            e.node = v;
+            break;
+          case SpEvent::Kind::kSpawn:
+          case SpEvent::Kind::kAdopt:
+            if (v >= s)
+              bad(at + 4, format("strand event names unknown strand %u", v));
+            e.child = v;
+            break;
+        }
+        return e;
+      });
   c.set_sp_structure(std::move(sp));
   return c;
 }
@@ -266,13 +264,11 @@ std::string write_computation_image(const Computation& c) {
   const std::size_t m = dag.edge_count();
   const SpStructure* sp = c.sp_structure().get();
   if (sp != nullptr && sp->node_count != n) sp = nullptr;
-  const std::size_t s = sp != nullptr ? sp->strands.size() : 0;
-  std::size_t events = 0;
-  for (std::size_t i = 0; i < s; ++i) {
-    CCMM_CHECK(sp->strands[i].size() <= UINT32_MAX,
+  const std::size_t s = sp != nullptr ? sp->strand_count() : 0;
+  const std::size_t events = sp != nullptr ? sp->events.size() : 0;
+  for (std::size_t i = 0; i < s; ++i)
+    CCMM_CHECK(sp->strand(i).size() <= UINT32_MAX,
                "a strand of the image holds at most 2^32 - 1 events");
-    events += sp->strands[i].size();
-  }
   std::string out(kComputationImageHeaderBytes + n * kOpBytes +
                       m * kEdgeBytes + s * kLengthBytes +
                       events * kEventBytes,
@@ -296,15 +292,14 @@ std::string write_computation_image(const Computation& c) {
       p += kEdgeBytes;
     }
   for (std::size_t i = 0; i < s; ++i, p += kLengthBytes)
-    store_le32(p, static_cast<std::uint32_t>(sp->strands[i].size()));
-  for (std::size_t i = 0; i < s; ++i)
-    for (const SpEvent& e : sp->strands[i]) {
-      p[0] = static_cast<unsigned char>(e.kind);
-      const bool names_node = e.kind == SpEvent::Kind::kNode ||
-                              e.kind == SpEvent::Kind::kSync;
-      store_le32(p + 4, names_node ? e.node : e.child);
-      p += kEventBytes;
-    }
+    store_le32(p, static_cast<std::uint32_t>(sp->strand(i).size()));
+  for (std::size_t i = 0; i < events; ++i, p += kEventBytes) {
+    const SpEvent& e = sp->events[i];
+    p[0] = static_cast<unsigned char>(e.kind);
+    const bool names_node = e.kind == SpEvent::Kind::kNode ||
+                            e.kind == SpEvent::Kind::kSync;
+    store_le32(p + 4, names_node ? e.node : e.child);
+  }
   return out;
 }
 

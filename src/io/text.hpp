@@ -83,12 +83,14 @@ namespace ccmm::io {
 
 /// Render / parse a computation. Parsing throws std::runtime_error with
 /// a line number on malformed text, ImageReadError (a runtime_error)
-/// with a byte offset on a malformed image. Text runs one scanner that
-/// splits lines in place, without a per-line allocation: the view
-/// overload parses the view directly, the stream overload reads 1 MiB
-/// blocks, so memory beyond the result is one block plus the longest
-/// line. A seekable stream is left just past the 'end' line; any stream
-/// is left just past an image.
+/// with a byte offset on a malformed image. Text is read in one pass
+/// that parses each line in place, numbers as they are scanned, with no
+/// per-line allocation: the view overload parses the view itself
+/// (copying only an unterminated last line), the stream overload reads
+/// 1 MiB blocks, so memory beyond the result is one block, or the
+/// longest line rounded up to a power of two. The strands land in the
+/// SpStructure's flat table as they are read. A seekable stream is left
+/// just past the 'end' line; any stream is left just past an image.
 [[nodiscard]] std::string write_computation(const Computation& c);
 [[nodiscard]] Computation read_computation(std::istream& in);
 [[nodiscard]] Computation read_computation(std::string_view text);

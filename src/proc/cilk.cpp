@@ -112,14 +112,18 @@ Computation CilkProgram::finish() {
   CCMM_CHECK(!finished_, "program already finished");
   sync_strand(0);  // recursively joins the whole spawn tree
   finished_ = true;
-  auto sp = std::make_shared<SpStructure>();
-  std::vector<std::size_t> count(strands_.size(), 0);
-  for (const auto& [strand, e] : events_) ++count[strand];
-  sp->strands.resize(strands_.size());
-  for (std::size_t i = 0; i < count.size(); ++i)
-    sp->strands[i].reserve(count[i]);
-  for (const auto& [strand, e] : events_) sp->strands[strand].push_back(e);
+  // Counting sort of the log into the strand table: offsets from the
+  // per-strand counts, then one pass that drops each event in place.
+  std::vector<std::size_t> offsets(strands_.size() + 1, 0);
+  for (std::size_t i = 0; i < strands_.size(); ++i)
+    offsets[i + 1] = offsets[i] + strands_[i].events;
+  std::vector<SpEvent> events(events_.size());
+  std::vector<std::size_t> at(offsets.begin(), offsets.end() - 1);
+  for (const auto& [strand, e] : events_) events[at[strand]++] = e;
   events_ = {};
+  auto sp = std::make_shared<SpStructure>();
+  sp->offsets = std::move(offsets);
+  sp->events = std::move(events);
   sp->node_count = c_.node_count();
   Computation c = std::move(c_).build();
   c.set_sp_structure(std::move(sp));

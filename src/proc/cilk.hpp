@@ -91,6 +91,7 @@ class CilkProgram {
     NodeId anchor = kBottom;           // parent's position at spawn time
     std::size_t parent = SIZE_MAX;     // spawning strand, SIZE_MAX = root
     bool closed = false;               // joined by a parent sync / adopted
+    std::size_t events = 0;            // SP events logged for this strand
     std::vector<std::size_t> outstanding;  // unsynced children (indices)
   };
 
@@ -102,13 +103,15 @@ class CilkProgram {
 
   ComputationBuilder c_;
   std::vector<StrandState> strands_;
-  /// The SP parse as (strand, event) in program order; finish() splits
-  /// it per strand. One log instead of a growing vector per strand
-  /// leaves no trail of outgrown buffers in the heap.
+  /// The SP parse as (strand, event) in program order; finish() sorts
+  /// it into the strand table by the per-strand counts. One log instead
+  /// of a growing vector per strand leaves no trail of outgrown buffers
+  /// in the heap.
   std::vector<std::pair<std::uint32_t, SpEvent>> events_;
 
   void log_event(std::size_t strand, SpEvent e) {
     events_.emplace_back(static_cast<std::uint32_t>(strand), e);
+    ++strands_[strand].events;
   }
   bool finished_ = false;
 };

@@ -54,9 +54,10 @@ FrameHeader ServeClient::read_reply(std::vector<unsigned char>& payload) {
 
 std::uint64_t ServeClient::open(const Computation& c) {
   flush();
+  // The image goes out from its own buffer, behind the encoded options.
   const std::string image = io::write_computation_image(c);
-  const std::string payload = encode_open({opts_.session, image});
-  send(FrameType::kOpen, 0, payload.data(), payload.size());
+  write_frame(fd_.get(), FrameType::kOpen, 0,
+              encode_open_head(opts_.session, image.size()), image);
   std::vector<unsigned char> reply;
   const FrameHeader h = read_reply(reply);
   if (h.type != FrameType::kOpened)

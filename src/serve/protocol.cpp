@@ -162,14 +162,22 @@ FrameHeader decode_frame_header(const unsigned char in[16],
 
 void write_frame(int fd, FrameType type, std::uint8_t flags,
                  const void* payload, std::size_t size, int timeout_ms) {
-  unsigned char head[kFrameHeaderBytes];
-  encode_frame_header(FrameHeader{type, flags, size}, head);
-  // One buffer, one write: interleaving-safe under the caller's lock
-  // and at most one syscall for small frames.
-  std::vector<unsigned char> buf(kFrameHeaderBytes + size);
-  std::memcpy(buf.data(), head, kFrameHeaderBytes);
-  if (size != 0) std::memcpy(buf.data() + kFrameHeaderBytes, payload, size);
+  write_frame(fd, type, flags,
+              {static_cast<const char*>(payload), size}, {}, timeout_ms);
+}
+
+void write_frame(int fd, FrameType type, std::uint8_t flags,
+                 std::string_view head, std::string_view body,
+                 int timeout_ms) {
+  // Header and head in one buffer, one write: at most one syscall for
+  // small frames. Interleaving-safe under the caller's lock.
+  std::vector<unsigned char> buf(kFrameHeaderBytes + head.size());
+  encode_frame_header(FrameHeader{type, flags, head.size() + body.size()},
+                      buf.data());
+  if (!head.empty())
+    std::memcpy(buf.data() + kFrameHeaderBytes, head.data(), head.size());
   net::write_all(fd, buf.data(), buf.size(), timeout_ms);
+  if (!body.empty()) net::write_all(fd, body.data(), body.size(), timeout_ms);
 }
 
 bool read_frame(int fd, FrameHeader& header,
@@ -185,10 +193,11 @@ bool read_frame(int fd, FrameHeader& header,
   return true;
 }
 
-std::string encode_open(const OpenRequest& req) {
+std::string encode_open_head(const SessionOptions& options,
+                             std::size_t computation_bytes) {
   std::string out;
-  put_options(out, req.options);
-  put_str(out, req.computation);
+  put_options(out, options);
+  put_u64(out, computation_bytes);  // put_str's length prefix
   return out;
 }
 

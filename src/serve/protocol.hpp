@@ -127,6 +127,12 @@ void encode_frame_header(const FrameHeader& h, unsigned char out[16]);
 /// park a shard thread.
 void write_frame(int fd, FrameType type, std::uint8_t flags,
                  const void* payload, std::size_t size, int timeout_ms = -1);
+/// One frame whose payload is `head` followed by `body`: the header and
+/// `head` go out in one write, `body` from the caller's buffer, so a
+/// large body (kOpen's computation) is never copied.
+void write_frame(int fd, FrameType type, std::uint8_t flags,
+                 std::string_view head, std::string_view body,
+                 int timeout_ms = -1);
 /// False on clean EOF before a header. Throws on mid-frame EOF.
 [[nodiscard]] bool read_frame(int fd, FrameHeader& header,
                               std::vector<unsigned char>& payload,
@@ -135,14 +141,18 @@ void write_frame(int fd, FrameType type, std::uint8_t flags,
 // -- payload codecs ---------------------------------------------------------
 
 /// The kOpen payload: session options + the computation, as an image
-/// or as text (io/text.hpp). `computation` views bytes the caller keeps
-/// alive: the encoder's input, or the payload decode_open read.
+/// or as text (io/text.hpp). `computation` views the payload
+/// decode_open read.
 struct OpenRequest {
   SessionOptions options;
   std::string_view computation;
 };
 
-[[nodiscard]] std::string encode_open(const OpenRequest& req);
+/// The kOpen payload up to the computation's bytes: the options and the
+/// computation's length. The sender writes the computation after it
+/// from its own buffer (write_frame's head/body form).
+[[nodiscard]] std::string encode_open_head(const SessionOptions& options,
+                                           std::size_t computation_bytes);
 [[nodiscard]] OpenRequest decode_open(const unsigned char* p,
                                       std::size_t size);
 

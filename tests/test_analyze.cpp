@@ -36,7 +36,7 @@ TEST(SpStructure, CilkProgramsCarryTheirParse) {
   const Computation c = p.finish();
   ASSERT_NE(c.sp_structure(), nullptr);
   EXPECT_EQ(c.sp_structure()->node_count, c.node_count());
-  EXPECT_GE(c.sp_structure()->strands.size(), 2u);
+  EXPECT_GE(c.sp_structure()->strand_count(), 2u);
 }
 
 TEST(SpStructure, MutationDropsTheParse) {

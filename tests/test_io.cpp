@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -211,13 +212,16 @@ Computation read_computation_body(LineReader& r) {
   Computation c(std::move(dag), std::move(ops));
   if (!strands.empty()) {
     auto sp = std::make_shared<SpStructure>();
-    sp->strands = std::move(strands);
+    for (const auto& stream : strands) {
+      sp->events.insert(sp->events.end(), stream.begin(), stream.end());
+      sp->end_strand();
+    }
     sp->node_count = *n;
-    for (const auto& stream : sp->strands)
+    for (const auto& stream : strands)
       for (const SpEvent& e : stream)
         if ((e.kind == SpEvent::Kind::kSpawn ||
              e.kind == SpEvent::Kind::kAdopt) &&
-            e.child >= sp->strands.size())
+            e.child >= strands.size())
           parse_error(r.line(),
                       format("strand event names unknown strand %u", e.child));
     c.set_sp_structure(std::move(sp));
@@ -277,9 +281,9 @@ std::string write_computation(const Computation& c) {
     out += format("edge %u %u\n", e.from, e.to);
   const SpStructure* sp = c.sp_structure().get();
   if (sp != nullptr && sp->node_count == c.node_count()) {
-    for (const auto& stream : sp->strands) {
+    for (std::size_t s = 0; s < sp->strand_count(); ++s) {
       out += "strand";
-      for (const SpEvent& e : stream) {
+      for (const SpEvent& e : sp->strand(s)) {
         switch (e.kind) {
           case SpEvent::Kind::kNode:
             out += format(" n%u", e.node);
@@ -330,7 +334,8 @@ void expect_same_sp(const Computation& a, const Computation& b) {
   ASSERT_EQ(a.sp_structure() == nullptr, b.sp_structure() == nullptr);
   if (a.sp_structure() == nullptr) return;
   EXPECT_EQ(a.sp_structure()->node_count, b.sp_structure()->node_count);
-  EXPECT_EQ(a.sp_structure()->strands, b.sp_structure()->strands);
+  EXPECT_EQ(a.sp_structure()->offsets, b.sp_structure()->offsets);
+  EXPECT_EQ(a.sp_structure()->events, b.sp_structure()->events);
 }
 
 /// The scanner agrees with the reference on `text`: both accept with
@@ -369,6 +374,18 @@ struct Tally {
   std::size_t accepted = 0, rejected = 0, known_bugs = 0;
 };
 
+/// A reader's strand table is well formed: its offsets start at 0,
+/// never decrease and end at the event count.
+void expect_well_formed_strands(const Outcome& got) {
+  if (!got.parsed.has_value()) return;
+  const SpStructure* sp = got.parsed->c.sp_structure().get();
+  if (sp == nullptr) return;
+  ASSERT_FALSE(sp->offsets.empty());
+  EXPECT_EQ(sp->offsets.front(), 0u);
+  EXPECT_TRUE(std::is_sorted(sp->offsets.begin(), sp->offsets.end()));
+  EXPECT_EQ(sp->offsets.back(), sp->events.size());
+}
+
 /// Runs every entry point over `text` against the reference.
 void differential(const std::string& text, Tally& tally) {
   const Outcome ref_pair = outcome_of([&] {
@@ -380,6 +397,7 @@ void differential(const std::string& text, Tally& tally) {
     return read_pair(in);
   });
   expect_agrees(ref_pair, got_pair, text);
+  expect_well_formed_strands(got_pair);
   if (ref_pair.known_bug.has_value())
     ++tally.known_bugs;
   else if (ref_pair.parsed.has_value())
@@ -400,6 +418,8 @@ void differential(const std::string& text, Tally& tally) {
   });
   expect_agrees(ref_c, got_stream, text);
   expect_agrees(ref_c, got_view, text);
+  expect_well_formed_strands(got_stream);
+  expect_well_formed_strands(got_view);
 }
 
 /// A random fork/join instance with its SP strands and a last-writer
@@ -575,7 +595,8 @@ TEST(TextIo, SpStructureRoundTripsThroughText) {
   // online checking), so this is a correctness property of the format.
   ASSERT_NE(back.sp_structure(), nullptr);
   EXPECT_EQ(back.sp_structure()->node_count, c.sp_structure()->node_count);
-  EXPECT_EQ(back.sp_structure()->strands, c.sp_structure()->strands);
+  EXPECT_EQ(back.sp_structure()->offsets, c.sp_structure()->offsets);
+  EXPECT_EQ(back.sp_structure()->events, c.sp_structure()->events);
 }
 
 TEST(TextIo, StrandParseErrors) {
@@ -711,12 +732,25 @@ TEST(TextIo, StrandLineSpanningSeveralBlocks) {
   std::istringstream in(text);
   const Computation c = read_computation(in);
   ASSERT_NE(c.sp_structure(), nullptr);
-  ASSERT_EQ(c.sp_structure()->strands.size(), 1u);
-  EXPECT_EQ(c.sp_structure()->strands[0], expected);
+  ASSERT_EQ(c.sp_structure()->strand_count(), 1u);
+  EXPECT_EQ(c.sp_structure()->events, expected);
   EXPECT_EQ(c.op(7), Op::write(3));
   const Computation from_text = read_computation(std::string_view(text));
   EXPECT_EQ(from_text, c);
   expect_same_sp(from_text, c);
+}
+
+TEST(TextIo, RandomCilkAcrossSeveralBlocksMatchesTheReference) {
+  // The random differential above stays within one block; this pair
+  // fills several, so whole instances and their mutations run through
+  // the refills.
+  Rng rng(64);
+  const std::string text = random_pair_text(rng, std::size_t{1} << 16);
+  ASSERT_GE(text.size(), 3 * kBlock);
+  Tally tally;
+  differential(text, tally);
+  EXPECT_EQ(tally.accepted, 1u);
+  for (int i = 0; i < 3; ++i) differential(mutate(text, rng), tally);
 }
 
 TEST(TextIo, LinesStraddlingABlockBoundary) {
@@ -821,6 +855,48 @@ TEST(TextIo, StreamIsLeftAfterTheBlockItRead) {
   std::string rest;
   std::getline(in, rest);
   EXPECT_EQ(rest, "trailing");
+}
+
+/// A stream whose reads return at most `k` bytes however many are
+/// asked for, as a socket or pipe may.
+class TrickleBuf : public std::streambuf {
+ public:
+  TrickleBuf(std::string bytes, std::size_t k)
+      : bytes_(std::move(bytes)), k_(k) {}
+
+ protected:
+  std::streamsize xsgetn(char* out, std::streamsize n) override {
+    const std::size_t k = std::min({static_cast<std::size_t>(n), k_,
+                                    bytes_.size() - at_});
+    std::memcpy(out, bytes_.data() + at_, k);
+    at_ += k;
+    return static_cast<std::streamsize>(k);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t k_;
+  std::size_t at_ = 0;
+};
+
+TEST(TextIo, ShortReadsMatchTheWholeText) {
+  Rng rng(3);
+  std::string text = random_pair_text(rng, 600);
+  // A strand line longer than a block, and no '\n' after the last line.
+  text.insert(text.find("strand"), "strand" + std::string(kBlock + 7, ' ') +
+                                       "n0\n");
+  text.pop_back();
+  std::istringstream whole(text);
+  const TextPair want = read_pair(whole);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, kBlock / 3}) {
+    TrickleBuf buf(text, k);
+    std::istream in(&buf);
+    const TextPair got = read_pair(in);
+    EXPECT_EQ(got.c, want.c) << k;
+    expect_same_sp(got.c, want.c);
+    ASSERT_TRUE(got.phi.has_value());
+    EXPECT_EQ(*got.phi, *want.phi) << k;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -70,22 +70,18 @@ std::string LargeCheckReport::to_string() const {
 
 ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
   const std::size_t n = c.node_count();
-  const LocationGroups groups = group_location_accesses(c);
-  const std::vector<std::uint32_t> index =
-      detail::written_access_index(groups, n);
+  const detail::WrittenIndex written = detail::index_written_locations(c);
+  const std::vector<std::uint32_t>& index = written.access;
+  const std::vector<Location>& locs = written.locs;
 
   // One dense column per written location, filled by the engine's
   // completion rule. Writes self-observe even when the trace omits
   // their event entirely.
-  std::vector<Location> locs;
-  std::vector<std::vector<NodeId>> cols;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const std::span<const NodeId> wr = groups.writers(gi);
-    if (wr.empty()) continue;
-    locs.push_back(groups.locs[gi]);
-    cols.emplace_back(n, kBottom);
-    for (const NodeId w : wr) cols.back()[w] = w;
-  }
+  std::vector<std::vector<NodeId>> cols(locs.size(),
+                                        std::vector<NodeId>(n, kBottom));
+  for (NodeId u = 0; u < n; ++u)
+    if (index[u] != detail::kNoWrittenLoc && (index[u] & 1u) != 0)
+      cols[index[u] >> 1][u] = u;
   std::vector<NodeId> last(locs.size(), kBottom);
 
   ObserverFunction phi(n);

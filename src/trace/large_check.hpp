@@ -102,23 +102,23 @@ struct LargeCheckReport {
 
   // Data-plane accounting: which kernel level ran, how the
   // per-location work was sharded, and the bytes the check itself held
-  // — the grouping arena plus the widest per-shard scratch arena plus
-  // the auxiliary maps and the oracle — divided by the node count. The
+  // — the writer CSR plus the widest per-shard scratch arena plus the
+  // auxiliary maps and the oracle — divided by the node count. The
   // kernels borrow the computation's own edge arrays, so they add
   // nothing here. peak_rss_bytes is the whole-process high-water
   // mark (getrusage), so it includes the computation and observer too.
   std::string simd;                      // "scalar" | "neon" | "avx2"
   std::size_t shards = 0;                // scratch arenas allocated
-  std::size_t groups_bytes = 0;          // location-grouping arena
+  std::size_t groups_bytes = 0;          // writer CSR (0: none materialized)
   std::size_t scratch_peak_bytes = 0;    // max per-shard arena + states
-  std::size_t aux_bytes = 0;             // wblock map + topo inverse
+  std::size_t aux_bytes = 0;             // index, maps, scan order, ...
   std::size_t peak_rss_bytes = 0;        // process peak RSS after check
   double bytes_per_node = 0.0;           // check-owned bytes / node
 
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
   // Spans that ran on the pool charge their slowest shard.
-  double ingest_millis = 0.0;       // validation, agreement, column fill
-  double group_build_millis = 0.0;  // grouping + wblock map
+  double ingest_millis = 0.0;       // seq order, feed pass, column fill
+  double group_build_millis = 0.0;  // index at setup + writer CSR, maps
   double kernel_millis = 0.0;       // LocState::advance over all spans
   double report_millis = 0.0;       // finalize_into + verdict fold
   bool pipelined = false;           // some span ran sharded on the pool
@@ -171,7 +171,7 @@ struct LargeCheckReport {
 
 /// Trace entry point: check the event count, then feed the trace to the
 /// engine in stable seq order. The first defective event in that order
-/// (unknown node or observation, wrong op, duplicate, flipped dag edge)
+/// (unknown node or observation, duplicate, flipped dag edge)
 /// fails the check with "trace does not fit the computation"; otherwise
 /// the verdict is large_check over observer_from_trace(c, trace).
 [[nodiscard]] LargeCheckReport large_check_trace(const Computation& c,

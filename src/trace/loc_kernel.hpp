@@ -1,8 +1,11 @@
 // ccmm/trace/loc_kernel.hpp
 //
-// The shared per-location grouping kernel behind the streaming
-// analyses (trace/session_kernel.cpp and analyze/race_oracle.cpp): one
-// O(n) pass bucketing every accessing node by location.
+// The per-location grouping kernel behind the race scan
+// (analyze/race_oracle.cpp): one O(n) pass bucketing every accessing
+// node by location. The checking engine does not group: a clean stream
+// reads only its one-pass node → written-location index, and the first
+// location to materialize builds the writers the kernel reads from
+// that index (trace/session_kernel.hpp).
 //
 // The buckets are a CSR arena, not per-location vectors: `acc` and
 // `wri` are two flat arrays sliced by head offsets, so grouping a

@@ -1,9 +1,11 @@
 #include "trace/session_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <numeric>
 #include <span>
+#include <unordered_map>
 
 #include "util/numa.hpp"
 #include "util/resource.hpp"
@@ -103,56 +105,95 @@ void for_each_seq_span(
 }
 
 EventValidator::EventValidator(const Computation& c)
-    : c_(&c), arrived_(c.node_count(), 0) {}
+    : pred_(c.dag().pred_rows()), arrived_(c.node_count(), 0) {}
 
-bool EventValidator::accept(const BinaryTraceEvent& e, std::string& why) {
+std::string EventValidator::rejection(const BinaryTraceEvent& e) const {
   const std::size_t n = arrived_.size();
   const NodeId u = e.node;
   const auto seq = static_cast<unsigned long long>(e.seq);
-  if (u >= n) {
-    why = format("event seq=%llu names unknown node %u", seq, u);
-  } else if (e.observed != kBottom && e.observed >= n) {
-    why = format("event seq=%llu observes unknown node %u", seq, e.observed);
-  } else if (e.reserved != 0) {
-    why = format("event seq=%llu has a nonzero reserved field", seq);
-  } else if (accepted_ > 0 && e.seq < last_seq_) {
-    why = format(
+  if (u >= n) return format("event seq=%llu names unknown node %u", seq, u);
+  if (e.observed != kBottom && e.observed >= n)
+    return format("event seq=%llu observes unknown node %u", seq, e.observed);
+  if (e.reserved != 0)
+    return format("event seq=%llu has a nonzero reserved field", seq);
+  if (e.seq < last_seq_)
+    return format(
         "event seq=%llu arrives after seq=%llu: online streams must be "
         "seq-ordered",
         seq, static_cast<unsigned long long>(last_seq_));
-  } else if (arrived_[u] != 0) {
-    why = format("node %u appears in more than one event", u);
-  } else {
-    // Name the smallest late predecessor: the message must not depend
-    // on adjacency-list order (a computation round-tripped through text
-    // may regroup its edges).
-    NodeId late = u;  // sentinel: u is never its own predecessor
-    for (const NodeId q : c_->dag().pred(u))
-      if (arrived_[q] == 0 && (late == u || q < late)) late = q;
-    if (late == u) {
-      arrived_[u] = 1;
-      last_seq_ = e.seq;
-      ++accepted_;
-      return true;
-    }
-    why = format("trace order flips dag edge %u -> %u (node %u ran first)",
-                 late, u, u);
+  if (arrived_[u] != 0)
+    return format("node %u appears in more than one event", u);
+  // Name the smallest late predecessor: the message must not depend on
+  // adjacency-list order (a computation round-tripped through text may
+  // regroup its edges).
+  NodeId late = u;  // sentinel: u is never its own predecessor
+  for (std::uint32_t k = pred_.off[u]; k < pred_.off[u + 1]; ++k) {
+    const NodeId q = pred_.tgt[k];
+    if (arrived_[q] == 0 && (late == u || q < late)) late = q;
   }
-  return false;
+  return format("trace order flips dag edge %u -> %u (node %u ran first)",
+                late, u, u);
 }
 
-std::vector<std::uint32_t> written_access_index(const LocationGroups& g,
-                                                std::size_t n) {
-  std::vector<std::uint32_t> index(n, kNoWrittenLoc);
-  std::uint32_t li = 0;
-  for (std::size_t gi = 0; gi < g.size(); ++gi) {
-    const std::span<const NodeId> wr = g.writers(gi);
-    if (wr.empty()) continue;
-    for (const NodeId u : g.accessors(gi)) index[u] = li << 1;
-    for (const NodeId u : wr) index[u] |= 1u;
-    ++li;
+WrittenIndex index_written_locations(const Computation& c) {
+  const std::vector<Op>& ops = c.ops();
+  WrittenIndex w;
+  w.access.resize(ops.size());
+  // Every accessed location gets a slot in first-appearance order and
+  // each node records slot << 1 | is-write. A location recurs far more
+  // often than it appears, so a direct-mapped cache answers most
+  // lookups before the hash map is asked.
+  struct Cached {
+    Location loc = 0;
+    std::uint32_t slot = kNoWrittenLoc;
+  };
+  std::array<Cached, 1024> cache{};
+  std::unordered_map<Location, std::uint32_t> slot_of;
+  std::vector<Location> found;
+  std::vector<std::uint32_t> writes;
+  for (std::size_t u = 0; u < ops.size(); ++u) {
+    const Op o = ops[u];
+    if (o.is_nop()) {
+      w.access[u] = kNoWrittenLoc;
+      continue;
+    }
+    Cached& hit = cache[o.loc % cache.size()];
+    if (hit.slot == kNoWrittenLoc || hit.loc != o.loc) {
+      const auto [it, fresh] = slot_of.try_emplace(
+          o.loc, static_cast<std::uint32_t>(found.size()));
+      if (fresh) {
+        found.push_back(o.loc);
+        writes.push_back(0);
+      }
+      hit = Cached{o.loc, it->second};
+    }
+    const std::uint32_t is_write = o.is_write() ? 1u : 0u;
+    w.access[u] = hit.slot << 1 | is_write;
+    writes[hit.slot] += is_write;
   }
-  return index;
+
+  // Renumber the written slots in location order; read-only slots
+  // leave the index.
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t slot = 0; slot < found.size(); ++slot)
+    if (writes[slot] != 0) order.push_back(slot);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return found[a] < found[b];
+  });
+  std::vector<std::uint32_t> written(found.size(), kNoWrittenLoc);
+  w.locs.resize(order.size());
+  w.wri_head.assign(order.size() + 1, 0);
+  for (std::uint32_t li = 0; li < order.size(); ++li) {
+    written[order[li]] = li;
+    w.locs[li] = found[order[li]];
+    w.wri_head[li + 1] = w.wri_head[li] + writes[order[li]];
+  }
+  for (std::uint32_t& a : w.access) {
+    if (a == kNoWrittenLoc) continue;
+    const std::uint32_t li = written[a >> 1];
+    a = li == kNoWrittenLoc ? kNoWrittenLoc : (li << 1 | (a & 1u));
+  }
+  return w;
 }
 
 void fill_column(const std::uint32_t* index, std::uint32_t li,
@@ -187,7 +228,7 @@ using detail::kNoWrittenLoc;
 /// states point at an observer's columns) plus its LocState.
 struct CheckSession::Loc {
   Location loc = 0;
-  std::span<const NodeId> writers;
+  std::span<const NodeId> writers;  // set by prepare_kernel()
   bool materialized = false;
   /// Materialized by the current feed: advance() rebuilds the column
   /// from the arrival order, then fills it from record `from` on.
@@ -255,13 +296,11 @@ void CheckSession::setup() {
     });
   }
 
-  // The scan order: ids when topological, else the dag's canonical
+  // The scan order: ids when topological (prepare_kernel() builds the
+  // identity array the LocStates read), else the dag's canonical
   // topological order. The watermark advances along THIS order
   // whatever order events arrive in.
-  topo_.resize(n_);
-  if (c_->dag().ids_topological()) {
-    std::iota(topo_.begin(), topo_.end(), NodeId{0});
-  } else {
+  if (!c_->dag().ids_topological()) {
     topo_ = c_->dag().topological_order();
     posv_.resize(n_);
     for (std::uint32_t p = 0; p < n_; ++p) posv_[topo_[p]] = p;
@@ -276,11 +315,12 @@ void CheckSession::setup() {
   want_masks_ = (base & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
 
   // The node→written-location index the agreement check and the column
-  // fill run on. The writer maps only the kernel reads wait for
-  // prepare_kernel(); a stream whose locations all stay witnessed never
-  // builds them.
-  groups_ = group_location_accesses(*c_);
-  access_ = detail::written_access_index(groups_, n_);
+  // fill run on, and the writer counts. What only the kernel reads
+  // waits for prepare_kernel(); a stream whose locations all stay
+  // witnessed never builds it.
+  detail::WrittenIndex index = detail::index_written_locations(*c_);
+  access_ = std::move(index.access);
+  wri_head_ = std::move(index.wri_head);
 
   kctx_ = LocKernelCtx{c_,
                        oracle_.get(),
@@ -296,13 +336,10 @@ void CheckSession::setup() {
   // One state per written location, in location order, all witnessed.
   // A read-only location needs none: its all-⊥ column passes
   // everything.
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    const std::span<const NodeId> wr = groups_.writers(gi);
-    if (wr.empty()) continue;
-    auto st = std::make_unique<Loc>();
-    st->loc = groups_.locs[gi];
-    st->writers = wr;
-    states_.push_back(std::move(st));
+  states_.resize(index.locs.size());
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    states_[i] = std::make_unique<Loc>();
+    states_[i]->loc = index.locs[i];
   }
   witnessed_ = states_.size();
   carried_.assign(states_.size(), kBottom);
@@ -321,7 +358,7 @@ void CheckSession::setup() {
   std::vector<std::size_t> cost(states_.size());
   for (std::size_t i = 0; i < states_.size(); ++i)
     cost[i] = 1 + (want_masks_
-                       ? (states_[i]->writers.size() + kSweepBits) / kSweepBits
+                       ? (writer_count(i) + kSweepBits) / kSweepBits
                        : 0);
   std::vector<std::uint32_t> by_cost(states_.size());
   std::iota(by_cost.begin(), by_cost.end(), 0u);
@@ -348,17 +385,27 @@ void CheckSession::prepare_kernel() {
   if (kernel_ready_) return;
   kernel_ready_ = true;
   const auto t0 = Clock::now();
-  // The writer→block and writer→location maps: a node writes at most
-  // one location, so two n-entry arrays serve every state at once.
+  if (posv_.empty()) {
+    topo_.resize(n_);
+    std::iota(topo_.begin(), topo_.end(), NodeId{0});
+  }
+  // The writer CSR and the writer→block and writer→location maps, in
+  // one pass over the index: a node writes at most one location, so
+  // two n-entry arrays serve every state at once.
+  wri_.resize(wri_head_.back());
   wblock_.assign(n_, 0);
   wloc_.assign(n_, 0);
-  for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
-    const std::span<const NodeId> wr = groups_.writers(gi);
-    for (std::size_t i = 0; i < wr.size(); ++i) {
-      wblock_[wr[i]] = static_cast<std::uint32_t>(i) + 1;
-      wloc_[wr[i]] = groups_.locs[gi];
-    }
+  std::vector<std::uint32_t> at(wri_head_.begin(), wri_head_.end() - 1);
+  for (NodeId u = 0; u < n_; ++u) {
+    const std::uint32_t a = access_[u];
+    if (a == kNoWrittenLoc || (a & 1u) == 0) continue;
+    const std::uint32_t li = a >> 1;
+    wblock_[u] = at[li] - wri_head_[li] + 1;
+    wloc_[u] = states_[li]->loc;
+    wri_[at[li]++] = u;
   }
+  for (std::size_t i = 0; i < states_.size(); ++i)
+    states_[i]->writers = {wri_.data() + wri_head_[i], writer_count(i)};
   kctx_.wblock = wblock_.data();
   kctx_.wloc = wloc_.data();
   group_build_ms_ += millis_since(t0);
@@ -402,7 +449,7 @@ bool CheckSession::for_each_shard(std::size_t span,
 
 void CheckSession::advance(const BinaryTraceEvent* events,
                            std::size_t count, std::size_t arrived) {
-  while (watermark_ < n_ && validator_.arrived(topo_[watermark_]))
+  while (watermark_ < n_ && validator_.arrived(scan_node(watermark_)))
     ++watermark_;
   const std::uint32_t p1 = watermark_;
   consumed_ = p1;
@@ -465,24 +512,29 @@ void CheckSession::advance(const BinaryTraceEvent* events,
   kernel_ms_ += kernel;
 }
 
-void CheckSession::ingest(const BinaryTraceEvent* events,
-                          std::size_t count) {
+bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
+  if (failed()) return false;
+  if (count == 0) return true;
   const auto t0 = Clock::now();
-  events_seen_ += count;
-  if (opts_.retain_events)
-    retained_.insert(retained_.end(), events, events + count);
   const std::size_t arrived = arrival_.size();
-  if (witnessed_ > 0) {
-    // Geometric growth capped at n (a validated stream has one record
-    // per node): a complete stream holds exactly 4 B per node.
-    if (arrival_.capacity() < arrived + count)
-      arrival_.reserve(std::min<std::size_t>(
-          n_, std::max(2 * arrival_.capacity(), arrived + count)));
-    for (std::size_t i = 0; i < count; ++i)
-      arrival_.push_back(events[i].node);
-  }
+  const bool keep_arrival = witnessed_ > 0;
+  // Geometric growth capped at n (a validated stream has one record per
+  // node): a complete stream holds exactly 4 B per node.
+  if (keep_arrival && arrival_.capacity() < arrived + count)
+    arrival_.reserve(std::min<std::size_t>(
+        n_, std::max(2 * arrival_.capacity(), arrived + count)));
+  // One pass: each record is validated, appended to the arrival order
+  // and checked for agreement before the next is read. A rejection
+  // fails the session sticky before events_seen_, retained_ or the
+  // kernel move, so nothing the batch did before it can be observed.
+  std::string why;
   for (std::size_t i = 0; i < count; ++i) {
     const BinaryTraceEvent& e = events[i];
+    if (!validator_.accept(e, why)) {
+      fail_stream(std::move(why));
+      return false;
+    }
+    if (keep_arrival) arrival_.push_back(e.node);
     const std::uint32_t a = access_[e.node];
     if (a == kNoWrittenLoc) {
       // A read observing a never-written location fails 2.1 there;
@@ -507,38 +559,32 @@ void CheckSession::ingest(const BinaryTraceEvent* events,
       --witnessed_;
     }
   }
+  events_seen_ += count;
+  if (opts_.retain_events)
+    retained_.insert(retained_.end(), events, events + count);
   ingest_ms_ += millis_since(t0);
   advance(events, count, arrived);
   // Nothing can materialize anymore: the arrival order has served.
   if (witnessed_ == 0) std::vector<NodeId>().swap(arrival_);
-}
-
-bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
-  if (failed()) return false;
-  if (count == 0) return true;
-  const auto t0 = Clock::now();
-  // Nothing is consumed unless the whole batch validates: a rejected
-  // batch leaves the session sticky-failed, not half-applied.
-  std::string why;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!validator_.accept(events[i], why)) {
-      fail_stream(std::move(why));
-      return false;
-    }
-  }
-  ingest_ms_ += millis_since(t0);
-  ingest(events, count);
   active_ms_ += millis_since(t0);
   return true;
 }
 
 LargeCheckReport CheckSession::run_trace(const Trace& trace) {
+  // Putting the records in seq order (and gathering a shuffled trace's
+  // spans) is ingest work done outside feed(): charge it there, with
+  // the progress callback.
+  const auto t0 = Clock::now();
+  const double fed_before = active_ms_;
   detail::for_each_seq_span(
       trace, [this](const BinaryTraceEvent* events, std::size_t count) {
         if (!feed(events, count)) return false;
         if (progress_) progress_(consumed_, n_);
         return true;
       });
+  const double outside = millis_since(t0) - (active_ms_ - fed_before);
+  ingest_ms_ += outside;
+  active_ms_ += outside;
   return finish();
 }
 
@@ -551,7 +597,7 @@ LargeCheckReport CheckSession::run_observer(const ObserverFunction& phi) {
   const auto unwritten_column = [&](std::size_t si) {
     const std::vector<NodeId>& col = phi.stored_column(si);
     for (std::uint32_t p = 0; p < n_; ++p) {
-      const NodeId u = topo_[p];
+      const NodeId u = scan_node(p);
       if (col[u] == kBottom) continue;
       note_unwritten(stored[si], p, u, col[u]);
       return;
@@ -625,7 +671,7 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
 
   report.simd = simd_level_name(kctx_.simd);
   report.numa = numa_topology().to_string();
-  report.groups_bytes = groups_.memory_bytes();
+  report.groups_bytes = wri_.capacity() * sizeof(NodeId);
   report.aux_bytes = aux_bytes();
   report.ingest_millis = ingest_ms_;
   report.group_build_millis = group_build_ms_;
@@ -672,7 +718,7 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
         out.millis = s.millis + millis_since(tf);
       } else {
         out.loc = s.loc;
-        out.writers = s.writers.size();
+        out.writers = writer_count(i);
       }
     }
     sh.arena.note_peak();
@@ -737,7 +783,8 @@ LargeCheckReport CheckSession::finish() { return make_report(true); }
 
 std::size_t CheckSession::aux_bytes() const noexcept {
   return (wblock_.capacity() + wloc_.capacity() + posv_.capacity() +
-          access_.capacity()) * sizeof(std::uint32_t) +
+          access_.capacity() + wri_head_.capacity()) *
+             sizeof(std::uint32_t) +
          (topo_.capacity() + carried_.capacity() + arrival_.capacity()) *
              sizeof(NodeId) +
          validator_.memory_bytes() + unwritten_.size() * kMapNodeBytes;
@@ -746,7 +793,7 @@ std::size_t CheckSession::aux_bytes() const noexcept {
 std::size_t CheckSession::memory_bytes() const noexcept {
   std::size_t bytes = aux_bytes() +
                       retained_.capacity() * sizeof(BinaryTraceEvent) +
-                      groups_.memory_bytes();
+                      wri_.capacity() * sizeof(NodeId);
   for (const Shard& sh : shards_)
     bytes += sh.arena.peak_bytes + sh.locs.capacity() * sizeof(std::uint32_t);
   for (const std::unique_ptr<Loc>& s : states_)

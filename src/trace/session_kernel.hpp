@@ -29,6 +29,14 @@
 //                 scan position 0. large_check(c, Φ) materializes
 //                 every location up front on Φ's own columns.
 //
+// Setup builds only what a clean stream reads: one pass over the ops
+// gives the node → written-location index and each location's writer
+// count, and the writer counts give the shard plan. The first
+// materialization builds what only the kernel reads — the writer CSR
+// (each location's writers, the LocStates' blocks), the writer →
+// block/location maps and, when ids are topological, the scan order —
+// so a stream whose locations all stay witnessed never builds them.
+//
 // The LocStates advance through a *watermark* on the scan order:
 //
 //   scan order  = ids when topological, else dag().topological_order();
@@ -51,11 +59,14 @@
 // stays on the caller thread, running the shards' work in order.
 // Either way the verdicts are identical.
 //
-// feed() validates each record (one event per node, known nodes and
-// observations, seq monotone, predecessors first); a violation makes
-// the session sticky-failed and finish() reports "trace does not fit
-// the computation". finish() on a complete stream returns the
-// LargeCheckReport large_check_trace() gives for the same records.
+// feed() makes one pass over its records: each is validated (one event
+// per node, known nodes and observations, seq monotone, predecessors
+// first), appended to the arrival order and checked for agreement
+// before the next is read. A violation makes the session sticky-failed
+// before anything the batch did becomes visible, and finish() reports
+// "trace does not fit the computation". finish() on a complete stream
+// returns the LargeCheckReport large_check_trace() gives for the same
+// records.
 #pragma once
 
 #include <cstdint>
@@ -63,11 +74,11 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "trace/large_check.hpp"
-#include "trace/loc_kernel.hpp"
 #include "trace/trace_binary.hpp"
 
 namespace ccmm {
@@ -126,8 +137,21 @@ class EventValidator {
   explicit EventValidator(const Computation& c);
 
   /// Check `e` against everything accepted so far and accept it; on a
-  /// defect return false with the message in `why`.
-  bool accept(const BinaryTraceEvent& e, std::string& why);
+  /// defect return false with the message in `why`. The checks run
+  /// inline; only a rejection builds a message.
+  bool accept(const BinaryTraceEvent& e, std::string& why) {
+    const std::size_t n = arrived_.size();
+    const NodeId u = e.node;
+    if (u < n && (e.observed == kBottom || e.observed < n) &&
+        e.reserved == 0 && e.seq >= last_seq_ && arrived_[u] == 0 &&
+        preds_arrived(u)) {
+      arrived_[u] = 1;
+      last_seq_ = e.seq;
+      return true;
+    }
+    why = rejection(e);
+    return false;
+  }
 
   [[nodiscard]] bool arrived(NodeId u) const noexcept {
     return arrived_[u] != 0;
@@ -137,19 +161,36 @@ class EventValidator {
   }
 
  private:
-  const Computation* c_;
+  [[nodiscard]] bool preds_arrived(NodeId u) const noexcept {
+    for (std::uint32_t k = pred_.off[u]; k < pred_.off[u + 1]; ++k)
+      if (arrived_[pred_.tgt[k]] == 0) return false;
+    return true;
+  }
+  /// The message for a record accept() turned down: its first failing
+  /// check, in accept()'s order.
+  [[nodiscard]] std::string rejection(const BinaryTraceEvent& e) const;
+
+  Dag::Rows pred_;
   std::vector<std::uint8_t> arrived_;
-  std::uint64_t accepted_ = 0;
   std::uint64_t last_seq_ = 0;
 };
 
 /// "No written location": nops and accesses to never-written locations.
 inline constexpr std::uint32_t kNoWrittenLoc = 0xFFFFFFFFu;
 
-/// node → (index among the written locations of `g`, in location
-/// order) << 1 | is-write; kNoWrittenLoc for every other node.
-[[nodiscard]] std::vector<std::uint32_t> written_access_index(
-    const LocationGroups& g, std::size_t n);
+/// What a stream whose locations all stay witnessed reads of the
+/// computation, from one pass over its ops.
+struct WrittenIndex {
+  /// The written locations, sorted; "written location li" is locs[li].
+  std::vector<Location> locs;
+  /// locs.size() + 1 prefix sums of the writer counts: location li has
+  /// wri_head[li + 1] - wri_head[li] writers.
+  std::vector<std::uint32_t> wri_head;
+  /// node → li << 1 | is-write; kNoWrittenLoc for every other node.
+  std::vector<std::uint32_t> access;
+};
+
+[[nodiscard]] WrittenIndex index_written_locations(const Computation& c);
 
 /// The completion rule, for written location `li` of `index`: apply
 /// `count` records in execution order to the dense column `col`,
@@ -180,7 +221,8 @@ class CheckSession {
   /// every witnessed location together, plus O(count + newly covered
   /// scan positions) per materialized location; a location that
   /// materializes in this feed also pays one O(arrived + consumed)
-  /// column rebuild and replay.
+  /// column rebuild and replay, and the session's first
+  /// materialization one O(n) build of the writer CSR and maps.
   bool feed(const BinaryTraceEvent* events, std::size_t count);
 
   [[nodiscard]] bool failed() const noexcept { return !error_.empty(); }
@@ -222,8 +264,8 @@ class CheckSession {
       const noexcept {
     return retained_;
   }
-  /// Session-owned heap: columns, groups, CSRs, states, arena peaks,
-  /// the arrival order.
+  /// Session-owned heap: columns, the writer CSR and maps, states,
+  /// arena peaks, the arrival order.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -251,32 +293,37 @@ class CheckSession {
 
   void fail_stream(std::string why);
   void note_unwritten(Location l, std::uint32_t pos, NodeId u, NodeId x);
-  /// Build what only materialized locations use — the pred/succ CSRs
-  /// and the writer→block/location maps — on the first materialization.
+  /// Build what only materialized locations use — the writer CSR, the
+  /// writer→block/location maps and an identity scan order — on the
+  /// first materialization.
   void prepare_kernel();
+  /// The node at scan position `p`.
+  [[nodiscard]] NodeId scan_node(std::uint32_t p) const noexcept {
+    return posv_.empty() ? p : topo_[p];
+  }
+  /// How many nodes write written location `i`.
+  [[nodiscard]] std::size_t writer_count(std::size_t i) const noexcept {
+    return wri_head_[i + 1] - wri_head_[i];
+  }
   /// Run `work(shard)` for every shard: on the pool when `span` (the
   /// work estimate, in node visits) pays for it, else on this thread.
   /// Returns whether the pool ran it.
   bool for_each_shard(std::size_t span,
                       const std::function<void(Shard&)>& work);
-  /// Materialize the locations ingest() marked (their columns rebuilt
+  /// Materialize the locations feed() marked (their columns rebuilt
   /// from the first `arrived` entries of arrival_ and their states
   /// replayed), fill every materialized column from `count` records
   /// (none: the columns are already complete) and advance every
   /// materialized state to the watermark.
   void advance(const BinaryTraceEvent* events, std::size_t count,
                std::size_t arrived);
-  /// Apply `count` validated records: the agreement check of every
-  /// witnessed location and the unwritten-location scan in one pass,
-  /// then advance().
-  void ingest(const BinaryTraceEvent* events, std::size_t count);
   /// Batch: feed `trace` through for_each_seq_span, then report.
   LargeCheckReport run_trace(const Trace& trace);
   /// Batch: point the states at Φ's stored columns and scan them all.
   LargeCheckReport run_observer(const ObserverFunction& phi);
   LargeCheckReport make_report(bool require_complete);
-  /// The n-entry maps, scan order, validator, arrival order, carried
-  /// writes and unwritten rows.
+  /// The n-entry maps, scan order, validator, arrival order, writer
+  /// counts, carried writes and unwritten rows.
   [[nodiscard]] std::size_t aux_bytes() const noexcept;
 
   std::unique_ptr<Computation> owned_;  // serving sessions own their copy
@@ -293,12 +340,16 @@ class CheckSession {
   std::string predicted_oracle_;
   double eager_oracle_ms_ = 0.0;
 
-  std::vector<NodeId> topo_;           // scan order
-  std::vector<std::uint32_t> posv_;    // node -> scan position (iff !iota)
-  LocationGroups groups_;
-  std::vector<std::uint32_t> access_;  // written_access_index(groups_)
+  // Scan order and its inverse when ids are not topological; for
+  // topological ids the inverse stays empty and prepare_kernel() fills
+  // topo_ with the identity the LocStates read.
+  std::vector<NodeId> topo_;
+  std::vector<std::uint32_t> posv_;
+  std::vector<std::uint32_t> access_;    // detail::WrittenIndex::access
+  std::vector<std::uint32_t> wri_head_;  // detail::WrittenIndex::wri_head
   // Built by prepare_kernel() on the first materialization.
   bool kernel_ready_ = false;
+  std::vector<NodeId> wri_;  // writer CSR: each location's writers, by id
   std::vector<std::uint32_t> wblock_;
   std::vector<std::uint32_t> wloc_;
   LocKernelCtx kctx_;

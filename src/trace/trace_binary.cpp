@@ -187,10 +187,20 @@ Trace read_trace_binary(const void* data, std::size_t size,
                         const Computation& c) {
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t count = check_header(p, size);
+  const unsigned char* image = p + kTraceBinaryHeaderBytes;
+  const bool aligned =
+      reinterpret_cast<std::uintptr_t>(image) % alignof(BinaryTraceEvent) == 0;
   Trace trace;
+  if (kHostLittle && aligned) {
+    // The image's records are the Trace's: range-check them where they
+    // lie, then copy them in one pass.
+    const auto* records = reinterpret_cast<const BinaryTraceEvent*>(image);
+    check_records(records, count, c.node_count());
+    trace.events.assign(records, records + count);
+    return trace;
+  }
   trace.events.resize(count);
-  decode_trace_records(p + kTraceBinaryHeaderBytes, count,
-                       trace.events.data());
+  decode_trace_records(image, count, trace.events.data());
   check_records(trace.events.data(), count, c.node_count());
   return trace;
 }

@@ -109,8 +109,11 @@ void write_trace_binary(const Trace& trace, std::ostream& out);
 [[nodiscard]] Trace trace_from_view(const BinaryTraceView& view,
                                     const Computation& c);
 
-/// Portable whole-image reader: check the header, decode the records
-/// into a Trace and validate them against `c`, on any host.
+/// Portable whole-image reader: check the header, then validate the
+/// records against `c` and copy them into a Trace, on any host. On a
+/// little-endian host an 8-byte-aligned image (a mapping or a heap
+/// buffer) is range-checked in place and copied once; elsewhere the
+/// records are decoded field by field first.
 [[nodiscard]] Trace read_trace_binary(const void* data, std::size_t size,
                                       const Computation& c);
 

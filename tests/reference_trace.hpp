@@ -32,19 +32,17 @@ inline std::vector<std::uint32_t> reference_seq_order(const Trace& trace) {
   return order;
 }
 
-/// Size, then every event's node and observation in array order, then
-/// duplicates in trace order, then the first flipped dag edge.
-inline bool reference_trace_consistent_with(const Trace& trace,
-                                            const Computation& c,
-                                            std::string* why) {
+/// Every event's node and observation in array order, then duplicates
+/// in trace order, then the first flipped dag edge: the defects a
+/// stream can show before its end, whatever its event count.
+inline bool reference_stream_consistent_with(const Trace& trace,
+                                             const Computation& c,
+                                             std::string* why) {
   const auto fail = [&](std::string reason) {
     if (why != nullptr) *why = std::move(reason);
     return false;
   };
   const std::size_t n = c.node_count();
-  if (trace.events.size() != n)
-    return fail(format("trace has %zu events for %zu nodes",
-                       trace.events.size(), n));
   for (const BinaryTraceEvent& e : trace.events) {
     if (e.node >= n)
       return fail(format("event seq=%llu names unknown node %u",
@@ -74,6 +72,19 @@ inline bool reference_trace_consistent_with(const Trace& trace,
           u));
   }
   return true;
+}
+
+/// Size, then reference_stream_consistent_with.
+inline bool reference_trace_consistent_with(const Trace& trace,
+                                            const Computation& c,
+                                            std::string* why) {
+  if (trace.events.size() != c.node_count()) {
+    if (why != nullptr)
+      *why = format("trace has %zu events for %zu nodes", trace.events.size(),
+                    c.node_count());
+    return false;
+  }
+  return reference_stream_consistent_with(trace, c, why);
 }
 
 /// One pass per written location in trace order, carrying the last

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/backer.hpp"
 #include "exec/lc_memory.hpp"
 #include "exec/sc_memory.hpp"
 #include "exec/weak_memory.hpp"
@@ -225,6 +226,36 @@ TEST(LargeCheck, ReportsUsableDetailAndTimings) {
   const std::string rendered = r.to_string();
   EXPECT_NE(rendered.find("oracle"), std::string::npos);
   EXPECT_NE(rendered.find("loc"), std::string::npos);
+}
+
+TEST(LargeCheck, StagesAddUpToTheTotal) {
+  // On a sequential run the stages are disjoint stretches of the
+  // engine's time, the seq ordering of the trace included, so together
+  // they never exceed total_millis: on a serial trace, whose locations
+  // all stay witnessed (no kernel, no writer CSR), and on a BACKER
+  // trace, whose stale reads materialize locations.
+  Rng rng(5);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 20000;
+  opt.nlocations = 8;
+  const Computation c = proc::random_cilk(opt, rng);
+  ScMemory sc;
+  BackerMemory backer;
+  const Trace serial = run_serial(c, sc).trace;
+  const Trace stale = run_execution(c, greedy_schedule(c, 4), backer).trace;
+  LargeCheckOptions lopt;
+  lopt.models = kLargeCheckExt;
+  lopt.parallel = false;
+  for (const Trace* t : {&serial, &stale}) {
+    const LargeCheckReport r = large_check_trace(c, *t, lopt);
+    ASSERT_TRUE(r.valid_observer) << r.detail;
+    EXPECT_EQ(r.groups_bytes == 0, t == &serial);
+    EXPECT_EQ(r.kernel_millis == 0.0, t == &serial);
+    // A nanosecond of slack for the rounding of the summed doubles.
+    EXPECT_LE(r.ingest_millis + r.group_build_millis + r.kernel_millis +
+                  r.report_millis,
+              r.total_millis + 1e-6);
+  }
 }
 
 TEST(LargeCheck, ObserverFromTracePinsReadsAndWrites) {

@@ -352,11 +352,15 @@ TEST(CheckSession, WitnessedLocationsCostNoColumns) {
   CheckSession session(c, sopt);
   for (std::size_t at = 0; at < kNodes; at += 4096)
     ASSERT_TRUE(session.feed(recs.data() + at, 4096)) << session.error();
-  EXPECT_LE(session.memory_bytes(), 64 * kNodes);
+  // Per node: the written-location index and the arrival order (4 B
+  // each) and the validator's arrived flag (1 B); per location, its
+  // state. No writer CSR, no writer maps, no identity scan order.
+  EXPECT_LE(session.memory_bytes(), 12 * kNodes);
   const LargeCheckReport r = session.finish();
   ASSERT_EQ(r.locations.size(), kLocs);
   EXPECT_EQ(r.satisfied, kLargeCheckExt) << r.detail;
-  EXPECT_LE(session.memory_bytes(), 64 * kNodes);
+  EXPECT_EQ(r.groups_bytes, 0u);
+  EXPECT_LE(session.memory_bytes(), 12 * kNodes);
 }
 
 /// `recs` with one read of location `l` made stale: the `which`-th
@@ -477,6 +481,49 @@ TEST(CheckSession, MaterializationMidStreamMatchesTheReference) {
             c, recs, kLargeCheckExt, chunk,
             name + (shuffle ? " shuffled" : " serial"));
     }
+  }
+}
+
+TEST(CheckSession, FirstStaleReadBuildsTheGroupsOnce) {
+  // A serial stream with one stale read: the writer CSR (the report's
+  // groups_bytes) is absent while every location is witnessed, built by
+  // the feed that carries the stale read, and unchanged by every feed
+  // after it. The reports match the kernel over the consumed prefix at
+  // every feed boundary, and finish() matches the reference.
+  Rng rng(97);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = 600;
+  opt.nlocations = 4;
+  const Computation c = proc::random_cilk(opt, rng);
+  ScMemory mem;
+  const std::vector<BinaryTraceEvent> clean =
+      run_serial(c, mem).trace.events;
+  std::vector<BinaryTraceEvent> recs = clean;
+  ASSERT_TRUE(plant_stale_read(c, recs, c.written_locations()[0], 1));
+  std::size_t stale = 0;
+  while (recs[stale] == clean[stale]) ++stale;
+  for (const std::size_t chunk : kFeedSizes) {
+    const std::string ctx = "chunk=" + std::to_string(chunk);
+    expect_transitions_match_reference(c, recs, kLargeCheckExt, chunk, ctx);
+    SessionOptions sopt;
+    sopt.models = kLargeCheckExt;
+    CheckSession session(c, sopt);
+    std::size_t built = 0;
+    for (std::size_t at = 0; at < recs.size();) {
+      const std::size_t k = std::min(chunk, recs.size() - at);
+      ASSERT_TRUE(session.feed(recs.data() + at, k)) << session.error();
+      at += k;
+      const std::size_t bytes = session.check().groups_bytes;
+      if (at <= stale) {
+        EXPECT_EQ(bytes, 0u) << ctx << " at=" << at;
+      } else if (built == 0) {
+        EXPECT_GT(bytes, 0u) << ctx << " at=" << at;
+        built = bytes;
+      } else {
+        EXPECT_EQ(bytes, built) << ctx << " at=" << at;
+      }
+    }
+    EXPECT_EQ(session.finish().groups_bytes, built) << ctx;
   }
 }
 

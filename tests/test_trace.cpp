@@ -10,6 +10,7 @@
 #include "proc/random_program.hpp"
 #include "reference_trace.hpp"
 #include "trace/large_check.hpp"
+#include "trace/session_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -255,6 +256,77 @@ TEST(Trace, ValidatorAndCompletionMatchTheReferences) {
       }
       expect_same_observer(observer_from_trace(c, m.trace),
                            reference_observer_from_trace(c, m.trace), ctx);
+    }
+  }
+}
+
+TEST(Trace, RejectedFeedsMatchTheReferenceAndChangeNothing) {
+  // Every single-defect mutant fed to a session in stable seq order, at
+  // several feed sizes. A stream cannot see its event count before its
+  // end, so the feed that fails names the reference's first per-record
+  // defect, and a count-only defect shows at finish(). A rejected feed
+  // moves no counter and retains none of its records: events_seen(),
+  // consumed() and the retained log stay where the accepted feeds left
+  // them, and fast_verdict() keeps those counters and turns invalid.
+  constexpr std::size_t kWhole = ~std::size_t{0};
+  Rng rng(2029);
+  for (int round = 0; round < 16; ++round) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = 60 + rng.below(400);
+    opt.nlocations = 1 + rng.below(6);
+    const Computation c = proc::random_cilk(opt, rng);
+    ScMemory mem;
+    const Trace base = run_serial(c, mem).trace;
+    for (const Mutant& m : mutants(c, base, rng)) {
+      if (!m.single) continue;
+      std::string stream_why;
+      const bool stream_ok =
+          reference_stream_consistent_with(m.trace, c, &stream_why);
+      std::string trace_why;
+      const bool trace_ok =
+          reference_trace_consistent_with(m.trace, c, &trace_why);
+      std::vector<BinaryTraceEvent> recs;
+      for (const std::uint32_t i : reference_seq_order(m.trace))
+        recs.push_back(m.trace.events[i]);
+      for (const std::size_t chunk :
+           {std::size_t{1}, std::size_t{7}, std::size_t{4096}, kWhole}) {
+        const std::string ctx = "round " + std::to_string(round) + " (" +
+                                m.what + ") chunk " + std::to_string(chunk);
+        SessionOptions so;
+        so.retain_events = true;
+        CheckSession s(c, so);
+        bool rejected = false;
+        for (std::size_t at = 0; at < recs.size() && !rejected;) {
+          const std::size_t k = std::min(chunk, recs.size() - at);
+          const std::uint64_t seen = s.events_seen();
+          const std::uint64_t consumed = s.consumed();
+          const SessionVerdict before = s.fast_verdict();
+          if (s.feed(recs.data() + at, k)) {
+            at += k;
+            continue;
+          }
+          rejected = true;
+          EXPECT_EQ(s.error(), stream_why) << ctx;
+          EXPECT_EQ(s.events_seen(), seen) << ctx;
+          EXPECT_EQ(s.consumed(), consumed) << ctx;
+          const SessionVerdict after = s.fast_verdict();
+          EXPECT_FALSE(after.valid) << ctx;
+          EXPECT_EQ(after.events, before.events) << ctx;
+          EXPECT_EQ(after.consumed, before.consumed) << ctx;
+          EXPECT_EQ(s.retained_events(),
+                    std::vector<BinaryTraceEvent>(
+                        recs.begin(),
+                        recs.begin() + static_cast<std::ptrdiff_t>(at)))
+              << ctx;
+        }
+        EXPECT_EQ(rejected, !stream_ok) << ctx;
+        const std::string detail = s.finish().detail;
+        if (!stream_ok || !trace_ok) {
+          EXPECT_EQ(detail, "trace does not fit the computation: " +
+                                (stream_ok ? trace_why : stream_why))
+              << ctx;
+        }
+      }
     }
   }
 }

@@ -55,6 +55,11 @@ void expect_round_trips(const Trace& trace, const Computation& c) {
                               trace.events.size() * kTraceBinaryEventBytes);
   const Trace back = read_trace_binary(image.data(), image.size(), c);
   expect_events_equal(back, trace);
+  // One byte off alignment the reader decodes field by field instead of
+  // copying the records as they lie; the result is the same.
+  const std::string shifted = " " + image;
+  expect_events_equal(read_trace_binary(shifted.data() + 1, image.size(), c),
+                      trace);
 
   // The text twin must decode to the same trace.
   std::ostringstream text;
@@ -207,14 +212,20 @@ TEST(TraceBinary, RecordBytesArePinnedInEveryCarrier) {
   EXPECT_TRUE(img.events == trace.events);
 }
 
-/// Expect read_trace_binary to throw with exactly this byte offset.
+/// Expect read_trace_binary to throw with exactly this byte offset, on
+/// the image as given and one byte off alignment (the field-by-field
+/// decode).
 void expect_rejects_at(const std::string& image, const Computation& c,
                        std::size_t offset) {
-  try {
-    (void)read_trace_binary(image.data(), image.size(), c);
-    FAIL() << "image accepted; expected rejection at offset " << offset;
-  } catch (const TraceReadError& e) {
-    EXPECT_EQ(e.offset(), offset) << e.what();
+  const std::string shifted = " " + image;
+  for (const char* data : {image.data(), shifted.data() + 1}) {
+    try {
+      (void)read_trace_binary(data, image.size(), c);
+      ADD_FAILURE() << "image accepted; expected rejection at offset "
+                    << offset;
+    } catch (const TraceReadError& e) {
+      EXPECT_EQ(e.offset(), offset) << e.what();
+    }
   }
 }
 

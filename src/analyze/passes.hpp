@@ -58,7 +58,7 @@ struct AnalyzeStats {
   std::size_t races = 0;
   RaceScanStats scan;
 
-  // Data-plane accounting: bytes the scan itself held — grouping arena
+  // Data-plane accounting: bytes the scan itself held — location index
   // + sweep or per-location scratch + oracle — per node, and the
   // process peak RSS after the analysis (getrusage; includes the
   // computation itself).

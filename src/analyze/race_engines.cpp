@@ -5,50 +5,43 @@
 #include "trace/race.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "analyze/race_oracle.hpp"
 #include "analyze/sp_bags.hpp"
+#include "core/location_index.hpp"
 
 namespace ccmm {
 namespace {
 
-// Group accessors per location: the unit both pairwise walks share.
-std::unordered_map<Location, std::vector<NodeId>> accessors_by_location(
-    const Computation& c) {
-  std::unordered_map<Location, std::vector<NodeId>> accessors;
-  for (NodeId u = 0; u < c.node_count(); ++u) {
-    const Op o = c.op(u);
-    if (!o.is_nop()) accessors[o.loc].push_back(u);
+/// Hand `f` every race, found by testing each same-location pair with a
+/// writer against the reachability closure, until it returns false.
+template <typename F>
+void for_each_pairwise_race(const Computation& c, F&& f) {
+  LocationIndex index(c);
+  index.build_csr(true);
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const std::span<const NodeId> nodes = index.accessors(i);
+    for (std::size_t x = 0; x < nodes.size(); ++x) {
+      for (std::size_t y = x + 1; y < nodes.size(); ++y) {
+        const NodeId a = nodes[x];
+        const NodeId b = nodes[y];
+        if (!c.op(a).is_write() && !c.op(b).is_write()) continue;
+        if (c.precedes(a, b) || c.precedes(b, a)) continue;
+        if (!f(Race::between(c, a, b, index.location(i)))) return;
+      }
+    }
   }
-  return accessors;
 }
 
 }  // namespace
 
 std::vector<Race> find_races_pairwise(const Computation& c) {
   std::vector<Race> races;
-  // Test pairs for dag-incomparability with the reachability bitsets.
-  for (const auto& [l, nodes] : accessors_by_location(c)) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-        const NodeId a = nodes[i];
-        const NodeId b = nodes[j];
-        const bool aw = c.op(a).is_write();
-        const bool bw = c.op(b).is_write();
-        if (!aw && !bw) continue;  // read/read never races
-        if (c.precedes(a, b) || c.precedes(b, a)) continue;
-        races.push_back(
-            {a, b, l, aw && bw ? RaceKind::kWriteWrite : RaceKind::kReadWrite});
-      }
-    }
-  }
-  std::sort(races.begin(), races.end(), [](const Race& x, const Race& y) {
-    if (x.a != y.a) return x.a < y.a;
-    if (x.b != y.b) return x.b < y.b;
-    return x.loc < y.loc;
+  for_each_pairwise_race(c, [&](const Race& r) {
+    races.push_back(r);
+    return true;
   });
-  races.erase(std::unique(races.begin(), races.end()), races.end());
+  std::sort(races.begin(), races.end(), Race::less);
   return races;
 }
 
@@ -78,18 +71,12 @@ bool has_race(const Computation& c) {
     default:
       break;
   }
-  for (const auto& [l, nodes] : accessors_by_location(c)) {
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-        const NodeId a = nodes[i];
-        const NodeId b = nodes[j];
-        if (!c.op(a).is_write() && !c.op(b).is_write()) continue;
-        if (c.precedes(a, b) || c.precedes(b, a)) continue;
-        return true;
-      }
-    }
-  }
-  return false;
+  bool found = false;
+  for_each_pairwise_race(c, [&](const Race&) {
+    found = true;
+    return false;
+  });
+  return found;
 }
 
 }  // namespace ccmm

@@ -9,8 +9,8 @@
 #include <numeric>
 #include <span>
 
+#include "core/location_index.hpp"
 #include "dag/sweep.hpp"
-#include "trace/loc_kernel.hpp"
 #include "util/numa.hpp"
 #include "util/str.hpp"
 
@@ -23,19 +23,17 @@ double millis_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-bool race_less(const Race& x, const Race& y) {
-  if (x.a != y.a) return x.a < y.a;
-  if (x.b != y.b) return x.b < y.b;
-  return x.loc < y.loc;
-}
+/// Shared scan context: the location index with its slices, the slots
+/// that can race at all, the topological rank view, and the oracle.
+struct ScanSetup {
+  LocationIndex index;
+  std::vector<std::uint32_t> live;  // slots with ≥ 2 accessors
+  std::vector<NodeId> topo;
+  std::vector<std::uint32_t> rank;  // empty when ids are topological
+  std::unique_ptr<PrecedenceOracle> oracle;
+};
 
-Race make_race(const Computation& c, NodeId x, NodeId y, Location l) {
-  const bool ww = c.op(x).is_write() && c.op(y).is_write();
-  if (x > y) std::swap(x, y);
-  return Race{x, y, l, ww ? RaceKind::kWriteWrite : RaceKind::kReadWrite};
-}
-
-/// Phase 1 for one location: prove the total order or return a race.
+/// Phase 1 for slot g: prove the total order or return a race.
 ///
 /// With accessors sorted by topological rank, the location is race-free
 /// iff the writers form a chain w₁ ≺ … ≺ w_k and every reader sits
@@ -43,21 +41,20 @@ Race make_race(const Computation& c, NodeId x, NodeId y, Location l) {
 /// other writer pairs). Any failed query (x, y) has rank(x) < rank(y),
 /// and ranks respect the dag, so y ≺ x is impossible — the failure IS
 /// dag-incomparability, a concrete race, with no second probe.
-/// `rank` is nullptr when node ids are already a topological order.
 std::optional<Race> location_first_race(const Computation& c,
-                                        const PrecedenceOracle& oracle,
-                                        Location loc,
-                                        std::span<const NodeId> writers,
-                                        std::span<const NodeId> accessors,
-                                        const std::vector<std::uint32_t>* rank,
+                                        const ScanSetup& s, std::uint32_t g,
                                         std::size_t& queries) {
+  const PrecedenceOracle& oracle = *s.oracle;
+  const Location loc = s.index.location(g);
+  std::span<const NodeId> writers = s.index.writers(g);
+  std::span<const NodeId> accessors = s.index.accessors(g);
   std::vector<NodeId> wbuf;
   std::vector<NodeId> abuf;
-  if (rank != nullptr) {
+  if (!s.rank.empty()) {
     wbuf.assign(writers.begin(), writers.end());
     abuf.assign(accessors.begin(), accessors.end());
     const auto by_rank = [&](NodeId x, NodeId y) {
-      return (*rank)[x] < (*rank)[y];
+      return s.rank[x] < s.rank[y];
     };
     std::sort(wbuf.begin(), wbuf.end(), by_rank);
     std::sort(abuf.begin(), abuf.end(), by_rank);
@@ -67,7 +64,7 @@ std::optional<Race> location_first_race(const Computation& c,
   for (std::size_t i = 0; i + 1 < writers.size(); ++i) {
     ++queries;
     if (!oracle.precedes(writers[i], writers[i + 1]))
-      return make_race(c, writers[i], writers[i + 1], loc);
+      return Race::between(c, writers[i], writers[i + 1], loc);
   }
   std::size_t j = 0;  // writers at-or-before the current accessor
   for (const NodeId v : accessors) {
@@ -78,35 +75,26 @@ std::optional<Race> location_first_race(const Computation& c,
     if (j > 0) {
       ++queries;
       if (!oracle.precedes(writers[j - 1], v))
-        return make_race(c, writers[j - 1], v, loc);
+        return Race::between(c, writers[j - 1], v, loc);
     }
     if (j < writers.size()) {
       ++queries;
       if (!oracle.precedes(v, writers[j]))
-        return make_race(c, v, writers[j], loc);
+        return Race::between(c, v, writers[j], loc);
     }
   }
   return std::nullopt;
 }
 
-/// Shared scan context: the location-grouping arena, the indices of
-/// groups that can race at all, the topological rank view, and the
-/// oracle.
-struct ScanSetup {
-  LocationGroups groups;
-  std::vector<std::uint32_t> live;  // groups with a writer + ≥2 accessors
-  std::vector<NodeId> topo;
-  std::vector<std::uint32_t> rank;  // empty when ids are topological
-  std::unique_ptr<PrecedenceOracle> oracle;
-};
-
 ScanSetup scan_setup(const Computation& c, const RaceScanOptions& options,
                      RaceScanStats& st) {
   ScanSetup s;
-  s.groups = group_location_accesses(c);
-  st.groups_bytes = s.groups.memory_bytes();
-  for (std::size_t i = 0; i < s.groups.size(); ++i)
-    if (!s.groups.writers(i).empty() && s.groups.accessors(i).size() >= 2)
+  s.index = LocationIndex(c);
+  s.index.build_csr(true);
+  s.index.drop_table();  // the scan reads slices and counts only
+  st.groups_bytes = s.index.table_bytes() + s.index.csr_bytes();
+  for (std::size_t i = 0; i < s.index.size(); ++i)
+    if (s.index.accessor_count(i) >= 2)
       s.live.push_back(static_cast<std::uint32_t>(i));
   st.locations = s.live.size();
   if (s.live.empty()) return s;
@@ -223,14 +211,14 @@ EnumerationPlan plan_enumeration(const ScanSetup& s,
     if (racy[i] == 0) continue;
     const std::uint32_t g = s.live[i];
     const std::size_t pairs =
-        s.groups.writers(g).size() * (s.groups.accessors(g).size() - 1);
+        s.index.writer_count(g) * (s.index.accessor_count(g) - 1);
     (pairs <= options.direct_pair_threshold ? p.direct : p.masky).push_back(g);
   }
   st.racy_locations = p.direct.size() + p.masky.size();
   st.direct_locations = p.direct.size();
   st.mask_locations = p.masky.size();
   for (std::size_t gi = 0; gi < p.masky.size(); ++gi)
-    for (const NodeId w : s.groups.writers(p.masky[gi]))
+    for (const NodeId w : s.index.writers(p.masky[gi]))
       p.anchors.push_back({w, static_cast<std::uint32_t>(gi)});
   p.nchunks = (p.anchors.size() + kSweepBits - 1) / kSweepBits;
   st.mask_groups = p.nchunks;
@@ -297,8 +285,8 @@ void scan_mask_chunk(const Computation& c, const ScanSetup& s, SimdLevel simd,
     std::size_t e = sb + 1;
     while (e < width && anchors[e].group == anchors[sb].group) ++e;
     const std::uint32_t gi = p.masky[anchors[sb].group];
-    const Location loc = s.groups.locs[gi];
-    for (const NodeId v : s.groups.accessors(gi)) {
+    const Location loc = s.index.location(gi);
+    for (const NodeId v : s.index.accessors(gi)) {
       std::size_t hi_bit = e;
       if (c.op(v).is_write()) {
         // Writer/writer dedupe across chunks and slices: v takes only
@@ -336,8 +324,7 @@ void scan_direct_location(const Computation& c, const PrecedenceOracle& oracle,
       if (!aw && !bw) continue;
       ++queries;
       if (!oracle.incomparable(a, b)) continue;
-      emit(Race{a, b, loc,
-                aw && bw ? RaceKind::kWriteWrite : RaceKind::kReadWrite});
+      emit(Race::between(c, a, b, loc));
     }
   }
 }
@@ -347,17 +334,10 @@ std::vector<char> find_racy_locations(const Computation& c,
                                       const ScanSetup& s,
                                       const RaceScanOptions& options,
                                       RaceScanStats& st) {
-  const std::vector<std::uint32_t>* rank = s.rank.empty() ? nullptr : &s.rank;
   std::vector<char> racy(s.live.size(), 0);
   std::vector<std::size_t> queries(s.live.size(), 0);
   run_sharded(options, s.live.size(), [&](std::size_t i) {
-    const std::uint32_t g = s.live[i];
-    racy[i] = location_first_race(c, *s.oracle, s.groups.locs[g],
-                                  s.groups.writers(g), s.groups.accessors(g),
-                                  rank, queries[i])
-                      .has_value()
-                  ? 1
-                  : 0;
+    racy[i] = location_first_race(c, s, s.live[i], queries[i]) ? 1 : 0;
   });
   for (const std::size_t q : queries) st.oracle_queries += q;
   return racy;
@@ -407,7 +387,7 @@ struct CollectSink {
     for (std::size_t w = p.first_word(); w < p.end_word(); ++w) {
       for (std::uint64_t cand = p.word(w); cand != 0; cand &= cand - 1) {
         if (emitted == 0 && !more()) return false;
-        out->push_back(make_race(*c, v, p.lowest(w, cand), loc));
+        out->push_back(Race::between(*c, v, p.lowest(w, cand), loc));
         ++emitted;
       }
     }
@@ -418,7 +398,7 @@ struct CollectSink {
 
 /// summarize_races' shard sink: counts every partner by popcount and
 /// keeps the k smallest races the shard has seen, a max-heap under
-/// race_less once full. v's races ascend with its partners, so the
+/// Race::less once full. v's races ascend with its partners, so the
 /// first one the heap refuses ends v's materialization.
 struct TallySink {
   const Computation* c = nullptr;
@@ -433,7 +413,7 @@ struct TallySink {
       const std::uint64_t word = p.word(w);
       count += static_cast<std::size_t>(std::popcount(word));
       for (std::uint64_t cand = word; taking && cand != 0; cand &= cand - 1) {
-        const Race r = make_race(*c, v, p.lowest(w, cand), loc);
+        const Race r = Race::between(*c, v, p.lowest(w, cand), loc);
         taking = admits(r);
         if (taking) take(r);
       }
@@ -441,16 +421,16 @@ struct TallySink {
     return true;
   }
   [[nodiscard]] bool admits(const Race& r) const {
-    return heap.size() < k || (!heap.empty() && race_less(r, heap.front()));
+    return heap.size() < k || (!heap.empty() && Race::less(r, heap.front()));
   }
   void take(const Race& r) {
     if (heap.size() == k) {
-      std::pop_heap(heap.begin(), heap.end(), race_less);
+      std::pop_heap(heap.begin(), heap.end(), Race::less);
       heap.back() = r;
     } else {
       heap.push_back(r);
     }
-    std::push_heap(heap.begin(), heap.end(), race_less);
+    std::push_heap(heap.begin(), heap.end(), Race::less);
   }
 };
 
@@ -585,8 +565,7 @@ std::size_t order_location(const Computation& c, const SpOrderOracle& oracle,
     for (std::size_t j = i + 1; j < m && taken < k; ++j) {
       const bool jw = writes[j] != 0;
       if ((!iw && !jw) || (er[i] < er[j]) == (hr[i] < hr[j])) continue;
-      out.push_back({acc[i], acc[j], loc,
-                     iw && jw ? RaceKind::kWriteWrite : RaceKind::kReadWrite});
+      out.push_back(Race::between(c, acc[i], acc[j], loc));
       ++taken;
     }
   }
@@ -604,7 +583,7 @@ std::vector<Race> smallest_of(std::vector<std::vector<Race>>& found,
     races.insert(races.end(), f.begin(), f.end());
     std::vector<Race>().swap(f);
   }
-  std::sort(races.begin(), races.end(), race_less);
+  std::sort(races.begin(), races.end(), Race::less);
   if (races.size() > k) races.resize(k);
   return races;
 }
@@ -634,8 +613,8 @@ std::vector<Race> find_races_oracle(const Computation& c,
     run_plan(
         c, s, p, options, simd, st,
         [&](std::size_t i, std::uint32_t g, std::size_t& queries) {
-          scan_direct_location(c, *s.oracle, s.groups.locs[g],
-                               s.groups.accessors(g), queries, more,
+          scan_direct_location(c, *s.oracle, s.index.location(g),
+                               s.index.accessors(g), queries, more,
                                [&](const Race& r) {
                                  found[i].push_back(r);
                                  soft_cap.fetch_sub(1,
@@ -684,8 +663,8 @@ RaceSummary summarize_races(const Computation& c, std::size_t k,
       std::vector<std::size_t> bytes(groups.size(), 0);
       run_sharded(options, groups.size(), [&](std::size_t i) {
         const std::uint32_t g = groups[i];
-        counts[i] = order_location(c, *order, s.groups.locs[g],
-                                   s.groups.accessors(g), k, found[i],
+        counts[i] = order_location(c, *order, s.index.location(g),
+                                   s.index.accessors(g), k, found[i],
                                    bytes[i]);
       });
       if (!bytes.empty())
@@ -700,8 +679,8 @@ RaceSummary summarize_races(const Computation& c, std::size_t k,
           [&](std::size_t i, std::uint32_t g, std::size_t& queries) {
             // One location's races arrive in order: its first k are its
             // k smallest.
-            scan_direct_location(c, *s.oracle, s.groups.locs[g],
-                                 s.groups.accessors(g), queries,
+            scan_direct_location(c, *s.oracle, s.index.location(g),
+                                 s.index.accessors(g), queries,
                                  [] { return true; },
                                  [&](const Race& r) {
                                    ++counts[i];
@@ -736,21 +715,16 @@ std::optional<Race> find_first_race(const Computation& c,
   ScanSetup s = scan_setup(c, options, st);
   std::optional<Race> best;
   if (!s.live.empty()) {
-    const std::vector<std::uint32_t>* rank =
-        s.rank.empty() ? nullptr : &s.rank;
     std::vector<std::optional<Race>> first(s.live.size());
     std::vector<std::size_t> queries(s.live.size(), 0);
     run_sharded(options, s.live.size(), [&](std::size_t i) {
-      const std::uint32_t g = s.live[i];
-      first[i] = location_first_race(c, *s.oracle, s.groups.locs[g],
-                                     s.groups.writers(g),
-                                     s.groups.accessors(g), rank, queries[i]);
+      first[i] = location_first_race(c, s, s.live[i], queries[i]);
     });
     for (std::size_t i = 0; i < s.live.size(); ++i) {
       st.oracle_queries += queries[i];
       if (!first[i].has_value()) continue;
       ++st.racy_locations;
-      if (!best.has_value() || race_less(*first[i], *best)) best = first[i];
+      if (!best.has_value() || Race::less(*first[i], *best)) best = first[i];
     }
   }
   st.races = best.has_value() ? 1 : 0;
@@ -763,16 +737,11 @@ bool has_race_oracle(const Computation& c, const RaceScanOptions& options) {
   RaceScanStats st;
   ScanSetup s = scan_setup(c, options, st);
   if (s.live.empty()) return false;
-  const std::vector<std::uint32_t>* rank = s.rank.empty() ? nullptr : &s.rank;
   std::atomic<bool> found{false};
   run_sharded(options, s.live.size(), [&](std::size_t i) {
     if (found.load(std::memory_order_relaxed)) return;
     std::size_t q = 0;
-    const std::uint32_t g = s.live[i];
-    if (location_first_race(c, *s.oracle, s.groups.locs[g],
-                            s.groups.writers(g), s.groups.accessors(g), rank,
-                            q)
-            .has_value())
+    if (location_first_race(c, s, s.live[i], q))
       found.store(true, std::memory_order_relaxed);
   });
   return found.load(std::memory_order_relaxed);

@@ -96,10 +96,10 @@ struct RaceScanStats {
   bool truncated = false;  // max_races cap hit
 
   // Data-plane accounting: the kernel level the sweeps dispatch to,
-  // the grouping arena, and the widest per-shard sweep arena (fwd/bwd
-  // mask rows) or, under summarize_races' SP-order count, the widest
-  // per-location rank and tree scratch. The sweeps read the dag's own
-  // edge arrays.
+  // the location index with its slices, and the widest per-shard sweep
+  // arena (fwd/bwd mask rows) or, under summarize_races' SP-order
+  // count, the widest per-location rank and tree scratch. The sweeps
+  // read the dag's own edge arrays.
   std::string simd;
   std::size_t groups_bytes = 0;
   std::size_t scratch_peak_bytes = 0;

@@ -13,7 +13,7 @@ struct ScSearch {
   const Computation& c;
   const ObserverFunction& phi;
   std::vector<Location> locs;          // locations the sort must explain
-  std::vector<std::size_t> loc_index;  // location -> index in locs
+  std::vector<std::size_t> write_slot;  // node -> index in locs it writes
   std::vector<std::vector<NodeId>> col;  // col[i][u] = Φ(locs[i], u), dense
   // Block partition of each column (0 = B_⊥) and, per block, how many
   // unplaced non-writers still have to observe it. A write to locs[i] is
@@ -42,10 +42,12 @@ struct ScSearch {
         budget(b),
         memoize(use_memo) {
     locs = std::move(ls);
-    Location max_loc = 0;
-    for (const Location l : locs) max_loc = std::max(max_loc, l);
-    loc_index.assign(locs.empty() ? 0 : max_loc + 1, SIZE_MAX);
-    for (std::size_t i = 0; i < locs.size(); ++i) loc_index[locs[i]] = i;
+    // Looked up per node, not per location id: ids can be as large as
+    // 0xFFFFFFFF, and an array over them would be out of proportion.
+    write_slot.assign(c.node_count(), SIZE_MAX);
+    for (std::size_t i = 0; i < locs.size(); ++i)
+      for (NodeId u = 0; u < c.node_count(); ++u)
+        if (c.op(u).writes(locs[i])) write_slot[u] = i;
     // Dense Φ columns: placeable() probes Φ for every active location of
     // every ready candidate at every expansion, so the per-call column
     // search inside ObserverFunction::get would dominate the search.
@@ -103,10 +105,9 @@ struct ScSearch {
       if (o.writes(locs[i])) continue;  // a write is its own last writer
       if (col[i][u] != cur[i]) return false;
     }
-    if (o.is_write() && o.loc < loc_index.size() &&
-        loc_index[o.loc] != SIZE_MAX) {
+    if (write_slot[u] != SIZE_MAX) {
       // Don't retire a block that still has unplaced observers.
-      const std::size_t i = loc_index[o.loc];
+      const std::size_t i = write_slot[u];
       if (pending[i][cur_blk[i]] != 0) return false;
     }
     return true;
@@ -133,10 +134,8 @@ struct ScSearch {
       const Op o = c.op(u);
       NodeId saved_cur = kBottom;
       std::uint32_t saved_cur_blk = 0;
-      std::size_t li = SIZE_MAX;
-      if (o.is_write() && o.loc < loc_index.size() &&
-          loc_index[o.loc] != SIZE_MAX) {
-        li = loc_index[o.loc];
+      const std::size_t li = write_slot[u];
+      if (li != SIZE_MAX) {
         saved_cur = cur[li];
         cur[li] = u;
         saved_cur_blk = cur_blk[li];

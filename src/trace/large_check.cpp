@@ -70,9 +70,9 @@ std::string LargeCheckReport::to_string() const {
 
 ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
   const std::size_t n = c.node_count();
-  const detail::WrittenIndex written = detail::index_written_locations(c);
-  const std::vector<std::uint32_t>& index = written.access;
-  const std::vector<Location>& locs = written.locs;
+  const LocationIndex written(c);
+  const std::vector<std::uint32_t>& index = written.table();
+  const std::vector<Location>& locs = written.locations();
 
   // One dense column per written location, filled by the engine's
   // completion rule. Writes self-observe even when the trace omits
@@ -80,7 +80,7 @@ ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
   std::vector<std::vector<NodeId>> cols(locs.size(),
                                         std::vector<NodeId>(n, kBottom));
   for (NodeId u = 0; u < n; ++u)
-    if (index[u] != detail::kNoWrittenLoc && (index[u] & 1u) != 0)
+    if (index[u] != kNoWrittenLoc && (index[u] & 1u) != 0)
       cols[index[u] >> 1][u] = u;
   std::vector<NodeId> last(locs.size(), kBottom);
 
@@ -94,7 +94,7 @@ ObserverFunction observer_from_trace(const Computation& c, const Trace& trace) {
         // Φ (they must fail 2.1 later, so they cannot be dropped here).
         for (std::size_t i = 0; i < count; ++i) {
           const BinaryTraceEvent& e = events[i];
-          if (e.node >= n || index[e.node] != detail::kNoWrittenLoc ||
+          if (e.node >= n || index[e.node] != kNoWrittenLoc ||
               e.observed == kBottom || e.observed >= n)
             continue;
           const Op o = c.op(e.node);

@@ -72,9 +72,9 @@ struct TraceLintOptions {
 };
 
 struct TraceLintResult {
-  /// True when the trace fits the computation (one event per node, ops
-  /// matching); when false only the one kError "trace" diagnostic is
-  /// produced.
+  /// True when the trace fits the computation (one event per node, in
+  /// an order the dag allows); when false only the one kError "trace"
+  /// diagnostic is produced.
   bool trace_ok = false;
   std::vector<Diagnostic> diagnostics;
   AnalyzeStats stats;

@@ -19,6 +19,8 @@
 // analyze::summarize_races (analyze/race_oracle.hpp).
 #pragma once
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "core/computation.hpp"
@@ -32,6 +34,19 @@ struct Race {
   NodeId b;
   Location loc;
   RaceKind kind;
+
+  /// The race between accesses x and y (either order) of location l:
+  /// write/write when both write, read/write otherwise.
+  [[nodiscard]] static Race between(const Computation& c, NodeId x, NodeId y,
+                                    Location l) {
+    const bool ww = c.op(x).is_write() && c.op(y).is_write();
+    return {std::min(x, y), std::max(x, y), l,
+            ww ? RaceKind::kWriteWrite : RaceKind::kReadWrite};
+  }
+  /// The order every engine reports races in: by a, then b, then loc.
+  [[nodiscard]] static bool less(const Race& x, const Race& y) noexcept {
+    return std::tie(x.a, x.b, x.loc) < std::tie(y.a, y.b, y.loc);
+  }
 
   [[nodiscard]] bool operator==(const Race&) const = default;
 };

@@ -1,11 +1,9 @@
 #include "trace/session_kernel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <numeric>
 #include <span>
-#include <unordered_map>
 
 #include "util/numa.hpp"
 #include "util/resource.hpp"
@@ -135,67 +133,6 @@ std::string EventValidator::rejection(const BinaryTraceEvent& e) const {
                 late, u, u);
 }
 
-WrittenIndex index_written_locations(const Computation& c) {
-  const std::vector<Op>& ops = c.ops();
-  WrittenIndex w;
-  w.access.resize(ops.size());
-  // Every accessed location gets a slot in first-appearance order and
-  // each node records slot << 1 | is-write. A location recurs far more
-  // often than it appears, so a direct-mapped cache answers most
-  // lookups before the hash map is asked.
-  struct Cached {
-    Location loc = 0;
-    std::uint32_t slot = kNoWrittenLoc;
-  };
-  std::array<Cached, 1024> cache{};
-  std::unordered_map<Location, std::uint32_t> slot_of;
-  std::vector<Location> found;
-  std::vector<std::uint32_t> writes;
-  for (std::size_t u = 0; u < ops.size(); ++u) {
-    const Op o = ops[u];
-    if (o.is_nop()) {
-      w.access[u] = kNoWrittenLoc;
-      continue;
-    }
-    Cached& hit = cache[o.loc % cache.size()];
-    if (hit.slot == kNoWrittenLoc || hit.loc != o.loc) {
-      const auto [it, fresh] = slot_of.try_emplace(
-          o.loc, static_cast<std::uint32_t>(found.size()));
-      if (fresh) {
-        found.push_back(o.loc);
-        writes.push_back(0);
-      }
-      hit = Cached{o.loc, it->second};
-    }
-    const std::uint32_t is_write = o.is_write() ? 1u : 0u;
-    w.access[u] = hit.slot << 1 | is_write;
-    writes[hit.slot] += is_write;
-  }
-
-  // Renumber the written slots in location order; read-only slots
-  // leave the index.
-  std::vector<std::uint32_t> order;
-  for (std::uint32_t slot = 0; slot < found.size(); ++slot)
-    if (writes[slot] != 0) order.push_back(slot);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    return found[a] < found[b];
-  });
-  std::vector<std::uint32_t> written(found.size(), kNoWrittenLoc);
-  w.locs.resize(order.size());
-  w.wri_head.assign(order.size() + 1, 0);
-  for (std::uint32_t li = 0; li < order.size(); ++li) {
-    written[order[li]] = li;
-    w.locs[li] = found[order[li]];
-    w.wri_head[li + 1] = w.wri_head[li] + writes[order[li]];
-  }
-  for (std::uint32_t& a : w.access) {
-    if (a == kNoWrittenLoc) continue;
-    const std::uint32_t li = written[a >> 1];
-    a = li == kNoWrittenLoc ? kNoWrittenLoc : (li << 1 | (a & 1u));
-  }
-  return w;
-}
-
 void fill_column(const std::uint32_t* index, std::uint32_t li,
                  const BinaryTraceEvent* events, std::size_t count,
                  std::size_t n, NodeId* col, NodeId& last) {
@@ -221,7 +158,6 @@ void fill_column(const std::uint32_t* index, std::uint32_t li,
 }  // namespace detail
 
 using detail::kChunkNodes;
-using detail::kNoWrittenLoc;
 
 /// One written location. Witnessed, it is carried_[index] alone; once
 /// materialized, the dense Φ column the stream fills (unused when the
@@ -314,13 +250,11 @@ void CheckSession::setup() {
   const bool want_fresh = (checked_ & kLargeCheckPlus) != 0;
   want_masks_ = (base & (kSuiteNN | kSuiteNW | kSuiteWN | kSuiteWW)) != 0;
 
-  // The node→written-location index the agreement check and the column
-  // fill run on, and the writer counts. What only the kernel reads
-  // waits for prepare_kernel(); a stream whose locations all stay
-  // witnessed never builds it.
-  detail::WrittenIndex index = detail::index_written_locations(*c_);
-  access_ = std::move(index.access);
-  wri_head_ = std::move(index.wri_head);
+  // The node table the agreement check and the column fill run on, and
+  // the writer counts. The writer slices only the kernel reads wait for
+  // prepare_kernel(); a stream whose locations all stay witnessed never
+  // builds them.
+  index_ = LocationIndex(*c_);
 
   kctx_ = LocKernelCtx{c_,
                        oracle_.get(),
@@ -336,10 +270,10 @@ void CheckSession::setup() {
   // One state per written location, in location order, all witnessed.
   // A read-only location needs none: its all-⊥ column passes
   // everything.
-  states_.resize(index.locs.size());
+  states_.resize(index_.size());
   for (std::size_t i = 0; i < states_.size(); ++i) {
     states_[i] = std::make_unique<Loc>();
-    states_[i]->loc = index.locs[i];
+    states_[i]->loc = index_.location(i);
   }
   witnessed_ = states_.size();
   carried_.assign(states_.size(), kBottom);
@@ -358,7 +292,7 @@ void CheckSession::setup() {
   std::vector<std::size_t> cost(states_.size());
   for (std::size_t i = 0; i < states_.size(); ++i)
     cost[i] = 1 + (want_masks_
-                       ? (writer_count(i) + kSweepBits) / kSweepBits
+                       ? (index_.writer_count(i) + kSweepBits) / kSweepBits
                        : 0);
   std::vector<std::uint32_t> by_cost(states_.size());
   std::iota(by_cost.begin(), by_cost.end(), 0u);
@@ -389,23 +323,17 @@ void CheckSession::prepare_kernel() {
     topo_.resize(n_);
     std::iota(topo_.begin(), topo_.end(), NodeId{0});
   }
-  // The writer CSR and the writer→block and writer→location maps, in
-  // one pass over the index: a node writes at most one location, so
-  // two n-entry arrays serve every state at once.
-  wri_.resize(wri_head_.back());
+  // The writer slices and, in the same pass, the writer→block and
+  // writer→location maps: a node writes at most one location, so two
+  // n-entry arrays serve every state at once.
   wblock_.assign(n_, 0);
   wloc_.assign(n_, 0);
-  std::vector<std::uint32_t> at(wri_head_.begin(), wri_head_.end() - 1);
-  for (NodeId u = 0; u < n_; ++u) {
-    const std::uint32_t a = access_[u];
-    if (a == kNoWrittenLoc || (a & 1u) == 0) continue;
-    const std::uint32_t li = a >> 1;
-    wblock_[u] = at[li] - wri_head_[li] + 1;
-    wloc_[u] = states_[li]->loc;
-    wri_[at[li]++] = u;
-  }
+  index_.build_csr(false, [&](NodeId u, std::uint32_t i, std::uint32_t k) {
+    wblock_[u] = k + 1;
+    wloc_[u] = index_.location(i);
+  });
   for (std::size_t i = 0; i < states_.size(); ++i)
-    states_[i]->writers = {wri_.data() + wri_head_[i], writer_count(i)};
+    states_[i]->writers = index_.writers(i);
   kctx_.wblock = wblock_.data();
   kctx_.wloc = wloc_.data();
   group_build_ms_ += millis_since(t0);
@@ -471,13 +399,13 @@ void CheckSession::advance(const BinaryTraceEvent* events,
       if (!s.materialized) continue;
       if (s.rebuild) {
         s.col.assign(n_, kBottom);
-        witnessed_column(access_.data(), i, arrival_.data(), arrived + s.from,
-                         s.col.data(), s.last_write);
+        witnessed_column(index_.table().data(), i, arrival_.data(),
+                         arrived + s.from, s.col.data(), s.last_write);
         s.state.init(kctx_, s.loc, &s.col, s.writers);
         s.rebuild = false;
       }
       if (s.from < count)
-        detail::fill_column(access_.data(), i, events + s.from,
+        detail::fill_column(index_.table().data(), i, events + s.from,
                             count - s.from, n_, s.col.data(), s.last_write);
       s.from = 0;
       q0 = std::min(q0, s.state.consumed());
@@ -535,7 +463,7 @@ bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
       return false;
     }
     if (keep_arrival) arrival_.push_back(e.node);
-    const std::uint32_t a = access_[e.node];
+    const std::uint32_t a = index_[e.node];
     if (a == kNoWrittenLoc) {
       // A read observing a never-written location fails 2.1 there;
       // only the earliest such observation per location decides its
@@ -671,7 +599,7 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
 
   report.simd = simd_level_name(kctx_.simd);
   report.numa = numa_topology().to_string();
-  report.groups_bytes = wri_.capacity() * sizeof(NodeId);
+  report.groups_bytes = index_.csr_bytes();
   report.aux_bytes = aux_bytes();
   report.ingest_millis = ingest_ms_;
   report.group_build_millis = group_build_ms_;
@@ -718,7 +646,7 @@ LargeCheckReport CheckSession::make_report(bool require_complete) {
         out.millis = s.millis + millis_since(tf);
       } else {
         out.loc = s.loc;
-        out.writers = writer_count(i);
+        out.writers = index_.writer_count(i);
       }
     }
     sh.arena.note_peak();
@@ -782,8 +710,8 @@ LargeCheckReport CheckSession::check() { return make_report(false); }
 LargeCheckReport CheckSession::finish() { return make_report(true); }
 
 std::size_t CheckSession::aux_bytes() const noexcept {
-  return (wblock_.capacity() + wloc_.capacity() + posv_.capacity() +
-          access_.capacity() + wri_head_.capacity()) *
+  return index_.table_bytes() +
+         (wblock_.capacity() + wloc_.capacity() + posv_.capacity()) *
              sizeof(std::uint32_t) +
          (topo_.capacity() + carried_.capacity() + arrival_.capacity()) *
              sizeof(NodeId) +
@@ -793,7 +721,7 @@ std::size_t CheckSession::aux_bytes() const noexcept {
 std::size_t CheckSession::memory_bytes() const noexcept {
   std::size_t bytes = aux_bytes() +
                       retained_.capacity() * sizeof(BinaryTraceEvent) +
-                      wri_.capacity() * sizeof(NodeId);
+                      index_.csr_bytes();
   for (const Shard& sh : shards_)
     bytes += sh.arena.peak_bytes + sh.locs.capacity() * sizeof(std::uint32_t);
   for (const std::unique_ptr<Loc>& s : states_)

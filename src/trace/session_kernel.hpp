@@ -29,11 +29,11 @@
 //                 scan position 0. large_check(c, Φ) materializes
 //                 every location up front on Φ's own columns.
 //
-// Setup builds only what a clean stream reads: one pass over the ops
-// gives the node → written-location index and each location's writer
-// count, and the writer counts give the shard plan. The first
-// materialization builds what only the kernel reads — the writer CSR
-// (each location's writers, the LocStates' blocks), the writer →
+// Setup builds only what a clean stream reads: the computation's
+// LocationIndex (core/location_index.hpp) gives the node table and each
+// location's writer count, and the writer counts give the shard plan.
+// The first materialization builds what only the kernel reads — the
+// index's writer slices (the LocStates' blocks), the writer →
 // block/location maps and, when ids are topological, the scan order —
 // so a stream whose locations all stay witnessed never builds them.
 //
@@ -78,6 +78,7 @@
 #include <string>
 #include <vector>
 
+#include "core/location_index.hpp"
 #include "trace/large_check.hpp"
 #include "trace/trace_binary.hpp"
 
@@ -175,24 +176,7 @@ class EventValidator {
   std::uint64_t last_seq_ = 0;
 };
 
-/// "No written location": nops and accesses to never-written locations.
-inline constexpr std::uint32_t kNoWrittenLoc = 0xFFFFFFFFu;
-
-/// What a stream whose locations all stay witnessed reads of the
-/// computation, from one pass over its ops.
-struct WrittenIndex {
-  /// The written locations, sorted; "written location li" is locs[li].
-  std::vector<Location> locs;
-  /// locs.size() + 1 prefix sums of the writer counts: location li has
-  /// wri_head[li + 1] - wri_head[li] writers.
-  std::vector<std::uint32_t> wri_head;
-  /// node → li << 1 | is-write; kNoWrittenLoc for every other node.
-  std::vector<std::uint32_t> access;
-};
-
-[[nodiscard]] WrittenIndex index_written_locations(const Computation& c);
-
-/// The completion rule, for written location `li` of `index`: apply
+/// The completion rule, for slot `li` of a LocationIndex table: apply
 /// `count` records in execution order to the dense column `col`,
 /// carrying the location's last write in `last`. Recorded observations
 /// win, writes self-observe, and every other node sees the carried
@@ -301,10 +285,6 @@ class CheckSession {
   [[nodiscard]] NodeId scan_node(std::uint32_t p) const noexcept {
     return posv_.empty() ? p : topo_[p];
   }
-  /// How many nodes write written location `i`.
-  [[nodiscard]] std::size_t writer_count(std::size_t i) const noexcept {
-    return wri_head_[i + 1] - wri_head_[i];
-  }
   /// Run `work(shard)` for every shard: on the pool when `span` (the
   /// work estimate, in node visits) pays for it, else on this thread.
   /// Returns whether the pool ran it.
@@ -345,11 +325,11 @@ class CheckSession {
   // topo_ with the identity the LocStates read.
   std::vector<NodeId> topo_;
   std::vector<std::uint32_t> posv_;
-  std::vector<std::uint32_t> access_;    // detail::WrittenIndex::access
-  std::vector<std::uint32_t> wri_head_;  // detail::WrittenIndex::wri_head
+  // The node table and writer counts; prepare_kernel() adds the writer
+  // slices.
+  LocationIndex index_;
   // Built by prepare_kernel() on the first materialization.
   bool kernel_ready_ = false;
-  std::vector<NodeId> wri_;  // writer CSR: each location's writers, by id
   std::vector<std::uint32_t> wblock_;
   std::vector<std::uint32_t> wloc_;
   LocKernelCtx kctx_;

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "analyze/anomaly.hpp"
 #include "analyze/sp_bags.hpp"
 #include "helpers.hpp"
+#include "location_ids.hpp"
 #include "proc/cilk.hpp"
 #include "proc/random_program.hpp"
 #include "trace/race.hpp"
@@ -454,6 +458,31 @@ TEST(AnalyzeDriver, ObservableRaceIsErrorUnobservableIsWarning) {
   EXPECT_EQ(qn.warnings, 1u);
 }
 
+/// The memory-lint diagnostics as (pass, node, location), in order.
+using LintRow = std::tuple<std::string, NodeId, Location>;
+
+std::vector<LintRow> memory_lints(const std::vector<analyze::Diagnostic>& ds) {
+  std::vector<LintRow> out;
+  for (const auto& d : ds)
+    if (d.pass == "dead-write" || d.pass == "uninitialized-read")
+      out.emplace_back(d.pass, d.a, *d.loc);
+  return out;
+}
+
+/// The same rows from the definitions: a read of a location nobody
+/// writes, a write of a location nobody reads, node by node.
+std::vector<LintRow> reference_memory_lints(const Computation& c) {
+  std::vector<LintRow> out;
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    const Op o = c.op(u);
+    if (o.is_read() && c.writers(o.loc).empty())
+      out.emplace_back("uninitialized-read", u, o.loc);
+    if (o.is_write() && c.readers(o.loc).empty())
+      out.emplace_back("dead-write", u, o.loc);
+  }
+  return out;
+}
+
 TEST(AnalyzeDriver, MemoryLintsFire) {
   ComputationBuilder b;
   const NodeId w = b.write(3);
@@ -467,6 +496,22 @@ TEST(AnalyzeDriver, MemoryLintsFire) {
   }
   EXPECT_TRUE(dead_write);
   EXPECT_TRUE(uninit_read);
+
+  // Locations whose ids collide in the location index's direct-mapped
+  // cache, 0xFFFFFFFF among them, on small and large programs.
+  analyze::AnalysisOptions options;
+  options.classify_anomalies = false;
+  Rng rng(0xDEAD);
+  for (const std::size_t ops : {20, 200, 3000}) {
+    proc::RandomCilkOptions opt;
+    opt.target_ops = ops;
+    opt.nlocations = 9;
+    const Computation c = test::on_colliding_ids(proc::random_cilk(opt, rng));
+    const std::vector<LintRow> want = reference_memory_lints(c);
+    EXPECT_FALSE(want.empty()) << ops << " ops";
+    EXPECT_EQ(memory_lints(analyze::analyze_computation(c, options)), want)
+        << ops << " ops";
+  }
 }
 
 TEST(AnalyzeDriver, RaceCapSummarizes) {

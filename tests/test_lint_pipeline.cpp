@@ -6,7 +6,8 @@
 //    traces, shuffled event arrays included;
 //  * analyze_trace, which checks through the session's stream, equals
 //    the dense route: the completion Φ, then large_check (spec_check
-//    when spec models ride along), field for field;
+//    when spec models ride along), field for field, on location ids that
+//    collide in the location index's cache too;
 //  * past the race-count clamp the trace lint still reports the k
 //    smallest races, the static lint's.
 #include "trace/lint_pipeline.hpp"
@@ -24,6 +25,7 @@
 #include "exec/schedule.hpp"
 #include "exec/sim_machine.hpp"
 #include "exec/weak_memory.hpp"
+#include "location_ids.hpp"
 #include "proc/random_program.hpp"
 #include "reference_trace.hpp"
 #include "trace/race.hpp"
@@ -266,8 +268,14 @@ TEST(LintPipeline, MatchesTheDenseObserverRoute) {
   Rng rng(77);
   std::size_t violated_backer = 0;
   std::size_t searched_non_members = 0;
-  for (int round = 0; round < 12; ++round) {
-    const Computation c = random_program(40 + rng.below(120), 4, rng);
+  // Rounds 12 on rename the locations onto ids that collide in the
+  // location index's direct-mapped cache, 0xFFFFFFFF among them, with a
+  // read-only and a write-only location (tests/location_ids.hpp).
+  for (int round = 0; round < 18; ++round) {
+    const Computation c =
+        round < 12 ? random_program(40 + rng.below(120), 4, rng)
+                   : test::on_colliding_ids(
+                         random_program(40 + rng.below(120), 9, rng));
     const std::vector<Trace> traces = runs_of(c, rng);
     for (std::size_t t = 0; t < traces.size(); ++t) {
       for (const bool with_pack : {false, true}) {

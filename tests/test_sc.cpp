@@ -77,6 +77,27 @@ TEST(SequentialConsistency, AgreesWithBruteForceDefinition) {
   EXPECT_GT(nonmembers, 0u);
 }
 
+TEST(SequentialConsistency, LargeLocationIdsMatchTheDefinition) {
+  // The search keys its per-write state by node, not by location id:
+  // ids up to 0xFFFFFFFF (which once wrapped an id-sized table to zero
+  // entries) answer like the same computation on small ids.
+  Rng rng(0xFFFF);
+  std::size_t checked = 0;
+  for (int round = 0; round < 20; ++round) {
+    const Dag d = gen::random_dag(5, 0.3, rng);
+    const Computation small = workload::random_ops(d, 2, 0.35, 0.45, rng);
+    std::vector<Op> ops = small.ops();
+    for (Op& o : ops)
+      if (!o.is_nop()) o.loc = o.loc == 0 ? 0xFFFFFFFFu : 0x80000000u;
+    const Computation c(d, ops);
+    for_each_observer(c, [&](const ObserverFunction& phi) {
+      EXPECT_EQ(sequentially_consistent(c, phi), sc_by_definition(c, phi));
+      return ++checked % 97 != 0;
+    });
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 TEST(SequentialConsistency, WitnessIsAlwaysAnExplainingSort) {
   Rng rng(3);
   for (int round = 0; round < 40; ++round) {

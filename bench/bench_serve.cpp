@@ -46,7 +46,7 @@ ServeInstance make_serve_instance(std::size_t n, std::size_t nlocations = 16,
   // Both traces are in seq order, as the wire wants.
   in.recs = (backer ? bench::backer_trace(in.c)
                     : bench::serial_sc_trace(in.c))
-                .events;
+                .events.to_vector();
   return in;
 }
 

@@ -16,6 +16,9 @@
 // the kernel stays measured on it.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <sstream>
 
@@ -460,16 +463,18 @@ void BM_PostmortemNaive(benchmark::State& state) {
 BENCHMARK(BM_PostmortemNaive)->Arg(65536)->Arg(1 << 24)
     ->Unit(benchmark::kMillisecond);
 
-/// The full data plane: binary decode + dispatched SIMD sweeps + shard
-/// pipeline. Verdicts are bit-identical to BM_PostmortemNaive's.
-void postmortem_dataplane(benchmark::State& state, const TraceInstance& in) {
+/// Per iteration, `load()` the trace, then check LC with
+/// large_check_trace on the dispatched SIMD sweeps and the shard
+/// pipeline; the counters are the last report's.
+template <class Load>
+void postmortem(benchmark::State& state, const TraceInstance& in,
+                const Load& load) {
   LargeCheckOptions opt;
   opt.models = kSuiteLC;
   double bytes_per_node = 0.0;
   std::size_t peak_rss = 0;
   for (auto _ : state) {
-    const Trace t =
-        read_trace_binary(in.binary.data(), in.binary.size(), in.c);
+    const Trace t = load();
     const LargeCheckReport r = large_check_trace(in.c, t, opt);
     bytes_per_node = r.bytes_per_node;
     peak_rss = r.peak_rss_bytes;
@@ -480,6 +485,14 @@ void postmortem_dataplane(benchmark::State& state, const TraceInstance& in) {
       static_cast<double>(peak_rss) / (1024.0 * 1024.0);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(in.trace.events.size()));
+}
+
+/// The full data plane from a heap image: binary decode + check.
+/// Verdicts are bit-identical to BM_PostmortemNaive's.
+void postmortem_dataplane(benchmark::State& state, const TraceInstance& in) {
+  postmortem(state, in, [&in] {
+    return read_trace_binary(in.binary.data(), in.binary.size(), in.c);
+  });
 }
 void BM_PostmortemDataPlane(benchmark::State& state) {
   postmortem_dataplane(state, make_trace_instance(static_cast<std::size_t>(
@@ -516,6 +529,36 @@ void BM_PostmortemBacker(benchmark::State& state) {
                                   true));
 }
 BENCHMARK(BM_PostmortemBacker)->Args({1 << 18, 16})->Args({1 << 18, 256})
+    ->Unit(benchmark::kMillisecond);
+
+/// The postmortem as the CLIs run it on a .tbin file: load_trace maps
+/// and validates the file, then large_check_trace checks it. The heap
+/// image BM_PostmortemDataPlane reads has no owner a Trace could keep
+/// alive, so that row copies the records; this one reads them where the
+/// file's mapping holds them. The file is written once, outside the
+/// timed loop, so it is in the page cache.
+void BM_PostmortemFromFile(benchmark::State& state) {
+  const TraceInstance in =
+      make_trace_instance(static_cast<std::size_t>(state.range(0)));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ccmm_bench_postmortem." +
+        std::to_string(
+            std::chrono::steady_clock::now().time_since_epoch().count()) +
+        ".tbin"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(in.binary.data(), static_cast<std::streamsize>(in.binary.size()));
+    if (!out) {
+      state.SkipWithError("cannot write the trace file");
+      return;
+    }
+  }
+  postmortem(state, in, [&] { return load_trace(path, in.c); });
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_PostmortemFromFile)->Arg(65536)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

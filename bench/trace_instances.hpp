@@ -34,8 +34,8 @@ inline Computation cilk_program(std::size_t ops, std::size_t nlocations,
 inline Trace serial_sc_trace(const Computation& c) {
   const Schedule s = serial_schedule(c);
   std::unordered_map<Location, NodeId> last;
-  Trace t;
-  t.events.reserve(s.entries.size());
+  std::vector<BinaryTraceEvent> events;
+  events.reserve(s.entries.size());
   std::uint64_t seq = 0;
   for (const ScheduleEntry& e : s.entries) {
     const Op o = c.op(e.node);
@@ -46,9 +46,9 @@ inline Trace serial_sc_trace(const Computation& c) {
     } else if (o.is_write()) {
       last[o.loc] = e.node;
     }
-    t.events.push_back({seq++, e.start, e.proc, e.node, observed});
+    events.push_back({seq++, e.start, e.proc, e.node, observed});
   }
-  return t;
+  return Trace(std::move(events));
 }
 
 /// Whether `t` records exactly what run_serial(c, ScMemory) records.

@@ -110,9 +110,9 @@ analyze::TraceLintOptions lint_options(std::size_t n) {
 /// anywhere on this path.
 int trace_report(const Computation& c, const char* trace_path,
                  std::vector<std::shared_ptr<const CompiledModel>> models) {
-  // load_trace sniffs the magic: binary traces are mmapped and decoded
-  // into the trace's record array, text traces go through the line
-  // parser.
+  // load_trace sniffs the magic: binary traces are mmapped and checked
+  // where they lie (the Trace keeps the mapping), text traces go through
+  // the line parser.
   Trace trace;
   try {
     trace = load_trace(trace_path, c);

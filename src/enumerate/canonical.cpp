@@ -46,7 +46,14 @@ std::vector<std::uint32_t> node_levels(const Computation& c) {
 class ComponentCanonicalizer {
  public:
   explicit ComponentCanonicalizer(const Computation& c)
-      : c_(c), n_(c.node_count()), level_(node_levels(c)) {}
+      : c_(c), n_(c.node_count()), level_(node_levels(c)), by_color_(n_) {
+    op_at_.reserve(n_ + 1);
+    op_at_.push_back(0);
+    for (NodeId u = 0; u < n_; ++u) {
+      detail::append_op_code(op_codes_, c_.op(u));
+      op_at_.push_back(op_codes_.size());
+    }
+  }
 
   struct Result {
     std::string encoding;
@@ -187,16 +194,12 @@ class ComponentCanonicalizer {
     // Encode the relabeled computation directly into a scratch buffer —
     // byte-for-byte what encode_computation(apply_relabeling(c_, color))
     // would produce, without materializing the relabeled Computation.
-    enc_.assign(1 + 2 * n_ + (n_ * (n_ - 1) / 2 + 7) / 8, '\0');
-    enc_[0] = static_cast<char>(n_);
-    for (NodeId u = 0; u < n_; ++u) {
-      const Op o = c_.op(u);
-      enc_[1 + 2 * static_cast<std::size_t>(color[u])] =
-          static_cast<char>(o.kind);
-      enc_[2 + 2 * static_cast<std::size_t>(color[u])] =
-          static_cast<char>(o.loc & 0xff);
-    }
-    const std::size_t adj = 1 + 2 * n_;
+    for (NodeId u = 0; u < n_; ++u) by_color_[color[u]] = u;
+    enc_.assign(1, static_cast<char>(n_));
+    for (const NodeId u : by_color_)
+      enc_.append(op_codes_, op_at_[u], op_at_[u + 1] - op_at_[u]);
+    const std::size_t adj = enc_.size();
+    enc_.append((n_ * (n_ - 1) / 2 + 7) / 8, '\0');
     for (NodeId u = 0; u < n_; ++u)
       for (const NodeId v : c_.dag().succ(u)) {
         const std::size_t i = color[u];
@@ -227,6 +230,11 @@ class ComponentCanonicalizer {
   std::uint64_t best_weight_ = 0;
   std::uint64_t leaves_ = 0;
   std::string enc_;  // leaf() scratch encoding buffer
+  std::vector<NodeId> by_color_;  // leaf() scratch: canonical id -> node
+  // Node u's op bytes, as encode_computation writes them:
+  // op_codes_[op_at_[u], op_at_[u + 1]).
+  std::string op_codes_;
+  std::vector<std::size_t> op_at_;
   // refine() scratch.
   std::vector<std::vector<std::uint32_t>> sig_;
   std::vector<NodeId> idx_;

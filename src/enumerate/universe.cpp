@@ -72,11 +72,7 @@ std::string encode_computation(const Computation& c) {
   std::string out;
   const std::size_t n = c.node_count();
   out.push_back(static_cast<char>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    const Op o = c.op(u);
-    out.push_back(static_cast<char>(o.kind));
-    out.push_back(static_cast<char>(o.loc & 0xff));
-  }
+  for (NodeId u = 0; u < n; ++u) detail::append_op_code(out, c.op(u));
   // Direct-edge incidence, row-major over i < j, bit-packed.
   std::uint8_t acc = 0;
   int nbits = 0;
@@ -95,6 +91,14 @@ std::string encode_computation(const Computation& c) {
   }
   if (nbits > 0) out.push_back(static_cast<char>(acc << (8 - nbits)));
   return out;
+}
+
+void detail::append_op_code(std::string& out, const Op& o) {
+  out.push_back(static_cast<char>(o.kind));
+  Location l = o.loc;
+  for (; l >= 0x80; l >>= 7)
+    out.push_back(static_cast<char>(0x80 | (l & 0x7f)));
+  out.push_back(static_cast<char>(l));
 }
 
 std::string encode_observer(const ObserverFunction& phi) {

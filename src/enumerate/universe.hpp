@@ -51,4 +51,15 @@ bool for_each_pair(
 [[nodiscard]] std::string encode_computation(const Computation& c);
 [[nodiscard]] std::string encode_observer(const ObserverFunction& phi);
 
+namespace detail {
+
+/// Append one op's bytes to a computation encoding: its kind, then its
+/// whole location id as a base-128 varint (low 7 bits first, 0x80 marks
+/// a continued byte), so ids below 128 take the single byte they always
+/// did. encode_computation and canonical_form's leaf encoder both write
+/// ops through it, which keeps them byte-identical.
+void append_op_code(std::string& out, const Op& o);
+
+}  // namespace detail
+
 }  // namespace ccmm

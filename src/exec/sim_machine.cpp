@@ -2,6 +2,31 @@
 
 namespace ccmm {
 
+Trace::Trace(std::vector<BinaryTraceEvent> records) {
+  if (records.empty()) return;
+  auto owned = std::make_shared<const std::vector<BinaryTraceEvent>>(
+      std::move(records));
+  events = TraceRecords(owned->data(), owned->size());
+  owner_ = std::move(owned);
+}
+
+Trace::Trace(const BinaryTraceEvent* records, std::size_t count,
+             std::shared_ptr<const void> owner) noexcept
+    : events(records, count), owner_(std::move(owner)) {}
+
+Trace::Trace(Trace&& o) noexcept
+    : events(o.events), owner_(std::move(o.owner_)) {
+  o.events = TraceRecords();
+}
+
+Trace& Trace::operator=(Trace&& o) noexcept {
+  if (this == &o) return *this;
+  events = o.events;
+  owner_ = std::move(o.owner_);
+  o.events = TraceRecords();
+  return *this;
+}
+
 ExecutionResult run_execution(const Computation& c, const Schedule& schedule,
                               MemorySystem& memory) {
   CCMM_CHECK(schedule.valid_for(c), "schedule does not fit the computation");
@@ -11,6 +36,8 @@ ExecutionResult run_execution(const Computation& c, const Schedule& schedule,
   result.phi = ObserverFunction(c.node_count());
   const std::vector<Location> locs = c.written_locations();
 
+  std::vector<BinaryTraceEvent> events;
+  events.reserve(schedule.entries.size());
   std::uint64_t seq = 0;
   for (const ScheduleEntry& e : schedule.entries) {
     const NodeId u = e.node;
@@ -42,8 +69,9 @@ ExecutionResult run_execution(const Computation& c, const Schedule& schedule,
       if (v != kBottom) result.phi.set(l, u, v);
     }
 
-    result.trace.events.push_back({seq++, e.start, p, u, observed});
+    events.push_back({seq++, e.start, p, u, observed});
   }
+  result.trace = Trace(std::move(events));
   result.memory_stats = memory.stats();
   return result;
 }

@@ -58,6 +58,8 @@ ExecutionResult run_threaded(const Computation& c, std::size_t nthreads,
 
   std::vector<ProcId> proc_of(n, 0);
   std::mutex memory_mu;  // serializes memory ops, phi, and the trace
+  std::vector<BinaryTraceEvent> events;
+  events.reserve(n);
   std::atomic<std::size_t> done{0};
   std::atomic<std::uint64_t> seq{0};
 
@@ -86,7 +88,7 @@ ExecutionResult run_threaded(const Computation& c, std::size_t nthreads,
         if (v != kBottom) result.phi.set(l, u, v);
       }
       const std::uint64_t s = seq.fetch_add(1, std::memory_order_relaxed);
-      result.trace.events.push_back({s, s, p, u, observed});
+      events.push_back({s, s, p, u, observed});
     }
     // Release children outside the memory lock.
     for (const NodeId v : c.dag().succ(u)) {
@@ -118,6 +120,7 @@ ExecutionResult run_threaded(const Computation& c, std::size_t nthreads,
   for (ProcId p = 0; p < nthreads; ++p) threads.emplace_back(worker, p);
   for (auto& t : threads) t.join();
 
+  result.trace = Trace(std::move(events));
   result.memory_stats = memory.stats();
   if (proc_of_out != nullptr) *proc_of_out = std::move(proc_of);
   return result;

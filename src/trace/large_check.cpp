@@ -1,5 +1,8 @@
 #include "trace/large_check.hpp"
 
+#include <algorithm>
+#include <chrono>
+
 #include "trace/session_kernel.hpp"
 #include "util/str.hpp"
 
@@ -118,7 +121,27 @@ LargeCheckReport large_check_trace(const Computation& c, const Trace& trace,
         trace.events.size(), c.node_count());
     return report;
   }
-  return CheckSession(&c, options).run_trace(trace);
+  // Feed the records as they lie; feed() checks the seq order. A
+  // rejected trace out of seq order gets a fresh session in stable seq
+  // order on any rejection, since in array order a record can arrive
+  // ahead of its dag predecessor before any seq descent shows. A sorted
+  // trace's array order is its stable seq order: its rejection stands.
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    CheckSession session(&c, options);
+    LargeCheckReport report = session.run_trace(trace, false, 0.0);
+    const auto seq_less = [](const BinaryTraceEvent& a,
+                             const BinaryTraceEvent& b) {
+      return a.seq < b.seq;
+    };
+    if (!session.failed() ||
+        std::is_sorted(trace.events.begin(), trace.events.end(), seq_less))
+      return report;
+  }
+  const double spent_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  return CheckSession(&c, options).run_trace(trace, true, spent_ms);
 }
 
 }  // namespace ccmm

@@ -32,7 +32,7 @@
 //
 // Both entry points are thin callers of the one checking engine,
 // CheckSession (trace/session_kernel.hpp): large_check_trace feeds it
-// the trace in stable seq order, kChunkNodes records at a time, and
+// the trace's records as they lie, kChunkNodes at a time, and
 // large_check points its states at Φ's stored columns and advances
 // over every position. Online and batch verdicts agree because they
 // run the same code. A trace location whose every read saw the latest
@@ -85,7 +85,9 @@ struct LargeCheckOptions {
   /// Called after each consumed chunk with (positions consumed, total
   /// node count) — the CLI's live progress line. Invoked from the
   /// calling thread between chunks; must be cheap (it is never called
-  /// concurrently with itself).
+  /// concurrently with itself). On a trace out of seq order that
+  /// large_check_trace checks a second time (see there), the count
+  /// starts over from 0.
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
@@ -117,7 +119,7 @@ struct LargeCheckReport {
 
   // Stage breakdown of the streaming scan (--trace in ccmm_check).
   // Spans that ran on the pool charge their slowest shard.
-  double ingest_millis = 0.0;       // seq order, feed pass, column fill
+  double ingest_millis = 0.0;       // feed pass, column fill, reruns
   double group_build_millis = 0.0;  // index at setup + writer CSR, maps
   double kernel_millis = 0.0;       // LocState::advance over all spans
   double report_millis = 0.0;       // finalize_into + verdict fold
@@ -174,6 +176,13 @@ struct LargeCheckReport {
 /// (unknown node or observation, duplicate, flipped dag edge)
 /// fails the check with "trace does not fit the computation"; otherwise
 /// the verdict is large_check over observer_from_trace(c, trace).
+///
+/// Simulator and binary traces are already in seq order, so the records
+/// are fed as they lie, with no ordering pass, and feed()'s validator
+/// checks the order. When that session rejects a trace whose records
+/// are not in seq order, a fresh session checks it again in stable seq
+/// order and its report is returned (the first session's time is
+/// charged to its ingest stage, and progress starts over).
 [[nodiscard]] LargeCheckReport large_check_trace(const Computation& c,
                                                  const Trace& trace,
                                                  const LargeCheckOptions&

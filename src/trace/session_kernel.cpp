@@ -68,7 +68,7 @@ void witnessed_column(const std::uint32_t* index, std::uint32_t li,
 namespace detail {
 
 std::vector<std::uint32_t> stable_seq_order(const Trace& trace) {
-  const std::vector<BinaryTraceEvent>& ev = trace.events;
+  const TraceRecords& ev = trace.events;
   std::vector<std::uint32_t> order;
   for (std::size_t i = 1; i < ev.size(); ++i) {
     if (ev[i].seq >= ev[i - 1].seq) continue;
@@ -498,19 +498,30 @@ bool CheckSession::feed(const BinaryTraceEvent* events, std::size_t count) {
   return true;
 }
 
-LargeCheckReport CheckSession::run_trace(const Trace& trace) {
-  // Putting the records in seq order (and gathering a shuffled trace's
-  // spans) is ingest work done outside feed(): charge it there, with
-  // the progress callback.
+LargeCheckReport CheckSession::run_trace(const Trace& trace, bool seq_order,
+                                         double spent_ms) {
+  // Gathering a shuffled trace's spans in seq order, and a rejected
+  // earlier attempt, are ingest work done outside feed(): charge them
+  // there.
   const auto t0 = Clock::now();
   const double fed_before = active_ms_;
-  detail::for_each_seq_span(
-      trace, [this](const BinaryTraceEvent* events, std::size_t count) {
-        if (!feed(events, count)) return false;
-        if (progress_) progress_(consumed_, n_);
-        return true;
-      });
-  const double outside = millis_since(t0) - (active_ms_ - fed_before);
+  const auto feed_span = [this](const BinaryTraceEvent* events,
+                                std::size_t count) {
+    if (!feed(events, count)) return false;
+    if (progress_) progress_(consumed_, n_);
+    return true;
+  };
+  if (seq_order) {
+    detail::for_each_seq_span(trace, feed_span);
+  } else {
+    const std::size_t total = trace.events.size();
+    for (std::size_t k = 0; k < total; k += kChunkNodes)
+      if (!feed_span(trace.events.data() + k,
+                     std::min<std::size_t>(total - k, kChunkNodes)))
+        break;
+  }
+  const double outside =
+      spent_ms + millis_since(t0) - (active_ms_ - fed_before);
   ingest_ms_ += outside;
   active_ms_ += outside;
   return finish();

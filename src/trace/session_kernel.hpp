@@ -5,8 +5,9 @@
 // (core/loc_incremental.hpp). A CheckSession is a feed()/check()/
 // finish() state machine over an event stream; the batch entry points
 // are the same engine fed the whole input (large_check_trace feeds the
-// trace's own record array in chunks, large_check points the states at
-// an observer's columns), and ccmm_serve runs one per open session.
+// trace's records in chunks as they lie, whoever owns them, and leaves
+// the seq-order check to feed(); large_check points the states at an
+// observer's columns), and ccmm_serve runs one per open session.
 //
 // Events arrive append-only as validated 32-byte records — the
 // BinaryTraceEvent a Trace, a .tbin file and a kEvents frame all hold —
@@ -125,6 +126,9 @@ inline constexpr std::uint32_t kChunkNodes = 1u << 17;
 /// Hand `f` the trace's records in stable seq order, at most kChunkNodes
 /// at a time, until it returns false: spans of `trace.events` itself
 /// when stable_seq_order finds them in order, gathered copies otherwise.
+/// observer_from_trace reads a trace through it, and so does
+/// large_check_trace's rerun of a rejected trace that is out of seq
+/// order; the batch feed itself reads the records as they lie.
 void for_each_seq_span(
     const Trace& trace,
     const std::function<bool(const BinaryTraceEvent*, std::size_t)>& f);
@@ -297,8 +301,11 @@ class CheckSession {
   /// materialized state to the watermark.
   void advance(const BinaryTraceEvent* events, std::size_t count,
                std::size_t arrived);
-  /// Batch: feed `trace` through for_each_seq_span, then report.
-  LargeCheckReport run_trace(const Trace& trace);
+  /// Batch: feed `trace`'s records as they lie, or through
+  /// for_each_seq_span when `seq_order`, kChunkNodes at a time, then
+  /// report. `spent_ms` (a rejected earlier attempt) counts as ingest.
+  LargeCheckReport run_trace(const Trace& trace, bool seq_order,
+                             double spent_ms);
   /// Batch: point the states at Φ's stored columns and scan them all.
   LargeCheckReport run_observer(const ObserverFunction& phi);
   LargeCheckReport make_report(bool require_complete);

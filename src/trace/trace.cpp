@@ -196,7 +196,7 @@ std::string write_trace(const Trace& trace) {
 Trace read_trace(std::istream& in, const Computation& c) {
   const std::size_t n = c.node_count();
   constexpr const char* kSpace = " \t\r";
-  Trace trace;
+  std::vector<BinaryTraceEvent> events;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -233,11 +233,11 @@ Trace read_trace(std::istream& in, const Computation& c) {
     if (f[4] != "_" && (!parse_field(f[4], UINT64_MAX, observed) ||
                         observed >= n))
       fail(format("bad observed node `%s`", std::string(f[4]).c_str()));
-    trace.events.push_back({v[0], v[1], static_cast<ProcId>(v[2]),
-                            static_cast<NodeId>(v[3]),
-                            static_cast<NodeId>(observed)});
+    events.push_back({v[0], v[1], static_cast<ProcId>(v[2]),
+                      static_cast<NodeId>(v[3]),
+                      static_cast<NodeId>(observed)});
   }
-  return trace;
+  return Trace(std::move(events));
 }
 
 }  // namespace ccmm

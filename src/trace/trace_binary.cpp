@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <streambuf>
 
@@ -180,29 +181,41 @@ BinaryTraceView validate_trace_binary(const void* data, std::size_t size,
 }
 
 Trace trace_from_view(const BinaryTraceView& view, const Computation&) {
-  return Trace{{view.events, view.events + view.count}};
+  return Trace(std::vector<BinaryTraceEvent>(view.events,
+                                             view.events + view.count));
 }
 
-Trace read_trace_binary(const void* data, std::size_t size,
-                        const Computation& c) {
+namespace {
+
+/// Check the image's header and records against `c` and return them as
+/// a Trace. On a little-endian host an 8-byte-aligned image's records
+/// are the Trace's: they are range-checked where they lie, then borrowed
+/// when `owner` keeps the image alive and copied in one pass when not.
+/// Elsewhere they are decoded field by field into owned records.
+Trace read_records(const void* data, std::size_t size, const Computation& c,
+                   std::shared_ptr<const void> owner) {
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t count = check_header(p, size);
   const unsigned char* image = p + kTraceBinaryHeaderBytes;
   const bool aligned =
       reinterpret_cast<std::uintptr_t>(image) % alignof(BinaryTraceEvent) == 0;
-  Trace trace;
   if (kHostLittle && aligned) {
-    // The image's records are the Trace's: range-check them where they
-    // lie, then copy them in one pass.
     const auto* records = reinterpret_cast<const BinaryTraceEvent*>(image);
     check_records(records, count, c.node_count());
-    trace.events.assign(records, records + count);
-    return trace;
+    if (owner != nullptr) return Trace(records, count, std::move(owner));
+    return Trace(std::vector<BinaryTraceEvent>(records, records + count));
   }
-  trace.events.resize(count);
-  decode_trace_records(image, count, trace.events.data());
-  check_records(trace.events.data(), count, c.node_count());
-  return trace;
+  std::vector<BinaryTraceEvent> events(count);
+  decode_trace_records(image, count, events.data());
+  check_records(events.data(), count, c.node_count());
+  return Trace(std::move(events));
+}
+
+}  // namespace
+
+Trace read_trace_binary(const void* data, std::size_t size,
+                        const Computation& c) {
+  return read_records(data, size, c, nullptr);
 }
 
 #if CCMM_HAS_MMAP
@@ -363,11 +376,13 @@ class MemStream : private MemBuf, public std::istream {
 }  // namespace
 
 Trace load_trace(const std::string& path, const Computation& c) {
-  const MappedTraceFile file =
-      path == "-" ? MappedTraceFile(0, "<stdin>") : MappedTraceFile(path);
-  if (detect_trace_format(file.data(), file.size()) == TraceFormat::kBinary)
-    return read_trace_binary(file.data(), file.size(), c);
-  MemStream in(file.data(), file.size());
+  auto file = std::make_shared<const MappedTraceFile>(
+      path == "-" ? MappedTraceFile(0, "<stdin>") : MappedTraceFile(path));
+  const void* data = file->data();
+  const std::size_t size = file->size();
+  if (detect_trace_format(data, size) == TraceFormat::kBinary)
+    return read_records(data, size, c, std::move(file));
+  MemStream in(data, size);
   return read_trace(in, c);
 }
 

@@ -3,9 +3,11 @@
 // The binary trace format: the mmap-able record of execution the text
 // format (trace.hpp) is the human-readable twin of. A 16M-event text
 // trace costs ~400 MB of digits and a per-line parse; the binary file
-// is exactly 32 bytes per event, validates with two range compares per
-// record, and loads as one copy of the validated image into the
-// Trace's record array, with no string materialization.
+// is exactly 32 bytes per event and validates with two range compares
+// per record. load_trace then hands the validated records to the Trace
+// where they lie, in the file's mapping, which the Trace keeps alive
+// (the lifetime rule in exec/sim_machine.hpp): no copy, no string
+// materialization.
 //
 // Layout (all fields little-endian):
 //
@@ -105,15 +107,17 @@ void write_trace_binary(const Trace& trace, std::ostream& out);
                                                     std::size_t size,
                                                     const Computation& c);
 
-/// A Trace holding a copy of a validated view's records.
+/// A Trace holding a copy of a validated view's records (a view has no
+/// owner a Trace could keep alive).
 [[nodiscard]] Trace trace_from_view(const BinaryTraceView& view,
                                     const Computation& c);
 
 /// Portable whole-image reader: check the header, then validate the
-/// records against `c` and copy them into a Trace, on any host. On a
-/// little-endian host an 8-byte-aligned image (a mapping or a heap
-/// buffer) is range-checked in place and copied once; elsewhere the
-/// records are decoded field by field first.
+/// records against `c` and copy them into a Trace, on any host. The
+/// caller's buffer has no owner the Trace could keep alive, so the
+/// records are always copied. On a little-endian host an
+/// 8-byte-aligned image is range-checked in place and copied once;
+/// elsewhere the records are decoded field by field first.
 [[nodiscard]] Trace read_trace_binary(const void* data, std::size_t size,
                                       const Computation& c);
 
@@ -121,7 +125,11 @@ void write_trace_binary(const Trace& trace, std::ostream& out);
 /// mapping fails (or off-POSIX). Non-seekable inputs — pipes, sockets,
 /// process substitution — are read to EOF through a chunked loop, so
 /// `mkfifo p && ccmm_check --trace p` streams without a temp file.
-/// Movable, non-copyable.
+/// Movable, non-copyable; load_trace holds one through a shared_ptr, so
+/// a Trace that borrows its records keeps the mapping or buffer alive.
+/// A mapped file that is rewritten or truncated while anything reads it
+/// is outside the contract: its pages may change under the reader, or
+/// fault (SIGBUS) past the new end.
 class MappedTraceFile {
  public:
   /// Throws std::runtime_error when the file cannot be opened/read.
@@ -158,10 +166,20 @@ enum class TraceFormat : std::uint8_t { kText, kBinary };
 /// Sniff a buffer: binary iff it starts with the 8-byte magic.
 [[nodiscard]] TraceFormat detect_trace_format(const void* data,
                                               std::size_t size) noexcept;
-/// The CLIs' auto-detecting loader: binary files are mapped and go
-/// through read_trace_binary, text files through read_trace. The path
-/// is opened exactly ONCE (a second open of a FIFO would lose bytes),
-/// and "-" reads standard input — both formats stream from pipes.
+/// The CLIs' auto-detecting loader. The path is opened exactly ONCE (a
+/// second open of a FIFO would lose bytes), and "-" reads standard
+/// input — both formats stream from pipes. A binary image's header and
+/// every record are checked as read_trace_binary checks them, with the
+/// same TraceReadError offsets, before the Trace is returned. On a
+/// little-endian host an 8-byte-aligned image (a mapping, or the
+/// buffer a pipe drained into, always is) is then borrowed: the Trace
+/// reads the records where they lie and shares ownership of the
+/// MappedTraceFile, so the mapping lives as long as any copy of the
+/// Trace. Elsewhere the records are decoded into owned ones. Text is
+/// parsed by read_trace into owned records. A file rewritten or
+/// truncated while a Trace borrows it is outside the contract (see
+/// MappedTraceFile); CheckSession::feed re-validates every record
+/// before it indexes anything with it.
 /// Throws std::runtime_error / TraceReadError on malformed input.
 [[nodiscard]] Trace load_trace(const std::string& path, const Computation& c);
 

@@ -28,25 +28,70 @@ UniverseSpec small_spec(std::size_t max_nodes, std::size_t nlocations = 1,
   return spec;
 }
 
+/// `c` with every access to location `from` moved to location `to`.
+Computation rename_location(Computation c, Location from, Location to) {
+  std::vector<Op> ops;
+  for (NodeId u = 0; u < c.node_count(); ++u) {
+    Op o = c.op(u);
+    if (!o.is_nop() && o.loc == from) o.loc = to;
+    ops.push_back(o);
+  }
+  c.set_ops(ops);
+  return c;
+}
+
 TEST(Canonical, MatchesFactorialOracleOnWholeUniverse) {
   // Group every computation of the universe by the factorial oracle's
   // canonical encoding and by the fast canonicalizer's. The two
-  // partitions must coincide: equal fast keys iff isomorphic.
-  for (const UniverseSpec& spec :
-       {small_spec(4), small_spec(3, 2, /*include_nop=*/true)}) {
+  // partitions must coincide: equal fast keys iff isomorphic. The
+  // oracle shares the op encoding with the fast keys, so every fast key
+  // class is also checked member by member with are_isomorphic, whose
+  // op-multiset precheck compares whole location ids. The last input
+  // renames location 1 to 256, whose low byte is location 0's.
+  struct Input {
+    UniverseSpec spec;
+    Location renamed_to;  // location 1's new id (1: unchanged)
+  };
+  for (const Input& input :
+       {Input{small_spec(4), 1},
+        Input{small_spec(3, 2, /*include_nop=*/true), 1},
+        Input{small_spec(3, 2, /*include_nop=*/true), 256}}) {
     std::map<std::string, std::string> oracle_to_fast;
     std::unordered_map<std::string, std::string> fast_to_oracle;
-    for_each_computation(spec, [&](const Computation& c) {
+    std::unordered_map<std::string, Computation> fast_class;
+    for_each_computation(input.spec, [&](const Computation& labeled) {
+      const Computation c = rename_location(labeled, 1, input.renamed_to);
       const std::string oracle = canonical_encoding(c);
       const std::string fast = canonical_key(c);
       const auto [it, fresh] = oracle_to_fast.try_emplace(oracle, fast);
       EXPECT_EQ(it->second, fast) << "oracle class split by fast key";
       const auto [jt, fresh2] = fast_to_oracle.try_emplace(fast, oracle);
       EXPECT_EQ(jt->second, oracle) << "fast key merges oracle classes";
+      const auto [kt, fresh3] = fast_class.try_emplace(fast, c);
+      EXPECT_TRUE(are_isomorphic(kt->second, c))
+          << "fast key merges non-isomorphic computations";
       return true;
     });
     EXPECT_EQ(oracle_to_fast.size(), fast_to_oracle.size());
   }
+}
+
+TEST(Canonical, KeysEncodeWholeLocationIds) {
+  // W(0) -> R(1024) and W(0) -> R(0) differ only in a location id whose
+  // low byte is 0.
+  const auto write_then_read = [](Location l) {
+    ComputationBuilder b;
+    b.read(l, {b.write(0)});
+    return std::move(b).build();
+  };
+  const Computation far = write_then_read(1024);
+  const Computation near = write_then_read(0);
+  EXPECT_NE(encode_computation(far), encode_computation(near));
+  EXPECT_NE(canonical_key(far), canonical_key(near));
+  EXPECT_FALSE(are_isomorphic(far, near));
+  // The canonical form's leaf encoder writes what encode_computation
+  // writes: a canonical-layout computation keys to its own encoding.
+  EXPECT_EQ(canonical_key(far), encode_computation(far));
 }
 
 TEST(Canonical, RepresentativesAreInCanonicalLayout) {

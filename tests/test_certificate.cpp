@@ -194,10 +194,12 @@ TEST(LintPipeline, CertifyCanBeDisabled) {
 TEST(LintPipeline, InconsistentTraceReported) {
   const Computation c = workload::reduction(4);
   ScMemory mem;
-  ExecutionResult run = run_serial(c, mem);
-  ASSERT_FALSE(run.trace.events.empty());
-  run.trace.events.pop_back();  // now one event short
-  const analyze::TraceLintResult r = analyze::analyze_trace(c, run.trace);
+  std::vector<BinaryTraceEvent> events =
+      run_serial(c, mem).trace.events.to_vector();
+  ASSERT_FALSE(events.empty());
+  events.pop_back();  // now one event short
+  const analyze::TraceLintResult r =
+      analyze::analyze_trace(c, Trace(std::move(events)));
   EXPECT_FALSE(r.trace_ok);
   EXPECT_FALSE(r.report.has_value());
   EXPECT_EQ(analyze::count_severities(r.diagnostics).errors, 1u);
@@ -209,13 +211,15 @@ TEST(LintPipeline, ObservationOfUnknownNodeRejected) {
   // does not fit, exactly as an online session rejects the record.
   const Computation c = workload::contended_counter(3);
   ScMemory mem;
-  ExecutionResult run = run_serial(c, mem);
+  std::vector<BinaryTraceEvent> events =
+      run_serial(c, mem).trace.events.to_vector();
   BinaryTraceEvent* read = nullptr;
-  for (BinaryTraceEvent& e : run.trace.events)
+  for (BinaryTraceEvent& e : events)
     if (read == nullptr && c.op(e.node).is_read()) read = &e;
   ASSERT_NE(read, nullptr);
   read->observed = static_cast<NodeId>(c.node_count() + 3);
-  const analyze::TraceLintResult r = analyze::analyze_trace(c, run.trace);
+  const analyze::TraceLintResult r =
+      analyze::analyze_trace(c, Trace(std::move(events)));
   EXPECT_FALSE(r.trace_ok);
   EXPECT_FALSE(r.report.has_value());
   ASSERT_EQ(r.diagnostics.size(), 1u);
@@ -236,10 +240,11 @@ TEST(LintPipeline, ModelDiagnosticsCiteALocationViolatingTheirModel) {
   const NodeId w2 = b.write(1, {w1});
   b.read(1, {w2});
   const Computation c = std::move(b).build();
-  Trace trace;
+  std::vector<BinaryTraceEvent> events;
   for (NodeId u = 0; u < c.node_count(); ++u)
-    trace.events.push_back({u, u, 0, u, kBottom});
-  trace.events[4].observed = w1;
+    events.push_back({u, u, 0, u, kBottom});
+  events[4].observed = w1;
+  const Trace trace(std::move(events));
 
   analyze::TraceLintOptions opt;
   opt.certify = false;

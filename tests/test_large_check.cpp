@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/backer.hpp"
 #include "exec/lc_memory.hpp"
 #include "exec/sc_memory.hpp"
@@ -11,6 +13,7 @@
 #include "proc/random_program.hpp"
 #include "reference_models.hpp"
 #include "trace/postmortem.hpp"
+#include "trace/session_kernel.hpp"
 #include "util/rng.hpp"
 
 namespace ccmm {
@@ -166,16 +169,16 @@ TEST(LargeCheck, RejectsBrokenTraces) {
   ScMemory mem;
   const ExecutionResult run = run_serial(c, mem);
 
-  Trace shorter = run.trace;
-  shorter.events.pop_back();
-  const LargeCheckReport r = large_check_trace(c, shorter, {});
+  std::vector<BinaryTraceEvent> events = run.trace.events.to_vector();
+  events.pop_back();
+  const LargeCheckReport r = large_check_trace(c, Trace(events), {});
   EXPECT_FALSE(r.valid_observer);
   EXPECT_NE(r.detail.find("trace does not fit"), std::string::npos);
 
-  Trace reordered = run.trace;
-  for (auto& e : reordered.events)
+  events = run.trace.events.to_vector();
+  for (auto& e : events)
     if (e.node == 0) e.seq = 1u << 20;
-  EXPECT_FALSE(large_check_trace(c, reordered, {}).valid_observer);
+  EXPECT_FALSE(large_check_trace(c, Trace(events), {}).valid_observer);
 }
 
 TEST(LargeCheck, RejectsObservationsOfUnknownNodes) {
@@ -186,18 +189,126 @@ TEST(LargeCheck, RejectsObservationsOfUnknownNodes) {
   copt.target_ops = 300;
   const Computation c = proc::random_cilk(copt, rng);
   ScMemory mem;
-  ExecutionResult run = run_serial(c, mem);
+  std::vector<BinaryTraceEvent> events =
+      run_serial(c, mem).trace.events.to_vector();
   BinaryTraceEvent* read = nullptr;
-  for (BinaryTraceEvent& e : run.trace.events)
+  for (BinaryTraceEvent& e : events)
     if (read == nullptr && c.op(e.node).is_read()) read = &e;
   ASSERT_NE(read, nullptr);
   read->observed = static_cast<NodeId>(c.node_count() + 3);
+  const Trace trace(std::move(events));
   std::string why;
-  EXPECT_FALSE(trace_consistent_with(run.trace, c, &why));
+  EXPECT_FALSE(trace_consistent_with(trace, c, &why));
   EXPECT_NE(why.find("observes unknown node"), std::string::npos) << why;
-  const LargeCheckReport r = large_check_trace(c, run.trace, {});
+  const LargeCheckReport r = large_check_trace(c, trace, {});
   EXPECT_FALSE(r.valid_observer);
   EXPECT_EQ(r.detail, "trace does not fit the computation: " + why);
+}
+
+/// Every report field that does not depend on timing or on the
+/// process's peak RSS.
+void expect_same_report(const LargeCheckReport& got,
+                        const LargeCheckReport& want) {
+  EXPECT_EQ(got.valid_observer, want.valid_observer);
+  EXPECT_EQ(got.checked, want.checked);
+  EXPECT_EQ(got.satisfied, want.satisfied);
+  EXPECT_EQ(got.detail, want.detail);
+  EXPECT_EQ(got.oracle_kind, want.oracle_kind);
+  EXPECT_EQ(got.oracle_memory_bytes, want.oracle_memory_bytes);
+  EXPECT_EQ(got.simd, want.simd);
+  EXPECT_EQ(got.shards, want.shards);
+  EXPECT_EQ(got.groups_bytes, want.groups_bytes);
+  EXPECT_EQ(got.scratch_peak_bytes, want.scratch_peak_bytes);
+  EXPECT_EQ(got.aux_bytes, want.aux_bytes);
+  EXPECT_EQ(got.bytes_per_node, want.bytes_per_node);
+  EXPECT_EQ(got.pipelined, want.pipelined);
+  EXPECT_EQ(got.numa, want.numa);
+  ASSERT_EQ(got.locations.size(), want.locations.size());
+  for (std::size_t i = 0; i < got.locations.size(); ++i) {
+    EXPECT_EQ(got.locations[i].loc, want.locations[i].loc);
+    EXPECT_EQ(got.locations[i].writers, want.locations[i].writers);
+    EXPECT_EQ(got.locations[i].valid, want.locations[i].valid);
+    EXPECT_EQ(got.locations[i].violated, want.locations[i].violated);
+    EXPECT_EQ(got.locations[i].detail, want.locations[i].detail);
+  }
+}
+
+/// `events` stably sorted by seq.
+Trace seq_sorted(std::vector<BinaryTraceEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const BinaryTraceEvent& a, const BinaryTraceEvent& b) {
+                     return a.seq < b.seq;
+                   });
+  return Trace(std::move(events));
+}
+
+TEST(LargeCheck, UnsortedTracesReportTheirStableSeqOrder) {
+  // large_check_trace feeds the records as they lie; a rejected trace
+  // out of seq order is checked again, by a fresh session, in stable seq
+  // order, and its report is that order's.
+  LargeCheckOptions lopt;
+  lopt.models = kSuiteLC;  // the NN/NW/WN/WW sweeps take seconds here
+  lopt.parallel = false;
+
+  // A BACKER run (stale reads materialize locations) with two records
+  // swapped past the first chunk: the rerun starts after a chunk was
+  // fed, so progress starts over once.
+  Rng rng(61);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = detail::kChunkNodes + 16384;
+  opt.nlocations = 4;
+  const Computation c = proc::random_cilk(opt, rng);
+  ASSERT_GT(c.node_count(), detail::kChunkNodes + 2);
+  BackerMemory backer;
+  const Trace run = run_execution(c, greedy_schedule(c, 4), backer).trace;
+  std::vector<BinaryTraceEvent> swapped = run.events.to_vector();
+  std::swap(swapped[detail::kChunkNodes + 1],
+            swapped[detail::kChunkNodes + 2]);
+  const LargeCheckReport want = large_check_trace(c, seq_sorted(swapped), lopt);
+  ASSERT_TRUE(want.valid_observer) << want.detail;
+  std::size_t calls = 0;
+  LargeCheckOptions counted = lopt;
+  counted.progress = [&calls](std::size_t, std::size_t) { ++calls; };
+  expect_same_report(large_check_trace(c, Trace(swapped), counted), want);
+  const std::size_t chunks =
+      (c.node_count() + detail::kChunkNodes - 1) / detail::kChunkNodes;
+  EXPECT_EQ(calls, chunks + 1);
+
+  // The same swap plus an unknown observation in the first chunk: the
+  // rejection is the one the stable seq order shows.
+  swapped[7].observed = static_cast<NodeId>(c.node_count());
+  std::string why;
+  EXPECT_FALSE(trace_consistent_with(Trace(swapped), c, &why));
+  const LargeCheckReport bad = large_check_trace(c, Trace(swapped), lopt);
+  EXPECT_EQ(bad.detail, "trace does not fit the computation: " + why);
+  expect_same_report(bad, large_check_trace(c, seq_sorted(swapped), lopt));
+
+  // W(0) -> R(0) stored as [R (seq 2), W (seq 1)]: in array order the
+  // read runs before the write it depends on, before any seq descent
+  // shows; in seq order the trace is fine.
+  ComputationBuilder b;
+  b.read(0, {b.write(0)});
+  const Computation two = std::move(b).build();
+  const Trace flipped({{2, 1, 0, 1, 0}, {1, 0, 0, 0, kBottom}});
+  lopt.models = kLargeCheckExt;
+  const LargeCheckReport two_want =
+      large_check_trace(two, seq_sorted(flipped.events.to_vector()), lopt);
+  ASSERT_TRUE(two_want.valid_observer) << two_want.detail;
+  expect_same_report(large_check_trace(two, flipped, lopt), two_want);
+}
+
+TEST(LargeCheck, SortedTraceRejectionsKeepTheirMessage) {
+  // A sorted trace's array order is its stable seq order: its rejection
+  // stands, message and all.
+  ComputationBuilder b;
+  b.read(0, {b.write(0)});
+  const Computation two = std::move(b).build();
+  const Trace backwards({{1, 0, 0, 1, 0}, {2, 1, 0, 0, kBottom}});
+  const LargeCheckReport r = large_check_trace(two, backwards, {});
+  EXPECT_FALSE(r.valid_observer);
+  EXPECT_EQ(r.detail,
+            "trace does not fit the computation: trace order flips dag edge "
+            "0 -> 1 (node 1 ran first)");
 }
 
 TEST(LargeCheck, ReportsUsableDetailAndTimings) {
@@ -230,10 +341,11 @@ TEST(LargeCheck, ReportsUsableDetailAndTimings) {
 
 TEST(LargeCheck, StagesAddUpToTheTotal) {
   // On a sequential run the stages are disjoint stretches of the
-  // engine's time, the seq ordering of the trace included, so together
-  // they never exceed total_millis: on a serial trace, whose locations
-  // all stay witnessed (no kernel, no writer CSR), and on a BACKER
-  // trace, whose stale reads materialize locations.
+  // engine's time, so together they never exceed total_millis: on a
+  // serial trace, whose locations all stay witnessed (no kernel, no
+  // writer CSR), on the same records stored in reverse, which are
+  // rejected as they lie and checked again in seq order, and on a
+  // BACKER trace, whose stale reads materialize locations.
   Rng rng(5);
   proc::RandomCilkOptions opt;
   opt.target_ops = 20000;
@@ -243,14 +355,17 @@ TEST(LargeCheck, StagesAddUpToTheTotal) {
   BackerMemory backer;
   const Trace serial = run_serial(c, sc).trace;
   const Trace stale = run_execution(c, greedy_schedule(c, 4), backer).trace;
+  std::vector<BinaryTraceEvent> events = serial.events.to_vector();
+  std::reverse(events.begin(), events.end());
+  const Trace reversed(std::move(events));
   LargeCheckOptions lopt;
   lopt.models = kLargeCheckExt;
   lopt.parallel = false;
-  for (const Trace* t : {&serial, &stale}) {
+  for (const Trace* t : {&serial, &reversed, &stale}) {
     const LargeCheckReport r = large_check_trace(c, *t, lopt);
     ASSERT_TRUE(r.valid_observer) << r.detail;
-    EXPECT_EQ(r.groups_bytes == 0, t == &serial);
-    EXPECT_EQ(r.kernel_millis == 0.0, t == &serial);
+    EXPECT_EQ(r.groups_bytes == 0, t != &stale);
+    EXPECT_EQ(r.kernel_millis == 0.0, t != &stale);
     // A nanosecond of slack for the rounding of the summed doubles.
     EXPECT_LE(r.ingest_millis + r.group_build_millis + r.kernel_millis +
                   r.report_millis,

@@ -57,17 +57,18 @@ std::vector<Trace> runs_of(const Computation& c, Rng& rng) {
 
 /// `trace` with about a third of its reads recording ⊥ or any write,
 /// another location's included.
-Trace perturbed(const Computation& c, Trace trace, Rng& rng) {
+Trace perturbed(const Computation& c, const Trace& trace, Rng& rng) {
   std::vector<NodeId> writes;
   for (NodeId u = 0; u < c.node_count(); ++u)
     if (c.op(u).is_write()) writes.push_back(u);
-  for (BinaryTraceEvent& e : trace.events) {
+  std::vector<BinaryTraceEvent> events = trace.events.to_vector();
+  for (BinaryTraceEvent& e : events) {
     if (!c.op(e.node).is_read() || !rng.chance(0.3)) continue;
     e.observed = writes.empty() || rng.chance(0.25)
                      ? kBottom
                      : writes[rng.below(writes.size())];
   }
-  return trace;
+  return Trace(std::move(events));
 }
 
 Computation random_program(std::size_t ops, std::size_t locations, Rng& rng) {
@@ -108,7 +109,9 @@ TEST(LintPipeline, DeadWritesMatchTheCompletionColumns) {
       ASSERT_TRUE(r.trace_ok) << "round " << round;
       EXPECT_EQ(dead_writes(r), want) << "round " << round;
       // The lint reads the trace in seq order, whatever the array order.
-      std::shuffle(trace.events.begin(), trace.events.end(), rng);
+      std::vector<BinaryTraceEvent> events = trace.events.to_vector();
+      std::shuffle(events.begin(), events.end(), rng);
+      trace = Trace(std::move(events));
       EXPECT_EQ(dead_writes(analyze::analyze_trace(c, trace, opt)), want)
           << "round " << round << ", shuffled";
       EXPECT_EQ(reference_dead_writes(c, trace), want) << "round " << round;

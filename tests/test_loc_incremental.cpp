@@ -213,15 +213,16 @@ TEST(LocIncremental, LastWriterOfAnyLinearExtensionGivesTheCleanRow) {
 /// Point a few read events at other writes of their location: stale
 /// ones violate models, forward ones exercise the oracle and the
 /// validity scan — the trace-level twin of corrupt().
-Trace corrupt_trace(const Computation& c, Trace trace, Rng& rng) {
+Trace corrupt_trace(const Computation& c, const Trace& trace, Rng& rng) {
+  std::vector<BinaryTraceEvent> events = trace.events.to_vector();
   for (int k = 0; k < 4; ++k) {
-    BinaryTraceEvent& e = trace.events[rng.below(trace.events.size())];
+    BinaryTraceEvent& e = events[rng.below(events.size())];
     const Op o = c.op(e.node);
     if (!o.is_read()) continue;
     const std::vector<NodeId> ws = c.writers(o.loc);
     if (!ws.empty()) e.observed = ws[rng.below(ws.size())];
   }
-  return trace;
+  return Trace(std::move(events));
 }
 
 /// The execution-order binary records of a trace.

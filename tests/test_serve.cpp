@@ -162,7 +162,8 @@ TEST(CheckSession, SerialScStreamMatchesBatch) {
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
+  const std::vector<BinaryTraceEvent> recs =
+      run_serial(c, mem).trace.events.to_vector();
   for (const std::vector<BinaryTraceEvent>& arrival :
        {recs, shuffled_extension(c, recs, rng)})
     for (const std::size_t chunk : kFeedSizes)
@@ -180,7 +181,8 @@ TEST(CheckSession, CorruptedStreamsMatchBatch) {
   opt.nlocations = 5;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const std::vector<BinaryTraceEvent> base = run_serial(c, mem).trace.events;
+  const std::vector<BinaryTraceEvent> base =
+      run_serial(c, mem).trace.events.to_vector();
   for (int round = 0; round < 6; ++round) {
     std::vector<BinaryTraceEvent> recs = base;
     corrupt_records(c, recs, rng, 2 + round);
@@ -201,7 +203,7 @@ TEST(CheckSession, InterleavedScheduleStreamMatchesBatch) {
   WeakMemory mem(5);
   const Schedule s = greedy_schedule(c, 4);
   const std::vector<BinaryTraceEvent> base =
-      run_execution(c, s, mem).trace.events;
+      run_execution(c, s, mem).trace.events.to_vector();
   for (const std::size_t chunk : kFeedSizes)
     expect_session_matches_batch(c, base, kLargeCheckExt, chunk);
   std::vector<BinaryTraceEvent> bad = base;
@@ -230,7 +232,8 @@ void expect_extra_location_matches_batch(Computation c, Location extra) {
   ASSERT_NE(reader, kBottom);
   c.set_ops(ops);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
+  std::vector<BinaryTraceEvent> recs =
+      run_serial(c, mem).trace.events.to_vector();
   bool planted = false;
   for (BinaryTraceEvent& r : recs)
     if (r.node == reader) {
@@ -457,7 +460,7 @@ TEST(CheckSession, MaterializationMidStreamMatchesTheReference) {
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
   const std::vector<BinaryTraceEvent> serial =
-      run_serial(c, mem).trace.events;
+      run_serial(c, mem).trace.events.to_vector();
   const std::vector<Location> locs = c.written_locations();
   ASSERT_FALSE(locs.empty());
   for (const bool shuffle : {false, true}) {
@@ -497,7 +500,7 @@ TEST(CheckSession, FirstStaleReadBuildsTheGroupsOnce) {
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
   const std::vector<BinaryTraceEvent> clean =
-      run_serial(c, mem).trace.events;
+      run_serial(c, mem).trace.events.to_vector();
   std::vector<BinaryTraceEvent> recs = clean;
   ASSERT_TRUE(plant_stale_read(c, recs, c.written_locations()[0], 1));
   std::size_t stale = 0;
@@ -534,7 +537,8 @@ TEST(CheckSession, MidStreamCheckAndFastVerdictAreConsistent) {
   opt.nlocations = 4;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
+  std::vector<BinaryTraceEvent> recs =
+      run_serial(c, mem).trace.events.to_vector();
   corrupt_records(c, recs, rng, 5);
   renumber(recs);
 
@@ -566,7 +570,8 @@ TEST(CheckSession, RejectsInconsistentStreams) {
   opt.nlocations = 3;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  const std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
+  const std::vector<BinaryTraceEvent> recs =
+      run_serial(c, mem).trace.events.to_vector();
   const std::size_t n = c.node_count();
 
   {  // duplicate node
@@ -647,7 +652,8 @@ TEST(CheckSession, RetainedEventReplayReproducesVerdicts) {
   opt.nlocations = 4;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
+  std::vector<BinaryTraceEvent> recs =
+      run_serial(c, mem).trace.events.to_vector();
   corrupt_records(c, recs, rng, 3);
   renumber(recs);
 
@@ -681,7 +687,7 @@ TEST(CheckSessionParallel, LargeFeedsShardAndMatchTheReference) {
   const Trace stale = run_execution(c, greedy_schedule(c, 4), mem).trace;
   ASSERT_EQ(reference_disagreeing_locations(c, stale),
             c.written_locations());
-  std::vector<BinaryTraceEvent> recs = stale.events;
+  std::vector<BinaryTraceEvent> recs = stale.events.to_vector();
   corrupt_records(c, recs, rng, 3);
   renumber(recs);
   const LargeCheckReport want = reference_report(c, recs, kLargeCheckExt);
@@ -717,7 +723,8 @@ TEST(CheckSessionParallel, MaterializationInShardedFeedsMatchesTheReference) {
   opt.nlocations = 8;
   const Computation c = proc::random_cilk(opt, rng);
   ScMemory mem;
-  std::vector<BinaryTraceEvent> recs = run_serial(c, mem).trace.events;
+  std::vector<BinaryTraceEvent> recs =
+      run_serial(c, mem).trace.events.to_vector();
   const std::vector<Location> locs = c.written_locations();
   for (std::size_t i = 0; i < locs.size(); ++i)
     (void)plant_stale_read(c, recs, locs[i], static_cast<int>(i % 3));
@@ -776,7 +783,7 @@ Workload make_workload(std::uint64_t seed, std::size_t ops,
   opt.nlocations = 8;
   Workload w{proc::random_cilk(opt, rng), {}, {}};
   ScMemory mem;
-  w.recs = run_serial(w.c, mem).trace.events;
+  w.recs = run_serial(w.c, mem).trace.events.to_vector();
   corrupt_records(w.c, w.recs, rng, flips);
   renumber(w.recs);
   w.batch = reference_report(w.c, w.recs, models);

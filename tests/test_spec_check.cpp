@@ -196,10 +196,12 @@ TEST(SpecCheck, MisfitTraceRejectsEveryModelWithDiagnosis) {
   models.push_back(compile_model(cube));
   const Computation c = workload::contended_counter(5);
   ScMemory mem;
-  ExecutionResult run = run_serial(c, mem);
-  ASSERT_FALSE(run.trace.events.empty());
-  run.trace.events.pop_back();  // one event per node no longer holds
-  const SpecCheckReport r = spec_check_trace(c, run.trace, models);
+  std::vector<BinaryTraceEvent> events =
+      run_serial(c, mem).trace.events.to_vector();
+  ASSERT_FALSE(events.empty());
+  events.pop_back();  // one event per node no longer holds
+  const SpecCheckReport r =
+      spec_check_trace(c, Trace(std::move(events)), models);
   ASSERT_EQ(r.models.size(), models.size());
   for (const SpecModelVerdict& v : r.models) {
     EXPECT_TRUE(v.decided);
@@ -213,13 +215,15 @@ TEST(SpecCheck, ObservationOfUnknownNodeRejectsEveryModel) {
   const auto models = pack_models();
   const Computation c = workload::contended_counter(5);
   ScMemory mem;
-  ExecutionResult run = run_serial(c, mem);
+  std::vector<BinaryTraceEvent> events =
+      run_serial(c, mem).trace.events.to_vector();
   BinaryTraceEvent* read = nullptr;
-  for (BinaryTraceEvent& e : run.trace.events)
+  for (BinaryTraceEvent& e : events)
     if (read == nullptr && c.op(e.node).is_read()) read = &e;
   ASSERT_NE(read, nullptr);
   read->observed = static_cast<NodeId>(c.node_count());
-  const SpecCheckReport r = spec_check_trace(c, run.trace, models);
+  const SpecCheckReport r =
+      spec_check_trace(c, Trace(std::move(events)), models);
   EXPECT_NE(r.base.detail.find("observes unknown node"), std::string::npos)
       << r.base.detail;
   ASSERT_EQ(r.models.size(), models.size());

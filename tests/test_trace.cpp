@@ -31,10 +31,9 @@ TEST(Trace, OrderFollowsSequenceNumbers) {
 }
 
 TEST(Trace, OrderSortsShuffledEvents) {
-  Trace t;
-  t.events.push_back({2, 2, 0, 7, kBottom});
-  t.events.push_back({0, 0, 0, 3, kBottom});
-  t.events.push_back({1, 1, 0, 5, kBottom});
+  const Trace t({{2, 2, 0, 7, kBottom},
+                 {0, 0, 0, 3, kBottom},
+                 {1, 1, 0, 5, kBottom}});
   EXPECT_EQ(trace_order(t), (std::vector<NodeId>{3, 5, 7}));
 }
 
@@ -44,21 +43,21 @@ TEST(Trace, ConsistencyChecker) {
   EXPECT_TRUE(trace_consistent_with(r.trace, c));
 
   // Wrong size.
-  Trace shorter = r.trace;
-  shorter.events.pop_back();
-  EXPECT_FALSE(trace_consistent_with(shorter, c));
+  std::vector<BinaryTraceEvent> shorter = r.trace.events.to_vector();
+  shorter.pop_back();
+  EXPECT_FALSE(trace_consistent_with(Trace(shorter), c));
 
   // Non-topological order: swap seq of a dependent pair.
-  Trace reordered = r.trace;
+  std::vector<BinaryTraceEvent> reordered = r.trace.events.to_vector();
   // init (node 0) must precede everything; give it the largest seq.
-  for (auto& e : reordered.events)
+  for (auto& e : reordered)
     if (e.node == 0) e.seq = 1000;
-  EXPECT_FALSE(trace_consistent_with(reordered, c));
+  EXPECT_FALSE(trace_consistent_with(Trace(reordered), c));
 
   // Duplicate node.
-  Trace dup = r.trace;
-  dup.events[1].node = dup.events[0].node;
-  EXPECT_FALSE(trace_consistent_with(dup, c));
+  std::vector<BinaryTraceEvent> dup = r.trace.events.to_vector();
+  dup[1].node = dup[0].node;
+  EXPECT_FALSE(trace_consistent_with(Trace(dup), c));
 }
 
 TEST(Trace, RenderingMentionsOpsAndObservations) {
@@ -70,8 +69,7 @@ TEST(Trace, RenderingMentionsOpsAndObservations) {
   EXPECT_NE(s.find("seq"), std::string::npos);
 
   // An unvalidated event naming a node `c` lacks renders without an op.
-  Trace stray;
-  stray.events.push_back({0, 0, 0, 99, kBottom});
+  const Trace stray({{0, 0, 0, 99, kBottom}});
   EXPECT_NE(trace_to_string(stray, c).find("99    ?"), std::string::npos);
 }
 
@@ -80,15 +78,15 @@ TEST(Trace, ConsistencyCheckerNamesTheProblem) {
   const ExecutionResult r = sample_run(c);
   std::string why;
 
-  Trace shorter = r.trace;
-  shorter.events.pop_back();
-  EXPECT_FALSE(trace_consistent_with(shorter, c, &why));
+  std::vector<BinaryTraceEvent> shorter = r.trace.events.to_vector();
+  shorter.pop_back();
+  EXPECT_FALSE(trace_consistent_with(Trace(shorter), c, &why));
   EXPECT_NE(why.find("events"), std::string::npos);
 
-  Trace reordered = r.trace;
-  for (auto& e : reordered.events)
+  std::vector<BinaryTraceEvent> reordered = r.trace.events.to_vector();
+  for (auto& e : reordered)
     if (e.node == 0) e.seq = 1000;
-  EXPECT_FALSE(trace_consistent_with(reordered, c, &why));
+  EXPECT_FALSE(trace_consistent_with(Trace(reordered), c, &why));
   EXPECT_NE(why.find("flips dag edge"), std::string::npos);
 }
 
@@ -129,14 +127,14 @@ TEST(Trace, TextRoundTrip) {
 TEST(Trace, OrderIsStableOnSeqTies) {
   // Events with equal seq keep their array order — the order the
   // validator and the observer completion also use.
-  Trace t;
+  std::vector<BinaryTraceEvent> events;
   std::vector<NodeId> want;
   for (std::uint64_t seq = 0; seq < 3; ++seq)
     for (NodeId u = 0; u < 100; ++u)
       if (u % 3 == seq) want.push_back(u);
   for (NodeId u = 0; u < 100; ++u)
-    t.events.push_back({u % 3, 0, 0, u, kBottom});
-  EXPECT_EQ(trace_order(t), want);
+    events.push_back({u % 3, 0, 0, u, kBottom});
+  EXPECT_EQ(trace_order(Trace(std::move(events))), want);
 }
 
 /// A trace plus whether it carries at most one defect (then the
@@ -155,69 +153,48 @@ std::vector<Mutant> mutants(const Computation& c, const Trace& base,
   const auto pick = [&] { return rng.below(n); };
   std::vector<Mutant> out;
   out.push_back({"clean", base});
+  // Each mutant edits its own copy of the base records.
+  std::vector<BinaryTraceEvent> ev;
+  const auto add = [&](std::string what, bool single = true) {
+    out.push_back({std::move(what), Trace(std::move(ev)), single});
+    ev = base.events.to_vector();
+  };
+  ev = base.events.to_vector();
+  ev.erase(ev.begin() + static_cast<std::ptrdiff_t>(pick()));
+  add("dropped");
   {
-    Mutant m{"dropped", base};
-    m.trace.events.erase(m.trace.events.begin() +
-                         static_cast<std::ptrdiff_t>(pick()));
-    out.push_back(std::move(m));
-  }
-  {
-    Mutant m{"appended copy", base};
     BinaryTraceEvent e = base.events[pick()];
     e.seq = base.events.back().seq + 1;
-    m.trace.events.push_back(e);
-    out.push_back(std::move(m));
+    ev.push_back(e);
+    add("appended copy");
   }
   {
     // The last event's node is a sink: replacing it with a copy of an
     // earlier event duplicates that node and loses only a sink.
-    Mutant m{"duplicated", base};
-    BinaryTraceEvent& last = m.trace.events.back();
+    BinaryTraceEvent& last = ev.back();
     const BinaryTraceEvent& src = base.events[rng.below(n - 1)];
     last.node = src.node;
     last.observed = src.observed;
-    out.push_back(std::move(m));
+    add("duplicated");
   }
-  {
-    Mutant m{"swapped", base};
-    std::swap(m.trace.events[pick()].seq, m.trace.events[pick()].seq);
-    out.push_back(std::move(m));
-  }
-  {
-    // Shuffle the array and halve every seq: the stable order now
-    // depends on where tied events landed.
-    Mutant m{"ties", base};
-    std::vector<BinaryTraceEvent>& ev = m.trace.events;
-    for (std::size_t i = ev.size(); i > 1; --i)
-      std::swap(ev[i - 1], ev[rng.below(i)]);
-    for (BinaryTraceEvent& e : ev) e.seq /= 2;
-    out.push_back(std::move(m));
-  }
-  {
-    Mutant m{"observes unknown", base};
-    m.trace.events[pick()].observed =
-        static_cast<NodeId>(c.node_count() + rng.below(5));
-    out.push_back(std::move(m));
-  }
-  {
-    Mutant m{"unknown node", base};
-    m.trace.events[pick()].node = static_cast<NodeId>(c.node_count() + 3);
-    out.push_back(std::move(m));
-  }
-  {
-    Mutant m{"observes unknown + swap", base};
-    m.trace.events[pick()].observed = static_cast<NodeId>(c.node_count());
-    std::swap(m.trace.events[pick()].seq, m.trace.events[pick()].seq);
-    m.single = false;
-    out.push_back(std::move(m));
-  }
-  {
-    Mutant m{"duplicate + ties", base};
-    m.trace.events[pick()].node = m.trace.events[pick()].node;
-    for (BinaryTraceEvent& e : m.trace.events) e.seq /= 3;
-    m.single = false;
-    out.push_back(std::move(m));
-  }
+  std::swap(ev[pick()].seq, ev[pick()].seq);
+  add("swapped");
+  // Shuffle the array and halve every seq: the stable order now depends
+  // on where tied events landed.
+  for (std::size_t i = ev.size(); i > 1; --i)
+    std::swap(ev[i - 1], ev[rng.below(i)]);
+  for (BinaryTraceEvent& e : ev) e.seq /= 2;
+  add("ties");
+  ev[pick()].observed = static_cast<NodeId>(c.node_count() + rng.below(5));
+  add("observes unknown");
+  ev[pick()].node = static_cast<NodeId>(c.node_count() + 3);
+  add("unknown node");
+  ev[pick()].observed = static_cast<NodeId>(c.node_count());
+  std::swap(ev[pick()].seq, ev[pick()].seq);
+  add("observes unknown + swap", false);
+  ev[pick()].node = ev[pick()].node;
+  for (BinaryTraceEvent& e : ev) e.seq /= 3;
+  add("duplicate + ties", false);
   return out;
 }
 

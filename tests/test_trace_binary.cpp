@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -91,8 +93,9 @@ TEST(TraceBinary, RoundTripsScrambledObservations) {
   Rng rng(2026);
   const Computation c = workload::contended_counter(12);
   ScMemory mem;
-  Trace trace = run_serial(c, mem).trace;
-  for (BinaryTraceEvent& e : trace.events) {
+  std::vector<BinaryTraceEvent> events =
+      run_serial(c, mem).trace.events.to_vector();
+  for (BinaryTraceEvent& e : events) {
     if (rng.chance(0.3))
       e.observed = kBottom;
     else if (rng.chance(0.5))
@@ -100,6 +103,7 @@ TEST(TraceBinary, RoundTripsScrambledObservations) {
     e.time = rng.below(1u << 30);
     e.proc = static_cast<ProcId>(rng.below(64));
   }
+  const Trace trace(std::move(events));
   const std::string image = image_of(trace);
   expect_events_equal(read_trace_binary(image.data(), image.size(), c), trace);
 }
@@ -169,10 +173,9 @@ TEST(TraceBinary, RecordBytesArePinnedInEveryCarrier) {
   b.read(5, {0});
   b.read(5, {1});
   const Computation c = std::move(b).build();
-  Trace trace;
-  trace.events = {{0x100000001, 0x200000001, 0x04030201, 0, kBottom},
-                  {0x100000002, 0x200000002, 0x04030201, 1, 0},
-                  {0x100000003, 0x200000003, 0x08070605, 2, 0}};
+  const Trace trace({{0x100000001, 0x200000001, 0x04030201, 0, kBottom},
+                     {0x100000002, 0x200000002, 0x04030201, 1, 0},
+                     {0x100000003, 0x200000003, 0x08070605, 2, 0}});
   const std::string records = from_hex(
       // Per record: seq, time (u64); proc, node, observed, reserved (u32).
       "0100000001000000 0100000002000000 01020304 00000000 ffffffff 00000000 "
@@ -334,6 +337,24 @@ TEST(TraceBinary, LoadTraceAutoDetectsFilesAndMapsThem) {
   EXPECT_EQ(std::memcmp(file.data(), image.data(), image.size()), 0);
   expect_events_equal(read_trace_binary(file.data(), file.size(), c), trace);
 
+  // A loaded binary trace borrows its file's mapping and keeps it alive:
+  // it reads the writer's records after the file is removed, a copy
+  // reads them after the original is gone, and a moved-from Trace holds
+  // no records.
+  std::optional<Trace> loaded = load_trace(bin_path, c);
+  ASSERT_EQ(std::remove(bin_path.c_str()), 0);
+  expect_events_equal(*loaded, trace);
+  const Trace copy = *loaded;
+  loaded.reset();
+  expect_events_equal(copy, trace);
+  Trace from = copy;
+  const Trace to = std::move(from);
+  // NOLINTBEGIN(bugprone-use-after-move)
+  EXPECT_TRUE(from.events.empty());
+  EXPECT_EQ(from.events.data(), nullptr);
+  // NOLINTEND(bugprone-use-after-move)
+  expect_events_equal(to, trace);
+
   EXPECT_THROW((void)load_trace(dir + "ccmm_no_such_trace.tbin", c),
                std::runtime_error);
 }
@@ -377,6 +398,11 @@ TEST(TraceBinary, NonSeekableInputsStreamWithoutTempFiles) {
     ASSERT_EQ(f.size(), image.size());
     EXPECT_EQ(std::memcmp(f.data(), image.data(), image.size()), 0);
     expect_events_equal(read_trace_binary(f.data(), f.size(), c), trace);
+    // The drained image one byte off alignment decodes to the same trace.
+    std::vector<unsigned char> shifted(f.size() + 1);
+    std::memcpy(shifted.data() + 1, f.data(), f.size());
+    expect_events_equal(read_trace_binary(shifted.data() + 1, f.size(), c),
+                        trace);
   }
   {
     // Text down a pipe: the single-open load path parses straight from
@@ -398,9 +424,11 @@ TEST(TraceBinary, NonSeekableInputsStreamWithoutTempFiles) {
       std::ofstream out(fifo, std::ios::binary);
       out.write(image.data(), static_cast<std::streamsize>(image.size()));
     });
-    expect_events_equal(load_trace(fifo, c), trace);
+    // The trace borrows the drained buffer: it outlives the FIFO.
+    const Trace loaded = load_trace(fifo, c);
     writer.join();
     ::unlink(fifo.c_str());
+    expect_events_equal(loaded, trace);
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -123,8 +124,9 @@ int main(int argc, char** argv) {
     std::vector<BinaryTraceEvent> sorted(order.size());
     for (std::size_t i = 0; i < order.size(); ++i)
       sorted[i] = trace.events[order[i]];
-    const std::vector<BinaryTraceEvent>& recs =
-        order.empty() ? trace.events : sorted;
+    const std::span<const BinaryTraceEvent> recs =
+        order.empty() ? std::span<const BinaryTraceEvent>(trace.events)
+                      : std::span<const BinaryTraceEvent>(sorted);
 
     serve::ClientOptions copts;
     copts.session.models = models;

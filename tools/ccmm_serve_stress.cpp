@@ -208,7 +208,8 @@ int main(int argc, char** argv) {
   const Computation c = proc::random_cilk(wopt, rng);
   BackerMemory mem;
   const Trace trace = run_execution(c, greedy_schedule(c, 4), mem).trace;
-  sh.recs = trace.events;  // already in seq order, as the wire wants
+  // Already in seq order, as the wire wants.
+  sh.recs = trace.events.to_vector();
   sh.c = &c;
 
   LargeCheckReport batch;

@@ -11,6 +11,8 @@
 // BM_ServeIngest/1048576/L), and BM_ServeIngestBacker streams a
 // 4-processor BACKER trace whose stale reads materialize the session's
 // locations, keeping the kernel measured behind the socket.
+// BM_SessionSetupIds/L/1048576 times a session's construction alone on
+// three location-id layouts, L = 0, 1, 2 (see the row).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -200,6 +202,46 @@ void BM_ServeLatency(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunk));
 }
 BENCHMARK(BM_ServeLatency)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+
+/// CheckSession construction, which builds the location index, on a
+/// postmortem-deep-shaped computation (2^20 ops over 16 locations) in
+/// three location-id layouts: ids 0..15 (arg 0), every id moved past
+/// 2^31 (1), and only the last access renamed to 0xFFFFFFFF (2), the
+/// one large id the index meets after every other node. The copy the
+/// session takes is made untimed. Not gated.
+void BM_SessionSetupIds(benchmark::State& state) {
+  const auto layout = state.range(0);
+  const Computation base = bench::cilk_program(
+      static_cast<std::size_t>(state.range(1)), 16,
+      static_cast<std::uint64_t>(state.range(1)) * 13 + 5);
+  std::vector<Op> ops = base.ops();
+  if (layout == 1)
+    for (Op& o : ops)
+      if (!o.is_nop()) o.loc += 0x80000000u;
+  if (layout == 2)
+    for (auto it = ops.rbegin(); it != ops.rend(); ++it)
+      if (!it->is_nop()) {
+        it->loc = 0xFFFFFFFFu;
+        break;
+      }
+  Computation c(base.dag(), std::move(ops));
+  c.set_sp_structure(base.sp_structure());
+  for (auto _ : state) {
+    state.PauseTiming();
+    Computation copy = c;
+    state.ResumeTiming();
+    const CheckSession session(std::move(copy));
+    benchmark::DoNotOptimize(&session);
+  }
+  state.SetLabel(layout == 0 ? "ids 0..15"
+                 : layout == 1 ? "ids past 2^31"
+                               : "last id 0xFFFFFFFF");
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(c.node_count()));
+}
+BENCHMARK(BM_SessionSetupIds)
+    ->Args({0, 1 << 20})->Args({1, 1 << 20})->Args({2, 1 << 20})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ccmm

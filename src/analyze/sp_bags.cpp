@@ -98,13 +98,13 @@ bool replay(const Computation& c, const SpStructure& sp, Bags& bags,
     const SpEvent e = stream[f.next++];
     switch (e.kind) {
       case SpEvent::Kind::kNode: {
-        const Op o = c.op(e.node);
+        const Op o = c.op(e.id);
         if (o.is_nop()) break;
-        if (!on_access(e.node, f.strand, o)) return false;
+        if (!on_access(e.id, f.strand, o)) return false;
         break;
       }
       case SpEvent::Kind::kSpawn:
-        stack.push_back({e.child, 0});  // serial elision: run child now
+        stack.push_back({e.id, 0});  // serial elision: run child now
         break;
       case SpEvent::Kind::kSync:
         for (const std::uint32_t r : pending[f.strand])
@@ -115,7 +115,7 @@ bool replay(const Computation& c, const SpStructure& sp, Bags& bags,
         // Plain-call return: the callee is serially before everything
         // the caller does next, so its set folds into the caller's
         // S-bag instead of floating as a P-bag.
-        const std::uint32_t root = bags.find(e.child);
+        const std::uint32_t root = bags.find(e.id);
         auto& pd = pending[f.strand];
         const auto it = std::find(pd.begin(), pd.end(), root);
         CCMM_CHECK(it != pd.end(), "adopted child set not pending");

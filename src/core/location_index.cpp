@@ -17,29 +17,35 @@ LocationIndex::LocationIndex(const Computation& c) {
   access_.resize(n);
   std::uint32_t* access = access_.data();
   std::vector<std::uint32_t> writes;
-  bool dense = true;
-  for (std::size_t u = 0; u < n; ++u) {
-    const Op o = ops[u];
-    if (o.is_nop()) {
-      access[u] = kNoWrittenLoc;
-      continue;
+  // The node of the first large id, or n.
+  const std::size_t late = [&] {
+    for (std::size_t u = 0; u < n; ++u) {
+      const Op o = ops[u];
+      if (o.is_nop()) {
+        access[u] = kNoWrittenLoc;
+        continue;
+      }
+      if (o.loc >= writes.size()) {
+        if (o.loc >= dense_limit) return u;
+        writes.resize(std::min(dense_limit,
+                               std::max<std::size_t>(2 * writes.size(),
+                                                     o.loc + 1)),
+                      0);
+      }
+      const std::uint32_t is_write = o.is_write() ? 1u : 0u;
+      access[u] = o.loc << 1 | is_write;
+      writes[o.loc] += is_write;
     }
-    if (o.loc >= writes.size()) {
-      dense = o.loc < dense_limit;
-      if (!dense) break;
-      writes.resize(std::min(dense_limit, std::max<std::size_t>(
-                                              2 * writes.size(), o.loc + 1)),
-                    0);
-    }
-    const std::uint32_t is_write = o.is_write() ? 1u : 0u;
-    access[u] = o.loc << 1 | is_write;
-    writes[o.loc] += is_write;
-  }
-  // A large id: pass 1 again, with the locations' first-appearance
-  // numbers as keys. A location recurs far more often than it appears,
-  // so a 1024-entry direct-mapped cache answers most lookups before the
-  // hash map.
-  std::vector<Location> found;  // key → location
+    return n;
+  }();
+  const bool dense = late == n;
+  // A large id: pass 1 goes on from it, the keys below `base` staying
+  // the ids the nodes before it were given, and every other location
+  // keyed base, base + 1, … in order of first appearance. A location
+  // recurs far more often than it appears, so a 1024-entry
+  // direct-mapped cache answers most lookups before the hash map.
+  const auto base = static_cast<std::uint32_t>(writes.size());
+  std::vector<Location> found;  // key - base → location
   if (!dense) {
     struct Cached {
       Location loc = 0;
@@ -47,8 +53,7 @@ LocationIndex::LocationIndex(const Computation& c) {
     };
     std::array<Cached, 1024> cache{};
     std::unordered_map<Location, std::uint32_t> key_of;
-    writes.clear();
-    for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t u = late; u < n; ++u) {
       const Op o = ops[u];
       if (o.is_nop()) {
         access[u] = kNoWrittenLoc;
@@ -56,26 +61,33 @@ LocationIndex::LocationIndex(const Computation& c) {
       }
       Cached& hit = cache[o.loc % cache.size()];
       if (hit.key == kNoWrittenLoc || hit.loc != o.loc) {
-        const auto [it, fresh] = key_of.try_emplace(
-            o.loc, static_cast<std::uint32_t>(found.size()));
-        if (fresh) {
-          found.push_back(o.loc);
-          writes.push_back(0);
+        std::uint32_t key = o.loc;
+        if (o.loc >= base) {
+          const auto [it, fresh] = key_of.try_emplace(
+              o.loc, static_cast<std::uint32_t>(writes.size()));
+          if (fresh) {
+            found.push_back(o.loc);
+            writes.push_back(0);
+          }
+          key = it->second;
         }
-        hit = Cached{o.loc, it->second};
+        hit = Cached{o.loc, key};
       }
       const std::uint32_t is_write = o.is_write() ? 1u : 0u;
       access[u] = hit.key << 1 | is_write;
       writes[hit.key] += is_write;
     }
   }
+  const auto location = [&](std::uint32_t k) {
+    return k < base ? k : found[k - base];
+  };
   std::vector<std::uint32_t> order;  // written keys in location order
   for (std::uint32_t k = 0; k < writes.size(); ++k)
     if (writes[k] != 0) order.push_back(k);
   if (!dense)
     std::sort(order.begin(), order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
-                return found[a] < found[b];
+                return location(a) < location(b);
               });
 
   // The written locations become slots 0.. in location order.
@@ -85,16 +97,16 @@ LocationIndex::LocationIndex(const Computation& c) {
   for (std::uint32_t i = 0; i < order.size(); ++i) {
     const std::uint32_t k = order[i];
     slot_of[k] = i;
-    locs_[i] = dense ? k : found[k];
+    locs_[i] = location(k);
     wri_head_[i + 1] = wri_head_[i] + writes[k];
   }
 
   // Pass 2: keys become slots.
-  for (std::size_t u = 0; u < n; ++u) {
-    const std::uint32_t a = access[u];
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint32_t a = access[v];
     if (a == kNoWrittenLoc) continue;
     const std::uint32_t slot = slot_of[a >> 1];
-    access[u] = slot == kNoWrittenLoc ? kNoWrittenLoc : slot << 1 | (a & 1u);
+    access[v] = slot == kNoWrittenLoc ? kNoWrittenLoc : slot << 1 | (a & 1u);
   }
 }
 

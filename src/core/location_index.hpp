@@ -15,9 +15,10 @@
 // One pass over the ops keys every access and counts each key's
 // writers; a second, over the node table, turns keys into slots. While
 // every id is below n + 1024 a location's key is its id, so the written
-// locations come out sorted with no lookup and no sort; a larger id
-// restarts the first pass with first-appearance numbers as keys, and
-// the written ones are sorted. build_csr() adds each slot's writers
+// locations come out sorted with no lookup and no sort. From the first
+// larger id on, the first pass keys every id the keys so far cover by
+// itself and every other one by first appearance after them, and the
+// written ones are sorted. build_csr() adds each slot's writers
 // (and accessors, with their counts) on demand, as id-ascending slices
 // of one flat array each. The checking session builds the writer slices
 // only when its first location materializes; the race scans build both.

@@ -23,21 +23,23 @@
 
 namespace ccmm {
 
-/// One entry of a strand's event stream.
+/// One entry of a strand's event stream: 8 bytes, the layout of the
+/// computation image's event record (io/text.hpp).
 struct SpEvent {
   enum class Kind : std::uint8_t {
-    kNode,   // the strand executed node `node`
-    kSpawn,  // strand `child` forked off at this point
-    kSync,   // join with every outstanding child (`node` = join nop, or
+    kNode,   // the strand executed node `id`
+    kSpawn,  // strand `id` forked off at this point
+    kSync,   // join with every outstanding child (`id` = join nop, or
              // kBottom when no child had run and no join node was needed)
-    kAdopt,  // plain-call return: `child`'s chain continues this strand
+    kAdopt,  // plain-call return: strand `id`'s chain continues this one
   };
   Kind kind;
-  NodeId node = kBottom;
-  std::uint32_t child = 0;
+  /// The node of kNode and kSync, the strand of kSpawn and kAdopt.
+  std::uint32_t id = kBottom;
 
   [[nodiscard]] bool operator==(const SpEvent&) const = default;
 };
+static_assert(sizeof(SpEvent) == 8);
 
 /// Per-strand event streams as one CSR table; strand 0 is the root
 /// procedure. Strand s's events are events[offsets[s], offsets[s + 1]),

@@ -12,28 +12,50 @@ constexpr std::uint32_t kScanRow = 8;
 
 /// Keeps the first occurrence of every target in each of the `n` rows
 /// of off/tgt, compacting the targets in place and rewriting `off`;
-/// returns the number kept. O(n + m): short rows compare against their
-/// own kept prefix, and the stamp array is allocated only when a long
-/// row turns up.
-std::uint32_t drop_repeats(std::uint32_t* off, NodeId* tgt, std::size_t n) {
+/// returns the number kept, and sets `*first_drop` (when given and
+/// something was dropped) to the index in the old tgt of the first
+/// target dropped. `visit(u, t)` sees every target t of row u, repeats
+/// included, before it is looked up. O(n + m): short rows compare
+/// against their own kept prefix, and the stamp array is allocated only
+/// when a long row turns up.
+template <typename Visit>
+std::uint32_t drop_repeats(std::uint32_t* off, NodeId* tgt, std::size_t n,
+                           std::size_t* first_drop, const Visit& visit) {
   std::vector<NodeId> stamp;
   std::uint32_t kept = 0;
   std::uint32_t begin = 0;
+  // Targets are read at or after where they are kept, so i is the old
+  // index of the target it reads.
+  const auto drop = [&](std::uint32_t i) {
+    if (first_drop != nullptr) *first_drop = i;
+    first_drop = nullptr;
+  };
   for (std::size_t u = 0; u < n; ++u) {
     const std::uint32_t end = off[u + 1];
     const std::uint32_t row = kept;
     off[u] = row;
     if (end - begin <= 1) {
-      if (end != begin) tgt[kept++] = tgt[begin];
+      if (end != begin) {
+        visit(u, tgt[begin]);
+        tgt[kept++] = tgt[begin];
+      }
     } else if (end - begin <= kScanRow) {
-      for (std::uint32_t i = begin; i < end; ++i)
+      for (std::uint32_t i = begin; i < end; ++i) {
+        visit(u, tgt[i]);
         if (std::find(tgt + row, tgt + kept, tgt[i]) == tgt + kept)
           tgt[kept++] = tgt[i];
+        else
+          drop(i);
+      }
     } else {
       if (stamp.empty()) stamp.assign(n, kBottom);
       for (std::uint32_t i = begin; i < end; ++i) {
         const NodeId t = tgt[i];
-        if (stamp[t] == u) continue;
+        visit(u, t);
+        if (stamp[t] == u) {
+          drop(i);
+          continue;
+        }
         stamp[t] = static_cast<NodeId>(u);
         tgt[kept++] = t;
       }
@@ -42,6 +64,10 @@ std::uint32_t drop_repeats(std::uint32_t* off, NodeId* tgt, std::size_t n) {
   }
   off[n] = kept;
   return kept;
+}
+
+std::uint32_t drop_repeats(std::uint32_t* off, NodeId* tgt, std::size_t n) {
+  return drop_repeats(off, tgt, n, nullptr, [](std::size_t, NodeId) {});
 }
 
 }  // namespace
@@ -116,6 +142,56 @@ Dag::Dag(std::size_t n, const Dag* base, std::span<const Edge> extra)
     succ_tgt_.shrink_to_fit();
     pred_tgt_.shrink_to_fit();
   }
+}
+
+Dag::Dag(std::size_t n, std::vector<std::uint32_t> succ_off,
+         std::vector<NodeId> succ_tgt, std::size_t* first_repeat)
+    : n_(n), succ_off_(std::move(succ_off)), succ_tgt_(std::move(succ_tgt)) {
+  CCMM_CHECK(n < kBottom, "too many nodes for 32-bit node ids");
+  const std::size_t m = succ_tgt_.size();
+  CCMM_CHECK(m <= kMaxDagEdges, "a dag holds at most 2^32 - 1 edges");
+  CCMM_CHECK(succ_off_.size() == n + 1 && succ_off_[0] == 0 &&
+                 succ_off_[n] == m,
+             "succ rows need n + 1 offsets from 0 to the target count");
+  CCMM_CHECK(std::is_sorted(succ_off_.begin(), succ_off_.end()),
+             "succ row offsets decrease");
+  if (first_repeat != nullptr) *first_repeat = m;
+  if (n == 0) {
+    succ_off_.clear();
+    return;
+  }
+  // One pass checks every target, drops the repeats and counts each
+  // pred row's length; repeats are rare, so their rows are counted
+  // again only when some were dropped.
+  pred_off_.assign(n + 1, 0);
+  std::uint32_t* po = pred_off_.data();
+  m_ = drop_repeats(succ_off_.data(), succ_tgt_.data(), n, first_repeat,
+                    [&](std::size_t u, NodeId t) {
+                      CCMM_CHECK(t < n, "edge endpoint out of range");
+                      CCMM_CHECK(t != u, "self-loop");
+                      if (t < u) edges_increase_ = false;
+                      ++po[t];
+                    });
+  const std::uint32_t* so = succ_off_.data();
+  const NodeId* st = succ_tgt_.data();
+  if (m_ < m) {
+    succ_tgt_.resize(m_);
+    succ_tgt_.shrink_to_fit();
+    st = succ_tgt_.data();
+    std::fill(pred_off_.begin(), pred_off_.end(), 0);
+    for (std::uint32_t k = 0; k < m_; ++k) ++po[st[k]];
+  }
+
+  // Pred rows: inclusive prefix sums of the lengths, then the succ rows
+  // back to front, so each pred row lists its sources in ascending
+  // order, as Dag(n, edges) does for the same edges in row order.
+  pred_tgt_.resize(m_);
+  NodeId* pt = pred_tgt_.data();
+  for (std::size_t u = 1; u < n; ++u) po[u] += po[u - 1];
+  for (std::size_t u = n; u-- > 0;)
+    for (std::uint32_t k = so[u + 1]; k-- > so[u];)
+      pt[--po[st[k]]] = static_cast<NodeId>(u);
+  po[n] = static_cast<std::uint32_t>(m_);
 }
 
 Dag::Dag(const Dag& o)

@@ -9,6 +9,8 @@
 // direction), which the edge-sweeping kernels read in place. DagBuilder
 // freezes an edge list into a Dag in one O(n + m) counting pass; rows
 // keep insertion order, and a repeated edge keeps its first occurrence.
+// A reader whose input lists edges row by row hands its succ rows over
+// as they are and only the pred rows are built.
 // Reachability rows are bitsets, which makes the u ≺ v ≺ w triple
 // queries of the dag-consistency checkers word-parallel.
 #pragma once
@@ -57,6 +59,18 @@ class Dag {
   Dag(std::size_t n, std::span<const Edge> edges);
   Dag(std::size_t n, std::initializer_list<Edge> edges)
       : Dag(n, std::span<const Edge>(edges.begin(), edges.size())) {}
+
+  /// Adopt succ rows already laid out as they are stored: row u is
+  /// succ_tgt[succ_off[u] .. succ_off[u + 1]), so succ_off has n + 1
+  /// entries, starts at 0, never decreases and ends at succ_tgt.size().
+  /// Makes every check Dag(n, edges) makes on the same edges in row
+  /// order (endpoints in range, no self-loop, at most kMaxDagEdges; a
+  /// repeat keeps its first occurrence) and builds the pred rows, with
+  /// no edge list in between. When `first_repeat` is given it receives
+  /// the index in succ_tgt of the first edge dropped as a repeat, or
+  /// succ_tgt.size() when none was.
+  Dag(std::size_t n, std::vector<std::uint32_t> succ_off,
+      std::vector<NodeId> succ_tgt, std::size_t* first_repeat = nullptr);
 
   // The atomic freshness flag deletes the implicit copy/move operations;
   // copies carry the closure along when the source is already frozen
@@ -178,8 +192,9 @@ class Dag {
  private:
   friend class DagBuilder;
 
-  /// The counting pass behind every constructor: `base`'s rows (when
-  /// given) come first in each row, then `extra` in list order.
+  /// The counting pass behind every edge-list constructor: `base`'s
+  /// rows (when given) come first in each row, then `extra` in list
+  /// order.
   Dag(std::size_t n, const Dag* base, std::span<const Edge> extra);
 
   /// Kahn's drain, FIFO: a topological order, cut short by a cycle.

@@ -111,13 +111,13 @@ std::vector<std::uint32_t> english_labels(const SpStructure& sp) {
     const SpEvent e = stream[f.next_event++];
     switch (e.kind) {
       case SpEvent::Kind::kNode:
-        assign(e.node);
+        assign(e.id);
         break;
       case SpEvent::Kind::kSpawn:
-        stack.push_back({e.child, 0});  // serial elision: run child now
+        stack.push_back({e.id, 0});  // serial elision: run child now
         break;
       case SpEvent::Kind::kSync:
-        if (e.node != kBottom) assign(e.node);  // the join nop
+        if (e.id != kBottom) assign(e.id);  // the join nop
         break;
       case SpEvent::Kind::kAdopt:
         break;  // the plain-called child already ran at its kSpawn
@@ -164,35 +164,35 @@ std::vector<std::uint32_t> hebrew_labels(const SpStructure& sp) {
       const SpEvent e = stream[i];
       switch (e.kind) {
         case SpEvent::Kind::kNode:
-          assign(e.node);
+          assign(e.id);
           ++i;
           break;
         case SpEvent::Kind::kSpawn:
-          pending[s].push_back(e.child);  // defer until the sync
+          pending[s].push_back(e.id);  // defer until the sync
           ++i;
           break;
         case SpEvent::Kind::kAdopt: {
           auto& pd = pending[s];
-          const auto it = std::find(pd.begin(), pd.end(), e.child);
+          const auto it = std::find(pd.begin(), pd.end(), e.id);
           CCMM_CHECK(it != pd.end(), "adopted child not pending");
           pd.erase(it);
           // Caller resumes after the serial callee completes.
           work.push_back({Item::Kind::kRun, s, i + 1});
-          work.push_back({Item::Kind::kRun, e.child, 0});
+          work.push_back({Item::Kind::kRun, e.id, 0});
           suspended = true;
           break;
         }
         case SpEvent::Kind::kSync: {
           auto& pd = pending[s];
           if (pd.empty()) {
-            if (e.node != kBottom) assign(e.node);
+            if (e.id != kBottom) assign(e.id);
             ++i;
             break;
           }
           // LIFO: continuation last, join before it, children on top in
           // spawn order so the latest spawn pops (= runs) first.
           work.push_back({Item::Kind::kRun, s, i + 1});
-          if (e.node != kBottom) work.push_back({Item::Kind::kEmit, e.node});
+          if (e.id != kBottom) work.push_back({Item::Kind::kEmit, e.id});
           for (const std::uint32_t child : pd)
             work.push_back({Item::Kind::kRun, child, 0});
           pd.clear();

@@ -128,16 +128,6 @@ void read_records(Input& in, std::size_t count, std::size_t bytes,
   }
 }
 
-/// Offset of the first edge Dag dropped as a repeat: the kept list is
-/// the edge list with its repeats removed, in order.
-std::size_t first_repeat(const std::vector<Edge>& edges, const Dag& dag,
-                         std::size_t edges_at) {
-  const std::vector<Edge> kept = dag.edges();
-  std::size_t i = 0;
-  while (i < kept.size() && kept[i] == edges[i]) ++i;
-  return edges_at + i * kEdgeBytes;
-}
-
 /// Everything after the magic.
 Computation decode(Input& in) {
   const unsigned char* h =
@@ -186,10 +176,14 @@ Computation decode(Input& in) {
                  return Op{static_cast<OpKind>(p[0]), loc};
                });
 
+  // The edges arrive in succ-row order, so their targets are the dag's
+  // succ rows as they will be stored, and each row starts where its
+  // first edge lands.
   const std::size_t edges_at = in.at();
-  std::vector<Edge> edges;
-  NodeId row = 0;
-  read_records(in, m, kEdgeBytes, edges,
+  std::vector<std::uint32_t> off(n + 1);
+  std::vector<NodeId> tgt;
+  std::size_t rows = 0;  // rows whose start is set
+  read_records(in, m, kEdgeBytes, tgt,
                [&](const unsigned char* p, std::size_t at) {
                  const Edge e{load_le32(p), load_le32(p + 4)};
                  if (e.from >= n)
@@ -200,16 +194,19 @@ Computation decode(Input& in) {
                                       static_cast<unsigned long long>(n)));
                  if (e.from == e.to)
                    bad(at, format("edge %u %u is a self-loop", e.from, e.to));
-                 if (e.from < row)
-                   bad(at, format("edge from %u follows row %u", e.from, row));
-                 row = e.from;
-                 return e;
+                 if (e.from + std::size_t{1} < rows)
+                   bad(at, format("edge from %u follows row %zu", e.from,
+                                  rows - 1));
+                 const auto k = static_cast<std::uint32_t>(
+                     (at - edges_at) / kEdgeBytes);
+                 for (; rows <= e.from; ++rows) off[rows] = k;
+                 return e.to;
                });
-  Dag dag(n, edges);
-  if (dag.edge_count() != m)
-    bad(first_repeat(edges, dag, edges_at), "repeated edge");
+  for (; rows <= n; ++rows) off[rows] = static_cast<std::uint32_t>(m);
+  std::size_t repeat = 0;
+  Dag dag(n, std::move(off), std::move(tgt), &repeat);
+  if (repeat != m) bad(edges_at + repeat * kEdgeBytes, "repeated edge");
   if (!dag.is_acyclic()) bad(edges_at, "edges form a cycle");
-  edges = {};
   Computation c(std::move(dag), std::move(ops));
   if (s == 0) return c;
 
@@ -233,21 +230,19 @@ Computation decode(Input& in) {
         if (p[0] > 3) bad(at, format("unknown strand event kind %u", p[0]));
         if ((p[1] | p[2] | p[3]) != 0)
           bad(at + 1, "strand event reserved bytes are nonzero");
-        const std::uint32_t v = load_le32(p + 4);
-        SpEvent e{static_cast<SpEvent::Kind>(p[0])};
+        const SpEvent e{static_cast<SpEvent::Kind>(p[0]), load_le32(p + 4)};
         switch (e.kind) {
           case SpEvent::Kind::kNode:
           case SpEvent::Kind::kSync:
-            if (v >= n && !(e.kind == SpEvent::Kind::kSync && v == kBottom))
-              bad(at + 4, format("strand event names node %u of %llu", v,
+            if (e.id >= n &&
+                !(e.kind == SpEvent::Kind::kSync && e.id == kBottom))
+              bad(at + 4, format("strand event names node %u of %llu", e.id,
                                  static_cast<unsigned long long>(n)));
-            e.node = v;
             break;
           case SpEvent::Kind::kSpawn:
           case SpEvent::Kind::kAdopt:
-            if (v >= s)
-              bad(at + 4, format("strand event names unknown strand %u", v));
-            e.child = v;
+            if (e.id >= s)
+              bad(at + 4, format("strand event names unknown strand %u", e.id));
             break;
         }
         return e;
@@ -294,11 +289,8 @@ std::string write_computation_image(const Computation& c) {
   for (std::size_t i = 0; i < s; ++i, p += kLengthBytes)
     store_le32(p, static_cast<std::uint32_t>(sp->strand(i).size()));
   for (std::size_t i = 0; i < events; ++i, p += kEventBytes) {
-    const SpEvent& e = sp->events[i];
-    p[0] = static_cast<unsigned char>(e.kind);
-    const bool names_node = e.kind == SpEvent::Kind::kNode ||
-                            e.kind == SpEvent::Kind::kSync;
-    store_le32(p + 4, names_node ? e.node : e.child);
+    p[0] = static_cast<unsigned char>(sp->events[i].kind);
+    store_le32(p + 4, sp->events[i].id);
   }
   return out;
 }

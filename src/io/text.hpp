@@ -83,14 +83,25 @@ namespace ccmm::io {
 
 /// Render / parse a computation. Parsing throws std::runtime_error with
 /// a line number on malformed text, ImageReadError (a runtime_error)
-/// with a byte offset on a malformed image. Text is read in one pass
-/// that parses each line in place, numbers as they are scanned, with no
-/// per-line allocation: the view overload parses the view itself
-/// (copying only an unterminated last line), the stream overload reads
-/// 1 MiB blocks, so memory beyond the result is one block, or the
-/// longest line rounded up to a power of two. The strands land in the
-/// SpStructure's flat table as they are read. A seekable stream is left
-/// just past the 'end' line; any stream is left just past an image.
+/// with a byte offset on a malformed image. Text is parsed in place,
+/// numbers as they are scanned, with no per-line allocation: the view
+/// overload parses the view itself (copying only an unterminated last
+/// line) in 1 MiB windows, the stream overload reads 1 MiB blocks, so
+/// memory beyond the result is one block, or the longest line rounded
+/// up to a power of two.
+///
+/// Threads: once an input holds a block, each block's whole lines after
+/// 'nodes' are parsed in chunks on global_pool() (a call from one of
+/// its workers runs them inline, a one-worker pool reads serially). A
+/// count pass gives every chunk its slots and a write pass puts ops,
+/// edge targets and strand events straight into the result's arrays,
+/// so chunks add no memory; the edge and event arrays reserve 1.5
+/// entries per node when a round first grows them. Any line a chunk
+/// does not take goes back to the serial loop, so results, messages,
+/// line numbers and stream positions are a serial read's. Edges in row
+/// order, as write_computation writes them, become the dag's succ rows
+/// as they are. A seekable stream is left just past the 'end' line; any
+/// stream is left just past an image.
 [[nodiscard]] std::string write_computation(const Computation& c);
 [[nodiscard]] Computation read_computation(std::istream& in);
 [[nodiscard]] Computation read_computation(std::string_view text);

@@ -15,7 +15,7 @@ NodeId CilkProgram::append(std::size_t strand, Op o, std::vector<NodeId> preds,
   if (s.current != kBottom) preds.push_back(s.current);
   const NodeId u = c_.node(o, preds);
   s.current = u;
-  if (record) log_event(strand, {SpEvent::Kind::kNode, u, 0});
+  if (record) log_event(strand, {SpEvent::Kind::kNode, u});
   return u;
 }
 
@@ -32,8 +32,8 @@ std::size_t CilkProgram::spawn_from(std::size_t strand) {
   child.anchor = strands_[strand].current;
   const std::size_t index = strands_.size();
   strands_.push_back(child);
-  log_event(strand, {SpEvent::Kind::kSpawn, kBottom,
-                     static_cast<std::uint32_t>(index)});
+  log_event(strand,
+            {SpEvent::Kind::kSpawn, static_cast<std::uint32_t>(index)});
   strands_[strand].outstanding.push_back(index);
   return index;
 }
@@ -58,7 +58,7 @@ void CilkProgram::sync_strand(std::size_t strand) {
   NodeId join = kBottom;
   if (any_child_ran)
     join = append(strand, Op::nop(), std::move(preds), /*record=*/false);
-  log_event(strand, {SpEvent::Kind::kSync, join, 0});
+  log_event(strand, {SpEvent::Kind::kSync, join});
 }
 
 CilkProgram::Strand& CilkProgram::Strand::op(Op o) {
@@ -87,8 +87,8 @@ void CilkProgram::adopt_child(std::size_t strand, std::size_t child) {
   outstanding.erase(it);
   if (strands_[child].current != strands_[child].anchor)
     strands_[strand].current = strands_[child].current;
-  log_event(strand, {SpEvent::Kind::kAdopt, kBottom,
-                     static_cast<std::uint32_t>(child)});
+  log_event(strand,
+            {SpEvent::Kind::kAdopt, static_cast<std::uint32_t>(child)});
 }
 
 CilkProgram::Strand& CilkProgram::Strand::adopt(Strand& callee) {

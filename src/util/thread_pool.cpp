@@ -83,19 +83,26 @@ void ThreadPool::parallel_for(std::size_t n,
   // workers simply claim more chunks, so one pathologically expensive
   // index (skewed judge costs in the fixpoint engine) delays only the
   // worker that drew it. The grain targets ~8 claims per task to keep
-  // counter traffic negligible while still rebalancing.
+  // counter traffic negligible while still rebalancing. The caller
+  // claims too instead of sleeping until the workers wake, so a short
+  // call does not wait out their wake-up.
   const std::size_t ntasks = std::min(size(), n);
   const std::size_t grain = std::max<std::size_t>(1, n / (ntasks * 8));
   std::atomic<std::size_t> next{0};
-  for (std::size_t t = 0; t < ntasks; ++t) {
-    submit([&, n, grain] {
-      for (;;) {
-        const std::size_t lo = next.fetch_add(grain, std::memory_order_relaxed);
-        if (lo >= n) return;
-        const std::size_t hi = std::min(n, lo + grain);
-        for (std::size_t i = lo; i < hi; ++i) f(i);
-      }
-    });
+  const auto claim = [&, n, grain] {
+    for (;;) {
+      const std::size_t lo = next.fetch_add(grain, std::memory_order_relaxed);
+      if (lo >= n) return;
+      const std::size_t hi = std::min(n, lo + grain);
+      for (std::size_t i = lo; i < hi; ++i) f(i);
+    }
+  };
+  for (std::size_t t = 0; t < ntasks; ++t) submit(claim);
+  try {
+    claim();
+  } catch (...) {
+    wait_idle();  // the tasks still read `next` and `f`
+    throw;
   }
   wait_idle();
 }

@@ -40,12 +40,13 @@ class ThreadPool {
   void wait_idle();
 
   /// Run f(i) for i in [0, n), blocking. Work-stealing schedule: workers
-  /// repeatedly claim the next grain-sized index range off a shared
-  /// atomic counter, so skewed per-index costs rebalance instead of
-  /// serializing on the unluckiest static block. Degenerate cases (n <=
-  /// 1, single-worker pools) and calls from this pool's own workers run
-  /// inline on the caller; at most min(n, size()) tasks are ever
-  /// spawned, none with an empty range.
+  /// and the caller repeatedly claim the next grain-sized index range
+  /// off a shared atomic counter, so skewed per-index costs rebalance
+  /// instead of serializing on the unluckiest static block. Degenerate
+  /// cases (n <= 1, single-worker pools) and calls from this pool's own
+  /// workers run inline on the caller; at most min(n, size()) tasks are
+  /// ever spawned. An f(i) that throws on the caller is rethrown once
+  /// the tasks are done; on a worker it terminates, as submit() says.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& f);
 
  private:

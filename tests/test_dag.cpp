@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -303,6 +305,50 @@ TEST(DagReference, RandomEdgeListsMatchTheAdjacencyLists) {
     SCOPED_TRACE(round);
     expect_matches_reference(d, r, rng);
   }
+}
+
+TEST(DagReference, AdoptedSuccRowsMatchTheAdjacencyLists) {
+  // The CSR constructor on the same edges in row order: the same rows,
+  // the first repeat named, and Dag(n, edges)'s checks.
+  Rng rng(20261020);
+  for (int round = 0; round < 600; ++round) {
+    const std::size_t n =
+        round < 40 ? static_cast<std::size_t>(round % 2)
+                   : 2 + rng.below(round % 7 == 0 ? 60 : 12);
+    std::vector<Edge> edges = random_edges(n, rng.chance(0.7), rng);
+    std::stable_sort(
+        edges.begin(), edges.end(),
+        [](const Edge& a, const Edge& b) { return a.from < b.from; });
+    std::vector<std::uint32_t> off(n + 1, 0);
+    std::vector<NodeId> tgt;
+    for (const Edge& e : edges) {
+      ++off[e.from + 1];
+      tgt.push_back(e.to);
+    }
+    for (std::size_t u = 0; u < n; ++u) off[u + 1] += off[u];
+    std::size_t first = edges.size();
+    for (std::size_t i = 0; i < edges.size() && first == edges.size(); ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        if (edges[j] == edges[i]) {
+          first = i;
+          break;
+        }
+    std::size_t repeat = 0;
+    const Dag d(n, std::move(off), std::move(tgt), &repeat);
+    const ref::ListDag r(n, edges);
+    SCOPED_TRACE(round);
+    EXPECT_EQ(repeat, first);
+    EXPECT_EQ(d, Dag(n, edges));
+    expect_matches_reference(d, r, rng);
+  }
+  using Off = std::vector<std::uint32_t>;
+  using Tgt = std::vector<NodeId>;
+  EXPECT_THROW(Dag(2, Off{0, 1, 1}, Tgt{2}), std::logic_error);
+  EXPECT_THROW(Dag(2, Off{0, 0, 1}, Tgt{1}), std::logic_error);
+  EXPECT_THROW(Dag(3, Off{0, 2, 1, 2}, Tgt{1, 2}), std::logic_error);
+  EXPECT_THROW(Dag(2, Off{0, 1}, Tgt{1}), std::logic_error);
+  EXPECT_THROW(Dag(2, Off{0, 1, 1}, Tgt{1, 0}), std::logic_error);
+  EXPECT_EQ(Dag(0, Off{0}, Tgt{}), Dag());
 }
 
 TEST(DagReference, EqualityMeansTheSameRowsInOrder) {

@@ -7,6 +7,7 @@
 #include <functional>
 #include <new>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
@@ -21,6 +22,7 @@
 #include "proc/random_program.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
+#include "util/thread_pool.hpp"
 
 // Allocation accounting for the hostile-image test: while a thread's
 // counter is armed, every operator new request adds its size. The
@@ -133,7 +135,10 @@ Computation read_computation_body(LineReader& r) {
         if (e.from >= *n || e.to >= *n) throw KnownBug{r.line()};
       for (const auto& s : strands)
         for (const SpEvent& e : s)
-          if (e.node != kBottom && e.node >= *n) throw KnownBug{r.line()};
+          if ((e.kind == SpEvent::Kind::kNode ||
+               e.kind == SpEvent::Kind::kSync) &&
+              e.id != kBottom && e.id >= *n)
+            throw KnownBug{r.line()};
       ops.assign(*n, Op::nop());
     } else if (t[0] == "op") {
       if (!n.has_value()) parse_error(r.line(), "'op' before 'nodes'");
@@ -176,24 +181,24 @@ Computation read_computation_body(LineReader& r) {
         switch (tok[0]) {
           case 'n':
             e.kind = SpEvent::Kind::kNode;
-            e.node = static_cast<NodeId>(parse_number(r, num, max_id));
+            e.id = static_cast<NodeId>(parse_number(r, num, max_id));
             if (*n == 0) throw KnownBug{r.line()};  // bug site
             break;
           case 's':
             e.kind = SpEvent::Kind::kSpawn;
-            e.child =
+            e.id =
                 static_cast<std::uint32_t>(parse_number(r, num, UINT32_MAX));
             break;
           case 'y':
             e.kind = SpEvent::Kind::kSync;
-            e.node = num == "_" ? kBottom
+            e.id = num == "_" ? kBottom
                                 : static_cast<NodeId>(
                                       parse_number(r, num, max_id));
             if (*n == 0 && num != "_") throw KnownBug{r.line()};  // bug site
             break;
           case 'a':
             e.kind = SpEvent::Kind::kAdopt;
-            e.child =
+            e.id =
                 static_cast<std::uint32_t>(parse_number(r, num, UINT32_MAX));
             break;
           default:
@@ -221,9 +226,9 @@ Computation read_computation_body(LineReader& r) {
       for (const SpEvent& e : stream)
         if ((e.kind == SpEvent::Kind::kSpawn ||
              e.kind == SpEvent::Kind::kAdopt) &&
-            e.child >= strands.size())
+            e.id >= strands.size())
           parse_error(r.line(),
-                      format("strand event names unknown strand %u", e.child));
+                      format("strand event names unknown strand %u", e.id));
     c.set_sp_structure(std::move(sp));
   }
   return c;
@@ -286,19 +291,19 @@ std::string write_computation(const Computation& c) {
       for (const SpEvent& e : sp->strand(s)) {
         switch (e.kind) {
           case SpEvent::Kind::kNode:
-            out += format(" n%u", e.node);
+            out += format(" n%u", e.id);
             break;
           case SpEvent::Kind::kSpawn:
-            out += format(" s%u", e.child);
+            out += format(" s%u", e.id);
             break;
           case SpEvent::Kind::kSync:
-            if (e.node == kBottom)
+            if (e.id == kBottom)
               out += " y_";
             else
-              out += format(" y%u", e.node);
+              out += format(" y%u", e.id);
             break;
           case SpEvent::Kind::kAdopt:
-            out += format(" a%u", e.child);
+            out += format(" a%u", e.id);
             break;
         }
       }
@@ -725,7 +730,7 @@ TEST(TextIo, StrandLineSpanningSeveralBlocks) {
   std::vector<SpEvent> expected;
   for (NodeId u = 0; u < kNodes; ++u) {
     text += " n" + std::to_string(u);
-    expected.push_back({SpEvent::Kind::kNode, u, 0});
+    expected.push_back({SpEvent::Kind::kNode, u});
   }
   text += "\nop 7 W 3\nend\n";
   ASSERT_GT(text.size(), 3 * kBlock);
@@ -1281,6 +1286,362 @@ TEST(ComputationImage, HostileImagesDecodeCanonicallyOrNameAnOffset) {
   run(header);
   EXPECT_GT(decoded, seeds.size());
   EXPECT_GT(rejected, 1000u);
+}
+
+// ---------------------------------------------------------------------
+// Parallel rounds (src/io/text.cpp): once the input holds a block, a
+// block's whole lines after 'nodes' are counted and written in chunks
+// on the pool, and every line a chunk does not take goes back to the
+// serial loop. Each case spans several rounds and puts the lines it is
+// about across the chunk edges of one round, so it passes wherever the
+// pool's size puts those edges.
+// ---------------------------------------------------------------------
+
+/// Op lines for ids [0, n) as write_computation spells them, one in
+/// seven a read.
+std::string op_lines(std::size_t n, std::size_t from = 0) {
+  std::string out;
+  for (std::size_t u = from; u < n; ++u)
+    out += format("op %zu %s %zu\n", u, u % 7 == 0 ? "R" : "W", u % 13);
+  return out;
+}
+
+/// A chain's edges u → u + 1 for u in [from, to).
+std::string chain_edges(std::size_t from, std::size_t to) {
+  std::string out;
+  for (std::size_t u = from; u < to; ++u)
+    out += format("edge %zu %zu\n", u, u + 1);
+  return out;
+}
+
+/// The text with `line` put in place of the line that starts nearest
+/// `at` (its bytes), keeping every other line.
+std::string replace_line_near(std::string text, std::size_t at,
+                              const std::string& line) {
+  const std::size_t start = text.rfind('\n', at) + 1;
+  const std::size_t end = text.find('\n', start) + 1;
+  text.replace(start, end - start, line + "\n");
+  return text;
+}
+
+/// `lines` each padded with a trailing comment to ~60 KB, so that a
+/// round's chunk edges (one chunk per ~64 KB at four workers) fall
+/// between nearly every two of them.
+std::string one_per_chunk(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines)
+    out += l + " # " + std::string(60000, 'x') + "\n";
+  return out;
+}
+
+TEST(TextIoParallel, MatchesTheReferenceAcrossManyRounds) {
+  Rng rng(2026);
+  const std::string text = random_pair_text(rng, std::size_t{1} << 17);
+  ASSERT_GE(text.size(), 6 * kBlock);
+  Tally tally;
+  differential(text, tally);
+  differential(with_crlf(text), tally);
+  EXPECT_EQ(tally.accepted, 2u);
+  for (int i = 0; i < 4; ++i) {
+    differential(mutate(text, rng), tally);
+    if (HasFatalFailure()) return;
+  }
+  // Several mutations at once: the first error in file order wins.
+  std::string many = text;
+  for (int i = 0; i < 4; ++i) many = mutate(many, rng);
+  differential(many, tally);
+}
+
+TEST(TextIoParallel, TheFirstErrorInFileOrderWins) {
+  constexpr std::size_t kNodes = 140000;
+  const std::string good = "computation\nnodes " + std::to_string(kNodes) +
+                           "\n" + op_lines(kNodes) +
+                           chain_edges(0, kNodes - 1) + "end\n";
+  ASSERT_GE(good.size(), 3 * kBlock);
+  // Errors a count pass stops at (an id that is not one, a directive no
+  // chunk takes) and errors only a write pass meets (a bad op kind, a
+  // self-loop, a bad strand event), a few chunks apart in one round, in
+  // either order.
+  const std::vector<std::string> bad = {"op x W 1", "bogus 1", "op 5 Q",
+                                        "edge 9 9", "strand n1 q2",
+                                        "op 3 W 1073741825"};
+  Tally tally;
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    for (const std::size_t j : {(i + 1) % bad.size(), (i + 4) % bad.size()}) {
+      const std::size_t at = 2 * kBlock + 100000 * (i + 1);
+      std::string text = replace_line_near(good, at, bad[i]);
+      text = replace_line_near(text, at + 150000 + 20000 * j, bad[j]);
+      const Outcome got = outcome_of([&] {
+        std::istringstream in(text);
+        return TextPair{read_computation(in), std::nullopt};
+      });
+      const std::size_t line =
+          static_cast<std::size_t>(
+              std::count(text.begin(),
+                         text.begin() + static_cast<std::ptrdiff_t>(
+                                            text.find(bad[i] + "\n")),
+                         '\n')) +
+          1;
+      EXPECT_EQ(got.error.rfind(
+                    format("ccmm text parse error, line %zu: ", line), 0),
+                0u)
+          << got.error;
+      differential(text, tally);
+      if (HasFatalFailure()) return;
+    }
+  // One line per chunk: two errors in neighbouring chunks.
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    std::vector<std::string> lines;
+    for (std::size_t u = 0; u < 40; ++u)
+      lines.push_back(format("edge %zu %zu", u, u + 1));
+    lines[25] = bad[i];
+    lines[26] = bad[(i + 1) % bad.size()];
+    differential("computation\nnodes 100\n" + one_per_chunk(lines) +
+                     "end\n",
+                 tally);
+  }
+  EXPECT_EQ(tally.accepted, 0u);
+}
+
+TEST(TextIoParallel, RepeatedAndDescendingOpIdsLastLineWins) {
+  constexpr std::size_t kNodes = 120000;
+  // Ascending ids, then the same ids descending with other ops, then
+  // every third id again: within a round, chunks whose id ranges meet
+  // go back to the serial loop.
+  std::string text = "computation\nnodes " + std::to_string(kNodes) + "\n" +
+                     op_lines(kNodes);
+  for (std::size_t u = kNodes; u-- > 0;)
+    text += format("op %zu %s %zu\n", u, u % 2 == 0 ? "W" : "N", u % 5);
+  // 'N' takes no location: make the odd ones reads instead.
+  text = [&] {
+    std::string out;
+    std::istringstream in(text);
+    for (std::string l; std::getline(in, l);) {
+      if (l.size() > 2 && l.compare(l.size() - 2, 2, " N") != 0 &&
+          l.find(" N ") != std::string::npos)
+        l.replace(l.find(" N "), 3, " R ");
+      out += l + "\n";
+    }
+    return out;
+  }();
+  for (std::size_t u = 0; u < kNodes; u += 3)
+    text += format("op %zu W %zu\n", u, u % 11);
+  text += chain_edges(0, kNodes - 1) + "end\n";
+  ASSERT_GE(text.size(), 4 * kBlock);
+  Tally tally;
+  differential(text, tally);
+  EXPECT_EQ(tally.accepted, 1u);
+  const Computation c = read_computation(std::string_view(text));
+  EXPECT_EQ(c.op(0), Op::write(0));
+  EXPECT_EQ(c.op(1), Op::read(1));
+  EXPECT_EQ(c.op(2), Op::write(2));
+  EXPECT_EQ(c.op(3), Op::write(3));
+  // One op line per chunk: ids that repeat, fall back or step across
+  // chunk edges.
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < 60; ++i) {
+    const std::size_t u = i % 3 == 2 ? i / 2 : i;
+    lines.push_back(format("op %zu W %zu", u, i));
+  }
+  differential("computation\nnodes 100\n" + one_per_chunk(lines) +
+                   "edge 0 1\nend\n",
+               tally);
+  EXPECT_EQ(tally.accepted, 2u);
+}
+
+TEST(TextIoParallel, EdgesOutOfRowOrderFallBackToTheEdgeList) {
+  constexpr std::size_t kNodes = 150000;
+  // Row order holds for a block and a half, then one edge goes back to
+  // an earlier row, then repeated edges follow.
+  std::string text = "computation\nnodes " + std::to_string(kNodes) + "\n" +
+                     chain_edges(0, kNodes / 2);
+  text += "edge 3 9\n" + chain_edges(kNodes / 2, kNodes - 1) +
+          chain_edges(0, 1000) + "end\n";
+  ASSERT_GE(text.size(), 2 * kBlock);
+  Tally tally;
+  differential(text, tally);
+  EXPECT_EQ(tally.accepted, 1u);
+  const Computation c = read_computation(std::string_view(text));
+  EXPECT_EQ(c.dag().edge_count(), kNodes);
+  EXPECT_TRUE(c.dag().has_edge(3, 9));
+  // One edge line per chunk: rows that step up, repeat, and once go
+  // back at what is likely a chunk's first line.
+  for (const std::size_t back : {std::size_t{20}, std::size_t{33}}) {
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < 50; ++i)
+      lines.push_back(i == back ? "edge 2 60" : format("edge %zu %zu", i / 2,
+                                                       i / 2 + 1 + i % 2));
+    differential("computation\nnodes 100\n" + one_per_chunk(lines) +
+                     "end\n",
+                 tally);
+  }
+  EXPECT_EQ(tally.accepted, 3u);
+}
+
+TEST(TextIoParallel, ASecondNodesLineInMidText) {
+  constexpr std::size_t kNodes = 100000;
+  std::string text = "computation\nnodes " + std::to_string(kNodes) + "\n" +
+                     op_lines(kNodes) + chain_edges(0, kNodes / 2);
+  // More nodes: the ops so far are dropped, the edges kept.
+  text += "nodes " + std::to_string(2 * kNodes) + "\n" +
+          op_lines(2 * kNodes, kNodes / 2) +
+          chain_edges(kNodes / 2, 2 * kNodes - 1) + "end\n";
+  ASSERT_GE(text.size(), 4 * kBlock);
+  Tally tally;
+  differential(text, tally);
+  EXPECT_EQ(tally.accepted, 1u);
+  const Computation c = read_computation(std::string_view(text));
+  EXPECT_EQ(c.node_count(), 2 * kNodes);
+  EXPECT_EQ(c.op(1), Op::nop());
+  EXPECT_EQ(c.op(kNodes), Op::write(kNodes % 13));
+  // Fewer nodes than the edges name is an error on that line.
+  differential(replace_line_near(text, text.find("nodes 200000"),
+                                 "nodes 1000"),
+               tally);
+}
+
+TEST(TextIoParallel, EndInMidRoundThenAnObserverAndTrailingBytes) {
+  Rng rng(11);
+  proc::RandomCilkOptions opt;
+  opt.target_ops = std::size_t{1} << 15;
+  opt.nlocations = 4;
+  const Computation c = proc::random_cilk(opt, rng);
+  const ObserverFunction phi = last_writer(c, c.dag().topological_order());
+  const std::string comp = write_computation(c);
+  ASSERT_GE(comp.size(), kBlock + kBlock / 4);
+  // 'end' lands in mid-block: pad the front so it is not near an edge.
+  const std::string pad = "# " + std::string(kBlock / 3, 'x') + "\n";
+  const std::string text = pad + comp + write_observer(phi) + "trailing\n";
+  {
+    std::istringstream in(text);
+    const Computation back = read_computation(in);
+    EXPECT_EQ(back, c);
+    expect_same_sp(back, c);
+    EXPECT_EQ(read_observer(in, back.node_count()), phi);
+    std::string rest;
+    std::getline(in, rest);
+    EXPECT_EQ(rest, "trailing");
+  }
+  {
+    std::istringstream in(pad + comp + write_observer(phi));
+    const TextPair pair = read_pair(in);
+    EXPECT_EQ(pair.c, c);
+    ASSERT_TRUE(pair.phi.has_value());
+    EXPECT_EQ(*pair.phi, phi);
+  }
+  EXPECT_EQ(read_computation(std::string_view(text)), c);
+  Tally tally;
+  differential(pad + comp + write_observer(phi), tally);
+  differential(pad + comp + "bogus\n", tally);
+  EXPECT_EQ(tally.accepted, 1u);
+}
+
+TEST(TextIoParallel, CommentBlankAndCrlfLinesAtChunkEdges) {
+  Rng rng(5);
+  const std::string text = random_pair_text(rng, std::size_t{1} << 15);
+  // Every line followed by a blank, a whitespace-only or a comment
+  // line, so chunk edges fall next to each kind.
+  const char* const filler[] = {"\n", " \t\n", "# note\n", "  # x y\n"};
+  std::string padded;
+  std::size_t i = 0;
+  std::istringstream in(text);
+  for (std::string l; std::getline(in, l); ++i)
+    padded += l + "\n" + filler[i % 4];
+  ASSERT_GE(padded.size(), 2 * kBlock);
+  Tally tally;
+  differential(padded, tally);
+  differential(with_crlf(padded), tally);
+  EXPECT_EQ(tally.accepted, 2u);
+  EXPECT_EQ(read_computation(std::string_view(padded)),
+            read_computation(std::string_view(text)));
+}
+
+TEST(TextIoParallel, AStrandLineLongerThanABlockAtARoundBoundary) {
+  // postmortem-deep's root strand line is ~2.1 MB. Here one of ~2.5 MB
+  // starts exactly where the first block ends, or a byte either side.
+  constexpr std::size_t kNodes = 300000;
+  std::string strand = "strand";
+  std::vector<SpEvent> events;
+  for (NodeId u = 0; u < kNodes; ++u) {
+    strand += " n" + std::to_string(u);
+    events.push_back({SpEvent::Kind::kNode, u});
+  }
+  strand += " s1 y_\n";
+  events.push_back({SpEvent::Kind::kSpawn, 1});
+  events.push_back({SpEvent::Kind::kSync, kBottom});
+  ASSERT_GT(strand.size(), 2 * kBlock);
+  for (const std::size_t shift : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{2}}) {
+    std::string text = "computation\nnodes " + std::to_string(kNodes) + "\n";
+    const std::string ops = op_lines(kNodes);
+    // Ops, then a comment, up to the block boundary (less 1, or 1 more).
+    const std::size_t want = kBlock - 1 + shift;
+    const std::size_t cut = ops.rfind('\n', want - text.size() - 16) + 1;
+    text += ops.substr(0, cut);
+    text += "#" + std::string(want - text.size() - 2, 'x') + "\n";
+    ASSERT_EQ(text.size(), want) << shift;
+    text += strand + "strand n7\n" + ops.substr(cut) + "end\n";
+    Tally tally;
+    differential(text, tally);
+    EXPECT_EQ(tally.accepted, 1u) << shift;
+    std::istringstream in(text);
+    const Computation c = read_computation(in);
+    ASSERT_NE(c.sp_structure(), nullptr);
+    ASSERT_EQ(c.sp_structure()->strand_count(), 2u);
+    const std::span<const SpEvent> root = c.sp_structure()->strand(0);
+    EXPECT_TRUE(std::equal(root.begin(), root.end(), events.begin(),
+                           events.end()))
+        << shift;
+    EXPECT_EQ(c.op(kNodes - 2), Op::write((kNodes - 2) % 13)) << shift;
+  }
+}
+
+TEST(TextIoParallel, ShortReadsAndNonSeekableStreams) {
+  Rng rng(9);
+  const std::string text = random_pair_text(rng, std::size_t{1} << 16);
+  ASSERT_GE(text.size(), 3 * kBlock);
+  std::istringstream whole(text);
+  const TextPair want = read_pair(whole);
+  const auto expect_want = [&](const TextPair& got, const std::string& how) {
+    EXPECT_EQ(got.c, want.c) << how;
+    expect_same_sp(got.c, want.c);
+    ASSERT_TRUE(got.phi.has_value()) << how;
+    EXPECT_EQ(*got.phi, *want.phi) << how;
+  };
+  for (const std::size_t k : {kBlock / 3, kBlock / 16, std::size_t{4099}}) {
+    TrickleBuf buf(text, k);
+    std::istream in(&buf);
+    expect_want(read_pair(in), "trickle " + std::to_string(k));
+  }
+  PipeBuf pipe(text);
+  std::istream in(&pipe);
+  expect_want(read_pair(in), "pipe");
+}
+
+TEST(TextIoParallel, ACallFromAPoolWorkerRunsItsRoundsInline) {
+  Rng rng(13);
+  const std::string text = random_pair_text(rng, std::size_t{1} << 16);
+  ASSERT_GE(text.size(), 3 * kBlock);
+  std::istringstream whole(text);
+  const TextPair want = read_pair(whole);
+  std::vector<std::optional<TextPair>> got(3);
+  std::vector<std::string> errors(3);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    global_pool().submit([&, i] {
+      try {
+        std::istringstream in(text);
+        got[i] = read_pair(in);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  global_pool().wait_idle();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].has_value()) << errors[i];
+    EXPECT_EQ(got[i]->c, want.c);
+    expect_same_sp(got[i]->c, want.c);
+    EXPECT_EQ(got[i]->phi, want.phi);
+  }
 }
 
 TEST(DotIo, ContainsNodesEdgesAndObserver) {
